@@ -26,9 +26,11 @@ func defaultWorkerID() string {
 // coordinator. The coordinator dictates the scale; the worker claims
 // cell batches, computes them through the ordinary pooled driver path
 // (exactly the cells it holds leases on — the session's Claims gate
-// skips everything else), uploads each record idempotently, and
-// heartbeats so a crash or hang forfeits its cells to other workers.
-func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, workerID string, progress bool) {
+// skips everything else), uploads the records in batches while the next
+// cells simulate, and heartbeats so a crash or hang forfeits its cells
+// to other workers. Errors come back to main, which finalizes the
+// profiles before exiting.
+func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, workerID string, progress bool) error {
 	if workerID == "" {
 		workerID = defaultWorkerID()
 	}
@@ -39,11 +41,11 @@ func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, 
 	ctx := context.Background()
 	info, err := client.Sweep(ctx)
 	if err != nil {
-		fail("-join %s: %v (is `ecfd serve` running there?)", addr, err)
+		return fmt.Errorf("%w (is `ecfd serve` running there?)", err)
 	}
 	sc, ok := parseScale(info.Scale)
 	if !ok {
-		fail("-join %s: coordinator sweeps unknown scale %q (version skew between ecfd and ecfbench?)", addr, info.Scale)
+		return fmt.Errorf("coordinator sweeps unknown scale %q (version skew between ecfd and ecfbench?)", info.Scale)
 	}
 	sc.Workers = jobs
 	if progress {
@@ -54,7 +56,7 @@ func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, 
 	if cacheDir != "" {
 		store, err = results.Open(cacheDir)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "ecfbench[%s]: joined %s: %s-scale sweep, %d cells, lease TTL %v\n",
@@ -73,11 +75,12 @@ func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, 
 		},
 	})
 	if err != nil {
-		fail("-join: %v", err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "ecfbench[%s]: sweep done in %v: %d passes, %d cells claimed, %d uploaded (%d duplicate, %d returned, %d surrendered)\n",
 		workerID, time.Since(start).Round(time.Millisecond),
 		stats.Passes, stats.Claimed, stats.Uploaded, stats.Duplicates, stats.Lost, stats.Surrendered)
+	return nil
 }
 
 // runCatalogPass runs one full-catalog pass under the worker's session,

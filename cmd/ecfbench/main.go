@@ -352,7 +352,8 @@ func createProfile(flagName, path string, force bool) *os.File {
 
 // profiling starts the -cpuprofile collection and returns a function
 // that finalizes both profiles; the caller must run it before exiting
-// normally (error exits skip profiles). The heap profile destination is
+// normally (error exits skip profiles, except under -join, whose errors
+// come back to main). The heap profile destination is
 // opened up front so a clobber refusal aborts before hours of
 // simulation, not after.
 func profiling(cpu, mem string, force bool) func() {
@@ -622,7 +623,16 @@ func main() {
 				failUsage("-join cannot be combined with -%s (%s)", f.Name, why)
 			}
 		})
-		runJoin(*joinAddr, *jobs, *cacheDir, *cellTO, *workerID, *progress)
+		stopProfiles := profiling(*cpuProf, *memProf, *force)
+		if *debugAddr != "" {
+			startDebugServer(*debugAddr)
+		}
+		err := runJoin(*joinAddr, *jobs, *cacheDir, *cellTO, *workerID, *progress)
+		// A failed worker is the one whose profile is wanted most.
+		stopProfiles()
+		if err != nil {
+			fail("-join %s: %v", *joinAddr, err)
+		}
 		return
 	}
 

@@ -213,10 +213,15 @@ func (c *Client) Heartbeat(ctx context.Context, cells []results.Key) (HeartbeatR
 	return resp, err
 }
 
-// Ingest uploads one serialized record envelope.
-func (c *Client) Ingest(ctx context.Context, k results.Key, record []byte) (IngestResponse, error) {
+// IngestBatch uploads a batch of serialized record envelopes. A nil
+// error means every record is durable on the coordinator; the response
+// carries one duplicate flag per record.
+func (c *Client) IngestBatch(ctx context.Context, recs []IngestRecord) (IngestResponse, error) {
 	var resp IngestResponse
-	err := c.do(ctx, http.MethodPost, "/v1/ingest", IngestRequest{Worker: c.Worker, Cell: k, Record: record}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/ingest", IngestRequest{Worker: c.Worker, Records: recs}, &resp)
+	if err == nil && len(resp.Duplicate) != len(recs) {
+		err = fmt.Errorf("coord: ingest of %d records was acknowledged with %d results (version skew between ecfd and ecfbench?)", len(recs), len(resp.Duplicate))
+	}
 	return resp, err
 }
 

@@ -73,6 +73,15 @@ func passRunner(n int, compute func(int) cellRec) func(*results.Session) error {
 	}
 }
 
+// ingestOne uploads a lone record — a batch of one.
+func ingestOne(c *Client, k results.Key, raw []byte) (duplicate bool, err error) {
+	resp, err := c.IngestBatch(context.Background(), []IngestRecord{{Cell: k, Record: raw}})
+	if err != nil {
+		return false, err
+	}
+	return resp.Duplicate[0], nil
+}
+
 // storeHasAll fails unless the store holds exactly one well-formed
 // record per cell.
 func storeHasAll(t *testing.T, dir string, n int) {
@@ -86,20 +95,7 @@ func storeHasAll(t *testing.T, dir string, n int) {
 			t.Fatalf("store misses cell %d after sweep", k.Cell)
 		}
 	}
-	files := 0
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		base := filepath.Base(path)
-		if strings.HasSuffix(base, ".json") && !strings.HasPrefix(base, ".tmp-") && base != "coord-state.json" {
-			files++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := recordFileCount(t, dir)
 	if files != n {
 		t.Fatalf("store holds %d record files, want exactly %d (one per cell)", files, n)
 	}
@@ -285,11 +281,11 @@ func TestDeadWorkerLeasesAreStolen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := dead.Ingest(context.Background(), k, raw)
+	dup, err := ingestOne(dead, k, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Duplicate {
+	if !dup {
 		t.Fatal("revived worker's upload was not flagged as a duplicate")
 	}
 	storeHasAll(t, dir, n)
@@ -308,7 +304,7 @@ func TestServerResumesFromStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Ingest(context.Background(), k, raw); err != nil {
+		if _, err := ingestOne(c, k, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +413,7 @@ func TestWedgedCellIsSurrenderedAndParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := fastClient(hs.URL, "healer")
-	if _, err := c.Ingest(context.Background(), testCells(n)[wedged], raw); err != nil {
+	if _, err := ingestOne(c, testCells(n)[wedged], raw); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Status(); !st.Complete || st.Failed != 0 {
@@ -438,7 +434,7 @@ func TestIngestRejectsForeignAndMalformedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := c.Ingest(context.Background(), foreign, raw); err == nil {
+	if _, err := ingestOne(c, foreign, raw); err == nil {
 		t.Fatal("foreign ingest accepted")
 	}
 	if time.Since(start) > time.Second {
@@ -448,7 +444,7 @@ func TestIngestRejectsForeignAndMalformedRecords(t *testing.T) {
 	// A malformed envelope for an in-sweep cell: rejected, cell stays
 	// pending.
 	k := testCells(n)[0]
-	if _, err := c.Ingest(context.Background(), k, []byte("{not json")); err == nil {
+	if _, err := ingestOne(c, k, []byte("{not json")); err == nil {
 		t.Fatal("malformed ingest accepted")
 	}
 }

@@ -9,8 +9,16 @@
 //
 //	claim      lease a batch of pending cells (TTL-bounded)
 //	heartbeat  extend the worker's leases; learn which were stolen
-//	ingest     upload one finished cell record (idempotent)
+//	ingest     upload a batch of finished cell records; the ack says
+//	           every one of them is durable, and which were duplicates
 //	release    return cells early (requeue, or report a failure)
+//
+// A worker simulates and uploads concurrently: a finished cell's record
+// is encoded and queued, and one uploader goroutine sends whatever is
+// queued whenever it is free — at most the claim it holds, split at a
+// fixed byte cap — so the simulation never waits for the coordinator's
+// disk. There is one ingest path and no knob on it: a lone record is a
+// batch of one.
 //
 // # Lease contract
 //
@@ -32,10 +40,39 @@
 // produces the same bytes. Ingest exploits that — the first upload of
 // a cell wins, every later upload (a retried RPC whose first attempt
 // landed, a stolen-then-revived worker finishing anyway, a replayed
-// request) is a no-op acknowledged as a duplicate. Records land in the
-// store via the atomic durable write path (temp file, fsync, rename,
-// directory fsync), so a crashed coordinator can never hold a
-// half-ingested record.
+// request, the same cell twice in one batch) is a no-op acknowledged as
+// a duplicate, record by record. A batch is validated whole before
+// anything is written: one malformed or foreign record refuses the
+// request, and nothing of it reaches the store.
+//
+// # Durability contract: what an ack means
+//
+// The coordinator lands a batch with one group commit
+// (results.Store.IngestBatch): each new record is written to a temp
+// file, fsynced and renamed to its final name, then every directory a
+// rename touched is fsynced once. Only after that last fsync returns
+// does the server mark the batch's cells done and write the ack. So:
+//
+//   - after an ack, a worker may assume every record of the batch
+//     survives a coordinator crash or power loss, and retires those
+//     claims; it will never be asked for them again;
+//   - before an ack, a worker must assume nothing. A queued or in-flight
+//     cell is no longer claimable (the pass will not recompute or
+//     re-offer it) but is still held: it is heartbeated, and when the
+//     upload fails it is released like any unfinished cell. Nothing is
+//     retired without an ack. A pass ends with a flush of the queue, and
+//     the first upload error fails the pass.
+//
+// A coordinator killed inside the commit can leave complete records
+// under final names whose directory entry was not yet synced, and temp
+// files beside them; it can never leave a half-record under a final
+// name. None of those cells was acknowledged, so the next start either
+// finds them (done) or does not (pending, recomputed byte-identically).
+//
+// Once any response announces sweep_done, every cell is done or parked:
+// whatever a worker still has queued is a duplicate by definition, and
+// the coordinator may already have exited (-exit-when-done). The worker
+// drops its queue, abandons the upload in flight and exits cleanly.
 //
 // # Crash safety and resume
 //
@@ -51,7 +88,8 @@
 // operators can inspect progress without the server running.
 //
 // Client RPCs retry transient failures with exponential backoff plus
-// jitter; workers bound each computed cell with a context deadline
+// jitter; a request body over the server's size limit is refused (413),
+// never truncated; workers bound each computed cell with a context deadline
 // (results.Session.CellTimeout) so one wedged cell is surrendered
 // loudly instead of holding its lease until theft.
 package coord

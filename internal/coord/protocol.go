@@ -9,7 +9,7 @@ import (
 // The wire protocol: JSON bodies over four POST endpoints plus two GET
 // probes, all rooted at /v1/. Every request is safe to retry — claim
 // grants fresh leases, heartbeat/release are idempotent per (worker,
-// cell) state, ingest is idempotent by construction.
+// cell) state, ingest is idempotent per record by construction.
 
 // SweepInfo describes the sweep to a joining worker (GET /v1/sweep).
 type SweepInfo struct {
@@ -55,20 +55,30 @@ type HeartbeatResponse struct {
 	SweepDone bool          `json:"sweep_done"`
 }
 
-// IngestRequest uploads one finished cell record (POST /v1/ingest).
-// Record is the serialized results envelope (results.EncodeRecord).
-type IngestRequest struct {
-	Worker string          `json:"worker"`
+// IngestRecord is one finished cell in an ingest batch. Record is the
+// serialized results envelope (results.EncodeRecord).
+type IngestRecord struct {
 	Cell   results.Key     `json:"cell"`
 	Record json.RawMessage `json:"record"`
 }
 
-// IngestResponse acknowledges the upload.
+// IngestRequest uploads a batch of finished cell records (POST
+// /v1/ingest); a lone record is a batch of one. The batch is accepted
+// or refused whole: one malformed or foreign record rejects the request
+// before anything is written.
+type IngestRequest struct {
+	Worker  string         `json:"worker"`
+	Records []IngestRecord `json:"records"`
+}
+
+// IngestResponse acknowledges a batch: by the time it is sent, every
+// record of the request is durable in the coordinator's store.
 type IngestResponse struct {
-	// Duplicate reports the record was already ingested (idempotent
-	// no-op) — normal under lease theft and RPC retries.
-	Duplicate bool `json:"duplicate"`
-	SweepDone bool `json:"sweep_done"`
+	// Duplicate has one entry per request record, in order: true when
+	// that cell was already ingested (idempotent no-op) — normal under
+	// lease theft and RPC retries.
+	Duplicate []bool `json:"duplicate"`
+	SweepDone bool   `json:"sweep_done"`
 }
 
 // ReleaseRequest returns leases early (POST /v1/release): a clean

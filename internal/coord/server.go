@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -195,12 +196,11 @@ func (s *Server) PersistState() error {
 	return results.AtomicWriteFile(s.state, append(raw, '\n'))
 }
 
-// maybePersist saves the snapshot at most once per second — called on
-// ingest progress so a hard-killed coordinator still leaves a recent
-// snapshot, without an fsync per record on the state file. Caller
-// holds s.mu; the actual write happens outside it via a goroutine-free
-// fast path: we just record intent and let the caller write after
-// unlock.
+// maybePersist reports whether the snapshot is due — at most once per
+// second, checked on ingest progress so a hard-killed coordinator still
+// leaves a recent snapshot without an fsync per batch on the state
+// file. Caller holds s.mu and, when told true, calls PersistState after
+// unlocking (PersistState takes s.mu itself).
 func (s *Server) maybePersist() bool {
 	if s.state == "" {
 		return false
@@ -265,14 +265,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// readJSON decodes a bounded request body.
+// maxBodyBytes bounds a request body. The worker's uploader flushes at
+// ingestBatchBytes, far below it, so only a misbehaving client meets
+// the limit.
+const maxBodyBytes = 64 << 20
+
+// readJSON decodes a bounded request body; an oversize body is refused
+// (413), not truncated.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 		return false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)})
+			return false
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading body: " + err.Error()})
 		return false
 	}
@@ -335,42 +346,60 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HeartbeatResponse{Lost: lost, SweepDone: settled})
 }
 
+// handleIngest group-commits one batch. The ack is the durability
+// point of the protocol: cells are marked done, and the response is
+// written, only after Store.IngestBatch has returned — every record's
+// file fsync, rename and directory fsync included.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if len(req.Records) == 0 {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "ingest carries no records (a single-record client predates the batch protocol)"})
+		return
+	}
+	// Cells already done need no write (and no validation: their record
+	// is in the store); the rest go to the store as one batch.
+	dup := make([]bool, len(req.Records))
+	fresh := make([]results.Record, 0, len(req.Records))
 	s.mu.Lock()
-	i, known := s.table.index[req.Cell]
-	alreadyDone := known && s.table.status[i] == cellDone
+	for i, rec := range req.Records {
+		j, known := s.table.index[rec.Cell]
+		if !known {
+			s.mu.Unlock()
+			writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf(
+				"cell %d of %q is not part of this sweep (mismatched scale or schema?)", rec.Cell.Cell, rec.Cell.Experiment)})
+			return
+		}
+		if s.table.status[j] == cellDone {
+			dup[i] = true
+			continue
+		}
+		fresh = append(fresh, results.Record{Key: rec.Cell, Raw: rec.Record})
+	}
 	s.mu.Unlock()
-	if !known {
-		writeJSON(w, http.StatusConflict, errorBody{Error: fmt.Sprintf(
-			"cell %d of %q is not part of this sweep (mismatched scale or schema?)", req.Cell.Cell, req.Cell.Experiment)})
-		return
-	}
-	if alreadyDone {
-		s.mu.Lock()
-		s.duplicates++
-		settled, _ := s.table.settled()
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, IngestResponse{Duplicate: true, SweepDone: settled})
-		return
-	}
 	// The durable write happens outside the table lock so concurrent
-	// ingests overlap their fsyncs; Store.Ingest is idempotent, and
+	// ingests overlap their fsyncs; IngestBatch is idempotent, and
 	// racing writers produce identical bytes under the determinism
 	// contract, so last-rename-wins is harmless.
-	if _, err := s.cfg.Store.Ingest(req.Cell, req.Record); err != nil {
+	if _, err := s.cfg.Store.IngestBatch(fresh); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	s.mu.Lock()
-	marked, _ := s.table.markDone(req.Cell)
-	if marked {
-		s.ingested++
-	} else {
-		s.duplicates++
+	for i, rec := range req.Records {
+		if !dup[i] {
+			// False for a cell another request finished meanwhile, or
+			// offered twice in this one.
+			marked, _ := s.table.markDone(rec.Cell)
+			dup[i] = !marked
+		}
+		if dup[i] {
+			s.duplicates++
+		} else {
+			s.ingested++
+		}
 	}
 	persist := s.maybePersist()
 	settled, _ := s.table.settled()
@@ -381,7 +410,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.logf("state snapshot failed: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusOK, IngestResponse{Duplicate: !marked, SweepDone: settled})
+	writeJSON(w, http.StatusOK, IngestResponse{Duplicate: dup, SweepDone: settled})
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

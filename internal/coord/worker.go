@@ -10,19 +10,22 @@ import (
 	"repro/internal/results"
 )
 
-// claimSet is the worker's live view of its leases: the Claims gate a
-// catalog pass consults per cell, shrunk when heartbeats report theft
-// and as uploads complete. Safe for concurrent use (pool workers and
+// claimSet is the worker's live view of its leases. A held cell is
+// either claimable — the Claims gate a catalog pass consults per cell
+// says compute it — or queued: its record is with the uploader, so the
+// pass must not compute or offer it again, but the lease is still ours
+// to heartbeat and, on failure, release until the coordinator's ack
+// retires it. Safe for concurrent use (pool workers, the uploader and
 // the heartbeat goroutine touch it together).
 type claimSet struct {
 	mu   sync.Mutex
-	live map[results.Key]bool
+	held map[results.Key]bool // value: still claimable
 }
 
 func newClaimSet(cells []results.Key) *claimSet {
-	s := &claimSet{live: make(map[results.Key]bool, len(cells))}
+	s := &claimSet{held: make(map[results.Key]bool, len(cells))}
 	for _, k := range cells {
-		s.live[k] = true
+		s.held[k] = true
 	}
 	return s
 }
@@ -31,33 +34,40 @@ func newClaimSet(cells []results.Key) *claimSet {
 func (s *claimSet) Covers(k results.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.live[k]
+	return s.held[k]
 }
 
-// Lose drops stolen leases — their cells stop being claimed (and so
-// stop being computed) immediately.
-func (s *claimSet) Lose(keys []results.Key) {
+// Queue moves a claimable cell to queued and reports whether it did:
+// false means the cell was already queued (a key shared by two specs of
+// one pass) or is no longer held (stolen), and its record is not wanted.
+func (s *claimSet) Queue(k results.Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.held[k] {
+		return false
+	}
+	s.held[k] = false
+	return true
+}
+
+// Drop forgets cells without an ack: stolen leases a heartbeat
+// reported, a surrendered cell. Claimable ones stop being computed
+// immediately.
+func (s *claimSet) Drop(keys []results.Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, k := range keys {
-		delete(s.live, k)
+		delete(s.held, k)
 	}
 }
 
-// MarkDone retires an uploaded cell.
-func (s *claimSet) MarkDone(k results.Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.live, k)
-}
-
-// Remaining lists the cells still held — what a finishing pass
+// Held lists every cell still held, claimable or queued — what a pass
 // heartbeats for, and what it releases when it ends.
-func (s *claimSet) Remaining() []results.Key {
+func (s *claimSet) Held() []results.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]results.Key, 0, len(s.live))
-	for k := range s.live {
+	out := make([]results.Key, 0, len(s.held))
+	for k := range s.held {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -70,51 +80,151 @@ func (s *claimSet) Remaining() []results.Key {
 	return out
 }
 
-// uploadSink adapts the client's Ingest RPC to results.Sink: encode
-// the record, upload with retries, retire the claim. It counts uploads
-// and duplicates for the worker's pass report.
-type uploadSink struct {
-	ctx    context.Context
+// ingestBatchBytes caps the record bytes of one ingest request, well
+// under the server's maxBodyBytes: a claim's worth of the largest
+// records (hundreds of KB each) goes up in a few requests, not one.
+const ingestBatchBytes = 8 << 20
+
+// uploader is one pass's results.Sink: Put encodes the record on the
+// calling goroutine and queues it; a single goroutine uploads whatever
+// is queued whenever it is free, so simulation never waits for the
+// coordinator's fsyncs. The queue needs no bound of its own — a cell is
+// queued at most once, so it never holds more than the claim. A cell's
+// claim is retired only by the ack of the batch that carried it.
+type uploader struct {
 	client *Client
 	claims *claimSet
+	cancel context.CancelFunc // aborts an in-flight RPC on settle
+	done   chan struct{}      // closed when the goroutine has exited
 
 	mu         sync.Mutex
+	wake       *sync.Cond
+	queue      []IngestRecord
+	closed     bool  // Flush was called: exit once the queue drains
+	settled    bool  // a response announced sweep_done: drop everything
+	err        error // first upload failure; fails later Puts and Flush
 	uploaded   int
 	duplicates int
-	sweepDone  bool
+}
+
+func startUploader(ctx context.Context, client *Client, claims *claimSet) *uploader {
+	ctx, cancel := context.WithCancel(ctx)
+	u := &uploader{client: client, claims: claims, cancel: cancel, done: make(chan struct{})}
+	u.wake = sync.NewCond(&u.mu)
+	go u.run(ctx)
+	return u
 }
 
 // Put implements results.Sink.
-func (u *uploadSink) Put(k results.Key, v any) error {
+func (u *uploader) Put(k results.Key, v any) error {
 	raw, err := results.EncodeRecord(k, v)
 	if err != nil {
 		return err
 	}
-	resp, err := u.client.Ingest(u.ctx, k, raw)
-	if err != nil {
-		return err
-	}
-	u.claims.MarkDone(k)
 	u.mu.Lock()
-	u.uploaded++
-	if resp.Duplicate {
-		u.duplicates++
+	defer u.mu.Unlock()
+	if u.err != nil {
+		return u.err
 	}
-	if resp.SweepDone {
-		u.sweepDone = true
+	if u.settled || !u.claims.Queue(k) {
+		return nil
 	}
-	u.mu.Unlock()
+	u.queue = append(u.queue, IngestRecord{Cell: k, Record: raw})
+	u.wake.Signal()
 	return nil
 }
 
-// sawSweepDone reports whether any ingest response announced the sweep
-// settled — often this worker's own final upload. The lease loop exits
-// on it instead of racing one more claim against a coordinator that may
-// be shutting down under -exit-when-done.
-func (u *uploadSink) sawSweepDone() bool {
+// next blocks until there is something to upload and returns the
+// longest queue prefix within ingestBatchBytes (at least one record),
+// or nil when the uploader should exit.
+func (u *uploader) next() []IngestRecord {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.sweepDone
+	for len(u.queue) == 0 && !u.closed && !u.settled {
+		u.wake.Wait()
+	}
+	if u.settled || len(u.queue) == 0 {
+		return nil
+	}
+	n, size := 0, 0
+	for n < len(u.queue) && (n == 0 || size+len(u.queue[n].Record) <= ingestBatchBytes) {
+		size += len(u.queue[n].Record)
+		n++
+	}
+	batch := u.queue[:n:n]
+	u.queue = u.queue[n:]
+	return batch
+}
+
+func (u *uploader) run(ctx context.Context) {
+	defer close(u.done)
+	for {
+		batch := u.next()
+		if batch == nil {
+			return
+		}
+		resp, err := u.client.IngestBatch(ctx, batch)
+		u.mu.Lock()
+		if err == nil {
+			acked := make([]results.Key, len(batch))
+			for i, rec := range batch {
+				acked[i] = rec.Cell
+				if resp.Duplicate[i] {
+					u.duplicates++
+				}
+			}
+			u.claims.Drop(acked)
+			u.uploaded += len(batch)
+		} else if !u.settled {
+			// A settle cancels the RPC in flight; that is not a failure.
+			u.err = err
+			u.queue = nil
+		}
+		u.mu.Unlock()
+		if err != nil {
+			return
+		}
+		if resp.SweepDone {
+			u.Settle()
+			return
+		}
+	}
+}
+
+// Settle records that some response announced the sweep settled: every
+// cell is done or parked, so anything still queued or in flight is a
+// duplicate, and the coordinator may already be gone (-exit-when-done).
+// The queue is dropped, an in-flight upload is abandoned, and the pass
+// stops claiming cells.
+func (u *uploader) Settle() {
+	u.mu.Lock()
+	u.settled = true
+	u.queue = nil
+	u.wake.Signal()
+	u.mu.Unlock()
+	u.cancel()
+	u.claims.Drop(u.claims.Held())
+}
+
+// Flush ends the pass: it waits until everything queued has been
+// acknowledged (or dropped) and returns the first upload error.
+func (u *uploader) Flush() error {
+	u.mu.Lock()
+	u.closed = true
+	u.wake.Signal()
+	u.mu.Unlock()
+	<-u.done
+	u.cancel()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.err
+}
+
+// Settled reports whether Settle was called.
+func (u *uploader) Settled() bool {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.settled
 }
 
 // WorkerConfig parameterizes RunWorker.
@@ -158,9 +268,10 @@ type WorkerStats struct {
 
 // RunWorker drives the lease loop until the coordinator reports the
 // sweep settled (or ctx is cancelled): claim a batch, heartbeat it in
-// the background, compute-and-upload through RunPass, release whatever
-// remains, repeat. Lease theft shrinks the live claim set mid-pass;
-// cell timeouts surrender the wedged cell as a failure and continue.
+// the background, compute through RunPass while the uploader sends what
+// is finished, flush, release whatever was not acknowledged, repeat.
+// Lease theft shrinks the claim set mid-pass; cell timeouts surrender
+// the wedged cell as a failure and continue.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	var stats WorkerStats
 	logf := cfg.Logf
@@ -206,11 +317,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		stats.Passes++
 		stats.Claimed += len(resp.Cells)
 		claims := newClaimSet(resp.Cells)
-		sink := &uploadSink{ctx: ctx, client: cfg.Client, claims: claims}
+		up := startUploader(ctx, cfg.Client, claims)
 
-		// Heartbeat the live claims at a third of the TTL until the
-		// pass ends. A failed heartbeat is not fatal — the next one may
-		// land, and losing the lease only costs duplicate work.
+		// Heartbeat everything held — claimable or queued for upload —
+		// at a third of the TTL until the pass has flushed. A failed
+		// heartbeat is not fatal — the next one may land, and losing
+		// the lease only costs duplicate work.
 		hbCtx, stopHB := context.WithCancel(ctx)
 		var hbWG sync.WaitGroup
 		hbWG.Add(1)
@@ -226,7 +338,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 					return
 				case <-time.After(interval):
 				}
-				held := claims.Remaining()
+				held := claims.Held()
 				if len(held) == 0 {
 					continue
 				}
@@ -234,8 +346,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 				if err != nil {
 					continue
 				}
+				if hb.SweepDone {
+					up.Settle()
+					return
+				}
 				if len(hb.Lost) > 0 {
-					claims.Lose(hb.Lost)
+					claims.Drop(hb.Lost)
 					logf("lost %d leases (stolen); dropping them mid-pass", len(hb.Lost))
 				}
 			}
@@ -244,41 +360,59 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		ses := &results.Session{
 			Store:       cfg.Store,
 			Claims:      claims.Covers,
-			Sink:        sink,
+			Sink:        up,
 			CellTimeout: cfg.CellTimeout,
 		}
 		passErr := cfg.RunPass(ses)
+		// Whatever the pass managed to finish goes up before anything
+		// is released: a queued cell is retired by its ack alone.
+		flushErr := up.Flush()
 		stopHB()
 		hbWG.Wait()
 
-		stats.Uploaded += sink.uploaded
-		stats.Duplicates += sink.duplicates
+		stats.Uploaded += up.uploaded
+		stats.Duplicates += up.duplicates
+		if up.Settled() {
+			// Nothing is left to lease, release or report, and under
+			// -exit-when-done nobody may be left to hear it.
+			logf("pass %d: claimed %d, uploaded %d (%d duplicate); sweep settled", stats.Passes, len(resp.Cells), up.uploaded, up.duplicates)
+			return stats, nil
+		}
 
+		// A release can settle the sweep too (the last cell parked as
+		// failed); the loop then ends like any other settled pass.
+		settled := false
+		release := func(cells []results.Key, failed bool, reason string) {
+			rr, rerr := cfg.Client.Release(ctx, cells, failed, reason)
+			if rerr != nil {
+				logf("failed to release %d cells (their leases will expire): %v", len(cells), rerr)
+			}
+			settled = settled || rr.SweepDone
+		}
 		var timeout *results.CellTimeoutError
 		if passErr != nil && errors.As(passErr, &timeout) {
 			// Surrender the wedged cell as a failure; the coordinator
 			// retries it elsewhere up to its budget.
 			stats.Surrendered++
-			claims.Lose([]results.Key{timeout.Key})
-			if _, rerr := cfg.Client.Release(ctx, []results.Key{timeout.Key}, true, timeout.Error()); rerr != nil {
-				logf("failed to report surrendered cell: %v", rerr)
-			}
+			claims.Drop([]results.Key{timeout.Key})
+			release([]results.Key{timeout.Key}, true, timeout.Error())
 			passErr = nil
 		}
-		// Return whatever the pass did not finish — aborted by an
-		// error, skipped after theft already removed it, or simply not
-		// reached before a timeout abort.
-		if rest := claims.Remaining(); len(rest) > 0 {
+		if passErr == nil {
+			passErr = flushErr
+		}
+		// Return whatever was not acknowledged — aborted by an error,
+		// its upload failed, or simply not reached before a timeout
+		// abort. (Cells theft removed are no longer held.)
+		if rest := claims.Held(); len(rest) > 0 {
 			stats.Lost += len(rest)
-			if _, rerr := cfg.Client.Release(ctx, rest, false, ""); rerr != nil {
-				logf("failed to release %d unfinished cells (their leases will expire): %v", len(rest), rerr)
-			}
+			release(rest, false, "")
 		}
 		if passErr != nil {
 			return stats, passErr
 		}
-		logf("pass %d: claimed %d, uploaded %d (%d duplicate)", stats.Passes, len(resp.Cells), sink.uploaded, sink.duplicates)
-		if sink.sawSweepDone() {
+		logf("pass %d: claimed %d, uploaded %d (%d duplicate)", stats.Passes, len(resp.Cells), up.uploaded, up.duplicates)
+		if settled {
 			return stats, nil
 		}
 	}

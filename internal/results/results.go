@@ -145,9 +145,11 @@ type Group struct {
 
 // Sink receives computed (or cache-served) cell records in addition to
 // the session's local store — the distributed upload path: a join-mode
-// worker's sink is a coordinator client whose Put serializes the record
-// and ingests it remotely. Put may be called from several worker
-// goroutines at once and must be idempotent: under the determinism
+// worker's sink serializes the record in Put and uploads it to the
+// coordinator in the background, so a nil return means accepted, not
+// yet delivered; a failed upload fails a later Put and the flush that
+// ends the pass (see internal/coord). Put may be called from several
+// worker goroutines at once and must be idempotent: under the determinism
 // contract a cell's record is the same bytes no matter who computes it,
 // so delivering one record twice (a retried upload, a stolen-then-
 // revived lease) must converge on a single stored copy.

@@ -129,30 +129,67 @@ func (s *Store) Has(k Key) bool {
 	return json.Unmarshal(raw, &env) == nil && env.Key == k
 }
 
-// Ingest idempotently persists a serialized record envelope (as built
-// by EncodeRecord, typically on another machine) as the record for k.
-// The envelope must decode and claim the same key, or the ingest is
-// rejected. A record already present for k makes the ingest a no-op —
-// added reports false and nothing is written — so replayed and
-// duplicated uploads (a retried RPC whose first attempt did land, a
-// worker whose lease was stolen finishing anyway) converge on exactly
-// one record. Under the determinism contract every writer computes the
-// same bytes for a cell, so first-write-wins loses nothing.
-func (s *Store) Ingest(k Key, raw []byte) (added bool, err error) {
-	got, err := DecodeRecordKey(raw)
-	if err != nil {
-		return false, fmt.Errorf("cache: ingest for cell %d of %q: %w", k.Cell, k.Experiment, err)
+// Record is one serialized record envelope (as built by EncodeRecord,
+// typically on another machine) and the key it is offered under.
+type Record struct {
+	Key Key
+	Raw []byte
+}
+
+// IngestBatch idempotently persists a batch of serialized record
+// envelopes with one group commit. Every envelope must decode and claim
+// the key it is offered under, or the whole batch is rejected before
+// anything is written. A record already present (or offered earlier in
+// the same batch) is a no-op — added[i] reports false and nothing is
+// written — so replayed and duplicated uploads (a retried RPC whose
+// first attempt did land, a worker whose lease was stolen finishing
+// anyway) converge on exactly one record. Under the determinism
+// contract every writer computes the same bytes for a cell, so
+// first-write-wins loses nothing.
+//
+// The commit is the AtomicWriteFile discipline with the directory
+// fsync shared: each new record is written to a temp file, fsynced and
+// renamed, then every directory a rename touched is fsynced once. The
+// batch is durable only when IngestBatch returns nil; a caller must not
+// acknowledge any of its records before that. An error part-way leaves
+// complete records (never a half-record) under some final names, which
+// a retry finds present.
+func (s *Store) IngestBatch(recs []Record) (added []bool, err error) {
+	for _, r := range recs {
+		got, err := DecodeRecordKey(r.Raw)
+		if err != nil {
+			return nil, fmt.Errorf("cache: ingest for cell %d of %q: %w", r.Key.Cell, r.Key.Experiment, err)
+		}
+		if got != r.Key {
+			return nil, fmt.Errorf("cache: ingest for cell %d of %q carries key for cell %d of %q", r.Key.Cell, r.Key.Experiment, got.Cell, got.Experiment)
+		}
 	}
-	if got != k {
-		return false, fmt.Errorf("cache: ingest for cell %d of %q carries key for cell %d of %q", k.Cell, k.Experiment, got.Cell, got.Experiment)
+	added = make([]bool, len(recs))
+	touched := map[string]bool{} // directories a rename (or mkdir) changed
+	for i, r := range recs {
+		if s.Has(r.Key) {
+			continue // present before the batch, or landed earlier in it
+		}
+		path := s.path(r.Key)
+		dir := filepath.Dir(path)
+		switch err := os.Mkdir(dir, 0o755); {
+		case err == nil:
+			touched[s.root] = true // the new directory's own entry
+		case !os.IsExist(err):
+			return nil, fmt.Errorf("cache: %w", err)
+		}
+		if err := landFile(path, r.Raw); err != nil {
+			return nil, fmt.Errorf("cache: writing cell %d of %q: %w", r.Key.Cell, r.Key.Experiment, err)
+		}
+		touched[dir] = true
+		added[i] = true
 	}
-	if s.Has(k) {
-		return false, nil
+	for dir := range touched {
+		if err := syncDir(dir); err != nil {
+			return nil, fmt.Errorf("cache: %w", err)
+		}
 	}
-	if err := s.write(k, raw); err != nil {
-		return false, err
-	}
-	return true, nil
+	return added, nil
 }
 
 // write durably lands raw at k's path.
@@ -169,7 +206,7 @@ func (s *Store) write(k Key, raw []byte) error {
 
 // EncodeRecord serializes v as the store's record envelope for k — the
 // exact bytes Put writes, and the wire format a distributed worker
-// uploads for Store.Ingest on the coordinator.
+// uploads for Store.IngestBatch on the coordinator.
 func EncodeRecord(k Key, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -208,8 +245,17 @@ func DecodeRecordKey(raw []byte) (Key, error) {
 // object-store atomic-writer discipline; the store's record writes and
 // the coordinator's state snapshots both go through it.
 func AtomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err := landFile(path, data); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// landFile is AtomicWriteFile without the directory fsync: after it
+// returns, path holds the complete fsynced data, but the rename that
+// put it there is not durable until the caller fsyncs the directory.
+func landFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -226,9 +272,8 @@ func AtomicWriteFile(path string, data []byte) error {
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		return werr
 	}
-	return syncDir(dir)
+	return werr
 }
 
 // syncDir fsyncs a directory so a rename into it is durable.

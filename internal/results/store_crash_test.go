@@ -179,16 +179,16 @@ func TestIngestIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	added, err := st.Ingest(k, raw)
+	added, err := ingestOne(st, k, raw)
 	if err != nil || !added {
-		t.Fatalf("first Ingest = %v, %v; want added", added, err)
+		t.Fatalf("first ingest = %v, %v; want added", added, err)
 	}
 	// A replayed upload (retried RPC, stolen-then-revived worker) is a
 	// no-op: not added, nothing rewritten.
 	before := recordFiles(t, dir)
-	added, err = st.Ingest(k, raw)
+	added, err = ingestOne(st, k, raw)
 	if err != nil || added {
-		t.Fatalf("duplicate Ingest = %v, %v; want no-op", added, err)
+		t.Fatalf("duplicate ingest = %v, %v; want no-op", added, err)
 	}
 	after := recordFiles(t, dir)
 	if len(before) != 1 || len(after) != 1 {
@@ -216,16 +216,29 @@ func TestIngestRejectsBadEnvelopes(t *testing.T) {
 		"mismatched exper": mustEncode(t, Key{Experiment: "other", Cell: 0, Schema: 1, Scale: "s1"}, rec{}),
 	}
 	for name, raw := range cases {
-		if added, err := st.Ingest(k, raw); err == nil {
-			t.Fatalf("%s: Ingest succeeded (added=%v), want rejection", name, added)
+		if added, err := ingestOne(st, k, raw); err == nil {
+			t.Fatalf("%s: ingest succeeded (added=%v), want rejection", name, added)
+		}
+		// One bad record rejects its whole batch before anything lands.
+		if _, err := st.IngestBatch([]Record{{Key: spec().Key(1), Raw: mustEncode(t, spec().Key(1), rec{Cell: 1})}, {Key: k, Raw: raw}}); err == nil {
+			t.Fatalf("%s: a batch carrying the bad record was accepted", name)
 		}
 	}
-	if st.Has(k) {
+	if st.Has(k) || st.Has(spec().Key(1)) || len(recordFiles(t, st.Dir())) != 0 {
 		t.Fatal("rejected ingests left a record behind")
 	}
-	if added, err := st.Ingest(k, good); err != nil || !added {
+	if added, err := ingestOne(st, k, good); err != nil || !added {
 		t.Fatalf("valid ingest after rejections = %v, %v", added, err)
 	}
+}
+
+// ingestOne ingests a lone record — a batch of one.
+func ingestOne(st *Store, k Key, raw []byte) (added bool, err error) {
+	got, err := st.IngestBatch([]Record{{Key: k, Raw: raw}})
+	if err != nil {
+		return false, err
+	}
+	return got[0], nil
 }
 
 func mustEncode(t *testing.T, k Key, v any) []byte {
@@ -247,7 +260,7 @@ func TestEncodeRecordRoundTripsThroughDecodeKey(t *testing.T) {
 	// The envelope is exactly what Put writes: ingesting it then reading
 	// through Get yields the original value.
 	st := openStore(t, t.TempDir())
-	if _, err := st.Ingest(k, raw); err != nil {
+	if _, err := ingestOne(st, k, raw); err != nil {
 		t.Fatal(err)
 	}
 	var v rec
@@ -256,5 +269,129 @@ func TestEncodeRecordRoundTripsThroughDecodeKey(t *testing.T) {
 	}
 	if !json.Valid(raw) {
 		t.Fatal("envelope is not valid JSON")
+	}
+}
+
+// batchOf encodes cells [lo, hi) of the family named exp.
+func batchOf(t *testing.T, exp string, lo, hi int) []Record {
+	t.Helper()
+	var out []Record
+	for i := lo; i < hi; i++ {
+		k := Spec{Experiment: exp, Schema: 1, Scale: "s1"}.Key(i)
+		out = append(out, Record{Key: k, Raw: mustEncode(t, k, rec{Cell: i, Label: exp, Value: float64(i)})})
+	}
+	return out
+}
+
+func TestIngestBatchCommitsOnceAndDedupes(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	batch := append(batchOf(t, "unit/alpha", 0, 3), batchOf(t, "unit/beta", 0, 2)...)
+	batch = append(batch, batch[1]) // the same record offered twice in one batch
+	added, err := st.IngestBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, true, true, true, true, false}
+	for i := range want {
+		if added[i] != want[i] {
+			t.Fatalf("added = %v, want %v", added, want)
+		}
+	}
+	if n := len(recordFiles(t, dir)); n != 5 {
+		t.Fatalf("store holds %d record files, want 5", n)
+	}
+	// A replay of the whole batch (the retried RPC whose first attempt
+	// landed) writes nothing.
+	added, err = st.IngestBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range added {
+		if a {
+			t.Fatalf("replayed record %d was added again", i)
+		}
+	}
+	if n := len(recordFiles(t, dir)); n != 5 {
+		t.Fatalf("store holds %d record files after the replay, want 5", n)
+	}
+}
+
+// TestGroupCommitCrashWindow kills the group commit after each possible
+// number of renames and before the directory fsync — the window the
+// batch widens from one record to many. The crash is a write that
+// cannot proceed: a regular file sits where record k's directory
+// belongs, so IngestBatch stops there with records 0..k-1 renamed,
+// nothing fsynced at directory level, and (returning an error) nothing
+// acknowledged. Whatever a restarted process then finds must be whole:
+// every record of the earlier, acknowledged batch readable, no
+// half-record under any final name, and a retry converging on exactly
+// one file per record.
+func TestGroupCommitCrashWindow(t *testing.T) {
+	const n = 4
+	for crashAt := 0; crashAt < n; crashAt++ {
+		dir := t.TempDir()
+		st := openStore(t, dir)
+		acked := batchOf(t, "unit/acked", 0, 3)
+		if _, err := st.IngestBatch(acked); err != nil {
+			t.Fatal(err)
+		}
+
+		// The doomed batch: one family per record, so that record
+		// crashAt is the first to need the obstructed directory.
+		var doomed []Record
+		for i := 0; i < n; i++ {
+			doomed = append(doomed, batchOf(t, "unit/doomed"+string(rune('a'+i)), i, i+1)...)
+		}
+		obstacle := filepath.Dir(st.path(doomed[crashAt].Key))
+		if err := os.WriteFile(obstacle, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.IngestBatch(doomed); err == nil {
+			t.Fatalf("crash at %d: the obstructed batch was acknowledged", crashAt)
+		}
+
+		// Restart: a fresh handle over the same directory.
+		st = openStore(t, dir)
+		for _, r := range acked {
+			var v rec
+			if !st.Get(r.Key, &v) || v.Cell != r.Key.Cell {
+				t.Fatalf("crash at %d: acknowledged cell %d unreadable after the crash", crashAt, r.Key.Cell)
+			}
+		}
+		for i, r := range doomed {
+			if has := st.Has(r.Key); has != (i < crashAt) {
+				t.Fatalf("crash at %d: doomed record %d present = %v", crashAt, i, has)
+			}
+		}
+		for _, f := range recordFiles(t, dir) {
+			if f == obstacle {
+				continue
+			}
+			raw, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeRecordKey(raw); err != nil {
+				t.Fatalf("crash at %d: half-record under final name %s: %v", crashAt, f, err)
+			}
+		}
+
+		// The retry lands only what the crash cut off.
+		if err := os.Remove(obstacle); err != nil {
+			t.Fatal(err)
+		}
+		added, err := st.IngestBatch(doomed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range added {
+			if a != (i >= crashAt) {
+				t.Fatalf("crash at %d: retry added = %v", crashAt, added)
+			}
+		}
+		if got := len(recordFiles(t, dir)); got != len(acked)+n {
+			t.Fatalf("crash at %d: %d record files after the retry, want %d", crashAt, got, len(acked)+n)
+		}
 	}
 }
