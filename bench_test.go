@@ -367,10 +367,9 @@ func BenchmarkSubstrateOOOCDF(b *testing.B) {
 	out := experiments.RunStreaming(experiments.StreamConfig{
 		WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: 60,
 	})
-	xs := metrics.DurationsToSeconds(out.OOODelays)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := metrics.NewCDF(xs)
+		c := metrics.NewDelayDist(out.OOODelays).CDF()
 		_ = c.Quantile(0.99)
 	}
 }

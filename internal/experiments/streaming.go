@@ -270,23 +270,26 @@ type OOOResult struct {
 }
 
 // addOOO registers one bandwidth pair's per-scheduler OOO-delay cells
-// on the batch; the result's CDFs fill in when the batch runs. The cell
-// record is the raw delay samples in seconds.
+// on the batch; the result's CDFs fill in when the batch runs. Cell i
+// of the "ooo/<wifi>-<lte>" family is schedulers[i], so every caller
+// must list schedulers in the same order (the default scheduler first)
+// to share records. The cell record is the packed delay distribution.
+// v2: metrics.DelayDist replaces the raw sample array.
 func addOOO(b *results.Batch, label string, wifi, lte float64, schedulers []string, sc Scale) *OOOResult {
 	res := &OOOResult{Label: label, Schedulers: schedulers, CDFs: make(map[string]*metrics.CDF)}
 	var mu sync.Mutex // collect runs concurrently and CDFs is a map
-	results.Add(b, sc.spec(fmt.Sprintf("ooo/%s-%s", fmtMbps(wifi), fmtMbps(lte)), 1, sc.videoKey()), len(schedulers),
-		func(i int) []float64 {
+	results.Add(b, sc.spec(fmt.Sprintf("ooo/%s-%s", fmtMbps(wifi), fmtMbps(lte)), 2, sc.videoKey()), len(schedulers),
+		func(i int) metrics.DelayDist {
 			out := RunStreaming(StreamConfig{
 				WifiMbps: wifi, LteMbps: lte,
 				Scheduler: schedulers[i],
 				VideoSec:  sc.VideoSec,
 			})
 			defer out.Release()
-			return metrics.DurationsToSeconds(out.OOODelays)
+			return metrics.NewDelayDist(out.OOODelays)
 		},
-		func(i int, xs []float64) {
-			c := metrics.NewCDF(xs)
+		func(i int, d metrics.DelayDist) {
+			c := d.CDF()
 			mu.Lock()
 			res.CDFs[schedulers[i]] = c
 			mu.Unlock()
@@ -301,23 +304,22 @@ type Figure13Result struct {
 }
 
 // Figure13 measures OOO-delay CCDFs for the default scheduler at the
-// four x-8.6 pairs.
+// four x-8.6 pairs: the default-scheduler cell of each pair's "ooo"
+// family, two of which Figure 14 also reads.
 func Figure13(sc Scale) *Figure13Result {
 	res := &Figure13Result{
 		WifiBandwidths: figure5Pairs,
 		CDFs:           make([]*metrics.CDF, len(figure5Pairs)),
 	}
-	runCells(sc, sc.spec("fig13", 1, sc.videoKey()), len(figure5Pairs),
-		func(i int) []float64 {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: figure5Pairs[i], LteMbps: 8.6,
-				Scheduler: "minrtt",
-				VideoSec:  sc.VideoSec,
-			})
-			defer out.Release()
-			return metrics.DurationsToSeconds(out.OOODelays)
-		},
-		func(i int, xs []float64) { res.CDFs[i] = metrics.NewCDF(xs) })
+	b := newBatch(sc)
+	pairs := make([]*OOOResult, len(figure5Pairs))
+	for i, wifi := range figure5Pairs {
+		pairs[i] = addOOO(b, "", wifi, 8.6, []string{"minrtt"}, sc)
+	}
+	runBatch(b)
+	for i, p := range pairs {
+		res.CDFs[i] = p.CDFs["minrtt"]
+	}
 	return res
 }
 

@@ -216,10 +216,26 @@ var figure20Configs = []webPageConfig{
 	{"1.0 Mbps WiFi and 10.0 Mbps LTE", 1, 10},
 }
 
-// PageOutcome is one page-fetch run's telemetry.
+// PageOutcome is one page-fetch run's telemetry: the per-object
+// completion times (a hundred-odd values) and the per-packet OOO delays
+// of all six connections pooled, in packed form.
 type PageOutcome struct {
 	Completions []time.Duration
-	OOODelays   []time.Duration
+	OOODelays   metrics.DelayDist
+}
+
+// newPageOutcome gathers the telemetry of one finished page fetch.
+func newPageOutcome(res *web.PageResult, conns []*mptcp.Conn) *PageOutcome {
+	out := &PageOutcome{}
+	if res != nil {
+		out.Completions = res.CompletionTimes()
+	}
+	var ooo []time.Duration
+	for _, c := range conns {
+		ooo = append(ooo, c.Receiver().OOODelays()...)
+	}
+	out.OOODelays = metrics.NewDelayDist(ooo)
+	return out
 }
 
 // fetchCNNPage runs one browsing session: 107 objects over six parallel
@@ -240,14 +256,7 @@ func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64) *Pag
 		ThinkTime: 30 * time.Millisecond,
 	}, func(r *web.PageResult) { res = r })
 	net.Run(10 * time.Minute)
-	out := &PageOutcome{}
-	if res != nil {
-		out.Completions = res.CompletionTimes()
-	}
-	for _, c := range conns {
-		out.OOODelays = append(out.OOODelays, c.Receiver().OOODelays()...)
-	}
-	return out
+	return newPageOutcome(res, conns)
 }
 
 // WebBrowsingResult carries per-scheduler distributions for the three
@@ -274,10 +283,11 @@ func runWebBrowsing(sc Scale) *WebBrowsingResult {
 	// sequence regardless of worker count. Both Figure 20 and Figure 21
 	// read from the same cell family ("web-browsing"), so one pass
 	// serves both. v2: seeds namespaced via runSeed per (config, run),
-	// shared across schedulers (paired sessions).
+	// shared across schedulers (paired sessions). v3: OOO delays are a
+	// packed metrics.DelayDist.
 	nCfg, nRun := len(res.Configs), sc.WebRuns
 	outs := make([]*PageOutcome, len(res.Schedulers)*nCfg*nRun)
-	runCells(sc, sc.spec("web-browsing", 2, sc.webKey()), len(outs),
+	runCells(sc, sc.spec("web-browsing", 3, sc.webKey()), len(outs),
 		func(k int) *PageOutcome {
 			s := res.Schedulers[k/(nCfg*nRun)]
 			ci := k / nRun % nCfg
@@ -287,7 +297,8 @@ func runWebBrowsing(sc Scale) *WebBrowsingResult {
 		func(k int, out *PageOutcome) { outs[k] = out })
 	for si, s := range res.Schedulers {
 		for ci := range res.Configs {
-			var comp, ooo []float64
+			var comp []float64
+			var ooo []metrics.DelayDist
 			for run := 0; run < nRun; run++ {
 				out := outs[(si*nCfg+ci)*nRun+run]
 				if out == nil {
@@ -296,10 +307,10 @@ func runWebBrowsing(sc Scale) *WebBrowsingResult {
 					continue
 				}
 				comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
-				ooo = append(ooo, metrics.DurationsToSeconds(out.OOODelays)...)
+				ooo = append(ooo, out.OOODelays)
 			}
 			res.Completions[s] = append(res.Completions[s], metrics.NewCDF(comp))
-			res.OOO[s] = append(res.OOO[s], metrics.NewCDF(ooo))
+			res.OOO[s] = append(res.OOO[s], metrics.MergeDelayDists(ooo...).CDF())
 		}
 	}
 	return res

@@ -132,14 +132,16 @@ func Figure23(sc Scale) *Figure23Result {
 	// One job per (scheduler, run) page fetch; aggregation walks the
 	// outcomes in index order afterwards. Table 4 reads the same cell
 	// family, so its pass is free once Figure 23's cells are cached.
+	// v2: OOO delays are a packed metrics.DelayDist.
 	outs := make([]*PageOutcome, len(res.Schedulers)*len(runs))
-	runCells(sc, sc.spec("fig23", 1, sc.wildWebKey()), len(outs),
+	runCells(sc, sc.spec("fig23", 2, sc.wildWebKey()), len(outs),
 		func(k int) *PageOutcome {
 			return wildPage(runs[k%len(runs)], res.Schedulers[k/len(runs)])
 		},
 		func(k int, out *PageOutcome) { outs[k] = out })
 	for si, s := range res.Schedulers {
-		var comp, ooo []float64
+		var comp []float64
+		var ooo []metrics.DelayDist
 		for ri := range runs {
 			out := outs[si*len(runs)+ri]
 			if out == nil {
@@ -148,10 +150,10 @@ func Figure23(sc Scale) *Figure23Result {
 				continue
 			}
 			comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
-			ooo = append(ooo, metrics.DurationsToSeconds(out.OOODelays)...)
+			ooo = append(ooo, out.OOODelays)
 		}
 		res.Completion[s] = metrics.NewCDF(comp)
-		res.OOO[s] = metrics.NewCDF(ooo)
+		res.OOO[s] = metrics.MergeDelayDists(ooo...).CDF()
 		res.MeanCompletion[s] = time.Duration(res.Completion[s].Mean() * float64(time.Second))
 		res.MeanOOO[s] = time.Duration(res.OOO[s].Mean() * float64(time.Second))
 	}
@@ -174,14 +176,7 @@ func wildPage(run trace.WildRun, scheduler string) *PageOutcome {
 		ThinkTime: 30 * time.Millisecond,
 	}, func(r *web.PageResult) { res = r })
 	net.Run(10 * time.Minute)
-	out := &PageOutcome{}
-	if res != nil {
-		out.Completions = res.CompletionTimes()
-	}
-	for _, c := range conns {
-		out.OOODelays = append(out.OOODelays, c.Receiver().OOODelays()...)
-	}
-	return out
+	return newPageOutcome(res, conns)
 }
 
 // String renders the CCDF quantiles for both metrics.

@@ -28,6 +28,21 @@ import (
 // require a Schema bump, which code review can check against the
 // warning this mechanism produces for shape changes.
 
+// A type that marshals itself hides its record form from that walk: its
+// exported fields (often none) say nothing about the bytes it writes.
+// Such a type names its form through RecordFormat, and the name stands
+// in for its structure in the signature; changing the form means
+// changing the name, which strands the old records as warned misses.
+
+// recordFormatter is implemented by payload types (or types nested in
+// payloads) whose JSON form is their own MarshalJSON's. The method must
+// work on the zero value.
+type recordFormatter interface {
+	RecordFormat() string
+}
+
+var recordFormatterType = reflect.TypeOf((*recordFormatter)(nil)).Elem()
+
 // fpCache memoizes fingerprints per payload type.
 var fpCache sync.Map // reflect.Type -> string
 
@@ -49,6 +64,15 @@ func typeFingerprint(t reflect.Type) string {
 // fields (unexported fields are invisible to encoding/json and
 // therefore to the record format).
 func writeTypeSig(b *strings.Builder, t reflect.Type, seen map[reflect.Type]bool) {
+	// Pointers and interfaces are left to the switch: a pointer type
+	// inherits its element's methods, and neither kind's zero value can
+	// be called through.
+	if k := t.Kind(); k != reflect.Pointer && k != reflect.Interface && t.Implements(recordFormatterType) {
+		b.WriteString("format(")
+		b.WriteString(reflect.Zero(t).Interface().(recordFormatter).RecordFormat())
+		b.WriteByte(')')
+		return
+	}
 	switch t.Kind() {
 	case reflect.Pointer:
 		b.WriteByte('*')

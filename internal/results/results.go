@@ -31,9 +31,18 @@
 //
 // Determinism contract: a cached record must decode back to exactly the
 // value that was computed, so a warm run renders byte-identically to a
-// cold one. Records are JSON with concrete field types only (float64,
-// integers, time.Duration, strings, slices, structs), which Go's
-// encoding round-trips exactly.
+// cold one. Records are JSON whose fields are either concrete types
+// (float64, integers, time.Duration, strings, slices, structs), which
+// Go's encoding round-trips exactly, or types that marshal themselves
+// exactly and name their form through a RecordFormat method, which the
+// payload fingerprint then covers (see fingerprint.go). The one such
+// type is metrics.DelayDist, the packed per-packet delay distribution.
+//
+// Record size is read cost: a warm run decodes every byte of every
+// record it renders. Per-cell summaries and short series are fine as
+// plain JSON; a per-packet series (tens of thousands of samples) must
+// not be stored as a JSON array of numbers — record it as a
+// metrics.DelayDist, or give its type a packed form the same way.
 package results
 
 import (

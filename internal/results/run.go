@@ -36,7 +36,8 @@ func NewBatch(pool runner.Pool, session *Session) *Batch {
 }
 
 // Add registers the n cells of one spec. compute(i) produces cell i's
-// record — a JSON-serializable value with concrete field types — and
+// record — a JSON-serializable value under the package's determinism
+// contract — and
 // collect(i, v) stores it into the caller's result structure. When the
 // batch runs, each cell is served from the session's store when a
 // record exists, computed and persisted when not, skipped when outside

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 )
 
@@ -82,26 +83,54 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.root, string(exp), fmt.Sprintf("c%04d-%s.json", k.Cell, k.hash()))
 }
 
-// Get decodes the record for k into into (a pointer). It returns false
-// on any miss: no file, unreadable file, malformed JSON, a stored key
-// that does not match the request, or a payload fingerprint that does
-// not match the target type — the last case also warns (once per
-// group), since it means the simulator's record shape changed without
-// a schema bump and the cached group is stale.
+// Get decodes the record for k into into (a non-nil pointer). It
+// returns false on any miss: no file, unreadable file, malformed JSON
+// (trailing bytes included), a stored key that does not match the
+// request, an absent or null payload, a payload that does not decode
+// into the target type, or a payload fingerprint that does not match
+// the target type — the last case also warns (once per group), since it
+// means the simulator's record shape changed without a schema bump and
+// the cached group is stale. into is written only on a hit.
+//
+// The file is decoded by one json.Unmarshal: key, fingerprint and
+// payload in a single pass, the payload straight into a fresh value of
+// the target type. Key and fingerprint are therefore checked after the
+// payload was decoded, which is why the payload lands in a scratch
+// value first: a foreign or stale record must not leave its fields in
+// the caller's variable.
 func (s *Store) Get(k Key, into any) bool {
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return false
 	}
-	var env envelope
-	if json.Unmarshal(raw, &env) != nil || env.Key != k {
+	// slot is a pointer to a nil pointer of into's type. The decoder
+	// allocates the payload value behind it when, and only when, the
+	// file carries a non-null "data", so a nil slot afterwards means the
+	// payload was absent.
+	dst := reflect.ValueOf(into)
+	slot := reflect.New(dst.Type())
+	env := struct {
+		Key  Key    `json:"key"`
+		Fp   string `json:"fp"`
+		Data any    `json:"data"`
+	}{Data: slot.Interface()}
+	err = json.Unmarshal(raw, &env)
+	// A syntax error decodes nothing, so the key check covers it. A
+	// payload that does not fit the target type still decodes key and
+	// fingerprint (EncodeRecord writes both ahead of the payload), so a
+	// stale shape is reported as such and not as a corrupt file.
+	if env.Key != k {
 		return false
 	}
 	if want := targetFingerprint(into); env.Fp != want {
 		s.warnMismatch(k, env.Fp, want)
 		return false
 	}
-	return json.Unmarshal(env.Data, into) == nil
+	if err != nil || slot.Elem().IsNil() {
+		return false
+	}
+	dst.Elem().Set(slot.Elem().Elem())
+	return true
 }
 
 // Put atomically and durably persists v as the record for k, stamped
@@ -220,8 +249,10 @@ func EncodeRecord(k Key, v any) ([]byte, error) {
 }
 
 // DecodeRecordKey returns the key a serialized record envelope claims
-// to carry, rejecting envelopes whose payload is absent or not valid
-// JSON — the validation gate for ingesting records from the network.
+// to carry, rejecting envelopes that are not valid JSON or carry no
+// payload — the validation gate for ingesting records from the network.
+// json.Unmarshal validates the whole envelope, payload included, before
+// it decodes anything, so the payload needs no second scan.
 func DecodeRecordKey(raw []byte) (Key, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
@@ -230,8 +261,8 @@ func DecodeRecordKey(raw []byte) (Key, error) {
 	if env.Key.Experiment == "" {
 		return Key{}, fmt.Errorf("record envelope carries no key")
 	}
-	if len(env.Data) == 0 || !json.Valid(env.Data) {
-		return Key{}, fmt.Errorf("record envelope for cell %d of %q carries no valid payload", env.Key.Cell, env.Key.Experiment)
+	if len(env.Data) == 0 {
+		return Key{}, fmt.Errorf("record envelope for cell %d of %q carries no payload", env.Key.Cell, env.Key.Experiment)
 	}
 	return env.Key, nil
 }

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -47,6 +48,9 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 		corrupt func(t *testing.T, st *Store, path string)
 		// wantHit: the record should still be served after sabotage.
 		wantHit bool
+		// wantHas: Has, which checks the envelope and key but neither
+		// payload nor fingerprint, should still report the record.
+		wantHas bool
 	}{
 		{
 			// Crash after rename of a partial temp file (or a torn
@@ -74,6 +78,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 				}
 			},
 			wantHit: true,
+			wantHas: true,
 		},
 		{
 			// A record file holding a well-formed envelope for a
@@ -100,10 +105,55 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 				}
 			},
 		},
+		{
+			// Bytes after the envelope (two writers' output run
+			// together): the file as a whole is not one JSON value.
+			name: "trailing garbage after the envelope",
+			corrupt: func(t *testing.T, _ *Store, path string) {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, append(raw, `{"key":1}`...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			// The record of a binary whose payload type had another
+			// shape: right key, wrong fingerprint. The fields the two
+			// shapes share must not leak into the caller's value.
+			name: "stale payload fingerprint",
+			corrupt: func(t *testing.T, st *Store, _ string) {
+				type oldRec struct {
+					Cell  int
+					Label string
+				}
+				if err := st.Put(k, oldRec{Cell: 41, Label: "stale"}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantHas: true,
+		},
+		{
+			name: "null payload",
+			corrupt: func(t *testing.T, _ *Store, path string) {
+				rewritePayload(t, path, `"data":null`)
+			},
+			wantHas: true,
+		},
+		{
+			name: "absent payload",
+			corrupt: func(t *testing.T, _ *Store, path string) {
+				rewritePayload(t, path, `"nodata":0`)
+			},
+			wantHas: true,
+		},
 	}
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			captureWarnings(t) // the stale-fingerprint miss warns by design
 			dir := t.TempDir()
 			st := openStore(t, dir)
 			if err := st.Put(k, v); err != nil {
@@ -119,8 +169,11 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			if hit := st.Get(k, &got); hit != sc.wantHit {
 				t.Fatalf("Get after %s = %v, want %v", sc.name, hit, sc.wantHit)
 			}
-			if has := st.Has(k); has != sc.wantHit {
-				t.Fatalf("Has after %s = %v, want %v", sc.name, has, sc.wantHit)
+			if !sc.wantHit && got != (rec{}) {
+				t.Fatalf("Get missed after %s but wrote %+v into its target", sc.name, got)
+			}
+			if has := st.Has(k); has != sc.wantHas {
+				t.Fatalf("Has after %s = %v, want %v", sc.name, has, sc.wantHas)
 			}
 
 			// A session run over the sabotaged store recomputes exactly
@@ -145,6 +198,23 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 				t.Fatal("store not healed: Has still false after rerun")
 			}
 		})
+	}
+}
+
+// rewritePayload replaces the payload member of the record at path,
+// keeping its key and fingerprint.
+func rewritePayload(t *testing.T, path, member string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(raw, []byte(`"data":`))
+	if i < 0 {
+		t.Fatalf("no payload member in %s", raw)
+	}
+	if err := os.WriteFile(path, append(raw[:i:i], member+"}"...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
