@@ -130,18 +130,18 @@ func failUsage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// newSession builds the cache/shard policy from the flags, validating
-// combinations and probing the cache dir up front.
+// newSession builds the run's session from the flags, validating
+// combinations and probing the cache dir up front. Every run gets one:
+// without a store (-no-cache, or no -cache-dir) it still shares each
+// distinct cell's record between the drivers that render it.
 func newSession(cacheDir, shardStr string, merge, noCache bool, cellTimeout time.Duration) *results.Session {
 	if noCache {
 		if shardStr != "" || merge {
 			failUsage("-no-cache cannot be combined with -shard or -merge (both need the store)")
 		}
-		if cellTimeout > 0 {
-			return &results.Session{CellTimeout: cellTimeout}
-		}
-		return nil
+		cacheDir = ""
 	}
+	ses := &results.Session{CellTimeout: cellTimeout, Merge: merge, CollectMisses: merge}
 	if cacheDir == "" {
 		if shardStr != "" {
 			failUsage("-shard requires -cache-dir (a shard's results live in the store)")
@@ -149,37 +149,33 @@ func newSession(cacheDir, shardStr string, merge, noCache bool, cellTimeout time
 		if merge {
 			failUsage("-merge requires -cache-dir (it renders from cached records)")
 		}
-		if cellTimeout > 0 {
-			return &results.Session{CellTimeout: cellTimeout}
-		}
-		return nil
+		return ses
 	}
 	if shardStr != "" && merge {
 		failUsage("-shard and -merge are mutually exclusive (merge reads every cell)")
 	}
-	shard := results.Shard{}
 	if shardStr != "" {
 		var err error
-		shard, err = results.ParseShard(shardStr)
+		ses.Shard, err = results.ParseShard(shardStr)
 		if err != nil {
 			failUsage("%v", err)
 		}
 	}
 	// Merge only reads, so a read-only store (e.g. another machine's
 	// shard output on a read-only mount) is fine; every other mode
-	// creates the dir and probes writability up front.
+	// creates the dir and probes writability up front. A merge collects
+	// every missing cell instead of failing on the first, so one pass
+	// reports the sweep's complete hole list with the command to
+	// backfill it.
 	open := results.Open
 	if merge {
 		open = results.OpenRead
 	}
-	store, err := open(cacheDir)
-	if err != nil {
+	var err error
+	if ses.Store, err = open(cacheDir); err != nil {
 		fail("%v", err)
 	}
-	// A merge collects every missing cell instead of failing on the
-	// first, so one pass reports the sweep's complete hole list with
-	// the command to backfill it.
-	return &results.Session{Store: store, Shard: shard, Merge: merge, CollectMisses: merge, CellTimeout: cellTimeout}
+	return ses
 }
 
 // reportMissing renders a failed merge's complete hole list on stderr,
@@ -547,14 +543,28 @@ func eventLine(processed, coalesced uint64, delivered int64) string {
 	return s
 }
 
-// cacheLine renders the session counter delta as "N hits, M computed
-// (P% hit)"; with no cells at all there is no rate to report.
-func cacheLine(hits, computed int64) string {
-	total := hits + computed
-	if total == 0 {
-		return "cache: 0 hits, 0 computed"
+// cellCounts is where a run's cells came from so far: the session's
+// in-memory records, its store, or a simulation.
+type cellCounts struct{ memory, store, computed int64 }
+
+func countCells(ses *results.Session) cellCounts {
+	hits, computed := ses.Stats()
+	memory := ses.MemoryHits()
+	return cellCounts{memory, hits - memory, computed}
+}
+
+func (c cellCounts) since(c0 cellCounts) cellCounts {
+	return cellCounts{c.memory - c0.memory, c.store - c0.store, c.computed - c0.computed}
+}
+
+// String renders "cells: M memory + S store hits, C computed (P% hit)";
+// with no cells at all there is no rate to report.
+func (c cellCounts) String() string {
+	s := fmt.Sprintf("cells: %d memory + %d store hits, %d computed", c.memory, c.store, c.computed)
+	if total := c.memory + c.store + c.computed; total > 0 {
+		s += fmt.Sprintf(" (%d%% hit)", (c.memory+c.store)*100/total)
 	}
-	return fmt.Sprintf("cache: %d hits, %d computed (%d%% hit)", hits, computed, hits*100/total)
+	return s
 }
 
 func main() {
@@ -566,7 +576,7 @@ func main() {
 		cacheDir  = flag.String("cache-dir", "", "persist per-cell results under this directory (created if missing); reruns serve unchanged cells from it")
 		shardStr  = flag.String("shard", "", "run only cells with index%n == i, given as \"i/n\" (requires -cache-dir; join shards with -merge)")
 		merge     = flag.Bool("merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
-		noCache   = flag.Bool("no-cache", false, "ignore -cache-dir: compute every cell, neither reading nor writing the store")
+		noCache   = flag.Bool("no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
 		stats     = flag.Bool("cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
 		prune     = flag.Bool("cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
 		olderThan = flag.Duration("older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
@@ -768,12 +778,6 @@ func main() {
 	var report *obs.RunReport
 	var runHash hash.Hash
 	if *reportOut != "" {
-		if sc.Results == nil {
-			// The report's per-cell duration stats ride on the session;
-			// a cache-less run gets a store-less one (every cell still
-			// computes, nothing is persisted).
-			sc.Results = &results.Session{}
-		}
 		workers := sc.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
@@ -784,7 +788,7 @@ func main() {
 	runStart := time.Now()
 
 	run := func(e experiment) {
-		h0, c0 := sc.Results.Stats()
+		cells0 := countCells(sc.Results)
 		p0, c0ev := sim.TotalEvents()
 		dl0 := netsim.TotalDelivered()
 		miss0 := sc.Results.MissingCount()
@@ -811,7 +815,7 @@ func main() {
 			fail("writing stdout: %v", err)
 		}
 		elapsed := time.Since(start)
-		h1, c1 := sc.Results.Stats()
+		cells := countCells(sc.Results).since(cells0)
 		p1, c1ev := sim.TotalEvents()
 		dl1 := netsim.TotalDelivered()
 		if report != nil {
@@ -821,8 +825,8 @@ func main() {
 				Name:             e.name,
 				Description:      e.desc,
 				WallClockMs:      float64(elapsed.Nanoseconds()) / 1e6,
-				CacheHits:        h1 - h0,
-				CacheComputed:    c1 - c0,
+				CacheHits:        cells.memory + cells.store,
+				CacheComputed:    cells.computed,
 				EventsProcessed:  p1 - p0,
 				EventsCoalesced:  c1ev - c0ev,
 				EventsTotal:      (p1 - p0) + (c1ev - c0ev),
@@ -834,25 +838,16 @@ func main() {
 			er.SetCellDurations(sc.Results.TakeCellDurations())
 			report.Experiments = append(report.Experiments, er)
 		}
-		status := fmt.Sprintf("%s: %v", e.name, elapsed.Round(time.Millisecond))
-		if sc.Results != nil {
-			status += ", " + cacheLine(h1-h0, c1-c0)
-		}
-		status += ", " + eventLine(p1-p0, c1ev-c0ev, dl1-dl0)
-		fmt.Fprintln(os.Stderr, status)
+		fmt.Fprintf(os.Stderr, "%s: %v, %v, %s\n", e.name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
 	}
 
 	if *expName == "all" {
 		for _, e := range catalog {
 			run(e)
 		}
-		status := fmt.Sprintf("all %d experiments: %v total", len(catalog), time.Since(runStart).Round(time.Millisecond))
-		if sc.Results != nil {
-			status += ", " + cacheLine(sc.Results.Stats())
-		}
 		pAll, cAll := sim.TotalEvents()
-		status += ", " + eventLine(pAll, cAll, netsim.TotalDelivered())
-		fmt.Fprintln(os.Stderr, status)
+		fmt.Fprintf(os.Stderr, "all %d experiments: %v total, %v, %s\n", len(catalog), time.Since(runStart).Round(time.Millisecond),
+			countCells(sc.Results), eventLine(pAll, cAll, netsim.TotalDelivered()))
 	} else {
 		found := false
 		for _, e := range catalog {

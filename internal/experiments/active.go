@@ -1,37 +1,41 @@
 package experiments
 
-import "repro/internal/results"
+import (
+	"fmt"
+
+	"repro/internal/results"
+)
 
 // allDrivers runs every experiment driver in the catalog, in catalog
 // order. It exists for EnumerateActive: keep it in sync with the
 // ecfbench catalog (the prune-coverage test in this package catches a
 // driver whose records are not enumerated).
-var allDrivers = []func(Scale){
-	func(Scale) { Table1() },
-	func(sc Scale) { Table2(sc) },
-	func(sc Scale) { Table3(sc) },
-	func(sc Scale) { Table4(sc) },
-	func(sc Scale) { Figure1(sc) },
-	func(sc Scale) { Figure2(sc) },
-	func(sc Scale) { Figure3(sc) },
-	func(sc Scale) { Figure5(sc) },
-	func(sc Scale) { Figure6(sc) },
-	func(sc Scale) { Figure7(sc) },
-	func(sc Scale) { Figure9(sc) },
-	func(sc Scale) { Figure10(sc) },
-	func(sc Scale) { Figure11(sc) },
-	func(sc Scale) { Figure12(sc) },
-	func(sc Scale) { Figure13(sc) },
-	func(sc Scale) { Figure14(sc) },
-	func(sc Scale) { Figure15(sc) },
-	func(sc Scale) { Figure16(sc) },
-	func(sc Scale) { Figure17(sc) },
-	func(sc Scale) { Figure18(sc) },
-	func(sc Scale) { Figure19(sc) },
-	func(sc Scale) { Figure20(sc) },
-	func(sc Scale) { Figure21(sc) },
-	func(sc Scale) { Figure22(sc) },
-	func(sc Scale) { Figure23(sc) },
+var allDrivers = []func(Scale) fmt.Stringer{
+	func(Scale) fmt.Stringer { return Table1() },
+	func(sc Scale) fmt.Stringer { return Table2(sc) },
+	func(sc Scale) fmt.Stringer { return Table3(sc) },
+	func(sc Scale) fmt.Stringer { return Table4(sc) },
+	func(sc Scale) fmt.Stringer { return Figure1(sc) },
+	func(sc Scale) fmt.Stringer { return Figure2(sc) },
+	func(sc Scale) fmt.Stringer { return Figure3(sc) },
+	func(sc Scale) fmt.Stringer { return Figure5(sc) },
+	func(sc Scale) fmt.Stringer { return Figure6(sc) },
+	func(sc Scale) fmt.Stringer { return Figure7(sc) },
+	func(sc Scale) fmt.Stringer { return Figure9(sc) },
+	func(sc Scale) fmt.Stringer { return Figure10(sc) },
+	func(sc Scale) fmt.Stringer { return Figure11(sc) },
+	func(sc Scale) fmt.Stringer { return Figure12(sc) },
+	func(sc Scale) fmt.Stringer { return Figure13(sc) },
+	func(sc Scale) fmt.Stringer { return Figure14(sc) },
+	func(sc Scale) fmt.Stringer { return Figure15(sc) },
+	func(sc Scale) fmt.Stringer { return Figure16(sc) },
+	func(sc Scale) fmt.Stringer { return Figure17(sc) },
+	func(sc Scale) fmt.Stringer { return Figure18(sc) },
+	func(sc Scale) fmt.Stringer { return Figure19(sc) },
+	func(sc Scale) fmt.Stringer { return Figure20(sc) },
+	func(sc Scale) fmt.Stringer { return Figure21(sc) },
+	func(sc Scale) fmt.Stringer { return Figure22(sc) },
+	func(sc Scale) fmt.Stringer { return Figure23(sc) },
 }
 
 // EnumerateActive returns the record groups — (experiment, scale,

@@ -47,11 +47,12 @@ type Scale struct {
 	// independent simulation seeded by its own index, so results are
 	// byte-identical for any worker count.
 	Workers int
-	// Results is the per-run cache/shard policy (the ecfbench
-	// -cache-dir/-shard/-merge flags). Nil computes every cell
-	// in-process with no persistence. Like Workers it never affects
-	// cell content, only where records come from, so it is excluded
-	// from cache keys.
+	// Results is the per-run session (the ecfbench -cache-dir/-shard/
+	// -merge flags): its cache/shard policy, and the records the run
+	// has produced so far, so drivers that share cells simulate each
+	// once between them. Nil computes every cell every time, in-process
+	// with no persistence. Like Workers it never affects cell content,
+	// only where records come from, so it is excluded from cache keys.
 	Results *results.Session
 	// Progress, when non-nil, observes cell completion (the ecfbench
 	// -progress flag): called after every finished cell with the count
@@ -389,7 +390,9 @@ func runBatch(b *results.Batch) {
 // runCells runs the n cells of a single-spec experiment: compute(i)
 // produces cell i's serializable record, collect(i, v) places it in the
 // driver's result structure. Caching, sharding and merge apply per the
-// scale's Results session.
+// scale's Results session. The record collect receives may be one
+// another driver already holds: collect and the driver's renderer read
+// it, and copy before changing anything reachable from it.
 func runCells[T any](sc Scale, spec results.Spec, n int, compute func(i int) T, collect func(i int, v T)) {
 	b := newBatch(sc)
 	results.Add(b, spec, n, compute, collect)

@@ -31,12 +31,53 @@ func renderDelayDrivers(sc Scale) string {
 	return b.String()
 }
 
+// renderCatalog renders every driver's report, in catalog order.
+func renderCatalog(sc Scale) string {
+	var b strings.Builder
+	for _, run := range allDrivers {
+		b.WriteString(run(sc).String())
+	}
+	return b.String()
+}
+
+// TestCatalogSharesRecordsWithinOneRun runs the quick catalog under one
+// storeless session: every distinct cell of the enumerated work list is
+// simulated exactly once, every other request is served from memory,
+// and the reports — many of them rendered from records an earlier
+// driver already collected and rendered — are byte-identical to a run
+// that shares nothing. A collector or renderer that changed a shared
+// record in place would show here as a differing later report.
+func TestCatalogSharesRecordsWithinOneRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick catalog twice")
+	}
+	want := renderCatalog(Quick)
+
+	shared := Quick
+	shared.Results = &results.Session{}
+	if got := renderCatalog(shared); got != want {
+		t.Fatal("catalog rendered under a storeless session differs from the nil-session render")
+	}
+	distinct := int64(0)
+	for _, f := range EnumerateCells(Quick) {
+		distinct += int64(f.Cells)
+	}
+	hits, computed := shared.Results.Stats()
+	if computed != distinct {
+		t.Fatalf("computed %d cells, want %d: each distinct cell of the work list once", computed, distinct)
+	}
+	if hits == 0 || hits != shared.Results.MemoryHits() {
+		t.Fatalf("%d hits, %d of them from memory; want some, all from memory", hits, shared.Results.MemoryHits())
+	}
+}
+
 // TestCatalogStoreShape pins what a catalog run leaves in the store and
 // that it reads back exactly: a second pass is all hits and renders the
 // delay reports byte-identically to the pass that computed them; the
-// stored groups are the active matrix -cache-prune keeps (Figure 13
-// reads the "ooo" families, so no "fig13" group exists); and neither the
-// store nor its largest record outgrows the packed form.
+// stored groups are the active matrix -cache-prune keeps (Figures 5 and
+// 13 read the "ooo" families and Figures 3, 11 and 12 the "sampled"
+// one, so no group is named after any of them); and neither the store
+// nor its largest record outgrows the packed form.
 func TestCatalogStoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick catalog")
@@ -71,10 +112,10 @@ func TestCatalogStoreShape(t *testing.T) {
 		t.Fatalf("store holds %d records (%d unreadable) for %d computed cells", audit.Records, audit.Unreadable, computed)
 	}
 	stored := make(map[results.Group]bool)
-	families := make(map[string]bool)
+	families := make(map[string]int)
 	for _, line := range audit.Lines {
 		stored[results.Group{Experiment: line.Experiment, Scale: line.Scale, Schema: line.Schema}] = true
-		families[line.Experiment] = true
+		families[line.Experiment] += line.Records
 	}
 	active := EnumerateActive(Quick)
 	for _, g := range active {
@@ -86,12 +127,19 @@ func TestCatalogStoreShape(t *testing.T) {
 	for g := range stored {
 		t.Errorf("stored group %+v is not in the active matrix (prune would delete it)", g)
 	}
-	if families["fig13"] {
-		t.Error(`a "fig13" family exists; Figure 13 must read the "ooo" families`)
+	for _, fam := range []string{"fig3", "fig5", "fig11", "fig12", "fig13", "cwnd/sf0", "cwnd/sf1"} {
+		if families[fam] != 0 {
+			t.Errorf("a %q family exists; its figure must read the shared \"ooo\" or \"sampled\" records", fam)
+		}
 	}
-	for _, fam := range []string{"ooo/0.3-8.6", "ooo/0.7-8.6", "ooo/1.1-8.6", "ooo/4.2-8.6"} {
-		if !families[fam] {
-			t.Errorf("family %q is missing from the store", fam)
+	// Figure 14 fills two pairs for all four schedulers; Figures 5 and 13
+	// add the default-scheduler cell of the other two.
+	for fam, records := range map[string]int{
+		"ooo/0.3-8.6": 4, "ooo/0.7-8.6": 1, "ooo/1.1-8.6": 1, "ooo/4.2-8.6": 4,
+		"sampled/0.3-8.6": 4,
+	} {
+		if families[fam] != records {
+			t.Errorf("family %q holds %d records, want %d", fam, families[fam], records)
 		}
 	}
 

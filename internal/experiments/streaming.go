@@ -80,22 +80,53 @@ type Figure3Result struct {
 	Traces []*metrics.TimeSeries // bytes over time, per subflow
 }
 
-// Figure3 samples subflow send-buffer occupancy (unacked bytes, in-flight
-// included, as the paper measures) every 100 ms.
-func Figure3(sc Scale) *Figure3Result {
-	res := &Figure3Result{}
-	runCells(sc, sc.spec("fig3", 1, sc.videoKey()), 1,
-		func(int) *Figure3Result {
+// sampledSchedulers are the cells of the sampled-trace family, the
+// default scheduler first: Figure 3 reads cell 0 alone.
+var sampledSchedulers = []string{"minrtt", "daps", "blest", "ecf"}
+
+// sampledCell is the record of one 0.3/8.6 streaming run sampled every
+// 100 ms: both subflows' congestion window and send-buffer occupancy at
+// the shared instants T. Figure 3 renders the default scheduler's
+// send buffers, Figures 11 and 12 each scheduler's CWND on one subflow.
+type sampledCell struct {
+	Subflows []string
+	T        []time.Duration
+	Cwnd     [][]float64 // [subflow][sample], segments
+	Sndbuf   [][]float64 // [subflow][sample], unacked bytes
+}
+
+// runSampled runs the first n cells of the "sampled/0.3-8.6" family.
+func runSampled(sc Scale, n int, collect func(i int, cell sampledCell)) {
+	runCells(sc, sc.spec("sampled/0.3-8.6", 1, sc.videoKey()), n,
+		func(i int) sampledCell {
 			out := RunStreaming(StreamConfig{
 				WifiMbps: 0.3, LteMbps: 8.6,
-				Scheduler:      "minrtt",
+				Scheduler:      sampledSchedulers[i],
 				VideoSec:       sc.VideoSec,
 				SampleInterval: 100 * time.Millisecond,
 			})
 			defer out.Release()
-			return &Figure3Result{Names: out.SubflowNames, Traces: out.SndbufTraces}
+			// The sampler records every series at the same instants.
+			cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
+			for j := range out.CwndTraces {
+				cell.Cwnd = append(cell.Cwnd, out.CwndTraces[j].V)
+				cell.Sndbuf = append(cell.Sndbuf, out.SndbufTraces[j].V)
+			}
+			return cell
 		},
-		func(_ int, cell *Figure3Result) { *res = *cell })
+		collect)
+}
+
+// Figure3 samples subflow send-buffer occupancy (unacked bytes, in-flight
+// included, as the paper measures) every 100 ms.
+func Figure3(sc Scale) *Figure3Result {
+	res := &Figure3Result{}
+	runSampled(sc, 1, func(_ int, cell sampledCell) {
+		res.Names = cell.Subflows
+		for _, v := range cell.Sndbuf {
+			res.Traces = append(res.Traces, &metrics.TimeSeries{T: cell.T, V: v})
+		}
+	})
 	return res
 }
 
@@ -149,25 +180,22 @@ type Figure5Result struct {
 var figure5Pairs = []float64{0.3, 0.7, 1.1, 4.2}
 
 // Figure5 measures, per chunk, the time difference between the last
-// packets received on each path under the default scheduler.
+// packets received on each path under the default scheduler: the
+// default-scheduler cell of each pair's "ooo" family, the very runs
+// Figure 13 reads the OOO delays of.
 func Figure5(sc Scale) *Figure5Result {
 	res := &Figure5Result{
 		WifiBandwidths: figure5Pairs,
 		CDFs:           make([]*metrics.CDF, len(figure5Pairs)),
 	}
-	// Cell record: the raw per-chunk diff samples in seconds; the CDF is
-	// rebuilt at collection so the cached form stays small and stable.
-	runCells(sc, sc.spec("fig5", 1, sc.videoKey()), len(figure5Pairs),
-		func(i int) []float64 {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: figure5Pairs[i], LteMbps: 8.6,
-				Scheduler: "minrtt",
-				VideoSec:  sc.VideoSec,
-			})
-			defer out.Release()
-			return metrics.DurationsToSeconds(out.Result.LastPacketDiffs())
-		},
-		func(i int, xs []float64) { res.CDFs[i] = metrics.NewCDF(xs) })
+	b := newBatch(sc)
+	for i, wifi := range figure5Pairs {
+		i := i
+		addOOO(b, wifi, 8.6, defaultOnly, sc, func(_ int, cell oooCell) {
+			res.CDFs[i] = metrics.NewCDF(cell.LastPacketDiffs)
+		})
+	}
+	runBatch(b)
 	return res
 }
 
@@ -202,30 +230,19 @@ type CwndTraceResult struct {
 	Traces     map[string]*metrics.TimeSeries
 }
 
-// cwndTrace runs the 0.3/8.6 configuration for each scheduler, sampling
-// the chosen subflow's congestion window. The cell family is named by
-// subflow ("cwnd/sf0", "cwnd/sf1"), not figure label, so the records
-// are reusable by any rendering of the same traces.
+// cwndTrace picks the chosen subflow's congestion-window series out of
+// each scheduler's sampled 0.3/8.6 run.
 func cwndTrace(fig string, subflowIdx int, sc Scale) *CwndTraceResult {
 	res := &CwndTraceResult{
 		Figure:     fig,
 		SubflowIdx: subflowIdx,
-		Schedulers: []string{"minrtt", "daps", "blest", "ecf"},
+		Schedulers: sampledSchedulers,
 		Traces:     make(map[string]*metrics.TimeSeries),
 	}
 	traces := make([]*metrics.TimeSeries, len(res.Schedulers))
-	runCells(sc, sc.spec(fmt.Sprintf("cwnd/sf%d", subflowIdx), 1, sc.videoKey()), len(res.Schedulers),
-		func(i int) *metrics.TimeSeries {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6,
-				Scheduler:      res.Schedulers[i],
-				VideoSec:       sc.VideoSec,
-				SampleInterval: 100 * time.Millisecond,
-			})
-			defer out.Release()
-			return out.CwndTraces[subflowIdx]
-		},
-		func(i int, tr *metrics.TimeSeries) { traces[i] = tr })
+	runSampled(sc, len(res.Schedulers), func(i int, cell sampledCell) {
+		traces[i] = &metrics.TimeSeries{T: cell.T, V: cell.Cwnd[subflowIdx]}
+	})
 	for i, s := range res.Schedulers {
 		res.Traces[s] = traces[i]
 	}
@@ -269,31 +286,52 @@ type OOOResult struct {
 	CDFs       map[string]*metrics.CDF
 }
 
-// addOOO registers one bandwidth pair's per-scheduler OOO-delay cells
-// on the batch; the result's CDFs fill in when the batch runs. Cell i
-// of the "ooo/<wifi>-<lte>" family is schedulers[i], so every caller
-// must list schedulers in the same order (the default scheduler first)
-// to share records. The cell record is the packed delay distribution.
-// v2: metrics.DelayDist replaces the raw sample array.
-func addOOO(b *results.Batch, label string, wifi, lte float64, schedulers []string, sc Scale) *OOOResult {
-	res := &OOOResult{Label: label, Schedulers: schedulers, CDFs: make(map[string]*metrics.CDF)}
-	var mu sync.Mutex // collect runs concurrently and CDFs is a map
-	results.Add(b, sc.spec(fmt.Sprintf("ooo/%s-%s", fmtMbps(wifi), fmtMbps(lte)), 2, sc.videoKey()), len(schedulers),
-		func(i int) metrics.DelayDist {
+// oooCell is the record of one "ooo/<wifi>-<lte>" streaming run: the
+// receiver's packed out-of-order delay distribution (Figures 13, 14)
+// and, per chunk fetched over both paths, the seconds between the last
+// packets received on each (Figure 5).
+type oooCell struct {
+	Delays          metrics.DelayDist
+	LastPacketDiffs []float64
+}
+
+// defaultOnly selects cell 0 of an "ooo" family.
+var defaultOnly = []string{"minrtt"}
+
+// addOOO registers one bandwidth pair's per-scheduler streaming cells
+// on the batch. Cell i of the "ooo/<wifi>-<lte>" family is
+// schedulers[i], so every caller must list schedulers in the same order
+// (the default scheduler first) to share records. collect runs
+// concurrently for distinct cells. v2: metrics.DelayDist replaces the
+// raw sample array. v3: the record gains LastPacketDiffs.
+func addOOO(b *results.Batch, wifi, lte float64, schedulers []string, sc Scale, collect func(i int, cell oooCell)) {
+	results.Add(b, sc.spec(fmt.Sprintf("ooo/%s-%s", fmtMbps(wifi), fmtMbps(lte)), 3, sc.videoKey()), len(schedulers),
+		func(i int) oooCell {
 			out := RunStreaming(StreamConfig{
 				WifiMbps: wifi, LteMbps: lte,
 				Scheduler: schedulers[i],
 				VideoSec:  sc.VideoSec,
 			})
 			defer out.Release()
-			return metrics.NewDelayDist(out.OOODelays)
+			return oooCell{
+				Delays:          metrics.NewDelayDist(out.OOODelays),
+				LastPacketDiffs: metrics.DurationsToSeconds(out.Result.LastPacketDiffs()),
+			}
 		},
-		func(i int, d metrics.DelayDist) {
-			c := d.CDF()
-			mu.Lock()
-			res.CDFs[schedulers[i]] = c
-			mu.Unlock()
-		})
+		collect)
+}
+
+// addOOOPanel registers one pair's cells for every listed scheduler and
+// returns the panel their delay CDFs fill in when the batch runs.
+func addOOOPanel(b *results.Batch, label string, wifi, lte float64, schedulers []string, sc Scale) *OOOResult {
+	res := &OOOResult{Label: label, Schedulers: schedulers, CDFs: make(map[string]*metrics.CDF)}
+	var mu sync.Mutex // collect runs concurrently and CDFs is a map
+	addOOO(b, wifi, lte, schedulers, sc, func(i int, cell oooCell) {
+		c := cell.Delays.CDF()
+		mu.Lock()
+		res.CDFs[schedulers[i]] = c
+		mu.Unlock()
+	})
 	return res
 }
 
@@ -305,21 +343,21 @@ type Figure13Result struct {
 
 // Figure13 measures OOO-delay CCDFs for the default scheduler at the
 // four x-8.6 pairs: the default-scheduler cell of each pair's "ooo"
-// family, two of which Figure 14 also reads.
+// family, which Figure 5 reads too and two of which Figure 14 also
+// reads.
 func Figure13(sc Scale) *Figure13Result {
 	res := &Figure13Result{
 		WifiBandwidths: figure5Pairs,
 		CDFs:           make([]*metrics.CDF, len(figure5Pairs)),
 	}
 	b := newBatch(sc)
-	pairs := make([]*OOOResult, len(figure5Pairs))
 	for i, wifi := range figure5Pairs {
-		pairs[i] = addOOO(b, "", wifi, 8.6, []string{"minrtt"}, sc)
+		i := i
+		addOOO(b, wifi, 8.6, defaultOnly, sc, func(_ int, cell oooCell) {
+			res.CDFs[i] = cell.Delays.CDF()
+		})
 	}
 	runBatch(b)
-	for i, p := range pairs {
-		res.CDFs[i] = p.CDFs["minrtt"]
-	}
 	return res
 }
 
@@ -352,8 +390,8 @@ func Figure14(sc Scale) *Figure14Result {
 	scheds := []string{"minrtt", "daps", "blest", "ecf"}
 	b := newBatch(sc)
 	res := &Figure14Result{
-		Heterogeneous: addOOO(b, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6, scheds, sc),
-		Symmetric:     addOOO(b, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6, scheds, sc),
+		Heterogeneous: addOOOPanel(b, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6, scheds, sc),
+		Symmetric:     addOOOPanel(b, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6, scheds, sc),
 	}
 	runBatch(b)
 	return res

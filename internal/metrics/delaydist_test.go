@@ -141,3 +141,33 @@ func FuzzDelayDistUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// TestSortDurationsMatchesComparisonSort holds the radix path (inputs of
+// 2048 samples and more, none negative) to slices.Sort's order on the
+// shapes a cell produces and on the ones that stress digit handling.
+func TestSortDurationsMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string]func() time.Duration{
+		"zeros":    func() time.Duration { return 0 },
+		"dups":     func() time.Duration { return time.Duration(rng.Intn(3)) * 1500 * time.Microsecond },
+		"delays":   func() time.Duration { return time.Duration(rng.Int63n(int64(3 * time.Second))) },
+		"one pass": func() time.Duration { return time.Duration(rng.Intn(2048)) },
+		"top":      func() time.Duration { return math.MaxInt64 - time.Duration(rng.Intn(5000)) },
+		"wide":     func() time.Duration { return time.Duration(rng.Int63()) },
+		"negative": func() time.Duration { return time.Duration(rng.Int63()) - time.Duration(rng.Int63()) },
+	}
+	for name, draw := range shapes {
+		for _, n := range []int{2047, 2048, 2049, 50_000} {
+			got := make([]time.Duration, n)
+			for i := range got {
+				got[i] = draw()
+			}
+			want := slices.Clone(got)
+			slices.Sort(want)
+			sortDurations(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, %d samples: order differs from slices.Sort", name, n)
+			}
+		}
+	}
+}

@@ -18,8 +18,9 @@ type ExperimentReport struct {
 	Name        string  `json:"name"`
 	Description string  `json:"description"`
 	WallClockMs float64 `json:"wall_clock_ms"`
-	// CacheHits/CacheComputed are the result-cache deltas for this
-	// experiment (cells served from the store vs simulated).
+	// CacheHits/CacheComputed are the session counter deltas for this
+	// experiment: cells served without simulating (from the run's
+	// in-memory records or the store) vs simulated.
 	CacheHits     int64 `json:"cache_hits"`
 	CacheComputed int64 `json:"cache_computed"`
 	// EventsProcessed/EventsCoalesced/EventsTotal are engine dispatch

@@ -10,15 +10,20 @@
 //     Scale encoding, and a per-experiment schema version), with atomic
 //     writes and corruption-tolerant reads (Store), and
 //   - a cell execution layer: Run / Batch+Add execute a spec's cells
-//     through a runner.Pool, serving each cell from the store when a
-//     record exists and computing-then-persisting it when not, so
-//     caching and sharding apply uniformly to every driver rather than
-//     per-driver.
+//     through a runner.Pool, serving each cell from the run's own
+//     records or the store when a record exists and
+//     computing-then-persisting it when not, so caching and sharding
+//     apply uniformly to every driver rather than per-driver.
 //
 // A Session carries the per-invocation policy: which store to use, an
 // optional shard restriction (cell index % Count == Index), or merge
 // mode, where every cell must come from the store and nothing is
-// simulated. Splitting a sweep across machines is then
+// simulated. It also remembers, for as long as it lives, every record it
+// has served or computed, keyed like the store: a cell's record is
+// sourced in the order memo, store, compute, so within one run every
+// distinct cell is simulated — or read from disk and decoded — at most
+// once, however many drivers render it, with or without a store.
+// Splitting a sweep across machines is then
 //
 //	host-a$ ecfbench -exp all -cache-dir cache -shard 0/2
 //	host-b$ ecfbench -exp all -cache-dir cache -shard 1/2
@@ -28,6 +33,13 @@
 // Records are keyed by content, not by which driver asked: drivers that
 // share cells (Figure 2/6/7/9 all sweep the default-scheduler grid;
 // Table 4 aggregates Figure 23's runs) automatically share records.
+//
+// Shared records are shared memory: the value one collector receives is
+// the value every other collector of that key receives in the same run.
+// A collected record — and every slice, map and pointee reachable from
+// it — is read-only to drivers and renderers alike; a collector that
+// needs to sort, append to or rescale part of a record copies that part
+// first. The session never clones on their behalf.
 //
 // Determinism contract: a cached record must decode back to exactly the
 // value that was computed, so a warm run renders byte-identically to a
@@ -167,11 +179,15 @@ type Sink interface {
 }
 
 // Session is the per-invocation cache/shard policy shared by every
-// driver of one run, plus the hit/computed counters the harness
-// reports. The zero value (and nil) computes everything in-process with
-// no persistence. Counters are safe for concurrent use.
+// driver of one run, the run's in-memory record tier, and the
+// hit/computed counters the harness reports. The zero value computes
+// each distinct cell once in-process with no persistence; a nil
+// *Session computes every cell every time it is asked for. Counters and
+// the memo are safe for concurrent use. A Session must not be copied
+// after first use.
 type Session struct {
-	// Store persists cell records; nil disables caching.
+	// Store persists cell records; nil disables persistence (records
+	// are still shared within the run).
 	Store *Store
 	// Shard restricts which cells run (zero value: all of them).
 	Shard Shard
@@ -189,7 +205,7 @@ type Session struct {
 	// Claims, when non-nil, restricts computation to the cells it
 	// reports true for — the distributed lease gate: a join-mode worker
 	// computes exactly its leased cells and skips everything else
-	// (including store reads). It is consulted again between compute
+	// (including memo and store reads). It is consulted again between compute
 	// and upload, so a lease lost mid-pass stops claiming new cells
 	// immediately. Must be safe for concurrent use.
 	Claims func(Key) bool
@@ -215,8 +231,14 @@ type Session struct {
 	// the specs, so it cannot drift from the drivers).
 	Enumerate bool
 
-	hits     atomic.Int64
-	computed atomic.Int64
+	memoHits  atomic.Int64
+	storeHits atomic.Int64
+	computed  atomic.Int64
+
+	// memo is the run-scoped record tier: one slot per key served or
+	// computed so far, or being produced right now (see lookup).
+	memoMu sync.Mutex
+	memo   map[Key]*memoSlot
 
 	durMu    sync.Mutex
 	cellDurs []time.Duration
@@ -380,13 +402,23 @@ func (s *Session) TakeCellDurations() []time.Duration {
 	return out
 }
 
-// Stats returns how many cells were served from the store and how many
-// were simulated since the session was created.
+// Stats returns how many cells were served without simulating — from
+// the run's in-memory records or from the store — and how many were
+// simulated, since the session was created.
 func (s *Session) Stats() (hits, computed int64) {
 	if s == nil {
 		return 0, 0
 	}
-	return s.hits.Load(), s.computed.Load()
+	return s.memoHits.Load() + s.storeHits.Load(), s.computed.Load()
+}
+
+// MemoryHits returns how many of Stats' hits were served from the run's
+// in-memory records; the rest were read from the store.
+func (s *Session) MemoryHits() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.memoHits.Load()
 }
 
 // Sharded reports whether the session restricts cell coverage. A

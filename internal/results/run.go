@@ -39,11 +39,16 @@ func NewBatch(pool runner.Pool, session *Session) *Batch {
 // record — a JSON-serializable value under the package's determinism
 // contract — and
 // collect(i, v) stores it into the caller's result structure. When the
-// batch runs, each cell is served from the session's store when a
-// record exists, computed and persisted when not, skipped when outside
-// the session's shard, and in merge mode read from the store
-// unconditionally (a missing record fails the run with a
-// *MissingCellError).
+// batch runs, each cell is served from the session's in-run records or
+// its store when a record exists, computed and persisted when not,
+// skipped when outside the session's shard, and in merge mode never
+// computed (a missing record fails the run with a *MissingCellError).
+//
+// The record handed to collect is shared: the session keeps it, and
+// every other collector of the same key in this run receives the very
+// same value. collect, and whatever later renders the collected
+// structure, must treat it as read-only; a collector that needs to
+// change a slice, map or pointee copies it first.
 func Add[T any](b *Batch, spec Spec, n int, compute func(i int) T, collect func(i int, v T)) {
 	s := b.session
 	for i := 0; i < n; i++ {
@@ -128,47 +133,32 @@ func runLaneGroup[T any](s *Session, spec Spec, lo, hi int, laneRun LaneRunner[T
 		}
 		return nil
 	}
-	// Pre-pass: serve hits, shard skips, lease skips and merge reads per
-	// cell exactly as runCell would; what remains is this group's cache
-	// misses, which run laned.
+	// Pre-pass: resolve takes each cell as far as runCell would without
+	// simulating; what it hands back is this group's misses, which run
+	// laned. The group owns their memo slots until each is finished, and
+	// may wait for another job's slot while it does: only jobs of one
+	// spec share keys and each takes its slots in ascending cell order,
+	// so such waits cannot form a cycle.
 	var misses []int
+	owned := make([]*memoSlot, hi-lo)
+	defer func() {
+		for _, own := range owned {
+			own.release()
+		}
+	}()
 	for i := lo; i < hi; i++ {
 		if s == nil {
 			misses = append(misses, i)
 			continue
 		}
-		k := spec.key(i)
-		if s.Merge {
-			var v T
-			if s.Store == nil || !s.Store.Get(k, &v) {
-				if s.CollectMisses {
-					s.noteMissing(k)
-					continue
-				}
-				return &MissingCellError{Key: k}
-			}
-			s.hits.Add(1)
-			collect(i, v)
-			continue
+		own, done, err := resolve(s, spec.key(i), i, false, collect)
+		if err != nil {
+			return err
 		}
-		if !s.Shard.Covers(i) {
-			continue
+		if !done {
+			misses = append(misses, i)
+			owned[i-lo] = own
 		}
-		if s.Claims != nil && !s.Claims(k) {
-			continue
-		}
-		if s.Store != nil {
-			var v T
-			if s.Store.Get(k, &v) {
-				s.hits.Add(1)
-				if err := s.upload(k, v); err != nil {
-					return err
-				}
-				collect(i, v)
-				continue
-			}
-		}
-		misses = append(misses, i)
 	}
 	if len(misses) == 0 {
 		return nil
@@ -182,7 +172,7 @@ func runLaneGroup[T any](s *Session, spec Spec, lo, hi int, laneRun LaneRunner[T
 		if firstErr != nil {
 			return
 		}
-		firstErr = finishComputed(s, spec, i, v, collect)
+		firstErr = finishComputed(s, spec, i, v, owned[i-lo], collect)
 	})
 	if s != nil {
 		per := time.Since(start) / time.Duration(len(misses))
@@ -193,9 +183,11 @@ func runLaneGroup[T any](s *Session, spec Spec, lo, hi int, laneRun LaneRunner[T
 	return firstErr
 }
 
-// finishComputed persists and collects one freshly computed cell — the
-// tail of runCell's miss path, shared with the lane groups.
-func finishComputed[T any](s *Session, spec Spec, i int, v T, collect func(int, T)) error {
+// finishComputed persists, memoises and collects one freshly computed
+// cell — the tail of runCell's miss path, shared with the lane groups.
+// own is the cell's memo slot (nil without a session, and for a traced
+// cell).
+func finishComputed[T any](s *Session, spec Spec, i int, v T, own *memoSlot, collect func(int, T)) error {
 	if s == nil {
 		collect(i, v)
 		return nil
@@ -210,8 +202,124 @@ func finishComputed[T any](s *Session, spec Spec, i int, v T, collect func(int, 
 	if err := s.upload(k, v); err != nil {
 		return err
 	}
+	own.fill(v)
 	collect(i, v)
 	return nil
+}
+
+// memoSlot is one key's entry in a session's in-run record tier. The
+// goroutine that created it owns it until it calls fill or release;
+// every other requester of the key waits on ready. Both calls are safe
+// on a nil slot (no session, or a traced cell, which bypasses the memo).
+type memoSlot struct {
+	s        *Session
+	k        Key
+	ready    chan struct{} // closed by fill and by release
+	v        any           // the record; written before ready closes
+	filled   bool          // written before ready closes
+	released bool          // owner-side only
+}
+
+// fill publishes the record and wakes the key's waiters.
+func (m *memoSlot) fill(v any) {
+	if m == nil {
+		return
+	}
+	m.v, m.filled = v, true
+	close(m.ready)
+}
+
+// release gives an unfilled slot up — a compute that timed out,
+// panicked or failed, a merge miss: the key leaves the memo, and a
+// waiter that wakes to the empty slot looks the key up afresh and
+// becomes its next owner. A no-op once the slot is filled.
+func (m *memoSlot) release() {
+	if m == nil || m.filled || m.released {
+		return
+	}
+	m.released = true
+	m.s.memoMu.Lock()
+	delete(m.s.memo, m.k)
+	m.s.memoMu.Unlock()
+	close(m.ready)
+}
+
+// lookup is the one way a session sources an existing record: the
+// run's memo first, then the store, whose record the memo keeps for the
+// key's next requester. With neither, the caller becomes the key's
+// owner: own is non-nil, and the caller must produce the record and
+// fill own, or release it. A requester that finds the key owned by
+// another goroutine waits for that one's record instead of producing a
+// second.
+func lookup[T any](s *Session, k Key) (v T, own *memoSlot) {
+	for {
+		s.memoMu.Lock()
+		slot := s.memo[k]
+		if slot == nil {
+			slot = &memoSlot{s: s, k: k, ready: make(chan struct{})}
+			if s.memo == nil {
+				s.memo = make(map[Key]*memoSlot)
+			}
+			s.memo[k] = slot
+			s.memoMu.Unlock()
+			if s.Store != nil && s.Store.Get(k, &v) {
+				s.storeHits.Add(1)
+				slot.fill(v)
+				return v, nil
+			}
+			return v, slot
+		}
+		s.memoMu.Unlock()
+		<-slot.ready
+		if slot.filled {
+			s.memoHits.Add(1)
+			return slot.v.(T), nil
+		}
+	}
+}
+
+// resolve takes one cell as far as it goes without simulating — the
+// per-cell decision shared by runCell and the lane groups' pre-pass. It
+// reports done when nothing is left to do: the cell is outside the
+// session's shard or leases, or its record was served (uploaded and
+// collected), or it is a merge miss (noted, or returned as the error).
+// Otherwise the caller must compute the cell and hand own to
+// finishComputed, or release it. A traced cell must actually simulate —
+// a served record would leave the recorder empty — so it passes the
+// gates but skips the lookup and owns no slot; its fresh record still
+// overwrites the stored one, byte-identical.
+func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T)) (own *memoSlot, done bool, err error) {
+	if !s.Merge {
+		if !s.Shard.Covers(i) {
+			return nil, true, nil
+		}
+		// The lease gate: a join-mode worker computes exactly the cells
+		// it holds leases on and touches nothing else — neither the
+		// memo nor the store.
+		if s.Claims != nil && !s.Claims(k) {
+			return nil, true, nil
+		}
+		if traced {
+			return nil, false, nil
+		}
+	}
+	v, own := lookup[T](s, k)
+	if own == nil {
+		if err := s.upload(k, v); err != nil {
+			return nil, true, err
+		}
+		collect(i, v)
+		return nil, true, nil
+	}
+	if s.Merge {
+		own.release()
+		if s.CollectMisses {
+			s.noteMissing(k)
+			return nil, true, nil
+		}
+		return nil, true, &MissingCellError{Key: k}
+	}
+	return own, false, nil
 }
 
 // runCell executes one cell under the session policy.
@@ -235,56 +343,18 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 		return nil
 	}
 	k := spec.key(i)
-	if s.Merge {
-		var v T
-		if s.Store == nil || !s.Store.Get(k, &v) {
-			if s.CollectMisses {
-				s.noteMissing(k)
-				return nil
-			}
-			return &MissingCellError{Key: k}
-		}
-		s.hits.Add(1)
-		collect(i, v)
-		return nil
+	own, done, err := resolve(s, k, i, traced, collect)
+	if done {
+		return err
 	}
-	if !s.Shard.Covers(i) {
-		return nil
-	}
-	// The lease gate: a join-mode worker computes exactly the cells it
-	// holds leases on and touches nothing else — not even the store.
-	if s.Claims != nil && !s.Claims(k) {
-		return nil
-	}
-	// A traced cell must actually simulate — a cache hit would leave
-	// the recorder empty — so it skips the read path (its fresh record
-	// still overwrites the stored one below, byte-identical).
-	if s.Store != nil && !traced {
-		var v T
-		if s.Store.Get(k, &v) {
-			s.hits.Add(1)
-			if err := s.upload(k, v); err != nil {
-				return err
-			}
-			collect(i, v)
-			return nil
-		}
-	}
+	// A compute that times out or panics leaves the slot empty and
+	// unlocked for the key's next requester.
+	defer own.release()
 	v, err := computeCell(s, k, i, compute)
 	if err != nil {
 		return err
 	}
-	s.computed.Add(1)
-	if s.Store != nil {
-		if err := s.Store.Put(k, v); err != nil {
-			return err
-		}
-	}
-	if err := s.upload(k, v); err != nil {
-		return err
-	}
-	collect(i, v)
-	return nil
+	return finishComputed(s, spec, i, v, own, collect)
 }
 
 // upload forwards a served or computed record to the session's Sink —

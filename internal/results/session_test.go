@@ -17,6 +17,7 @@ import (
 type memSink struct {
 	mu   sync.Mutex
 	got  map[Key]rec
+	puts int
 	fail error
 }
 
@@ -29,6 +30,7 @@ func (m *memSink) Put(k Key, v any) error {
 		return m.fail
 	}
 	m.got[k] = v.(rec)
+	m.puts++
 	return nil
 }
 
