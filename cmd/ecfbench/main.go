@@ -454,6 +454,7 @@ func startDebugServer(addr string) {
 		processed, coalesced := sim.TotalEvents()
 		snap := map[string]any{
 			"events_processed":  processed,
+			"events_by_kind":    eventsByKind(sim.TotalEventsByKind(), nil),
 			"events_coalesced":  coalesced,
 			"events_total":      processed + coalesced,
 			"packets_delivered": netsim.TotalDelivered(),
@@ -541,6 +542,21 @@ func eventLine(processed, coalesced uint64, delivered int64) string {
 		s += fmt.Sprintf(", %.2f events/pkt", float64(events)/float64(delivered))
 	}
 	return s
+}
+
+// eventsByKind names the non-zero entries of sim.TotalEventsByKind since
+// the earlier snapshot before (nil: since process start).
+func eventsByKind(now, before []uint64) map[string]uint64 {
+	out := make(map[string]uint64)
+	for k, n := range now {
+		if k < len(before) {
+			n -= before[k]
+		}
+		if n != 0 {
+			out[sim.KindName(sim.EventKind(k))] = n
+		}
+	}
+	return out
 }
 
 // cellCounts is where a run's cells came from so far: the session's
@@ -790,6 +806,7 @@ func main() {
 	run := func(e experiment) {
 		cells0 := countCells(sc.Results)
 		p0, c0ev := sim.TotalEvents()
+		kinds0 := sim.TotalEventsByKind()
 		dl0 := netsim.TotalDelivered()
 		miss0 := sc.Results.MissingCount()
 		start := time.Now()
@@ -828,6 +845,7 @@ func main() {
 				CacheHits:        cells.memory + cells.store,
 				CacheComputed:    cells.computed,
 				EventsProcessed:  p1 - p0,
+				EventsByKind:     eventsByKind(sim.TotalEventsByKind(), kinds0),
 				EventsCoalesced:  c1ev - c0ev,
 				EventsTotal:      (p1 - p0) + (c1ev - c0ev),
 				PacketsDelivered: dl1 - dl0,

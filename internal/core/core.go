@@ -338,6 +338,16 @@ func (n *Network) SetRateMbps(pathIdx int, mbps float64) {
 // Run advances the simulation until the given virtual time.
 func (n *Network) Run(until time.Duration) { n.eng.RunUntil(until) }
 
+// RunQuiet advances the simulation until the network goes quiet — every
+// pending event is a daemon (sim.Engine.RunUntilQuiet), so no packet is
+// in flight, no pacer or retransmission timer armed and no application
+// event waiting — and reports true, leaving the clock at the last thing
+// that happened. If that has not come by the virtual-time limit it stops
+// there and reports false. Cells whose result is fixed once their
+// transfers finish end this way instead of ticking background processes
+// on to a horizon.
+func (n *Network) RunQuiet(limit time.Duration) bool { return n.eng.RunUntilQuiet(limit) }
+
 // RunAll drains every pending event.
 func (n *Network) RunAll() { n.eng.Run() }
 

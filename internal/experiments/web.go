@@ -20,12 +20,37 @@ const webLossRate = 0.001
 // wgetSizes are the transfer sizes of Figure 18.
 var wgetSizes = []int64{128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
+// webRun drives a web cell's network once its transfers are set up and
+// reports whether the network went quiet before the virtual-time limit.
+// The cell bodies run (*core.Network).RunQuiet: a web cell's result is
+// fixed the moment its last packet is handled, and the only events
+// pending after that are RTT-jitter ticks setting a delay nothing will
+// read, so running on to the limit — as the bodies once did — buys
+// thousands of dispatches and no output. Tests pass other drives (a
+// horizon run as reference, a lossy network).
+type webRun func(net *core.Network, limit time.Duration) bool
+
+// mustComplete panics when a web cell's run ended without its completion
+// callback having fired: a silent zero would drag a mean down unnoticed,
+// and the runner reports a cell panic with the cell's name.
+func mustComplete(done, quiet bool, net *core.Network, limit time.Duration, format string, args ...any) {
+	if done {
+		return
+	}
+	how := fmt.Sprintf("the %v cap was reached", limit)
+	if quiet {
+		how = fmt.Sprintf("the network went quiet at %v", net.Now())
+	}
+	panic(fmt.Sprintf("experiments: "+format+" never completed: %s", append(args, how)...))
+}
+
 // wgetOnce downloads one object and returns its completion time. Each
 // run perturbs both paths' propagation delays with a seeded random walk,
 // reproducing the run-to-run variance a physical testbed shows (the
 // paper's Figure 19 normalization clamps differences inside the combined
 // standard deviation to 1.0, which only makes sense with real variance).
-func wgetOnce(scheduler string, wifiMbps, lteMbps float64, bytes int64, seed uint64) time.Duration {
+// The cell ends at quiescence (see webRun), five virtual minutes at most.
+func wgetOnce(scheduler string, wifiMbps, lteMbps float64, bytes int64, seed uint64, run webRun) time.Duration {
 	net := core.NewNetwork([]core.PathSpec{
 		{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate, Seed: seed * 17},
 		{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate, Seed: seed*31 + 7},
@@ -35,8 +60,11 @@ func wgetOnce(scheduler string, wifiMbps, lteMbps float64, bytes int64, seed uin
 	trace.InstallRTTJitter(net, 1, core.LTEBaseRTT, 0.2, 100*time.Millisecond, seed*211+5, time.Minute)
 	conn := net.NewConn(core.ConnOptions{Scheduler: scheduler})
 	var dur time.Duration
-	web.Download(conn, bytes, func(o web.ObjectResult) { dur = o.Duration() })
-	net.Run(5 * time.Minute)
+	done := false
+	web.Download(conn, bytes, func(o web.ObjectResult) { dur, done = o.Duration(), true })
+	const limit = 5 * time.Minute
+	quiet := run(net, limit)
+	mustComplete(done, quiet, net, limit, "wget of %d bytes under %s at %g/%g Mbps, seed %d", bytes, scheduler, wifiMbps, lteMbps, seed)
 	return dur
 }
 
@@ -48,7 +76,7 @@ func wgetOnce(scheduler string, wifiMbps, lteMbps float64, bytes int64, seed uin
 func wgetStats(scheduler string, wifiMbps, lteMbps float64, bytes int64, runs int, seedExp string, seedCell int) metrics.Summary {
 	var xs []float64
 	for r := 0; r < runs; r++ {
-		d := wgetOnce(scheduler, wifiMbps, lteMbps, bytes, runSeed(seedExp, seedCell, r))
+		d := wgetOnce(scheduler, wifiMbps, lteMbps, bytes, runSeed(seedExp, seedCell, r), (*core.Network).RunQuiet)
 		xs = append(xs, d.Seconds())
 	}
 	return metrics.Summarize(xs)
@@ -226,10 +254,7 @@ type PageOutcome struct {
 
 // newPageOutcome gathers the telemetry of one finished page fetch.
 func newPageOutcome(res *web.PageResult, conns []*mptcp.Conn) *PageOutcome {
-	out := &PageOutcome{}
-	if res != nil {
-		out.Completions = res.CompletionTimes()
-	}
+	out := &PageOutcome{Completions: res.CompletionTimes()}
 	var ooo []time.Duration
 	for _, c := range conns {
 		ooo = append(ooo, c.Receiver().OOODelays()...)
@@ -239,8 +264,9 @@ func newPageOutcome(res *web.PageResult, conns []*mptcp.Conn) *PageOutcome {
 }
 
 // fetchCNNPage runs one browsing session: 107 objects over six parallel
-// persistent MPTCP connections (twelve subflows).
-func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64) *PageOutcome {
+// persistent MPTCP connections (twelve subflows). The cell ends at
+// quiescence (see webRun), ten virtual minutes at most.
+func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64, run webRun) *PageOutcome {
 	net := core.NewNetwork([]core.PathSpec{
 		{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate, Seed: seed * 13},
 		{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate, Seed: seed*29 + 3},
@@ -255,7 +281,9 @@ func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64) *Pag
 		Objects:   web.CNNPageObjects(seed),
 		ThinkTime: 30 * time.Millisecond,
 	}, func(r *web.PageResult) { res = r })
-	net.Run(10 * time.Minute)
+	const limit = 10 * time.Minute
+	quiet := run(net, limit)
+	mustComplete(res != nil, quiet, net, limit, "page fetch under %s at %g/%g Mbps, seed %d", scheduler, wifiMbps, lteMbps, seed)
 	return newPageOutcome(res, conns)
 }
 
@@ -292,7 +320,7 @@ func runWebBrowsing(sc Scale) *WebBrowsingResult {
 			s := res.Schedulers[k/(nCfg*nRun)]
 			ci := k / nRun % nCfg
 			cfg := res.Configs[ci]
-			return fetchCNNPage(s, cfg.WifiMbps, cfg.LteMbps, runSeed("web-browsing", ci, k%nRun))
+			return fetchCNNPage(s, cfg.WifiMbps, cfg.LteMbps, runSeed("web-browsing", ci, k%nRun), (*core.Network).RunQuiet)
 		},
 		func(k int, out *PageOutcome) { outs[k] = out })
 	for si, s := range res.Schedulers {

@@ -136,7 +136,7 @@ func Figure23(sc Scale) *Figure23Result {
 	outs := make([]*PageOutcome, len(res.Schedulers)*len(runs))
 	runCells(sc, sc.spec("fig23", 2, sc.wildWebKey()), len(outs),
 		func(k int) *PageOutcome {
-			return wildPage(runs[k%len(runs)], res.Schedulers[k/len(runs)])
+			return wildPage(runs[k%len(runs)], res.Schedulers[k/len(runs)], (*core.Network).RunQuiet)
 		},
 		func(k int, out *PageOutcome) { outs[k] = out })
 	for si, s := range res.Schedulers {
@@ -160,12 +160,15 @@ func Figure23(sc Scale) *Figure23Result {
 	return res
 }
 
-// wildPage fetches the page once over one wild run's topology.
-func wildPage(run trace.WildRun, scheduler string) *PageOutcome {
+// wildPage fetches the page once over one wild run's topology. The cell
+// ends at quiescence (see webRun), ten virtual minutes at most — which is
+// also how long the RTT jitter would otherwise keep ticking.
+func wildPage(run trace.WildRun, scheduler string, drive webRun) *PageOutcome {
+	const limit = 10 * time.Minute
 	net := core.NewNetwork(run.Paths())
 	defer net.Close()
-	trace.InstallRTTJitter(net, 0, run.WifiRTT, 0.5, 500*time.Millisecond, run.Seed, 10*time.Minute)
-	trace.InstallRTTJitter(net, 1, run.LteRTT, 0.15, 500*time.Millisecond, run.Seed+99, 10*time.Minute)
+	trace.InstallRTTJitter(net, 0, run.WifiRTT, 0.5, 500*time.Millisecond, run.Seed, limit)
+	trace.InstallRTTJitter(net, 1, run.LteRTT, 0.15, 500*time.Millisecond, run.Seed+99, limit)
 	conns := make([]*mptcp.Conn, 6)
 	for i := range conns {
 		conns[i] = net.NewConn(core.ConnOptions{Scheduler: scheduler})
@@ -175,7 +178,9 @@ func wildPage(run trace.WildRun, scheduler string) *PageOutcome {
 		Objects:   web.CNNPageObjects(run.Seed),
 		ThinkTime: 30 * time.Millisecond,
 	}, func(r *web.PageResult) { res = r })
-	net.Run(10 * time.Minute)
+	quiet := drive(net, limit)
+	mustComplete(res != nil, quiet, net, limit, "wild page fetch under %s, run %d (WiFi %g Mbps / %v, LTE %g Mbps / %v), seed %d",
+		scheduler, run.Index, run.WifiMbps, run.WifiRTT, run.LteMbps, run.LteRTT, run.Seed)
 	return newPageOutcome(res, conns)
 }
 

@@ -232,6 +232,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 	er := ExperimentReport{
 		Name: "fig9", WallClockMs: 12.5, CacheComputed: 144,
 		EventsProcessed: 1000, EventsCoalesced: 24, EventsTotal: 1024,
+		EventsByKind:     map[string]uint64{"netsim.Link.drain": 900, "trace.rttJitter": 100},
 		PacketsDelivered: 800, OutputBytes: 4096, OutputSHA256: "abc",
 	}
 	// Unsorted on purpose: SetCellDurations sorts and takes
@@ -264,8 +265,8 @@ func TestRunReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if got.Tool != "ecfbench" || got.SchemaVersion != 3 {
-		t.Errorf("identity = %s/v%d, want ecfbench/v3", got.Tool, got.SchemaVersion)
+	if got.Tool != "ecfbench" || got.SchemaVersion != 4 {
+		t.Errorf("identity = %s/v%d, want ecfbench/v4", got.Tool, got.SchemaVersion)
 	}
 	if got.Queue.Kind != "tiered" || got.Queue.DepthMax != 42 || got.Queue.DepthMean != 17.5 {
 		t.Errorf("queue section did not round-trip: %+v", got.Queue)
@@ -274,12 +275,13 @@ func TestRunReportRoundTrip(t *testing.T) {
 		t.Errorf("scale/workers = %s/%d, want quick/4", got.Scale, got.Workers)
 	}
 	if len(got.Experiments) != 1 || got.Experiments[0].Name != "fig9" ||
-		got.Experiments[0].EventsTotal != 1024 || got.Experiments[0].OutputSHA256 != "abc" {
+		got.Experiments[0].EventsTotal != 1024 || got.Experiments[0].OutputSHA256 != "abc" ||
+		got.Experiments[0].EventsByKind["trace.rttJitter"] != 100 {
 		t.Errorf("experiments did not round-trip: %+v", got.Experiments)
 	}
 	// The JSON keys are the machine-readable contract; spot-check the
 	// snake_case names a consumer greps for.
-	for _, key := range []string{"schema_version", "wall_clock_ms", "events_coalesced", "cell_p50_ms", "output_sha256", "heap_alloc_bytes", "depth_max", "near_scheduled", "bucket_sorts"} {
+	for _, key := range []string{"schema_version", "wall_clock_ms", "events_coalesced", "events_by_kind", "cell_p50_ms", "output_sha256", "heap_alloc_bytes", "depth_max", "near_scheduled", "bucket_sorts"} {
 		if !bytes.Contains(raw, []byte(`"`+key+`"`)) {
 			t.Errorf("report JSON missing key %q", key)
 		}

@@ -28,6 +28,10 @@ type ExperimentReport struct {
 	EventsProcessed uint64 `json:"events_processed"`
 	EventsCoalesced uint64 `json:"events_coalesced"`
 	EventsTotal     uint64 `json:"events_total"`
+	// EventsByKind splits EventsProcessed by event kind, keyed by the
+	// kind's registered name (kinds that never fired are absent); the
+	// values sum to EventsProcessed. Schema 4.
+	EventsByKind map[string]uint64 `json:"events_by_kind"`
 	// PacketsDelivered counts link deliveries (loss included).
 	PacketsDelivered int64 `json:"packets_delivered"`
 	// CellP50Ms/CellP95Ms/CellMaxMs summarize the wall-clock durations
@@ -133,7 +137,7 @@ type RunReport struct {
 func NewRunReport(scale string, workers int) *RunReport {
 	return &RunReport{
 		Tool:          "ecfbench",
-		SchemaVersion: 3,
+		SchemaVersion: 4,
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,

@@ -104,6 +104,23 @@
 // allocations — the AllocsPerRun regression tests in this package and in
 // netsim/tcp pin that at ~0 allocations per packet.
 //
+// # Daemon events and quiescence
+//
+// An event scheduled with ScheduleDaemon is a daemon: a background
+// process (today: the RTT-jitter random walk of internal/trace) that
+// perturbs the model but never keeps a simulation alive. Run and
+// RunUntil treat it as any other event. RunUntilQuiet dispatches in
+// the same (time, ticket) order, daemons included, and returns as soon
+// as every pending event is a daemon — so a model whose result is fixed
+// once its own work is done stops there instead of ticking to a horizon,
+// and everything up to that point, tie-breaks and all, is what RunUntil
+// would have produced. That equivalence rests on who may be a daemon: a
+// handler that schedules nothing but further daemons, and whose effects
+// nothing reads once the queue holds only daemons. A daemon that could
+// wake the model up (send a packet, arm a live timer) must be an
+// ordinary event. The mark is a spare bit of the queue entry's kind
+// byte; a dispatch pays one branch on it.
+//
 // # Lane-batched execution
 //
 // A LaneEngine drives up to MaxLanes mutually independent engines — one
@@ -252,12 +269,19 @@ func (t Timer) Cancel() {
 	if s.gen != t.gen {
 		return // already fired, cancelled, or slot reused
 	}
+	var kind EventKind
 	if s.pos >= 0 {
+		kind = e.heap[s.pos].kind
 		e.heapRemove(int(s.pos))
 	} else {
 		packed := ^s.pos
-		e.buckets[packed>>locIdxBits][packed&locIdxMask].slot = tombSlot
+		ent := &e.buckets[packed>>locIdxBits][packed&locIdxMask]
+		kind = ent.kind
+		ent.slot = tombSlot
 		e.nearCount--
+	}
+	if kind&daemonMark != 0 {
+		e.daemons--
 	}
 	e.freeSlot(t.slot)
 }
@@ -279,12 +303,20 @@ type slot struct {
 // the arena slot index and the event kind (which rides in what would
 // otherwise be alignment padding — the entry stays 24 bytes). less never
 // touches the arena — comparisons stay inside the contiguous heap slice.
+// A daemon event carries daemonMark in its kind byte rather than in a
+// field of its own: the compiler keeps structs of up to four fields in
+// registers, and a fifth grew siftDown by a quarter (fig14 ran ~8 %
+// slower with it).
 type heapEnt struct {
 	at   Time
 	seq  uint64
 	slot int32
 	kind EventKind
 }
+
+// daemonMark is the bit of heapEnt.kind that marks a daemon event; kinds
+// proper stay below it (maxKinds).
+const daemonMark EventKind = 0x80
 
 // less orders entries by (at, seq): earliest first, scheduling order
 // breaking ties — the determinism invariant every model relies on.
@@ -349,6 +381,12 @@ type Engine struct {
 	// total.
 	processed uint64
 	coalesced uint64
+	// byKind splits processed by event kind; Reset flushes it into the
+	// process totals (TotalEventsByKind).
+	byKind [maxKinds]uint64
+	// daemons counts the pending daemon events, so RunUntilQuiet knows in
+	// O(1) when nothing else is left.
+	daemons int
 	// curSeq is the tie-break position of the event currently being
 	// dispatched (idleTicket when none is). Models with lazily-accounted
 	// sub-events compare their reserved tickets against it to decide
@@ -388,6 +426,7 @@ func NewWithQueue(k QueueKind) *Engine {
 var (
 	totalProcessed atomic.Uint64
 	totalCoalesced atomic.Uint64
+	totalByKind    [maxKinds]atomic.Uint64
 )
 
 // TotalEvents returns the process-wide counters of heap events
@@ -396,6 +435,17 @@ var (
 // flushes when it is closed).
 func TotalEvents() (processed, coalesced uint64) {
 	return totalProcessed.Load(), totalCoalesced.Load()
+}
+
+// TotalEventsByKind returns TotalEvents' processed count split by event
+// kind, indexed by EventKind (name an index with KindName); the entries
+// sum to processed once every engine has flushed.
+func TotalEventsByKind() []uint64 {
+	out := make([]uint64, numKinds)
+	for k := range out {
+		out[k] = totalByKind[k].Load()
+	}
+	return out
 }
 
 // Reset returns the engine to virtual time zero with an empty queue,
@@ -410,6 +460,12 @@ func TotalEvents() (processed, coalesced uint64) {
 func (e *Engine) Reset() {
 	totalProcessed.Add(e.processed)
 	totalCoalesced.Add(e.coalesced)
+	for k := EventKind(0); k < numKinds; k++ {
+		if n := e.byKind[k]; n != 0 {
+			totalByKind[k].Add(n)
+			e.byKind[k] = 0
+		}
+	}
 	e.flushQueueStats()
 	for i := range e.arena {
 		s := &e.arena[i]
@@ -434,6 +490,7 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.processed = 0
 	e.coalesced = 0
+	e.daemons = 0
 	e.stopped = false
 	e.limit = noRunLimit
 	e.curSeq = uint64(idleTicket)
@@ -534,6 +591,21 @@ func (e *Engine) ScheduleEvent(delay time.Duration, kind EventKind, arg any) Tim
 	return e.AtEvent(e.now+delay, kind, arg)
 }
 
+// ScheduleDaemon is ScheduleEvent for a daemon event: it fires in the same
+// (time, ticket) position an ordinary event would, but does not keep a
+// RunUntilQuiet alive (see the package doc for who may be a daemon).
+func (e *Engine) ScheduleDaemon(delay time.Duration, kind EventKind, arg any) Timer {
+	if kind >= numKinds {
+		panic(fmt.Sprintf("sim: ScheduleDaemon with unregistered kind %d", kind))
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	e.seq++
+	e.daemons++
+	return e.scheduleSeq(e.now+delay, e.seq, kind|daemonMark, arg)
+}
+
 // AtEvent is the typed form of At.
 func (e *Engine) AtEvent(t Time, kind EventKind, arg any) Timer {
 	if kind >= numKinds {
@@ -611,7 +683,8 @@ func (e *Engine) schedule(t Time, kind EventKind, arg any) Timer {
 }
 
 // scheduleSeq places (kind, arg) into the arena and queue under an
-// explicit tie-break sequence number.
+// explicit tie-break sequence number. A kind carrying daemonMark has
+// already been counted in e.daemons by its caller.
 func (e *Engine) scheduleSeq(t Time, seq uint64, kind EventKind, arg any) Timer {
 	if t < e.now {
 		t = e.now
@@ -692,9 +765,15 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ent.at
 	e.processed++
+	kind := ent.kind
+	if kind&daemonMark != 0 {
+		kind &^= daemonMark
+		e.daemons--
+	}
+	e.byKind[kind%maxKinds]++
 	e.curSeq = ent.seq
 	if e.flight != nil {
-		e.flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(ent.kind), Tag: ent.slot})
+		e.flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(kind), Tag: ent.slot})
 	}
 	arg := e.arena[ent.slot].arg
 	// Retire the slot before running the handler so the event can
@@ -705,7 +784,7 @@ func (e *Engine) Step() bool {
 		e.heapRemove(0)
 	}
 	e.freeSlot(ent.slot)
-	kindFns[ent.kind](arg)
+	kindFns[kind%maxKinds](arg)
 	e.curSeq = uint64(idleTicket)
 	return true
 }
@@ -722,10 +801,26 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (if it is ahead of the last event). Events scheduled
 // after deadline remain queued.
-func (e *Engine) RunUntil(deadline Time) {
+func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
+
+// RunUntilQuiet is RunUntil that also ends — reporting true — as soon as
+// every pending event is a daemon (or the queue is empty). Up to that
+// point it dispatches exactly what RunUntil(deadline) would, daemons
+// included, in the same (time, ticket) order; it then leaves the clock at
+// its last dispatch and the daemons queued, so a later run call resumes
+// them. Ending on Stop or at the deadline instead, it returns false with
+// the clock advanced to deadline as RunUntil leaves it.
+func (e *Engine) RunUntilQuiet(deadline Time) bool { return e.run(deadline, true) }
+
+// run is the one dispatch loop behind RunUntil and RunUntilQuiet.
+func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
 	e.stopped = false
 	e.limit = deadline
 	for !e.stopped {
+		if untilQuiet && e.Pending() == e.daemons {
+			quiet = true
+			break
+		}
 		at, _, ok := e.peekHead()
 		if !ok || at > deadline {
 			break
@@ -733,9 +828,10 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.Step()
 	}
 	e.limit = noRunLimit
-	if e.now < deadline {
+	if !quiet && e.now < deadline {
 		e.now = deadline
 	}
+	return quiet
 }
 
 // siftUp restores heap order for the entry at heap index i, moving it

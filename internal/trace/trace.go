@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -172,20 +173,37 @@ func (w WildRun) Paths() []core.PathSpec {
 }
 
 // InstallRTTJitter perturbs a path's propagation delay around its base
-// value with a bounded random walk, re-drawn every interval. This gives
-// the RTT estimators realistic variance (the σ in ECF's δ margin) in
-// wild scenarios.
+// value with a bounded random walk, re-drawn every interval until the
+// given virtual time. This gives the RTT estimators realistic variance
+// (the σ in ECF's δ margin) in wild scenarios.
+//
+// The ticks are daemon events (sim.Engine.ScheduleDaemon): a tick only
+// sets the delay the next packet will read and schedules the next tick,
+// so once nothing else is pending no tick can change anything a cell
+// reports. A cell that ends with core.Network.RunQuiet therefore stops
+// with its last packet instead of ticking to until; under Run and RunAll
+// the walk runs its full length.
 func InstallRTTJitter(net *core.Network, pathIdx int, base time.Duration, amplitude float64, interval time.Duration, seed uint64, until time.Duration) {
+	paths := net.Paths()
+	if pathIdx < 0 || pathIdx >= len(paths) {
+		panic(fmt.Sprintf("trace: RTT jitter on path %d of a %d-path network", pathIdx, len(paths)))
+	}
+	if base <= 0 || interval <= 0 || until <= 0 {
+		panic(fmt.Sprintf("trace: non-positive RTT jitter base %v, interval %v or until %v on path %q", base, interval, until, paths[pathIdx].Name()))
+	}
+	if amplitude < 0 {
+		panic(fmt.Sprintf("trace: negative RTT jitter amplitude %v on path %q", amplitude, paths[pathIdx].Name()))
+	}
 	j := &rttJitter{
 		eng:       net.Engine(),
-		path:      net.Paths()[pathIdx],
+		path:      paths[pathIdx],
 		rng:       sim.NewRNG(seed ^ 0x177e),
 		base:      base,
 		amplitude: amplitude,
 		interval:  interval,
 		until:     until,
 	}
-	j.eng.ScheduleEvent(0, kindRTTJitter, j)
+	j.eng.ScheduleDaemon(0, kindRTTJitter, j)
 }
 
 // rttJitter is the state of one installed jitter process: a bounded
@@ -223,6 +241,6 @@ func (j *rttJitter) step() {
 	j.path.Forward().SetDelay(d)
 	j.path.Reverse().SetDelay(d)
 	if j.eng.Now()+j.interval < j.until {
-		j.eng.ScheduleEvent(j.interval, kindRTTJitter, j)
+		j.eng.ScheduleDaemon(j.interval, kindRTTJitter, j)
 	}
 }

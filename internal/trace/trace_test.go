@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -130,5 +131,65 @@ func TestInstallRTTJitterVariesDelay(t *testing.T) {
 		if d <= 0 || d > base {
 			t.Fatalf("delay %v outside (0, base]", d)
 		}
+	}
+}
+
+// TestInstallRTTJitterRejectsBadArguments: every argument that would
+// make the walk meaningless — or, for a non-positive interval, re-arm it
+// at the same instant forever — panics up front naming the value.
+func TestInstallRTTJitterRejectsBadArguments(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		name      string
+		pathIdx   int
+		base      time.Duration
+		amplitude float64
+		interval  time.Duration
+		until     time.Duration
+		want      string
+	}{
+		{"negative path", -1, 40 * ms, 0.3, 100 * ms, time.Minute, "path -1 of a 2-path"},
+		{"path past the end", 2, 40 * ms, 0.3, 100 * ms, time.Minute, "path 2 of a 2-path"},
+		{"zero base", 0, 0, 0.3, 100 * ms, time.Minute, "base 0s"},
+		{"zero interval", 0, 40 * ms, 0.3, 0, time.Minute, "interval 0s"},
+		{"negative interval", 1, 40 * ms, 0.3, -ms, time.Minute, "interval -1ms"},
+		{"zero until", 0, 40 * ms, 0.3, 100 * ms, 0, "until 0s"},
+		{"negative amplitude", 0, 40 * ms, -0.1, 100 * ms, time.Minute, "amplitude -0.1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := core.NewNetwork(core.DefaultPaths(8.6, 8.6))
+			defer net.Close()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "trace: ") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want a trace: message containing %q", msg, tc.want)
+				}
+				if n := net.Engine().Pending(); n != 0 {
+					t.Fatalf("%d events scheduled by a rejected install", n)
+				}
+			}()
+			InstallRTTJitter(net, tc.pathIdx, tc.base, tc.amplitude, tc.interval, 1, tc.until)
+		})
+	}
+	// Zero amplitude is a legal (flat) walk.
+	net := core.NewNetwork(core.DefaultPaths(8.6, 8.6))
+	defer net.Close()
+	InstallRTTJitter(net, 0, 40*ms, 0, 100*ms, 1, time.Second)
+	net.RunAll()
+}
+
+// TestRTTJitterTicksAreDaemons: an installed walk alone does not keep a
+// quiescence-bounded run going, and a horizon run still ticks it through.
+func TestRTTJitterTicksAreDaemons(t *testing.T) {
+	net := core.NewNetwork(core.DefaultPaths(8.6, 8.6))
+	defer net.Close()
+	InstallRTTJitter(net, 0, 40*time.Millisecond, 0.3, 100*time.Millisecond, 3, time.Second)
+	if !net.RunQuiet(time.Minute) || net.Now() != 0 || net.Engine().Processed() != 0 {
+		t.Fatalf("quiet run on an idle network ticked %d times to %v", net.Engine().Processed(), net.Now())
+	}
+	net.RunAll()
+	if got := net.Engine().Processed(); got != 10 {
+		t.Fatalf("RunAll fired %d ticks, want the 10 of one second at 100ms", got)
 	}
 }
