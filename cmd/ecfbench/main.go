@@ -6,7 +6,6 @@
 //	ecfbench -exp fig9
 //	ecfbench -exp table3 -scale quick
 //	ecfbench -exp all -j 8
-//	ecfbench -exp all -lanes 4                    # lane-batch grid cells; stdout unchanged
 //	ecfbench -exp all -cache-dir cache            # cache cells; rerun is instant
 //	ecfbench -exp all -cache-dir cache -shard 0/2 # simulate half the cells
 //	ecfbench -exp all -cache-dir cache -merge     # assemble purely from cache
@@ -20,7 +19,6 @@
 //	ecfbench -exp fig9 -trace-cell grid/ecf/14 -trace-out trace.json  # flight-record one cell
 //	ecfbench -exp all -report-json report.json    # machine-readable run summary
 //	ecfbench -exp all -progress                   # cells/total + ETA on stderr
-//	ecfbench -exp all -queue tiered               # A/B the event queue; stdout unchanged
 //	ecfbench -exp all -debug-addr localhost:6060  # live pprof + counter snapshot
 //
 // Each experiment prints the same rows/series the paper reports (see
@@ -516,18 +514,6 @@ func writeTrace(traceFile, decsFile *os.File) {
 	fmt.Fprintf(os.Stderr, "decision log: %d decisions → %s\n", rec.Decisions.Total(), decsFile.Name())
 }
 
-// queueLine renders the event-queue telemetry flushed by engine resets:
-// the implementation in use, queue depth, and (tiered only) the tier
-// split and dispatch-bucket sort counters.
-func queueLine(k sim.QueueKind, qs sim.QueueStats) string {
-	s := fmt.Sprintf("queue: %s, depth max %d mean %.1f", k, qs.DepthMax, qs.DepthMean())
-	if k == sim.QueueTiered {
-		s += fmt.Sprintf(", %d near / %d far / %d migrated, %d bucket sorts (max bucket %d)",
-			qs.NearScheduled, qs.FarScheduled, qs.Migrated, qs.BucketSorts, qs.BucketMax)
-	}
-	return s
-}
-
 // eventLine renders the per-run event telemetry: how many logical
 // simulation events fired, how many of those were coalesced into a
 // preceding dispatch instead of going through the heap, and the
@@ -606,31 +592,14 @@ func main() {
 		reportOut = flag.String("report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
 		progress  = flag.Bool("progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
-		queueName = flag.String("queue", sim.DefaultQueue().String(), "event-queue implementation: heap (4-ary min-heap) or tiered (two-tier calendar); output is byte-identical either way")
-		lanes     = flag.Int("lanes", 1, "run up to K similar cells in lane lockstep per worker (grid-family experiments; others run scalar; 1 = classic scalar execution)")
 		joinAddr  = flag.String("join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
 		workerID  = flag.String("worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
 		cellTO    = flag.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
 	)
 	flag.Parse()
 
-	// Select the queue implementation before anything simulates (pooled
-	// engines re-adopt the default at Reset, so this also covers engines
-	// a package-level init may already have built).
-	if qk, err := sim.ParseQueueKind(*queueName); err != nil {
-		failUsage("-queue: %v", err)
-	} else {
-		sim.SetDefaultQueue(qk)
-	}
-
 	if *cellTO < 0 {
 		failUsage("-cell-timeout must be a positive duration")
-	}
-	if *lanes < 1 {
-		failUsage("-lanes must be at least 1 (1 = scalar execution)")
-	}
-	if *lanes > sim.MaxLanes {
-		failUsage("-lanes %d exceeds the maximum of %d (wider batches thrash the cache instead of helping)", *lanes, sim.MaxLanes)
 	}
 	if *joinAddr != "" {
 		// Join mode is a worker loop: the coordinator owns the sweep
@@ -642,7 +611,6 @@ func main() {
 			"no-cache": "join mode decides store use itself", "cache-stats": "runs alone", "cache-prune": "runs alone",
 			"trace-cell": "trace on a local run instead", "trace-out": "trace on a local run instead",
 			"decisions-out": "trace on a local run instead", "report-json": "reports cover local runs",
-			"lanes": "lease batches are scalar (per-cell claims don't group into lanes)",
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if why, bad := conflicts[f.Name]; bad {
@@ -679,12 +647,6 @@ func main() {
 		}
 		if *traceOut == "" {
 			failUsage("-trace-cell requires -trace-out (the trace has to go somewhere)")
-		}
-		if *lanes > 1 {
-			// The flight recorder is single-cell: the traced cell's lane
-			// group would have to drop to scalar execution anyway, so the
-			// combination is refused rather than silently de-laned.
-			failUsage("-trace-cell cannot be combined with -lanes %d (tracing runs the cell scalar; rerun with -lanes 1)", *lanes)
 		}
 		var err error
 		traceExp, traceIdx, err = parseTraceCell(*traceCell)
@@ -762,22 +724,6 @@ func main() {
 		failUsage("unknown scale %q (full|quick)", *scale)
 	}
 	sc.Workers = *jobs
-	sc.Lanes = *lanes
-	if *lanes > 1 {
-		// Families without lane support run scalar; say so once per
-		// family on stderr instead of silently ignoring the flag.
-		var fbMu sync.Mutex
-		fbSeen := make(map[string]bool)
-		sc.LaneFallbackLog = func(family string) {
-			fbMu.Lock()
-			defer fbMu.Unlock()
-			if fbSeen[family] {
-				return
-			}
-			fbSeen[family] = true
-			fmt.Fprintf(os.Stderr, "ecfbench: -lanes %d: %s has no lane support, running scalar\n", *lanes, family)
-		}
-	}
 	sc.Results = newSession(*cacheDir, *shardStr, *merge, *noCache, *cellTO)
 	if *progress {
 		pp := &progressPrinter{}
@@ -888,7 +834,7 @@ func main() {
 	}
 
 	qs := sim.TotalQueueStats()
-	fmt.Fprintln(os.Stderr, queueLine(sim.DefaultQueue(), qs))
+	fmt.Fprintf(os.Stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
 
 	if *traceCell != "" {
 		writeTrace(traceFile, decsFile)
@@ -896,16 +842,7 @@ func main() {
 	if report != nil {
 		report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
 		report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
-		report.Queue = obs.QueueReport{
-			Kind:          sim.DefaultQueue().String(),
-			DepthMax:      qs.DepthMax,
-			DepthMean:     qs.DepthMean(),
-			NearScheduled: qs.NearScheduled,
-			FarScheduled:  qs.FarScheduled,
-			Migrated:      qs.Migrated,
-			BucketSorts:   qs.BucketSorts,
-			BucketMax:     qs.BucketMax,
-		}
+		report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
 		report.Mem = obs.CaptureMemStats()
 		if err := report.Write(reportFile); err != nil {
 			fail("-report-json: %v", err)

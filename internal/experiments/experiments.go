@@ -60,19 +60,6 @@ type Scale struct {
 	// worker goroutines at once. Like Workers and Results it never
 	// affects cell content and is excluded from cache keys.
 	Progress func(done, total int)
-	// Lanes is the lane-batched execution width (the ecfbench -lanes
-	// flag): each worker drives up to Lanes cache-miss cells of one
-	// family in lockstep through a sim.LaneEngine. 0 or 1 selects the
-	// scalar path. Only the grid-family drivers opt in; other families
-	// fall back to scalar (reported once per family through
-	// LaneFallbackLog). Like Workers, lanes never affect cell content —
-	// the lane contract preserves per-cell dispatch order exactly — so
-	// it is excluded from cache keys.
-	Lanes int
-	// LaneFallbackLog, when non-nil, is told once per cell family that
-	// stayed scalar although Lanes > 1 requested lane batching
-	// (unsupported family, armed cell trace, or per-cell timeout).
-	LaneFallbackLog func(family string)
 }
 
 // Scale-key helpers: each cell family's cache key encodes only the
@@ -97,18 +84,6 @@ func (sc Scale) wildWebKey() string { return fmt.Sprintf("ww%d", sc.WildWebRuns)
 // cell semantics change — and scaleKey is the relevant scale-key
 // helper's output.
 func (sc Scale) spec(experiment string, schema int, scaleKey string) results.Spec {
-	// Every scalar-only family builds its spec here, so this is the
-	// chokepoint for reporting that lane batching was requested but the
-	// family doesn't support it. (The log callback dedupes: shared
-	// families are registered by several figures.)
-	if sc.Lanes > 1 && sc.LaneFallbackLog != nil {
-		sc.LaneFallbackLog(experiment)
-	}
-	return results.Spec{Experiment: experiment, Schema: schema, Scale: scaleKey}
-}
-
-// lanedSpec is spec for the families that do support lane batching.
-func (sc Scale) lanedSpec(experiment string, schema int, scaleKey string) results.Spec {
 	return results.Spec{Experiment: experiment, Schema: schema, Scale: scaleKey}
 }
 
@@ -239,39 +214,14 @@ func fastPathIndex(wifiMbps, lteMbps float64) int {
 	return 0
 }
 
-// streamRun is one streaming cell held open between setup and
-// collection — the lane-batched execution unit. startStreaming builds
-// the network and schedules the player's first events; the caller then
-// drives the engine to Horizon (scalar RunUntil, or interleaved with
-// other lanes through sim.LaneEngine) and calls finish to gather the
-// outcome and close the network. RunStreaming is the scalar
-// composition of the three steps; the lane path is byte-identical to
-// it because the split moves no work across the run boundary.
-type streamRun struct {
-	specs   []core.PathSpec
-	net     *core.Network
-	conn    *mptcp.Conn
-	out     *StreamOutcome
-	done    bool
-	Horizon time.Duration
-}
-
 // RunStreaming executes one streaming session and gathers the outcome.
 func RunStreaming(cfg StreamConfig) *StreamOutcome {
-	r := startStreaming(cfg)
-	r.net.Run(r.Horizon)
-	return r.finish()
-}
-
-// startStreaming builds one streaming cell on a pooled network and
-// schedules its initial events, stopping just short of running the
-// engine.
-func startStreaming(cfg StreamConfig) *streamRun {
 	specs := cfg.Paths
 	if specs == nil {
 		specs = core.DefaultPaths(cfg.WifiMbps, cfg.LteMbps)
 	}
 	net := core.NewNetwork(specs)
+	defer net.Close()
 	eng := net.Engine()
 
 	connCfg := mptcp.DefaultConfig(0)
@@ -299,18 +249,18 @@ func startStreaming(cfg StreamConfig) *streamRun {
 		ABR:          cfg.ABR,
 	})
 
-	r := &streamRun{specs: specs, net: net, conn: conn, out: &StreamOutcome{}}
+	out := &StreamOutcome{}
+	done := false
 	player.Start(func(*dash.Result) {
-		r.done = true
-		r.out.Finished = true
+		done = true
+		out.Finished = true
 	})
-	r.out.Result = player.Result()
+	out.Result = player.Result()
 
 	// Optional periodic sampling of CWND and subflow send-buffer
 	// occupancy.
 	if cfg.SampleInterval > 0 {
 		subflows := conn.Subflows()
-		out := r.out
 		out.CwndTraces = make([]*metrics.TimeSeries, len(subflows))
 		out.SndbufTraces = make([]*metrics.TimeSeries, len(subflows))
 		out.SubflowNames = make([]string, len(subflows))
@@ -319,19 +269,12 @@ func startStreaming(cfg StreamConfig) *streamRun {
 			out.SndbufTraces[i] = &metrics.TimeSeries{}
 			out.SubflowNames[i] = sf.Name()
 		}
-		s := &cwndSampler{eng: eng, subflows: subflows, out: out, done: &r.done, interval: cfg.SampleInterval}
+		s := &cwndSampler{eng: eng, subflows: subflows, out: out, done: &done, interval: cfg.SampleInterval}
 		eng.ScheduleEvent(0, kindCwndSample, s)
 	}
 
-	r.Horizon = time.Duration((videoSec*12 + 300) * float64(time.Second))
-	return r
-}
+	net.Run(time.Duration((videoSec*12 + 300) * float64(time.Second)))
 
-// finish collects the cell's telemetry and closes its network. The
-// engine must have been driven to the run's Horizon first.
-func (r *streamRun) finish() *StreamOutcome {
-	specs, conn, out := r.specs, r.conn, r.out
-	defer r.net.Close()
 	nPaths := len(specs)
 	fastPath := fastPathIndex(specs[0].RateMbps, specs[1].RateMbps)
 	var fastBytes, totalBytes int64
@@ -357,7 +300,7 @@ func (r *streamRun) finish() *StreamOutcome {
 		}
 	}
 	// Copy the reordering samples out of the pooled receiver: once the
-	// Close above runs, the receiver (and its series) belongs to the
+	// deferred Close runs, the receiver (and its series) belongs to the
 	// pool and may be reset by another cell.
 	out.OOODelays = metrics.CopyDurations(conn.Receiver().OOODelays())
 	return out
@@ -396,14 +339,6 @@ func runBatch(b *results.Batch) {
 func runCells[T any](sc Scale, spec results.Spec, n int, compute func(i int) T, collect func(i int, v T)) {
 	b := newBatch(sc)
 	results.Add(b, spec, n, compute, collect)
-	runBatch(b)
-}
-
-// runCellsLanes is runCells for a lane-capable family: cache misses run
-// through opt.Run in groups of sc.Lanes when lane batching is on.
-func runCellsLanes[T any](sc Scale, spec results.Spec, n int, opt results.LaneOpts[T], compute func(i int) T, collect func(i int, v T)) {
-	b := newBatch(sc)
-	results.AddLanes(b, spec, n, opt, compute, collect)
 	runBatch(b)
 }
 

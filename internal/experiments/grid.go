@@ -61,23 +61,16 @@ func addGrid(b *results.Batch, scheduler string, sc Scale, disableIdleRestart bo
 		res.Cells[i] = make([]GridCell, len(bws))
 	}
 	n := len(bws)
-	// The scalar compute and the lane runner share one config/derive
-	// pair, so both execution strategies run the identical simulation
-	// and produce the identical record for any cell.
-	cfg := func(k int) StreamConfig {
-		i, j := k/n, k%n
-		return StreamConfig{
-			WifiMbps:           bws[i],
-			LteMbps:            bws[j],
+	compute := func(k int) GridCell {
+		wifi, lte := bws[k/n], bws[k%n]
+		out := RunStreaming(StreamConfig{
+			WifiMbps:           wifi,
+			LteMbps:            lte,
 			Scheduler:          scheduler,
 			VideoSec:           sc.GridVideoSec,
 			DisableIdleRestart: disableIdleRestart,
-		}
-	}
-	from := func(k int, out *StreamOutcome) GridCell {
+		})
 		defer out.Release()
-		i, j := k/n, k%n
-		wifi, lte := bws[i], bws[j]
 		ideal := dash.IdealBitrateMbps(wifi+lte, dash.StandardLadder)
 		cell := GridCell{
 			WifiMbps:            wifi,
@@ -96,16 +89,11 @@ func addGrid(b *results.Batch, scheduler string, sc Scale, disableIdleRestart bo
 		}
 		return cell
 	}
-	opt := results.LaneOpts[GridCell]{
-		Lanes: sc.Lanes,
-		Run:   streamingLaneRunner(sc.Lanes, cfg, from),
-		// A cell's event count grows with aggregate bandwidth × playout
-		// length, so the high-bandwidth corner dominates sweep time;
-		// starting there shrinks the parallel tail.
-		Cost: func(k int) float64 { return (bws[k/n] + bws[k%n]) * sc.GridVideoSec },
-	}
-	results.AddLanes(b, sc.lanedSpec(gridSpecName(scheduler, disableIdleRestart), gridSchema, sc.gridKey()), n*n, opt,
-		func(k int) GridCell { return from(k, RunStreaming(cfg(k))) },
+	// A cell's event count grows with aggregate bandwidth × playout
+	// length, so the high-bandwidth corner dominates sweep time;
+	// starting there shrinks the parallel tail.
+	cost := func(k int) float64 { return (bws[k/n] + bws[k%n]) * sc.GridVideoSec }
+	results.AddWithCost(b, sc.spec(gridSpecName(scheduler, disableIdleRestart), gridSchema, sc.gridKey()), n*n, cost, compute,
 		func(k int, c GridCell) { res.Cells[k/n][k%n] = c })
 	return res
 }
@@ -317,33 +305,26 @@ func Figure15(sc Scale) *Figure15Result {
 		ECFRatio:      make([]float64, len(bws)),
 	}
 	schedulers := []string{"minrtt", "ecf"}
-	cfg := func(k int) StreamConfig {
-		li, si := k/len(schedulers), k%len(schedulers)
-		return StreamConfig{
-			WifiMbps:        0.3,
-			LteMbps:         bws[li],
-			Scheduler:       schedulers[si],
-			VideoSec:        sc.GridVideoSec,
-			SubflowsPerPath: 2,
-		}
-	}
-	from := func(k int, out *StreamOutcome) float64 {
-		defer out.Release()
-		lte := bws[k/len(schedulers)]
-		ideal := dash.IdealBitrateMbps(0.3+lte, dash.StandardLadder)
-		ratio := out.Result.AvgBitrateMbps() / ideal
-		if ratio > 1 {
-			ratio = 1
-		}
-		return ratio
-	}
-	runCellsLanes(sc, sc.lanedSpec("fig15", 1, sc.gridKey()), len(bws)*len(schedulers),
-		results.LaneOpts[float64]{
-			Lanes: sc.Lanes,
-			Run:   streamingLaneRunner(sc.Lanes, cfg, from),
-			Cost:  func(k int) float64 { return (0.3 + bws[k/len(schedulers)]) * sc.GridVideoSec },
+	b := newBatch(sc)
+	results.AddWithCost(b, sc.spec("fig15", 1, sc.gridKey()), len(bws)*len(schedulers),
+		func(k int) float64 { return (0.3 + bws[k/len(schedulers)]) * sc.GridVideoSec },
+		func(k int) float64 {
+			lte := bws[k/len(schedulers)]
+			out := RunStreaming(StreamConfig{
+				WifiMbps:        0.3,
+				LteMbps:         lte,
+				Scheduler:       schedulers[k%len(schedulers)],
+				VideoSec:        sc.GridVideoSec,
+				SubflowsPerPath: 2,
+			})
+			defer out.Release()
+			ideal := dash.IdealBitrateMbps(0.3+lte, dash.StandardLadder)
+			ratio := out.Result.AvgBitrateMbps() / ideal
+			if ratio > 1 {
+				ratio = 1
+			}
+			return ratio
 		},
-		func(k int) float64 { return from(k, RunStreaming(cfg(k))) },
 		func(k int, ratio float64) {
 			li, si := k/len(schedulers), k%len(schedulers)
 			if si == 0 {
@@ -352,6 +333,7 @@ func Figure15(sc Scale) *Figure15Result {
 				res.ECFRatio[li] = ratio
 			}
 		})
+	runBatch(b)
 	return res
 }
 

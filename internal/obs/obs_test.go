@@ -247,7 +247,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 	rep.Experiments = append(rep.Experiments, er)
 	rep.WallClockMs = 13
 	rep.OutputSHA256 = "def"
-	rep.Queue = QueueReport{Kind: "tiered", DepthMax: 42, DepthMean: 17.5, NearScheduled: 1000, BucketSorts: 12, BucketMax: 9}
+	rep.Queue = QueueReport{DepthMax: 42, DepthMean: 17.5}
 	rep.Mem = CaptureMemStats()
 
 	path := filepath.Join(t.TempDir(), "report.json")
@@ -265,10 +265,10 @@ func TestRunReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if got.Tool != "ecfbench" || got.SchemaVersion != 4 {
-		t.Errorf("identity = %s/v%d, want ecfbench/v4", got.Tool, got.SchemaVersion)
+	if got.Tool != "ecfbench" || got.SchemaVersion != 5 {
+		t.Errorf("identity = %s/v%d, want ecfbench/v5", got.Tool, got.SchemaVersion)
 	}
-	if got.Queue.Kind != "tiered" || got.Queue.DepthMax != 42 || got.Queue.DepthMean != 17.5 {
+	if got.Queue != (QueueReport{DepthMax: 42, DepthMean: 17.5}) {
 		t.Errorf("queue section did not round-trip: %+v", got.Queue)
 	}
 	if got.Scale != "quick" || got.Workers != 4 {
@@ -281,7 +281,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 	// The JSON keys are the machine-readable contract; spot-check the
 	// snake_case names a consumer greps for.
-	for _, key := range []string{"schema_version", "wall_clock_ms", "events_coalesced", "events_by_kind", "cell_p50_ms", "output_sha256", "heap_alloc_bytes", "depth_max", "near_scheduled", "bucket_sorts"} {
+	for _, key := range []string{"schema_version", "wall_clock_ms", "events_coalesced", "events_by_kind", "cell_p50_ms", "output_sha256", "heap_alloc_bytes", "depth_max", "depth_mean"} {
 		if !bytes.Contains(raw, []byte(`"`+key+`"`)) {
 			t.Errorf("report JSON missing key %q", key)
 		}

@@ -94,19 +94,12 @@ func CaptureMemStats() MemStats {
 	}
 }
 
-// QueueReport is the event-queue telemetry section of a run report
-// (schema 3): which queue implementation the run used and the
-// process-wide depth/tier counters flushed by engine resets. The tier
-// counters (near/far/migrated/sorts) are zero under the heap queue.
+// QueueReport is the event-queue telemetry section of a run report: the
+// process-wide queue depth (one sample per scheduled event) flushed by
+// engine resets (schema 5; schemas 3 and 4 carried more fields here).
 type QueueReport struct {
-	Kind          string  `json:"kind"`
-	DepthMax      uint64  `json:"depth_max"`
-	DepthMean     float64 `json:"depth_mean"`
-	NearScheduled uint64  `json:"near_scheduled"`
-	FarScheduled  uint64  `json:"far_scheduled"`
-	Migrated      uint64  `json:"migrated"`
-	BucketSorts   uint64  `json:"bucket_sorts"`
-	BucketMax     uint64  `json:"bucket_max"`
+	DepthMax  uint64  `json:"depth_max"`
+	DepthMean float64 `json:"depth_mean"`
 }
 
 // RunReport is the machine-readable run summary ecfbench -report-json
@@ -137,7 +130,7 @@ type RunReport struct {
 func NewRunReport(scale string, workers int) *RunReport {
 	return &RunReport{
 		Tool:          "ecfbench",
-		SchemaVersion: 4,
+		SchemaVersion: 5,
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,

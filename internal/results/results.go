@@ -376,10 +376,7 @@ func (s *Session) ActiveCellFamilies() []CellFamily {
 // work lists.
 func (s Spec) Key(cell int) Key { return s.key(cell) }
 
-// noteDuration records one computed cell's wall clock. Lane groups
-// attribute the group's wall clock evenly across their computed cells
-// (individual lanes interleave on one goroutine, so per-cell walls are
-// not separable there).
+// noteDuration records one computed cell's wall clock.
 func (s *Session) noteDuration(d time.Duration) {
 	s.durMu.Lock()
 	s.cellDurs = append(s.cellDurs, d)
@@ -390,7 +387,7 @@ func (s *Session) noteDuration(d time.Duration) {
 // computed since the last call — the per-experiment collection point
 // for the run report's cell-duration percentiles. Cache hits record
 // nothing, so the sample population (though not the values) is
-// independent of worker count and lane width.
+// independent of worker count.
 func (s *Session) TakeCellDurations() []time.Duration {
 	if s == nil {
 		return nil

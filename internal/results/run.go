@@ -50,167 +50,30 @@ func NewBatch(pool runner.Pool, session *Session) *Batch {
 // structure, must treat it as read-only; a collector that needs to
 // change a slice, map or pointee copies it first.
 func Add[T any](b *Batch, spec Spec, n int, compute func(i int) T, collect func(i int, v T)) {
+	AddWithCost(b, spec, n, nil, compute, collect)
+}
+
+// AddWithCost is Add with a dispatch hint: cost(i) estimates cell i's
+// relative compute expense for longest-processing-time dispatch (see
+// Batch). Any positive unit works; only the ordering matters. A nil cost
+// is Add.
+func AddWithCost[T any](b *Batch, spec Spec, n int, cost func(i int) float64, compute func(i int) T, collect func(i int, v T)) {
 	s := b.session
 	for i := 0; i < n; i++ {
 		i := i
 		b.jobs = append(b.jobs, func() error { return runCell(s, spec, i, compute, collect) })
-		b.costs = append(b.costs, 0)
+		c := 0.0
+		if cost != nil {
+			c = cost(i)
+		}
+		b.costs = append(b.costs, c)
 	}
-}
-
-// LaneRunner executes a set of cache-miss cells of one spec in lane
-// lockstep (see internal/sim.LaneEngine) and reports each finished
-// cell through emit, in completion order. The cells are mutually
-// independent; emit is called from the runner's own goroutine, never
-// concurrently.
-type LaneRunner[T any] func(cells []int, emit func(i int, v T))
-
-// LaneOpts configures one spec's lane-batched execution.
-type LaneOpts[T any] struct {
-	// Lanes is the lockstep width K; <= 1 selects the scalar path.
-	Lanes int
-	// Run executes a group's cache misses in lane lockstep.
-	Run LaneRunner[T]
-	// Cost, when non-nil, estimates cell i's relative compute expense
-	// for longest-processing-time dispatch (see Batch). Any positive
-	// unit works; only the ordering matters.
-	Cost func(i int) float64
-}
-
-// AddLanes registers the n cells of one spec for lane-batched
-// execution: cells are grouped into contiguous chunks of 2K, and each
-// chunk is one pool job that serves its cache hits scalar-style, then
-// drives its misses through opt.Run K at a time (a chunk of 2K keeps
-// every lane busy through the refill phase even when the group's hit
-// pattern is ragged). Per-cell policy, records and collected values
-// are identical to Add — only the worker's execution strategy differs.
-// Groups fall back to the scalar path whenever per-cell machinery is
-// needed: Lanes <= 1 or no Run, enumerate passes, an armed cell trace
-// (the traced cell must compute alone under the trace gate's write
-// lock), or a per-cell wall-clock budget (CellTimeout preempts one
-// cell's goroutine, which has no meaning for a lane group).
-func AddLanes[T any](b *Batch, spec Spec, n int, opt LaneOpts[T], compute func(i int) T, collect func(i int, v T)) {
-	if opt.Lanes <= 1 || opt.Run == nil {
-		Add(b, spec, n, compute, collect)
-		if opt.Cost != nil {
-			for i := 0; i < n; i++ {
-				b.costs[len(b.costs)-n+i] = opt.Cost(i)
-			}
-		}
-		return
-	}
-	s := b.session
-	group := opt.Lanes * 2
-	for lo := 0; lo < n; lo += group {
-		lo := lo
-		hi := lo + group
-		if hi > n {
-			hi = n
-		}
-		laneRun := opt.Run
-		b.jobs = append(b.jobs, func() error {
-			return runLaneGroup(s, spec, lo, hi, laneRun, compute, collect)
-		})
-		cost := 0.0
-		if opt.Cost != nil {
-			for i := lo; i < hi; i++ {
-				cost += opt.Cost(i)
-			}
-		}
-		b.costs = append(b.costs, cost)
-	}
-}
-
-// runLaneGroup executes cells [lo, hi) of one spec as a lane group.
-func runLaneGroup[T any](s *Session, spec Spec, lo, hi int, laneRun LaneRunner[T], compute func(int) T, collect func(int, T)) error {
-	// Scalar fallbacks: conditions that need per-cell machinery the lane
-	// loop cannot provide (see AddLanes).
-	if (s != nil && (s.Enumerate || s.CellTimeout > 0)) || obs.TraceEnabled() {
-		for i := lo; i < hi; i++ {
-			if err := runCell(s, spec, i, compute, collect); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Pre-pass: resolve takes each cell as far as runCell would without
-	// simulating; what it hands back is this group's misses, which run
-	// laned. The group owns their memo slots until each is finished, and
-	// may wait for another job's slot while it does: only jobs of one
-	// spec share keys and each takes its slots in ascending cell order,
-	// so such waits cannot form a cycle.
-	var misses []int
-	owned := make([]*memoSlot, hi-lo)
-	defer func() {
-		for _, own := range owned {
-			own.release()
-		}
-	}()
-	for i := lo; i < hi; i++ {
-		if s == nil {
-			misses = append(misses, i)
-			continue
-		}
-		own, done, err := resolve(s, spec.key(i), i, false, collect)
-		if err != nil {
-			return err
-		}
-		if !done {
-			misses = append(misses, i)
-			owned[i-lo] = own
-		}
-	}
-	if len(misses) == 0 {
-		return nil
-	}
-	// The lanes run to completion even after a store/sink failure — the
-	// group's single goroutine has no preemption point — but the first
-	// error wins and later cells are not persisted or collected.
-	var firstErr error
-	start := time.Now()
-	laneRun(misses, func(i int, v T) {
-		if firstErr != nil {
-			return
-		}
-		firstErr = finishComputed(s, spec, i, v, owned[i-lo], collect)
-	})
-	if s != nil {
-		per := time.Since(start) / time.Duration(len(misses))
-		for range misses {
-			s.noteDuration(per)
-		}
-	}
-	return firstErr
-}
-
-// finishComputed persists, memoises and collects one freshly computed
-// cell — the tail of runCell's miss path, shared with the lane groups.
-// own is the cell's memo slot (nil without a session, and for a traced
-// cell).
-func finishComputed[T any](s *Session, spec Spec, i int, v T, own *memoSlot, collect func(int, T)) error {
-	if s == nil {
-		collect(i, v)
-		return nil
-	}
-	s.computed.Add(1)
-	k := spec.key(i)
-	if s.Store != nil {
-		if err := s.Store.Put(k, v); err != nil {
-			return err
-		}
-	}
-	if err := s.upload(k, v); err != nil {
-		return err
-	}
-	own.fill(v)
-	collect(i, v)
-	return nil
 }
 
 // memoSlot is one key's entry in a session's in-run record tier. The
 // goroutine that created it owns it until it calls fill or release;
 // every other requester of the key waits on ready. Both calls are safe
-// on a nil slot (no session, or a traced cell, which bypasses the memo).
+// on a nil slot (a traced cell, which bypasses the memo).
 type memoSlot struct {
 	s        *Session
 	k        Key
@@ -279,15 +142,14 @@ func lookup[T any](s *Session, k Key) (v T, own *memoSlot) {
 }
 
 // resolve takes one cell as far as it goes without simulating — the
-// per-cell decision shared by runCell and the lane groups' pre-pass. It
-// reports done when nothing is left to do: the cell is outside the
-// session's shard or leases, or its record was served (uploaded and
-// collected), or it is a merge miss (noted, or returned as the error).
-// Otherwise the caller must compute the cell and hand own to
-// finishComputed, or release it. A traced cell must actually simulate —
-// a served record would leave the recorder empty — so it passes the
-// gates but skips the lookup and owns no slot; its fresh record still
-// overwrites the stored one, byte-identical.
+// per-cell decision in front of compute. It reports done when nothing is
+// left to do: the cell is outside the session's shard or leases, or its
+// record was served (uploaded and collected), or it is a merge miss
+// (noted, or returned as the error). Otherwise the caller must compute
+// the cell and fill own, or release it. A traced cell must actually
+// simulate — a served record would leave the recorder empty — so it
+// passes the gates but skips the lookup and owns no slot; its fresh
+// record still overwrites the stored one, byte-identical.
 func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T)) (own *memoSlot, done bool, err error) {
 	if !s.Merge {
 		if !s.Shard.Covers(i) {
@@ -354,7 +216,18 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 	if err != nil {
 		return err
 	}
-	return finishComputed(s, spec, i, v, own, collect)
+	s.computed.Add(1)
+	if s.Store != nil {
+		if err := s.Store.Put(k, v); err != nil {
+			return err
+		}
+	}
+	if err := s.upload(k, v); err != nil {
+		return err
+	}
+	own.fill(v)
+	collect(i, v)
+	return nil
 }
 
 // upload forwards a served or computed record to the session's Sink —

@@ -18,11 +18,10 @@ func init() {
 
 const ms = time.Millisecond
 
-// bothQueues runs f once per queue kind on a fresh pinned engine.
-func bothQueues(t *testing.T, f func(t *testing.T, e *Engine)) {
-	for _, k := range []QueueKind{QueueHeap, QueueTiered} {
-		t.Run(k.String(), func(t *testing.T) { f(t, NewWithQueue(k)) })
-	}
+// onHeap runs f on a fresh engine as the subtest "heap", the leaf name
+// these cases are tracked under.
+func onHeap(t *testing.T, f func(t *testing.T, e *Engine)) {
+	t.Run("heap", func(t *testing.T) { f(t, New()) })
 }
 
 func TestHeapEntStays24Bytes(t *testing.T) {
@@ -31,8 +30,7 @@ func TestHeapEntStays24Bytes(t *testing.T) {
 	}
 }
 
-// TestDaemonContract is the table of what RunUntilQuiet promises, under
-// both queue kinds.
+// TestDaemonContract is the table of what RunUntilQuiet promises.
 func TestDaemonContract(t *testing.T) {
 	// ticker arms a daemon that re-arms itself every period, logging each
 	// tick as name@time.
@@ -182,7 +180,7 @@ func TestDaemonContract(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { bothQueues(t, tc.run) })
+		t.Run(tc.name, func(t *testing.T) { onHeap(t, tc.run) })
 	}
 }
 
@@ -190,7 +188,7 @@ func TestDaemonContract(t *testing.T) {
 // flushes each kind's dispatches into the process totals, and they add
 // up to the processed total.
 func TestEventsByKindSumToProcessed(t *testing.T) {
-	bothQueues(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T, e *Engine) {
 		p0, _ := TotalEvents()
 		k0 := TotalEventsByKind()
 		for i := 0; i < 5; i++ {
@@ -249,14 +247,14 @@ func init() {
 	kindQuietBatch = RegisterKind("sim.test.quietBatch", func(a any) { a.(*quietWorld).drainBatch() })
 }
 
-// gap draws a delay: often zero (same-instant ties), mostly sub-bucket,
-// sometimes past the tiered queue's whole window.
+// quietGap draws a delay: often zero (same-instant ties), mostly tens of
+// milliseconds, sometimes over a second.
 func quietGap(rng *rand.Rand) Time {
 	switch rng.Intn(8) {
 	case 0, 1:
 		return 0
 	case 2:
-		return Time(int64(numBuckets)<<bucketBits) + Time(rng.Int63n(int64(time.Second)))
+		return time.Second + Time(rng.Int63n(int64(time.Second)))
 	default:
 		return Time(rng.Int63n(int64(40 * ms)))
 	}
@@ -345,8 +343,8 @@ func (w *quietWorld) fireLive(id int) {
 	}
 }
 
-func runQuietWorld(k QueueKind, seed int64, daemons bool, deadline Time) (*quietWorld, bool) {
-	w := &quietWorld{e: NewWithQueue(k), daemons: daemons, seed: seed}
+func runQuietWorld(seed int64, daemons bool, deadline Time) (*quietWorld, bool) {
+	w := &quietWorld{e: New(), daemons: daemons, seed: seed}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 3; i++ {
 		w.addDaemon(0, Time(1+rng.Int63n(int64(20*ms))), 200)
@@ -368,46 +366,44 @@ func runQuietWorld(k QueueKind, seed int64, daemons bool, deadline Time) (*quiet
 // dispatches that follow the reference's last live event.
 func TestQuietRunMatchesRunUntilOnLiveEvents(t *testing.T) {
 	quiets := map[bool]int{}
-	for _, k := range []QueueKind{QueueHeap, QueueTiered} {
-		for seed := int64(1); seed <= 60; seed++ {
-			deadline := 2 * time.Second
-			if seed%3 == 0 {
-				deadline = 150 * ms // cut some schedules short
-			}
-			ref, _ := runQuietWorld(k, seed, false, deadline)
-			got, quiet := runQuietWorld(k, seed, true, deadline)
+	for seed := int64(1); seed <= 60; seed++ {
+		deadline := 2 * time.Second
+		if seed%3 == 0 {
+			deadline = 150 * ms // cut some schedules short
+		}
+		ref, _ := runQuietWorld(seed, false, deadline)
+		got, quiet := runQuietWorld(seed, true, deadline)
 
-			// Quiet: the reference up to its last live event. Cut off by
-			// the deadline with live events still pending: all of it.
-			wantLog := ref.log
-			if quiet {
-				for len(wantLog) > 0 && wantLog[len(wantLog)-1].daemon {
-					wantLog = wantLog[:len(wantLog)-1]
-				}
+		// Quiet: the reference up to its last live event. Cut off by
+		// the deadline with live events still pending: all of it.
+		wantLog := ref.log
+		if quiet {
+			for len(wantLog) > 0 && wantLog[len(wantLog)-1].daemon {
+				wantLog = wantLog[:len(wantLog)-1]
 			}
-			if len(wantLog) == 0 {
-				t.Fatalf("%v seed %d: the reference fired no live event", k, seed)
-			}
-			trailing := len(ref.log) - len(wantLog)
-			if fmt.Sprint(got.log) != fmt.Sprint(wantLog) {
-				t.Fatalf("%v seed %d (quiet %v): dispatched\n%v\nwant the reference less its %d trailing daemon dispatches\n%v", k, seed, quiet, got.log, trailing, wantLog)
-			}
-			if ref.e.Processed()-got.e.Processed() != uint64(trailing) || ref.e.Coalesced() != got.e.Coalesced() {
-				t.Fatalf("%v seed %d: processed %d vs %d, coalesced %d vs %d; want a gap of the %d trailing daemon dispatches and equal claims",
-					k, seed, ref.e.Processed(), got.e.Processed(), ref.e.Coalesced(), got.e.Coalesced(), trailing)
-			}
-			quiets[quiet]++
-			// Quiet exactly when no live event is left beyond the deadline.
-			liveLeft := got.e.Pending() - got.e.daemons
-			if quiet != (liveLeft == 0) {
-				t.Fatalf("%v seed %d: quiet = %v with %d live events pending", k, seed, quiet, liveLeft)
-			}
-			if last := wantLog[len(wantLog)-1].at; quiet && got.e.Now() != last {
-				t.Fatalf("%v seed %d: quiet run left the clock at %v, want the last live dispatch %v", k, seed, got.e.Now(), last)
-			}
-			if !quiet && got.e.Now() != deadline {
-				t.Fatalf("%v seed %d: unquiet run left the clock at %v, want the deadline", k, seed, got.e.Now())
-			}
+		}
+		if len(wantLog) == 0 {
+			t.Fatalf("seed %d: the reference fired no live event", seed)
+		}
+		trailing := len(ref.log) - len(wantLog)
+		if fmt.Sprint(got.log) != fmt.Sprint(wantLog) {
+			t.Fatalf("seed %d (quiet %v): dispatched\n%v\nwant the reference less its %d trailing daemon dispatches\n%v", seed, quiet, got.log, trailing, wantLog)
+		}
+		if ref.e.Processed()-got.e.Processed() != uint64(trailing) || ref.e.Coalesced() != got.e.Coalesced() {
+			t.Fatalf("seed %d: processed %d vs %d, coalesced %d vs %d; want a gap of the %d trailing daemon dispatches and equal claims",
+				seed, ref.e.Processed(), got.e.Processed(), ref.e.Coalesced(), got.e.Coalesced(), trailing)
+		}
+		quiets[quiet]++
+		// Quiet exactly when no live event is left beyond the deadline.
+		liveLeft := got.e.Pending() - got.e.daemons
+		if quiet != (liveLeft == 0) {
+			t.Fatalf("seed %d: quiet = %v with %d live events pending", seed, quiet, liveLeft)
+		}
+		if last := wantLog[len(wantLog)-1].at; quiet && got.e.Now() != last {
+			t.Fatalf("seed %d: quiet run left the clock at %v, want the last live dispatch %v", seed, got.e.Now(), last)
+		}
+		if !quiet && got.e.Now() != deadline {
+			t.Fatalf("seed %d: unquiet run left the clock at %v, want the deadline", seed, got.e.Now())
 		}
 	}
 	if quiets[true] < 20 || quiets[false] < 20 {

@@ -31,38 +31,17 @@
 //   - Handlers run on the engine's goroutine; they may schedule, cancel
 //     and reserve tickets freely.
 //
-// # Event queue: 4-ary heap (default) or two-tier calendar
+// # Event queue
 //
-// Two queue implementations are available, selected per engine
-// (QueueKind, SetDefaultQueue, the ecfbench -queue flag). Both dispatch
-// in the identical (at, seq) total order; the choice is invisible to
-// every model and every output byte.
-//
-// The heap queue (QueueHeap, the default) is a single 4-ary min-heap of
-// key-packed entries; Cancel removes eagerly in O(log n). It is the
-// default because measurement, not theory, says so: the sweep's live
-// queue is shallow (mean depth ~6.5, max ~29 on the quick catalog), so
-// a sift touches barely one level and the calendar queue's bucket
-// machinery costs more than the log n it removes (see BENCH_pr10.json).
-//
-// The tiered queue (QueueTiered, opt-in via -queue tiered) is a calendar queue
-// specialized for this simulator's short scheduling horizons: a ring of
-// power-of-two-width time buckets covers ~a few srtt of virtual time
-// around the dispatch cursor, and an event inside that window is
-// appended to its bucket in O(1). A bucket is sorted by the full
-// (at, seq) key only when the cursor reaches it — the per-event
-// ordering cost is an amortized O(1) append plus a share of one small,
-// cache-resident sort instead of an O(log n) sift. Events beyond the
-// window land in an overflow tier (the 4-ary heap below) and migrate
-// into buckets as the window advances; when every bucket is empty the
-// window jumps straight to the overflow head. Cancel on a bucketed
-// event frees its arena slot eagerly but leaves a tombstone entry that
-// is dropped when its bucket is sorted or dispatched — Pending never
-// counts tombstones, and Timer.At still reads the exact scheduled time
-// through the slot's packed bucket location. It earns its keep at
-// depths the sweep does not reach (see BenchmarkEventQueueChurn); at
-// the catalog's depths it measured ~6% slower than the heap, which is
-// why it is not the default.
+// The queue is one 4-ary min-heap of 24-byte entries ordered by
+// (at, seq): earliest time first, scheduling (ticket) order breaking
+// ties. Each entry embeds its full key next to its arena slot index, so
+// sifts compare inside the contiguous heap slice and never touch the
+// arena; each slot records its entry's heap index, which makes Cancel an
+// eager O(log n) removal and Timer.At an O(1) read. The sweep's live
+// queue is shallow (mean depth ~8, max 29 over the whole catalog), so a
+// sift touches barely one level; every schedule samples the depth into
+// QueueStats so that stays a measured fact.
 //
 // # Allocation and layout contract
 //
@@ -75,15 +54,15 @@
 //     entry (it fits the entry's alignment padding), so dispatch never
 //     waits on an extra arena load.
 //   - Queue entries are 24 bytes and embed the full ordering key
-//     (at, seq) next to the arena slot index, so comparisons — heap
-//     sifts and bucket sorts alike — read only contiguous entry slices
-//     and never chase a pointer into the arena. The arena is touched
-//     exactly once per moved entry (to maintain the slot's queue
-//     position for eager Cancel and Timer.At), not once per comparison.
-//   - Reset returns an engine to time zero while keeping the arena,
-//     heap and bucket ring at their grown capacity, and Acquire/Release
-//     pool engines so a sweep of thousands of simulation cells re-grows
-//     these structures once per worker instead of once per cell.
+//     (at, seq) next to the arena slot index, so heap sifts read only
+//     the contiguous entry slice and never chase a pointer into the
+//     arena. The arena is touched exactly once per moved entry (to
+//     maintain the slot's heap index for eager Cancel and Timer.At), not
+//     once per comparison.
+//   - Reset returns an engine to time zero while keeping the arena and
+//     heap at their grown capacity, and Acquire/Release pool engines so
+//     a sweep of thousands of simulation cells re-grows these structures
+//     once per worker instead of once per cell.
 //
 // # Event-count reduction: tickets and inline claims
 //
@@ -120,22 +99,6 @@
 // wake the model up (send a packet, arm a live timer) must be an
 // ordinary event. The mark is a spare bit of the queue entry's kind
 // byte; a dispatch pays one branch on it.
-//
-// # Lane-batched execution
-//
-// A LaneEngine drives up to MaxLanes mutually independent engines — one
-// simulation cell each — through a single merged dispatch loop on one
-// goroutine. The contract is strict: each lane's own (time, ticket)
-// dispatch order, its inline-claim decisions and its final clock are
-// exactly what a scalar RunUntil of that cell alone would produce, so
-// every byte of experiment output is lane-invisible; only the on-worker
-// interleave of the lanes differs, and no output can observe it. The
-// dispatcher keeps a structure-of-arrays scoreboard of per-lane next
-// event times and lets the running lane burst up to a bounded sim-time
-// drift window past the other lanes' heads before switching, so lane
-// switches amortize over dozens of events. RunLaneDone returns each
-// lane as it completes, letting a sweep worker stream a cell list
-// through a fixed set of lanes (retire, collect, refill).
 package sim
 
 import (
@@ -237,29 +200,18 @@ func (t Timer) Active() bool {
 }
 
 // At returns the virtual time the timer is scheduled to fire, or 0 if it
-// already fired or was cancelled. The scheduled time is read through the
-// slot's queue location, so it is exact under both queue kinds —
-// including tiered-queue events whose bucket has not been sorted yet.
+// already fired or was cancelled.
 func (t Timer) At() Time {
 	if !t.Active() {
 		return 0
 	}
-	e := t.e
-	pos := e.arena[t.slot].pos
-	if pos >= 0 {
-		return e.heap[pos].at
-	}
-	packed := ^pos
-	return e.buckets[packed>>locIdxBits][packed&locIdxMask].at
+	return t.e.heap[t.e.arena[t.slot].pos].at
 }
 
-// Cancel removes the timer from the queue. The arena slot is always
-// freed eagerly (arm/cancel churn stays allocation-free); on the heap
-// tier the entry is removed eagerly too, while a bucketed entry of the
-// tiered queue becomes a tombstone that its bucket drops at sort or
-// dispatch time — it never counts as pending and never fires.
-// Cancelling an already-fired or already-cancelled timer — or the zero
-// Timer — is a no-op.
+// Cancel removes the timer from the queue eagerly — heap entry and arena
+// slot both, so arm/cancel churn stays allocation-free and Pending never
+// counts a cancelled timer. Cancelling an already-fired or
+// already-cancelled timer — or the zero Timer — is a no-op.
 func (t Timer) Cancel() {
 	e := t.e
 	if e == nil {
@@ -269,30 +221,17 @@ func (t Timer) Cancel() {
 	if s.gen != t.gen {
 		return // already fired, cancelled, or slot reused
 	}
-	var kind EventKind
-	if s.pos >= 0 {
-		kind = e.heap[s.pos].kind
-		e.heapRemove(int(s.pos))
-	} else {
-		packed := ^s.pos
-		ent := &e.buckets[packed>>locIdxBits][packed&locIdxMask]
-		kind = ent.kind
-		ent.slot = tombSlot
-		e.nearCount--
-	}
-	if kind&daemonMark != 0 {
+	if e.heap[s.pos].kind&daemonMark != 0 {
 		e.daemons--
 	}
+	e.heapRemove(int(s.pos))
 	e.freeSlot(t.slot)
 }
 
 // slot is one arena entry: the event argument and the bookkeeping that
 // ties it to the queue. The ordering key and the event kind live in the
-// queue entry itself, not here. While scheduled, pos locates the
-// timer's entry: a non-negative pos is a heap index (heap queue, or the
-// tiered queue's overflow tier), a negative pos is a packed bucket
-// location (^(ring<<locIdxBits|index)). While free, pos chains the free
-// list.
+// queue entry itself, not here. While scheduled, pos is the heap index
+// of the timer's entry; while free, it links the free list.
 type slot struct {
 	arg any
 	gen uint32
@@ -337,37 +276,14 @@ type Engine struct {
 	now      Time
 	arena    []slot
 	freeHead int32
-	// heap is a 4-ary min-heap of key-packed entries ordered by
-	// (at, seq): the whole queue in heap mode, the far-future overflow
-	// tier in tiered mode. 4-ary beats binary here: sift-down does 3
+	// heap is the event queue: a 4-ary min-heap of key-packed entries
+	// ordered by (at, seq). 4-ary beats binary here: sift-down does 3
 	// extra comparisons per level but halves the levels, and with
 	// 24-byte entries the four children of a node share two cache
 	// lines.
 	heap    []heapEnt
 	seq     uint64
 	stopped bool
-	// tiered selects the queue implementation (see tierqueue.go);
-	// pinnedQueue marks engines built with NewWithQueue, which never
-	// re-adopt the process default.
-	tiered      bool
-	pinnedQueue bool
-	// Near-tier state (tiered mode only). buckets is the ring; curDay
-	// is the absolute bucket number of the dispatch cursor (monotone,
-	// >= day(now)); curIdx is the next entry in the dispatch bucket
-	// once curSorted marks it sorted; nearCount counts live
-	// (non-tombstone) entries across all buckets.
-	buckets   [][]heapEnt
-	curDay    int64
-	curIdx    int
-	curSorted bool
-	nearCount int
-	// bucketCap is the shared per-bucket capacity: every ring bucket is
-	// carved from one backing array at exactly this capacity, and a full
-	// bucket grows by re-carving the whole ring at double the capacity
-	// (see growBucket) — so the ring converges to the global max
-	// occupancy and steady-state appends stop allocating. It survives
-	// Reset, like the arena and heap capacity.
-	bucketCap int
 	// qstats is the per-run queue telemetry, flushed by Reset.
 	qstats queueCounters
 	// limit bounds inline claims (RunsNext): Run lifts it to maxTime,
@@ -400,23 +316,9 @@ type Engine struct {
 	flight *obs.FlightRecorder
 }
 
-// New returns an empty Engine positioned at time 0, using the
-// process-default queue kind (which the engine re-adopts at every
-// Reset, so pooled engines follow SetDefaultQueue).
+// New returns an empty Engine positioned at time 0.
 func New() *Engine {
-	e := &Engine{freeHead: noSlot, limit: noRunLimit, curSeq: uint64(idleTicket)}
-	e.setQueueKind(DefaultQueue())
-	return e
-}
-
-// NewWithQueue returns an empty Engine pinned to the given queue kind:
-// it keeps that kind across Reset regardless of the process default.
-// For A/B comparisons and tests; production engines come from New.
-func NewWithQueue(k QueueKind) *Engine {
-	e := &Engine{freeHead: noSlot, limit: noRunLimit, curSeq: uint64(idleTicket)}
-	e.setQueueKind(k)
-	e.pinnedQueue = true
-	return e
+	return &Engine{freeHead: noSlot, limit: noRunLimit, curSeq: uint64(idleTicket)}
 }
 
 // totalProcessed and totalCoalesced accumulate, across every engine in
@@ -455,8 +357,7 @@ func TotalEventsByKind() []uint64 {
 // event argument is dropped, so the previous simulation's object graph
 // becomes collectable even while the engine sits in a pool. The run's
 // event and queue-telemetry counters are flushed into the process-wide
-// totals, and an unpinned engine re-adopts the process-default queue
-// kind.
+// totals.
 func (e *Engine) Reset() {
 	totalProcessed.Add(e.processed)
 	totalCoalesced.Add(e.coalesced)
@@ -478,14 +379,6 @@ func (e *Engine) Reset() {
 		e.freeHead = int32(n - 1)
 	}
 	e.heap = e.heap[:0]
-	for i := range e.buckets {
-		e.buckets[i] = e.buckets[i][:0]
-	}
-	e.curDay = 0
-	e.curIdx = 0
-	e.curSorted = false
-	e.nearCount = 0
-	e.adoptDefaultQueue()
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -523,14 +416,11 @@ func (e *Engine) Coalesced() uint64 { return e.coalesced }
 func (e *Engine) CurrentTicket() Ticket { return Ticket(e.curSeq) }
 
 // Pending returns the number of events waiting in the queue. Cancelled
-// timers are never counted — the heap tier removes them eagerly, the
-// bucket tier excludes tombstones from its live count.
-func (e *Engine) Pending() int { return e.nearCount + len(e.heap) }
+// timers are never counted: Cancel removes them eagerly.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // PeekTime returns the virtual time of the next event the engine would
-// dispatch, or the maximum Time when the queue is empty. O(1) on the
-// heap queue; amortized O(1) on the tiered queue (the peek may settle
-// the dispatch bucket — work Step would otherwise do).
+// dispatch, or the maximum Time when the queue is empty.
 func (e *Engine) PeekTime() Time {
 	if at, _, ok := e.peekHead(); ok {
 		return at
@@ -538,16 +428,8 @@ func (e *Engine) PeekTime() Time {
 	return maxTime
 }
 
-// peekHead returns the (at, seq) ordering key of the queue's head
-// event, settling the tiered queue's dispatch cursor first.
+// peekHead returns the (at, seq) ordering key of the queue's head event.
 func (e *Engine) peekHead() (Time, uint64, bool) {
-	if e.tiered {
-		if !e.settle() {
-			return 0, 0, false
-		}
-		ent := &e.buckets[e.curDay&bucketMask][e.curIdx]
-		return ent.at, ent.seq, true
-	}
 	if len(e.heap) == 0 {
 		return 0, 0, false
 	}
@@ -693,15 +575,11 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, kind EventKind, arg any) Timer 
 	s := &e.arena[si]
 	s.arg = arg
 	gen := s.gen
-	if e.tiered {
-		e.pushTiered(heapEnt{at: t, seq: seq, slot: si, kind: kind})
-	} else {
-		e.heap = append(e.heap, heapEnt{at: t, seq: seq, slot: si, kind: kind})
-		e.siftUp(len(e.heap) - 1)
-	}
+	e.heap = append(e.heap, heapEnt{at: t, seq: seq, slot: si, kind: kind})
+	e.siftUp(len(e.heap) - 1)
 	// Depth telemetry: one sample per scheduled event (a handful of
 	// integer ops — the counters ride in the engine and flush on Reset).
-	d := uint64(e.nearCount + len(e.heap))
+	d := uint64(len(e.heap))
 	e.qstats.depthSum += d
 	e.qstats.depthSamples++
 	if d > e.qstats.depthMax {
@@ -743,23 +621,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
 func (e *Engine) Step() bool {
-	var ent heapEnt
-	if e.tiered {
-		// The head always dispatches from the near tier: settle moves
-		// the window (migrating overflow) until the dispatch bucket
-		// holds the minimum key, then popping is a cursor increment.
-		if !e.settle() {
-			return false
-		}
-		ent = e.buckets[e.curDay&bucketMask][e.curIdx]
-		e.curIdx++
-		e.nearCount--
-	} else {
-		if len(e.heap) == 0 {
-			return false
-		}
-		ent = e.heap[0]
+	if len(e.heap) == 0 {
+		return false
 	}
+	ent := e.heap[0]
 	if ent.at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ent.at, e.now))
 	}
@@ -778,11 +643,8 @@ func (e *Engine) Step() bool {
 	arg := e.arena[ent.slot].arg
 	// Retire the slot before running the handler so the event can
 	// reschedule (reusing this very slot) and so its own handle is
-	// already stale inside the handler. (The tiered pop above already
-	// moved the cursor past the entry; only the heap needs a removal.)
-	if !e.tiered {
-		e.heapRemove(0)
-	}
+	// already stale inside the handler.
+	e.heapRemove(0)
 	e.freeSlot(ent.slot)
 	kindFns[kind%maxKinds](arg)
 	e.curSeq = uint64(idleTicket)

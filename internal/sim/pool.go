@@ -14,13 +14,7 @@ var enginePool = sync.Pool{New: func() any { return New() }}
 // pooled one (with its arena and heap already grown to a previous
 // simulation's working set) when available. The caller owns the engine
 // exclusively until Release.
-func Acquire() *Engine {
-	e := enginePool.Get().(*Engine)
-	// A pooled engine may predate a SetDefaultQueue call; adopt the
-	// current process default (unless the engine is pinned).
-	e.adoptDefaultQueue()
-	return e
-}
+func Acquire() *Engine { return enginePool.Get().(*Engine) }
 
 // Release resets e and returns it to the pool. The reset invalidates
 // every outstanding Timer handle and drops all callback references, so
