@@ -43,7 +43,7 @@ func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, 
 	if err != nil {
 		return fmt.Errorf("%w (is `ecfd serve` running there?)", err)
 	}
-	sc, ok := parseScale(info.Scale)
+	sc, ok := experiments.ScaleByName(info.Scale)
 	if !ok {
 		return fmt.Errorf("coordinator sweeps unknown scale %q (version skew between ecfd and ecfbench?)", info.Scale)
 	}

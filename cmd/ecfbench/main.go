@@ -65,53 +65,6 @@ import (
 	"repro/internal/sim"
 )
 
-// experiment is a named, runnable paper artifact.
-type experiment struct {
-	name string
-	desc string
-	run  func(sc experiments.Scale) fmt.Stringer
-}
-
-var catalog = []experiment{
-	{"table1", "video bit rates vs. resolution", func(experiments.Scale) fmt.Stringer { return experiments.Table1() }},
-	{"table2", "avg RTT with bandwidth regulation", func(sc experiments.Scale) fmt.Stringer { return experiments.Table2(sc) }},
-	{"table3", "# of IW resets per scheduler (0.3/8.6)", func(sc experiments.Scale) fmt.Stringer { return experiments.Table3(sc) }},
-	{"table4", "wild web browsing averages", func(sc experiments.Scale) fmt.Stringer { return experiments.Table4(sc) }},
-	{"fig1", "ON-OFF download pattern", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure1(sc) }},
-	{"fig2", "default-scheduler bitrate-ratio heat map", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure2(sc) }},
-	{"fig3", "send-buffer occupancy trace (0.3/8.6)", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure3(sc) }},
-	{"fig5", "CDF of last-packet time differences", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure5(sc) }},
-	{"fig6", "throughput with/without CWND reset", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure6(sc) }},
-	{"fig7", "traffic split, default vs ideal", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure7(sc) }},
-	{"fig9", "bitrate-ratio heat maps for 4 schedulers", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure9(sc) }},
-	{"fig10", "traffic split: BLEST vs ECF vs ideal", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure10(sc) }},
-	{"fig11", "WiFi CWND traces per scheduler", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure11(sc) }},
-	{"fig12", "LTE CWND traces per scheduler", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure12(sc) }},
-	{"fig13", "OOO-delay CCDF, default scheduler", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure13(sc) }},
-	{"fig14", "OOO-delay CCDF per scheduler", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure14(sc) }},
-	{"fig15", "four-subflow bitrate ratios", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure15(sc) }},
-	{"fig16", "random bandwidth-change throughput", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure16(sc) }},
-	{"fig17", "per-chunk throughput trace", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure17(sc) }},
-	{"fig18", "wget completion times", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure18(sc) }},
-	{"fig19", "ECF/default wget ratio heat maps", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure19(sc) }},
-	{"fig20", "web object completion-time CCDFs", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure20(sc) }},
-	{"fig21", "web browsing OOO-delay CCDFs", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure21(sc) }},
-	{"fig22", "wild streaming: RTTs and throughput", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure22(sc) }},
-	{"fig23", "wild web: completion and OOO CCDFs", func(sc experiments.Scale) fmt.Stringer { return experiments.Figure23(sc) }},
-}
-
-// parseScale maps the -scale flag to a profile.
-func parseScale(name string) (experiments.Scale, bool) {
-	switch name {
-	case "full":
-		return experiments.Full, true
-	case "quick":
-		return experiments.Quick, true
-	default:
-		return experiments.Scale{}, false
-	}
-}
-
 // fail prints one clean message and exits 1 — operational failures
 // (unwritable cache dirs, store I/O, merge misses). Usage mistakes go
 // through failUsage instead.
@@ -224,7 +177,7 @@ func reportMissing(ses *results.Session, cacheDir, scaleName string) {
 // runExperiment executes one driver, converting *results.FatalError
 // panics (store I/O failures, merge misses) into errors for a clean
 // exit; any other panic propagates with its stack.
-func runExperiment(e experiment, sc experiments.Scale) (out fmt.Stringer, err error) {
+func runExperiment(e experiments.Experiment, sc experiments.Scale) (out fmt.Stringer, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			var fe *results.FatalError
@@ -235,13 +188,13 @@ func runExperiment(e experiment, sc experiments.Scale) (out fmt.Stringer, err er
 			panic(v)
 		}
 	}()
-	return e.run(sc), nil
+	return e.Run(sc), nil
 }
 
 // cachePrune implements -cache-prune: enumerate the active matrix (the
-// record groups a full catalog run at the given scale would read) by
+// cell families a full catalog run at the given scale would read) by
 // driving every driver through an enumerating session — no simulation,
-// no store reads — then delete the store's other groups. With
+// no store reads — then delete the store's other families. With
 // -older-than it additionally drops records inside the active matrix
 // that have not been rewritten within the given age. The audit half of
 // this lifecycle is -cache-stats.
@@ -254,12 +207,12 @@ func cachePrune(cacheDir string, sc experiments.Scale, olderThan time.Duration, 
 	if err != nil {
 		fail("%v", err)
 	}
-	keep := make(map[results.Group]bool)
-	for _, g := range experiments.EnumerateActive(sc) {
-		keep[g] = true
+	keep := make(map[results.Spec]bool)
+	for _, f := range experiments.EnumerateCells(sc) {
+		keep[f.Spec] = true
 	}
 	rep, err := store.Prune(results.PruneOptions{
-		Keep:      func(g results.Group) bool { return keep[g] },
+		Keep:      func(g results.Spec) bool { return keep[g] },
 		OlderThan: olderThan,
 		DryRun:    dryRun,
 	})
@@ -569,33 +522,81 @@ func (c cellCounts) String() string {
 	return s
 }
 
+// The command line; package-level so that startRun and its test read
+// the parsed flags directly.
+var (
+	expName   = flag.String("exp", "", "experiment to run (see -list), or \"all\"")
+	scale     = flag.String("scale", "full", "scale profile: full or quick")
+	list      = flag.Bool("list", false, "list experiments and exit")
+	jobs      = flag.Int("j", 0, "worker count for the simulation matrix (0 = GOMAXPROCS); results are identical for any value")
+	cacheDir  = flag.String("cache-dir", "", "persist per-cell results under this directory (created if missing); reruns serve unchanged cells from it")
+	shardStr  = flag.String("shard", "", "run only cells with index%n == i, given as \"i/n\" (requires -cache-dir; join shards with -merge)")
+	merge     = flag.Bool("merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
+	noCache   = flag.Bool("no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
+	stats     = flag.Bool("cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
+	prune     = flag.Bool("cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
+	olderThan = flag.Duration("older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
+	dryRun    = flag.Bool("dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
+	cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+	force     = flag.Bool("force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
+	traceCell = flag.String("trace-cell", "", "flight-record one simulation cell, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14); requires -exp and -trace-out")
+	traceOut  = flag.String("trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
+	decsOut   = flag.String("decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
+	reportOut = flag.String("report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
+	debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
+	progress  = flag.Bool("progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
+	joinAddr  = flag.String("join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
+	workerID  = flag.String("worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
+	cellTO    = flag.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
+)
+
+// outputs are a run's open profile and artifact destinations.
+type outputs struct {
+	stopProfiles             func()
+	trace, decisions, report *os.File
+}
+
+// startRun resolves -list, -exp and -scale, builds the session, and
+// only then opens the profile and artifact destinations under the
+// clobber guard — a refusal (or an unwritable path) still aborts before
+// hours of simulation, while a usage error (returned here, or exited on
+// inside newSession) never creates or truncates a file. exps is nil
+// when the command line asks for the experiment list instead, which
+// opens nothing either.
+func startRun() (exps []experiments.Experiment, sc experiments.Scale, out outputs, err error) {
+	if *list || *expName == "" {
+		return
+	}
+	sc, ok := experiments.ScaleByName(*scale)
+	if !ok {
+		err = fmt.Errorf("unknown scale %q (full|quick)", *scale)
+		return
+	}
+	if *expName == "all" {
+		exps = experiments.Catalog
+	} else if e, ok := experiments.ByName(*expName); ok {
+		exps = []experiments.Experiment{e}
+	} else {
+		err = fmt.Errorf("unknown experiment %q; use -list", *expName)
+		return
+	}
+	sc.Workers = *jobs
+	sc.Results = newSession(*cacheDir, *shardStr, *merge, *noCache, *cellTO)
+	out.stopProfiles = profiling(*cpuProf, *memProf, *force)
+	if *traceOut != "" {
+		out.trace = createProfile("-trace-out", *traceOut, *force)
+	}
+	if *decsOut != "" {
+		out.decisions = createProfile("-decisions-out", *decsOut, *force)
+	}
+	if *reportOut != "" {
+		out.report = createProfile("-report-json", *reportOut, *force)
+	}
+	return
+}
+
 func main() {
-	var (
-		expName   = flag.String("exp", "", "experiment to run (see -list), or \"all\"")
-		scale     = flag.String("scale", "full", "scale profile: full or quick")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		jobs      = flag.Int("j", 0, "worker count for the simulation matrix (0 = GOMAXPROCS); results are identical for any value")
-		cacheDir  = flag.String("cache-dir", "", "persist per-cell results under this directory (created if missing); reruns serve unchanged cells from it")
-		shardStr  = flag.String("shard", "", "run only cells with index%n == i, given as \"i/n\" (requires -cache-dir; join shards with -merge)")
-		merge     = flag.Bool("merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
-		noCache   = flag.Bool("no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
-		stats     = flag.Bool("cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
-		prune     = flag.Bool("cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
-		olderThan = flag.Duration("older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
-		dryRun    = flag.Bool("dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		force     = flag.Bool("force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
-		traceCell = flag.String("trace-cell", "", "flight-record one simulation cell, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14); requires -exp and -trace-out")
-		traceOut  = flag.String("trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
-		decsOut   = flag.String("decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
-		reportOut = flag.String("report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
-		progress  = flag.Bool("progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
-		joinAddr  = flag.String("join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
-		workerID  = flag.String("worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
-		cellTO    = flag.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
-	)
 	flag.Parse()
 
 	if *cellTO < 0 {
@@ -681,50 +682,31 @@ func main() {
 		if *expName != "" || *shardStr != "" || *merge || *noCache {
 			failUsage("-cache-prune runs alone (no -exp/-shard/-merge/-no-cache); the active matrix is the full catalog at the given -scale")
 		}
-		sc, ok := parseScale(*scale)
+		sc, ok := experiments.ScaleByName(*scale)
 		if !ok {
 			failUsage("unknown scale %q (full|quick)", *scale)
 		}
 		cachePrune(*cacheDir, sc, *olderThan, *dryRun)
 		return
 	}
-	stopProfiles := profiling(*cpuProf, *memProf, *force)
-	defer stopProfiles()
-
-	// Artifact destinations open up front under the same clobber guard
-	// as the profiles: a refusal (or an unwritable path) aborts before
-	// hours of simulation, not after.
-	var traceFile, decsFile, reportFile *os.File
-	if *traceOut != "" {
-		traceFile = createProfile("-trace-out", *traceOut, *force)
+	exps, sc, files, err := startRun()
+	if err != nil {
+		failUsage("%v", err)
 	}
-	if *decsOut != "" {
-		decsFile = createProfile("-decisions-out", *decsOut, *force)
-	}
-	if *reportOut != "" {
-		reportFile = createProfile("-report-json", *reportOut, *force)
-	}
-
-	if *list || *expName == "" {
-		names := make([]string, 0, len(catalog))
-		for _, e := range catalog {
-			names = append(names, fmt.Sprintf("  %-7s %s", e.name, e.desc))
+	if exps == nil {
+		names := make([]string, 0, len(experiments.Catalog))
+		for _, e := range experiments.Catalog {
+			names = append(names, fmt.Sprintf("  %-7s %s", e.Name, e.Desc))
 		}
 		sort.Strings(names)
 		fmt.Println("available experiments (-exp <name> | all):")
 		fmt.Println(strings.Join(names, "\n"))
-		if *expName == "" && !*list {
+		if !*list {
 			os.Exit(2)
 		}
 		return
 	}
-
-	sc, ok := parseScale(*scale)
-	if !ok {
-		failUsage("unknown scale %q (full|quick)", *scale)
-	}
-	sc.Workers = *jobs
-	sc.Results = newSession(*cacheDir, *shardStr, *merge, *noCache, *cellTO)
+	defer files.stopProfiles()
 	if *progress {
 		pp := &progressPrinter{}
 		sc.Progress = pp.note
@@ -749,7 +731,7 @@ func main() {
 	}
 	runStart := time.Now()
 
-	run := func(e experiment) {
+	run := func(e experiments.Experiment) {
 		cells0 := countCells(sc.Results)
 		p0, c0ev := sim.TotalEvents()
 		kinds0 := sim.TotalEventsByKind()
@@ -758,21 +740,21 @@ func main() {
 		start := time.Now()
 		out, err := runExperiment(e, sc)
 		if err != nil {
-			fail("%s: %v", e.name, err)
+			fail("%s: %v", e.Name, err)
 		}
 		sharded := sc.Results.Sharded()
 		var block string
 		if sharded {
 			// A shard pass fills the store; its result structures are
 			// partial, so the report is rendered by -merge instead.
-			block = fmt.Sprintf("=== %s (%s) — shard %s cached, render with -merge ===\n", e.name, e.desc, sc.Results.Shard)
+			block = fmt.Sprintf("=== %s (%s) — shard %s cached, render with -merge ===\n", e.Name, e.Desc, sc.Results.Shard)
 		} else if missed := sc.Results.MissingCount() - miss0; missed > 0 {
 			// A merge that found holes: the result structures are
 			// partial, so nothing is rendered for this experiment —
 			// the run ends with the full grouped hole report and exit 1.
-			fmt.Fprintf(os.Stderr, "ecfbench: %s: %d cells missing from the store; block suppressed\n", e.name, missed)
+			fmt.Fprintf(os.Stderr, "ecfbench: %s: %d cells missing from the store; block suppressed\n", e.Name, missed)
 		} else {
-			block = fmt.Sprintf("=== %s (%s) ===\n%s\n", e.name, e.desc, out)
+			block = fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, out)
 		}
 		if _, err := os.Stdout.WriteString(block); err != nil {
 			fail("writing stdout: %v", err)
@@ -785,8 +767,8 @@ func main() {
 			runHash.Write([]byte(block))
 			sum := sha256.Sum256([]byte(block))
 			er := obs.ExperimentReport{
-				Name:             e.name,
-				Description:      e.desc,
+				Name:             e.Name,
+				Description:      e.Desc,
 				WallClockMs:      float64(elapsed.Nanoseconds()) / 1e6,
 				CacheHits:        cells.memory + cells.store,
 				CacheComputed:    cells.computed,
@@ -802,28 +784,16 @@ func main() {
 			er.SetCellDurations(sc.Results.TakeCellDurations())
 			report.Experiments = append(report.Experiments, er)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %v, %v, %s\n", e.name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
+		fmt.Fprintf(os.Stderr, "%s: %v, %v, %s\n", e.Name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
 	}
 
+	for _, e := range exps {
+		run(e)
+	}
 	if *expName == "all" {
-		for _, e := range catalog {
-			run(e)
-		}
 		pAll, cAll := sim.TotalEvents()
-		fmt.Fprintf(os.Stderr, "all %d experiments: %v total, %v, %s\n", len(catalog), time.Since(runStart).Round(time.Millisecond),
+		fmt.Fprintf(os.Stderr, "all %d experiments: %v total, %v, %s\n", len(exps), time.Since(runStart).Round(time.Millisecond),
 			countCells(sc.Results), eventLine(pAll, cAll, netsim.TotalDelivered()))
-	} else {
-		found := false
-		for _, e := range catalog {
-			if e.name == *expName {
-				run(e)
-				found = true
-				break
-			}
-		}
-		if !found {
-			failUsage("unknown experiment %q; use -list", *expName)
-		}
 	}
 
 	if *merge && sc.Results.MissingCount() > 0 {
@@ -837,17 +807,17 @@ func main() {
 	fmt.Fprintf(os.Stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
 
 	if *traceCell != "" {
-		writeTrace(traceFile, decsFile)
+		writeTrace(files.trace, files.decisions)
 	}
 	if report != nil {
 		report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
 		report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
 		report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
 		report.Mem = obs.CaptureMemStats()
-		if err := report.Write(reportFile); err != nil {
+		if err := report.Write(files.report); err != nil {
 			fail("-report-json: %v", err)
 		}
-		if err := reportFile.Close(); err != nil {
+		if err := files.report.Close(); err != nil {
 			fail("-report-json: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "run report: %d experiments → %s\n", len(report.Experiments), *reportOut)

@@ -76,18 +76,6 @@ func main() {
 	}
 }
 
-// parseScale maps the -scale flag to a profile.
-func parseScale(name string) (experiments.Scale, bool) {
-	switch name {
-	case "full":
-		return experiments.Full, true
-	case "quick":
-		return experiments.Quick, true
-	default:
-		return experiments.Scale{}, false
-	}
-}
-
 // workList expands the enumerated cell families into the sweep's
 // stable, duplicate-free work list.
 func workList(sc experiments.Scale) []results.Key {
@@ -116,7 +104,7 @@ func serve(args []string) {
 	if *cacheDir == "" {
 		failUsage("serve requires -cache-dir (the sweep's store and resume state)")
 	}
-	sc, ok := parseScale(*scaleName)
+	sc, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
 		failUsage("unknown scale %q (full|quick)", *scaleName)
 	}

@@ -1,0 +1,106 @@
+package experiments
+
+import (
+	"fmt"
+
+	"repro/internal/results"
+)
+
+// Experiment is one named, runnable paper artifact.
+type Experiment struct {
+	// Name is the ecfbench -exp argument.
+	Name string
+	// Desc is the one-line description -list and the report headers print.
+	Desc string
+	// Run executes the driver and returns its printable result.
+	Run func(Scale) fmt.Stringer
+}
+
+// driver adapts a typed driver function to Experiment.Run.
+func driver[R fmt.Stringer](run func(Scale) R) func(Scale) fmt.Stringer {
+	return func(sc Scale) fmt.Stringer { return run(sc) }
+}
+
+// Catalog is every table and figure of the paper's evaluation, in the
+// order `ecfbench -exp all` prints them. It is the one list of drivers:
+// the harness, the enumerated work list, the join-mode worker pass and
+// this package's whole-catalog tests all range over it.
+var Catalog = []Experiment{
+	{"table1", "video bit rates vs. resolution", driver(func(Scale) *Table1Result { return Table1() })},
+	{"table2", "avg RTT with bandwidth regulation", driver(Table2)},
+	{"table3", "# of IW resets per scheduler (0.3/8.6)", driver(Table3)},
+	{"table4", "wild web browsing averages", driver(Table4)},
+	{"fig1", "ON-OFF download pattern", driver(Figure1)},
+	{"fig2", "default-scheduler bitrate-ratio heat map", driver(Figure2)},
+	{"fig3", "send-buffer occupancy trace (0.3/8.6)", driver(Figure3)},
+	{"fig5", "CDF of last-packet time differences", driver(Figure5)},
+	{"fig6", "throughput with/without CWND reset", driver(Figure6)},
+	{"fig7", "traffic split, default vs ideal", driver(Figure7)},
+	{"fig9", "bitrate-ratio heat maps for 4 schedulers", driver(Figure9)},
+	{"fig10", "traffic split: BLEST vs ECF vs ideal", driver(Figure10)},
+	{"fig11", "WiFi CWND traces per scheduler", driver(Figure11)},
+	{"fig12", "LTE CWND traces per scheduler", driver(Figure12)},
+	{"fig13", "OOO-delay CCDF, default scheduler", driver(Figure13)},
+	{"fig14", "OOO-delay CCDF per scheduler", driver(Figure14)},
+	{"fig15", "four-subflow bitrate ratios", driver(Figure15)},
+	{"fig16", "random bandwidth-change throughput", driver(Figure16)},
+	{"fig17", "per-chunk throughput trace", driver(Figure17)},
+	{"fig18", "wget completion times", driver(Figure18)},
+	{"fig19", "ECF/default wget ratio heat maps", driver(Figure19)},
+	{"fig20", "web object completion-time CCDFs", driver(Figure20)},
+	{"fig21", "web browsing OOO-delay CCDFs", driver(Figure21)},
+	{"fig22", "wild streaming: RTTs and throughput", driver(Figure22)},
+	{"fig23", "wild web: completion and OOO CCDFs", driver(Figure23)},
+}
+
+// ByName looks an experiment up by its Catalog name.
+func ByName(name string) (Experiment, bool) {
+	for _, e := range Catalog {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// ScaleByName maps a -scale flag value ("full" or "quick") to its
+// profile.
+func ScaleByName(name string) (Scale, bool) {
+	switch name {
+	case "full":
+		return Full, true
+	case "quick":
+		return Quick, true
+	default:
+		return Scale{}, false
+	}
+}
+
+// EnumerateCells returns the full cell work list of a catalog run at
+// the given scale — one (spec, cell count) entry per record family —
+// without simulating anything: every driver runs under an enumerating
+// session, which notes each cell's spec and skips the cell. Because the
+// specs come from the same code paths a real run uses, the result
+// cannot drift from the drivers. Expanding each family through Spec.Key
+// yields every cell key exactly once: the work list a sweep coordinator
+// (cmd/ecfd) hands out as leases, and its specs are the active matrix
+// that ecfbench -cache-prune keeps.
+func EnumerateCells(sc Scale) []results.CellFamily {
+	ses := &results.Session{Enumerate: true}
+	sc.Results = ses
+	sc.Workers = 1 // enumerate jobs are no-ops; skip the pool fan-out
+	RunCatalog(sc)
+	return ses.ActiveCellFamilies()
+}
+
+// RunCatalog runs every driver in the catalog for its side effects on
+// sc.Results, discarding the rendered reports — the join-mode worker
+// pass: under a session whose Claims gate covers the worker's leased
+// cells, exactly those cells are computed and uploaded, everything
+// else is skipped, and the partially-filled result structures are
+// never rendered.
+func RunCatalog(sc Scale) {
+	for _, e := range Catalog {
+		e.Run(sc)
+	}
+}

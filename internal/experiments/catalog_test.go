@@ -1,0 +1,54 @@
+package experiments
+
+import (
+	"fmt"
+	"testing"
+)
+
+// splitName splits "table3" or "fig14" into kind and number.
+func splitName(name string) (kind string, n int) {
+	for _, k := range []string{"table", "fig"} {
+		if _, err := fmt.Sscanf(name, k+"%d", &n); err == nil && name == fmt.Sprint(k, n) {
+			return k, n
+		}
+	}
+	return "", 0
+}
+
+// TestCatalogNamesAndOrder pins what ecfbench -list, -exp and -exp all
+// take from the one table: every entry is complete and resolves by its
+// name, and the order is the paper's — Tables 1–4, then the figures by
+// ascending number up to Figure 23 (ascending within a kind also makes
+// the names unique). That the cells EnumerateCells lists are exactly
+// the cells a run over the same table computes is
+// TestCatalogStoreShape's family-by-family comparison.
+func TestCatalogNamesAndOrder(t *testing.T) {
+	if len(Catalog) != 25 {
+		t.Fatalf("Catalog has %d entries, want the paper's 25 tables and figures", len(Catalog))
+	}
+	prevKind, prevN := "table", 0
+	for i, e := range Catalog {
+		if e.Desc == "" || e.Run == nil {
+			t.Errorf("entry %d (%q) is missing its description or driver", i, e.Name)
+		}
+		if got, ok := ByName(e.Name); !ok || got.Name != e.Name || got.Desc != e.Desc {
+			t.Errorf("ByName(%q) = %+v, %v; want entry %d", e.Name, got, ok, i)
+		}
+		kind, n := splitName(e.Name)
+		switch {
+		case kind == "":
+			t.Fatalf("entry %d is named %q, want table<N> or fig<N>", i, e.Name)
+		case kind == prevKind && n <= prevN:
+			t.Fatalf("entry %d is %q after %s%d; want ascending numbers", i, e.Name, prevKind, prevN)
+		case kind != prevKind && (kind != "fig" || prevN != 4):
+			t.Fatalf("entry %d is %q after %s%d; want the figures after Table 4", i, e.Name, prevKind, prevN)
+		}
+		prevKind, prevN = kind, n
+	}
+	if prevKind != "fig" || prevN != 23 {
+		t.Fatalf("Catalog ends at %s%d, want fig23", prevKind, prevN)
+	}
+	if _, ok := ByName("all"); ok {
+		t.Error(`"all" resolves to an experiment; ecfbench reserves it for the whole catalog`)
+	}
+}

@@ -6,12 +6,13 @@ import (
 	"repro/internal/results"
 )
 
-// TestEnumerateActiveCoversColdStoreGroups is the anti-drift guard for
-// -cache-prune: every group a real (cold, cached) run writes must be in
-// the enumerated active matrix for the same scale, or prune would
-// delete live records. A couple of cheap drivers stand in for the
-// catalog — the enumerated set itself is produced by running all of it.
-func TestEnumerateActiveCoversColdStoreGroups(t *testing.T) {
+// TestEnumerateCellsCoversColdStoreGroups is the anti-drift guard for
+// -cache-prune at a scale other than Quick: every group a real (cold,
+// cached) run writes must be in the enumerated matrix for the same
+// scale, or prune would delete live records. A couple of cheap drivers
+// stand in for the catalog — the enumerated set itself is produced by
+// running all of it (TestCatalogStoreShape compares the whole catalog).
+func TestEnumerateCellsCoversColdStoreGroups(t *testing.T) {
 	sc := Scale{
 		VideoSec:        5,
 		GridVideoSec:    5,
@@ -30,12 +31,12 @@ func TestEnumerateActiveCoversColdStoreGroups(t *testing.T) {
 		t.Fatal("cold pass computed nothing; test is vacuous")
 	}
 
-	active := make(map[results.Group]bool)
-	for _, g := range EnumerateActive(sc) {
-		active[g] = true
+	active := make(map[results.Spec]bool)
+	for _, f := range EnumerateCells(sc) {
+		active[f.Spec] = true
 	}
 	if len(active) == 0 {
-		t.Fatal("EnumerateActive returned nothing")
+		t.Fatal("EnumerateCells returned nothing")
 	}
 
 	store, err := results.OpenRead(dir)
@@ -50,15 +51,14 @@ func TestEnumerateActiveCoversColdStoreGroups(t *testing.T) {
 		t.Fatal("cold store is empty; test is vacuous")
 	}
 	for _, line := range audit.Lines {
-		g := results.Group{Experiment: line.Experiment, Scale: line.Scale, Schema: line.Schema}
-		if !active[g] {
-			t.Errorf("group %+v written by a real run is missing from the active matrix (prune would delete it)", g)
+		if !active[line.Spec] {
+			t.Errorf("group %+v written by a real run is missing from the active matrix (prune would delete it)", line.Spec)
 		}
 	}
 
 	// And the matrix actually discriminates: a stale group must not be
 	// covered.
-	if active[results.Group{Experiment: "fig16", Scale: "rd999,rs9", Schema: 2}] {
+	if active[results.Spec{Experiment: "fig16", Scale: "rd999,rs9", Schema: 2}] {
 		t.Error("active matrix covers a scale that was never enumerated")
 	}
 }

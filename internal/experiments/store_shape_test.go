@@ -34,8 +34,8 @@ func renderDelayDrivers(sc Scale) string {
 // renderCatalog renders every driver's report, in catalog order.
 func renderCatalog(sc Scale) string {
 	var b strings.Builder
-	for _, run := range allDrivers {
-		b.WriteString(run(sc).String())
+	for _, e := range Catalog {
+		b.WriteString(e.Run(sc).String())
 	}
 	return b.String()
 }
@@ -74,7 +74,8 @@ func TestCatalogSharesRecordsWithinOneRun(t *testing.T) {
 // TestCatalogStoreShape pins what a catalog run leaves in the store and
 // that it reads back exactly: a second pass is all hits and renders the
 // delay reports byte-identically to the pass that computed them; the
-// stored groups are the active matrix -cache-prune keeps (Figures 5 and
+// stored families are, cell for cell, the matrix EnumerateCells lists —
+// what -cache-prune keeps and ecfd leases out (Figures 5 and
 // 13 read the "ooo" families and Figures 3, 11 and 12 the "sampled"
 // one, so no group is named after any of them); and neither the store
 // nor its largest record outgrows the packed form.
@@ -111,21 +112,20 @@ func TestCatalogStoreShape(t *testing.T) {
 	if _, computed := cold.Results.Stats(); audit.Unreadable != 0 || int64(audit.Records) != computed {
 		t.Fatalf("store holds %d records (%d unreadable) for %d computed cells", audit.Records, audit.Unreadable, computed)
 	}
-	stored := make(map[results.Group]bool)
+	stored := make(map[results.Spec]int)
 	families := make(map[string]int)
 	for _, line := range audit.Lines {
-		stored[results.Group{Experiment: line.Experiment, Scale: line.Scale, Schema: line.Schema}] = true
+		stored[line.Spec] = line.Records
 		families[line.Experiment] += line.Records
 	}
-	active := EnumerateActive(Quick)
-	for _, g := range active {
-		if !stored[g] {
-			t.Errorf("active group %+v has no records after a full catalog run", g)
+	for _, f := range EnumerateCells(Quick) {
+		if stored[f.Spec] != f.Cells {
+			t.Errorf("family %+v holds %d records after a full catalog run; EnumerateCells lists %d cells", f.Spec, stored[f.Spec], f.Cells)
 		}
-		delete(stored, g)
+		delete(stored, f.Spec)
 	}
 	for g := range stored {
-		t.Errorf("stored group %+v is not in the active matrix (prune would delete it)", g)
+		t.Errorf("stored family %+v is not in the enumerated matrix (prune would delete it)", g)
 	}
 	for _, fam := range []string{"fig3", "fig5", "fig11", "fig12", "fig13", "cwnd/sf0", "cwnd/sf1"} {
 		if families[fam] != 0 {

@@ -27,12 +27,14 @@
 //     (outside the simulation, once per cell); with no target set it is
 //     the atomic load alone.
 //
-// The contract is enforced, not aspirational: cmd/benchguard pins
-// ns/op, allocs/op and events/op ceilings on the engine, link and
-// subflow hot paths with this package compiled in, and
-// core.TestSteadyStateAllocsPerCell pins ~0 allocations per simulation
-// cell. Recording, when enabled, may allocate freely (ring snapshots,
-// candidate-set copies) — tracing is a debugging mode, and a traced
+// The contract is enforced, not aspirational: with this package
+// compiled in, the steady-state tests of internal/sim, netsim and tcp
+// pin 0 allocations and exact event counts on the engine, link and
+// subflow hot paths, and core.TestSteadyStateAllocsPerCell pins a whole
+// simulation cell at 0 allocations and 1811 events; time is the
+// ledger's (sim.ns_per_event, netsim.ns_per_pkt, core.cell_setup_us in
+// benchmark/). Recording, when enabled, may allocate freely (ring
+// snapshots, candidate-set copies) — tracing is a debugging mode, and a traced
 // cell's simulation output is still byte-identical to an untraced run
 // (the instrumentation only observes; the golden-output tests in
 // internal/experiments pin this too).

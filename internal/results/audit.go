@@ -7,15 +7,11 @@ import (
 	"sort"
 )
 
-// AuditLine summarizes the records one (experiment, scale, schema) group
-// occupies in a store — the unit at which cache entries become stale
-// (a schema bump or scale change strands the whole group).
+// AuditLine summarizes the records one cell family occupies in a store.
 type AuditLine struct {
-	Experiment string
-	Scale      string
-	Schema     int
-	Records    int
-	Bytes      int64
+	Spec
+	Records int
+	Bytes   int64
 }
 
 // AuditReport is the result of walking a store.
@@ -40,12 +36,7 @@ func (s *Store) Audit() (*AuditReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	type group struct {
-		exp    string
-		scale  string
-		schema int
-	}
-	groups := make(map[group]*AuditLine)
+	groups := make(map[Spec]*AuditLine)
 	rep := &AuditReport{}
 	for _, dir := range entries {
 		if !dir.IsDir() {
@@ -70,10 +61,10 @@ func (s *Store) Audit() (*AuditReport, error) {
 				rep.Unreadable++
 				continue
 			}
-			g := group{env.Key.Experiment, env.Key.Scale, env.Key.Schema}
+			g := env.Key.spec()
 			line := groups[g]
 			if line == nil {
-				line = &AuditLine{Experiment: g.exp, Scale: g.scale, Schema: g.schema}
+				line = &AuditLine{Spec: g}
 				groups[g] = line
 			}
 			line.Records++
@@ -82,18 +73,16 @@ func (s *Store) Audit() (*AuditReport, error) {
 			rep.Bytes += int64(len(raw))
 		}
 	}
-	for _, line := range groups {
-		rep.Lines = append(rep.Lines, *line)
-	}
-	sort.Slice(rep.Lines, func(i, j int) bool {
-		a, b := rep.Lines[i], rep.Lines[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		return a.Schema < b.Schema
-	})
+	rep.Lines = sortedLines(groups)
 	return rep, nil
+}
+
+// sortedLines flattens a per-family tally into audit order.
+func sortedLines(m map[Spec]*AuditLine) []AuditLine {
+	var out []AuditLine
+	for _, line := range m {
+		out = append(out, *line)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Spec.less(out[j].Spec) })
+	return out
 }

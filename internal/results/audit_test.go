@@ -42,16 +42,16 @@ func TestAuditGroupsAndTotals(t *testing.T) {
 		t.Fatalf("Bytes = %d, want > 0", rep.Bytes)
 	}
 	want := []AuditLine{
-		{Experiment: "fig16", Scale: "rd80,rs3", Schema: 1, Records: 1},
-		{Experiment: "grid/ecf", Scale: "gv30", Schema: 2, Records: 2},
-		{Experiment: "grid/ecf", Scale: "gv90", Schema: 2, Records: 1},
+		{Spec: Spec{Experiment: "fig16", Scale: "rd80,rs3", Schema: 1}, Records: 1},
+		{Spec: Spec{Experiment: "grid/ecf", Scale: "gv30", Schema: 2}, Records: 2},
+		{Spec: Spec{Experiment: "grid/ecf", Scale: "gv90", Schema: 2}, Records: 1},
 	}
 	if len(rep.Lines) != len(want) {
 		t.Fatalf("got %d lines, want %d: %+v", len(rep.Lines), len(want), rep.Lines)
 	}
 	for i, w := range want {
 		g := rep.Lines[i]
-		if g.Experiment != w.Experiment || g.Scale != w.Scale || g.Schema != w.Schema || g.Records != w.Records {
+		if g.Spec != w.Spec || g.Records != w.Records {
 			t.Fatalf("line %d = %+v, want %+v (bytes aside)", i, g, w)
 		}
 	}

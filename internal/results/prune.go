@@ -4,17 +4,16 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
 // PruneOptions parameterizes a Prune pass.
 type PruneOptions struct {
-	// Keep reports whether a record group belongs to the active matrix.
-	// Records of rejected groups are always deleted. A nil Keep treats
-	// every group as active — the age-only form: Prune(PruneOptions{
+	// Keep reports whether a cell family belongs to the active matrix.
+	// Records of rejected families are always deleted. A nil Keep treats
+	// every family as active — the age-only form: Prune(PruneOptions{
 	// OlderThan: ...}) deletes nothing but out-aged records.
-	Keep func(Group) bool
+	Keep func(Spec) bool
 	// OlderThan, when positive, additionally deletes records *inside*
 	// the active matrix whose file modification time is older than
 	// Now-OlderThan — the age-based variant that bounds store growth
@@ -98,7 +97,7 @@ func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
 	}
 	keep := opts.Keep
 	if keep == nil {
-		keep = func(Group) bool { return true }
+		keep = func(Spec) bool { return true }
 	}
 	cutoff := time.Time{}
 	if opts.OlderThan > 0 {
@@ -108,8 +107,8 @@ func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
 		}
 		cutoff = now.Add(-opts.OlderThan)
 	}
-	deleted := make(map[Group]*AuditLine)
-	aged := make(map[Group]*AuditLine)
+	deleted := make(map[Spec]*AuditLine)
+	aged := make(map[Spec]*AuditLine)
 	rep := &PruneReport{}
 	for _, dir := range entries {
 		if !dir.IsDir() {
@@ -136,7 +135,7 @@ func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
 				rep.Unreadable++
 				continue
 			}
-			g := Group{Experiment: env.Key.Experiment, Scale: env.Key.Scale, Schema: env.Key.Schema}
+			g := env.Key.spec()
 			lines := deleted
 			if keep(g) {
 				tooOld := false
@@ -160,7 +159,7 @@ func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
 			}
 			line := lines[g]
 			if line == nil {
-				line = &AuditLine{Experiment: g.Experiment, Scale: g.Scale, Schema: g.Schema}
+				line = &AuditLine{Spec: g}
 				lines[g] = line
 			}
 			line.Records++
@@ -176,23 +175,4 @@ func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
 	rep.Deleted = sortedLines(deleted)
 	rep.Aged = sortedLines(aged)
 	return rep, nil
-}
-
-// sortedLines flattens a per-group tally into audit order.
-func sortedLines(m map[Group]*AuditLine) []AuditLine {
-	var out []AuditLine
-	for _, line := range m {
-		out = append(out, *line)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		return a.Schema < b.Schema
-	})
-	return out
 }

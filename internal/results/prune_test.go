@@ -29,11 +29,11 @@ func TestPruneDeletesOnlyRejectedGroups(t *testing.T) {
 	prunePut(t, st, "fig16", "rd80,rs3", 1, 0)
 	prunePut(t, st, "oldexp", "v60", 1, 0) // stale experiment
 
-	active := map[Group]bool{
+	active := map[Spec]bool{
 		{Experiment: "grid/ecf", Scale: "gv30", Schema: 2}:  true,
 		{Experiment: "fig16", Scale: "rd80,rs3", Schema: 1}: true,
 	}
-	keep := func(g Group) bool { return active[g] }
+	keep := func(g Spec) bool { return active[g] }
 
 	// Dry run: full report, nothing removed.
 	rep, err := st.Prune(PruneOptions{Keep: keep, DryRun: true})
@@ -66,7 +66,7 @@ func TestPruneDeletesOnlyRejectedGroups(t *testing.T) {
 		t.Fatalf("%d records left, want 3", audit.Records)
 	}
 	for _, line := range audit.Lines {
-		if !active[Group{Experiment: line.Experiment, Scale: line.Scale, Schema: line.Schema}] {
+		if !active[line.Spec] {
 			t.Fatalf("stale group %+v survived the prune", line)
 		}
 	}
@@ -110,12 +110,12 @@ func TestPruneOlderThanAgesOutActiveMatrixRecords(t *testing.T) {
 	now := time.Now()
 	backdate(t, dir, "fig16", now.Add(-48*time.Hour))
 
-	active := map[Group]bool{
+	active := map[Spec]bool{
 		{Experiment: "grid/ecf", Scale: "gv30", Schema: 2}:  true,
 		{Experiment: "fig16", Scale: "rd80,rs3", Schema: 1}: true,
 	}
 	opts := PruneOptions{
-		Keep:      func(g Group) bool { return active[g] },
+		Keep:      func(g Spec) bool { return active[g] },
 		OlderThan: 24 * time.Hour,
 		Now:       now,
 		DryRun:    true,
@@ -197,7 +197,7 @@ func TestPruneOlderThanZeroKeepsEverythingInMatrix(t *testing.T) {
 	}
 	prunePut(t, st, "fig16", "rd80,rs3", 1, 0)
 	backdate(t, dir, "fig16", time.Now().Add(-1000*time.Hour))
-	rep, err := st.Prune(PruneOptions{Keep: func(Group) bool { return true }})
+	rep, err := st.Prune(PruneOptions{Keep: func(Spec) bool { return true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPruneLeavesUnreadableFilesInPlace(t *testing.T) {
 	if err := os.WriteFile(trunc, []byte("{trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := st.Prune(PruneOptions{Keep: func(Group) bool { return false }})
+	rep, err := st.Prune(PruneOptions{Keep: func(Spec) bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestEnumerateSessionRecordsGroupsWithoutComputing(t *testing.T) {
 	if computed != 0 {
 		t.Fatalf("enumerate mode executed compute/collect %d times", computed)
 	}
-	groups := ses.ActiveGroups()
-	if len(groups) != 1 || groups[0] != (Group{Experiment: "e", Scale: "v60", Schema: 3}) {
-		t.Fatalf("ActiveGroups = %+v", groups)
+	fams := ses.ActiveCellFamilies()
+	if len(fams) != 1 || fams[0] != (CellFamily{Spec: spec, Cells: 1}) {
+		t.Fatalf("ActiveCellFamilies = %+v", fams)
 	}
 }

@@ -71,7 +71,9 @@ import (
 )
 
 // Spec identifies one family of cells: a sub-experiment whose cell
-// index fully determines the cell's parameters.
+// index fully determines the cell's parameters. It is also the
+// granularity at which cache entries go stale together: a schema bump
+// or scale change strands the whole family.
 type Spec struct {
 	// Experiment names the cell family (e.g. "grid/ecf", "fig16").
 	// Drivers that share cells use the same name and get each other's
@@ -93,12 +95,29 @@ func (s Spec) key(cell int) Key {
 	return Key{Experiment: s.Experiment, Cell: cell, Schema: s.Schema, Scale: s.Scale}
 }
 
+// less orders specs by (experiment, scale, schema) — the order every
+// listing of families, audit lines and missing cells uses.
+func (s Spec) less(o Spec) bool {
+	if s.Experiment != o.Experiment {
+		return s.Experiment < o.Experiment
+	}
+	if s.Scale != o.Scale {
+		return s.Scale < o.Scale
+	}
+	return s.Schema < o.Schema
+}
+
 // Key identifies one cell's record in the store.
 type Key struct {
 	Experiment string `json:"experiment"`
 	Cell       int    `json:"cell"`
 	Schema     int    `json:"schema"`
 	Scale      string `json:"scale"`
+}
+
+// spec returns the family the key's cell belongs to.
+func (k Key) spec() Spec {
+	return Spec{Experiment: k.Experiment, Schema: k.Schema, Scale: k.Scale}
 }
 
 // hash returns the record's content address: a 128-bit hex digest over
@@ -153,15 +172,6 @@ func (sh Shard) String() string {
 		return "full"
 	}
 	return fmt.Sprintf("%d/%d", sh.Index, sh.Count)
-}
-
-// Group identifies one (experiment, scale, schema) family of records —
-// the granularity at which cache entries go stale together: a schema
-// bump or scale change strands the whole group.
-type Group struct {
-	Experiment string
-	Scale      string
-	Schema     int
 }
 
 // Sink receives computed (or cache-served) cell records in addition to
@@ -223,12 +233,12 @@ type Session struct {
 	// or surrender its lease can afford. Zero preserves the default:
 	// no deadline.
 	CellTimeout time.Duration
-	// Enumerate records which record groups the run would touch without
+	// Enumerate records which cell families the run would touch without
 	// reading or computing anything: every cell is skipped after noting
 	// its spec. Driving the full experiment catalog through an
 	// enumerating session yields the active matrix — the ground truth
-	// -cache-prune keeps (derived from the very code paths that build
-	// the specs, so it cannot drift from the drivers).
+	// -cache-prune keeps and ecfd leases out (derived from the very code
+	// paths that build the specs, so it cannot drift from the drivers).
 	Enumerate bool
 
 	memoHits  atomic.Int64
@@ -243,28 +253,24 @@ type Session struct {
 	durMu    sync.Mutex
 	cellDurs []time.Duration
 
-	activeMu sync.Mutex
-	active   map[Group]struct{}
-	cells    map[Spec]int
+	cellsMu sync.Mutex
+	cells   map[Spec]int
 
 	missMu  sync.Mutex
 	missing map[Key]struct{}
 }
 
-// noteCell records one cell's spec during an enumerating run: its group
-// and the family's cell count (the highest index seen plus one).
+// noteCell records one cell's spec during an enumerating run: the
+// family's cell count is the highest index seen plus one.
 func (s *Session) noteCell(spec Spec, i int) {
-	g := Group{Experiment: spec.Experiment, Scale: spec.Scale, Schema: spec.Schema}
-	s.activeMu.Lock()
-	if s.active == nil {
-		s.active = make(map[Group]struct{})
+	s.cellsMu.Lock()
+	if s.cells == nil {
 		s.cells = make(map[Spec]int)
 	}
-	s.active[g] = struct{}{}
 	if i+1 > s.cells[spec] {
 		s.cells[spec] = i + 1
 	}
-	s.activeMu.Unlock()
+	s.cellsMu.Unlock()
 }
 
 // noteMissing records a merge miss under CollectMisses.
@@ -291,17 +297,10 @@ func (s *Session) MissingCells() []Key {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
+		if a, b := out[i].spec(), out[j].spec(); a != b {
+			return a.less(b)
 		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		if a.Schema != b.Schema {
-			return a.Schema < b.Schema
-		}
-		return a.Cell < b.Cell
+		return out[i].Cell < out[j].Cell
 	})
 	return out
 }
@@ -318,28 +317,6 @@ func (s *Session) MissingCount() int {
 	return len(s.missing)
 }
 
-// ActiveGroups returns the record groups noted by an enumerating run,
-// sorted by (experiment, scale, schema).
-func (s *Session) ActiveGroups() []Group {
-	s.activeMu.Lock()
-	defer s.activeMu.Unlock()
-	out := make([]Group, 0, len(s.active))
-	for g := range s.active {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		return a.Schema < b.Schema
-	})
-	return out
-}
-
 // CellFamily pairs one spec with its cell count — one entry of the
 // enumerated work list a sweep coordinator hands out as leases.
 type CellFamily struct {
@@ -352,22 +329,13 @@ type CellFamily struct {
 // each family's cells 0..Cells-1 through Spec.Key yields the complete,
 // stable cell work list of a catalog run at the enumerated scale.
 func (s *Session) ActiveCellFamilies() []CellFamily {
-	s.activeMu.Lock()
-	defer s.activeMu.Unlock()
+	s.cellsMu.Lock()
+	defer s.cellsMu.Unlock()
 	out := make([]CellFamily, 0, len(s.cells))
 	for spec, n := range s.cells {
 		out = append(out, CellFamily{Spec: spec, Cells: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Spec, out[j].Spec
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Scale != b.Scale {
-			return a.Scale < b.Scale
-		}
-		return a.Schema < b.Schema
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Spec.less(out[j].Spec) })
 	return out
 }
 

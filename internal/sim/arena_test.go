@@ -280,22 +280,23 @@ func (h *refHeap) Pop() any {
 
 // TestSteadyStateSchedulingAllocates0 pins the arena contract: once the
 // heap and arena are warm, closure-free scheduling and firing allocate
-// nothing.
+// nothing, and every scheduled event is dispatched exactly once.
 func TestSteadyStateSchedulingAllocates0(t *testing.T) {
 	e := New()
-	// Warm the arena/heap to the working-set size.
-	for i := 0; i < 64; i++ {
-		e.ScheduleEvent(time.Duration(i)*time.Millisecond, kindTestNop, nil)
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(100, func() {
+	cycle := func() {
 		for i := 0; i < 64; i++ {
 			e.ScheduleEvent(time.Duration(i)*time.Millisecond, kindTestNop, nil)
 		}
 		e.Run()
-	})
-	if avg != 0 {
+	}
+	cycle() // warm the arena/heap to the working-set size
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
 		t.Fatalf("steady-state schedule+run allocates %v per cycle, want 0", avg)
+	}
+	// The warm-up, AllocsPerRun's own, and the measured cycles.
+	if got := e.Processed() + e.Coalesced(); got != 64*(runs+2) {
+		t.Fatalf("%d events dispatched for %d scheduled", got, 64*(runs+2))
 	}
 }
 

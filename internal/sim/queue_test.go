@@ -261,40 +261,67 @@ func FuzzQueueOrdering(f *testing.F) {
 	})
 }
 
-// BenchmarkEventQueueChurn runs a mixed workload at several standing
-// depths: a rotating pool of timers where each dispatch schedules a
-// successor, and one in eight events is cancelled and rescheduled near
-// (arm/cancel churn) and one in eight far in the future. ns/op is per
-// event dispatched.
+// churnEngine builds the mixed workload of BenchmarkEventQueueChurn at
+// one standing depth: a rotating pool of timers where each dispatch
+// schedules a successor, and one in eight events is cancelled and
+// rescheduled near (arm/cancel churn) and one in eight far in the
+// future. Each Step dispatches one event.
+func churnEngine(depth int) *Engine {
+	e := New()
+	rng := NewRNG(7)
+	var step func()
+	victim := Timer{}
+	n := 0
+	step = func() {
+		n++
+		gap := Time(50_000 + rng.Intn(4_000_000)) // 50µs..4ms
+		switch n % 8 {
+		case 3:
+			victim.Cancel()
+			victim = e.At(e.Now()+Time(128<<24), func() {}) // ~2.1s out
+		case 5:
+			victim.Cancel()
+			victim = e.At(e.Now()+gap, func() {})
+		}
+		e.Schedule(gap, step)
+	}
+	for i := 0; i < depth; i++ {
+		e.At(Time(rng.Intn(4_000_000)), step)
+	}
+	return e
+}
+
+var churnDepths = []int{8, 64, 512}
+
+// BenchmarkEventQueueChurn reports ns per event dispatched under
+// churnEngine's workload.
 func BenchmarkEventQueueChurn(b *testing.B) {
-	for _, depth := range []int{8, 64, 512} {
+	for _, depth := range churnDepths {
 		b.Run(fmt.Sprintf("heap/depth%d", depth), func(b *testing.B) {
-			e := New()
-			rng := NewRNG(7)
-			var step func()
-			victim := Timer{}
-			n := 0
-			step = func() {
-				n++
-				gap := Time(50_000 + rng.Intn(4_000_000)) // 50µs..4ms
-				switch n % 8 {
-				case 3:
-					victim.Cancel()
-					victim = e.At(e.Now()+Time(128<<24), func() {}) // ~2.1s out
-				case 5:
-					victim.Cancel()
-					victim = e.At(e.Now()+gap, func() {})
-				}
-				e.Schedule(gap, step)
-			}
-			for i := 0; i < depth; i++ {
-				e.At(Time(rng.Intn(4_000_000)), step)
-			}
+			e := churnEngine(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.Step()
 			}
 		})
+	}
+}
+
+// TestQueueChurnAllocates0 pins the heap under schedule/cancel churn at
+// every benchmarked depth: once the arena has grown to the standing
+// depth, dispatching allocates nothing.
+func TestQueueChurnAllocates0(t *testing.T) {
+	for _, depth := range churnDepths {
+		e := churnEngine(depth)
+		steps := func() {
+			for i := 0; i < 1000; i++ {
+				e.Step()
+			}
+		}
+		steps() // warm the arena and heap
+		if avg := testing.AllocsPerRun(20, steps); avg != 0 {
+			t.Errorf("depth %d: %v allocations per 1000 events dispatched, want 0", depth, avg)
+		}
 	}
 }
