@@ -1,7 +1,7 @@
 // Package core is the public facade of the reproduction: it assembles
 // network paths, MPTCP connections, congestion control and a path
-// scheduler into a runnable simulation. Examples, command-line tools and
-// the experiment drivers all build on this package.
+// scheduler into a runnable simulation. The experiment drivers build on
+// this package.
 //
 // A minimal session:
 //
@@ -144,8 +144,8 @@ type Network struct {
 	conns     []connSlot
 	freeConns []*mptcp.Conn
 	// freeScheds and freeCtrls are keyed by registry name — the request
-	// key, not the instance's Name(), so e.g. "wifi-only" and
-	// "lte-only" (both SinglePath) never mix.
+	// key, not the instance's Name(), so e.g. a pooled "wifi-only"
+	// (a SinglePath) is only ever handed out as "wifi-only".
 	freeScheds map[string][]mptcp.Scheduler
 	freeCtrls  map[string][]cc.Controller
 
@@ -157,9 +157,8 @@ type Network struct {
 	closed bool
 }
 
-// netPool recycles whole networks across simulation cells, the same way
-// sim's engine pool recycles engines — one warm object graph per
-// worker, not one per cell.
+// netPool recycles whole networks across simulation cells — one warm
+// object graph per worker, not one per cell.
 var netPool = sync.Pool{New: func() any { return &Network{} }}
 
 // NewNetwork builds the topology on a pooled network: the engine,
@@ -174,7 +173,7 @@ func NewNetwork(specs []PathSpec) *Network {
 	if n.eng == nil {
 		// The engine is built once per pooled network and rides inside
 		// it for the network's whole pool lifetime (Close resets it in
-		// place), so the sim engine pool is not involved here.
+		// place).
 		n.eng = sim.New()
 		n.freeScheds = make(map[string][]mptcp.Scheduler)
 		n.freeCtrls = make(map[string][]cc.Controller)
@@ -458,8 +457,6 @@ func (n *Network) takeController(name string) cc.Controller {
 		return cc.NewLIA()
 	case "olia":
 		return cc.NewOLIA()
-	case "balia":
-		return cc.NewBALIA()
 	case "reno":
 		return cc.NewReno()
 	default:

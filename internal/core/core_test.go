@@ -74,7 +74,7 @@ func TestNewConnAllSchedulers(t *testing.T) {
 }
 
 func TestNewConnAllControllers(t *testing.T) {
-	for _, ccName := range []string{"lia", "olia", "balia", "reno"} {
+	for _, ccName := range []string{"lia", "olia", "reno"} {
 		net := NewNetwork(DefaultPaths(5, 5))
 		conn := net.NewConn(ConnOptions{Scheduler: "ecf", CongestionControl: ccName})
 		done := false

@@ -9,53 +9,6 @@ type ABR interface {
 	Choose(p *Player) int
 }
 
-// RateABR is throughput-based adaptation: an EWMA of per-chunk download
-// throughput scaled by a safety factor, with a buffer floor that falls
-// back to the lowest representation when the buffer is nearly empty.
-//
-// This is the adaptation loop that transmits the scheduler's efficiency
-// into video quality: when the path scheduler under-utilizes the fast
-// path, measured chunk throughput drops and the client selects a lower
-// bit rate than the aggregate bandwidth could sustain — the effect behind
-// Figure 2.
-type RateABR struct {
-	// Safety scales the throughput estimate (default 0.85).
-	Safety float64
-	// EWMAWeight is the weight of the newest sample (default 0.4).
-	EWMAWeight float64
-	// PanicBufferSec: below this buffer level pick the lowest rate.
-	PanicBufferSec float64
-
-	estimate float64 // Mbps
-}
-
-// NewRateABR returns the default throughput-based ABR.
-func NewRateABR() *RateABR {
-	return &RateABR{Safety: 0.85, EWMAWeight: 0.4, PanicBufferSec: 6}
-}
-
-// Name implements ABR.
-func (*RateABR) Name() string { return "rate" }
-
-// Choose implements ABR.
-func (a *RateABR) Choose(p *Player) int {
-	if n := len(p.result.Chunks); n > 0 {
-		last := p.result.Chunks[n-1].ThroughputMbps
-		if a.estimate == 0 {
-			a.estimate = last
-		} else {
-			a.estimate = a.estimate*(1-a.EWMAWeight) + last*a.EWMAWeight
-		}
-	}
-	if p.BufferSeconds() < a.PanicBufferSec && len(p.result.Chunks) > 0 {
-		return 0
-	}
-	if a.estimate == 0 {
-		return 0 // first chunk: start conservative, like real players
-	}
-	return HighestSustainable(p.cfg.Ladder, a.estimate*a.Safety)
-}
-
 // BBAABR is the buffer-based algorithm of Huang et al. (SIGCOMM'14),
 // which the paper's client uses ([12]): a linear map from buffer level to
 // rate between a reservoir and a cushion.

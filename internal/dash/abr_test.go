@@ -18,48 +18,8 @@ func playerWithHistory(buffer float64, throughputs ...float64) *Player {
 	return p
 }
 
-func TestRateABRFirstChunkConservative(t *testing.T) {
-	a := NewRateABR()
-	p := playerWithHistory(0)
-	if idx := a.Choose(p); idx != 0 {
-		t.Fatalf("first chunk index = %d, want 0 (lowest)", idx)
-	}
-}
-
-func TestRateABRTracksThroughput(t *testing.T) {
-	a := NewRateABR()
-	p := playerWithHistory(20, 10, 10, 10, 10, 10)
-	var idx int
-	for i := 0; i < 5; i++ { // converge the EWMA
-		idx = a.Choose(p)
-	}
-	// 10 Mbps × 0.85 = 8.5 ⇒ 1080p (8.47) sustainable.
-	if StandardLadder[idx].Name != "1080p" {
-		t.Fatalf("steady 10 Mbps picked %s, want 1080p", StandardLadder[idx].Name)
-	}
-}
-
-func TestRateABRPanicsToLowestOnEmptyBuffer(t *testing.T) {
-	a := NewRateABR()
-	p := playerWithHistory(2, 10, 10, 10) // buffer below panic threshold
-	if idx := a.Choose(p); idx != 0 {
-		t.Fatalf("panic region picked %d, want 0", idx)
-	}
-}
-
-func TestRateABRSafetyFactor(t *testing.T) {
-	a := NewRateABR()
-	a.EWMAWeight = 1 // estimate = last sample exactly
-	// 4.5 Mbps measured × 0.85 = 3.83 ⇒ 360p (1.0) < x < 760p(4.14)?
-	// Highest at most 3.83 is 480p (1.60).
-	p := playerWithHistory(20, 4.5)
-	if idx := a.Choose(p); StandardLadder[idx].Name != "480p" {
-		t.Fatalf("4.5 Mbps picked %s, want 480p", StandardLadder[idx].Name)
-	}
-}
-
-func TestRateABRName(t *testing.T) {
-	if NewRateABR().Name() != "rate" || NewBBAABR().Name() != "bba" || (&FixedABR{}).Name() != "fixed" {
+func TestABRNames(t *testing.T) {
+	if NewBBAABR().Name() != "bba" || (&FixedABR{}).Name() != "fixed" {
 		t.Fatal("ABR name mismatch")
 	}
 }

@@ -29,11 +29,6 @@ var StandardLadder = []Representation{
 	{Name: "1080p", Mbps: 8.47},
 }
 
-// RegulatedBandwidthsMbps are the tc settings of §3.1/§5: "slightly
-// larger than those listed in Table 1, to ensure there is sufficient
-// bandwidth for that video encoding."
-var RegulatedBandwidthsMbps = []float64{0.3, 0.7, 1.1, 1.7, 4.2, 8.6}
-
 // IdealBitrateMbps returns the paper's definition of the ideal average
 // bit rate for a streaming workload: the minimum of the aggregate
 // bandwidth and the top representation's rate (§3.1).

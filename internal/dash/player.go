@@ -26,7 +26,7 @@ type PlayerConfig struct {
 	// ResumePlaySec is the refill level that ends a rebuffering stall
 	// (default 10).
 	ResumePlaySec float64
-	// ABR is the adaptation algorithm (default NewRateABR()).
+	// ABR is the adaptation algorithm (default NewBBAABR()).
 	ABR ABR
 }
 
@@ -51,8 +51,7 @@ func (c *PlayerConfig) fillDefaults() {
 	}
 	if c.ABR == nil {
 		// The paper's client uses the buffer-based algorithm of Huang et
-		// al. [12]; it is the default here too. Rate-based ABR is
-		// available for ablations.
+		// al. [12]; it is the default here too.
 		c.ABR = NewBBAABR()
 	}
 }

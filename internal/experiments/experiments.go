@@ -127,8 +127,6 @@ type StreamConfig struct {
 	DisableIdleRestart bool
 	// CC selects the congestion controller (default "lia").
 	CC string
-	// ABR overrides the adaptation algorithm.
-	ABR dash.ABR
 	// SampleInterval enables CWND/send-buffer trace sampling.
 	SampleInterval time.Duration
 	// PreRun runs after network construction, before the player starts
@@ -246,7 +244,6 @@ func RunStreaming(cfg StreamConfig) *StreamOutcome {
 	}
 	player := dash.NewPlayer(eng, conn, dash.PlayerConfig{
 		VideoSeconds: videoSec,
-		ABR:          cfg.ABR,
 	})
 
 	out := &StreamOutcome{}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mptcp"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/web"
 )
@@ -25,10 +26,38 @@ import (
 // capture, so repetition-invariance here plus the golden hash together
 // give pooled == fresh.
 
-// isolationFingerprint runs one small streaming cell and renders every
-// outcome channel — per-chunk records, reorder telemetry, counters —
-// into a string suitable for exact comparison.
+// isolationFingerprint runs one send-window-bound burst cell and one
+// small streaming cell and renders every outcome channel — burst
+// durations, per-chunk records, reorder telemetry, counters — into a
+// string suitable for exact comparison.
 func isolationFingerprint(scheduler string) string {
+	var b strings.Builder
+	// Bursts through a 64 KiB send window on the paper's hot cell keep
+	// the fast path full, so decisions read the scheduler's adaptive
+	// state and a stale field shows in the durations and counters. A
+	// 90 KiB burst leaves k ≈ 56 segments behind WiFi's first window,
+	// where ECF's first wait decision flips with its hysteresis flag
+	// (with the seeded RTTs, Eq. 1 holds below k = 50 fresh and below
+	// 65 with β applied). It runs first, so it is the cell that draws a
+	// scheduler a polluter left in the pool.
+	net := core.NewNetwork(core.DefaultPaths(0.3, 8.6))
+	cfg := mptcp.DefaultConfig(0)
+	cfg.SndBuf = 64 << 10
+	conn := net.NewConn(core.ConnOptions{Scheduler: scheduler, Config: &cfg})
+	var issue func(i int)
+	issue = func(i int) {
+		conn.Request(90<<10, func(tr *mptcp.Transfer) {
+			fmt.Fprintf(&b, "burst %d %d\n", i, tr.Duration())
+			if i < 2 {
+				net.Engine().Schedule(time.Second, func() { issue(i + 1) })
+			}
+		})
+	}
+	issue(0)
+	net.Run(time.Minute)
+	fmt.Fprintf(&b, "stalls=%d waits=%d rtx=%d pen=%d\n", conn.WindowStalls(), conn.WaitDecisions(), conn.Reinjections(), conn.Penalties())
+	net.Close()
+
 	out := RunStreaming(StreamConfig{
 		WifiMbps:  0.7,
 		LteMbps:   4.2,
@@ -36,7 +65,6 @@ func isolationFingerprint(scheduler string) string {
 		VideoSec:  12,
 	})
 	defer out.Release()
-	var b strings.Builder
 	fmt.Fprintf(&b, "fast=%.12f ideal=%.12f iw=%d fiw=%d fin=%v\n",
 		out.FastFraction, out.IdealFraction, out.IWResets, out.FastIWResets, out.Finished)
 	for _, c := range out.Result.Chunks {
@@ -72,22 +100,26 @@ var polluters = []struct {
 		}, nil)
 		net.Run(time.Minute)
 	}},
-	{"three-path round-robin bulk", func() {
+	{"three-path lossy blest bulk", func() {
 		net := core.NewNetwork([]core.PathSpec{
 			{Name: "a", RateMbps: 1, BaseRTT: 10 * time.Millisecond},
 			{Name: "b", RateMbps: 3, BaseRTT: 150 * time.Millisecond},
 			{Name: "c", RateMbps: 0.5, BaseRTT: 400 * time.Millisecond, LossRate: 0.01, Seed: 2},
 		})
 		defer net.Close()
-		conn := net.NewConn(core.ConnOptions{Scheduler: "roundrobin", CongestionControl: "balia"})
+		// A 64 KiB send window stalls constantly, leaving BLEST's λ well
+		// above its starting value when the cell ends.
+		cfg := mptcp.DefaultConfig(0)
+		cfg.SndBuf = 64 << 10
+		conn := net.NewConn(core.ConnOptions{Scheduler: "blest", CongestionControl: "olia", Config: &cfg})
 		conn.Write(3<<20, nil)
 		net.Run(time.Minute)
 	}},
-	{"four-subflow redundant streaming", func() {
+	{"four-subflow ecf streaming", func() {
 		out := RunStreaming(StreamConfig{
 			WifiMbps:           0.3,
 			LteMbps:            8.6,
-			Scheduler:          "redundant",
+			Scheduler:          "ecf",
 			VideoSec:           8,
 			SubflowsPerPath:    2,
 			DisableIdleRestart: true,
@@ -109,7 +141,7 @@ var polluters = []struct {
 }
 
 func TestCrossCellIsolation(t *testing.T) {
-	schedulers := []string{"minrtt", "ecf", "daps", "blest", "redundant", "roundrobin"}
+	schedulers := sched.Names()
 	base := make(map[string]string, len(schedulers))
 	for _, s := range schedulers {
 		base[s] = isolationFingerprint(s)

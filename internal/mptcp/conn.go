@@ -207,7 +207,6 @@ type Conn struct {
 	penalties    int64
 	windowStalls int64
 	waitDecision int64 // times the scheduler chose to send nothing
-	duplicates   int64 // redundant copies sent by duplicating schedulers
 }
 
 // NewConn builds a connection. Subflows are added with AddSubflow; the
@@ -257,7 +256,6 @@ func (c *Conn) Reset(cfg Config, ctrl cc.Controller) {
 	c.penalties = 0
 	c.windowStalls = 0
 	c.waitDecision = 0
-	c.duplicates = 0
 }
 
 // SetScheduler binds the path scheduler. It must be called before data is
@@ -395,9 +393,6 @@ func (c *Conn) WindowStalls() int64 { return c.windowStalls }
 // WaitDecisions returns how often the scheduler deliberately idled
 // (returned nil with backlog present).
 func (c *Conn) WaitDecisions() int64 { return c.waitDecision }
-
-// DuplicateSends returns redundant copies sent by a DuplicatingScheduler.
-func (c *Conn) DuplicateSends() int64 { return c.duplicates }
 
 // Write appends size bytes to the send stream and returns the Transfer
 // handle; done (optional) fires on in-order delivery of the last byte.
@@ -595,14 +590,6 @@ func (c *Conn) trySend() {
 		f.reinjected = false
 		c.inflightBytes += int64(seg.length)
 		sf.SendSegment(seg.dsn, seg.length)
-		if dup, ok := c.sched.(DuplicatingScheduler); ok {
-			for _, extra := range dup.SelectDuplicates(c, sf) {
-				if extra.CanSend() {
-					c.duplicates++
-					extra.SendSegment(seg.dsn, seg.length)
-				}
-			}
-		}
 	}
 }
 

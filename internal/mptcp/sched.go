@@ -33,14 +33,3 @@ type Resettable interface {
 	Scheduler
 	Reset()
 }
-
-// DuplicatingScheduler is an optional extension: schedulers that also
-// send redundant copies of each segment implement it. After the primary
-// copy is placed on the subflow returned by Select, the connection sends
-// duplicates (same DSN, new subflow sequence) on every subflow returned
-// by SelectDuplicates. The receiver's reorder buffer keeps the first
-// arrival and counts later copies as duplicates.
-type DuplicatingScheduler interface {
-	Scheduler
-	SelectDuplicates(c *Conn, primary *tcp.Subflow) []*tcp.Subflow
-}

@@ -92,7 +92,6 @@ type Link struct {
 	lossRate    float64
 	rng         *sim.RNG
 	dst         Receiver
-	tracer      *Tracer
 	// obsRec, when non-nil, records per-packet events (enqueue, drop,
 	// deliver, loss, coalesced delivery) for the flight recorder. It is
 	// installed only on the links of a traced cell and cleared by Reset;
@@ -159,7 +158,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 // Reset reconfigures the link in place to the state NewLink(eng, cfg,
 // dst) would construct: empty queue, idle serializer, reseeded loss
 // process, zeroed stats (flushed into the process totals first), no
-// tracer. The in-flight ring keeps its grown capacity. The caller must
+// observer. The in-flight ring keeps its grown capacity. The caller must
 // have reset (or drained) the engine first — any pending drain event of
 // the previous run would otherwise fire into the reset link.
 func (l *Link) Reset(cfg LinkConfig, dst Receiver) {
@@ -188,7 +187,6 @@ func (l *Link) Reset(cfg LinkConfig, dst Receiver) {
 		l.rng = nil
 	}
 	l.dst = dst
-	l.tracer = nil
 	l.obsRec = nil
 	l.head, l.dep, l.tail = 0, 0, 0
 	l.drainTimer = sim.Timer{}
@@ -313,18 +311,12 @@ func (l *Link) Send(p *Packet) bool {
 	l.advanceDeparted()
 	if l.queued+p.Size > l.queueLimit {
 		l.stats.Dropped++
-		if l.tracer != nil {
-			l.tracer.Record(TraceEvent{At: l.eng.Now(), Kind: TraceDrop, Link: l.name, Pkt: *p})
-		}
 		if l.obsRec != nil {
 			l.observe(obs.PktDrop, p)
 		}
 		return false
 	}
 	l.stats.Sent++
-	if l.tracer != nil {
-		l.tracer.Record(TraceEvent{At: l.eng.Now(), Kind: TraceSend, Link: l.name, Pkt: *p})
-	}
 	l.queued += p.Size
 	if l.obsRec != nil {
 		l.observe(obs.PktEnqueue, p)
@@ -419,9 +411,6 @@ func (l *Link) drain() {
 func (l *Link) deliver(p *Packet) {
 	if l.lossRate > 0 && l.rng.Float64() < l.lossRate {
 		l.stats.Lost++
-		if l.tracer != nil {
-			l.tracer.Record(TraceEvent{At: l.eng.Now(), Kind: TraceLoss, Link: l.name, Pkt: *p})
-		}
 		if l.obsRec != nil {
 			l.observe(obs.PktLoss, p)
 		}
@@ -429,9 +418,6 @@ func (l *Link) deliver(p *Packet) {
 	}
 	l.stats.Delivered++
 	l.stats.Bytes += int64(p.Size)
-	if l.tracer != nil {
-		l.tracer.Record(TraceEvent{At: l.eng.Now(), Kind: TraceDeliver, Link: l.name, Pkt: *p})
-	}
 	if l.obsRec != nil {
 		l.observe(obs.PktDeliver, p)
 	}

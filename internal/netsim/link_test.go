@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -128,6 +129,45 @@ func TestLinkRandomLoss(t *testing.T) {
 	st := l.Stats()
 	if st.Lost+int64(delivered) != n {
 		t.Fatalf("lost(%d)+delivered(%d) != sent(%d)", st.Lost, delivered, n)
+	}
+}
+
+// TestLinkObserverRecordsPacketOps drives two links that share one
+// obs.PacketRecorder, as the links of a traced cell do: a lossless link
+// takes two sends and one drop-tail drop, a lossy one loses packets on
+// delivery. Per link, the recorded ops must match LinkStats.
+func TestLinkObserverRecordsPacketOps(t *testing.T) {
+	eng := sim.New()
+	rec := obs.NewPacketRecorder(64)
+	l := NewLink(eng, LinkConfig{Name: "t", RateBps: 1e6, Delay: time.Millisecond, QueueBytes: 2500}, func(*Packet) {})
+	lossy := NewLink(eng, LinkConfig{Name: "lossy", RateBps: 1e6, LossRate: 0.5, Seed: 1, QueueBytes: 1 << 20}, func(*Packet) {})
+	l.SetObserver(rec)
+	lossy.SetObserver(rec)
+	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 0})
+	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 940})
+	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 1880}) // dropped: 3000 B > 2500 B
+	for i := 0; i < 10; i++ {
+		lossy.Send(&Packet{Kind: Data, Size: 1000})
+	}
+	eng.Run()
+
+	ops := map[string]map[obs.PacketOp]int64{"t": {}, "lossy": {}}
+	for _, ev := range rec.Events() {
+		ops[ev.Link][ev.Op]++
+	}
+	got := ops["t"]
+	if got[obs.PktEnqueue] != 2 || got[obs.PktDeliver] != 2 || got[obs.PktDrop] != 1 || got[obs.PktLoss] != 0 {
+		t.Fatalf("lossless link ops = %v, want enqueue 2, deliver 2, drop 1, loss 0", got)
+	}
+	if ops["lossy"][obs.PktLoss] < 1 {
+		t.Fatalf("lossy link ops = %v, want at least one loss", ops["lossy"])
+	}
+	for _, link := range []*Link{l, lossy} {
+		st, got := link.Stats(), ops[link.Name()]
+		if got[obs.PktEnqueue] != st.Sent || got[obs.PktDeliver] != st.Delivered ||
+			got[obs.PktDrop] != st.Dropped || got[obs.PktLoss] != st.Lost {
+			t.Fatalf("%s: recorded ops %v disagree with stats %+v", link.Name(), got, st)
+		}
 	}
 }
 

@@ -106,76 +106,3 @@ func TestTokenBucketPanicsOnBadRate(t *testing.T) {
 	tb := NewTokenBucket(eng, TokenBucketConfig{RateBps: 1e6}, line)
 	assertPanics(t, "negative set", func() { tb.SetRateBps(-1) })
 }
-
-func TestTracerRecordsLinkEvents(t *testing.T) {
-	eng := sim.New()
-	l := NewLink(eng, LinkConfig{Name: "t", RateBps: 1e6, Delay: time.Millisecond, QueueBytes: 2500}, func(*Packet) {})
-	tr := NewTracer(0)
-	tr.Attach(l)
-	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 0, DSN: 0, PayloadLen: 940})
-	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 940, DSN: 940, PayloadLen: 940})
-	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 1880, DSN: 1880, PayloadLen: 940}) // dropped
-	eng.Run()
-	if got := tr.CountKind(TraceSend); got != 2 {
-		t.Fatalf("sends = %d, want 2", got)
-	}
-	if got := tr.CountKind(TraceDeliver); got != 2 {
-		t.Fatalf("delivers = %d, want 2", got)
-	}
-	if got := tr.CountKind(TraceDrop); got != 1 {
-		t.Fatalf("drops = %d, want 1", got)
-	}
-	dump := tr.Dump()
-	if dump == "" || tr.Count() != 5 {
-		t.Fatalf("dump empty or count %d != 5:\n%s", tr.Count(), dump)
-	}
-}
-
-func TestTracerFilterAndLimit(t *testing.T) {
-	tr := NewTracer(3)
-	tr.Filter = func(e TraceEvent) bool { return e.Kind == TraceDrop }
-	for i := 0; i < 10; i++ {
-		tr.Record(TraceEvent{Kind: TraceDrop})
-		tr.Record(TraceEvent{Kind: TraceSend})
-	}
-	if tr.Count() != 3 {
-		t.Fatalf("count = %d, want 3 (limit)", tr.Count())
-	}
-	if tr.Evicted() != 7 {
-		t.Fatalf("evicted = %d, want 7", tr.Evicted())
-	}
-	for _, e := range tr.Events() {
-		if e.Kind != TraceDrop {
-			t.Fatal("filter leaked a non-drop event")
-		}
-	}
-}
-
-func TestTraceEventString(t *testing.T) {
-	e := TraceEvent{At: time.Second, Kind: TraceSend, Link: "wifi:fwd",
-		Pkt: Packet{Kind: Data, Seq: 100, DSN: 200, PayloadLen: 1400}}
-	s := e.String()
-	for _, want := range []string{"send", "wifi:fwd", "seq=100", "dsn=200"} {
-		if !containsStr(s, want) {
-			t.Fatalf("trace line missing %q: %s", want, s)
-		}
-	}
-	a := TraceEvent{Kind: TraceDeliver, Pkt: Packet{Kind: Ack, AckSeq: 7}}
-	if !containsStr(a.String(), "ackseq=7") {
-		t.Fatalf("ack line: %s", a.String())
-	}
-	if TraceEventKind(99).String() != "unknown" {
-		t.Fatal("unknown kind string")
-	}
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
-}

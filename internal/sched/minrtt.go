@@ -1,7 +1,7 @@
 // Package sched implements the MPTCP path schedulers the paper compares:
 // the kernel default (minimum RTT), the paper's contribution ECF, and the
-// two prior-work baselines BLEST and DAPS, plus round-robin and
-// single-path schedulers used as additional references and ablations.
+// two prior-work baselines BLEST and DAPS, plus the single-path
+// scheduler behind Table 1's WiFi-only reference.
 package sched
 
 import (
@@ -86,36 +86,6 @@ func (m *MinRTT) Select(c *mptcp.Conn) *tcp.Subflow {
 	return best
 }
 
-// RoundRobin cycles through available subflows regardless of RTT. It is
-// not in the paper's comparison but serves as a naive reference.
-type RoundRobin struct {
-	next int
-}
-
-// NewRoundRobin returns a round-robin scheduler.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements mptcp.Scheduler.
-func (*RoundRobin) Name() string { return "roundrobin" }
-
-// Reset implements mptcp.Resettable: the rotation restarts at the
-// primary subflow, as on a fresh scheduler.
-func (r *RoundRobin) Reset() { r.next = 0 }
-
-// Select implements mptcp.Scheduler.
-func (r *RoundRobin) Select(c *mptcp.Conn) *tcp.Subflow {
-	subflows := c.Subflows()
-	n := len(subflows)
-	for i := 0; i < n; i++ {
-		sf := subflows[(r.next+i)%n]
-		if sf.CanSend() {
-			r.next = (r.next + i + 1) % n
-			return sf
-		}
-	}
-	return nil
-}
-
 // SinglePath pins all traffic to one subflow (by index), modelling a
 // plain single-interface TCP connection for reference curves.
 type SinglePath struct {
@@ -129,8 +99,8 @@ func NewSinglePath(idx int) *SinglePath { return &SinglePath{idx: idx} }
 func (*SinglePath) Name() string { return "singlepath" }
 
 // Reset implements mptcp.Resettable: the pinned index is
-// construction-time configuration and persists (the pool keys
-// "wifi-only" and "lte-only" instances separately by registry name).
+// construction-time configuration and persists (the pool keys instances
+// by registry name, so a pooled "wifi-only" stays pinned to WiFi).
 func (*SinglePath) Reset() {}
 
 // Select implements mptcp.Scheduler.

@@ -9,17 +9,16 @@ import (
 )
 
 // factories maps scheduler names to constructors. Each connection gets a
-// fresh instance (schedulers carry per-connection state).
+// fresh instance (schedulers carry per-connection state). The registry
+// is the paper's comparison set — the kernel default minRTT, ECF, DAPS
+// and BLEST — plus "wifi-only", Table 1's single-path reference; a
+// scheduler no catalog experiment reads does not belong here.
 var factories = map[string]mptcp.SchedulerFactory{
-	"minrtt":     func() mptcp.Scheduler { return NewMinRTT() },
-	"default":    func() mptcp.Scheduler { return NewMinRTT() },
-	"ecf":        func() mptcp.Scheduler { return NewECF() },
-	"blest":      func() mptcp.Scheduler { return NewBLEST() },
-	"daps":       func() mptcp.Scheduler { return NewDAPS() },
-	"roundrobin": func() mptcp.Scheduler { return NewRoundRobin() },
-	"redundant":  func() mptcp.Scheduler { return NewRedundant() },
-	"wifi-only":  func() mptcp.Scheduler { return NewSinglePath(0) },
-	"lte-only":   func() mptcp.Scheduler { return NewSinglePath(1) },
+	"minrtt":    func() mptcp.Scheduler { return NewMinRTT() },
+	"ecf":       func() mptcp.Scheduler { return NewECF() },
+	"blest":     func() mptcp.Scheduler { return NewBLEST() },
+	"daps":      func() mptcp.Scheduler { return NewDAPS() },
+	"wifi-only": func() mptcp.Scheduler { return NewSinglePath(0) },
 }
 
 // Factory returns the constructor for a scheduler name.
@@ -33,8 +32,8 @@ func Factory(name string) (mptcp.SchedulerFactory, error) {
 
 // WireDecisionSink attaches sink to s when it supports decision
 // tracing (ECF, BLEST, DAPS, minRTT), reporting whether it does. A nil
-// sink detaches. Schedulers without per-decision estimates (redundant,
-// round-robin, single-path) simply decline.
+// sink detaches. The single-path scheduler has no per-decision
+// estimates and simply declines.
 func WireDecisionSink(s mptcp.Scheduler, sink obs.DecisionSink) bool {
 	r, ok := s.(obs.DecisionRecording)
 	if ok {

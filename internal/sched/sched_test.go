@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -64,21 +65,15 @@ func runBurstySized(r *rig, bursts int, size int64) (sumDur time.Duration) {
 }
 
 func TestAllSchedulersCompleteBurstyWorkload(t *testing.T) {
-	for _, mk := range []func() mptcp.Scheduler{
-		func() mptcp.Scheduler { return NewMinRTT() },
-		func() mptcp.Scheduler { return NewECF() },
-		func() mptcp.Scheduler { return NewBLEST() },
-		func() mptcp.Scheduler { return NewDAPS() },
-		func() mptcp.Scheduler { return NewRoundRobin() },
-	} {
-		s := mk()
-		r := newRig(t, s, 1, 8)
+	for _, name := range Names() {
+		f, _ := Factory(name)
+		r := newRig(t, f(), 1, 8)
 		sum := runBursty(r, 5)
 		if sum <= 0 {
-			t.Fatalf("%s: bursty workload did not complete", s.Name())
+			t.Fatalf("%s: bursty workload did not complete", name)
 		}
 		if got := r.conn.Receiver().DeliveredBytes(); got != 5*300_000 {
-			t.Fatalf("%s: delivered %d bytes, want %d", s.Name(), got, 5*300_000)
+			t.Fatalf("%s: delivered %d bytes, want %d", name, got, 5*300_000)
 		}
 	}
 }
@@ -213,16 +208,6 @@ func TestMinRTTFallsBackWhenFastFull(t *testing.T) {
 	}
 }
 
-func TestRoundRobinCycles(t *testing.T) {
-	r := newRig(t, NewRoundRobin(), 8, 8)
-	s := NewRoundRobin()
-	first := s.Select(r.conn)
-	second := s.Select(r.conn)
-	if first == second {
-		t.Fatal("round robin returned the same subflow twice")
-	}
-}
-
 func TestSinglePathSticksToOne(t *testing.T) {
 	r := newRig(t, NewSinglePath(1), 8, 8)
 	s := NewSinglePath(1)
@@ -237,6 +222,9 @@ func TestSinglePathSticksToOne(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
+	if got, want := fmt.Sprint(Names()), "[blest daps ecf minrtt wifi-only]"; got != want {
+		t.Fatalf("Names() = %s, want %s", got, want)
+	}
 	for _, name := range Names() {
 		f, err := Factory(name)
 		if err != nil {

@@ -60,9 +60,9 @@
 //     maintain the slot's heap index for eager Cancel and Timer.At), not
 //     once per comparison.
 //   - Reset returns an engine to time zero while keeping the arena and
-//     heap at their grown capacity, and Acquire/Release pool engines so
-//     a sweep of thousands of simulation cells re-grows these structures
-//     once per worker instead of once per cell.
+//     heap at their grown capacity; core's pooled networks each own one
+//     engine, so a sweep of thousands of simulation cells re-grows these
+//     structures once per worker instead of once per cell.
 //
 // # Event-count reduction: tickets and inline claims
 //
@@ -268,10 +268,9 @@ func less(a, b heapEnt) bool {
 
 // Engine is a discrete-event scheduler over virtual time.
 //
-// The zero value is not usable; construct with New (or Acquire, which
-// reuses a pooled engine). Engines are not safe for concurrent use:
-// simulations are single-goroutine by design, which is what makes them
-// reproducible.
+// The zero value is not usable; construct with New. Engines are not
+// safe for concurrent use: simulations are single-goroutine by design,
+// which is what makes them reproducible.
 type Engine struct {
 	now      Time
 	arena    []slot
@@ -418,15 +417,6 @@ func (e *Engine) CurrentTicket() Ticket { return Ticket(e.curSeq) }
 // Pending returns the number of events waiting in the queue. Cancelled
 // timers are never counted: Cancel removes them eagerly.
 func (e *Engine) Pending() int { return len(e.heap) }
-
-// PeekTime returns the virtual time of the next event the engine would
-// dispatch, or the maximum Time when the queue is empty.
-func (e *Engine) PeekTime() Time {
-	if at, _, ok := e.peekHead(); ok {
-		return at
-	}
-	return maxTime
-}
 
 // peekHead returns the (at, seq) ordering key of the queue's head event.
 func (e *Engine) peekHead() (Time, uint64, bool) {

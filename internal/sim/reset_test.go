@@ -52,7 +52,7 @@ func TestResetInvalidatesHandles(t *testing.T) {
 
 // TestResetIsDeterministic: a reused engine replays a schedule with the
 // same execution order and timestamps as a fresh one — the property the
-// engine pool's byte-identical-output contract rests on.
+// network pool's byte-identical-output contract rests on.
 func TestResetIsDeterministic(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
@@ -76,19 +76,6 @@ func TestResetIsDeterministic(t *testing.T) {
 			t.Fatalf("execution order diverged at %d: fresh %v, reused %v", i, fresh, reused)
 		}
 	}
-}
-
-// TestAcquireReleaseRoundTrip: released engines come back reset.
-func TestAcquireReleaseRoundTrip(t *testing.T) {
-	e := Acquire()
-	e.Schedule(time.Hour, func() {})
-	e.RunUntil(time.Minute)
-	Release(e)
-	e2 := Acquire() // may or may not be the same engine — either way it must be clean
-	if e2.Now() != 0 || e2.Pending() != 0 {
-		t.Fatalf("Acquire returned a dirty engine: now=%v pending=%d", e2.Now(), e2.Pending())
-	}
-	Release(e2)
 }
 
 // TestResetReusesArenaCapacity: after Reset, scheduling within the old
