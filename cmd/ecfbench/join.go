@@ -2,8 +2,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,22 +22,23 @@ func defaultWorkerID() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// runJoin is the -join mode: a lease-loop worker against an ecfd
+// join is the -join mode: a lease-loop worker against an ecfd
 // coordinator. The coordinator dictates the scale; the worker claims
 // cell batches, computes them through the ordinary pooled driver path
 // (exactly the cells it holds leases on — the session's Claims gate
 // skips everything else), uploads the records in batches while the next
 // cells simulate, and heartbeats so a crash or hang forfeits its cells
-// to other workers. Errors come back to main, which finalizes the
-// profiles before exiting.
-func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, workerID string, progress bool) error {
+// to other workers.
+func (c *config) join(stderr io.Writer) error {
+	workerID := c.workerID
 	if workerID == "" {
 		workerID = defaultWorkerID()
 	}
-	client := coord.NewClient(addr, workerID)
-	client.Logf = func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "ecfbench[%s]: %s\n", workerID, fmt.Sprintf(format, a...))
+	logf := func(format string, a ...any) {
+		fmt.Fprintf(stderr, "ecfbench[%s]: %s\n", workerID, fmt.Sprintf(format, a...))
 	}
+	client := coord.NewClient(c.joinAddr, workerID)
+	client.Logf = logf
 	ctx := context.Background()
 	info, err := client.Sweep(ctx)
 	if err != nil {
@@ -47,57 +48,44 @@ func runJoin(addr string, jobs int, cacheDir string, cellTimeout time.Duration, 
 	if !ok {
 		return fmt.Errorf("coordinator sweeps unknown scale %q (version skew between ecfd and ecfbench?)", info.Scale)
 	}
-	sc.Workers = jobs
-	if progress {
-		pp := &progressPrinter{}
-		sc.Progress = pp.note
+	sc.Workers = c.jobs
+	if c.progress {
+		sc.Progress = (&progressPrinter{w: stderr}).note
 	}
 	var store *results.Store
-	if cacheDir != "" {
-		store, err = results.Open(cacheDir)
+	if c.cacheDir != "" {
+		store, err = results.Open(c.cacheDir)
 		if err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ecfbench[%s]: joined %s: %s-scale sweep, %d cells, lease TTL %v\n",
-		workerID, addr, info.Scale, info.TotalCells, time.Duration(info.LeaseTTLMs)*time.Millisecond)
+	logf("joined %s: %s-scale sweep, %d cells, lease TTL %v",
+		c.joinAddr, info.Scale, info.TotalCells, time.Duration(info.LeaseTTLMs)*time.Millisecond)
 
 	start := time.Now()
 	stats, err := coord.RunWorker(ctx, coord.WorkerConfig{
 		Client:      client,
 		Store:       store,
-		CellTimeout: cellTimeout,
+		CellTimeout: c.cellTimeout,
 		RunPass: func(ses *results.Session) error {
 			return runCatalogPass(sc, ses)
 		},
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "ecfbench[%s]: %s\n", workerID, fmt.Sprintf(format, a...))
-		},
+		Logf: logf,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ecfbench[%s]: sweep done in %v: %d passes, %d cells claimed, %d uploaded (%d duplicate, %d returned, %d surrendered)\n",
-		workerID, time.Since(start).Round(time.Millisecond),
+	logf("sweep done in %v: %d passes, %d cells claimed, %d uploaded (%d duplicate, %d returned, %d surrendered)",
+		time.Since(start).Round(time.Millisecond),
 		stats.Passes, stats.Claimed, stats.Uploaded, stats.Duplicates, stats.Lost, stats.Surrendered)
 	return nil
 }
 
 // runCatalogPass runs one full-catalog pass under the worker's session,
-// converting the drivers' *results.FatalError panics (store I/O, sink
-// upload failures, cell timeouts) back into errors for the lease loop
-// to handle; any other panic propagates with its stack.
+// handing the drivers' fatal errors (store I/O, sink upload failures,
+// cell timeouts) back to the lease loop.
 func runCatalogPass(sc experiments.Scale, ses *results.Session) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			var fe *results.FatalError
-			if pe, ok := v.(error); ok && errors.As(pe, &fe) {
-				err = fe.Err
-				return
-			}
-			panic(v)
-		}
-	}()
+	defer recoverFatal(&err)
 	sc.Results = ses
 	experiments.RunCatalog(sc)
 	return nil

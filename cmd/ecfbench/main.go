@@ -35,6 +35,20 @@
 // batch of cells, simulate, upload, heartbeat — with retry/backoff on
 // every RPC and work-stealing semantics when a worker dies (see
 // internal/coord).
+//
+// A command line is parsed into one config, validated, and run in
+// exactly one mode. modeFlags, the mode table, names the flags each mode
+// reads; any other flag set on the command line, or a positional
+// argument, is a usage error:
+//
+//	join         -join: -j -cache-dir -cell-timeout -worker-id -progress -cpuprofile -memprofile -force -debug-addr
+//	cache-stats  -cache-stats: -cache-dir
+//	cache-prune  -cache-prune: -cache-dir -scale -older-than -dry-run
+//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cell-timeout -cpuprofile -memprofile -force -trace-cell -trace-out -decisions-out -report-json -debug-addr -progress
+//	list         -list, or no -exp: what render reads (the catalog is printed in place of a render)
+//
+// Usage errors exit 2 before any file is created; operational failures
+// (store I/O, merge misses, clobber refusals) exit 1.
 package main
 
 import (
@@ -45,12 +59,14 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"io"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,269 +81,223 @@ import (
 	"repro/internal/sim"
 )
 
-// fail prints one clean message and exits 1 — operational failures
-// (unwritable cache dirs, store I/O, merge misses). Usage mistakes go
-// through failUsage instead.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ecfbench: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// failUsage prints one clean message and exits 2 — the flag package's
-// convention for command-line mistakes (unknown experiment or scale,
-// malformed or conflicting flags).
-func failUsage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ecfbench: "+format+"\n", args...)
-	os.Exit(2)
+// run is the whole command: parse and validate args, run the chosen
+// mode, and map the outcome to an exit code — 0, 2 for a usage error, 1
+// for anything else — printing a failure's message once.
+func run(args []string, stdout, stderr io.Writer) int {
+	defer obs.ClearTraceTarget()
+	c, err := parse(args, stderr)
+	if err == nil {
+		err = c.run(stdout, stderr)
+	}
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintf(stderr, "ecfbench: %s\n", msg)
+	}
+	var usage usageError
+	if errors.As(err, &usage) {
+		return 2
+	}
+	return 1
 }
 
-// newSession builds the run's session from the flags, validating
-// combinations and probing the cache dir up front. Every run gets one:
-// without a store (-no-cache, or no -cache-dir) it still shares each
-// distinct cell's record between the drivers that render it.
-func newSession(cacheDir, shardStr string, merge, noCache bool, cellTimeout time.Duration) *results.Session {
-	if noCache {
-		if shardStr != "" || merge {
-			failUsage("-no-cache cannot be combined with -shard or -merge (both need the store)")
+// usageError is a command-line mistake, which exits 2. An empty one has
+// already been reported (by the flag package, or by listing the catalog
+// in place of a missing -exp).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+func usagef(format string, args ...any) error {
+	return usageError(fmt.Sprintf(format, args...))
+}
+
+// renderFlags are the flags a render reads; see modeFlags.
+const renderFlags = "exp scale j cache-dir shard merge no-cache cell-timeout cpuprofile memprofile force trace-cell trace-out decisions-out report-json debug-addr progress"
+
+// modeFlags is the mode × flag table: for each mode, the flags it reads.
+// A flag set on the command line that the chosen mode does not read is
+// a usage error.
+var modeFlags = map[string]string{
+	"join":        "join j cache-dir cell-timeout worker-id progress cpuprofile memprofile force debug-addr",
+	"cache-stats": "cache-stats cache-dir",
+	"cache-prune": "cache-prune cache-dir scale older-than dry-run",
+	"list":        "list " + renderFlags,
+	"render":      renderFlags,
+}
+
+// config is one command line: the flags as parsed, the mode they
+// select, and what validate resolves from them.
+type config struct {
+	exp, scale, cacheDir, shard, cpuProf, memProf               string
+	traceCell, traceOut, decsOut, reportOut, debugAddr          string
+	joinAddr, workerID                                          string
+	list, merge, noCache, stats, prune, dryRun, force, progress bool
+	jobs                                                        int
+	olderThan, cellTimeout                                      time.Duration
+
+	mode string // a modeFlags key
+
+	// Resolved by validate.
+	sc       experiments.Scale // cache-prune and render
+	exps     []experiments.Experiment
+	claims   func(results.Key) bool // -shard's cells; nil: every cell
+	traceExp string
+	traceIdx int
+
+	// ses is the render's session, kept for the caller to inspect.
+	ses *results.Session
+}
+
+// parse reads args into a config on a fresh FlagSet, picks the mode and
+// validates the result. It opens nothing.
+func parse(args []string, stderr io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("ecfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.exp, "exp", "", "experiment to run (see -list), or \"all\"")
+	fs.StringVar(&c.scale, "scale", "full", "scale profile: full or quick")
+	fs.BoolVar(&c.list, "list", false, "list experiments and exit")
+	fs.IntVar(&c.jobs, "j", 0, "worker count for the simulation matrix (0 = GOMAXPROCS); results are identical for any value")
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "persist per-cell results under this directory (created if missing); reruns serve unchanged cells from it")
+	fs.StringVar(&c.shard, "shard", "", "run only cells with index%n == i, given as \"i/n\" (requires -cache-dir; join shards with -merge)")
+	fs.BoolVar(&c.merge, "merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
+	fs.BoolVar(&c.noCache, "no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
+	fs.BoolVar(&c.stats, "cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
+	fs.BoolVar(&c.prune, "cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
+	fs.DurationVar(&c.olderThan, "older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
+	fs.BoolVar(&c.dryRun, "dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile to this file on exit")
+	fs.BoolVar(&c.force, "force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
+	fs.StringVar(&c.traceCell, "trace-cell", "", "flight-record one simulation cell, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14); requires -exp and -trace-out")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
+	fs.StringVar(&c.decsOut, "decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
+	fs.StringVar(&c.reportOut, "report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
+	fs.BoolVar(&c.progress, "progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
+	fs.StringVar(&c.joinAddr, "join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
+	fs.StringVar(&c.workerID, "worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
+	fs.DurationVar(&c.cellTimeout, "cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
 		}
-		cacheDir = ""
+		return nil, usageError("") // the flag package printed it, with the defaults
 	}
-	ses := &results.Session{CellTimeout: cellTimeout, Merge: merge, CollectMisses: merge}
-	if cacheDir == "" {
-		if shardStr != "" {
-			failUsage("-shard requires -cache-dir (a shard's results live in the store)")
-		}
-		if merge {
-			failUsage("-merge requires -cache-dir (it renders from cached records)")
-		}
-		return ses
+	if fs.NArg() > 0 {
+		return nil, usagef("unexpected argument %q (flags after it would be ignored)", fs.Arg(0))
 	}
-	if shardStr != "" && merge {
-		failUsage("-shard and -merge are mutually exclusive (merge reads every cell)")
+	switch {
+	case c.joinAddr != "":
+		c.mode = "join"
+	case c.stats:
+		c.mode = "cache-stats"
+	case c.prune:
+		c.mode = "cache-prune"
+	case c.list || c.exp == "":
+		c.mode = "list"
+	default:
+		c.mode = "render"
 	}
-	if shardStr != "" {
-		var err error
-		ses.Shard, err = results.ParseShard(shardStr)
-		if err != nil {
-			failUsage("%v", err)
-		}
-	}
-	// Merge only reads, so a read-only store (e.g. another machine's
-	// shard output on a read-only mount) is fine; every other mode
-	// creates the dir and probes writability up front. A merge collects
-	// every missing cell instead of failing on the first, so one pass
-	// reports the sweep's complete hole list with the command to
-	// backfill it.
-	open := results.Open
-	if merge {
-		open = results.OpenRead
-	}
+	reads := strings.Fields(modeFlags[c.mode])
 	var err error
-	if ses.Store, err = open(cacheDir); err != nil {
-		fail("%v", err)
-	}
-	return ses
-}
-
-// reportMissing renders a failed merge's complete hole list on stderr,
-// grouped by record family, with the exact commands that backfill the
-// missing cells, then exits 1. A plain cached run recomputes exactly
-// the missing cells (hits are served from the store), so the backfill
-// command is the ordinary sweep invocation — sharded or coordinated
-// for multi-machine backfills.
-func reportMissing(ses *results.Session, cacheDir, scaleName string) {
-	miss := ses.MissingCells()
-	type family struct {
-		exp    string
-		scale  string
-		schema int
-	}
-	order := []family{}
-	cells := map[family][]int{}
-	for _, k := range miss {
-		f := family{k.Experiment, k.Scale, k.Schema}
-		if _, seen := cells[f]; !seen {
-			order = append(order, f)
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = usagef("-%s does not apply to %s mode (it reads -%s)", f.Name, c.mode, strings.Join(reads, " -"))
 		}
-		cells[f] = append(cells[f], k.Cell)
-	}
-	fmt.Fprintf(os.Stderr, "ecfbench: merge incomplete: %d cells missing across %d record families:\n", len(miss), len(order))
-	for _, f := range order {
-		idx := cells[f]
-		list := ""
-		for i, c := range idx {
-			if i == 16 {
-				list += fmt.Sprintf(" ... (+%d more)", len(idx)-i)
-				break
-			}
-			if i > 0 {
-				list += " "
-			}
-			list += strconv.Itoa(c)
-		}
-		fmt.Fprintf(os.Stderr, "  %s (schema %d, scale %q): %d cells: %s\n", f.exp, f.schema, f.scale, len(idx), list)
-	}
-	fmt.Fprintf(os.Stderr, "backfill, then re-run -merge:\n")
-	fmt.Fprintf(os.Stderr, "  one machine:   ecfbench -exp all -scale %s -cache-dir %s   (computes only the missing cells)\n", scaleName, cacheDir)
-	fmt.Fprintf(os.Stderr, "  N machines:    ecfbench -exp all -scale %s -cache-dir %s -shard i/N   (i = 0..N-1, then rsync the stores)\n", scaleName, cacheDir)
-	fmt.Fprintf(os.Stderr, "  coordinated:   ecfd serve -cache-dir %s -scale %s -addr :7468  +  ecfbench -join <host>:7468 per worker\n", cacheDir, scaleName)
-	os.Exit(1)
-}
-
-// runExperiment executes one driver, converting *results.FatalError
-// panics (store I/O failures, merge misses) into errors for a clean
-// exit; any other panic propagates with its stack.
-func runExperiment(e experiments.Experiment, sc experiments.Scale) (out fmt.Stringer, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			var fe *results.FatalError
-			if pe, ok := v.(error); ok && errors.As(pe, &fe) {
-				err = fe
-				return
-			}
-			panic(v)
-		}
-	}()
-	return e.Run(sc), nil
-}
-
-// cachePrune implements -cache-prune: enumerate the active matrix (the
-// cell families a full catalog run at the given scale would read) by
-// driving every driver through an enumerating session — no simulation,
-// no store reads — then delete the store's other families. With
-// -older-than it additionally drops records inside the active matrix
-// that have not been rewritten within the given age. The audit half of
-// this lifecycle is -cache-stats.
-func cachePrune(cacheDir string, sc experiments.Scale, olderThan time.Duration, dryRun bool) {
-	open := results.Open
-	if dryRun {
-		open = results.OpenRead // a preview must work on read-only stores
-	}
-	store, err := open(cacheDir)
-	if err != nil {
-		fail("%v", err)
-	}
-	keep := make(map[results.Spec]bool)
-	for _, f := range experiments.EnumerateCells(sc) {
-		keep[f.Spec] = true
-	}
-	rep, err := store.Prune(results.PruneOptions{
-		Keep:      func(g results.Spec) bool { return keep[g] },
-		OlderThan: olderThan,
-		DryRun:    dryRun,
 	})
 	if err != nil {
-		fail("pruning %s: %v", cacheDir, err)
+		return nil, err
 	}
-	verb := "deleted"
-	if dryRun {
-		verb = "would delete"
-	}
-	if len(rep.Deleted) == 0 && len(rep.Aged) == 0 {
-		fmt.Printf("cache dir %s: nothing to prune (%d records in the active matrix)\n", cacheDir, rep.KeptRecords)
-		return
-	}
-	printGroups := func(lines []results.AuditLine) {
-		w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-		fmt.Fprintln(w, "EXPERIMENT\tSCALE\tSCHEMA\tRECORDS\tBYTES")
-		for _, line := range lines {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\n", line.Experiment, line.Scale, line.Schema, line.Records, line.Bytes)
-		}
-		w.Flush()
-	}
-	if len(rep.Deleted) > 0 {
-		fmt.Printf("cache dir %s: %s %d records (%d bytes) outside the active matrix:\n",
-			cacheDir, verb, rep.DeletedRecords(), rep.DeletedBytes())
-		printGroups(rep.Deleted)
-	}
-	if len(rep.Aged) > 0 {
-		fmt.Printf("cache dir %s: %s %d records (%d bytes) older than %v inside the active matrix:\n",
-			cacheDir, verb, rep.AgedRecords(), rep.AgedBytes(), olderThan)
-		printGroups(rep.Aged)
-	}
-	fmt.Printf("kept: %d records, %d bytes", rep.KeptRecords, rep.KeptBytes)
-	if rep.Unreadable > 0 {
-		fmt.Printf(", %d unreadable files left in place", rep.Unreadable)
-	}
-	fmt.Println()
+	return c, c.validate()
 }
 
-// cacheStats renders the -cache-stats audit: what occupies the store,
-// grouped by (experiment, scale, schema) — the granularity at which
-// records go stale.
-func cacheStats(cacheDir string) {
-	store, err := results.OpenRead(cacheDir)
-	if err != nil {
-		fail("%v", err)
+// validate applies the value rules beside the mode table and resolves
+// what the mode needs: the scale, the experiments, the shard, the traced
+// cell.
+func (c *config) validate() error {
+	switch {
+	case c.cellTimeout < 0:
+		return usagef("-cell-timeout must not be negative")
+	case c.olderThan < 0:
+		return usagef("-older-than must not be negative")
+	case c.cacheDir == "" && (c.mode == "cache-stats" || c.mode == "cache-prune"):
+		return usagef("-%s requires -cache-dir (it reads the store)", c.mode)
+	case c.traceOut != "" && c.traceCell == "":
+		return usagef("-trace-out requires -trace-cell (nothing records without a target)")
+	case c.decsOut != "" && c.traceCell == "":
+		return usagef("-decisions-out requires -trace-cell (nothing records without a target)")
+	case c.traceCell != "" && c.exp == "":
+		return usagef("-trace-cell requires -exp (the experiment whose sweep runs the cell)")
+	case c.traceCell != "" && c.merge:
+		return usagef("-trace-cell cannot be combined with -merge (a merge renders from cache and simulates nothing)")
+	case c.traceCell != "" && c.traceOut == "":
+		return usagef("-trace-cell requires -trace-out (the trace has to go somewhere)")
 	}
-	rep, err := store.Audit()
-	if err != nil {
-		fail("auditing %s: %v", cacheDir, err)
+	if c.traceCell != "" {
+		var err error
+		if c.traceExp, c.traceIdx, err = parseTraceCell(c.traceCell); err != nil {
+			return usageError(err.Error())
+		}
 	}
-	fmt.Printf("cache dir %s:\n", cacheDir)
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "EXPERIMENT\tSCALE\tSCHEMA\tRECORDS\tBYTES")
-	for _, line := range rep.Lines {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\n", line.Experiment, line.Scale, line.Schema, line.Records, line.Bytes)
+	if c.mode != "cache-prune" && c.mode != "render" {
+		return nil
 	}
-	w.Flush()
-	fmt.Printf("total: %d records, %d bytes", rep.Records, rep.Bytes)
-	if rep.Unreadable > 0 {
-		fmt.Printf(", %d unreadable files", rep.Unreadable)
+	var ok bool
+	if c.sc, ok = experiments.ScaleByName(c.scale); !ok {
+		return usagef("unknown scale %q (full|quick)", c.scale)
 	}
-	fmt.Println()
+	if c.mode == "cache-prune" {
+		return nil
+	}
+	if c.exp == "all" {
+		c.exps = experiments.Catalog
+	} else if e, ok := experiments.ByName(c.exp); ok {
+		c.exps = []experiments.Experiment{e}
+	} else {
+		return usagef("unknown experiment %q; use -list", c.exp)
+	}
+	switch {
+	case c.noCache && (c.shard != "" || c.merge):
+		return usagef("-no-cache cannot be combined with -shard or -merge (both need the store)")
+	case c.shard != "" && c.cacheDir == "":
+		return usagef("-shard requires -cache-dir (a shard's results live in the store)")
+	case c.merge && c.cacheDir == "":
+		return usagef("-merge requires -cache-dir (it renders from cached records)")
+	case c.shard != "" && c.merge:
+		return usagef("-shard and -merge are mutually exclusive (merge reads every cell)")
+	case c.shard != "":
+		i, n, err := parseShard(c.shard)
+		if err != nil {
+			return usageError(err.Error())
+		}
+		c.shard = fmt.Sprintf("%d/%d", i, n) // as the shard placeholders print it
+		if n > 1 {
+			c.claims = func(k results.Key) bool { return k.Cell%n == i }
+		}
+	}
+	return nil
 }
 
-// createProfile opens a profile output file, refusing to clobber an
-// existing one unless -force was given — an interrupted run leaves a
-// valid profile behind, and silently truncating it on the next
-// invocation has destroyed real data before.
-func createProfile(flagName, path string, force bool) *os.File {
-	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-	if !force {
-		flags |= os.O_EXCL
+// parseShard parses the -shard syntax "i/n" with 0 <= i < n.
+func parseShard(s string) (i, n int, err error) {
+	idx, cnt, ok := strings.Cut(s, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("shard %q: want \"i/n\" (e.g. 0/2)", s)
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			fail("%s: %s already exists; use -force to overwrite", flagName, path)
-		}
-		fail("%s: %v", flagName, err)
+	i, err1 := strconv.Atoi(idx)
+	n, err2 := strconv.Atoi(cnt)
+	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
+		return 0, 0, fmt.Errorf("shard %q: want \"i/n\" with 0 <= i < n", s)
 	}
-	return f
-}
-
-// profiling starts the -cpuprofile collection and returns a function
-// that finalizes both profiles; the caller must run it before exiting
-// normally (error exits skip profiles, except under -join, whose errors
-// come back to main). The heap profile destination is
-// opened up front so a clobber refusal aborts before hours of
-// simulation, not after.
-func profiling(cpu, mem string, force bool) func() {
-	var cpuFile, memFile *os.File
-	if cpu != "" {
-		f := createProfile("-cpuprofile", cpu, force)
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("-cpuprofile: %v", err)
-		}
-		cpuFile = f
-	}
-	if mem != "" {
-		memFile = createProfile("-memprofile", mem, force)
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memFile != nil {
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(memFile); err != nil {
-				fail("-memprofile: %v", err)
-			}
-			memFile.Close()
-		}
-	}
+	return i, n, nil
 }
 
 // parseTraceCell splits the -trace-cell argument at its LAST slash:
@@ -345,11 +315,270 @@ func parseTraceCell(s string) (experiment string, cell int, err error) {
 	return s[:i], cell, nil
 }
 
-// progressPrinter renders -progress lines on stderr: cells done/total,
-// completion rate, and an ETA extrapolated from the running batch.
-// Rate-limited so huge sweeps don't flood the terminal; the final cell
-// of every batch always prints so the 100% line is never dropped.
+// run executes the config's one mode. A join or a render runs under
+// the profiles and the debug server, which are opened first — so a
+// clobber refusal or a bad address aborts before any simulation — and
+// finalized however the run ends: a failed run is the one whose profile
+// is wanted most.
+func (c *config) run(stdout, stderr io.Writer) (err error) {
+	switch c.mode {
+	case "cache-stats":
+		return cacheStats(stdout, c.cacheDir)
+	case "cache-prune":
+		return cachePrune(stdout, c.cacheDir, c.sc, c.olderThan, c.dryRun)
+	case "list":
+		names := make([]string, 0, len(experiments.Catalog))
+		for _, e := range experiments.Catalog {
+			names = append(names, fmt.Sprintf("  %-7s %s", e.Name, e.Desc))
+		}
+		sort.Strings(names)
+		fmt.Fprintln(stdout, "available experiments (-exp <name> | all):")
+		fmt.Fprintln(stdout, strings.Join(names, "\n"))
+		if !c.list {
+			return usageError("") // no -exp: the list is the answer, but the run failed
+		}
+		return nil
+	}
+	stopProfiles, err := c.profiling()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
+	if c.debugAddr != "" {
+		if err := startDebugServer(c.debugAddr, stderr); err != nil {
+			return err
+		}
+	}
+	if c.mode == "join" {
+		if err := c.join(stderr); err != nil {
+			return fmt.Errorf("-join %s: %w", c.joinAddr, err)
+		}
+		return nil
+	}
+	return c.render(stdout, stderr)
+}
+
+// missingError renders a failed merge's complete hole list, grouped by
+// record family, with the exact commands that backfill the missing
+// cells. A plain cached run recomputes exactly the missing cells (hits
+// are served from the store), so the backfill command is the ordinary
+// sweep invocation — sharded or coordinated for multi-machine backfills.
+func missingError(ses *results.Session, cacheDir, scaleName string) error {
+	miss := ses.MissingCells()
+	type family struct {
+		exp    string
+		scale  string
+		schema int
+	}
+	order := []family{}
+	cells := map[family][]int{}
+	for _, k := range miss {
+		f := family{k.Experiment, k.Scale, k.Schema}
+		if _, seen := cells[f]; !seen {
+			order = append(order, f)
+		}
+		cells[f] = append(cells[f], k.Cell)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "merge incomplete: %d cells missing across %d record families:\n", len(miss), len(order))
+	for _, f := range order {
+		idx := cells[f]
+		list := ""
+		for i, c := range idx {
+			if i == 16 {
+				list += fmt.Sprintf(" ... (+%d more)", len(idx)-i)
+				break
+			}
+			if i > 0 {
+				list += " "
+			}
+			list += strconv.Itoa(c)
+		}
+		fmt.Fprintf(&b, "  %s (schema %d, scale %q): %d cells: %s\n", f.exp, f.schema, f.scale, len(idx), list)
+	}
+	fmt.Fprintf(&b, "backfill, then re-run -merge:\n")
+	fmt.Fprintf(&b, "  one machine:   ecfbench -exp all -scale %s -cache-dir %s   (computes only the missing cells)\n", scaleName, cacheDir)
+	fmt.Fprintf(&b, "  N machines:    ecfbench -exp all -scale %s -cache-dir %s -shard i/N   (i = 0..N-1, then rsync the stores)\n", scaleName, cacheDir)
+	fmt.Fprintf(&b, "  coordinated:   ecfd serve -cache-dir %s -scale %s -addr :7468  +  ecfbench -join <host>:7468 per worker", cacheDir, scaleName)
+	return errors.New(b.String())
+}
+
+// recoverFatal, deferred, turns a driver's *results.FatalError panic
+// (store I/O, an upload, a cell timeout) into *err for a clean exit;
+// any other panic propagates with its stack.
+func recoverFatal(err *error) {
+	if v := recover(); v != nil {
+		var fe *results.FatalError
+		if pe, ok := v.(error); ok && errors.As(pe, &fe) {
+			*err = fe.Err
+			return
+		}
+		panic(v)
+	}
+}
+
+// runExperiment executes one driver.
+func runExperiment(e experiments.Experiment, sc experiments.Scale) (out fmt.Stringer, err error) {
+	defer recoverFatal(&err)
+	return e.Run(sc), nil
+}
+
+// cachePrune implements -cache-prune: enumerate the active matrix (the
+// cell families a full catalog run at the given scale would read) by
+// driving every driver through experiments.EnumerateCells — no
+// simulation, no store reads — then delete the store's other families.
+// With -older-than it additionally drops records inside the active
+// matrix that have not been rewritten within the given age. The audit
+// half of this lifecycle is -cache-stats.
+func cachePrune(w io.Writer, cacheDir string, sc experiments.Scale, olderThan time.Duration, dryRun bool) error {
+	open := results.Open
+	if dryRun {
+		open = results.OpenRead // a preview must work on read-only stores
+	}
+	store, err := open(cacheDir)
+	if err != nil {
+		return err
+	}
+	keep := make(map[results.Spec]bool)
+	for _, f := range experiments.EnumerateCells(sc) {
+		keep[f.Spec] = true
+	}
+	rep, err := store.Prune(results.PruneOptions{
+		Keep:      func(g results.Spec) bool { return keep[g] },
+		OlderThan: olderThan,
+		DryRun:    dryRun,
+	})
+	if err != nil {
+		return fmt.Errorf("pruning %s: %w", cacheDir, err)
+	}
+	verb := "deleted"
+	if dryRun {
+		verb = "would delete"
+	}
+	if len(rep.Deleted) == 0 && len(rep.Aged) == 0 {
+		fmt.Fprintf(w, "cache dir %s: nothing to prune (%d records in the active matrix)\n", cacheDir, rep.KeptRecords)
+		return nil
+	}
+	if len(rep.Deleted) > 0 {
+		fmt.Fprintf(w, "cache dir %s: %s %d records (%d bytes) outside the active matrix:\n",
+			cacheDir, verb, rep.DeletedRecords(), rep.DeletedBytes())
+		printGroups(w, rep.Deleted)
+	}
+	if len(rep.Aged) > 0 {
+		fmt.Fprintf(w, "cache dir %s: %s %d records (%d bytes) older than %v inside the active matrix:\n",
+			cacheDir, verb, rep.AgedRecords(), rep.AgedBytes(), olderThan)
+		printGroups(w, rep.Aged)
+	}
+	fmt.Fprintf(w, "kept: %d records, %d bytes", rep.KeptRecords, rep.KeptBytes)
+	if rep.Unreadable > 0 {
+		fmt.Fprintf(w, ", %d unreadable files left in place", rep.Unreadable)
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+// printGroups renders audit lines as the store-listing table.
+func printGroups(w io.Writer, lines []results.AuditLine) {
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "EXPERIMENT\tSCALE\tSCHEMA\tRECORDS\tBYTES")
+	for _, line := range lines {
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\n", line.Experiment, line.Scale, line.Schema, line.Records, line.Bytes)
+	}
+	tw.Flush()
+}
+
+// cacheStats renders the -cache-stats audit: what occupies the store,
+// grouped by (experiment, scale, schema) — the granularity at which
+// records go stale.
+func cacheStats(w io.Writer, cacheDir string) error {
+	store, err := results.OpenRead(cacheDir)
+	if err != nil {
+		return err
+	}
+	rep, err := store.Audit()
+	if err != nil {
+		return fmt.Errorf("auditing %s: %w", cacheDir, err)
+	}
+	fmt.Fprintf(w, "cache dir %s:\n", cacheDir)
+	printGroups(w, rep.Lines)
+	fmt.Fprintf(w, "total: %d records, %d bytes", rep.Records, rep.Bytes)
+	if rep.Unreadable > 0 {
+		fmt.Fprintf(w, ", %d unreadable files", rep.Unreadable)
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+// createFile opens an output file, refusing to clobber an existing one
+// unless -force was given — an interrupted run leaves a valid profile
+// behind, and silently truncating it on the next invocation has
+// destroyed real data before. An empty path opens nothing (nil).
+func createFile(flagName, path string, force bool) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+	if !force {
+		flags |= os.O_EXCL
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if os.IsExist(err) {
+		return nil, fmt.Errorf("%s: %s already exists; use -force to overwrite", flagName, path)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", flagName, err)
+	}
+	return f, nil
+}
+
+// profiling starts the -cpuprofile collection and returns a function
+// that finalizes both profiles. The heap profile destination is opened
+// up front so a clobber refusal aborts before hours of simulation, not
+// after.
+func (c *config) profiling() (stop func() error, err error) {
+	cpuFile, err := createFile("-cpuprofile", c.cpuProf, c.force)
+	if err != nil {
+		return nil, err
+	}
+	memFile, err := createFile("-memprofile", c.memProf, c.force)
+	if err != nil {
+		cpuFile.Close() // a nil *os.File closes as a no-op error
+		return nil, err
+	}
+	if cpuFile != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			memFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if memFile == nil {
+			return nil
+		}
+		defer memFile.Close()
+		runtime.GC() // materialize the final live set
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// progressPrinter renders -progress lines: cells done/total, completion
+// rate, and an ETA extrapolated from the running batch. Rate-limited so
+// huge sweeps don't flood the terminal; the final cell of every batch
+// always prints so the 100% line is never dropped.
 type progressPrinter struct {
+	w        io.Writer
 	mu       sync.Mutex
 	start    time.Time
 	last     time.Time
@@ -383,17 +612,17 @@ func (p *progressPrinter) note(done, total int) {
 		}
 		line += ")"
 	}
-	fmt.Fprintln(os.Stderr, line)
+	fmt.Fprintln(p.w, line)
 }
 
 // startDebugServer mounts net/http/pprof plus a /debug/obs counter
 // snapshot on addr and serves in the background for the life of the
 // run. The listener is opened synchronously so a bad address fails
 // before any simulation starts.
-func startDebugServer(addr string) {
+func startDebugServer(addr string, stderr io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fail("-debug-addr: %v", err)
+		return fmt.Errorf("-debug-addr: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
@@ -420,18 +649,19 @@ func startDebugServer(addr string) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ (counters at /debug/obs)\n", ln.Addr())
+	fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (counters at /debug/obs)\n", ln.Addr())
 	go func() { _ = http.Serve(ln, mux) }()
+	return nil
 }
 
 // writeTrace exports the captured cell recorder: a Chrome trace-event
 // JSON file (load in Perfetto or chrome://tracing) and optionally a
 // human-readable per-transfer scheduler decision log. Both destinations
 // were opened (clobber-guarded) before the run started.
-func writeTrace(traceFile, decsFile *os.File) {
+func writeTrace(stderr io.Writer, traceFile, decsFile *os.File) error {
 	rec := obs.CapturedCell()
 	if rec == nil {
-		fail("-trace-cell: the selected cell never ran — check the family name and index against the chosen -exp and -scale (and any -shard); the index follows the LAST '/', e.g. grid/ecf/14 is cell 14 of family \"grid/ecf\"")
+		return errors.New("-trace-cell: the selected cell never ran — check the family name and index against the chosen -exp and -scale (and any -shard); the index follows the LAST '/', e.g. grid/ecf/14 is cell 14 of family \"grid/ecf\"")
 	}
 	kindName := func(k uint8) string {
 		if n := sim.KindName(sim.EventKind(k)); n != "" {
@@ -440,13 +670,12 @@ func writeTrace(traceFile, decsFile *os.File) {
 		return fmt.Sprintf("kind-%d", k)
 	}
 	if err := rec.WriteChromeTrace(traceFile, kindName); err != nil {
-		traceFile.Close()
-		fail("-trace-out: %v", err)
+		return fmt.Errorf("-trace-out: %w", err)
 	}
 	if err := traceFile.Close(); err != nil {
-		fail("-trace-out: %v", err)
+		return fmt.Errorf("-trace-out: %w", err)
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"trace: cell %s/%d — %d engine events (%d overwritten), %d packet events (%d overwritten), %d subflow events (%d overwritten), %d decisions (%d overwritten) → %s\n",
 		rec.Experiment, rec.Cell,
 		rec.Flight.Total(), rec.Flight.Dropped(),
@@ -455,16 +684,16 @@ func writeTrace(traceFile, decsFile *os.File) {
 		rec.Decisions.Total(), rec.Decisions.Dropped(),
 		traceFile.Name())
 	if decsFile == nil {
-		return
+		return nil
 	}
 	if err := rec.WriteDecisionLog(decsFile); err != nil {
-		decsFile.Close()
-		fail("-decisions-out: %v", err)
+		return fmt.Errorf("-decisions-out: %w", err)
 	}
 	if err := decsFile.Close(); err != nil {
-		fail("-decisions-out: %v", err)
+		return fmt.Errorf("-decisions-out: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "decision log: %d decisions → %s\n", rec.Decisions.Total(), decsFile.Name())
+	fmt.Fprintf(stderr, "decision log: %d decisions → %s\n", rec.Decisions.Total(), decsFile.Name())
+	return nil
 }
 
 // eventLine renders the per-run event telemetry: how many logical
@@ -522,245 +751,87 @@ func (c cellCounts) String() string {
 	return s
 }
 
-// The command line; package-level so that startRun and its test read
-// the parsed flags directly.
-var (
-	expName   = flag.String("exp", "", "experiment to run (see -list), or \"all\"")
-	scale     = flag.String("scale", "full", "scale profile: full or quick")
-	list      = flag.Bool("list", false, "list experiments and exit")
-	jobs      = flag.Int("j", 0, "worker count for the simulation matrix (0 = GOMAXPROCS); results are identical for any value")
-	cacheDir  = flag.String("cache-dir", "", "persist per-cell results under this directory (created if missing); reruns serve unchanged cells from it")
-	shardStr  = flag.String("shard", "", "run only cells with index%n == i, given as \"i/n\" (requires -cache-dir; join shards with -merge)")
-	merge     = flag.Bool("merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
-	noCache   = flag.Bool("no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
-	stats     = flag.Bool("cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
-	prune     = flag.Bool("cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
-	olderThan = flag.Duration("older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
-	dryRun    = flag.Bool("dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
-	cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	force     = flag.Bool("force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
-	traceCell = flag.String("trace-cell", "", "flight-record one simulation cell, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14); requires -exp and -trace-out")
-	traceOut  = flag.String("trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
-	decsOut   = flag.String("decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
-	reportOut = flag.String("report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
-	debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
-	progress  = flag.Bool("progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
-	joinAddr  = flag.String("join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
-	workerID  = flag.String("worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
-	cellTO    = flag.Duration("cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
-)
+// render runs the chosen experiments. Its session comes first: every
+// run gets one, and without a store (-no-cache, or no -cache-dir) it
+// still shares each distinct cell's record between the drivers that
+// render it. Merge only reads, so a read-only store (e.g. another
+// machine's shard output on a read-only mount) is fine; every other run
+// creates the dir and probes writability up front. Then the artifact
+// destinations are opened under the clobber guard, so a refusal (or an
+// unwritable path) still aborts before hours of simulation.
+func (c *config) render(stdout, stderr io.Writer) (err error) {
+	c.ses = &results.Session{CellTimeout: c.cellTimeout, Merge: c.merge, Claims: c.claims}
+	if !c.noCache && c.cacheDir != "" {
+		open := results.Open
+		if c.merge {
+			open = results.OpenRead
+		}
+		if c.ses.Store, err = open(c.cacheDir); err != nil {
+			return err
+		}
+	}
+	sc := c.sc
+	sc.Workers = c.jobs
+	sc.Results = c.ses
+	files := make([]*os.File, 3)
+	for i, out := range [...]struct{ flag, path string }{{"-trace-out", c.traceOut}, {"-decisions-out", c.decsOut}, {"-report-json", c.reportOut}} {
+		if files[i], err = createFile(out.flag, out.path, c.force); err != nil {
+			return err
+		}
+		defer files[i].Close()
+	}
+	traceFile, decsFile, reportFile := files[0], files[1], files[2]
 
-// outputs are a run's open profile and artifact destinations.
-type outputs struct {
-	stopProfiles             func()
-	trace, decisions, report *os.File
-}
-
-// startRun resolves -list, -exp and -scale, builds the session, and
-// only then opens the profile and artifact destinations under the
-// clobber guard — a refusal (or an unwritable path) still aborts before
-// hours of simulation, while a usage error (returned here, or exited on
-// inside newSession) never creates or truncates a file. exps is nil
-// when the command line asks for the experiment list instead, which
-// opens nothing either.
-func startRun() (exps []experiments.Experiment, sc experiments.Scale, out outputs, err error) {
-	if *list || *expName == "" {
-		return
+	if c.progress {
+		sc.Progress = (&progressPrinter{w: stderr}).note
 	}
-	sc, ok := experiments.ScaleByName(*scale)
-	if !ok {
-		err = fmt.Errorf("unknown scale %q (full|quick)", *scale)
-		return
-	}
-	if *expName == "all" {
-		exps = experiments.Catalog
-	} else if e, ok := experiments.ByName(*expName); ok {
-		exps = []experiments.Experiment{e}
-	} else {
-		err = fmt.Errorf("unknown experiment %q; use -list", *expName)
-		return
-	}
-	sc.Workers = *jobs
-	sc.Results = newSession(*cacheDir, *shardStr, *merge, *noCache, *cellTO)
-	out.stopProfiles = profiling(*cpuProf, *memProf, *force)
-	if *traceOut != "" {
-		out.trace = createProfile("-trace-out", *traceOut, *force)
-	}
-	if *decsOut != "" {
-		out.decisions = createProfile("-decisions-out", *decsOut, *force)
-	}
-	if *reportOut != "" {
-		out.report = createProfile("-report-json", *reportOut, *force)
-	}
-	return
-}
-
-func main() {
-	flag.Parse()
-
-	if *cellTO < 0 {
-		failUsage("-cell-timeout must be a positive duration")
-	}
-	if *joinAddr != "" {
-		// Join mode is a worker loop: the coordinator owns the sweep
-		// definition, so flags that define or render a local sweep
-		// conflict with it.
-		conflicts := map[string]string{
-			"exp": "the coordinator sweeps the full catalog", "scale": "the coordinator dictates the scale",
-			"shard": "leases replace shards", "merge": "render from the coordinator's store after the sweep",
-			"no-cache": "join mode decides store use itself", "cache-stats": "runs alone", "cache-prune": "runs alone",
-			"trace-cell": "trace on a local run instead", "trace-out": "trace on a local run instead",
-			"decisions-out": "trace on a local run instead", "report-json": "reports cover local runs",
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if why, bad := conflicts[f.Name]; bad {
-				failUsage("-join cannot be combined with -%s (%s)", f.Name, why)
-			}
-		})
-		stopProfiles := profiling(*cpuProf, *memProf, *force)
-		if *debugAddr != "" {
-			startDebugServer(*debugAddr)
-		}
-		err := runJoin(*joinAddr, *jobs, *cacheDir, *cellTO, *workerID, *progress)
-		// A failed worker is the one whose profile is wanted most.
-		stopProfiles()
-		if err != nil {
-			fail("-join %s: %v", *joinAddr, err)
-		}
-		return
-	}
-
-	if *traceOut != "" && *traceCell == "" {
-		failUsage("-trace-out requires -trace-cell (nothing records without a target)")
-	}
-	if *decsOut != "" && *traceCell == "" {
-		failUsage("-decisions-out requires -trace-cell (nothing records without a target)")
-	}
-	var traceExp string
-	var traceIdx int
-	if *traceCell != "" {
-		if *expName == "" {
-			failUsage("-trace-cell requires -exp (the experiment whose sweep runs the cell)")
-		}
-		if *merge {
-			failUsage("-trace-cell cannot be combined with -merge (a merge renders from cache and simulates nothing)")
-		}
-		if *traceOut == "" {
-			failUsage("-trace-cell requires -trace-out (the trace has to go somewhere)")
-		}
-		var err error
-		traceExp, traceIdx, err = parseTraceCell(*traceCell)
-		if err != nil {
-			failUsage("%v", err)
-		}
-	}
-
-	if *stats {
-		if *cacheDir == "" {
-			failUsage("-cache-stats requires -cache-dir (it audits the store)")
-		}
-		if *expName != "" || *shardStr != "" || *merge || *noCache || *prune {
-			failUsage("-cache-stats runs alone (no -exp/-shard/-merge/-no-cache/-cache-prune)")
-		}
-		cacheStats(*cacheDir)
-		return
-	}
-	if *dryRun && !*prune {
-		failUsage("-dry-run only applies to -cache-prune")
-	}
-	if *olderThan != 0 && !*prune {
-		failUsage("-older-than only applies to -cache-prune")
-	}
-	if *olderThan < 0 {
-		failUsage("-older-than must be a positive duration")
-	}
-	if *prune {
-		if *cacheDir == "" {
-			failUsage("-cache-prune requires -cache-dir (it prunes the store)")
-		}
-		if *expName != "" || *shardStr != "" || *merge || *noCache {
-			failUsage("-cache-prune runs alone (no -exp/-shard/-merge/-no-cache); the active matrix is the full catalog at the given -scale")
-		}
-		sc, ok := experiments.ScaleByName(*scale)
-		if !ok {
-			failUsage("unknown scale %q (full|quick)", *scale)
-		}
-		cachePrune(*cacheDir, sc, *olderThan, *dryRun)
-		return
-	}
-	exps, sc, files, err := startRun()
-	if err != nil {
-		failUsage("%v", err)
-	}
-	if exps == nil {
-		names := make([]string, 0, len(experiments.Catalog))
-		for _, e := range experiments.Catalog {
-			names = append(names, fmt.Sprintf("  %-7s %s", e.Name, e.Desc))
-		}
-		sort.Strings(names)
-		fmt.Println("available experiments (-exp <name> | all):")
-		fmt.Println(strings.Join(names, "\n"))
-		if !*list {
-			os.Exit(2)
-		}
-		return
-	}
-	defer files.stopProfiles()
-	if *progress {
-		pp := &progressPrinter{}
-		sc.Progress = pp.note
-	}
-	if *debugAddr != "" {
-		startDebugServer(*debugAddr)
-	}
-	if *traceCell != "" {
+	if c.traceCell != "" {
 		// Arm the flight recorder before any cell runs; the matching
 		// cell captures itself on the way through results.runCell.
-		obs.SetTraceTarget(traceExp, traceIdx)
+		obs.SetTraceTarget(c.traceExp, c.traceIdx)
 	}
 	var report *obs.RunReport
 	var runHash hash.Hash
-	if *reportOut != "" {
+	if reportFile != nil {
 		workers := sc.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		report = obs.NewRunReport(*scale, workers)
+		report = obs.NewRunReport(c.scale, workers)
 		runHash = sha256.New()
 	}
 	runStart := time.Now()
 
-	run := func(e experiments.Experiment) {
-		cells0 := countCells(sc.Results)
+	for _, e := range c.exps {
+		cells0 := countCells(c.ses)
 		p0, c0ev := sim.TotalEvents()
 		kinds0 := sim.TotalEventsByKind()
 		dl0 := netsim.TotalDelivered()
-		miss0 := sc.Results.MissingCount()
+		miss0 := len(c.ses.MissingCells())
 		start := time.Now()
 		out, err := runExperiment(e, sc)
 		if err != nil {
-			fail("%s: %v", e.Name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		sharded := sc.Results.Sharded()
+		sharded := c.claims != nil
 		var block string
 		if sharded {
 			// A shard pass fills the store; its result structures are
 			// partial, so the report is rendered by -merge instead.
-			block = fmt.Sprintf("=== %s (%s) — shard %s cached, render with -merge ===\n", e.Name, e.Desc, sc.Results.Shard)
-		} else if missed := sc.Results.MissingCount() - miss0; missed > 0 {
+			block = fmt.Sprintf("=== %s (%s) — shard %s cached, render with -merge ===\n", e.Name, e.Desc, c.shard)
+		} else if missed := len(c.ses.MissingCells()) - miss0; missed > 0 {
 			// A merge that found holes: the result structures are
 			// partial, so nothing is rendered for this experiment —
 			// the run ends with the full grouped hole report and exit 1.
-			fmt.Fprintf(os.Stderr, "ecfbench: %s: %d cells missing from the store; block suppressed\n", e.Name, missed)
+			fmt.Fprintf(stderr, "ecfbench: %s: %d cells missing from the store; block suppressed\n", e.Name, missed)
 		} else {
 			block = fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, out)
 		}
-		if _, err := os.Stdout.WriteString(block); err != nil {
-			fail("writing stdout: %v", err)
+		if _, err := io.WriteString(stdout, block); err != nil {
+			return fmt.Errorf("writing stdout: %w", err)
 		}
 		elapsed := time.Since(start)
-		cells := countCells(sc.Results).since(cells0)
+		cells := countCells(c.ses).since(cells0)
 		p1, c1ev := sim.TotalEvents()
 		dl1 := netsim.TotalDelivered()
 		if report != nil {
@@ -781,45 +852,44 @@ func main() {
 				OutputBytes:      len(block),
 				OutputSHA256:     hex.EncodeToString(sum[:]),
 			}
-			er.SetCellDurations(sc.Results.TakeCellDurations())
+			er.SetCellDurations(c.ses.TakeCellDurations())
 			report.Experiments = append(report.Experiments, er)
 		}
-		fmt.Fprintf(os.Stderr, "%s: %v, %v, %s\n", e.Name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
+		fmt.Fprintf(stderr, "%s: %v, %v, %s\n", e.Name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
 	}
-
-	for _, e := range exps {
-		run(e)
-	}
-	if *expName == "all" {
+	if c.exp == "all" {
 		pAll, cAll := sim.TotalEvents()
-		fmt.Fprintf(os.Stderr, "all %d experiments: %v total, %v, %s\n", len(exps), time.Since(runStart).Round(time.Millisecond),
-			countCells(sc.Results), eventLine(pAll, cAll, netsim.TotalDelivered()))
+		fmt.Fprintf(stderr, "all %d experiments: %v total, %v, %s\n", len(c.exps), time.Since(runStart).Round(time.Millisecond),
+			countCells(c.ses), eventLine(pAll, cAll, netsim.TotalDelivered()))
 	}
 
-	if *merge && sc.Results.MissingCount() > 0 {
+	if len(c.ses.MissingCells()) > 0 {
 		// Every experiment ran, so the hole list is complete — one
 		// report covers the whole sweep instead of dying on the first
 		// missing cell.
-		reportMissing(sc.Results, *cacheDir, *scale)
+		return missingError(c.ses, c.cacheDir, c.scale)
 	}
 
 	qs := sim.TotalQueueStats()
-	fmt.Fprintf(os.Stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
+	fmt.Fprintf(stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
 
-	if *traceCell != "" {
-		writeTrace(files.trace, files.decisions)
+	if traceFile != nil {
+		if err := writeTrace(stderr, traceFile, decsFile); err != nil {
+			return err
+		}
 	}
 	if report != nil {
 		report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
 		report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
 		report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
 		report.Mem = obs.CaptureMemStats()
-		if err := report.Write(files.report); err != nil {
-			fail("-report-json: %v", err)
+		if err := report.Write(reportFile); err != nil {
+			return fmt.Errorf("-report-json: %w", err)
 		}
-		if err := files.report.Close(); err != nil {
-			fail("-report-json: %v", err)
+		if err := reportFile.Close(); err != nil {
+			return fmt.Errorf("-report-json: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "run report: %d experiments → %s\n", len(report.Experiments), *reportOut)
+		fmt.Fprintf(stderr, "run report: %d experiments → %s\n", len(report.Experiments), c.reportOut)
 	}
+	return nil
 }

@@ -1,68 +1,269 @@
 package main
 
 import (
-	"flag"
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/results"
 )
 
-// parseArgs resets every ecfbench flag to its default and parses args,
-// as a fresh process would.
-func parseArgs(t *testing.T, args ...string) {
-	t.Helper()
-	flag.VisitAll(func(f *flag.Flag) {
-		if !strings.HasPrefix(f.Name, "test.") {
-			if err := f.Value.Set(f.DefValue); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if err := flag.CommandLine.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUsageErrorsOpenNoFile drives startRun — the step of main that
-// both resolves -exp/-scale and opens every output file — with command
-// lines that must not run, crossed with each flag that names an output
-// file: the usage error (or the request for the list) has to come back
-// with the file still absent. Before the names were resolved first,
+// TestUsageErrorsOpenNoFile runs command lines that must not run a
+// render, crossed with each flag that names an output file: the usage
+// error (or the request for the list) has to come back with its exit
+// code and the file still absent. Before the names were resolved first,
 // `-exp nosuch -report-json r.json` exited 2 leaving an empty r.json,
 // and the corrected rerun died on "already exists; use -force".
 func TestUsageErrorsOpenNoFile(t *testing.T) {
 	cases := []struct {
-		name    string
-		args    []string
-		wantErr string // empty: the list is requested, no error
+		name string
+		args []string
+		code int // for an artifact the mode reads; -trace-out and -decisions-out always need -trace-cell (2)
 	}{
-		{"unknown exp", []string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
-		{"unknown scale", []string{"-exp", "fig1", "-scale", "bogus"}, `unknown scale "bogus"`},
-		{"unknown scale, all", []string{"-exp", "all", "-scale", "bogus"}, `unknown scale "bogus"`},
-		{"list", []string{"-list"}, ""},
-		{"list with exp", []string{"-list", "-exp", "fig1"}, ""},
-		{"empty exp", nil, ""},
+		{"unknown exp", []string{"-exp", "nosuch"}, 2},
+		{"unknown scale", []string{"-exp", "fig1", "-scale", "bogus"}, 2},
+		{"unknown scale, all", []string{"-exp", "all", "-scale", "bogus"}, 2},
+		{"list", []string{"-list"}, 0},
+		{"list with exp", []string{"-list", "-exp", "fig1"}, 0},
+		{"empty exp", nil, 2},
 	}
 	for _, tc := range cases {
 		for _, artifact := range []string{"cpuprofile", "memprofile", "trace-out", "decisions-out", "report-json"} {
 			t.Run(tc.name+"/"+artifact, func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "out")
-				parseArgs(t, append([]string{"-" + artifact, path}, tc.args...)...)
-				exps, _, _, err := startRun()
-				if exps != nil {
-					t.Errorf("resolved %d experiments to run", len(exps))
+				want := tc.code
+				if artifact == "trace-out" || artifact == "decisions-out" {
+					want = 2
 				}
-				switch {
-				case tc.wantErr == "" && err != nil:
-					t.Errorf("err = %v, want a request for the list", err)
-				case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-					t.Errorf("err = %v, want %q", err, tc.wantErr)
+				var stdout, stderr bytes.Buffer
+				if code := run(append([]string{"-" + artifact, path}, tc.args...), &stdout, &stderr); code != want {
+					t.Errorf("exit %d, want %d; stderr:\n%s", code, want, stderr.String())
 				}
 				if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
 					t.Errorf("-%s %s was opened (stat: %v)", artifact, path, statErr)
 				}
 			})
+		}
+	}
+}
+
+// TestModeTable covers every row of the mode × flag table, the value
+// rules beside it, and the command lines that used to drop a flag
+// silently: each exits 2, names the problem on stderr, and creates no
+// file — not the profile, the report or the store it names.
+func TestModeTable(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // on stderr
+	}{
+		// One row per mode: a flag the mode does not read.
+		{"join reads no -exp", []string{"-join", "127.0.0.1:1", "-exp", "all"}, "-exp does not apply to join mode"},
+		{"cache-stats reads no -exp", []string{"-cache-stats", "-cache-dir", "$D/D", "-exp", "all"}, "-exp does not apply to cache-stats mode"},
+		{"cache-prune reads no -merge", []string{"-cache-prune", "-cache-dir", "$D/D", "-merge"}, "-merge does not apply to cache-prune mode"},
+		{"list reads no -older-than", []string{"-list", "-older-than", "1h"}, "-older-than does not apply to list mode"},
+		{"render reads no -dry-run", []string{"-exp", "table1", "-dry-run"}, "-dry-run does not apply to render mode"},
+		{"two modes", []string{"-cache-stats", "-cache-prune", "-cache-dir", "$D/D"}, "-cache-prune does not apply to cache-stats mode"},
+
+		// Flags that were once accepted and silently ignored.
+		{"stats dry-run", []string{"-cache-stats", "-cache-dir", "$D/D", "-dry-run"}, "-dry-run does not apply to cache-stats mode"},
+		{"stats older-than", []string{"-cache-stats", "-cache-dir", "$D/D", "-older-than", "1h"}, "-older-than does not apply to cache-stats mode"},
+		{"prune profile and report", []string{"-cache-prune", "-cache-dir", "$D/D", "-dry-run", "-scale", "quick", "-cpuprofile", "$D/p.pprof", "-report-json", "$D/r.json"}, "-cpuprofile does not apply to cache-prune mode"},
+		{"render worker-id", []string{"-exp", "table1", "-worker-id", "ghost"}, "-worker-id does not apply to render mode"},
+		{"join older-than", []string{"-join", "127.0.0.1:1", "-older-than", "1h"}, "-older-than does not apply to join mode"},
+		{"join dry-run", []string{"-join", "127.0.0.1:1", "-dry-run"}, "-dry-run does not apply to join mode"},
+
+		// A positional argument would end flag parsing.
+		{"stray argument", []string{"-exp", "table1", "-scale", "quick", "stray", "-cpuprofile", "$D/p.pprof"}, `unexpected argument "stray"`},
+
+		// The value rules.
+		{"stats needs cache-dir", []string{"-cache-stats"}, "-cache-stats requires -cache-dir"},
+		{"prune needs cache-dir", []string{"-cache-prune"}, "-cache-prune requires -cache-dir"},
+		{"shard needs cache-dir", []string{"-exp", "table1", "-shard", "0/2"}, "-shard requires -cache-dir"},
+		{"merge needs cache-dir", []string{"-exp", "table1", "-merge"}, "-merge requires -cache-dir"},
+		{"shard vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "0/2", "-merge"}, "mutually exclusive"},
+		{"no-cache vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-no-cache", "-merge"}, "-no-cache cannot be combined"},
+		{"bad shard", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "2/2"}, `shard "2/2"`},
+		{"trace-cell needs trace-out", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/14"}, "-trace-cell requires -trace-out"},
+		{"trace-cell needs exp", []string{"-list", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-trace-cell requires -exp"},
+		{"trace-cell vs merge", []string{"-exp", "fig9", "-cache-dir", "$D/D", "-merge", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "cannot be combined with -merge"},
+		{"bad trace-cell", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
+		{"decisions-out needs trace-cell", []string{"-exp", "fig9", "-decisions-out", "$D/d.txt"}, "-decisions-out requires -trace-cell"},
+		{"negative cell-timeout", []string{"-exp", "table1", "-cell-timeout", "-1s"}, "-cell-timeout must not be negative"},
+		{"negative older-than", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "-1h"}, "-older-than must not be negative"},
+		{"unknown flag", []string{"-exp", "table1", "-nosuch"}, "flag provided but not defined: -nosuch"},
+		{"malformed duration", []string{"-exp", "table1", "-cell-timeout", "soon"}, `invalid value "soon"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := make([]string, len(tc.args))
+			for i, a := range tc.args {
+				args[i] = strings.Replace(a, "$D", dir, 1)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2; stderr:\n%s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr does not say %q:\n%s", tc.want, stderr.String())
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) > 0 {
+				t.Errorf("created %s", entries[0].Name())
+			}
+		})
+	}
+}
+
+// TestModesRunWhatTheyRead is the other side of the table: each mode
+// accepts the flags its row names.
+func TestModesRunWhatTheyRead(t *testing.T) {
+	store := t.TempDir()
+	for _, args := range [][]string{
+		{"-list", "-exp", "fig1", "-scale", "quick", "-j", "2"},
+		{"-cache-stats", "-cache-dir", store},
+		{"-cache-prune", "-cache-dir", store, "-scale", "quick", "-older-than", "1h", "-dry-run"},
+		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-cell-timeout", "1m", "-progress"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Errorf("%q: exit %d, want 0; stderr:\n%s", args, code, stderr.String())
+		}
+	}
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr); code != 0 || !strings.Contains(stderr.String(), "-cache-dir") {
+		t.Errorf("-h: exit %d, want 0 and the flag list; stderr:\n%s", code, stderr.String())
+	}
+}
+
+func TestParseShard(t *testing.T) {
+	good := map[string][2]int{
+		"0/2": {0, 2},
+		"1/2": {1, 2},
+		"4/5": {4, 5},
+		"0/1": {0, 1},
+	}
+	for in, want := range good {
+		i, n, err := parseShard(in)
+		if err != nil || [2]int{i, n} != want {
+			t.Fatalf("parseShard(%q) = %d, %d, %v; want %v", in, i, n, err, want)
+		}
+	}
+	for _, in := range []string{"", "1", "2/2", "-1/2", "a/b", "1/0", "1/-2"} {
+		if _, _, err := parseShard(in); err == nil {
+			t.Fatalf("parseShard(%q) succeeded, want error", in)
+		}
+	}
+}
+
+func TestShardCovers(t *testing.T) {
+	store := t.TempDir()
+	claims := func(shard string) func(results.Key) bool {
+		c, err := parse([]string{"-exp", "table1", "-cache-dir", store, "-shard", shard}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.claims
+	}
+	if claims("0/1") != nil {
+		t.Fatal("shard 0/1 must claim every cell (nil predicate)")
+	}
+	shard := claims("1/3")
+	for cell := 0; cell < 9; cell++ {
+		if shard(results.Key{Cell: cell}) != (cell%3 == 1) {
+			t.Fatalf("shard 1/3 claims cell %d wrongly", cell)
+		}
+	}
+}
+
+// render runs one command line in-process the way run does, and
+// returns its stdout and where the session's cells came from.
+func render(t *testing.T, args ...string) (string, cellCounts) {
+	t.Helper()
+	c, err := parse(args, io.Discard)
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	var stdout bytes.Buffer
+	if err := c.run(&stdout, io.Discard); err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return stdout.String(), countCells(c.ses)
+}
+
+// TestStoreServesWarmAndSharedCells is the results contract end to end
+// on single experiments: a warm rerun serves every cell from the store
+// and prints the same bytes, experiments that share a family serve each
+// other's records, and -no-cache neither reads nor creates -cache-dir.
+func TestStoreServesWarmAndSharedCells(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "cells")
+	cold, got := render(t, "-exp", "table2", "-scale", "quick", "-cache-dir", store)
+	if want := (cellCounts{0, 0, 12}); got != want {
+		t.Errorf("table2 cold: %v, want %v", got, want)
+	}
+	warm, got := render(t, "-exp", "table2", "-scale", "quick", "-cache-dir", store)
+	if want := (cellCounts{0, 12, 0}); got != want {
+		t.Errorf("table2 warm: %v, want %v", got, want)
+	}
+	if warm != cold {
+		t.Errorf("warm stdout differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+
+	// Figures 5 and 13 read the default-scheduler cell of each x-8.6
+	// pair's "ooo" family, and Figure 14 fills two of the four.
+	ooo := filepath.Join(t.TempDir(), "ooo")
+	render(t, "-exp", "fig14", "-scale", "quick", "-cache-dir", ooo)
+	if _, got := render(t, "-exp", "fig13", "-scale", "quick", "-cache-dir", ooo); got != (cellCounts{0, 2, 2}) {
+		t.Errorf("fig13 after fig14: %v, want 2 store hits + 2 computed", got)
+	}
+	if _, got := render(t, "-exp", "fig5", "-scale", "quick", "-cache-dir", ooo); got != (cellCounts{0, 4, 0}) {
+		t.Errorf("fig5 after fig13: %v, want 4 store hits", got)
+	}
+
+	unused := filepath.Join(t.TempDir(), "unused")
+	if _, got := render(t, "-exp", "fig7", "-scale", "quick", "-no-cache", "-cache-dir", unused); got != (cellCounts{0, 0, 36}) {
+		t.Errorf("fig7 -no-cache: %v, want 36 computed", got)
+	}
+	if _, err := os.Stat(unused); !os.IsNotExist(err) {
+		t.Errorf("-no-cache created -cache-dir (stat: %v)", err)
+	}
+}
+
+// TestClobberGuard: an existing profile or report is refused up front
+// (exit 1, before simulating) and overwritten under -force.
+func TestClobberGuard(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range []string{"cpuprofile", "report-json"} {
+		path := filepath.Join(dir, flag)
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-exp", "table1", "-scale", "quick", "-" + flag, path}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "use -force") {
+			t.Errorf("-%s over an existing file: exit %d, want 1 and a -force hint; stderr:\n%s", flag, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-%s: the refused run printed %q", flag, stdout.String())
+		}
+		if code := run(append(args, "-force"), io.Discard, &stderr); code != 0 {
+			t.Errorf("-%s -force: exit %d; stderr:\n%s", flag, code, stderr.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil || len(data) == 0 {
+			t.Fatalf("-%s -force left %d bytes (%v)", flag, len(data), err)
+		}
+		if flag == "report-json" {
+			var rep struct {
+				Experiments []struct{ Name string }
+			}
+			if err := json.Unmarshal(data, &rep); err != nil || len(rep.Experiments) != 1 || rep.Experiments[0].Name != "table1" {
+				t.Errorf("report = %+v (%v), want one table1 experiment", rep, err)
+			}
 		}
 	}
 }

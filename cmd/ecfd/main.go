@@ -55,6 +55,15 @@ func failUsage(format string, args ...any) {
 	os.Exit(2)
 }
 
+// parseFlags parses a subcommand's flags. A positional argument, which
+// would silently drop every flag after it, is a usage error.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		failUsage("unexpected argument %q (flags after it would be ignored)", fs.Arg(0))
+	}
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ecfd serve  -cache-dir DIR [-scale full|quick] [-addr :7468] [-lease-ttl 45s] [-claim-batch 32] [-max-retries 3] [-exit-when-done]
@@ -100,7 +109,7 @@ func serve(args []string) {
 		maxRetries = fs.Int("max-retries", 3, "per-cell failure budget before the cell is parked as failed")
 		exitDone   = fs.Bool("exit-when-done", false, "exit once every cell is done or parked as failed (0 on complete, 1 otherwise)")
 	)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	if *cacheDir == "" {
 		failUsage("serve requires -cache-dir (the sweep's store and resume state)")
 	}
@@ -214,7 +223,7 @@ func printFailed(cells []coord.FailedCell) {
 func status(args []string) {
 	fs := flag.NewFlagSet("ecfd status", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:7468", "coordinator address")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	client := coord.NewClient(*addr, "status")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

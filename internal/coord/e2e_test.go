@@ -51,13 +51,14 @@ func TestDistributedTable2RendersByteIdentical(t *testing.T) {
 
 	// The sweep's work list: exactly Table 2's cells, enumerated from
 	// the driver itself.
-	enum := &results.Session{Enumerate: true}
-	scE := experiments.Quick
-	scE.Workers = 1
-	scE.Results = enum
-	experiments.Table2(scE)
+	fams := results.Families(func(ses *results.Session) {
+		scE := experiments.Quick
+		scE.Workers = 1
+		scE.Results = ses
+		experiments.Table2(scE)
+	})
 	var cells []results.Key
-	for _, f := range enum.ActiveCellFamilies() {
+	for _, f := range fams {
 		for i := 0; i < f.Cells; i++ {
 			cells = append(cells, f.Spec.Key(i))
 		}

@@ -20,6 +20,11 @@ func cacheSession(t *testing.T, dir string) *results.Session {
 	return &results.Session{Store: store}
 }
 
+// shardOf is the Claims predicate of a -shard i/n pass.
+func shardOf(i, n int) func(results.Key) bool {
+	return func(k results.Key) bool { return k.Cell%n == i }
+}
+
 func TestGridWarmCacheByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	dir := t.TempDir()
 	sc := Scale{GridVideoSec: 10}
@@ -54,7 +59,7 @@ func TestFigure16ShardsPlusMergeMatchUnsharded(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		shard := sc
 		shard.Results = cacheSession(t, dir)
-		shard.Results.Shard = results.Shard{Index: i, Count: 2}
+		shard.Results.Claims = shardOf(i, 2)
 		Figure16(shard)
 		_, c := shard.Results.Stats()
 		cells += c
@@ -123,7 +128,7 @@ func TestShardedPointerRecordDriverMergesCleanly(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		shard := sc
 		shard.Results = cacheSession(t, dir)
-		shard.Results.Shard = results.Shard{Index: i, Count: 2}
+		shard.Results.Claims = shardOf(i, 2)
 		Figure23(shard) // must not panic on nil outcomes
 	}
 	merge := sc

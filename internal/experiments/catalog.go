@@ -78,19 +78,19 @@ func ScaleByName(name string) (Scale, bool) {
 
 // EnumerateCells returns the full cell work list of a catalog run at
 // the given scale — one (spec, cell count) entry per record family —
-// without simulating anything: every driver runs under an enumerating
-// session, which notes each cell's spec and skips the cell. Because the
+// without simulating anything: every driver runs under results.Families,
+// whose Claims gate notes each cell's key and skips the cell. Because the
 // specs come from the same code paths a real run uses, the result
 // cannot drift from the drivers. Expanding each family through Spec.Key
 // yields every cell key exactly once: the work list a sweep coordinator
 // (cmd/ecfd) hands out as leases, and its specs are the active matrix
 // that ecfbench -cache-prune keeps.
 func EnumerateCells(sc Scale) []results.CellFamily {
-	ses := &results.Session{Enumerate: true}
-	sc.Results = ses
-	sc.Workers = 1 // enumerate jobs are no-ops; skip the pool fan-out
-	RunCatalog(sc)
-	return ses.ActiveCellFamilies()
+	sc.Workers = 1 // skipped cells are no-ops; skip the pool fan-out
+	return results.Families(func(ses *results.Session) {
+		sc.Results = ses
+		RunCatalog(sc)
+	})
 }
 
 // RunCatalog runs every driver in the catalog for its side effects on

@@ -318,9 +318,9 @@ func newBatch(sc Scale) *results.Batch {
 // (topology, seeds, parameters) from its index and collect into
 // pre-sized storage, so aggregation is order-independent and the
 // sweep's output depends on neither sc.Workers nor cache state.
-// Operational cache failures (store I/O, merge misses) surface as a
-// *results.FatalError panic, since drivers return no errors; the
-// ecfbench harness recovers it for a clean exit.
+// Operational cache failures (store I/O, uploads, cell timeouts)
+// surface as a *results.FatalError panic, since drivers return no
+// errors; the ecfbench harness recovers it for a clean exit.
 func runBatch(b *results.Batch) {
 	if err := b.Run(context.Background()); err != nil {
 		panic(&results.FatalError{Err: err})

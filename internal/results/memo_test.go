@@ -198,20 +198,24 @@ func TestTracedCellSimulatesThoughMemoised(t *testing.T) {
 
 func TestSkippedCellsNeverEnterTheMemo(t *testing.T) {
 	const n = 10
-	even := func(k Key) bool { return k.Cell%2 == 0 }
-	for name, s := range map[string]*Session{
-		"shard":  {Shard: Shard{Index: 0, Count: 2}},
-		"claims": {Claims: even},
+	leases := map[int]bool{0: true, 3: true, 7: true}
+	for name, tc := range map[string]struct {
+		claims func(Key) bool
+		want   int
+	}{
+		"shard 1/3": {shardOf(1, 3), 3},
+		"leases":    {func(k Key) bool { return leases[k.Cell] }, len(leases)},
 	} {
+		s := &Session{Claims: tc.claims}
 		var computes atomic.Int64
 		if err := Run(context.Background(), runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
-		if computes.Load() != n/2 || len(s.memo) != n/2 {
-			t.Fatalf("%s: %d computes, %d memo slots; want %d of each", name, computes.Load(), len(s.memo), n/2)
+		if computes.Load() != int64(tc.want) || len(s.memo) != tc.want {
+			t.Fatalf("%s: %d computes, %d memo slots; want %d of each", name, computes.Load(), len(s.memo), tc.want)
 		}
 		for k := range s.memo {
-			if !even(k) {
+			if !tc.claims(k) {
 				t.Fatalf("%s: skipped cell %d is in the memo", name, k.Cell)
 			}
 		}

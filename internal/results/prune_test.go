@@ -3,6 +3,7 @@ package results
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -230,18 +231,26 @@ func TestPruneLeavesUnreadableFilesInPlace(t *testing.T) {
 }
 
 func TestEnumerateSessionRecordsGroupsWithoutComputing(t *testing.T) {
-	ses := &Session{Enumerate: true}
 	computed := 0
 	spec := Spec{Experiment: "e", Schema: 3, Scale: "v60"}
-	err := runCell(ses, spec, 0, func(int) int { computed++; return 0 }, func(int, int) { computed++ })
-	if err != nil {
-		t.Fatal(err)
+	other := Spec{Experiment: "d", Schema: 1, Scale: "v60"}
+	var memo int
+	fams := Families(func(ses *Session) {
+		for _, i := range []int{0, 4, 2} {
+			if err := runCell(ses, spec, i, func(int) int { computed++; return 0 }, func(int, int) { computed++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := runCell(ses, other, 0, func(int) int { computed++; return 0 }, func(int, int) { computed++ }); err != nil {
+			t.Fatal(err)
+		}
+		memo = len(ses.memo)
+	})
+	if computed != 0 || memo != 0 {
+		t.Fatalf("enumeration executed compute/collect %d times and left %d memo slots", computed, memo)
 	}
-	if computed != 0 {
-		t.Fatalf("enumerate mode executed compute/collect %d times", computed)
-	}
-	fams := ses.ActiveCellFamilies()
-	if len(fams) != 1 || fams[0] != (CellFamily{Spec: spec, Cells: 1}) {
-		t.Fatalf("ActiveCellFamilies = %+v", fams)
+	want := []CellFamily{{Spec: other, Cells: 1}, {Spec: spec, Cells: 5}}
+	if !reflect.DeepEqual(fams, want) {
+		t.Fatalf("Families = %+v, want %+v", fams, want)
 	}
 }

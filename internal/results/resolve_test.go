@@ -1,0 +1,121 @@
+package results
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestResolveDecisionTable drives the one per-cell decision in front of
+// compute through every combination of Merge, the Claims gate (nil,
+// claiming, refusing), the traced-cell bypass, and where the cell's
+// record is (the memo, the store, nowhere). Each row names the outcome
+// — skip, serve + upload, note a miss, or compute — and whether the memo
+// gained a slot.
+func TestResolveDecisionTable(t *testing.T) {
+	type outcome string
+	const (
+		skip    outcome = "skip"
+		serve   outcome = "serve+upload"
+		miss    outcome = "note miss"
+		compute outcome = "compute"
+	)
+	cases := []struct {
+		merge  bool
+		claims string // "nil", "true" or "false"
+		traced bool
+		source string // "memo", "store" or "none"
+		want   outcome
+		slot   bool
+	}{
+		{false, "nil", false, "memo", serve, false},
+		{false, "nil", false, "store", serve, true},
+		{false, "nil", false, "none", compute, true},
+		{false, "nil", true, "memo", compute, false},
+		{false, "nil", true, "store", compute, false},
+		{false, "nil", true, "none", compute, false},
+		{false, "true", false, "memo", serve, false},
+		{false, "true", false, "store", serve, true},
+		{false, "true", false, "none", compute, true},
+		{false, "true", true, "memo", compute, false},
+		{false, "true", true, "store", compute, false},
+		{false, "true", true, "none", compute, false},
+		{false, "false", false, "memo", skip, false},
+		{false, "false", false, "store", skip, false},
+		{false, "false", false, "none", skip, false},
+		{false, "false", true, "memo", skip, false},
+		{false, "false", true, "store", skip, false},
+		{false, "false", true, "none", skip, false},
+		{true, "nil", false, "memo", serve, false},
+		{true, "nil", false, "store", serve, true},
+		{true, "nil", false, "none", miss, false},
+		{true, "nil", true, "memo", serve, false},
+		{true, "nil", true, "store", serve, true},
+		{true, "nil", true, "none", miss, false},
+		{true, "true", false, "memo", serve, false},
+		{true, "true", false, "store", serve, true},
+		{true, "true", false, "none", miss, false},
+		{true, "true", true, "memo", serve, false},
+		{true, "true", true, "store", serve, true},
+		{true, "true", true, "none", miss, false},
+		{true, "false", false, "memo", skip, false},
+		{true, "false", false, "store", skip, false},
+		{true, "false", false, "none", skip, false},
+		{true, "false", true, "memo", skip, false},
+		{true, "false", true, "store", skip, false},
+		{true, "false", true, "none", skip, false},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("merge=%v/claims=%s/traced=%v/%s", tc.merge, tc.claims, tc.traced, tc.source)
+		t.Run(name, func(t *testing.T) {
+			k := spec().Key(0)
+			stored := rec{Cell: 0, Label: "stored"}
+			sink := newMemSink()
+			s := &Session{Store: openStore(t, t.TempDir()), Merge: tc.merge, Sink: sink}
+			switch tc.source {
+			case "memo":
+				_, own := lookup[rec](s, k)
+				own.fill(stored)
+			case "store":
+				if err := s.Store.Put(k, stored); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch tc.claims {
+			case "true":
+				s.Claims = func(Key) bool { return true }
+			case "false":
+				s.Claims = func(Key) bool { return false }
+			}
+			slots := len(s.memo)
+
+			var collected []rec
+			own, done, err := resolve(s, k, 0, tc.traced, func(_ int, v rec) { collected = append(collected, v) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer own.release()
+			var got outcome
+			switch {
+			case !done:
+				got = compute
+			case len(collected) == 1 && collected[0] == stored && sink.len() == 1 && len(s.MissingCells()) == 0:
+				got = serve
+			case len(collected) == 0 && sink.len() == 0 && len(s.MissingCells()) == 1:
+				got = miss
+			case len(collected) == 0 && sink.len() == 0 && len(s.MissingCells()) == 0:
+				got = skip
+			default:
+				t.Fatalf("done with %d collected, %d uploaded, %d misses", len(collected), sink.len(), len(s.MissingCells()))
+			}
+			if got != tc.want {
+				t.Errorf("outcome = %s, want %s", got, tc.want)
+			}
+			if gained := len(s.memo) > slots; gained != tc.slot {
+				t.Errorf("memo gained a slot = %v, want %v", gained, tc.slot)
+			}
+			if got == compute && (own != nil) != tc.slot {
+				t.Errorf("compute owns a slot = %v, want %v", own != nil, tc.slot)
+			}
+		})
+	}
+}

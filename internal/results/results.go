@@ -15,15 +15,21 @@
 //     computing-then-persisting it when not, so caching and sharding
 //     apply uniformly to every driver rather than per-driver.
 //
-// A Session carries the per-invocation policy: which store to use, an
-// optional shard restriction (cell index % Count == Index), or merge
-// mode, where every cell must come from the store and nothing is
-// simulated. It also remembers, for as long as it lives, every record it
-// has served or computed, keyed like the store: a cell's record is
-// sourced in the order memo, store, compute, so within one run every
-// distinct cell is simulated — or read from disk and decoded — at most
-// once, however many drivers render it, with or without a store.
-// Splitting a sweep across machines is then
+// A Session carries the per-invocation policy in five fields: Store
+// (where records persist), Merge (serve every cell from the store,
+// simulate nothing, and note each miss), Claims (which cells this run
+// touches at all), Sink (where served and computed records are also
+// uploaded) and CellTimeout (a per-cell wall-clock budget). Claims is
+// the one per-cell skip gate, and three callers build it: a -shard i/n
+// pass claims the cells with index%n == i, a join-mode worker claims
+// its leases, and Families claims nothing while noting every key, which
+// enumerates a run's cells without reading or computing any. A session
+// also remembers, for as long as it lives, every record it has served or
+// computed, keyed like the store: a cell's record is sourced in the
+// order memo, store, compute, so within one run every distinct cell is
+// simulated — or read from disk and decoded — at most once, however many
+// drivers render it, with or without a store. Splitting a sweep across
+// machines is then
 //
 //	host-a$ ecfbench -exp all -cache-dir cache -shard 0/2
 //	host-b$ ecfbench -exp all -cache-dir cache -shard 1/2
@@ -63,8 +69,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,39 +145,6 @@ func (k Key) hash() string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// Shard restricts a run to the cells with index % Count == Index. The
-// zero value (Count 0) covers every cell, as does Count 1.
-type Shard struct {
-	Index, Count int
-}
-
-// ParseShard parses the -shard flag syntax "i/n" with 0 <= i < n.
-func ParseShard(s string) (Shard, error) {
-	idx, cnt, ok := strings.Cut(s, "/")
-	if !ok {
-		return Shard{}, fmt.Errorf("shard %q: want \"i/n\" (e.g. 0/2)", s)
-	}
-	i, err1 := strconv.Atoi(idx)
-	n, err2 := strconv.Atoi(cnt)
-	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
-		return Shard{}, fmt.Errorf("shard %q: want \"i/n\" with 0 <= i < n", s)
-	}
-	return Shard{Index: i, Count: n}, nil
-}
-
-// Covers reports whether the shard runs the given cell.
-func (sh Shard) Covers(cell int) bool {
-	return sh.Count <= 1 || cell%sh.Count == sh.Index
-}
-
-// String renders the flag syntax back.
-func (sh Shard) String() string {
-	if sh.Count <= 1 {
-		return "full"
-	}
-	return fmt.Sprintf("%d/%d", sh.Index, sh.Count)
-}
-
 // Sink receives computed (or cache-served) cell records in addition to
 // the session's local store — the distributed upload path: a join-mode
 // worker's sink serializes the record in Put and uploads it to the
@@ -199,25 +170,21 @@ type Session struct {
 	// Store persists cell records; nil disables persistence (records
 	// are still shared within the run).
 	Store *Store
-	// Shard restricts which cells run (zero value: all of them).
-	Shard Shard
-	// Merge serves every cell from the store and simulates nothing; a
-	// missing record is an error naming the cell — or, with
-	// CollectMisses, a note in the session's missing-cell list so one
-	// merge pass reports every hole instead of the first.
+	// Merge serves every cell from the store and simulates nothing. A
+	// missing record is noted in the session's missing-cell list
+	// (MissingCells) and its slot left at the zero value, so one merge
+	// pass reports every hole instead of the first. The caller must
+	// treat any noted miss as a failed merge: result structures touched
+	// by missing cells are partial and must not be rendered as complete
+	// reports.
 	Merge bool
-	// CollectMisses, with Merge, records missing cells (MissingCells)
-	// and leaves their slots at zero values instead of failing the run
-	// on the first hole. The caller must treat any recorded miss as a
-	// failed merge: result structures touched by missing cells are
-	// partial and must not be rendered as complete reports.
-	CollectMisses bool
-	// Claims, when non-nil, restricts computation to the cells it
-	// reports true for — the distributed lease gate: a join-mode worker
-	// computes exactly its leased cells and skips everything else
-	// (including memo and store reads). It is consulted again between compute
-	// and upload, so a lease lost mid-pass stops claiming new cells
-	// immediately. Must be safe for concurrent use.
+	// Claims, when non-nil, is the one per-cell skip gate: a cell it
+	// reports false for is skipped before anything else — no memo or
+	// store read, no compute, no collect. A shard pass, a join-mode
+	// worker's leases and Families' enumeration are all Claims
+	// predicates. It is consulted again between compute and upload, so a
+	// lease lost mid-pass stops claiming new cells immediately. Must be
+	// safe for concurrent use.
 	Claims func(Key) bool
 	// Sink, when non-nil, additionally receives every record the
 	// session serves or computes (after Store persistence) — the
@@ -233,13 +200,6 @@ type Session struct {
 	// or surrender its lease can afford. Zero preserves the default:
 	// no deadline.
 	CellTimeout time.Duration
-	// Enumerate records which cell families the run would touch without
-	// reading or computing anything: every cell is skipped after noting
-	// its spec. Driving the full experiment catalog through an
-	// enumerating session yields the active matrix — the ground truth
-	// -cache-prune keeps and ecfd leases out (derived from the very code
-	// paths that build the specs, so it cannot drift from the drivers).
-	Enumerate bool
 
 	memoHits  atomic.Int64
 	storeHits atomic.Int64
@@ -253,27 +213,11 @@ type Session struct {
 	durMu    sync.Mutex
 	cellDurs []time.Duration
 
-	cellsMu sync.Mutex
-	cells   map[Spec]int
-
 	missMu  sync.Mutex
 	missing map[Key]struct{}
 }
 
-// noteCell records one cell's spec during an enumerating run: the
-// family's cell count is the highest index seen plus one.
-func (s *Session) noteCell(spec Spec, i int) {
-	s.cellsMu.Lock()
-	if s.cells == nil {
-		s.cells = make(map[Spec]int)
-	}
-	if i+1 > s.cells[spec] {
-		s.cells[spec] = i + 1
-	}
-	s.cellsMu.Unlock()
-}
-
-// noteMissing records a merge miss under CollectMisses.
+// noteMissing records a merge miss.
 func (s *Session) noteMissing(k Key) {
 	s.missMu.Lock()
 	if s.missing == nil {
@@ -283,7 +227,7 @@ func (s *Session) noteMissing(k Key) {
 	s.missMu.Unlock()
 }
 
-// MissingCells returns the cells a CollectMisses merge pass could not
+// MissingCells returns the cells a merge pass could not
 // serve, sorted by (experiment, scale, schema, cell). Empty means the
 // merge was complete.
 func (s *Session) MissingCells() []Key {
@@ -305,18 +249,6 @@ func (s *Session) MissingCells() []Key {
 	return out
 }
 
-// MissingCount returns how many merge misses have been collected so
-// far — the cheap "did this experiment leave holes" probe a harness
-// checks around each driver.
-func (s *Session) MissingCount() int {
-	if s == nil {
-		return 0
-	}
-	s.missMu.Lock()
-	defer s.missMu.Unlock()
-	return len(s.missing)
-}
-
 // CellFamily pairs one spec with its cell count — one entry of the
 // enumerated work list a sweep coordinator hands out as leases.
 type CellFamily struct {
@@ -324,15 +256,24 @@ type CellFamily struct {
 	Cells int
 }
 
-// ActiveCellFamilies returns every (spec, cell count) pair noted by an
-// enumerating run, sorted by (experiment, scale, schema). Expanding
-// each family's cells 0..Cells-1 through Spec.Key yields the complete,
-// stable cell work list of a catalog run at the enumerated scale.
-func (s *Session) ActiveCellFamilies() []CellFamily {
-	s.cellsMu.Lock()
-	defer s.cellsMu.Unlock()
-	out := make([]CellFamily, 0, len(s.cells))
-	for spec, n := range s.cells {
+// Families runs pass under a session whose Claims gate notes every
+// cell's key and claims none, so nothing is read, computed or collected,
+// and returns one (spec, cell count) entry per family pass asked for,
+// sorted by (experiment, scale, schema); a family's count is its highest
+// cell index plus one. Expanding each family's cells 0..Cells-1 through
+// Spec.Key yields the complete, stable cell work list of pass.
+func Families(pass func(*Session)) []CellFamily {
+	var mu sync.Mutex
+	cells := make(map[Spec]int)
+	pass(&Session{Claims: func(k Key) bool {
+		spec := k.spec()
+		mu.Lock()
+		cells[spec] = max(cells[spec], k.Cell+1)
+		mu.Unlock()
+		return false
+	}})
+	out := make([]CellFamily, 0, len(cells))
+	for spec, n := range cells {
 		out = append(out, CellFamily{Spec: spec, Cells: n})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec.less(out[j].Spec) })
@@ -386,26 +327,6 @@ func (s *Session) MemoryHits() int64 {
 	return s.memoHits.Load()
 }
 
-// Sharded reports whether the session restricts cell coverage. A
-// sharded run fills the store but leaves uncovered slots of every
-// driver's result structure at their zero values, so its rendered
-// reports are partial — render from a -merge pass instead.
-func (s *Session) Sharded() bool {
-	return s != nil && s.Shard.Count > 1
-}
-
-// MissingCellError reports a merge pass that needed a record no shard
-// had produced.
-type MissingCellError struct {
-	Key Key
-}
-
-// Error names the missing cell and how to produce it.
-func (e *MissingCellError) Error() string {
-	return fmt.Sprintf("results: cell %d of %q (schema %d, scale %q) is not in the cache; run the shard covering it (and every other cell) before -merge",
-		e.Key.Cell, e.Key.Experiment, e.Key.Schema, e.Key.Scale)
-}
-
 // CellTimeoutError reports a computed cell that exceeded the session's
 // CellTimeout. It names the exact cell so an operator (or a join-mode
 // worker surrendering the cell back to its coordinator) can act on it.
@@ -420,10 +341,10 @@ func (e *CellTimeoutError) Error() string {
 		e.Key.Cell, e.Key.Experiment, e.Key.Schema, e.Key.Scale, e.Timeout)
 }
 
-// FatalError wraps an operational results failure (store I/O, a merge
-// miss) raised out of an experiment driver as a panic — the drivers
-// return no errors by design. Harnesses recover it at the top level and
-// exit with the message instead of a stack trace.
+// FatalError wraps an operational results failure (store I/O, a sink
+// upload, a cell timeout) raised out of an experiment driver as a panic
+// — the drivers return no errors by design. Harnesses recover it at the
+// top level and exit with the message instead of a stack trace.
 type FatalError struct {
 	Err error
 }

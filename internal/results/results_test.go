@@ -2,7 +2,6 @@ package results
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,6 +42,11 @@ func openStore(t *testing.T, dir string) *Store {
 }
 
 func spec() Spec { return Spec{Experiment: "unit/alpha", Schema: 1, Scale: "s1"} }
+
+// shardOf is the Claims predicate of a -shard i/n pass.
+func shardOf(i, n int) func(Key) bool {
+	return func(k Key) bool { return k.Cell%n == i }
+}
 
 func TestRunComputesCollectsAndServesWarm(t *testing.T) {
 	dir := t.TempDir()
@@ -200,7 +204,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 
 	var shardComputes int64
 	for i := 0; i < shards; i++ {
-		s := &Session{Store: openStore(t, dir), Shard: Shard{Index: i, Count: shards}}
+		s := &Session{Store: openStore(t, dir), Claims: shardOf(i, shards)}
 		collected := make([]rec, n)
 		if err := Run(context.Background(), pool, s, spec(), n, computeRec(&computes), collectInto(collected)); err != nil {
 			t.Fatal(err)
@@ -240,19 +244,22 @@ func TestMergeMissingCellFails(t *testing.T) {
 	pool := runner.New(1)
 	var computes atomic.Int64
 
-	// Only shard 0/2 ran; merge must name a missing odd cell.
-	s := &Session{Store: openStore(t, dir), Shard: Shard{Index: 0, Count: 2}}
+	// Only shard 0/2 ran; merge must name exactly the odd cells, and
+	// compute none of them.
+	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 2)}
 	if err := Run(context.Background(), pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	m := &Session{Store: openStore(t, dir), Merge: true}
-	err := Run(context.Background(), pool, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n)))
-	var miss *MissingCellError
-	if !errors.As(err, &miss) {
-		t.Fatalf("merge error = %v, want *MissingCellError", err)
+	if err := Run(context.Background(), pool, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		t.Fatal(err)
 	}
-	if miss.Key.Cell%2 != 1 {
-		t.Fatalf("missing cell %d should be odd (uncovered by shard 0/2)", miss.Key.Cell)
+	want := []Key{spec().Key(1), spec().Key(3), spec().Key(5)}
+	if miss := m.MissingCells(); !reflect.DeepEqual(miss, want) {
+		t.Fatalf("merge missing = %+v, want the odd cells %+v (uncovered by shard 0/2)", miss, want)
+	}
+	if h, c := m.Stats(); h != n/2 || c != 0 {
+		t.Fatalf("merge stats = %d hits, %d computed; want %d, 0", h, c, n/2)
 	}
 }
 
@@ -290,38 +297,6 @@ func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	}
 	if h, c := s2.Stats(); h != int64(len(a)) || c != 0 {
 		t.Fatalf("spec a warm stats = %d hits, %d computed", h, c)
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	good := map[string]Shard{
-		"0/2": {Index: 0, Count: 2},
-		"1/2": {Index: 1, Count: 2},
-		"4/5": {Index: 4, Count: 5},
-		"0/1": {Index: 0, Count: 1},
-	}
-	for in, want := range good {
-		got, err := ParseShard(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseShard(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"", "1", "2/2", "-1/2", "a/b", "1/0", "1/-2"} {
-		if _, err := ParseShard(in); err == nil {
-			t.Fatalf("ParseShard(%q) succeeded, want error", in)
-		}
-	}
-}
-
-func TestShardCovers(t *testing.T) {
-	if !(Shard{}).Covers(5) || !(Shard{Count: 1}).Covers(5) {
-		t.Fatal("zero/full shard must cover every cell")
-	}
-	sh := Shard{Index: 1, Count: 3}
-	for cell := 0; cell < 9; cell++ {
-		if sh.Covers(cell) != (cell%3 == 1) {
-			t.Fatalf("Shard 1/3 Covers(%d) wrong", cell)
-		}
 	}
 }
 

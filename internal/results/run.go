@@ -30,7 +30,7 @@ type Batch struct {
 }
 
 // NewBatch returns an empty batch executing on pool under session's
-// cache/shard policy (session may be nil: compute everything).
+// policy (session may be nil: compute everything).
 func NewBatch(pool runner.Pool, session *Session) *Batch {
 	return &Batch{pool: pool, session: session}
 }
@@ -41,8 +41,8 @@ func NewBatch(pool runner.Pool, session *Session) *Batch {
 // collect(i, v) stores it into the caller's result structure. When the
 // batch runs, each cell is served from the session's in-run records or
 // its store when a record exists, computed and persisted when not,
-// skipped when outside the session's shard, and in merge mode never
-// computed (a missing record fails the run with a *MissingCellError).
+// skipped when the session's Claims gate refuses it, and in merge mode
+// never computed (a missing record is noted in MissingCells).
 //
 // The record handed to collect is shared: the session keeps it, and
 // every other collector of the same key in this run receives the very
@@ -143,27 +143,18 @@ func lookup[T any](s *Session, k Key) (v T, own *memoSlot) {
 
 // resolve takes one cell as far as it goes without simulating — the
 // per-cell decision in front of compute. It reports done when nothing is
-// left to do: the cell is outside the session's shard or leases, or its
-// record was served (uploaded and collected), or it is a merge miss
-// (noted, or returned as the error). Otherwise the caller must compute
-// the cell and fill own, or release it. A traced cell must actually
-// simulate — a served record would leave the recorder empty — so it
-// passes the gates but skips the lookup and owns no slot; its fresh
-// record still overwrites the stored one, byte-identical.
+// left to do: the Claims gate skipped the cell, or its record was served
+// (uploaded and collected), or it is a merge miss (noted). Otherwise the
+// caller must compute the cell and fill own, or release it. A traced
+// cell outside a merge must actually simulate — a served record would
+// leave the recorder empty — so it skips the lookup and owns no slot;
+// its fresh record still overwrites the stored one, byte-identical.
 func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T)) (own *memoSlot, done bool, err error) {
-	if !s.Merge {
-		if !s.Shard.Covers(i) {
-			return nil, true, nil
-		}
-		// The lease gate: a join-mode worker computes exactly the cells
-		// it holds leases on and touches nothing else — neither the
-		// memo nor the store.
-		if s.Claims != nil && !s.Claims(k) {
-			return nil, true, nil
-		}
-		if traced {
-			return nil, false, nil
-		}
+	if s.Claims != nil && !s.Claims(k) {
+		return nil, true, nil
+	}
+	if traced && !s.Merge {
+		return nil, false, nil
 	}
 	v, own := lookup[T](s, k)
 	if own == nil {
@@ -175,21 +166,14 @@ func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T))
 	}
 	if s.Merge {
 		own.release()
-		if s.CollectMisses {
-			s.noteMissing(k)
-			return nil, true, nil
-		}
-		return nil, true, &MissingCellError{Key: k}
+		s.noteMissing(k)
+		return nil, true, nil
 	}
 	return own, false, nil
 }
 
 // runCell executes one cell under the session policy.
 func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) error {
-	if s != nil && s.Enumerate {
-		s.noteCell(spec, i)
-		return nil
-	}
 	// Flight-recorder gate: the traced cell takes the trace gate's
 	// write lock (computing alone, so only its object graph observes
 	// the armed recorder); all other cells take the read lock. With no
@@ -293,8 +277,8 @@ func computeCell[T any](s *Session, k Key, i int, compute func(int) T) (T, error
 // Run executes every registered cell across the pool and empties the
 // batch. Jobs with declared costs are dispatched first, most expensive
 // leading (longest-processing-time); the order never affects results,
-// only the parallel tail. It returns the first error (store I/O
-// failure or merge miss); compute panics propagate per the runner
+// only the parallel tail. It returns the first error (store I/O, sink
+// upload or cell timeout); compute panics propagate per the runner
 // contract.
 func (b *Batch) Run(ctx context.Context) error {
 	jobs, costs := b.jobs, b.costs

@@ -142,24 +142,24 @@ func TestLostClaimSkipsUpload(t *testing.T) {
 	}
 }
 
-func TestCollectMissesGathersEveryHole(t *testing.T) {
+func TestMergeGathersEveryHole(t *testing.T) {
 	dir := t.TempDir()
 	const n = 9
 	var computes atomic.Int64
 
 	// Seed shard 0/3 only: cells 1,2,4,5,7,8 are holes.
-	s := &Session{Store: openStore(t, dir), Shard: Shard{Index: 0, Count: 3}}
+	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 3)}
 	if err := Run(context.Background(), runner.New(1), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 
-	m := &Session{Store: openStore(t, dir), Merge: true, CollectMisses: true}
+	m := &Session{Store: openStore(t, dir), Merge: true}
 	got := make([]rec, n)
 	if err := Run(context.Background(), runner.New(2), m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
-		t.Fatalf("CollectMisses merge must not fail on holes: %v", err)
+		t.Fatalf("a merge must not fail on holes: %v", err)
 	}
 	miss := m.MissingCells()
-	if m.MissingCount() != 6 || len(miss) != 6 {
+	if len(miss) != 6 {
 		t.Fatalf("missing = %d cells (%v), want 6", len(miss), miss)
 	}
 	for i, k := range miss {
@@ -175,14 +175,6 @@ func TestCollectMissesGathersEveryHole(t *testing.T) {
 		if covered := i%3 == 0; covered != (got[i].Cell == i && got[i].Label == "cell") {
 			t.Fatalf("cell %d: covered=%v but collected %+v", i, covered, got[i])
 		}
-	}
-
-	// Without CollectMisses the same merge fails on the first hole.
-	m2 := &Session{Store: openStore(t, dir), Merge: true}
-	err := Run(context.Background(), runner.New(1), m2, spec(), n, computeRec(&computes), collectInto(make([]rec, n)))
-	var mce *MissingCellError
-	if !errors.As(err, &mce) {
-		t.Fatalf("plain merge over holes = %v, want *MissingCellError", err)
 	}
 }
 
