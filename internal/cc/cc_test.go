@@ -160,3 +160,19 @@ func TestNames(t *testing.T) {
 		t.Fatal("controller name mismatch")
 	}
 }
+
+// TestOLIAOnAckAllocates0 pins OLIA to the steady-state contract LIA
+// keeps: the coupled increase allocates nothing per ACK.
+func TestOLIAOnAckAllocates0(t *testing.T) {
+	olia := NewOLIA()
+	a := &fakeFlow{cwnd: 4, srtt: 0.02}
+	b := &fakeFlow{cwnd: 50, srtt: 0.2}
+	olia.Register(a)
+	olia.Register(b)
+	if avg := testing.AllocsPerRun(100, func() {
+		olia.OnAck(a, 1)
+		olia.OnAck(b, 2)
+	}); avg != 0 {
+		t.Fatalf("OLIA OnAck allocates %v times per pair of ACKs, want 0", avg)
+	}
+}

@@ -11,31 +11,40 @@ package cc
 // window. We estimate ℓ̂ by counting segments acknowledged since the last
 // loss on each path, as the kernel implementation does.
 type OLIA struct {
-	flows []Flow
-	acked map[Flow]float64 // segments acked since last loss (ℓ̂ estimate)
+	flows []oliaFlow // registration order
+}
+
+// oliaFlow is one subflow with its ℓ̂ estimate: segments acked since
+// its last loss.
+type oliaFlow struct {
+	Flow
+	acked float64
 }
 
 // NewOLIA returns an empty OLIA controller.
-func NewOLIA() *OLIA { return &OLIA{acked: make(map[Flow]float64)} }
+func NewOLIA() *OLIA { return &OLIA{} }
 
 // Name implements Controller.
 func (*OLIA) Name() string { return "olia" }
 
 // Register implements Controller.
-func (c *OLIA) Register(f Flow) {
-	c.flows = append(c.flows, f)
-	c.acked[f] = 0
-}
+func (c *OLIA) Register(f Flow) { c.flows = append(c.flows, oliaFlow{Flow: f}) }
 
 // Unregister implements Controller.
 func (c *OLIA) Unregister(f Flow) {
-	for i, ff := range c.flows {
-		if ff == f {
-			c.flows = append(c.flows[:i], c.flows[i+1:]...)
-			delete(c.acked, f)
-			return
+	if i := c.find(f); i >= 0 {
+		c.flows = append(c.flows[:i], c.flows[i+1:]...)
+	}
+}
+
+// find returns f's index in registration order, or -1.
+func (c *OLIA) find(f Flow) int {
+	for i := range c.flows {
+		if c.flows[i].Flow == f {
+			return i
 		}
 	}
+	return -1
 }
 
 func rttOf(f Flow) float64 {
@@ -46,51 +55,34 @@ func rttOf(f Flow) float64 {
 	return rtt
 }
 
-// classify partitions flows into M (max window) and B ("best" quality by
-// ℓ̂²/rtt). Ties include every tied flow.
-func (c *OLIA) classify() (maxW []Flow, best []Flow) {
-	var wMax, qMax float64
-	for _, f := range c.flows {
-		if f.Cwnd() > wMax {
-			wMax = f.Cwnd()
+// quality is the ℓ̂²/rtt path-quality metric.
+func (p *oliaFlow) quality() float64 {
+	l := p.acked + 1
+	return l * l / rttOf(p.Flow)
+}
+
+// OnAck implements the OLIA increase. It walks the flows twice and
+// allocates nothing: once for the denominator (summed in registration
+// order) and the largest window and quality, once to count the sets M
+// (max window) and B ("best" quality by ℓ̂²/rtt), where ties include
+// every tied flow.
+func (c *OLIA) OnAck(f Flow, n int) {
+	me := c.find(f)
+	if me >= 0 {
+		c.flows[me].acked += float64(n)
+	}
+
+	var denom, wMax, qMax float64
+	for i := range c.flows {
+		p := &c.flows[i]
+		w := p.Cwnd()
+		denom += w / rttOf(p.Flow)
+		if w > wMax {
+			wMax = w
 		}
-		if q := c.quality(f); q > qMax {
+		if q := p.quality(); q > qMax {
 			qMax = q
 		}
-	}
-	for _, f := range c.flows {
-		if f.Cwnd() >= wMax*0.999 {
-			maxW = append(maxW, f)
-		}
-		if c.quality(f) >= qMax*0.999 {
-			best = append(best, f)
-		}
-	}
-	return maxW, best
-}
-
-// quality is the ℓ̂²/rtt path-quality metric.
-func (c *OLIA) quality(f Flow) float64 {
-	l := c.acked[f] + 1
-	return l * l / rttOf(f)
-}
-
-func contains(fs []Flow, f Flow) bool {
-	for _, ff := range fs {
-		if ff == f {
-			return true
-		}
-	}
-	return false
-}
-
-// OnAck implements the OLIA increase.
-func (c *OLIA) OnAck(f Flow, n int) {
-	c.acked[f] += float64(n)
-
-	var denom float64
-	for _, ff := range c.flows {
-		denom += ff.Cwnd() / rttOf(ff)
 	}
 	if denom <= 0 {
 		denom = 1
@@ -104,21 +96,31 @@ func (c *OLIA) OnAck(f Flow, n int) {
 	// segment units.
 	base := (w / (rtt * rtt)) / (denom * denom)
 
-	var alpha float64
-	nPaths := float64(len(c.flows))
-	maxW, best := c.classify()
-	var collectedBest []Flow // B \ M
-	for _, ff := range best {
-		if !contains(maxW, ff) {
-			collectedBest = append(collectedBest, ff)
+	// α moves window from M to the collected best paths B \ M.
+	nM, nCollected := 0, 0
+	inM, inCollected := false, false
+	for i := range c.flows {
+		p := &c.flows[i]
+		m := p.Cwnd() >= wMax*0.999
+		collected := !m && p.quality() >= qMax*0.999
+		if m {
+			nM++
+		}
+		if collected {
+			nCollected++
+		}
+		if i == me {
+			inM, inCollected = m, collected
 		}
 	}
-	if len(collectedBest) > 0 && nPaths > 0 {
+	var alpha float64
+	if nCollected > 0 {
+		nPaths := float64(len(c.flows))
 		switch {
-		case contains(collectedBest, f):
-			alpha = 1 / (nPaths * float64(len(collectedBest)))
-		case contains(maxW, f):
-			alpha = -1 / (nPaths * float64(len(maxW)))
+		case inCollected:
+			alpha = 1 / (nPaths * float64(nCollected))
+		case inM:
+			alpha = -1 / (nPaths * float64(nM))
 		}
 	}
 
@@ -134,6 +136,8 @@ func (c *OLIA) OnAck(f Flow, n int) {
 
 // OnLoss halves the window and resets the inter-loss estimate.
 func (c *OLIA) OnLoss(f Flow) {
-	c.acked[f] = 0
+	if i := c.find(f); i >= 0 {
+		c.flows[i].acked = 0
+	}
 	halve(f)
 }

@@ -133,16 +133,16 @@ func TestFigure5DiffsGrowWithHeterogeneity(t *testing.T) {
 func TestFigure14ECFLowestOOO(t *testing.T) {
 	r := Figure14(Quick)
 	het := r.Heterogeneous
-	if het.CDFs["ecf"].Mean() > het.CDFs["minrtt"].Mean() {
+	if het.Delays["ecf"].Mean() > het.Delays["minrtt"].Mean() {
 		t.Fatalf("ECF mean OOO %.4f > default %.4f under heterogeneity",
-			het.CDFs["ecf"].Mean(), het.CDFs["minrtt"].Mean())
+			het.Delays["ecf"].Mean(), het.Delays["minrtt"].Mean())
 	}
 	// Symmetric: all schedulers close (DAPS excepted by the paper);
 	// assert ECF does not blow up relative to default.
 	sym := r.Symmetric
-	if sym.CDFs["ecf"].Mean() > sym.CDFs["minrtt"].Mean()*2+0.01 {
+	if sym.Delays["ecf"].Mean() > sym.Delays["minrtt"].Mean()*2+0.01 {
 		t.Fatalf("symmetric: ECF OOO %.4f much worse than default %.4f",
-			sym.CDFs["ecf"].Mean(), sym.CDFs["minrtt"].Mean())
+			sym.Delays["ecf"].Mean(), sym.Delays["minrtt"].Mean())
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"repro/internal/results"
 )
 
-// Ceilings for the quick-scale catalog store, set at twice what the
-// packed delay distributions measure (1.14 MB in 857 records, the
-// largest — an "ooo" cell — 59 KB). Raw per-packet sample arrays as
+// Ceilings for the quick-scale catalog store, about twice what the
+// run-length delay records measure (1.11 MB in 848 records, the
+// largest — an "ooo" cell — 57 KB). Raw per-packet sample arrays as
 // JSON numbers were 3.75 MB and 282 KB.
 const (
 	quickStoreBytesCeiling  = 2_300_000

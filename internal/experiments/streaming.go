@@ -278,12 +278,12 @@ func (r *CwndTraceResult) String() string {
 	return b.String()
 }
 
-// OOOResult carries out-of-order delay CCDFs per scheduler for one
-// bandwidth configuration.
+// OOOResult carries out-of-order delay distributions per scheduler for
+// one bandwidth configuration.
 type OOOResult struct {
 	Label      string
 	Schedulers []string
-	CDFs       map[string]*metrics.CDF
+	Delays     map[string]metrics.DelayDist
 }
 
 // oooCell is the record of one "ooo/<wifi>-<lte>" streaming run: the
@@ -322,14 +322,14 @@ func addOOO(b *results.Batch, wifi, lte float64, schedulers []string, sc Scale, 
 }
 
 // addOOOPanel registers one pair's cells for every listed scheduler and
-// returns the panel their delay CDFs fill in when the batch runs.
+// returns the panel their delay distributions fill in when the batch
+// runs.
 func addOOOPanel(b *results.Batch, label string, wifi, lte float64, schedulers []string, sc Scale) *OOOResult {
-	res := &OOOResult{Label: label, Schedulers: schedulers, CDFs: make(map[string]*metrics.CDF)}
-	var mu sync.Mutex // collect runs concurrently and CDFs is a map
+	res := &OOOResult{Label: label, Schedulers: schedulers, Delays: make(map[string]metrics.DelayDist)}
+	var mu sync.Mutex // collect runs concurrently and Delays is a map
 	addOOO(b, wifi, lte, schedulers, sc, func(i int, cell oooCell) {
-		c := cell.Delays.CDF()
 		mu.Lock()
-		res.CDFs[schedulers[i]] = c
+		res.Delays[schedulers[i]] = cell.Delays
 		mu.Unlock()
 	})
 	return res
@@ -338,7 +338,7 @@ func addOOOPanel(b *results.Batch, label string, wifi, lte float64, schedulers [
 // Figure13Result is the default scheduler's OOO delay across pairs.
 type Figure13Result struct {
 	WifiBandwidths []float64
-	CDFs           []*metrics.CDF
+	Delays         []metrics.DelayDist
 }
 
 // Figure13 measures OOO-delay CCDFs for the default scheduler at the
@@ -348,13 +348,13 @@ type Figure13Result struct {
 func Figure13(sc Scale) *Figure13Result {
 	res := &Figure13Result{
 		WifiBandwidths: figure5Pairs,
-		CDFs:           make([]*metrics.CDF, len(figure5Pairs)),
+		Delays:         make([]metrics.DelayDist, len(figure5Pairs)),
 	}
 	b := newBatch(sc)
 	for i, wifi := range figure5Pairs {
 		i := i
 		addOOO(b, wifi, 8.6, defaultOnly, sc, func(_ int, cell oooCell) {
-			res.CDFs[i] = cell.Delays.CDF()
+			res.Delays[i] = cell.Delays
 		})
 	}
 	runBatch(b)
@@ -367,7 +367,7 @@ func (r *Figure13Result) String() string {
 	b.WriteString("Figure 13: Out-of-Order Delay CCDF (Default scheduler)\n")
 	t := &metrics.Table{Header: []string{"WiFi-LTE", "P(>0.1s)", "P(>0.5s)", "P(>1.0s)", "mean (s)"}}
 	for i, wifi := range r.WifiBandwidths {
-		c := r.CDFs[i]
+		c := r.Delays[i]
 		t.AddRow(fmtMbps(wifi)+"-8.6",
 			fmt.Sprintf("%.4f", c.CCDFAt(0.1)),
 			fmt.Sprintf("%.4f", c.CCDFAt(0.5)),
@@ -405,7 +405,7 @@ func (r *Figure14Result) String() string {
 		fmt.Fprintf(&b, "(%s)\n", panel.Label)
 		t := &metrics.Table{Header: []string{"scheduler", "P(>0.1s)", "P(>0.5s)", "P(>0.8s)", "mean (s)"}}
 		for _, s := range panel.Schedulers {
-			c := panel.CDFs[s]
+			c := panel.Delays[s]
 			t.AddRow(s,
 				fmt.Sprintf("%.4f", c.CCDFAt(0.1)),
 				fmt.Sprintf("%.4f", c.CCDFAt(0.5)),

@@ -192,15 +192,15 @@ type Table4Result struct {
 	ECFOOO            time.Duration
 }
 
-// Table4 aggregates the wild web runs (it shares the engine room with
-// Figure 23).
+// Table4 prints the means of Figure 23's distributions.
 func Table4(sc Scale) *Table4Result {
 	f := Figure23(sc)
+	mean := func(d distribution) time.Duration { return time.Duration(d.Mean() * float64(time.Second)) }
 	return &Table4Result{
-		DefaultCompletion: f.MeanCompletion["minrtt"],
-		ECFCompletion:     f.MeanCompletion["ecf"],
-		DefaultOOO:        f.MeanOOO["minrtt"],
-		ECFOOO:            f.MeanOOO["ecf"],
+		DefaultCompletion: mean(f.Completion["minrtt"]),
+		ECFCompletion:     mean(f.Completion["ecf"]),
+		DefaultOOO:        mean(f.OOO["minrtt"]),
+		ECFOOO:            mean(f.OOO["ecf"]),
 	}
 }
 

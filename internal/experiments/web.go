@@ -288,31 +288,32 @@ func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64, run 
 }
 
 // WebBrowsingResult carries per-scheduler distributions for the three
-// §5.5 configurations; it backs both Figure 20 (completion times) and
-// Figure 21 (OOO delays).
+// §5.5 configurations, from one shared set of page fetches. Each figure
+// builds only the distributions it prints: Figure 20 fills Completions,
+// Figure 21 fills OOO.
 type WebBrowsingResult struct {
 	Figure      string
 	Configs     []webPageConfig
 	Schedulers  []string
-	Completions map[string][]*metrics.CDF // scheduler -> per-config CDF
-	OOO         map[string][]*metrics.CDF
+	Completions map[string][]*metrics.CDF      // scheduler -> per-config object completion times
+	OOO         map[string][]metrics.DelayDist // scheduler -> per-config OOO delays, runs pooled
 }
 
-// runWebBrowsing aggregates sc.WebRuns sessions per cell.
-func runWebBrowsing(sc Scale) *WebBrowsingResult {
+// runWebBrowsing runs sc.WebRuns sessions per (scheduler, config) and
+// returns, scheduler-major, each pair's outcomes in run order.
+func runWebBrowsing(sc Scale, figure string) (*WebBrowsingResult, [][]*PageOutcome) {
 	res := &WebBrowsingResult{
-		Configs:     figure20Configs,
-		Schedulers:  []string{"minrtt", "daps", "blest", "ecf"},
-		Completions: make(map[string][]*metrics.CDF),
-		OOO:         make(map[string][]*metrics.CDF),
+		Figure:     figure,
+		Configs:    figure20Configs,
+		Schedulers: []string{"minrtt", "daps", "blest", "ecf"},
 	}
 	// Fan every (scheduler, config, run) session out as its own job,
-	// then aggregate in index order so the CDFs see samples in the same
-	// sequence regardless of worker count. Both Figure 20 and Figure 21
-	// read from the same cell family ("web-browsing"), so one pass
-	// serves both. v2: seeds namespaced via runSeed per (config, run),
-	// shared across schedulers (paired sessions). v3: OOO delays are a
-	// packed metrics.DelayDist.
+	// then group in index order so the distributions see samples in the
+	// same sequence regardless of worker count. Both Figure 20 and
+	// Figure 21 read from the same cell family ("web-browsing"), so one
+	// pass serves both. v2: seeds namespaced via runSeed per (config,
+	// run), shared across schedulers (paired sessions). v3: OOO delays
+	// are a packed metrics.DelayDist.
 	nCfg, nRun := len(res.Configs), sc.WebRuns
 	outs := make([]*PageOutcome, len(res.Schedulers)*nCfg*nRun)
 	runCells(sc, sc.spec("web-browsing", 3, sc.webKey()), len(outs),
@@ -323,57 +324,69 @@ func runWebBrowsing(sc Scale) *WebBrowsingResult {
 			return fetchCNNPage(s, cfg.WifiMbps, cfg.LteMbps, runSeed("web-browsing", ci, k%nRun), (*core.Network).RunQuiet)
 		},
 		func(k int, out *PageOutcome) { outs[k] = out })
-	for si, s := range res.Schedulers {
-		for ci := range res.Configs {
-			var comp []float64
-			var ooo []metrics.DelayDist
-			for run := 0; run < nRun; run++ {
-				out := outs[(si*nCfg+ci)*nRun+run]
-				if out == nil {
-					// Cell outside this run's shard; the merge pass
-					// sees them all.
-					continue
-				}
-				comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
-				ooo = append(ooo, out.OOODelays)
-			}
-			res.Completions[s] = append(res.Completions[s], metrics.NewCDF(comp))
-			res.OOO[s] = append(res.OOO[s], metrics.MergeDelayDists(ooo...).CDF())
+	groups := make([][]*PageOutcome, len(res.Schedulers)*nCfg)
+	for k, out := range outs {
+		// A nil outcome is a cell outside this run's shard; the merge
+		// pass sees them all.
+		if out != nil {
+			groups[k/nRun] = append(groups[k/nRun], out)
 		}
 	}
-	return res
+	return res, groups
 }
 
 // Figure20 reports web object download completion-time CCDFs.
 func Figure20(sc Scale) *WebBrowsingResult {
-	r := runWebBrowsing(sc)
-	r.Figure = "Figure 20: Web Object Download Completion Time"
+	r, groups := runWebBrowsing(sc, "Figure 20: Web Object Download Completion Time")
+	r.Completions = make(map[string][]*metrics.CDF)
+	for g, outs := range groups {
+		var comp []float64
+		for _, out := range outs {
+			comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
+		}
+		s := r.Schedulers[g/len(r.Configs)]
+		r.Completions[s] = append(r.Completions[s], metrics.NewCDF(comp))
+	}
 	return r
 }
 
 // Figure21 reports web browsing OOO-delay CCDFs (same runs, other
 // metric).
 func Figure21(sc Scale) *WebBrowsingResult {
-	r := runWebBrowsing(sc)
-	r.Figure = "Figure 21: Out-of-Order Delay - Web Browsing"
+	r, groups := runWebBrowsing(sc, "Figure 21: Out-of-Order Delay - Web Browsing")
+	r.OOO = make(map[string][]metrics.DelayDist)
+	for g, outs := range groups {
+		ooo := make([]metrics.DelayDist, len(outs))
+		for i, out := range outs {
+			ooo[i] = out.OOODelays
+		}
+		s := r.Schedulers[g/len(r.Configs)]
+		r.OOO[s] = append(r.OOO[s], metrics.MergeDelayDists(ooo...))
+	}
 	return r
+}
+
+// distribution is what a quantile table reads: a CDF or a DelayDist.
+type distribution interface {
+	Quantile(p float64) float64
+	Mean() float64
 }
 
 // String renders quantile rows per config and scheduler.
 func (r *WebBrowsingResult) String() string {
 	var b strings.Builder
 	b.WriteString(r.Figure + "\n")
-	source := r.Completions
 	unit := "completion (s)"
-	if strings.Contains(r.Figure, "Out-of-Order") {
-		source = r.OOO
+	dist := func(s string, ci int) distribution { return r.Completions[s][ci] }
+	if r.OOO != nil {
 		unit = "OOO delay (s)"
+		dist = func(s string, ci int) distribution { return r.OOO[s][ci] }
 	}
 	for ci, cfg := range r.Configs {
 		fmt.Fprintf(&b, "(%s)\n", cfg.Label)
 		t := &metrics.Table{Header: []string{"scheduler", "p50 " + unit, "p90", "p99", "mean"}}
 		for _, s := range r.Schedulers {
-			c := source[s][ci]
+			c := dist(s, ci)
 			t.AddRow(s,
 				fmt.Sprintf("%.3f", c.Quantile(0.5)),
 				fmt.Sprintf("%.3f", c.Quantile(0.9)),

@@ -109,24 +109,21 @@ func (r *Figure22Result) String() string {
 }
 
 // Figure23Result is the §6.3 wild web study backing Figure 23 and
-// Table 4.
+// Table 4: per scheduler, the object completion times and the OOO
+// delays of all runs pooled.
 type Figure23Result struct {
-	Schedulers     []string
-	Completion     map[string]*metrics.CDF
-	OOO            map[string]*metrics.CDF
-	MeanCompletion map[string]time.Duration
-	MeanOOO        map[string]time.Duration
+	Schedulers []string
+	Completion map[string]*metrics.CDF
+	OOO        map[string]metrics.DelayDist
 }
 
 // Figure23 fetches the CNN-like page over wild paths for both schedulers
 // across sc.WildWebRuns runs.
 func Figure23(sc Scale) *Figure23Result {
 	res := &Figure23Result{
-		Schedulers:     []string{"minrtt", "ecf"},
-		Completion:     make(map[string]*metrics.CDF),
-		OOO:            make(map[string]*metrics.CDF),
-		MeanCompletion: make(map[string]time.Duration),
-		MeanOOO:        make(map[string]time.Duration),
+		Schedulers: []string{"minrtt", "ecf"},
+		Completion: make(map[string]*metrics.CDF),
+		OOO:        make(map[string]metrics.DelayDist),
 	}
 	runs := trace.WildWebRuns(sc.WildWebRuns)
 	// One job per (scheduler, run) page fetch; aggregation walks the
@@ -153,9 +150,7 @@ func Figure23(sc Scale) *Figure23Result {
 			ooo = append(ooo, out.OOODelays)
 		}
 		res.Completion[s] = metrics.NewCDF(comp)
-		res.OOO[s] = metrics.MergeDelayDists(ooo...).CDF()
-		res.MeanCompletion[s] = time.Duration(res.Completion[s].Mean() * float64(time.Second))
-		res.MeanOOO[s] = time.Duration(res.OOO[s].Mean() * float64(time.Second))
+		res.OOO[s] = metrics.MergeDelayDists(ooo...)
 	}
 	return res
 }

@@ -4,10 +4,11 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 )
@@ -30,46 +31,89 @@ func delayMultisets(rng *rand.Rand) [][]time.Duration {
 	return [][]time.Duration{nil, zeros, dups, top, mixed, edges}
 }
 
+// TestDelayDistRecordRoundTripIsExact sends distributions through their
+// record form and holds every statistic of what comes back to a CDF over
+// the samples in seconds, bit for bit: CCDFAt at each sample, just below
+// it and between neighbours, Quantile at the rendered probabilities and
+// the edges, and Mean. The inputs are the delayMultisets shapes, one
+// large enough for the radix sort, and merges of 1, 2 and 30 parts,
+// empty ones among them.
 func TestDelayDistRecordRoundTripIsExact(t *testing.T) {
+	check := func(name string, ds []time.Duration, d DelayDist) {
+		t.Helper()
+		// The distribution travels inside a record struct, as it does in
+		// PageOutcome.
+		type record struct {
+			N   int
+			OOO DelayDist
+		}
+		raw, err := json.Marshal(record{N: len(ds), OOO: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back record
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s: decoding %d samples: %v", name, len(ds), err)
+		}
+		got := back.OOO
+		want := slices.Clone(ds)
+		slices.Sort(want)
+		if back.N != len(ds) || !slices.Equal(got.sorted, want) {
+			t.Fatalf("%s: decoded %d samples, want %d, or they differ", name, len(got.sorted), len(ds))
+		}
+		ref := NewCDF(DurationsToSeconds(ds))
+		same := func(what string, g, w float64) {
+			t.Helper()
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s, %d samples: %s = %v, want %v", name, len(ds), what, g, w)
+			}
+		}
+		for i, v := range want {
+			x := v.Seconds()
+			below := math.Nextafter(x, math.Inf(-1))
+			same(fmt.Sprintf("CCDFAt(%v)", x), got.CCDFAt(x), ref.CCDFAt(x))
+			same(fmt.Sprintf("CCDFAt(%v)", below), got.CCDFAt(below), ref.CCDFAt(below))
+			if i > 0 {
+				mid := want[i-1].Seconds()/2 + x/2
+				same(fmt.Sprintf("CCDFAt(%v)", mid), got.CCDFAt(mid), ref.CCDFAt(mid))
+			}
+		}
+		for _, p := range []float64{0, 1e-9, 0.25, 0.5, 0.9, 0.99, 1} {
+			same(fmt.Sprintf("Quantile(%v)", p), got.Quantile(p), ref.Quantile(p))
+		}
+		same("Mean", got.Mean(), ref.Mean())
+	}
+
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
 		for _, ds := range delayMultisets(rng) {
-			// The distribution travels inside a record struct, as it does
-			// in PageOutcome.
-			type record struct {
-				N   int
-				OOO DelayDist
-			}
-			raw, err := json.Marshal(record{N: len(ds), OOO: NewDelayDist(ds)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back record
-			if err := json.Unmarshal(raw, &back); err != nil {
-				t.Fatalf("decoding %d samples: %v", len(ds), err)
-			}
-			want := DurationsToSeconds(ds)
-			sort.Float64s(want)
-			got := back.OOO.CDF()
-			if back.N != len(ds) || len(got.sorted) != len(want) {
-				t.Fatalf("decoded %d samples, want %d", len(got.sorted), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got.sorted[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("sample %d of %d = %v, want %v", i, len(want), got.sorted[i], want[i])
-				}
-			}
-			ref := NewCDF(DurationsToSeconds(ds))
-			for _, p := range []float64{0, 0.25, 0.5, 0.99, 1} {
-				x := ref.Quantile(p)
-				if got.Quantile(p) != x || got.At(x) != ref.At(x) {
-					t.Fatalf("p=%v: quantile %v at %v, want %v at %v", p, got.Quantile(p), got.At(x), x, ref.At(x))
-				}
-			}
-			if got.Mean() != ref.Mean() {
-				t.Fatalf("mean = %v, want %v", got.Mean(), ref.Mean())
-			}
+			check("multiset", ds, NewDelayDist(ds))
 		}
+	}
+
+	// Non-negative and past 2048 samples, so NewDelayDist radix-sorts;
+	// a third are zero, as in a streaming cell.
+	radix := make([]time.Duration, 5000)
+	for i := range radix {
+		if rng.Intn(3) > 0 {
+			radix[i] = time.Duration(rng.Int63n(int64(3 * time.Second)))
+		}
+	}
+	check("radix", radix, NewDelayDist(radix))
+
+	for _, n := range []int{1, 2, 30} {
+		var all []time.Duration
+		parts := make([]DelayDist, n)
+		for i := range parts {
+			var ds []time.Duration // every fifth part, and the first of two, is empty
+			if i%5 != 0 || n == 1 {
+				shapes := delayMultisets(rng)
+				ds = shapes[rng.Intn(len(shapes))]
+			}
+			all = append(all, ds...)
+			parts[i] = NewDelayDist(ds)
+		}
+		check(fmt.Sprintf("merge of %d", n), all, MergeDelayDists(parts...))
 	}
 }
 
@@ -92,32 +136,86 @@ func packDelays(count uint64, body ...byte) []byte {
 func TestDelayDistRejectsHostileRecords(t *testing.T) {
 	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	run := func(n uint64) []byte { return cat(uvarint(0), uvarint(n)) } // a zero gap and its run
+	// A well-formed record whose last base64 character carries a set
+	// padding bit: "AQo=" is the canonical form of count 1, sample 5.
+	padded := []byte(`"AQp="`)
 	cases := map[string][]byte{
 		"not a string":        []byte(`[0.001,0.002]`),
 		"bad base64":          []byte(`"!!not base64!!"`),
+		"stray padding bits":  padded,
+		"newline in base64":   []byte("\"AQ\no=\""),
 		"empty string":        []byte(`""`),
 		"cut-off count":       []byte(`"` + base64.StdEncoding.EncodeToString([]byte{0x80}) + `"`),
+		"over-long count":     []byte(`"` + base64.StdEncoding.EncodeToString(cat([]byte{0x81, 0x00}, varint(5))) + `"`),
 		"cut-off first":       packDelays(1, 0x80),
-		"cut-off gap":         packDelays(2, append(varint(5), 0x80)...),
-		"varint too long":     packDelays(2, append(varint(5), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)...),
-		"count above samples": packDelays(3, append(varint(1<<40), uvarint(1)...)...),
-		"count below samples": packDelays(1, append(varint(5), uvarint(1)...)...),
+		"over-long first":     packDelays(1, 0x8a, 0x00),
+		"cut-off gap":         packDelays(2, cat(varint(5), []byte{0x80})...),
+		"over-long gap":       packDelays(2, cat(varint(5), []byte{0x81, 0x80, 0x00})...),
+		"varint too long":     packDelays(2, cat(varint(5), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})...),
+		"count above samples": packDelays(3, cat(varint(1<<40), uvarint(1))...),
+		"count below samples": packDelays(1, cat(varint(5), uvarint(1))...),
 		"count beyond bytes":  packDelays(1<<60, varint(5)...),
-		"gap overflows int64": packDelays(2, append(varint(math.MaxInt64-1), uvarint(5)...)...),
+		"gap overflows int64": packDelays(2, cat(varint(math.MaxInt64-1), uvarint(5))...),
+		// The run form.
+		"run past the count":       packDelays(3, cat(varint(5), run(5))...),
+		"run cut off":              packDelays(3, cat(varint(5), uvarint(0), []byte{0x82})...),
+		"run of nothing":           packDelays(2, cat(varint(5), run(0), uvarint(3))...),
+		"zero-run chain":           packDelays(4, cat(varint(5), run(1), run(2))...),
+		"count above run samples":  packDelays(5, cat(varint(5), run(2))...),
+		"count below run samples":  packDelays(3, cat(varint(5), run(2), uvarint(7))...),
+		"run past the record size": packDelays(maxRecordSamples+1, cat(varint(0), run(maxRecordSamples))...),
 	}
 	for name, raw := range cases {
 		d := NewDelayDist([]time.Duration{7})
-		if err := json.Unmarshal(raw, &d); err == nil {
+		if err := d.UnmarshalJSON(raw); err == nil {
 			t.Errorf("%s: decoded to %v, want an error", name, d.sorted)
 		}
 		if len(d.sorted) != 1 || d.sorted[0] != 7 {
 			t.Errorf("%s: a rejected record changed the target to %v", name, d.sorted)
 		}
 	}
+
+	// A count far past what a tiny body encodes is refused before any
+	// sample memory is asked for: 2^22 samples would be 32 MiB.
+	huge := packDelays(maxRecordSamples, varint(5)...)
+	const tries = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tries; i++ {
+		var d DelayDist
+		if d.UnmarshalJSON(huge) == nil {
+			t.Fatal("a record claiming 2^22 samples in one decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / tries; perCall > 1024 {
+		t.Fatalf("rejecting a %d-byte record allocated %d bytes", len(huge), perCall)
+	}
 }
 
+// FuzzDelayDistUnmarshal holds the decoder to the encoder's form: an
+// accepted record is ordered and re-encodes to exactly its own bytes.
 func FuzzDelayDistUnmarshal(f *testing.F) {
 	for _, ds := range delayMultisets(rand.New(rand.NewSource(2))) {
+		raw, _ := NewDelayDist(ds).MarshalJSON()
+		f.Add(raw)
+	}
+	// Runs of every varint length: 2, 130 and 20000 equal samples.
+	long := []time.Duration{1}
+	for _, n := range []int{130, 20000} {
+		for i := 0; i < n; i++ {
+			long = append(long, time.Duration(n))
+		}
+	}
+	for _, ds := range [][]time.Duration{{0, 0, 0, 4, 4, 9}, {3, 3}, long} {
 		raw, _ := NewDelayDist(ds).MarshalJSON()
 		f.Add(raw)
 	}
@@ -125,7 +223,7 @@ func FuzzDelayDistUnmarshal(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var d DelayDist
-		if d.UnmarshalJSON(raw) != nil {
+		if d.UnmarshalJSON(raw) != nil || string(raw) == "null" {
 			return
 		}
 		if !slices.IsSorted(d.sorted) {
@@ -135,9 +233,8 @@ func FuzzDelayDistUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back DelayDist
-		if err := back.UnmarshalJSON(again); err != nil || !slices.Equal(back.sorted, d.sorted) {
-			t.Fatalf("re-encoded record decodes to %v (%v), want %v", back.sorted, err, d.sorted)
+		if string(again) != string(raw) {
+			t.Fatalf("accepted record %q re-encodes as %q", raw, again)
 		}
 	})
 }

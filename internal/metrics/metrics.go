@@ -55,6 +55,57 @@ func DurationsToSeconds(ds []time.Duration) []float64 {
 	return out
 }
 
+// The statistics of a distribution are defined once, below, over an
+// ascending sample read through a conversion to float seconds: the
+// identity for a CDF, Duration.Seconds for a DelayDist. The conversion
+// is monotone, so the converted sample is ascending too, and a
+// DelayDist's statistics are bit for bit those of NewCDF over its
+// samples in seconds. Only the samples a statistic probes are
+// converted.
+
+// atOf returns P(X <= x): the index of the first sample above x, found
+// with one binary search.
+func atOf[T any](s []T, sec func(T) float64, x float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	i := sort.Search(len(s), func(i int) bool { return sec(s[i]) > x })
+	return float64(i) / float64(len(s))
+}
+
+// quantileOf returns the p-quantile for p in [0, 1], interpolating
+// linearly between the two samples around p·(n−1).
+func quantileOf[T any](s []T, sec func(T) float64, p float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return sec(s[0])
+	}
+	if p >= 1 {
+		return sec(s[len(s)-1])
+	}
+	idx := p * float64(len(s)-1)
+	lo := int(idx)
+	frac := idx - float64(lo)
+	if lo+1 >= len(s) {
+		return sec(s[lo])
+	}
+	return sec(s[lo])*(1-frac) + sec(s[lo+1])*frac
+}
+
+// meanOf returns the sample mean, summed in ascending order.
+func meanOf[T any](s []T, sec func(T) float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range s {
+		sum += sec(v)
+	}
+	return sum / float64(len(s))
+}
+
 // CDF is an empirical distribution over float64 samples.
 type CDF struct {
 	sorted []float64
@@ -68,56 +119,22 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
+func identity(x float64) float64 { return x }
+
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Advance past equal values so At is P(X <= x), not P(X < x).
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
+func (c *CDF) At(x float64) float64 { return atOf(c.sorted, identity, x) }
 
 // CCDFAt returns P(X > x).
 func (c *CDF) CCDFAt(x float64) float64 { return 1 - c.At(x) }
 
 // Quantile returns the p-quantile for p in [0, 1].
-func (c *CDF) Quantile(p float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return c.sorted[0]
-	}
-	if p >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := p * float64(len(c.sorted)-1)
-	lo := int(idx)
-	frac := idx - float64(lo)
-	if lo+1 >= len(c.sorted) {
-		return c.sorted[lo]
-	}
-	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
-}
+func (c *CDF) Quantile(p float64) float64 { return quantileOf(c.sorted, identity, p) }
 
 // Mean returns the sample mean.
-func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range c.sorted {
-		sum += x
-	}
-	return sum / float64(len(c.sorted))
-}
+func (c *CDF) Mean() float64 { return meanOf(c.sorted, identity) }
 
 // Series renders (x, CCDF(x)) rows at evenly spaced points up to max —
 // the form the paper's CCDF figures take.

@@ -27,11 +27,16 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestCDFAt(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {9, 1},
+	ties := NewCDF([]float64{2, 1, 2, 4, 2})
+	cases := []struct {
+		c       *CDF
+		x, want float64
+	}{
+		{c, 0.5, 0}, {c, 1, 0.25}, {c, 2.5, 0.5}, {c, 4, 1}, {c, 9, 1},
+		{ties, 2, 0.8}, {ties, 1.5, 0.2},
 	}
 	for _, tc := range cases {
-		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
+		if got := tc.c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
 			t.Fatalf("At(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
@@ -85,6 +90,9 @@ func TestQuantile(t *testing.T) {
 	if q := c.Quantile(0.25); q != 20 {
 		t.Fatalf("q25 = %v, want 20", q)
 	}
+	if q := c.Quantile(0.9); math.Abs(q-46) > 1e-9 {
+		t.Fatalf("q90 = %v, want 46 (0.6 of the way from 40 to 50)", q)
+	}
 }
 
 func TestQuantileWithinRange(t *testing.T) {
@@ -116,6 +124,11 @@ func TestCDFMean(t *testing.T) {
 	}
 	if m := NewCDF(nil).Mean(); m != 0 {
 		t.Fatalf("empty mean = %v", m)
+	}
+	// The sum runs in ascending order: 1 + 1 + 1e16 is exact, while
+	// 1e16 + 1 would round the ones away.
+	if m := NewCDF([]float64{1e16, 1, 1}).Mean(); m != (1e16+2)/3 {
+		t.Fatalf("mean = %v, want the ascending sum's %v", m, (1e16+2)/3)
 	}
 }
 
