@@ -14,15 +14,17 @@ package repro
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/dash"
 	"repro/internal/experiments"
 	"repro/internal/sched"
 )
 
-// benchScale keeps individual benches in the seconds range while staying
-// long enough for steady-state behaviour.
-var benchScale = experiments.Scale{VideoSec: 180}
+// benchVideoSec keeps individual benches in the seconds range while
+// staying long enough for steady-state behaviour.
+const benchVideoSec = 180
 
 func BenchmarkAblationBeta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -69,13 +71,10 @@ func BenchmarkAblationSlowStartAware(b *testing.B) {
 func BenchmarkAblationIdleRestart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, schedName := range []string{"minrtt", "ecf"} {
-			on := experiments.RunStreaming(experiments.StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6, Scheduler: schedName, VideoSec: benchScale.VideoSec,
-			})
-			off := experiments.RunStreaming(experiments.StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6, Scheduler: schedName, VideoSec: benchScale.VideoSec,
-				DisableIdleRestart: true,
-			})
+			s := experiments.Streaming(0.3, 8.6, schedName, benchVideoSec)
+			on := s.Run()
+			s.NoIdleRestart = true
+			off := s.Run()
 			b.ReportMetric(on.Result.AvgThroughputMbps(), schedName+"-reset-on-Mbps")
 			b.ReportMetric(off.Result.AvgThroughputMbps(), schedName+"-reset-off-Mbps")
 		}
@@ -85,23 +84,24 @@ func BenchmarkAblationIdleRestart(b *testing.B) {
 func BenchmarkAblationCongestionControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, ccName := range []string{"lia", "olia", "reno"} {
-			out := experiments.RunStreaming(experiments.StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "ecf", CC: ccName,
-				VideoSec: benchScale.VideoSec,
-			})
+			s := experiments.Streaming(0.3, 8.6, "ecf", benchVideoSec)
+			s.CC = ccName
+			out := s.Run()
 			b.ReportMetric(out.Result.AvgThroughputMbps(), ccName+"-Mbps")
 		}
 	}
 }
 
-// runECFVariant streams the hot cell with a specific ECF instance.
+// runECFVariant streams the hot cell with a specific ECF instance, which
+// no registry name can stand for, so it drives the network directly.
 func runECFVariant(e *sched.ECF) float64 {
-	out := experiments.RunStreaming(experiments.StreamConfig{
-		WifiMbps: 0.3, LteMbps: 8.6,
-		SchedulerInstance: e,
-		VideoSec:          benchScale.VideoSec,
-	})
-	return out.Result.AvgBitrateMbps() / dash.IdealBitrateMbps(8.9, dash.StandardLadder)
+	net := core.NewNetwork(core.DefaultPaths(0.3, 8.6))
+	defer net.Close()
+	player := dash.NewPlayer(net.Engine(), net.NewConn(core.ConnOptions{SchedulerInstance: e}),
+		dash.PlayerConfig{VideoSeconds: benchVideoSec})
+	player.Start(nil)
+	net.Run((benchVideoSec*12 + 300) * time.Second)
+	return player.Result().AvgBitrateMbps() / dash.IdealBitrateMbps(8.9, dash.StandardLadder)
 }
 
 func ftoa(f float64) string {

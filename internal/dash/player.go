@@ -87,9 +87,6 @@ func NewPlayer(eng *sim.Engine, conn *mptcp.Conn, cfg PlayerConfig) *Player {
 	return &Player{eng: eng, conn: conn, cfg: cfg, totalChunks: total}
 }
 
-// State returns the current phase.
-func (p *Player) State() PlayerState { return p.state }
-
 // BufferSeconds returns the playback buffer level, accounting for
 // playback drain since the last event.
 func (p *Player) BufferSeconds() float64 {

@@ -8,8 +8,9 @@ import (
 
 // The results-layer contract at the driver level: a warm-cache run
 // renders byte-identically to the cold run that filled the store (for
-// any worker count), shards union into the unsharded report, and key
-// changes invalidate records.
+// any worker count), shards union into the unsharded report, and a
+// scale change invalidates records (which families a change reaches is
+// TestScaleFieldsChangeExactlyTheirFamilies).
 
 func cacheSession(t *testing.T, dir string) *results.Session {
 	t.Helper()
@@ -104,15 +105,6 @@ func TestScaleChangeInvalidatesCachedCells(t *testing.T) {
 	Table3(again)
 	if h, c := again.Results.Stats(); h != 4 || c != 0 {
 		t.Fatalf("original-scale stats = %d hits, %d computed; want all hits", h, c)
-	}
-
-	// Scale keys are per cell family: a knob Table 3 does not read
-	// (WebRuns) must not invalidate its records.
-	unrelated := Scale{VideoSec: 15, WebRuns: 99}
-	unrelated.Results = cacheSession(t, dir)
-	Table3(unrelated)
-	if h, c := unrelated.Results.Stats(); h != 4 || c != 0 {
-		t.Fatalf("unrelated-knob stats = %d hits, %d computed; want all hits", h, c)
 	}
 }
 

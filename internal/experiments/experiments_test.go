@@ -42,7 +42,7 @@ func TestTable2RTTShape(t *testing.T) {
 }
 
 func TestRunStreamingBasics(t *testing.T) {
-	out := RunStreaming(StreamConfig{WifiMbps: 4.2, LteMbps: 4.2, Scheduler: "ecf", VideoSec: 40})
+	out := Streaming(4.2, 4.2, "ecf", 40).Run()
 	if !out.Finished {
 		t.Fatal("streaming run did not finish")
 	}
@@ -58,10 +58,9 @@ func TestRunStreamingBasics(t *testing.T) {
 }
 
 func TestRunStreamingSamplesTraces(t *testing.T) {
-	out := RunStreaming(StreamConfig{
-		WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: 30,
-		SampleInterval: 100 * time.Millisecond,
-	})
+	s := Streaming(0.3, 8.6, "minrtt", 30)
+	s.Workload.SampleInterval = 100 * time.Millisecond
+	out := s.Run()
 	if len(out.CwndTraces) != 2 || len(out.SndbufTraces) != 2 {
 		t.Fatalf("trace counts = %d/%d, want 2/2", len(out.CwndTraces), len(out.SndbufTraces))
 	}
@@ -76,8 +75,8 @@ func TestRunStreamingSamplesTraces(t *testing.T) {
 func TestFigure2HeterogeneityHurtsDefault(t *testing.T) {
 	// Mini-grid assertion at test scale: the symmetric high-bandwidth
 	// cell must score (much) better than the extreme heterogeneous cell.
-	sym := RunStreaming(StreamConfig{WifiMbps: 8.6, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: Quick.VideoSec})
-	het := RunStreaming(StreamConfig{WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: Quick.VideoSec})
+	sym := Streaming(8.6, 8.6, "minrtt", Quick.VideoSec).Run()
+	het := Streaming(0.3, 8.6, "minrtt", Quick.VideoSec).Run()
 	symRatio := sym.Result.AvgBitrateMbps() / 8.47
 	hetRatio := het.Result.AvgBitrateMbps() / 8.47
 	if hetRatio >= symRatio {
@@ -89,8 +88,8 @@ func TestFigure9ECFBeatsDefaultAtHotCells(t *testing.T) {
 	// The paper's headline: at 0.3/8.6 ECF's ratio clearly exceeds the
 	// default's, while at 8.6/8.6 they tie. Uses a longer playout to get
 	// past ABR warm-up.
-	defHet := RunStreaming(StreamConfig{WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: 180})
-	ecfHet := RunStreaming(StreamConfig{WifiMbps: 0.3, LteMbps: 8.6, Scheduler: "ecf", VideoSec: 180})
+	defHet := Streaming(0.3, 8.6, "minrtt", 180).Run()
+	ecfHet := Streaming(0.3, 8.6, "ecf", 180).Run()
 	dr := defHet.Result.AvgBitrateMbps() / 8.47
 	er := ecfHet.Result.AvgBitrateMbps() / 8.47
 	if er <= dr {
@@ -99,8 +98,8 @@ func TestFigure9ECFBeatsDefaultAtHotCells(t *testing.T) {
 	if er-dr < 0.08 {
 		t.Fatalf("ECF improvement %.2f too small at the hot cell", er-dr)
 	}
-	defSym := RunStreaming(StreamConfig{WifiMbps: 8.6, LteMbps: 8.6, Scheduler: "minrtt", VideoSec: 180})
-	ecfSym := RunStreaming(StreamConfig{WifiMbps: 8.6, LteMbps: 8.6, Scheduler: "ecf", VideoSec: 180})
+	defSym := Streaming(8.6, 8.6, "minrtt", 180).Run()
+	ecfSym := Streaming(8.6, 8.6, "ecf", 180).Run()
 	ds := defSym.Result.AvgBitrateMbps()
 	es := ecfSym.Result.AvgBitrateMbps()
 	if es < ds*0.95 {
@@ -173,8 +172,8 @@ func TestFigure17SeriesPresent(t *testing.T) {
 func TestWgetECFNotWorse(t *testing.T) {
 	// 512 KB at 1/10 Mbps: ECF should be at least as fast as default
 	// (paper: ~13-20% faster).
-	def := wgetStats("minrtt", 1, 10, 512<<10, 3, "test-wget", 0)
-	ecf := wgetStats("ecf", 1, 10, 512<<10, 3, "test-wget", 0)
+	def := wgetSummary(wgetScenario("minrtt", 1, 10, 512<<10, 3, "test-wget", 0).Run())
+	ecf := wgetSummary(wgetScenario("ecf", 1, 10, 512<<10, 3, "test-wget", 0).Run())
 	if ecf.Mean > def.Mean*1.05 {
 		t.Fatalf("wget: ECF %.3fs worse than default %.3fs", ecf.Mean, def.Mean)
 	}
@@ -183,8 +182,8 @@ func TestWgetECFNotWorse(t *testing.T) {
 func TestWgetSmallSizeParity(t *testing.T) {
 	// 128 KB transfers: schedulers should be statistically similar
 	// (paper Figure 19a is all white).
-	def := wgetStats("minrtt", 1, 5, 128<<10, 3, "test-wget", 1)
-	ecf := wgetStats("ecf", 1, 5, 128<<10, 3, "test-wget", 1)
+	def := wgetSummary(wgetScenario("minrtt", 1, 5, 128<<10, 3, "test-wget", 1).Run())
+	ecf := wgetSummary(wgetScenario("ecf", 1, 5, 128<<10, 3, "test-wget", 1).Run())
 	if diff := ecf.Mean - def.Mean; diff > def.StdDev+ecf.StdDev+0.2 {
 		t.Fatalf("128KB: ECF %.3fs vs default %.3fs beyond noise", ecf.Mean, def.Mean)
 	}

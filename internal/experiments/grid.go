@@ -10,17 +10,52 @@ import (
 	"repro/internal/trace"
 )
 
-// gridSchema versions the grid cell record (GridCell) and the cell
-// semantics of RunGrid; bump on any change to either.
-const gridSchema = 1
-
-// gridSpecName names the cell family of one scheduler's sweep, so every
-// figure touching the same (scheduler, ablation) grid shares records.
-func gridSpecName(scheduler string, disableIdleRestart bool) string {
-	if disableIdleRestart {
-		return "grid/" + scheduler + "/no-reset"
+// gridRecord keeps one (WiFi, LTE) streaming cell of a §5.2 sweep.
+var gridRecord = record[GridCell]{1, func(s Scenario, out *Outcome) GridCell {
+	wifi, lte := s.Paths[0].RateMbps, s.Paths[1].RateMbps
+	return GridCell{
+		WifiMbps:            wifi,
+		LteMbps:             lte,
+		BitrateRatio:        bitrateRatio(s, out),
+		ThroughputMbps:      out.Result.AvgThroughputMbps(),
+		IdealThroughputMbps: wifi + lte,
+		FastFraction:        out.FastFraction,
+		IdealFraction:       out.IdealFraction,
+		IWResets:            out.IWResets,
 	}
-	return "grid/" + scheduler
+}}
+
+// bitrateRatio is the heat-map value of Figures 2, 9 and 15: the
+// session's average bit rate over the ideal one for the paths' aggregate
+// bandwidth, at most 1.
+func bitrateRatio(s Scenario, out *Outcome) float64 {
+	ideal := dash.IdealBitrateMbps(s.Paths[0].RateMbps+s.Paths[1].RateMbps, dash.StandardLadder)
+	if ideal <= 0 {
+		return 0
+	}
+	return min(out.Result.AvgBitrateMbps()/ideal, 1)
+}
+
+// gridFamily is one scheduler's 36-cell §5.2 sweep, "grid/<scheduler>"
+// (with "/no-reset" when idle restart is off, Figure 6): cell k streams
+// WiFi at bandwidth k/6 and LTE at k%6 of the grid axis.
+func gridFamily(sc Scale, scheduler string, noIdleRestart bool) *family[GridCell] {
+	name := "grid/" + scheduler
+	if noIdleRestart {
+		name += "/no-reset"
+	}
+	return declare(sc, name, gridRecord, func() []Scenario {
+		bws := trace.GridBandwidthsMbps
+		cells := make([]Scenario, 0, len(bws)*len(bws))
+		for _, wifi := range bws {
+			for _, lte := range bws {
+				s := Streaming(wifi, lte, scheduler, sc.GridVideoSec)
+				s.NoIdleRestart = noIdleRestart
+				cells = append(cells, s)
+			}
+		}
+		return cells
+	})
 }
 
 // GridCell is the outcome of one (WiFi, LTE) bandwidth cell.
@@ -49,61 +84,27 @@ type GridResult struct {
 	Bandwidths []float64
 }
 
-// addGrid registers one scheduler's 36-cell §5.2 sweep on the batch and
-// returns the result structure, filled in when the batch runs. Keeping
-// registration separate from execution lets multi-grid figures (6, 9,
-// 10) flatten all their cells into a single pool fan-out.
-func addGrid(b *results.Batch, scheduler string, sc Scale, disableIdleRestart bool) *GridResult {
+// addGrid registers one scheduler's sweep on the batch and returns the
+// result structure, filled in when the batch runs. Keeping registration
+// separate from execution lets multi-grid figures (6, 9, 10) flatten
+// all their cells into a single pool fan-out.
+func addGrid(b *results.Batch, scheduler string, sc Scale, noIdleRestart bool) *GridResult {
 	bws := trace.GridBandwidthsMbps
-	res := &GridResult{Scheduler: scheduler, Bandwidths: bws}
-	res.Cells = make([][]GridCell, len(bws))
-	for i := range res.Cells {
-		res.Cells[i] = make([]GridCell, len(bws))
-	}
 	n := len(bws)
-	compute := func(k int) GridCell {
-		wifi, lte := bws[k/n], bws[k%n]
-		out := RunStreaming(StreamConfig{
-			WifiMbps:           wifi,
-			LteMbps:            lte,
-			Scheduler:          scheduler,
-			VideoSec:           sc.GridVideoSec,
-			DisableIdleRestart: disableIdleRestart,
-		})
-		defer out.Release()
-		ideal := dash.IdealBitrateMbps(wifi+lte, dash.StandardLadder)
-		cell := GridCell{
-			WifiMbps:            wifi,
-			LteMbps:             lte,
-			ThroughputMbps:      out.Result.AvgThroughputMbps(),
-			IdealThroughputMbps: wifi + lte,
-			FastFraction:        out.FastFraction,
-			IdealFraction:       out.IdealFraction,
-			IWResets:            out.IWResets,
-		}
-		if ideal > 0 {
-			cell.BitrateRatio = out.Result.AvgBitrateMbps() / ideal
-			if cell.BitrateRatio > 1 {
-				cell.BitrateRatio = 1
-			}
-		}
-		return cell
+	res := &GridResult{Scheduler: scheduler, Bandwidths: bws, Cells: make([][]GridCell, n)}
+	for i := range res.Cells {
+		res.Cells[i] = make([]GridCell, n)
 	}
-	// A cell's event count grows with aggregate bandwidth × playout
-	// length, so the high-bandwidth corner dominates sweep time;
-	// starting there shrinks the parallel tail.
-	cost := func(k int) float64 { return (bws[k/n] + bws[k%n]) * sc.GridVideoSec }
-	results.AddWithCost(b, sc.spec(gridSpecName(scheduler, disableIdleRestart), gridSchema, sc.gridKey()), n*n, cost, compute,
-		func(k int, c GridCell) { res.Cells[k/n][k%n] = c })
+	gridFamily(sc, scheduler, noIdleRestart).add(b, func(k int, c GridCell) { res.Cells[k/n][k%n] = c })
 	return res
 }
 
 // RunGrid sweeps the §5.2 bandwidth grid for one scheduler, fanning the
 // 36 independent cells across the scale's worker pool.
-// disableIdleRestart supports the Figure 6 ablation.
-func RunGrid(scheduler string, sc Scale, disableIdleRestart bool) *GridResult {
+// noIdleRestart supports the Figure 6 ablation.
+func RunGrid(scheduler string, sc Scale, noIdleRestart bool) *GridResult {
 	b := newBatch(sc)
-	res := addGrid(b, scheduler, sc, disableIdleRestart)
+	res := addGrid(b, scheduler, sc, noIdleRestart)
 	runBatch(b)
 	return res
 }
@@ -295,8 +296,10 @@ type Figure15Result struct {
 	ECFRatio      []float64
 }
 
-// Figure15 compares default vs ECF with four subflows; the 12
-// (bandwidth, scheduler) cells run as one parallel batch.
+// Figure15 compares default vs ECF with four subflows: cell k of the
+// "fig15" family streams 0.3 Mbps WiFi against LTE at bandwidth k/2 of
+// the grid axis, under the default scheduler when k is even and ECF when
+// it is odd.
 func Figure15(sc Scale) *Figure15Result {
 	bws := trace.GridBandwidthsMbps
 	res := &Figure15Result{
@@ -305,35 +308,24 @@ func Figure15(sc Scale) *Figure15Result {
 		ECFRatio:      make([]float64, len(bws)),
 	}
 	schedulers := []string{"minrtt", "ecf"}
-	b := newBatch(sc)
-	results.AddWithCost(b, sc.spec("fig15", 1, sc.gridKey()), len(bws)*len(schedulers),
-		func(k int) float64 { return (0.3 + bws[k/len(schedulers)]) * sc.GridVideoSec },
-		func(k int) float64 {
-			lte := bws[k/len(schedulers)]
-			out := RunStreaming(StreamConfig{
-				WifiMbps:        0.3,
-				LteMbps:         lte,
-				Scheduler:       schedulers[k%len(schedulers)],
-				VideoSec:        sc.GridVideoSec,
-				SubflowsPerPath: 2,
-			})
-			defer out.Release()
-			ideal := dash.IdealBitrateMbps(0.3+lte, dash.StandardLadder)
-			ratio := out.Result.AvgBitrateMbps() / ideal
-			if ratio > 1 {
-				ratio = 1
+	fam := declare(sc, "fig15", record[float64]{1, bitrateRatio}, func() []Scenario {
+		var cells []Scenario
+		for _, lte := range bws {
+			for _, sched := range schedulers {
+				s := Streaming(0.3, lte, sched, sc.GridVideoSec)
+				s.SubflowsPerPath = 2
+				cells = append(cells, s)
 			}
-			return ratio
-		},
-		func(k int, ratio float64) {
-			li, si := k/len(schedulers), k%len(schedulers)
-			if si == 0 {
-				res.DefaultRatio[li] = ratio
-			} else {
-				res.ECFRatio[li] = ratio
-			}
-		})
-	runBatch(b)
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, ratio float64) {
+		if k%2 == 0 {
+			res.DefaultRatio[k/2] = ratio
+		} else {
+			res.ECFRatio[k/2] = ratio
+		}
+	})
 	return res
 }
 

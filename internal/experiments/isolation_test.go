@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dash"
 	"repro/internal/mptcp"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -58,15 +59,10 @@ func isolationFingerprint(scheduler string) string {
 	fmt.Fprintf(&b, "stalls=%d waits=%d rtx=%d pen=%d\n", conn.WindowStalls(), conn.WaitDecisions(), conn.Reinjections(), conn.Penalties())
 	net.Close()
 
-	out := RunStreaming(StreamConfig{
-		WifiMbps:  0.7,
-		LteMbps:   4.2,
-		Scheduler: scheduler,
-		VideoSec:  12,
-	})
+	out := Streaming(0.7, 4.2, scheduler, 12).Run()
 	defer out.Release()
-	fmt.Fprintf(&b, "fast=%.12f ideal=%.12f iw=%d fiw=%d fin=%v\n",
-		out.FastFraction, out.IdealFraction, out.IWResets, out.FastIWResets, out.Finished)
+	fmt.Fprintf(&b, "fast=%.12f ideal=%.12f iw=%d fin=%v\n",
+		out.FastFraction, out.IdealFraction, out.IWResets, out.Finished)
 	for _, c := range out.Result.Chunks {
 		fmt.Fprintf(&b, "chunk %d rep=%s req=%d done=%d tp=%.9f diff=%d both=%v\n",
 			c.Index, c.Rep.Name, c.RequestedAt, c.CompletedAt, c.ThroughputMbps, c.LastPacketDiff, c.BothPaths)
@@ -116,27 +112,17 @@ var polluters = []struct {
 		net.Run(time.Minute)
 	}},
 	{"four-subflow ecf streaming", func() {
-		out := RunStreaming(StreamConfig{
-			WifiMbps:           0.3,
-			LteMbps:            8.6,
-			Scheduler:          "ecf",
-			VideoSec:           8,
-			SubflowsPerPath:    2,
-			DisableIdleRestart: true,
-			CC:                 "reno",
-		})
-		out.Release()
+		s := Streaming(0.3, 8.6, "ecf", 8)
+		s.SubflowsPerPath, s.NoIdleRestart, s.CC = 2, true, "reno"
+		s.Run().Release()
 	}},
 	{"variable-bandwidth daps streaming", func() {
-		changes := trace.RandomScenario(99, 2, 30*time.Second, 5*time.Second, trace.RandomChangeValuesMbps)
-		out := RunStreaming(StreamConfig{
-			WifiMbps:  8.6,
-			LteMbps:   0.3,
-			Scheduler: "daps",
-			VideoSec:  8,
-			PreRun:    func(net *core.Network) { trace.Apply(net, changes) },
-		})
-		out.Release()
+		net := core.NewNetwork(core.DefaultPaths(8.6, 0.3))
+		defer net.Close()
+		trace.Apply(net, trace.RandomScenario(99, 2, 30*time.Second, 5*time.Second, trace.RandomChangeValuesMbps))
+		conn := net.NewConn(core.ConnOptions{Scheduler: "daps"})
+		dash.NewPlayer(net.Engine(), conn, dash.PlayerConfig{VideoSeconds: 8}).Start(nil)
+		net.Run(2 * time.Minute)
 	}},
 }
 

@@ -25,8 +25,8 @@ func TestEnumerateCellsCoversColdStoreGroups(t *testing.T) {
 	dir := t.TempDir()
 	cold := sc
 	cold.Results = cacheSession(t, dir)
-	Figure16(cold) // random-bandwidth cells (randomKey, schema'd)
-	Figure1(cold)  // single streaming cell (videoKey)
+	Figure16(cold) // random-bandwidth cells
+	Figure1(cold)  // a single streaming cell
 	if _, c := cold.Results.Stats(); c == 0 {
 		t.Fatal("cold pass computed nothing; test is vacuous")
 	}

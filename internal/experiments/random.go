@@ -3,18 +3,11 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
-
-// randomSchema versions the §5.3 cell records. v2: scenario seeds are
-// namespaced via runner.Seed("random", scenario) instead of the raw
-// scenario number.
-const randomSchema = 2
 
 // Figure16Result compares average streaming throughput across random
 // bandwidth-change scenarios (§5.3).
@@ -26,52 +19,53 @@ type Figure16Result struct {
 	Throughput map[string][]float64
 }
 
-// Figure16 runs the §5.3 study: WiFi and LTE bandwidths change at
-// exponentially distributed intervals (mean 40 s), drawn uniformly from
-// {0.3, 1.1, 1.7, 4.2, 8.6} Mbps; one unique seed per scenario.
+// randomSchedulers are the schedulers of the §5.3 study, in the order of
+// the "fig16" family's cells.
+var randomSchedulers = []string{"minrtt", "blest", "ecf"}
+
+// randomFamily is "fig16", the §5.3 study: WiFi and LTE bandwidths
+// change at exponentially distributed intervals (mean 40 s), drawn
+// uniformly from {0.3, 1.1, 1.7, 4.2, 8.6} Mbps. Cell k streams scenario
+// k%RandomScenarios+1 under scheduler k/RandomScenarios; a scenario's
+// starting rates and changes come from its runner.Seed-namespaced seed,
+// identical across schedulers as in the paper. A cell keeps its
+// per-chunk throughput series (Mbps).
+func randomFamily(sc Scale) *family[[]float64] {
+	return declare(sc, "fig16", record[[]float64]{1, func(_ Scenario, out *Outcome) []float64 {
+		return out.Result.ChunkThroughputsMbps()
+	}}, func() []Scenario {
+		var cells []Scenario
+		for _, sched := range randomSchedulers {
+			for n := 1; n <= sc.RandomScenarios; n++ {
+				seed := runner.Seed("random", n)
+				init := trace.InitialRates(seed, 2, trace.RandomChangeValuesMbps)
+				s := Streaming(init[0], init[1], sched, sc.RandomDurSec)
+				s.RandomSeed = seed
+				cells = append(cells, s)
+			}
+		}
+		return cells
+	})
+}
+
+// Figure16 runs the §5.3 study, one unique seed per scenario, and
+// averages each session's chunk throughputs.
 func Figure16(sc Scale) *Figure16Result {
-	schedulers := []string{"minrtt", "blest", "ecf"}
 	res := &Figure16Result{
 		Scenarios:  sc.RandomScenarios,
-		Schedulers: schedulers,
+		Schedulers: randomSchedulers,
 		Throughput: make(map[string][]float64),
 	}
 	// Pre-size before the fan-out: workers write disjoint (scheduler,
 	// scenario) slots and never touch the map itself.
-	for _, s := range schedulers {
+	for _, s := range randomSchedulers {
 		res.Throughput[s] = make([]float64, sc.RandomScenarios)
 	}
-	runCells(sc, sc.spec("fig16", randomSchema, sc.randomKey()), len(schedulers)*sc.RandomScenarios,
-		func(k int) float64 {
-			si, scen := k/sc.RandomScenarios, k%sc.RandomScenarios
-			out := runRandomScenario(schedulers[si], scen+1, sc)
-			defer out.Release()
-			return out.Result.AvgThroughputMbps()
-		},
-		func(k int, mbps float64) {
-			si, scen := k/sc.RandomScenarios, k%sc.RandomScenarios
-			res.Throughput[schedulers[si]][scen] = mbps
-		})
-	return res
-}
-
-// runRandomScenario builds scenario n (1-based) deterministically from
-// its runner.Seed-namespaced seed (identical across schedulers, as in
-// the paper) and streams through it.
-func runRandomScenario(scheduler string, n int, sc Scale) *StreamOutcome {
-	seed := runner.Seed("random", n)
-	dur := seconds(sc.RandomDurSec)
-	init := trace.InitialRates(seed, 2, trace.RandomChangeValuesMbps)
-	changes := trace.RandomScenario(seed, 2, dur, 40*time.Second, trace.RandomChangeValuesMbps)
-	return RunStreaming(StreamConfig{
-		WifiMbps:  init[0],
-		LteMbps:   init[1],
-		Scheduler: scheduler,
-		VideoSec:  sc.RandomDurSec,
-		PreRun: func(net *core.Network) {
-			trace.Apply(net, changes)
-		},
+	randomFamily(sc).run(sc, func(k int, chunks []float64) {
+		si, scen := k/sc.RandomScenarios, k%sc.RandomScenarios
+		res.Throughput[randomSchedulers[si]][scen] = metrics.Summarize(chunks).Mean
 	})
+	return res
 }
 
 // MeanThroughput averages across scenarios for one scheduler.
@@ -108,23 +102,22 @@ type Figure17Result struct {
 }
 
 // Figure17 traces chunk throughputs for scenario 6 (as the paper plots),
-// clamped to the available scenario count at small scales.
+// clamped to the available scenario count at small scales: the default
+// and ECF cells of that scenario in Figure 16's family.
 func Figure17(sc Scale) *Figure17Result {
-	scen := 6
-	if scen > sc.RandomScenarios {
-		scen = sc.RandomScenarios
-	}
+	scen := min(6, sc.RandomScenarios)
 	res := &Figure17Result{Scenario: scen}
-	traces := make([][]float64, 2)
-	schedulers := []string{"minrtt", "ecf"}
-	runCells(sc, sc.spec("fig17", randomSchema, sc.randomKey()), len(schedulers),
-		func(i int) []float64 {
-			out := runRandomScenario(schedulers[i], scen, sc)
-			defer out.Release()
-			return out.Result.ChunkThroughputsMbps()
-		},
-		func(i int, xs []float64) { traces[i] = xs })
-	res.Default, res.ECF = traces[0], traces[1]
+	if scen < 1 {
+		return res
+	}
+	def, ecf := scen-1, 2*sc.RandomScenarios+scen-1 // randomSchedulers[0] and [2]
+	randomFamily(sc).run(sc, func(k int, chunks []float64) {
+		if k == def {
+			res.Default = chunks
+		} else {
+			res.ECF = chunks
+		}
+	}, def, ecf)
 	return res
 }
 

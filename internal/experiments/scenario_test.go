@@ -1,0 +1,265 @@
+package experiments
+
+import (
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/results"
+	"repro/internal/trace"
+)
+
+// TestFmtMbps pins every bandwidth label the catalog prints or names a
+// family with, and the values whose tenths digit rounds up.
+func TestFmtMbps(t *testing.T) {
+	cases := map[float64]string{
+		0.3: "0.3", 0.7: "0.7", 1.1: "1.1", 1.7: "1.7", 4.2: "4.2", 8.6: "8.6",
+		1: "1", 2: "2", 3: "3", 4: "4", 5: "5", 6: "6", 7: "7", 8: "8", 9: "9", 10: "10",
+		0.97: "1", 1.96: "2", 9.99: "10",
+	}
+	var axes []float64
+	for _, vs := range [][]float64{trace.GridBandwidthsMbps, trace.WebBandwidthsMbps, trace.RandomChangeValuesMbps, figure5Pairs} {
+		axes = append(axes, vs...)
+	}
+	for _, v := range axes {
+		if _, ok := cases[v]; !ok {
+			t.Errorf("catalog axis value %v has no case", v)
+		}
+	}
+	for v, want := range cases {
+		if got := fmtMbps(v); got != want {
+			t.Errorf("fmtMbps(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// perturbLeaves calls f once per leaf field of v (recursing into
+// structs and arrays) with a copy of v in which that one field differs,
+// and fails on any field kind a comparable, self-contained value must
+// not have.
+func perturbLeaves(t *testing.T, v reflect.Value, path string, f func(path string)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturbLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+		return
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			perturbLeaves(t, v.Index(i), path+"["+string(rune('0'+i))+"]", f)
+		}
+		return
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	defer v.Set(old)
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint8, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	default:
+		t.Fatalf("%s is a %s: a scenario holds only plain comparable values", path, v.Kind())
+	}
+	f(path)
+}
+
+// TestScenarioKeysFollowContent: changing any one field of any one cell
+// changes its family's key.
+func TestScenarioKeysFollowContent(t *testing.T) {
+	families := map[string][]Scenario{
+		"grid":  gridFamily(Quick, "ecf", false).cells,
+		"table": declaredCells(t, Quick, "table2"),
+		"wget":  declaredCells(t, Quick, "fig19"),
+		"page":  declaredCells(t, Quick, "fig23"),
+	}
+	for name, cells := range families {
+		want := digest(cells)
+		cells = append([]Scenario(nil), cells...)
+		n := 0
+		perturbLeaves(t, reflect.ValueOf(&cells[len(cells)-1]).Elem(), "Scenario", func(path string) {
+			n++
+			if digest(cells) == want {
+				t.Errorf("%s family: changing %s of its last cell leaves its key", name, path)
+			}
+		})
+		if n < 30 {
+			t.Fatalf("%s family: only %d scenario fields perturbed", name, n)
+		}
+	}
+}
+
+// declaredCells returns the scenarios of the named family at the scale,
+// which a catalog pass declares.
+func declaredCells(t *testing.T, sc Scale, name string) []Scenario {
+	t.Helper()
+	EnumerateCells(sc)
+	f, ok := declared.Load(familyKey{name, sc.sizes()})
+	if !ok {
+		t.Fatalf("the catalog declares no %q family", name)
+	}
+	_, cells := f.(declaredFamily).scenarios()
+	return cells
+}
+
+// declaredFamily is what the declared memo holds, whatever a family's
+// record type.
+type declaredFamily interface {
+	scenarios() (results.Spec, []Scenario)
+}
+
+// familyKeys runs the catalog at sc without simulating and returns every
+// family's key by name. A non-nil sc.Results keeps its policy; only its
+// Claims gate is replaced by one that notes keys and claims nothing.
+func familyKeys(sc Scale) map[string]results.Spec {
+	var mu sync.Mutex
+	keys := map[string]results.Spec{}
+	ses := &results.Session{}
+	if sc.Results != nil {
+		ses = sc.Results
+	}
+	ses.Claims = func(k results.Key) bool {
+		mu.Lock()
+		keys[k.Experiment] = results.Spec{Experiment: k.Experiment, Schema: k.Schema, Scale: k.Scale}
+		mu.Unlock()
+		return false
+	}
+	sc.Results = ses
+	RunCatalog(sc)
+	return keys
+}
+
+// TestScaleFieldsChangeExactlyTheirFamilies: a Scale field changes the
+// keys of exactly the families whose scenarios read it, and the run
+// policy fields change none.
+func TestScaleFieldsChangeExactlyTheirFamilies(t *testing.T) {
+	// Scale field → the families reading it, by name or, ending in "/",
+	// by name prefix.
+	readBy := map[string][]string{
+		"VideoSec":        {"fig1", "sampled/", "ooo/", "fig22"},
+		"GridVideoSec":    {"grid/", "fig15"},
+		"RandomDurSec":    {"fig16"},
+		"RandomScenarios": {"fig16"},
+		"WebRuns":         {"fig18", "fig19", "web-browsing"},
+		"WildWebRuns":     {"fig23"},
+		"Workers":         nil,
+		"Results":         nil,
+		"Progress":        nil,
+	}
+	base := familyKeys(Quick)
+	st := reflect.TypeOf(Scale{})
+	for i := 0; i < st.NumField(); i++ {
+		field := st.Field(i).Name
+		readers, ok := readBy[field]
+		if !ok {
+			t.Errorf("Scale.%s is new: list the families that read it", field)
+			continue
+		}
+		sc := Quick
+		switch v := reflect.ValueOf(&sc).Elem().Field(i); field {
+		case "Results":
+			sc.Results = &results.Session{Merge: true, CellTimeout: time.Hour}
+		case "Progress":
+			sc.Progress = func(int, int) {}
+		default:
+			switch v.Kind() {
+			case reflect.Float64:
+				v.SetFloat(v.Float() + 1)
+			case reflect.Int:
+				v.SetInt(v.Int() + 1)
+			default:
+				t.Fatalf("Scale.%s is a %s", field, v.Kind())
+			}
+		}
+		got := familyKeys(sc)
+		var changed, want []string
+		for name, spec := range base {
+			if got[name] != spec {
+				changed = append(changed, name)
+			}
+			for _, p := range readers {
+				if name == p || strings.HasSuffix(p, "/") && strings.HasPrefix(name, p) {
+					want = append(want, name)
+					break
+				}
+			}
+		}
+		sort.Strings(changed)
+		sort.Strings(want)
+		if len(got) != len(base) || !reflect.DeepEqual(changed, want) {
+			t.Errorf("Scale.%s changes the keys of %v (%d families), want %v (%d)", field, changed, len(got), want, len(base))
+		}
+	}
+}
+
+// TestNoScenarioSimulatedTwice: across the quick and the full catalog,
+// no two cell keys simulate an equal scenario — a family that repeats
+// another's simulation must read that family's cells instead.
+func TestNoScenarioSimulatedTwice(t *testing.T) {
+	for _, sc := range []Scale{Quick, Full} {
+		fams := EnumerateCells(sc)
+		byKey := map[results.Spec][]Scenario{}
+		declared.Range(func(_, f any) bool {
+			spec, cells := f.(declaredFamily).scenarios()
+			byKey[spec] = cells
+			return true
+		})
+		seen := map[Scenario]results.Key{}
+		for _, f := range fams {
+			cells, ok := byKey[f.Spec]
+			if !ok {
+				t.Fatalf("enumerated family %+v was never declared", f.Spec)
+			}
+			for i := 0; i < f.Cells; i++ {
+				sims := []Scenario{cells[i]}
+				if cells[i].Versus != "" {
+					one := cells[i]
+					one.Versus = ""
+					sims = []Scenario{one, cells[i].versus()}
+				}
+				for _, s := range sims {
+					k := f.Spec.Key(i)
+					if prev, dup := seen[s]; dup && prev != k {
+						t.Errorf("cell %d of %q simulates what cell %d of %q does: %+v", i, k.Experiment, prev.Cell, prev.Experiment, s)
+					}
+					seen[s] = k
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentCatalogPassesAgreeOnKeys: catalog passes that declare
+// the same families at once all see one declared family per name — the
+// same key and cell count.
+func TestConcurrentCatalogPassesAgreeOnKeys(t *testing.T) {
+	sc := Quick
+	sc.WebRuns = 7 // sizes no other test declares, so the passes race to declare
+	const passes = 4
+	got := make([][]results.CellFamily, passes)
+	var wg sync.WaitGroup
+	for i := 0; i < passes; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = EnumerateCells(sc)
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < passes; i++ {
+		if !reflect.DeepEqual(got[i], got[0]) {
+			t.Fatalf("pass %d enumerated %v, pass 0 %v", i, got[i], got[0])
+		}
+	}
+}

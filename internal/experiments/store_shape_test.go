@@ -10,7 +10,7 @@ import (
 )
 
 // Ceilings for the quick-scale catalog store, about twice what the
-// run-length delay records measure (1.11 MB in 848 records, the
+// run-length delay records measure (1.12 MB in 842 records, the
 // largest — an "ooo" cell — 57 KB). Raw per-packet sample arrays as
 // JSON numbers were 3.75 MB and 282 KB.
 const (
@@ -75,10 +75,11 @@ func TestCatalogSharesRecordsWithinOneRun(t *testing.T) {
 // that it reads back exactly: a second pass is all hits and renders the
 // delay reports byte-identically to the pass that computed them; the
 // stored families are, cell for cell, the matrix EnumerateCells lists —
-// what -cache-prune keeps and ecfd leases out (Figures 5 and
-// 13 read the "ooo" families and Figures 3, 11 and 12 the "sampled"
-// one, so no group is named after any of them); and neither the store
-// nor its largest record outgrows the packed form.
+// what -cache-prune keeps and ecfd leases out (Table 3 and Figures 5
+// and 13 read the "ooo" families, Figures 3, 11 and 12 the "sampled"
+// one and Figure 17 Figure 16's, so no group is named after any of
+// them); and neither the store nor its largest record outgrows the
+// packed form.
 func TestCatalogStoreShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick catalog")
@@ -127,9 +128,9 @@ func TestCatalogStoreShape(t *testing.T) {
 	for g := range stored {
 		t.Errorf("stored family %+v is not in the enumerated matrix (prune would delete it)", g)
 	}
-	for _, fam := range []string{"fig3", "fig5", "fig11", "fig12", "fig13", "cwnd/sf0", "cwnd/sf1"} {
+	for _, fam := range []string{"table3", "fig3", "fig5", "fig11", "fig12", "fig13", "fig17", "cwnd/sf0", "cwnd/sf1"} {
 		if families[fam] != 0 {
-			t.Errorf("a %q family exists; its figure must read the shared \"ooo\" or \"sampled\" records", fam)
+			t.Errorf("a %q family exists; its driver must read the shared \"ooo\", \"sampled\" or \"fig16\" records", fam)
 		}
 	}
 	// Figure 14 fills two pairs for all four schedulers; Figures 5 and 13

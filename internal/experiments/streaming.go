@@ -28,34 +28,27 @@ type Figure1Result struct {
 // cell's record is the Figure1Result itself.
 func Figure1(sc Scale) *Figure1Result {
 	res := &Figure1Result{}
-	runCells(sc, sc.spec("fig1", 1, sc.videoKey()), 1,
-		func(int) *Figure1Result {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: 8.6, LteMbps: 8.6,
-				Scheduler: "minrtt",
-				VideoSec:  sc.VideoSec,
-			})
-			defer out.Release()
-			cell := &Figure1Result{}
-			for _, p := range out.Result.DownloadTrace {
-				cell.Trace = append(cell.Trace, struct {
-					At    time.Duration
-					Bytes int64
-				}{p.At, p.Bytes})
-			}
-			chunks := out.Result.Chunks
-			for i := 1; i < len(chunks); i++ {
-				gap := chunks[i].RequestedAt - chunks[i-1].CompletedAt
-				if gap > time.Second {
-					if cell.OffPeriods == 0 {
-						cell.InitialBufferingEnds = chunks[i-1].CompletedAt
-					}
-					cell.OffPeriods++
+	fam := declare(sc, "fig1", record[*Figure1Result]{1, func(_ Scenario, out *Outcome) *Figure1Result {
+		cell := &Figure1Result{}
+		for _, p := range out.Result.DownloadTrace {
+			cell.Trace = append(cell.Trace, struct {
+				At    time.Duration
+				Bytes int64
+			}{p.At, p.Bytes})
+		}
+		chunks := out.Result.Chunks
+		for i := 1; i < len(chunks); i++ {
+			gap := chunks[i].RequestedAt - chunks[i-1].CompletedAt
+			if gap > time.Second {
+				if cell.OffPeriods == 0 {
+					cell.InitialBufferingEnds = chunks[i-1].CompletedAt
 				}
+				cell.OffPeriods++
 			}
-			return cell
-		},
-		func(_ int, cell *Figure1Result) { *res = *cell })
+		}
+		return cell
+	}}, func() []Scenario { return []Scenario{Streaming(8.6, 8.6, "minrtt", sc.VideoSec)} })
+	fam.run(sc, func(_ int, cell *Figure1Result) { *res = *cell })
 	return res
 }
 
@@ -80,9 +73,9 @@ type Figure3Result struct {
 	Traces []*metrics.TimeSeries // bytes over time, per subflow
 }
 
-// sampledSchedulers are the cells of the sampled-trace family, the
-// default scheduler first: Figure 3 reads cell 0 alone.
-var sampledSchedulers = []string{"minrtt", "daps", "blest", "ecf"}
+// paperSchedulers are the four schedulers the paper compares, the
+// default first.
+var paperSchedulers = []string{"minrtt", "daps", "blest", "ecf"}
 
 // sampledCell is the record of one 0.3/8.6 streaming run sampled every
 // 100 ms: both subflows' congestion window and send-buffer occupancy at
@@ -95,38 +88,37 @@ type sampledCell struct {
 	Sndbuf   [][]float64 // [subflow][sample], unacked bytes
 }
 
-// runSampled runs the first n cells of the "sampled/0.3-8.6" family.
-func runSampled(sc Scale, n int, collect func(i int, cell sampledCell)) {
-	runCells(sc, sc.spec("sampled/0.3-8.6", 1, sc.videoKey()), n,
-		func(i int) sampledCell {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6,
-				Scheduler:      sampledSchedulers[i],
-				VideoSec:       sc.VideoSec,
-				SampleInterval: 100 * time.Millisecond,
-			})
-			defer out.Release()
-			// The sampler records every series at the same instants.
-			cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
-			for j := range out.CwndTraces {
-				cell.Cwnd = append(cell.Cwnd, out.CwndTraces[j].V)
-				cell.Sndbuf = append(cell.Sndbuf, out.SndbufTraces[j].V)
-			}
-			return cell
-		},
-		collect)
+// sampledFamily is "sampled/0.3-8.6": one sampled 0.3/8.6 stream per
+// paper scheduler.
+func sampledFamily(sc Scale) *family[sampledCell] {
+	return declare(sc, "sampled/0.3-8.6", record[sampledCell]{1, func(_ Scenario, out *Outcome) sampledCell {
+		// The sampler records every series at the same instants.
+		cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
+		for j := range out.CwndTraces {
+			cell.Cwnd = append(cell.Cwnd, out.CwndTraces[j].V)
+			cell.Sndbuf = append(cell.Sndbuf, out.SndbufTraces[j].V)
+		}
+		return cell
+	}}, func() []Scenario {
+		cells := make([]Scenario, len(paperSchedulers))
+		for i, sched := range paperSchedulers {
+			cells[i] = Streaming(0.3, 8.6, sched, sc.VideoSec)
+			cells[i].Workload.SampleInterval = 100 * time.Millisecond
+		}
+		return cells
+	})
 }
 
 // Figure3 samples subflow send-buffer occupancy (unacked bytes, in-flight
 // included, as the paper measures) every 100 ms.
 func Figure3(sc Scale) *Figure3Result {
 	res := &Figure3Result{}
-	runSampled(sc, 1, func(_ int, cell sampledCell) {
+	sampledFamily(sc).run(sc, func(_ int, cell sampledCell) {
 		res.Names = cell.Subflows
 		for _, v := range cell.Sndbuf {
 			res.Traces = append(res.Traces, &metrics.TimeSeries{T: cell.T, V: v})
 		}
-	})
+	}, 0)
 	return res
 }
 
@@ -191,9 +183,9 @@ func Figure5(sc Scale) *Figure5Result {
 	b := newBatch(sc)
 	for i, wifi := range figure5Pairs {
 		i := i
-		addOOO(b, wifi, 8.6, defaultOnly, sc, func(_ int, cell oooCell) {
+		oooFamily(sc, wifi, 8.6).add(b, func(_ int, cell oooCell) {
 			res.CDFs[i] = metrics.NewCDF(cell.LastPacketDiffs)
-		})
+		}, 0)
 	}
 	runBatch(b)
 	return res
@@ -236,11 +228,11 @@ func cwndTrace(fig string, subflowIdx int, sc Scale) *CwndTraceResult {
 	res := &CwndTraceResult{
 		Figure:     fig,
 		SubflowIdx: subflowIdx,
-		Schedulers: sampledSchedulers,
+		Schedulers: paperSchedulers,
 		Traces:     make(map[string]*metrics.TimeSeries),
 	}
 	traces := make([]*metrics.TimeSeries, len(res.Schedulers))
-	runSampled(sc, len(res.Schedulers), func(i int, cell sampledCell) {
+	sampledFamily(sc).run(sc, func(i int, cell sampledCell) {
 		traces[i] = &metrics.TimeSeries{T: cell.T, V: cell.Cwnd[subflowIdx]}
 	})
 	for i, s := range res.Schedulers {
@@ -287,49 +279,42 @@ type OOOResult struct {
 }
 
 // oooCell is the record of one "ooo/<wifi>-<lte>" streaming run: the
-// receiver's packed out-of-order delay distribution (Figures 13, 14)
-// and, per chunk fetched over both paths, the seconds between the last
-// packets received on each (Figure 5).
+// receiver's packed out-of-order delay distribution (Figures 13, 14),
+// per chunk fetched over both paths the seconds between the last
+// packets received on each (Figure 5), and the initial-window resets
+// summed over subflows (Table 3).
 type oooCell struct {
 	Delays          metrics.DelayDist
 	LastPacketDiffs []float64
+	IWResets        int64
 }
 
-// defaultOnly selects cell 0 of an "ooo" family.
-var defaultOnly = []string{"minrtt"}
-
-// addOOO registers one bandwidth pair's per-scheduler streaming cells
-// on the batch. Cell i of the "ooo/<wifi>-<lte>" family is
-// schedulers[i], so every caller must list schedulers in the same order
-// (the default scheduler first) to share records. collect runs
-// concurrently for distinct cells. v2: metrics.DelayDist replaces the
-// raw sample array. v3: the record gains LastPacketDiffs.
-func addOOO(b *results.Batch, wifi, lte float64, schedulers []string, sc Scale, collect func(i int, cell oooCell)) {
-	results.Add(b, sc.spec(fmt.Sprintf("ooo/%s-%s", fmtMbps(wifi), fmtMbps(lte)), 3, sc.videoKey()), len(schedulers),
-		func(i int) oooCell {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: wifi, LteMbps: lte,
-				Scheduler: schedulers[i],
-				VideoSec:  sc.VideoSec,
-			})
-			defer out.Release()
-			return oooCell{
-				Delays:          metrics.NewDelayDist(out.OOODelays),
-				LastPacketDiffs: metrics.DurationsToSeconds(out.Result.LastPacketDiffs()),
-			}
-		},
-		collect)
+// oooFamily is "ooo/<wifi>-<lte>": one stream of the bandwidth pair per
+// paper scheduler, the default first.
+func oooFamily(sc Scale, wifi, lte float64) *family[oooCell] {
+	return declare(sc, "ooo/"+fmtMbps(wifi)+"-"+fmtMbps(lte), record[oooCell]{1, func(_ Scenario, out *Outcome) oooCell {
+		return oooCell{
+			Delays:          metrics.NewDelayDist(out.OOODelays),
+			LastPacketDiffs: metrics.DurationsToSeconds(out.Result.LastPacketDiffs()),
+			IWResets:        out.IWResets,
+		}
+	}}, func() []Scenario {
+		cells := make([]Scenario, len(paperSchedulers))
+		for i, sched := range paperSchedulers {
+			cells[i] = Streaming(wifi, lte, sched, sc.VideoSec)
+		}
+		return cells
+	})
 }
 
-// addOOOPanel registers one pair's cells for every listed scheduler and
-// returns the panel their delay distributions fill in when the batch
-// runs.
-func addOOOPanel(b *results.Batch, label string, wifi, lte float64, schedulers []string, sc Scale) *OOOResult {
-	res := &OOOResult{Label: label, Schedulers: schedulers, Delays: make(map[string]metrics.DelayDist)}
+// addOOOPanel registers one pair's cells and returns the panel their
+// delay distributions fill in when the batch runs.
+func addOOOPanel(b *results.Batch, label string, wifi, lte float64, sc Scale) *OOOResult {
+	res := &OOOResult{Label: label, Schedulers: paperSchedulers, Delays: make(map[string]metrics.DelayDist)}
 	var mu sync.Mutex // collect runs concurrently and Delays is a map
-	addOOO(b, wifi, lte, schedulers, sc, func(i int, cell oooCell) {
+	oooFamily(sc, wifi, lte).add(b, func(i int, cell oooCell) {
 		mu.Lock()
-		res.Delays[schedulers[i]] = cell.Delays
+		res.Delays[paperSchedulers[i]] = cell.Delays
 		mu.Unlock()
 	})
 	return res
@@ -353,9 +338,9 @@ func Figure13(sc Scale) *Figure13Result {
 	b := newBatch(sc)
 	for i, wifi := range figure5Pairs {
 		i := i
-		addOOO(b, wifi, 8.6, defaultOnly, sc, func(_ int, cell oooCell) {
+		oooFamily(sc, wifi, 8.6).add(b, func(_ int, cell oooCell) {
 			res.Delays[i] = cell.Delays
-		})
+		}, 0)
 	}
 	runBatch(b)
 	return res
@@ -387,11 +372,10 @@ type Figure14Result struct {
 // Figure14 compares OOO delay across schedulers; both panels' cells run
 // through one shared pool.
 func Figure14(sc Scale) *Figure14Result {
-	scheds := []string{"minrtt", "daps", "blest", "ecf"}
 	b := newBatch(sc)
 	res := &Figure14Result{
-		Heterogeneous: addOOOPanel(b, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6, scheds, sc),
-		Symmetric:     addOOOPanel(b, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6, scheds, sc),
+		Heterogeneous: addOOOPanel(b, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6, sc),
+		Symmetric:     addOOOPanel(b, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6, sc),
 	}
 	runBatch(b)
 	return res

@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dash"
 	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -57,72 +55,38 @@ func Table2(sc Scale) *Table2Result {
 		WifiRTT:        make([]time.Duration, len(bws)),
 		LteRTT:         make([]time.Duration, len(bws)),
 	}
-	// Cell record: the mean loaded RTT. The measurement is fully
-	// deterministic (no RNG draws) and reads no Scale field, so its
-	// scale key is empty: records survive any scale change.
-	runCells(sc, sc.spec("table2", 1, ""), len(bws)*2,
-		func(k int) time.Duration {
-			bw := bws[k/2]
-			if k%2 == 0 {
-				return measureLoadedRTT("wifi", bw, core.WiFiBaseRTT)
+	// Cell k saturates one path at bandwidth k/2 — WiFi when k is even,
+	// LTE when it is odd — from a single subflow, with the other path an
+	// unused trickle; its record is the subflow's mean smoothed RTT
+	// sampled over the transfer. No cell reads a Scale field.
+	fam := declare(sc, "table2", record[time.Duration]{1, func(_ Scenario, out *Outcome) time.Duration {
+		return out.LoadedRTT
+	}}, func() []Scenario {
+		var cells []Scenario
+		for _, bw := range bws {
+			for _, p := range [2]core.PathSpec{
+				{Name: "wifi", RateMbps: bw, BaseRTT: core.WiFiBaseRTT},
+				{Name: "lte", RateMbps: bw, BaseRTT: core.LTEBaseRTT},
+			} {
+				cells = append(cells, Scenario{
+					Paths:     [2]core.PathSpec{p, {Name: "unused", RateMbps: 0.01, BaseRTT: time.Second}},
+					Scheduler: "wifi-only",
+					// Enough bytes to keep the path busy for ~20 s.
+					Workload: Workload{Kind: workBulk, Bytes: int64(bw * 1e6 / 8 * 20)},
+					Limit:    22 * time.Second,
+				})
 			}
-			return measureLoadedRTT("lte", bw, core.LTEBaseRTT)
-		},
-		func(k int, rtt time.Duration) {
-			if k%2 == 0 {
-				res.WifiRTT[k/2] = rtt
-			} else {
-				res.LteRTT[k/2] = rtt
-			}
-		})
-	return res
-}
-
-// measureLoadedRTT saturates a single path and reports the mean of the
-// subflow's smoothed RTT sampled over the transfer.
-func measureLoadedRTT(name string, mbps float64, baseRTT time.Duration) time.Duration {
-	net := core.NewNetwork([]core.PathSpec{
-		{Name: name, RateMbps: mbps, BaseRTT: baseRTT},
-		{Name: "unused", RateMbps: 0.01, BaseRTT: time.Second},
+		}
+		return cells
 	})
-	defer net.Close()
-	conn := net.NewConn(core.ConnOptions{Scheduler: "wifi-only"})
-	// Enough bytes to keep the path busy for ~20 s.
-	bytes := int64(mbps * 1e6 / 8 * 20)
-	conn.Write(bytes, nil)
-	eng := net.Engine()
-	s := &loadedRTTSampler{eng: eng, sf: conn.Subflows()[0]}
-	eng.ScheduleEvent(2*time.Second, kindLoadedRTTSample, s) // skip slow-start warm-up
-	net.Run(22 * time.Second)
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / time.Duration(s.n)
-}
-
-// loadedRTTSampler periodically samples a saturated subflow's smoothed
-// RTT (the Table 2 loaded-RTT measurement).
-type loadedRTTSampler struct {
-	eng *sim.Engine
-	sf  *tcp.Subflow
-	sum time.Duration
-	n   int
-}
-
-// kindLoadedRTTSample dispatches an RTT sample through the typed event
-// table.
-var kindLoadedRTTSample sim.EventKind
-
-func init() {
-	kindLoadedRTTSample = sim.RegisterKind("experiments.loadedRTTSample", func(a any) { a.(*loadedRTTSampler).sample() })
-}
-
-func (s *loadedRTTSampler) sample() {
-	s.sum += s.sf.Srtt()
-	s.n++
-	if s.eng.Now() < 20*time.Second {
-		s.eng.ScheduleEvent(250*time.Millisecond, kindLoadedRTTSample, s)
-	}
+	fam.run(sc, func(k int, rtt time.Duration) {
+		if k%2 == 0 {
+			res.WifiRTT[k/2] = rtt
+		} else {
+			res.LteRTT[k/2] = rtt
+		}
+	})
+	return res
 }
 
 // String renders the Table 2 rows.
@@ -150,25 +114,14 @@ type Table3Result struct {
 	IWResets   []int64
 }
 
-// Table3 runs 0.3 Mbps WiFi / 8.6 Mbps LTE streaming per scheduler and
-// counts window resets.
+// Table3 counts window resets per scheduler in the 0.3 Mbps WiFi /
+// 8.6 Mbps LTE streaming runs Figure 14's heterogeneous panel reads.
 func Table3(sc Scale) *Table3Result {
-	schedulers := []string{"minrtt", "daps", "blest", "ecf"}
 	res := &Table3Result{
-		Schedulers: schedulers,
-		IWResets:   make([]int64, len(schedulers)),
+		Schedulers: paperSchedulers,
+		IWResets:   make([]int64, len(paperSchedulers)),
 	}
-	runCells(sc, sc.spec("table3", 1, sc.videoKey()), len(schedulers),
-		func(i int) int64 {
-			out := RunStreaming(StreamConfig{
-				WifiMbps: 0.3, LteMbps: 8.6,
-				Scheduler: schedulers[i],
-				VideoSec:  sc.VideoSec,
-			})
-			defer out.Release()
-			return out.IWResets
-		},
-		func(i int, resets int64) { res.IWResets[i] = resets })
+	oooFamily(sc, 0.3, 8.6).run(sc, func(i int, cell oooCell) { res.IWResets[i] = cell.IWResets })
 	return res
 }
 

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/mptcp"
 	"repro/internal/trace"
-	"repro/internal/web"
 )
 
 // webLossRate adds light random loss to the §5.4/§5.5 experiments so
@@ -20,66 +18,36 @@ const webLossRate = 0.001
 // wgetSizes are the transfer sizes of Figure 18.
 var wgetSizes = []int64{128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
-// webRun drives a web cell's network once its transfers are set up and
-// reports whether the network went quiet before the virtual-time limit.
-// The cell bodies run (*core.Network).RunQuiet: a web cell's result is
-// fixed the moment its last packet is handled, and the only events
-// pending after that are RTT-jitter ticks setting a delay nothing will
-// read, so running on to the limit — as the bodies once did — buys
-// thousands of dispatches and no output. Tests pass other drives (a
-// horizon run as reference, a lossy network).
-type webRun func(net *core.Network, limit time.Duration) bool
-
-// mustComplete panics when a web cell's run ended without its completion
-// callback having fired: a silent zero would drag a mean down unnoticed,
-// and the runner reports a cell panic with the cell's name.
-func mustComplete(done, quiet bool, net *core.Network, limit time.Duration, format string, args ...any) {
-	if done {
-		return
-	}
-	how := fmt.Sprintf("the %v cap was reached", limit)
-	if quiet {
-		how = fmt.Sprintf("the network went quiet at %v", net.Now())
-	}
-	panic(fmt.Sprintf("experiments: "+format+" never completed: %s", append(args, how)...))
-}
-
-// wgetOnce downloads one object and returns its completion time. Each
-// run perturbs both paths' propagation delays with a seeded random walk,
-// reproducing the run-to-run variance a physical testbed shows (the
-// paper's Figure 19 normalization clamps differences inside the combined
-// standard deviation to 1.0, which only makes sense with real variance).
-// The cell ends at quiescence (see webRun), five virtual minutes at most.
-func wgetOnce(scheduler string, wifiMbps, lteMbps float64, bytes int64, seed uint64, run webRun) time.Duration {
-	net := core.NewNetwork([]core.PathSpec{
-		{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate, Seed: seed * 17},
-		{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate, Seed: seed*31 + 7},
-	})
-	defer net.Close()
-	trace.InstallRTTJitter(net, 0, core.WiFiBaseRTT, 0.3, 100*time.Millisecond, seed*101+1, time.Minute)
-	trace.InstallRTTJitter(net, 1, core.LTEBaseRTT, 0.2, 100*time.Millisecond, seed*211+5, time.Minute)
-	conn := net.NewConn(core.ConnOptions{Scheduler: scheduler})
-	var dur time.Duration
-	done := false
-	web.Download(conn, bytes, func(o web.ObjectResult) { dur, done = o.Duration(), true })
-	const limit = 5 * time.Minute
-	quiet := run(net, limit)
-	mustComplete(done, quiet, net, limit, "wget of %d bytes under %s at %g/%g Mbps, seed %d", bytes, scheduler, wifiMbps, lteMbps, seed)
-	return dur
-}
-
-// wgetStats runs N repetitions and summarizes. Per-run seeds derive
-// from (seedExp, seedCell, run) via runSeed; callers comparing
+// wgetScenario downloads one object of the given size over the paper's
+// lossy two-path topology, runs times. Each run perturbs both paths'
+// propagation delays with a seeded random walk, reproducing the
+// run-to-run variance a physical testbed shows (the paper's Figure 19
+// normalization clamps differences inside the combined standard
+// deviation to 1.0, which only makes sense with real variance). Run r's
+// seeds derive from runSeed(seedExp, seedCell, r); callers comparing
 // schedulers pass a seedCell that excludes the scheduler so both sides
 // see identical network randomness (the paper's paired design, which
-// Figure 19's stddev normalization depends on).
-func wgetStats(scheduler string, wifiMbps, lteMbps float64, bytes int64, runs int, seedExp string, seedCell int) metrics.Summary {
-	var xs []float64
-	for r := 0; r < runs; r++ {
-		d := wgetOnce(scheduler, wifiMbps, lteMbps, bytes, runSeed(seedExp, seedCell, r), (*core.Network).RunQuiet)
-		xs = append(xs, d.Seconds())
+// Figure 19's stddev normalization depends on). A run ends at quiescence
+// (see webRun), five virtual minutes at most.
+func wgetScenario(scheduler string, wifiMbps, lteMbps float64, bytes int64, runs int, seedExp string, seedCell int) Scenario {
+	return Scenario{
+		Paths: [2]core.PathSpec{
+			{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate},
+			{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate},
+		},
+		Scheduler: scheduler,
+		Jitter: [2]Jitter{
+			{Amplitude: 0.3, Interval: 100 * time.Millisecond, Until: time.Minute},
+			{Amplitude: 0.2, Interval: 100 * time.Millisecond, Until: time.Minute},
+		},
+		Workload: Workload{Kind: workWget, Bytes: bytes, Runs: runs, SeedExp: seedExp, SeedCell: seedCell},
+		Limit:    5 * time.Minute,
 	}
-	return metrics.Summarize(xs)
+}
+
+// wgetSummary summarizes a wget's completion times in seconds.
+func wgetSummary(out *Outcome) metrics.Summary {
+	return metrics.Summarize(metrics.DurationsToSeconds(out.Completions))
 }
 
 // Figure18Result holds average completion times for the 1 Mbps WiFi row.
@@ -97,7 +65,7 @@ func Figure18(sc Scale) *Figure18Result {
 	res := &Figure18Result{
 		Sizes:         wgetSizes,
 		LteBandwidths: trace.WebBandwidthsMbps,
-		Schedulers:    []string{"minrtt", "daps", "blest", "ecf"},
+		Schedulers:    paperSchedulers,
 		Mean:          make(map[int64]map[string][]float64),
 	}
 	for _, size := range res.Sizes {
@@ -107,22 +75,27 @@ func Figure18(sc Scale) *Figure18Result {
 		}
 	}
 	// Cell record: the full completion-time summary (the figure prints
-	// the mean; the spread stays available to cache consumers). v2:
-	// seeds namespaced via runSeed, paired across schedulers.
+	// the mean; the spread stays available to cache consumers).
 	nSch, nLte := len(res.Schedulers), len(res.LteBandwidths)
-	runCells(sc, sc.spec("fig18", 2, sc.webKey()), len(res.Sizes)*nSch*nLte,
-		func(k int) metrics.Summary {
-			size := res.Sizes[k/(nSch*nLte)]
-			s := res.Schedulers[k/nLte%nSch]
-			li := k % nLte
-			seedCell := k/(nSch*nLte)*nLte + li // (size, lte): scheduler-independent
-			return wgetStats(s, 1, res.LteBandwidths[li], size, sc.WebRuns, "fig18", seedCell)
-		},
-		func(k int, sum metrics.Summary) {
-			size := res.Sizes[k/(nSch*nLte)]
-			s := res.Schedulers[k/nLte%nSch]
-			res.Mean[size][s][k%nLte] = sum.Mean
-		})
+	fam := declare(sc, "fig18", record[metrics.Summary]{1, func(_ Scenario, out *Outcome) metrics.Summary {
+		return wgetSummary(out)
+	}}, func() []Scenario {
+		var cells []Scenario
+		for si, size := range res.Sizes {
+			for _, s := range res.Schedulers {
+				for li, lte := range res.LteBandwidths {
+					// (size, lte): scheduler-independent seeds.
+					cells = append(cells, wgetScenario(s, 1, lte, size, sc.WebRuns, "fig18", si*nLte+li))
+				}
+			}
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, sum metrics.Summary) {
+		size := res.Sizes[k/(nSch*nLte)]
+		s := res.Schedulers[k/nLte%nSch]
+		res.Mean[size][s][k%nLte] = sum.Mean
+	})
 	return res
 }
 
@@ -165,34 +138,38 @@ func Figure19(sc Scale) *Figure19Result {
 			fmt.Sprintf("ECF/Default completion ratio, %d KB (<1 = ECF faster)", size/1024),
 			labels, labels)
 	}
-	// One job per (size, wifi, lte) cell; each writes its own
-	// pre-allocated heat-map slot. The cell record keeps both
-	// schedulers' summaries so the normalization stays recomputable
-	// from cache. v2: seeds namespaced via runSeed, shared by both
-	// schedulers within a cell (paired runs).
+	// One cell per (size, wifi, lte), each writing its own pre-allocated
+	// heat-map slot. The cell runs both schedulers over shared seeds
+	// (paired runs) and keeps both summaries, so the normalization stays
+	// recomputable from cache.
 	nBW := len(trace.WebBandwidthsMbps)
-	runCells(sc, sc.spec("fig19", 2, sc.webKey()), len(res.Sizes)*nBW*nBW,
-		func(k int) wgetPair {
-			size := res.Sizes[k/(nBW*nBW)]
-			wifi := trace.WebBandwidthsMbps[k/nBW%nBW]
-			lte := trace.WebBandwidthsMbps[k%nBW]
-			return wgetPair{
-				Def: wgetStats("minrtt", wifi, lte, size, sc.WebRuns, "fig19", k),
-				ECF: wgetStats("ecf", wifi, lte, size, sc.WebRuns, "fig19", k),
-			}
-		},
-		func(k int, p wgetPair) {
-			size := res.Sizes[k/(nBW*nBW)]
-			ratio := 1.0
-			diff := p.Def.Mean - p.ECF.Mean
-			band := p.Def.StdDev + p.ECF.StdDev
-			if diff > band || diff < -band {
-				if p.Def.Mean > 0 {
-					ratio = p.ECF.Mean / p.Def.Mean
+	fam := declare(sc, "fig19", record[wgetPair]{1, func(s Scenario, out *Outcome) wgetPair {
+		return wgetPair{Def: wgetSummary(out), ECF: wgetSummary(s.versus().Run())}
+	}}, func() []Scenario {
+		var cells []Scenario
+		for _, size := range res.Sizes {
+			for _, wifi := range trace.WebBandwidthsMbps {
+				for _, lte := range trace.WebBandwidthsMbps {
+					s := wgetScenario("minrtt", wifi, lte, size, sc.WebRuns, "fig19", len(cells))
+					s.Versus = "ecf"
+					cells = append(cells, s)
 				}
 			}
-			res.Maps[size].Set(k%nBW, k/nBW%nBW, ratio)
-		})
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, p wgetPair) {
+		size := res.Sizes[k/(nBW*nBW)]
+		ratio := 1.0
+		diff := p.Def.Mean - p.ECF.Mean
+		band := p.Def.StdDev + p.ECF.StdDev
+		if diff > band || diff < -band {
+			if p.Def.Mean > 0 {
+				ratio = p.ECF.Mean / p.Def.Mean
+			}
+		}
+		res.Maps[size].Set(k%nBW, k/nBW%nBW, ratio)
+	})
 	return res
 }
 
@@ -252,39 +229,25 @@ type PageOutcome struct {
 	OOODelays   metrics.DelayDist
 }
 
-// newPageOutcome gathers the telemetry of one finished page fetch.
-func newPageOutcome(res *web.PageResult, conns []*mptcp.Conn) *PageOutcome {
-	out := &PageOutcome{Completions: res.CompletionTimes()}
-	var ooo []time.Duration
-	for _, c := range conns {
-		ooo = append(ooo, c.Receiver().OOODelays()...)
-	}
-	out.OOODelays = metrics.NewDelayDist(ooo)
-	return out
-}
+// pageRecord keeps a page-fetch cell's PageOutcome.
+var pageRecord = record[*PageOutcome]{1, func(_ Scenario, out *Outcome) *PageOutcome {
+	return &PageOutcome{Completions: out.Completions, OOODelays: metrics.NewDelayDist(out.OOODelays)}
+}}
 
-// fetchCNNPage runs one browsing session: 107 objects over six parallel
-// persistent MPTCP connections (twelve subflows). The cell ends at
-// quiescence (see webRun), ten virtual minutes at most.
-func fetchCNNPage(scheduler string, wifiMbps, lteMbps float64, seed uint64, run webRun) *PageOutcome {
-	net := core.NewNetwork([]core.PathSpec{
-		{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate, Seed: seed * 13},
-		{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate, Seed: seed*29 + 3},
-	})
-	defer net.Close()
-	conns := make([]*mptcp.Conn, 6)
-	for i := range conns {
-		conns[i] = net.NewConn(core.ConnOptions{Scheduler: scheduler})
+// pageScenario fetches the CNN-like page — 107 objects over six parallel
+// persistent MPTCP connections (twelve subflows) — over the paper's
+// lossy two-path topology. The run ends at quiescence (see webRun), ten
+// virtual minutes at most.
+func pageScenario(scheduler string, wifiMbps, lteMbps float64, seed uint64) Scenario {
+	return Scenario{
+		Paths: [2]core.PathSpec{
+			{Name: "wifi", RateMbps: wifiMbps, BaseRTT: core.WiFiBaseRTT, LossRate: webLossRate, Seed: seed * 13},
+			{Name: "lte", RateMbps: lteMbps, BaseRTT: core.LTEBaseRTT, LossRate: webLossRate, Seed: seed*29 + 3},
+		},
+		Scheduler: scheduler,
+		Workload:  Workload{Kind: workPage, PageSeed: seed, Conns: 6},
+		Limit:     10 * time.Minute,
 	}
-	var res *web.PageResult
-	web.FetchPage(net.Engine(), conns, web.PageConfig{
-		Objects:   web.CNNPageObjects(seed),
-		ThinkTime: 30 * time.Millisecond,
-	}, func(r *web.PageResult) { res = r })
-	const limit = 10 * time.Minute
-	quiet := run(net, limit)
-	mustComplete(res != nil, quiet, net, limit, "page fetch under %s at %g/%g Mbps, seed %d", scheduler, wifiMbps, lteMbps, seed)
-	return newPageOutcome(res, conns)
 }
 
 // WebBrowsingResult carries per-scheduler distributions for the three
@@ -305,25 +268,27 @@ func runWebBrowsing(sc Scale, figure string) (*WebBrowsingResult, [][]*PageOutco
 	res := &WebBrowsingResult{
 		Figure:     figure,
 		Configs:    figure20Configs,
-		Schedulers: []string{"minrtt", "daps", "blest", "ecf"},
+		Schedulers: paperSchedulers,
 	}
-	// Fan every (scheduler, config, run) session out as its own job,
-	// then group in index order so the distributions see samples in the
-	// same sequence regardless of worker count. Both Figure 20 and
-	// Figure 21 read from the same cell family ("web-browsing"), so one
-	// pass serves both. v2: seeds namespaced via runSeed per (config,
-	// run), shared across schedulers (paired sessions). v3: OOO delays
-	// are a packed metrics.DelayDist.
+	// One cell per (scheduler, config, run) session, grouped in index
+	// order afterwards so the distributions see samples in the same
+	// sequence regardless of worker count. Figures 20 and 21 read the
+	// same family. Seeds derive per (config, run), shared across
+	// schedulers (paired sessions).
 	nCfg, nRun := len(res.Configs), sc.WebRuns
 	outs := make([]*PageOutcome, len(res.Schedulers)*nCfg*nRun)
-	runCells(sc, sc.spec("web-browsing", 3, sc.webKey()), len(outs),
-		func(k int) *PageOutcome {
-			s := res.Schedulers[k/(nCfg*nRun)]
-			ci := k / nRun % nCfg
-			cfg := res.Configs[ci]
-			return fetchCNNPage(s, cfg.WifiMbps, cfg.LteMbps, runSeed("web-browsing", ci, k%nRun), (*core.Network).RunQuiet)
-		},
-		func(k int, out *PageOutcome) { outs[k] = out })
+	fam := declare(sc, "web-browsing", pageRecord, func() []Scenario {
+		var cells []Scenario
+		for _, s := range res.Schedulers {
+			for ci, cfg := range res.Configs {
+				for r := 0; r < nRun; r++ {
+					cells = append(cells, pageScenario(s, cfg.WifiMbps, cfg.LteMbps, runSeed("web-browsing", ci, r)))
+				}
+			}
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, out *PageOutcome) { outs[k] = out })
 	groups := make([][]*PageOutcome, len(res.Schedulers)*nCfg)
 	for k, out := range outs {
 		// A nil outcome is a cell outside this run's shard; the merge

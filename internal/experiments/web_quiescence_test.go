@@ -15,10 +15,10 @@ import (
 )
 
 // cellProbe is a webRun that also records what the network had done when
-// the run ended — read before the cell body closes the network.
+// the run ended — read before the scenario closes the network.
 type cellProbe struct {
-	// horizon selects the reference drive: Run to the limit, as the cell
-	// bodies did before they ended at quiescence.
+	// horizon selects the reference drive: Run to the limit, as web cells
+	// did before they ended at quiescence.
 	horizon bool
 
 	end                  time.Duration
@@ -78,12 +78,13 @@ func TestWgetEndsAtQuiescenceUnchanged(t *testing.T) {
 		wifi := trace.WebBandwidthsMbps[rng.Intn(len(trace.WebBandwidthsMbps))]
 		lte := trace.WebBandwidthsMbps[rng.Intn(len(trace.WebBandwidthsMbps))]
 		size := wgetSizes[rng.Intn(len(wgetSizes))]
-		seed := rng.Uint64()
-		cell := fmt.Sprintf("wget %d bytes, %s, %g/%g Mbps, seed %d", size, s, wifi, lte, seed)
+		seedCell := rng.Int()
+		cell := fmt.Sprintf("wget %d bytes, %s, %g/%g Mbps, seed cell %d", size, s, wifi, lte, seedCell)
+		sc := wgetScenario(s, wifi, lte, size, 1, "test-quiescence", seedCell)
 
 		quiet, horizon := &cellProbe{}, &cellProbe{horizon: true}
-		got := wgetOnce(s, wifi, lte, size, seed, quiet.run)
-		want := wgetOnce(s, wifi, lte, size, seed, horizon.run)
+		got := sc.run(quiet.run).Completions[0]
+		want := sc.run(horizon.run).Completions[0]
 		if got != want || got <= 0 {
 			t.Fatalf("%s: completion time %v at quiescence, %v at the horizon", cell, got, want)
 		}
@@ -93,26 +94,25 @@ func TestWgetEndsAtQuiescenceUnchanged(t *testing.T) {
 }
 
 func TestPageFetchesEndAtQuiescenceUnchanged(t *testing.T) {
-	samePage := func(t *testing.T, cell string, got, want *PageOutcome) {
+	samePage := func(t *testing.T, cell string, s Scenario, quiet, horizon *cellProbe) {
 		t.Helper()
+		got, want := s.run(quiet.run), s.run(horizon.run)
+		defer got.Release()
+		defer want.Release()
 		if len(got.Completions) != 107 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: page outcome differs between the quiescent and the horizon run (%d and %d objects)", cell, len(got.Completions), len(want.Completions))
 		}
 	}
 	t.Run("fetchCNNPage", func(t *testing.T) {
 		quiet, horizon := &cellProbe{}, &cellProbe{horizon: true}
-		got := fetchCNNPage("ecf", 1, 10, 7, quiet.run)
-		want := fetchCNNPage("ecf", 1, 10, 7, horizon.run)
-		samePage(t, "fetchCNNPage", got, want)
-		checkSameNetwork(t, "fetchCNNPage", quiet, horizon, 0) // no jitter installed
+		samePage(t, "CNN page", pageScenario("ecf", 1, 10, 7), quiet, horizon)
+		checkSameNetwork(t, "CNN page", quiet, horizon, 0) // no jitter installed
 	})
 	t.Run("wildPage", func(t *testing.T) {
 		for _, run := range trace.WildWebRuns(3) {
-			cell := fmt.Sprintf("wildPage run %d", run.Index)
+			cell := fmt.Sprintf("wild page run %d", run.Index)
 			quiet, horizon := &cellProbe{}, &cellProbe{horizon: true}
-			got := wildPage(run, "minrtt", quiet.run)
-			want := wildPage(run, "minrtt", horizon.run)
-			samePage(t, cell, got, want)
+			samePage(t, cell, wildPageScenario(run, "minrtt"), quiet, horizon)
 			// Two walks, every 500 ms for ten minutes.
 			checkSameNetwork(t, cell, quiet, horizon, 2*jitterTicksSkipped(quiet.end, 500*time.Millisecond, 10*time.Minute))
 		}
@@ -120,7 +120,7 @@ func TestPageFetchesEndAtQuiescenceUnchanged(t *testing.T) {
 }
 
 // TestWebCellThatNeverCompletesPanics: a web cell whose transfer cannot
-// finish must fail naming its parameters, not report a zero completion
+// finish must fail naming its scenario, not report a zero completion
 // time or an empty page.
 func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 	blackhole := func(net *core.Network, limit time.Duration) bool {
@@ -136,14 +136,14 @@ func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 		cell func()
 		want []string
 	}{
-		{"wget on a 100%-loss network", func() { wgetOnce("ecf", 2, 7, 128<<10, 99, blackhole) },
-			[]string{"wget of 131072 bytes under ecf at 2/7 Mbps, seed 99", "never completed", "5m0s cap"}},
-		{"wget whose network goes quiet early", func() { wgetOnce("minrtt", 1, 1, 1<<20, 5, idle) },
-			[]string{"wget of 1048576 bytes under minrtt at 1/1 Mbps, seed 5", "went quiet at 0s"}},
-		{"page fetch on a 100%-loss network", func() { fetchCNNPage("blest", 5, 5, 3, blackhole) },
-			[]string{"page fetch under blest at 5/5 Mbps, seed 3", "10m0s cap"}},
-		{"wild page fetch on a 100%-loss network", func() { wildPage(trace.WildWebRuns(1)[0], "ecf", blackhole) },
-			[]string{"wild page fetch under ecf, run 1 ", "seed 1000", "10m0s cap"}},
+		{"wget on a 100%-loss network", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 99).run(blackhole) },
+			[]string{"under ecf never completed", "5m0s cap", "RateMbps:2 ", "RateMbps:7 ", "Bytes:131072 ", "SeedCell:99"}},
+		{"wget whose network goes quiet early", func() { wgetScenario("minrtt", 1, 1, 1<<20, 1, "test-panic", 5).run(idle) },
+			[]string{"under minrtt never completed", "went quiet at 0s", "Bytes:1048576 ", "SeedCell:5"}},
+		{"page fetch on a 100%-loss network", func() { pageScenario("blest", 5, 5, 3).run(blackhole) },
+			[]string{"under blest never completed", "10m0s cap", "RateMbps:5 ", "PageSeed:3 "}},
+		{"wild page fetch on a 100%-loss network", func() { wildPageScenario(trace.WildWebRuns(1)[0], "ecf").run(blackhole) },
+			[]string{"under ecf never completed", "PageSeed:1000 ", "10m0s cap"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/mptcp"
 	"repro/internal/trace"
-	"repro/internal/web"
 )
 
 // Figure22Result is the §6.2 wild streaming study: nine runs sorted by
@@ -22,18 +20,14 @@ type Figure22Result struct {
 	Default, ECF []float64
 }
 
-// wildStream runs one §6 streaming session with RTT jitter installed.
-func wildStream(run trace.WildRun, scheduler string, videoSec float64) *StreamOutcome {
-	return RunStreaming(StreamConfig{
-		Paths:     run.Paths(),
-		Scheduler: scheduler,
-		VideoSec:  videoSec,
-		PreRun: func(net *core.Network) {
-			horizon := seconds(videoSec * 12)
-			trace.InstallRTTJitter(net, 0, run.WifiRTT, 0.5, 500*time.Millisecond, run.Seed, horizon)
-			trace.InstallRTTJitter(net, 1, run.LteRTT, 0.15, 500*time.Millisecond, run.Seed+99, horizon)
-		},
-	})
+// wildJitter is a §6 run's RTT jitter: both paths re-drawn every
+// 500 ms until the given time, the public WiFi's by ±50 %, LTE's by
+// ±15 %.
+func wildJitter(run trace.WildRun, until time.Duration) [2]Jitter {
+	return [2]Jitter{
+		{Amplitude: 0.5, Interval: 500 * time.Millisecond, Until: until, Seed: run.Seed},
+		{Amplitude: 0.15, Interval: 500 * time.Millisecond, Until: until, Seed: run.Seed + 99},
+	}
 }
 
 // Figure22 runs the nine wild streaming configurations under both
@@ -51,26 +45,32 @@ func Figure22(sc Scale) *Figure22Result {
 		res.WifiRTT[i] = run.WifiRTT
 		res.LteRTT[i] = run.LteRTT
 	}
-	// Cell record: the session's average throughput. Seeds are part of
-	// the wild run definitions (trace.WildStreamingRuns), fixed
-	// topology data rather than per-job derivations.
-	runCells(sc, sc.spec("fig22", 1, sc.videoKey()), len(runs)*2,
-		func(k int) float64 {
-			sched := "minrtt"
-			if k%2 == 1 {
-				sched = "ecf"
+	// Cell k streams over run k/2's paths, under the default scheduler
+	// when k is even and ECF when it is odd; its record is the session's
+	// average throughput. Seeds are part of the wild run definitions
+	// (trace.WildStreamingRuns), fixed topology data rather than per-cell
+	// derivations.
+	fam := declare(sc, "fig22", record[float64]{1, func(_ Scenario, out *Outcome) float64 {
+		return out.Result.AvgThroughputMbps()
+	}}, func() []Scenario {
+		var cells []Scenario
+		for _, run := range runs {
+			for _, sched := range []string{"minrtt", "ecf"} {
+				s := Streaming(0, 0, sched, sc.VideoSec)
+				s.Paths = [2]core.PathSpec(run.Paths())
+				s.Jitter = wildJitter(run, seconds(sc.VideoSec*12))
+				cells = append(cells, s)
 			}
-			out := wildStream(runs[k/2], sched, sc.VideoSec)
-			defer out.Release()
-			return out.Result.AvgThroughputMbps()
-		},
-		func(k int, mbps float64) {
-			if k%2 == 0 {
-				res.Default[k/2] = mbps
-			} else {
-				res.ECF[k/2] = mbps
-			}
-		})
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, mbps float64) {
+		if k%2 == 0 {
+			res.Default[k/2] = mbps
+		} else {
+			res.ECF[k/2] = mbps
+		}
+	})
 	return res
 }
 
@@ -126,16 +126,20 @@ func Figure23(sc Scale) *Figure23Result {
 		OOO:        make(map[string]metrics.DelayDist),
 	}
 	runs := trace.WildWebRuns(sc.WildWebRuns)
-	// One job per (scheduler, run) page fetch; aggregation walks the
-	// outcomes in index order afterwards. Table 4 reads the same cell
-	// family, so its pass is free once Figure 23's cells are cached.
-	// v2: OOO delays are a packed metrics.DelayDist.
+	// One cell per (scheduler, run) page fetch over the run's paths;
+	// aggregation walks the outcomes in index order afterwards. Table 4
+	// reads the same family.
 	outs := make([]*PageOutcome, len(res.Schedulers)*len(runs))
-	runCells(sc, sc.spec("fig23", 2, sc.wildWebKey()), len(outs),
-		func(k int) *PageOutcome {
-			return wildPage(runs[k%len(runs)], res.Schedulers[k/len(runs)], (*core.Network).RunQuiet)
-		},
-		func(k int, out *PageOutcome) { outs[k] = out })
+	fam := declare(sc, "fig23", pageRecord, func() []Scenario {
+		var cells []Scenario
+		for _, sched := range res.Schedulers {
+			for _, run := range runs {
+				cells = append(cells, wildPageScenario(run, sched))
+			}
+		}
+		return cells
+	})
+	fam.run(sc, func(k int, out *PageOutcome) { outs[k] = out })
 	for si, s := range res.Schedulers {
 		var comp []float64
 		var ooo []metrics.DelayDist
@@ -155,28 +159,18 @@ func Figure23(sc Scale) *Figure23Result {
 	return res
 }
 
-// wildPage fetches the page once over one wild run's topology. The cell
-// ends at quiescence (see webRun), ten virtual minutes at most — which is
-// also how long the RTT jitter would otherwise keep ticking.
-func wildPage(run trace.WildRun, scheduler string, drive webRun) *PageOutcome {
+// wildPageScenario fetches the page once over one §6.3 run's paths. The
+// run ends at quiescence (see webRun), ten virtual minutes at most —
+// which is also how long the RTT jitter would otherwise keep ticking.
+func wildPageScenario(run trace.WildRun, scheduler string) Scenario {
 	const limit = 10 * time.Minute
-	net := core.NewNetwork(run.Paths())
-	defer net.Close()
-	trace.InstallRTTJitter(net, 0, run.WifiRTT, 0.5, 500*time.Millisecond, run.Seed, limit)
-	trace.InstallRTTJitter(net, 1, run.LteRTT, 0.15, 500*time.Millisecond, run.Seed+99, limit)
-	conns := make([]*mptcp.Conn, 6)
-	for i := range conns {
-		conns[i] = net.NewConn(core.ConnOptions{Scheduler: scheduler})
+	return Scenario{
+		Paths:     [2]core.PathSpec(run.Paths()),
+		Scheduler: scheduler,
+		Jitter:    wildJitter(run, limit),
+		Workload:  Workload{Kind: workPage, PageSeed: run.Seed, Conns: 6},
+		Limit:     limit,
 	}
-	var res *web.PageResult
-	web.FetchPage(net.Engine(), conns, web.PageConfig{
-		Objects:   web.CNNPageObjects(run.Seed),
-		ThinkTime: 30 * time.Millisecond,
-	}, func(r *web.PageResult) { res = r })
-	quiet := drive(net, limit)
-	mustComplete(res != nil, quiet, net, limit, "wild page fetch under %s, run %d (WiFi %g Mbps / %v, LTE %g Mbps / %v), seed %d",
-		scheduler, run.Index, run.WifiMbps, run.WifiRTT, run.LteMbps, run.LteRTT, run.Seed)
-	return newPageOutcome(res, conns)
 }
 
 // String renders the CCDF quantiles for both metrics.

@@ -136,20 +136,6 @@ func (c *CDF) Quantile(p float64) float64 { return quantileOf(c.sorted, identity
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 { return meanOf(c.sorted, identity) }
 
-// Series renders (x, CCDF(x)) rows at evenly spaced points up to max —
-// the form the paper's CCDF figures take.
-func (c *CDF) Series(points int, max float64) []struct{ X, Y float64 } {
-	if points < 2 {
-		points = 2
-	}
-	out := make([]struct{ X, Y float64 }, points)
-	for i := 0; i < points; i++ {
-		x := max * float64(i) / float64(points-1)
-		out[i] = struct{ X, Y float64 }{X: x, Y: c.CCDFAt(x)}
-	}
-	return out
-}
-
 // Heatmap is a labeled 2-D grid of values in [0, ∞), rendered with the
 // darker-is-better shading of the paper's Figures 2, 9, 15 and 19.
 type Heatmap struct {

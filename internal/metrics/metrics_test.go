@@ -132,23 +132,6 @@ func TestCDFMean(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	pts := c.Series(5, 4)
-	if len(pts) != 5 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[4].X != 4 {
-		t.Fatalf("x range = %v..%v", pts[0].X, pts[4].X)
-	}
-	if pts[0].Y != 1 {
-		t.Fatalf("CCDF(0) = %v, want 1", pts[0].Y)
-	}
-	if pts[4].Y != 0 {
-		t.Fatalf("CCDF(max) = %v, want 0", pts[4].Y)
-	}
-}
-
 func TestDurationsToSeconds(t *testing.T) {
 	out := DurationsToSeconds([]time.Duration{time.Second, 500 * time.Millisecond})
 	if out[0] != 1 || out[1] != 0.5 {

@@ -331,9 +331,6 @@ func (c *Conn) Subflows() []*tcp.Subflow { return c.subflows }
 // yet scheduled onto any subflow — the k of ECF's inequalities.
 func (c *Conn) UnsentBytes() int64 { return c.unsentBytes }
 
-// UnsentSegments returns the segment count of the unscheduled backlog.
-func (c *Conn) UnsentSegments() int { return len(c.unsent) - c.unsentHead }
-
 // NextUnsentDSN returns the data-level sequence number of the segment
 // at the head of the unscheduled backlog, reporting false when the
 // backlog is empty. Decision traces use it to attribute a scheduling

@@ -301,16 +301,6 @@ func TestTwoConnsShareBottleneck(t *testing.T) {
 	}
 }
 
-func TestReceiverNotifyAtImmediate(t *testing.T) {
-	eng := sim.New()
-	r := NewReceiver(eng, 1<<20)
-	fired := false
-	r.NotifyAt(0, func() { fired = true })
-	if !fired {
-		t.Fatal("NotifyAt(0) should fire immediately")
-	}
-}
-
 func TestReceiverOnDataOrdering(t *testing.T) {
 	eng := sim.New()
 	r := NewReceiver(eng, 1<<20)

@@ -8,13 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// dsnWaiter fires once the in-order delivery point reaches dsn: the
-// transfer completes (tr non-nil, the closure-free form every data
-// transfer uses) or fn runs (the generic NotifyAt form).
+// dsnWaiter completes its transfer once the in-order delivery point
+// reaches dsn.
 type dsnWaiter struct {
 	dsn int64
 	tr  *Transfer
-	fn  func()
 }
 
 // Receiver is the connection-level (data-sequence) receive side. It
@@ -125,19 +123,9 @@ func (r *Receiver) LastArrival() []sim.Time { return r.lastArrival }
 // (subflow retransmissions and reinjections that lost the race).
 func (r *Receiver) DuplicateArrivals() int64 { return r.duplicateArrival }
 
-// NotifyAt registers fn to run as soon as every byte below dsn has been
-// delivered in order. If that is already true, fn runs immediately.
-func (r *Receiver) NotifyAt(dsn int64, fn func()) {
-	if r.expected >= dsn {
-		fn()
-		return
-	}
-	r.insertWaiter(dsnWaiter{dsn: dsn, fn: fn})
-}
-
-// notifyTransfer is the closure-free transfer form of NotifyAt: the
-// transfer completes (via its owning connection) once the delivery
-// point reaches its end DSN.
+// notifyTransfer arranges for the transfer to complete (via its owning
+// connection) once the delivery point reaches its end DSN — at once if
+// it already has.
 func (r *Receiver) notifyTransfer(tr *Transfer) {
 	if r.expected >= tr.EndDSN {
 		tr.conn.completeTransfer(tr)
@@ -171,11 +159,7 @@ func (r *Receiver) fireWaiter() {
 	copy(r.waiters, r.waiters[1:])
 	r.waiters[len(r.waiters)-1] = dsnWaiter{}
 	r.waiters = r.waiters[:len(r.waiters)-1]
-	if w.tr != nil {
-		w.tr.conn.completeTransfer(w.tr)
-		return
-	}
-	w.fn()
+	w.tr.conn.completeTransfer(w.tr)
 }
 
 // Snapshot implements tcp.MetaSink: current ACK fields without consuming

@@ -62,28 +62,3 @@ func TestLinkLossySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("lossy link forwarding allocates %v per %d-packet batch, want 0", avg, batch)
 	}
 }
-
-// TestTokenBucketSteadyStateAllocs pins the shaper's drain scheduling
-// (closure-free since the arena rewrite; the backlog slice itself
-// reaches steady capacity).
-func TestTokenBucketSteadyStateAllocs(t *testing.T) {
-	eng := sim.New()
-	line := NewLink(eng, LinkConfig{
-		Name:       "line",
-		RateBps:    1e9,
-		Delay:      time.Millisecond,
-		QueueBytes: 1 << 20,
-	}, func(*Packet) {})
-	tb := NewTokenBucket(eng, TokenBucketConfig{RateBps: 10e6}, line)
-	const batch = 16
-	cycle := func() {
-		for i := 0; i < batch; i++ {
-			tb.Send(&Packet{Kind: Data, Size: 1200})
-		}
-		eng.Run()
-	}
-	cycle()
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Fatalf("token-bucket shaping allocates %v per %d-packet batch, want 0", avg, batch)
-	}
-}

@@ -24,9 +24,11 @@ import (
 // moving it between packages) without changing its JSON shape keeps
 // records valid, exactly matching what encoding/json can round-trip.
 // It deliberately cannot catch semantic changes that keep the same
-// shape (different seeds, changed model behaviour) — those still
-// require a Schema bump, which code review can check against the
-// warning this mechanism produces for shape changes.
+// shape (a record derived differently, changed model behaviour) — those
+// still require a Schema bump, which code review can check against the
+// warning this mechanism produces for shape changes. (A change of what
+// a cell simulates — its seeds, paths or workload — changes the key's
+// Scale digest instead.)
 
 // A type that marshals itself hides its record form from that walk: its
 // exported fields (often none) say nothing about the bytes it writes.

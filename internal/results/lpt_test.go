@@ -51,10 +51,11 @@ func TestBatchRunDispatchesExpensiveFirst(t *testing.T) {
 			Add(b, Spec{Experiment: "unit/plain", Schema: 1, Scale: "s"}, tc.plainN,
 				func(i int) rec { ran = append(ran, i); return rec{Cell: i} },
 				func(i int, v rec) { out[i] = v })
-			AddWithCost(b, Spec{Experiment: "unit/lpt", Schema: 1, Scale: "s"}, len(costs),
-				func(i int) float64 { return costs[i] },
-				func(i int) rec { ran = append(ran, tc.plainN+i); return rec{Cell: tc.plainN + i} },
-				func(i int, v rec) { out[tc.plainN+i] = v })
+			for i, c := range costs {
+				AddCell(b, Spec{Experiment: "unit/lpt", Schema: 1, Scale: "s"}, i, c,
+					func(i int) rec { ran = append(ran, tc.plainN+i); return rec{Cell: tc.plainN + i} },
+					func(i int, v rec) { out[tc.plainN+i] = v })
+			}
 			if err := b.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}

@@ -6,9 +6,10 @@
 // layers the ROADMAP's multi-machine north star needs on top of it:
 //
 //   - a cell store: a content-addressed on-disk cache of per-cell
-//     records, keyed by a hash of (experiment name, cell index, the
-//     Scale encoding, and a per-experiment schema version), with atomic
-//     writes and corruption-tolerant reads (Store), and
+//     records, keyed by a hash of (family name, cell index, a digest of
+//     what the family's cells simulate, and the record format's
+//     version), with atomic writes and corruption-tolerant reads
+//     (Store), and
 //   - a cell execution layer: Run / Batch+Add execute a spec's cells
 //     through a runner.Pool, serving each cell from the run's own
 //     records or the store when a record exists and
@@ -38,7 +39,10 @@
 //
 // Records are keyed by content, not by which driver asked: drivers that
 // share cells (Figure 2/6/7/9 all sweep the default-scheduler grid;
-// Table 4 aggregates Figure 23's runs) automatically share records.
+// Table 4 aggregates Figure 23's runs) automatically share records. The
+// package treats a key's fields as opaque; internal/experiments derives
+// them from its cell families (see its package doc), so a key changes
+// whenever what its cell simulates or keeps does.
 //
 // Shared records are shared memory: the value one collector receives is
 // the value every other collector of that key receives in the same run.
@@ -82,21 +86,20 @@ import (
 
 // Spec identifies one family of cells: a sub-experiment whose cell
 // index fully determines the cell's parameters. It is also the
-// granularity at which cache entries go stale together: a schema bump
-// or scale change strands the whole family.
+// granularity at which cache entries go stale together: a change of
+// Schema or Scale strands the whole family.
 type Spec struct {
 	// Experiment names the cell family (e.g. "grid/ecf", "fig16").
 	// Drivers that share cells use the same name and get each other's
 	// records for free.
 	Experiment string
-	// Schema is the experiment's record-schema version. Bump it
-	// whenever the driver's cell semantics change (different seeds,
-	// different record contents, different simulation behaviour), so
+	// Schema is the version of the family's record format. Bump it
+	// whenever what a record holds or how it is derived changes, so
 	// stale records can never be mistaken for current ones.
 	Schema int
-	// Scale is the canonical encoding of the scale parameters the cell
-	// content depends on (experiments.Scale minus Workers and cache
-	// policy, which never affect results).
+	// Scale encodes everything the cells' content depends on — in
+	// internal/experiments a digest of the family's scenarios — and
+	// nothing that never affects it (worker count, cache policy).
 	Scale string
 }
 

@@ -50,24 +50,20 @@ func NewBatch(pool runner.Pool, session *Session) *Batch {
 // structure, must treat it as read-only; a collector that needs to
 // change a slice, map or pointee copies it first.
 func Add[T any](b *Batch, spec Spec, n int, compute func(i int) T, collect func(i int, v T)) {
-	AddWithCost(b, spec, n, nil, compute, collect)
+	for i := 0; i < n; i++ {
+		AddCell(b, spec, i, 0, compute, collect)
+	}
 }
 
-// AddWithCost is Add with a dispatch hint: cost(i) estimates cell i's
-// relative compute expense for longest-processing-time dispatch (see
-// Batch). Any positive unit works; only the ordering matters. A nil cost
-// is Add.
-func AddWithCost[T any](b *Batch, spec Spec, n int, cost func(i int) float64, compute func(i int) T, collect func(i int, v T)) {
+// AddCell registers cell i of spec alone, as Add does each of its cells —
+// for a driver that reads only some cells of a family — with a dispatch
+// hint: cost estimates the cell's relative compute expense for
+// longest-processing-time dispatch (see Batch). Any positive unit works;
+// only the ordering matters, and zero declares none.
+func AddCell[T any](b *Batch, spec Spec, i int, cost float64, compute func(i int) T, collect func(i int, v T)) {
 	s := b.session
-	for i := 0; i < n; i++ {
-		i := i
-		b.jobs = append(b.jobs, func() error { return runCell(s, spec, i, compute, collect) })
-		c := 0.0
-		if cost != nil {
-			c = cost(i)
-		}
-		b.costs = append(b.costs, c)
-	}
+	b.jobs = append(b.jobs, func() error { return runCell(s, spec, i, compute, collect) })
+	b.costs = append(b.costs, cost)
 }
 
 // memoSlot is one key's entry in a session's in-run record tier. The

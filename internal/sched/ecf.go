@@ -72,9 +72,6 @@ func (e *ECF) SetDecisionSink(s obs.DecisionSink) { e.sink = s }
 // Waits reports how many Select calls chose to wait for the fast subflow.
 func (e *ECF) Waits() int64 { return e.waits }
 
-// Waiting reports the current hysteresis state.
-func (e *ECF) Waiting() bool { return e.waiting }
-
 // Select implements mptcp.Scheduler (Algorithm 1).
 func (e *ECF) Select(c *mptcp.Conn) *tcp.Subflow {
 	subflows := c.Subflows()

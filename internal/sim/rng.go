@@ -75,19 +75,6 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// NormFloat64 returns a standard normal value using the Box-Muller
-// transform (polar form avoided to keep the stream consumption fixed).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u1 := r.Float64()
-		u2 := r.Float64()
-		if u1 <= 0 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -99,11 +86,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Fork derives an independent generator from this one. Use it to give
-// subsystems their own streams so adding draws in one subsystem does not
-// perturb another.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
 }
