@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -230,6 +232,102 @@ func TestStoreServesWarmAndSharedCells(t *testing.T) {
 	}
 	if _, err := os.Stat(unused); !os.IsNotExist(err) {
 		t.Errorf("-no-cache created -cache-dir (stat: %v)", err)
+	}
+}
+
+// TestTracedRunExportsArtifacts is the observability layer end to end:
+// a run that flight-records one cell, reports progress and writes the
+// trace, the decision log and the run report prints the same stdout as
+// a plain run, and each artifact holds what its reader keys on.
+func TestTracedRunExportsArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, decsPath, reportPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "decisions.txt"), filepath.Join(dir, "report.json")
+	var plain, traced, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig9", "-scale", "quick"}, &plain, &stderr); code != 0 {
+		t.Fatalf("plain run: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if code := run([]string{"-exp", "fig9", "-scale", "quick", "-progress",
+		"-trace-cell", "grid/ecf/14", "-trace-out", tracePath, "-decisions-out", decsPath,
+		"-report-json", reportPath}, &traced, &stderr); code != 0 {
+		t.Fatalf("traced run: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if traced.String() != plain.String() {
+		t.Errorf("traced stdout differs from the plain run's:\n--- plain ---\n%s\n--- traced ---\n%s", plain.String(), traced.String())
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	var trace struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(read(tracePath), &trace); err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	if len(trace.TraceEvents) <= 1000 {
+		t.Errorf("trace holds %d events, want more than 1000", len(trace.TraceEvents))
+	}
+	last := -1.0
+	for i, ev := range trace.TraceEvents {
+		ph, _ := ev["ph"].(string)
+		if ph == "" {
+			t.Fatalf("trace event %d has no ph: %v", i, ev)
+		}
+		if ph == "M" {
+			continue // metadata carries no time
+		}
+		ts, ok := ev["ts"].(float64)
+		if _, hasPid := ev["pid"].(float64); !ok || !hasPid {
+			t.Fatalf("trace event %d lacks a numeric ts or pid: %v", i, ev)
+		}
+		if ts < last {
+			t.Fatalf("trace event %d at ts %v follows ts %v: not sorted", i, ts, last)
+		}
+		last = ts
+	}
+
+	raw := read(reportPath)
+	var rep obs.RunReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	if rep.Tool != "ecfbench" || rep.SchemaVersion != 5 || len(rep.Experiments) != 1 {
+		t.Fatalf("report is %s schema %d with %d experiments, want ecfbench schema 5 with one", rep.Tool, rep.SchemaVersion, len(rep.Experiments))
+	}
+	e := rep.Experiments[0]
+	if e.Name != "fig9" || e.EventsTotal == 0 || e.PacketsDelivered == 0 {
+		t.Errorf("report experiment = %s with %d events and %d packets", e.Name, e.EventsTotal, e.PacketsDelivered)
+	}
+	var byKind uint64
+	for _, n := range e.EventsByKind {
+		byKind += n
+	}
+	if e.EventsByKind["netsim.Link.drain"] == 0 || byKind != e.EventsProcessed {
+		t.Errorf("events_by_kind sums to %d of %d processed, netsim.Link.drain %d", byKind, e.EventsProcessed, e.EventsByKind["netsim.Link.drain"])
+	}
+	if !(0 < e.CellP50Ms && e.CellP50Ms <= e.CellP95Ms && e.CellP95Ms <= e.CellMaxMs) {
+		t.Errorf("cell percentiles p50 %v, p95 %v, max %v are not ordered above 0", e.CellP50Ms, e.CellP95Ms, e.CellMaxMs)
+	}
+	if sum, err := hex.DecodeString(e.OutputSHA256); err != nil || len(sum) != 32 {
+		t.Errorf("output hash %q is not 64 hex characters", e.OutputSHA256)
+	}
+	var queue struct {
+		Queue map[string]float64 `json:"queue"`
+	}
+	if err := json.Unmarshal(raw, &queue); err != nil {
+		t.Fatal(err)
+	}
+	if q := queue.Queue; len(q) != 2 || q["depth_max"] <= 0 || q["depth_mean"] <= 0 {
+		t.Errorf("queue = %v, want exactly depth_max and depth_mean, both above 0", q)
+	}
+
+	if decs := string(read(decsPath)); !strings.Contains(decs, "== transfer") || !strings.Contains(decs, "eq1") {
+		t.Errorf("decision log lacks a transfer header or an Eq. 1 line:\n%.500s", decs)
 	}
 }
 

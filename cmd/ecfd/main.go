@@ -17,10 +17,10 @@
 // worker that stops heartbeating loses its leases after the TTL and
 // its cells are re-issued (work-stealing), while duplicate uploads
 // from stolen-then-revived workers are idempotent no-ops. SIGTERM
-// drains in-flight ingests, persists a state snapshot, and exits;
-// rerunning `ecfd serve` with the same flags resumes the sweep. Once
-// the sweep completes, the report renders from the coordinator's own
-// store:
+// drains in-flight ingests and exits; the store is the only state, so
+// rerunning `ecfd serve` with the same flags resumes the sweep, and
+// sweeps at other scales may share the store. Once the sweep completes,
+// the report renders from the coordinator's own store:
 //
 //	ecfbench -exp all -scale <scale> -cache-dir store -merge
 package main
@@ -138,9 +138,6 @@ func serve(args []string) {
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := srv.PersistState(); err != nil {
-		fail("writing initial state snapshot: %v", err)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -177,13 +174,10 @@ func serve(args []string) {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
-		logf("shutdown: %v (persisting state anyway)", err)
-	}
-	if err := srv.PersistState(); err != nil {
-		fail("persisting state: %v", err)
+		logf("shutdown: %v", err)
 	}
 	st = srv.Status()
-	logf("state persisted: %d/%d done, %d failed; restart `ecfd serve` with the same -cache-dir to resume",
+	logf("stopped: %d/%d done, %d failed; restart `ecfd serve` with the same -cache-dir to resume",
 		st.Done, st.Total, st.Failed)
 	logf("sweep stats: %d ingested, %d duplicate uploads, %d leases stolen", st.Ingested, st.Duplicates, st.Stolen)
 	if done || st.SweepDone {

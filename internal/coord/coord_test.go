@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -30,9 +28,8 @@ func testSpec() results.Spec {
 
 func computeCellRec(i int) cellRec { return cellRec{Cell: i, Value: float64(i) * 2.5} }
 
-// startServer builds a Server over a fresh store and serves it via
-// httptest. State persistence is exercised through the default path in
-// the store dir.
+// startServer builds a Server over the store in dir and serves it via
+// httptest.
 func startServer(t *testing.T, dir string, n int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	store, err := results.Open(dir)
@@ -63,14 +60,19 @@ func fastClient(url, worker string) *Client {
 	return c
 }
 
-// passRunner adapts the test catalog to WorkerConfig.RunPass: one
-// results.Run over the spec's cells under the worker's session.
+// runCells runs cells 0..n-1 of the test spec through pool under ses on
+// a batch of their own, discarding the records.
+func runCells[T any](pool runner.Pool, ses *results.Session, n int, compute func(int) T) error {
+	b := results.NewBatch(pool, ses)
+	results.Add(b, testSpec(), n, compute, func(int, T) {})
+	return b.Run(context.Background())
+}
+
+// passRunner adapts the test catalog to WorkerConfig.RunPass: one batch
+// of the spec's cells under the worker's session.
 func passRunner(n int, compute func(int) cellRec) func(*results.Session) error {
 	pool := runner.New(2)
-	return func(ses *results.Session) error {
-		return results.Run(context.Background(), pool, ses, testSpec(), n,
-			compute, func(int, cellRec) {})
-	}
+	return func(ses *results.Session) error { return runCells(pool, ses, n, compute) }
 }
 
 // ingestOne uploads a lone record — a batch of one.
@@ -140,20 +142,6 @@ func TestSweepTwoWorkersComplete(t *testing.T) {
 		t.Fatal("Done channel not closed after completion")
 	}
 	storeHasAll(t, dir, n)
-
-	// The final snapshot agrees with the table.
-	if err := srv.PersistState(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "coord-state.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"done": 24`, `"scale": "s"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Fatalf("snapshot %s lacks %q", raw, want)
-		}
-	}
 }
 
 // flakyTransport injects the three transient failure modes a worker
@@ -308,8 +296,8 @@ func TestServerResumesFromStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv1.PersistState(); err != nil {
-		t.Fatal(err)
+	if st := srv1.Status(); st.Done != 5 {
+		t.Fatalf("first life status = %+v, want 5 done", st)
 	}
 	hs1.Close()
 
@@ -343,27 +331,69 @@ func TestServerResumesFromStore(t *testing.T) {
 	}
 }
 
-func TestServerRefusesMixingSweepsInOneStore(t *testing.T) {
+// Two sweeps share a store without a word between them: keys are
+// content-addressed, so a sweep's records are what its cells are, and
+// a cell two sweeps share is one record with one content.
+func TestSweepsShareAStore(t *testing.T) {
+	const n, own = 4, 5
 	dir := t.TempDir()
-	srv, _ := startServer(t, dir, 4, Config{ScaleName: "quick"})
-	if err := srv.PersistState(); err != nil {
+
+	// Sweep A completes.
+	srvA, hsA := startServer(t, dir, n, Config{ScaleName: "quick"})
+	if _, err := RunWorker(context.Background(), WorkerConfig{
+		Client:       fastClient(hsA.URL, "a"),
+		RunPass:      passRunner(n, computeCellRec),
+		PollInterval: 5 * time.Millisecond,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	store, err := results.Open(dir)
+	if st := srvA.Status(); !st.Complete {
+		t.Fatalf("sweep A status = %+v", st)
+	}
+	hsA.Close()
+
+	// Sweep B, at another scale, lists two of A's cells and five of a
+	// family of its own: it resumes the two and computes only its own.
+	specB := results.Spec{Experiment: "unit/sweep", Schema: 1, Scale: "s-full"}
+	cellsB := testCells(2)
+	for i := 0; i < own; i++ {
+		cellsB = append(cellsB, specB.Key(i))
+	}
+	srvB, hsB := startServer(t, dir, 0, Config{ScaleName: "full", Cells: cellsB})
+	if st := srvB.Status(); st.Done != 2 || st.Pending != own {
+		t.Fatalf("sweep B resumed as %+v, want 2 done / %d pending", st, own)
+	}
+	pool := runner.New(2)
+	stats, err := RunWorker(context.Background(), WorkerConfig{
+		Client: fastClient(hsB.URL, "b"),
+		RunPass: func(ses *results.Session) error {
+			b := results.NewBatch(pool, ses)
+			results.Add(b, testSpec(), n, computeCellRec, func(int, cellRec) {})
+			results.Add(b, specB, own, computeCellRec, func(int, cellRec) {})
+			return b.Run(context.Background())
+		},
+		PollInterval: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same store, different scale: refused.
-	if _, err := NewServer(Config{Store: store, Cells: testCells(4), ScaleName: "full"}); err == nil {
-		t.Fatal("NewServer accepted a different scale over the same store")
+	if stats.Claimed != own {
+		t.Fatalf("sweep B claimed %d cells, want only its own %d", stats.Claimed, own)
 	}
-	// Same store, different work list: refused.
-	if _, err := NewServer(Config{Store: store, Cells: testCells(7), ScaleName: "quick"}); err == nil {
-		t.Fatal("NewServer accepted a different work list over the same store")
+	if st := srvB.Status(); !st.Complete {
+		t.Fatalf("sweep B status = %+v", st)
 	}
-	// The matching sweep still resumes.
-	if _, err := NewServer(Config{Store: store, Cells: testCells(4), ScaleName: "quick"}); err != nil {
-		t.Fatalf("matching resume refused: %v", err)
+	hsB.Close()
+
+	// A server rebuilt for A finds its sweep done.
+	srvA2, _ := startServer(t, dir, n, Config{ScaleName: "quick"})
+	select {
+	case <-srvA2.Done():
+	default:
+		t.Fatalf("rebuilt sweep A did not settle at construction: %+v", srvA2.Status())
+	}
+	if files := recordFileCount(t, dir); files != n+own {
+		t.Fatalf("store holds %d files, want the %d records of both sweeps and nothing else", files, n+own)
 	}
 }
 

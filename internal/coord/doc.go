@@ -76,16 +76,17 @@
 //
 // # Crash safety and resume
 //
-// The store is the ingest state: on startup the coordinator scans it
-// and marks every cell with a well-formed record as done, so a
+// The store is the whole sweep state: on startup the coordinator scans
+// it and marks every cell with a well-formed record as done, so a
 // restarted `ecfd serve` resumes the sweep instead of restarting it.
 // Leases are deliberately not durable — after a restart workers'
 // heartbeats report every lease as lost, the workers re-claim, and the
-// sweep continues. A state snapshot (written atomically on shutdown
-// and periodically during the run) records the sweep's identity — the
-// scale and a hash of the work list — so a coordinator restarted with
-// different parameters over the same store refuses to mix sweeps, and
-// operators can inspect progress without the server running.
+// sweep continues; parked failures are forgotten too, and their cells
+// are retried. Nothing else is persisted. Record keys are
+// content-addressed — derived from everything a record depends on — so
+// sweeps of any scale or work list may share one store: different
+// content lands under different keys, and a cell two sweeps share has
+// the same bytes in both.
 //
 // Client RPCs retry transient failures with exponential backoff plus
 // jitter; a request body over the server's size limit is refused (413),

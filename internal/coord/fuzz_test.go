@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/results"
 )
@@ -21,7 +22,7 @@ func recordFileCount(t *testing.T, dir string) int {
 		if err != nil || info.IsDir() {
 			return err
 		}
-		if base := filepath.Base(path); strings.HasSuffix(base, ".json") && base != "coord-state.json" {
+		if strings.HasSuffix(path, ".json") {
 			n++
 		}
 		return nil
@@ -69,7 +70,7 @@ func FuzzIngestHandler(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(Config{Store: store, Cells: cells, ScaleName: "s", StatePath: "-"})
+		srv, err := NewServer(Config{Store: store, Cells: cells, ScaleName: "s"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +104,202 @@ func FuzzIngestHandler(f *testing.F) {
 		post(body)
 		if json.Valid(envelope) { // anything else cannot be framed as a batch
 			post(batch(IngestRecord{Cell: cells[3], Record: good(3)}, IngestRecord{Cell: cells[1], Record: envelope}))
+		}
+	})
+}
+
+// FuzzLeaseRPCs runs the lease RPCs as the fuzzer's bytes decode them —
+// claims, heartbeats and releases by fuzzer-chosen workers over
+// fuzzer-chosen cells, arbitrary bodies posted to any of the three, and
+// clock advances — against one server on a fake clock, and mirrors every
+// lease the responses grant. After each operation: nothing panicked and
+// nothing answered 5xx, every 200 decodes, no cell is granted while
+// another lease on it is live, a heartbeat keeps only leases its worker
+// holds, the status counts add up to the work list, the leased count is
+// the mirror's, and done never decreases.
+func FuzzLeaseRPCs(f *testing.F) {
+	const n, ttl = 6, 10 * time.Second
+	cells := testCells(n)
+	f.Add([]byte{0, 0, 2, 0, 1, 2, 3, 120, 0, 1, 4, 1, 0, 2, 2, 3, 2, 1, 1, 1, 4})
+	f.Add([]byte{0, 0, 0, 3, 101, 0, 1, 0, 1, 0, 3, 2, 3, 4, 5, 2, 1, 1, 2, 4, 5})
+	f.Add([]byte{0, 2, 3, 2, 2, 1, 2, 2, 3, 4, 2, 2, 1, 2, 2, 3, 4, 0, 1, 3})
+	f.Add(append([]byte{4, 0, 23}, `{"worker":"w1","max":3}`...))
+	f.Add(append([]byte{0, 1, 1, 4, 1, 94}, `{"worker":"w1","cells":[{"experiment":"unit/sweep","cell":2,"schema":1,"scale":"s"}]}`...))
+	f.Add(append([]byte{4, 2, 9}, `{"cells":`...))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		store, err := results.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two cells are done before the sweep starts, so a lost record
+		// would show as done decreasing.
+		for _, k := range cells[:2] {
+			if err := store.Put(k, computeCellRec(k.Cell)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := time.Unix(1e9, 0)
+		srv, err := NewServer(Config{Store: store, Cells: cells, ScaleName: "s", LeaseTTL: ttl, MaxRetries: 2,
+			Now: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		claimable := map[results.Key]bool{}
+		for _, k := range cells[2:] {
+			claimable[k] = true
+		}
+
+		// leases mirrors what the responses granted: holder and expiry.
+		type lease struct {
+			worker string
+			expiry time.Time
+		}
+		leases := map[results.Key]lease{}
+		live := func(k results.Key) (lease, bool) {
+			l, ok := leases[k]
+			return l, ok && !now.After(l.expiry)
+		}
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		worker := func() string { return []string{"w0", "w1", "w2", ""}[next()%4] }
+		keys := func() []results.Key {
+			out := make([]results.Key, next()%4)
+			for i := range out {
+				if j := next() % (n + 1); j < n {
+					out[i] = cells[j]
+				} else {
+					out[i] = results.Spec{Experiment: "other", Schema: 1, Scale: "s"}.Key(j)
+				}
+			}
+			return out
+		}
+		post := func(path string, body []byte) []byte {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("%s answered %d to %q: %s", path, rec.Code, body, rec.Body)
+			}
+			if rec.Code != http.StatusOK {
+				return nil
+			}
+			return rec.Body.Bytes()
+		}
+		mustJSON := func(v any) []byte {
+			body, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return body
+		}
+		decode := func(path string, raw []byte, v any) {
+			if err := json.Unmarshal(raw, v); err != nil {
+				t.Fatalf("%s answered 200 with %q: %v", path, raw, err)
+			}
+		}
+
+		// claim, heartbeat and release check a 200 answer against the
+		// mirror and update it; req is the request body as sent.
+		claim := func(req []byte) {
+			resp := post("/v1/claim", req)
+			if resp == nil {
+				return
+			}
+			var r ClaimRequest
+			var got ClaimResponse
+			decode("/v1/claim", resp, &got)
+			json.Unmarshal(req, &r) // the server decoded it the same way
+			for _, k := range got.Cells {
+				if !claimable[k] {
+					t.Fatalf("claim granted %+v, which is not a pending cell of the sweep", k)
+				}
+				if l, held := live(k); held {
+					t.Fatalf("claim granted cell %d to %q while %q holds it until %v (now %v)", k.Cell, r.Worker, l.worker, l.expiry, now)
+				}
+				leases[k] = lease{r.Worker, now.Add(ttl)}
+			}
+		}
+		heartbeat := func(req []byte) {
+			resp := post("/v1/heartbeat", req)
+			if resp == nil {
+				return
+			}
+			var r HeartbeatRequest
+			var got HeartbeatResponse
+			decode("/v1/heartbeat", resp, &got)
+			json.Unmarshal(req, &r)
+			lost := map[results.Key]bool{}
+			for _, k := range got.Lost {
+				lost[k] = true
+			}
+			for _, k := range r.Cells {
+				if lost[k] {
+					continue
+				}
+				if l, held := live(k); !held || l.worker != r.Worker {
+					t.Fatalf("heartbeat by %q kept cell %+v, which it does not hold", r.Worker, k)
+				}
+				leases[k] = lease{r.Worker, now.Add(ttl)}
+			}
+		}
+		release := func(req []byte) {
+			resp := post("/v1/release", req)
+			if resp == nil {
+				return
+			}
+			var r ReleaseRequest
+			decode("/v1/release", resp, &ReleaseResponse{})
+			json.Unmarshal(req, &r)
+			for _, k := range r.Cells {
+				if l, held := live(k); held && l.worker == r.Worker {
+					delete(leases, k)
+				}
+			}
+		}
+
+		done := 0
+		for len(ops) > 0 {
+			switch next() % 5 {
+			case 0:
+				claim(mustJSON(ClaimRequest{Worker: worker(), Max: next() % 4}))
+			case 1:
+				heartbeat(mustJSON(HeartbeatRequest{Worker: worker(), Cells: keys()}))
+			case 2:
+				w, failed := worker(), next()%2 == 1
+				release(mustJSON(ReleaseRequest{Worker: w, Cells: keys(), Failed: failed, Reason: "fuzz"}))
+			case 3:
+				now = now.Add(time.Duration(next()) * 100 * time.Millisecond)
+			case 4:
+				rpc := []func([]byte){claim, heartbeat, release}[next()%3]
+				body := ops[:min(next(), len(ops))]
+				ops = ops[len(body):]
+				rpc(body)
+			}
+
+			st := srv.Status()
+			if st.Total != n || st.Done+st.Leased+st.Pending+st.Failed != n {
+				t.Fatalf("status counts %d done + %d leased + %d pending + %d failed, want %d in all", st.Done, st.Leased, st.Pending, st.Failed, n)
+			}
+			if st.Done < done {
+				t.Fatalf("done fell from %d to %d", done, st.Done)
+			}
+			done = st.Done
+			held := 0
+			for k := range leases {
+				if _, ok := live(k); ok {
+					held++
+				}
+			}
+			if st.Leased != held {
+				t.Fatalf("status says %d cells leased, the responses granted %d live leases", st.Leased, held)
+			}
 		}
 	})
 }

@@ -226,7 +226,7 @@ func TestConcurrentPutsUploadEveryCellOnce(t *testing.T) {
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client: fastClient(hs.URL, "w"),
 		RunPass: func(ses *results.Session) error {
-			return results.Run(context.Background(), pool, ses, testSpec(), n, computeCellRec, func(int, cellRec) {})
+			return runCells(pool, ses, n, computeCellRec)
 		},
 	})
 	if err != nil {
@@ -276,12 +276,12 @@ func TestWorkerExitsCleanlyWhenCoordinatorLeavesAfterSettling(t *testing.T) {
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client: client,
 		RunPass: func(ses *results.Session) error {
-			err := results.Run(context.Background(), pool, ses, testSpec(), n, func(i int) cellRec {
+			err := runCells(pool, ses, n, func(i int) cellRec {
 				if i > 0 {
 					<-firstSent // cell 0 travels alone; the rest queue up behind it
 				}
 				return computeCellRec(i)
-			}, func(int, cellRec) {})
+			})
 			// Another worker finishes the whole sweep while ours waits.
 			thief := fastClient(hs.URL, "thief")
 			for _, k := range testCells(n) {
@@ -347,8 +347,7 @@ func TestUploaderSplitsBatchesAtTheByteCap(t *testing.T) {
 		Client: client,
 		RunPass: func(ses *results.Session) error {
 			defer close(passOver)
-			return results.Run(context.Background(), pool, ses, testSpec(), n,
-				func(i int) padRec { return padRec{Cell: i, Pad: pad} }, func(int, padRec) {})
+			return runCells(pool, ses, n, func(i int) padRec { return padRec{Cell: i, Pad: pad} })
 		},
 	})
 	if err != nil {

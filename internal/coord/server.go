@@ -1,15 +1,11 @@
 package coord
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -34,10 +30,6 @@ type Config struct {
 	// MaxRetries is the per-cell failure budget before it is parked as
 	// failed. Default 3.
 	MaxRetries int
-	// StatePath is where the sweep snapshot lands (atomic durable
-	// write). Empty selects <store dir>/coord-state.json; "-" disables
-	// persistence (tests).
-	StatePath string
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 	// Now is the clock; nil selects time.Now (tests inject a fake).
@@ -45,52 +37,27 @@ type Config struct {
 }
 
 // Server is the sweep coordinator: lease table, idempotent ingest into
-// the store, state snapshots, and the HTTP handler over all of it.
+// the store, and the HTTP handler over both.
 type Server struct {
-	cfg   Config
-	now   func() time.Time
-	logf  func(string, ...any)
-	state string // "" when persistence is disabled
+	cfg  Config
+	now  func() time.Time
+	logf func(string, ...any)
 
 	mu         sync.Mutex
 	table      *leaseTable
 	ingested   int
 	duplicates int
-	lastSave   time.Time
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
 }
 
-// persistedState is the on-disk sweep snapshot. The store scan is the
-// authoritative ingest state; the snapshot pins the sweep's identity
-// (so a restart with different parameters refuses to mix sweeps) and
-// gives operators progress without the server running.
-type persistedState struct {
-	Scale      string       `json:"scale"`
-	CellsHash  string       `json:"cells_hash"`
-	Total      int          `json:"total"`
-	Done       int          `json:"done"`
-	Failed     []FailedCell `json:"failed_cells,omitempty"`
-	SavedAt    time.Time    `json:"saved_at"`
-	SchemaNote string       `json:"note"`
-}
-
-// hashCells fingerprints the work list: same cells in same order, same
-// sweep.
-func hashCells(cells []results.Key) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	for _, k := range cells {
-		enc.Encode(k)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
 // NewServer builds a coordinator and resumes any prior sweep in the
 // store: every cell with a well-formed record is marked done up front,
-// so a restart recomputes nothing. A state snapshot from a different
-// sweep (other scale or work list) in the same store is an error.
+// so a restart recomputes nothing. The store scan is the whole resume
+// state. Keys are content-addressed, so sweeps of other scales or work
+// lists may share the store: their records lie under other keys, and
+// a cell two sweeps share has the same bytes in both.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("coord: Config.Store is required")
@@ -119,19 +86,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	switch cfg.StatePath {
-	case "":
-		s.state = filepath.Join(cfg.Store.Dir(), "coord-state.json")
-	case "-":
-		s.state = ""
-	default:
-		s.state = cfg.StatePath
-	}
-	if s.state != "" {
-		if err := s.checkPriorState(); err != nil {
-			return nil, err
-		}
-	}
 	s.table = newLeaseTable(cfg.Cells, cfg.LeaseTTL, cfg.MaxRetries)
 	resumed := 0
 	for _, k := range cfg.Cells {
@@ -146,70 +100,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.maybeDone()
 	return s, nil
-}
-
-// checkPriorState refuses to resume over a snapshot from a different
-// sweep — mixing scales or work lists in one store would interleave
-// incompatible record sets silently.
-func (s *Server) checkPriorState() error {
-	raw, err := os.ReadFile(s.state)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("coord: reading state %s: %w", s.state, err)
-	}
-	var st persistedState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("coord: state %s is corrupt: %v (delete it to start fresh)", s.state, err)
-	}
-	if st.Scale != s.cfg.ScaleName || st.CellsHash != hashCells(s.cfg.Cells) {
-		return fmt.Errorf("coord: state %s records a different sweep (scale %q, %d cells); refusing to mix sweeps in one store — use a fresh -cache-dir or delete the state file",
-			s.state, st.Scale, st.Total)
-	}
-	return nil
-}
-
-// PersistState writes the sweep snapshot durably. Safe to call at any
-// time; the graceful-shutdown path calls it after the HTTP server has
-// drained in-flight ingests.
-func (s *Server) PersistState() error {
-	if s.state == "" {
-		return nil
-	}
-	s.mu.Lock()
-	st := persistedState{
-		Scale:      s.cfg.ScaleName,
-		CellsHash:  hashCells(s.cfg.Cells),
-		Total:      len(s.cfg.Cells),
-		Done:       s.table.done,
-		Failed:     s.table.failedCells(),
-		SavedAt:    s.now(),
-		SchemaNote: "advisory snapshot; the record store is the authoritative ingest state",
-	}
-	s.lastSave = s.now()
-	s.mu.Unlock()
-	raw, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return results.AtomicWriteFile(s.state, append(raw, '\n'))
-}
-
-// maybePersist reports whether the snapshot is due — at most once per
-// second, checked on ingest progress so a hard-killed coordinator still
-// leaves a recent snapshot without an fsync per batch on the state
-// file. Caller holds s.mu and, when told true, calls PersistState after
-// unlocking (PersistState takes s.mu itself).
-func (s *Server) maybePersist() bool {
-	if s.state == "" {
-		return false
-	}
-	if s.now().Sub(s.lastSave) < time.Second {
-		return false
-	}
-	s.lastSave = s.now()
-	return true
 }
 
 // Done is closed when no work remains (every cell done or parked as
@@ -401,15 +291,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.ingested++
 		}
 	}
-	persist := s.maybePersist()
 	settled, _ := s.table.settled()
 	s.maybeDone()
 	s.mu.Unlock()
-	if persist {
-		if err := s.PersistState(); err != nil {
-			s.logf("state snapshot failed: %v", err)
-		}
-	}
 	writeJSON(w, http.StatusOK, IngestResponse{Duplicate: dup, SweepDone: settled})
 }
 

@@ -12,10 +12,15 @@
 // default-scheduler grid, Table 3 and Figures 5, 13 and 14 the "ooo"
 // families, Figure 17 two cells of Figure 16's. A family's record key
 // is derived, never written: results.Spec.Experiment is the family name,
-// Scale a digest of its scenarios, and Schema the version of the record
-// format its cells keep, so changing what a cell simulates or keeps
-// changes its key, and two families cannot simulate the same scenario
-// without a test noticing.
+// Scale one digest of its scenarios and of its record type's JSON shape,
+// and Schema the package's recordSchema, so changing what a cell
+// simulates or the shape of what it keeps changes its key, and two
+// families cannot simulate the same scenario without a test noticing.
+// The key is a record's whole identity: a store record under a current
+// key is current, and one under any other key is stranded, for
+// -cache-prune to remove. What the key cannot see — a record derived
+// differently with the same shape, a simulator model change — is what
+// a recordSchema bump is for.
 //
 // Every driver registers its cells as jobs for the internal/runner
 // worker pool and collects results into pre-sized, cell-indexed storage,
@@ -30,6 +35,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -105,15 +111,16 @@ var Quick = Scale{
 	WildWebRuns:     6,
 }
 
-// A record is what a cell keeps of its scenario's simulation: of takes
-// it from the scenario and the outcome of its Run. version is the record
-// format's version, which the cell's key carries: bump it when what the
-// record holds or how it is derived changes. (A change of the record's
-// Go shape is caught by the store's payload fingerprint too.)
-type record[T any] struct {
-	version int
-	of      func(Scenario, *Outcome) T
-}
+// recordSchema is every family's results.Spec.Schema. Bump it when what
+// a record holds, or how it is derived from the simulation, changes
+// without changing the record's Go shape — a simulator model change
+// included: every key changes with it, and every cell is computed once
+// more.
+const recordSchema = 1
+
+// A record is what a cell keeps of its scenario's simulation, taken from
+// the scenario and the outcome of its Run.
+type record[T any] func(Scenario, *Outcome) T
 
 // A family is one cell family: the scenario of every cell, in cell
 // order, and the record each cell keeps. Its key is derived from both.
@@ -149,7 +156,7 @@ func declare[T any](sc Scale, name string, rec record[T], cells func() []Scenari
 	}
 	cs := cells()
 	f := &family[T]{
-		spec:   results.Spec{Experiment: name, Schema: rec.version, Scale: digest(cs)},
+		spec:   results.Spec{Experiment: name, Schema: recordSchema, Scale: scaleKey[T](cs)},
 		cells:  cs,
 		record: rec,
 	}
@@ -157,17 +164,89 @@ func declare[T any](sc Scale, name string, rec record[T], cells func() []Scenari
 	return actual.(*family[T])
 }
 
-// digest is a family's scale key: 64 bits of SHA-256 over the canonical
-// encoding of its scenarios, so two lists share a digest only if they
-// are equal, field by field.
-func digest(cells []Scenario) string {
-	var b []byte
+// scaleKey is the Scale of a family keeping records of type T: 64 bits
+// of SHA-256 over T's JSON shape and the canonical encoding of the
+// family's scenarios, so two families share a Scale only if their
+// records have one shape and their scenario lists are equal, field by
+// field.
+func scaleKey[T any](cells []Scenario) string {
+	shape := appendShape(nil, reflect.TypeOf((*T)(nil)).Elem(), map[reflect.Type]bool{})
+	b := binary.AppendUvarint(nil, uint64(len(shape)))
+	b = append(b, shape...)
 	v := reflect.ValueOf(cells)
 	for i := range cells {
 		b = appendCanonical(b, v.Index(i))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
+}
+
+// recordFormatter is implemented by a record type, or a type nested in
+// one, that marshals itself (metrics.DelayDist): its exported fields,
+// often none, say nothing about the bytes it writes, so it names its
+// record form instead. The method must work on the zero value.
+type recordFormatter interface {
+	RecordFormat() string
+}
+
+var recordFormatterType = reflect.TypeOf((*recordFormatter)(nil)).Elem()
+
+// appendShape appends t's JSON shape: the JSON name of every field
+// encoding/json writes, and the kinds of everything reachable through
+// them. It is structural, not nominal — renaming a type or moving it
+// between packages keeps its shape, exactly as encoding/json can still
+// round-trip its records. A recordFormatter contributes its format name
+// in place of its structure, so changing the form means changing the
+// name. seen marks the structs being walked, to cut a self-referential
+// type's back-edge.
+func appendShape(b []byte, t reflect.Type, seen map[reflect.Type]bool) []byte {
+	// Pointers and interfaces are left to the switch: a pointer type
+	// inherits its element's methods, and neither kind's zero value can
+	// be called through.
+	if k := t.Kind(); k != reflect.Pointer && k != reflect.Interface && t.Implements(recordFormatterType) {
+		b = append(b, "format("...)
+		b = append(b, reflect.Zero(t).Interface().(recordFormatter).RecordFormat()...)
+		return append(b, ')')
+	}
+	switch t.Kind() {
+	case reflect.Pointer:
+		return appendShape(append(b, '*'), t.Elem(), seen)
+	case reflect.Slice:
+		return appendShape(append(b, "[]"...), t.Elem(), seen)
+	case reflect.Array:
+		b = strconv.AppendInt(append(b, '['), int64(t.Len()), 10)
+		return appendShape(append(b, ']'), t.Elem(), seen)
+	case reflect.Map:
+		b = appendShape(append(b, "map["...), t.Key(), seen)
+		return appendShape(append(b, ']'), t.Elem(), seen)
+	case reflect.Struct:
+		if seen[t] {
+			return append(b, "recurse"...)
+		}
+		seen[t] = true
+		b = append(b, "struct{"...)
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue // invisible to encoding/json
+			}
+			name := f.Name
+			if tag, ok := f.Tag.Lookup("json"); ok {
+				if n, _, _ := strings.Cut(tag, ","); n == "-" {
+					continue
+				} else if n != "" {
+					name = n
+				}
+			}
+			b = appendShape(append(append(b, name...), ' '), f.Type, seen)
+			b = append(b, ';')
+		}
+		delete(seen, t)
+		return append(b, '}')
+	case reflect.Interface:
+		return append(b, "any"...)
+	}
+	return append(b, t.Kind().String()...)
 }
 
 // appendCanonical appends v's encoding: every field in declaration
@@ -214,7 +293,7 @@ func (f *family[T]) add(b *results.Batch, collect func(i int, v T), cells ...int
 	compute := func(i int) T {
 		out := f.cells[i].Run()
 		defer out.Release()
-		return f.record.of(f.cells[i], out)
+		return f.record(f.cells[i], out)
 	}
 	one := func(i int) { results.AddCell(b, f.spec, i, f.cells[i].cost(), compute, collect) }
 	if len(cells) == 0 {

@@ -11,7 +11,7 @@ import (
 )
 
 // gridRecord keeps one (WiFi, LTE) streaming cell of a §5.2 sweep.
-var gridRecord = record[GridCell]{1, func(s Scenario, out *Outcome) GridCell {
+func gridRecord(s Scenario, out *Outcome) GridCell {
 	wifi, lte := s.Paths[0].RateMbps, s.Paths[1].RateMbps
 	return GridCell{
 		WifiMbps:            wifi,
@@ -23,7 +23,7 @@ var gridRecord = record[GridCell]{1, func(s Scenario, out *Outcome) GridCell {
 		IdealFraction:       out.IdealFraction,
 		IWResets:            out.IWResets,
 	}
-}}
+}
 
 // bitrateRatio is the heat-map value of Figures 2, 9 and 15: the
 // session's average bit rate over the ideal one for the paths' aggregate
@@ -308,7 +308,7 @@ func Figure15(sc Scale) *Figure15Result {
 		ECFRatio:      make([]float64, len(bws)),
 	}
 	schedulers := []string{"minrtt", "ecf"}
-	fam := declare(sc, "fig15", record[float64]{1, bitrateRatio}, func() []Scenario {
+	fam := declare(sc, "fig15", bitrateRatio, func() []Scenario {
 		var cells []Scenario
 		for _, lte := range bws {
 			for _, sched := range schedulers {

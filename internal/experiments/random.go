@@ -31,9 +31,9 @@ var randomSchedulers = []string{"minrtt", "blest", "ecf"}
 // identical across schedulers as in the paper. A cell keeps its
 // per-chunk throughput series (Mbps).
 func randomFamily(sc Scale) *family[[]float64] {
-	return declare(sc, "fig16", record[[]float64]{1, func(_ Scenario, out *Outcome) []float64 {
+	return declare(sc, "fig16", func(_ Scenario, out *Outcome) []float64 {
 		return out.Result.ChunkThroughputsMbps()
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		var cells []Scenario
 		for _, sched := range randomSchedulers {
 			for n := 1; n <= sc.RandomScenarios; n++ {

@@ -28,7 +28,7 @@ type Figure1Result struct {
 // cell's record is the Figure1Result itself.
 func Figure1(sc Scale) *Figure1Result {
 	res := &Figure1Result{}
-	fam := declare(sc, "fig1", record[*Figure1Result]{1, func(_ Scenario, out *Outcome) *Figure1Result {
+	fam := declare(sc, "fig1", func(_ Scenario, out *Outcome) *Figure1Result {
 		cell := &Figure1Result{}
 		for _, p := range out.Result.DownloadTrace {
 			cell.Trace = append(cell.Trace, struct {
@@ -47,7 +47,7 @@ func Figure1(sc Scale) *Figure1Result {
 			}
 		}
 		return cell
-	}}, func() []Scenario { return []Scenario{Streaming(8.6, 8.6, "minrtt", sc.VideoSec)} })
+	}, func() []Scenario { return []Scenario{Streaming(8.6, 8.6, "minrtt", sc.VideoSec)} })
 	fam.run(sc, func(_ int, cell *Figure1Result) { *res = *cell })
 	return res
 }
@@ -91,7 +91,7 @@ type sampledCell struct {
 // sampledFamily is "sampled/0.3-8.6": one sampled 0.3/8.6 stream per
 // paper scheduler.
 func sampledFamily(sc Scale) *family[sampledCell] {
-	return declare(sc, "sampled/0.3-8.6", record[sampledCell]{1, func(_ Scenario, out *Outcome) sampledCell {
+	return declare(sc, "sampled/0.3-8.6", func(_ Scenario, out *Outcome) sampledCell {
 		// The sampler records every series at the same instants.
 		cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
 		for j := range out.CwndTraces {
@@ -99,7 +99,7 @@ func sampledFamily(sc Scale) *family[sampledCell] {
 			cell.Sndbuf = append(cell.Sndbuf, out.SndbufTraces[j].V)
 		}
 		return cell
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		cells := make([]Scenario, len(paperSchedulers))
 		for i, sched := range paperSchedulers {
 			cells[i] = Streaming(0.3, 8.6, sched, sc.VideoSec)
@@ -292,13 +292,13 @@ type oooCell struct {
 // oooFamily is "ooo/<wifi>-<lte>": one stream of the bandwidth pair per
 // paper scheduler, the default first.
 func oooFamily(sc Scale, wifi, lte float64) *family[oooCell] {
-	return declare(sc, "ooo/"+fmtMbps(wifi)+"-"+fmtMbps(lte), record[oooCell]{1, func(_ Scenario, out *Outcome) oooCell {
+	return declare(sc, "ooo/"+fmtMbps(wifi)+"-"+fmtMbps(lte), func(_ Scenario, out *Outcome) oooCell {
 		return oooCell{
 			Delays:          metrics.NewDelayDist(out.OOODelays),
 			LastPacketDiffs: metrics.DurationsToSeconds(out.Result.LastPacketDiffs()),
 			IWResets:        out.IWResets,
 		}
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		cells := make([]Scenario, len(paperSchedulers))
 		for i, sched := range paperSchedulers {
 			cells[i] = Streaming(wifi, lte, sched, sc.VideoSec)

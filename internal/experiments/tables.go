@@ -59,9 +59,9 @@ func Table2(sc Scale) *Table2Result {
 	// LTE when it is odd — from a single subflow, with the other path an
 	// unused trickle; its record is the subflow's mean smoothed RTT
 	// sampled over the transfer. No cell reads a Scale field.
-	fam := declare(sc, "table2", record[time.Duration]{1, func(_ Scenario, out *Outcome) time.Duration {
+	fam := declare(sc, "table2", func(_ Scenario, out *Outcome) time.Duration {
 		return out.LoadedRTT
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		var cells []Scenario
 		for _, bw := range bws {
 			for _, p := range [2]core.PathSpec{

@@ -77,9 +77,9 @@ func Figure18(sc Scale) *Figure18Result {
 	// Cell record: the full completion-time summary (the figure prints
 	// the mean; the spread stays available to cache consumers).
 	nSch, nLte := len(res.Schedulers), len(res.LteBandwidths)
-	fam := declare(sc, "fig18", record[metrics.Summary]{1, func(_ Scenario, out *Outcome) metrics.Summary {
+	fam := declare(sc, "fig18", func(_ Scenario, out *Outcome) metrics.Summary {
 		return wgetSummary(out)
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		var cells []Scenario
 		for si, size := range res.Sizes {
 			for _, s := range res.Schedulers {
@@ -143,9 +143,9 @@ func Figure19(sc Scale) *Figure19Result {
 	// (paired runs) and keeps both summaries, so the normalization stays
 	// recomputable from cache.
 	nBW := len(trace.WebBandwidthsMbps)
-	fam := declare(sc, "fig19", record[wgetPair]{1, func(s Scenario, out *Outcome) wgetPair {
+	fam := declare(sc, "fig19", func(s Scenario, out *Outcome) wgetPair {
 		return wgetPair{Def: wgetSummary(out), ECF: wgetSummary(s.versus().Run())}
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		var cells []Scenario
 		for _, size := range res.Sizes {
 			for _, wifi := range trace.WebBandwidthsMbps {
@@ -230,9 +230,9 @@ type PageOutcome struct {
 }
 
 // pageRecord keeps a page-fetch cell's PageOutcome.
-var pageRecord = record[*PageOutcome]{1, func(_ Scenario, out *Outcome) *PageOutcome {
+func pageRecord(_ Scenario, out *Outcome) *PageOutcome {
 	return &PageOutcome{Completions: out.Completions, OOODelays: metrics.NewDelayDist(out.OOODelays)}
-}}
+}
 
 // pageScenario fetches the CNN-like page — 107 objects over six parallel
 // persistent MPTCP connections (twelve subflows) — over the paper's

@@ -50,9 +50,9 @@ func Figure22(sc Scale) *Figure22Result {
 	// average throughput. Seeds are part of the wild run definitions
 	// (trace.WildStreamingRuns), fixed topology data rather than per-cell
 	// derivations.
-	fam := declare(sc, "fig22", record[float64]{1, func(_ Scenario, out *Outcome) float64 {
+	fam := declare(sc, "fig22", func(_ Scenario, out *Outcome) float64 {
 		return out.Result.AvgThroughputMbps()
-	}}, func() []Scenario {
+	}, func() []Scenario {
 		var cells []Scenario
 		for _, run := range runs {
 			for _, sched := range []string{"minrtt", "ecf"} {

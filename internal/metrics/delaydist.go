@@ -124,12 +124,12 @@ func (d DelayDist) Quantile(p float64) float64 {
 // Mean returns the sample mean in seconds.
 func (d DelayDist) Mean() float64 { return meanOf(d.sorted, time.Duration.Seconds) }
 
-// RecordFormat names the record form to the results store, which folds
-// the name into the payload fingerprint: DelayDist marshals itself, so
-// its Go structure says nothing about the bytes on disk. Change the name
-// whenever the bytes MarshalJSON writes change meaning, so that records
-// in the old form stop matching: they miss once, with a warning, and
-// are recomputed.
+// RecordFormat names the record form to the cell families that keep it,
+// which fold the name into their record key: DelayDist marshals itself,
+// so its Go structure says nothing about the bytes on disk. Change the
+// name whenever the bytes MarshalJSON writes change meaning, so that
+// every family holding a DelayDist is re-keyed and its records in the
+// old form are computed once more.
 func (DelayDist) RecordFormat() string { return "delaydist/varint-gaps-runs-ns/2" }
 
 // recordEncoding is the base64 of the record form. Strict, plus the

@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -225,8 +223,35 @@ func TestDecisionLogFormat(t *testing.T) {
 	}
 }
 
-// TestRunReportRoundTrip writes a report to disk and reads it back,
-// checking the schema fields a dashboard would key on.
+// TestCellDurationPercentiles: p50 and p95 are nearest-rank — the
+// ⌈p·n/100⌉-th smallest sample — and max the largest, whatever order
+// the samples come in.
+func TestCellDurationPercentiles(t *testing.T) {
+	for _, tc := range []struct {
+		ms            []int // in arrival order
+		p50, p95, max float64
+	}{
+		{[]int{7}, 7, 7, 7},
+		{[]int{9, 3}, 3, 9, 9},
+		{[]int{4, 1, 8, 2}, 2, 8, 8},
+		{[]int{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}, 5, 10, 10},
+		{[]int{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 10, 19, 20},
+	} {
+		durs := make([]time.Duration, len(tc.ms))
+		for i, ms := range tc.ms {
+			durs[i] = time.Duration(ms) * time.Millisecond
+		}
+		var er ExperimentReport
+		er.SetCellDurations(durs)
+		if er.CellP50Ms != tc.p50 || er.CellP95Ms != tc.p95 || er.CellMaxMs != tc.max {
+			t.Errorf("n = %d: p50/p95/max = %v/%v/%v ms, want %v/%v/%v",
+				len(tc.ms), er.CellP50Ms, er.CellP95Ms, er.CellMaxMs, tc.p50, tc.p95, tc.max)
+		}
+	}
+}
+
+// TestRunReportRoundTrip writes a report and reads it back, checking the
+// schema fields a dashboard would key on.
 func TestRunReportRoundTrip(t *testing.T) {
 	rep := NewRunReport("quick", 4)
 	er := ExperimentReport{
@@ -236,13 +261,13 @@ func TestRunReportRoundTrip(t *testing.T) {
 		PacketsDelivered: 800, OutputBytes: 4096, OutputSHA256: "abc",
 	}
 	// Unsorted on purpose: SetCellDurations sorts and takes
-	// nearest-rank percentiles (over sorted [1 2 4 8] ms the p50 rank
-	// is index 2 and p95/max land on the largest sample).
+	// nearest-rank percentiles (over sorted [1 2 4 8] ms the p50 is the
+	// 2nd sample and p95/max land on the largest).
 	er.SetCellDurations([]time.Duration{
 		4 * time.Millisecond, time.Millisecond, 8 * time.Millisecond, 2 * time.Millisecond,
 	})
-	if er.CellP50Ms != 4 || er.CellP95Ms != 8 || er.CellMaxMs != 8 {
-		t.Errorf("duration stats = %v/%v/%v ms, want 4/8/8", er.CellP50Ms, er.CellP95Ms, er.CellMaxMs)
+	if er.CellP50Ms != 2 || er.CellP95Ms != 8 || er.CellMaxMs != 8 {
+		t.Errorf("duration stats = %v/%v/%v ms, want 2/8/8", er.CellP50Ms, er.CellP95Ms, er.CellMaxMs)
 	}
 	rep.Experiments = append(rep.Experiments, er)
 	rep.WallClockMs = 13
@@ -250,14 +275,11 @@ func TestRunReportRoundTrip(t *testing.T) {
 	rep.Queue = QueueReport{DepthMax: 42, DepthMean: 17.5}
 	rep.Mem = CaptureMemStats()
 
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	var buf bytes.Buffer
+	if err := rep.Write(&buf); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := buf.Bytes()
 	if raw[len(raw)-1] != '\n' {
 		t.Error("report file does not end in a newline")
 	}

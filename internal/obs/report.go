@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -53,20 +52,21 @@ type ExperimentReport struct {
 }
 
 // SetCellDurations fills the computed-cell duration stats from one
-// experiment's per-cell wall-clock samples (nearest-rank percentiles;
-// the slice is sorted in place). No samples — a fully cached run —
-// leaves the stats zero.
+// experiment's per-cell wall-clock samples (the slice is sorted in
+// place). The percentiles are nearest-rank: the p-th of n samples is the
+// ⌈p·n/100⌉-th smallest, the smallest sample with at least p % of the
+// samples at or below it. No samples — a fully cached run — leaves the
+// stats zero.
 func (e *ExperimentReport) SetCellDurations(durs []time.Duration) {
 	if len(durs) == 0 {
 		return
 	}
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-	rank := func(q float64) float64 {
-		i := int(q*float64(len(durs)-1) + 0.5)
-		return float64(durs[i]) / 1e6
+	rank := func(p int) float64 {
+		return float64(durs[(p*len(durs)+99)/100-1]) / 1e6
 	}
-	e.CellP50Ms = rank(0.50)
-	e.CellP95Ms = rank(0.95)
+	e.CellP50Ms = rank(50)
+	e.CellP95Ms = rank(95)
 	e.CellMaxMs = float64(durs[len(durs)-1]) / 1e6
 }
 
@@ -151,17 +151,4 @@ func (r *RunReport) Write(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *RunReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -66,7 +66,7 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	s := &Session{}
 	first, second := make([]rec, n), make([]rec, n)
 	for _, dst := range [][]rec{first, second} {
-		if err := Run(context.Background(), runner.New(3), s, spec(), n, computeRec(&computes), collectInto(dst)); err != nil {
+		if err := runSpec(runner.New(3), s, spec(), n, computeRec(&computes), collectInto(dst)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,12 +83,12 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	}
 	// A store hit is remembered too: the second read comes from memory.
 	dir := t.TempDir()
-	if err := Run(context.Background(), runner.New(1), &Session{Store: openStore(t, dir)}, spec(), n, computeRec(&computes), collectInto(first)); err != nil {
+	if err := runSpec(runner.New(1), &Session{Store: openStore(t, dir)}, spec(), n, computeRec(&computes), collectInto(first)); err != nil {
 		t.Fatal(err)
 	}
 	warm := &Session{Store: openStore(t, dir)}
 	for pass := 0; pass < 2; pass++ {
-		if err := Run(context.Background(), runner.New(3), warm, spec(), n, computeRec(&computes), collectInto(second)); err != nil {
+		if err := runSpec(runner.New(3), warm, spec(), n, computeRec(&computes), collectInto(second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestMemoTimeoutHandsTheKeyToItsWaiter(t *testing.T) {
 		t.Fatalf("collected %+v: want exactly the waiter's record", got)
 	}
 	// And the record it produced is what the session remembers.
-	if err := Run(context.Background(), runner.New(1), s, spec(), 1, compute, collectInto(got)); err != nil {
+	if err := runSpec(runner.New(1), s, spec(), 1, compute, collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 || s.MemoryHits() != 1 {
@@ -177,7 +177,7 @@ func TestTracedCellSimulatesThoughMemoised(t *testing.T) {
 	got := make([]rec, n)
 	run := func() {
 		t.Helper()
-		if err := Run(context.Background(), runner.New(2), s, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestSkippedCellsNeverEnterTheMemo(t *testing.T) {
 	} {
 		s := &Session{Claims: tc.claims}
 		var computes atomic.Int64
-		if err := Run(context.Background(), runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		if computes.Load() != int64(tc.want) || len(s.memo) != tc.want {
@@ -228,7 +228,7 @@ func TestMemoHitIsUploadedLikeAStoreHit(t *testing.T) {
 	sink := newMemSink()
 	s := &Session{Sink: sink}
 	for pass := 1; pass <= 2; pass++ {
-		if err := Run(context.Background(), runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		if sink.puts != pass*n {

@@ -10,7 +10,7 @@
 //     what the family's cells simulate, and the record format's
 //     version), with atomic writes and corruption-tolerant reads
 //     (Store), and
-//   - a cell execution layer: Run / Batch+Add execute a spec's cells
+//   - a cell execution layer: Batch+Add execute specs' cells
 //     through a runner.Pool, serving each cell from the run's own
 //     records or the store when a record exists and
 //     computing-then-persisting it when not, so caching and sharding
@@ -40,9 +40,13 @@
 // Records are keyed by content, not by which driver asked: drivers that
 // share cells (Figure 2/6/7/9 all sweep the default-scheduler grid;
 // Table 4 aggregates Figure 23's runs) automatically share records. The
-// package treats a key's fields as opaque; internal/experiments derives
-// them from its cell families (see its package doc), so a key changes
-// whenever what its cell simulates or keeps does.
+// package treats a key's fields as opaque and the key as a record's whole
+// identity: a record is present when its file decodes under its key, for
+// Get, Has, IngestBatch, Audit and Prune alike. internal/experiments
+// derives keys from its cell families (see its package doc), so a key
+// changes whenever what its cell simulates or the shape of what it keeps
+// does, and a record under an old key is a stranded group that
+// -cache-stats lists and -cache-prune removes.
 //
 // Shared records are shared memory: the value one collector receives is
 // the value every other collector of that key receives in the same run.
@@ -57,13 +61,14 @@
 // (float64, integers, time.Duration, strings, slices, structs), which
 // Go's encoding round-trips exactly, or types that marshal themselves
 // exactly and name their form through a RecordFormat method, which the
-// payload fingerprint then covers (see fingerprint.go). The one such
+// key then covers (internal/experiments folds a record type's JSON shape,
+// RecordFormat names included, into its family's Scale). The one such
 // type is metrics.DelayDist, the per-packet delay distribution: integer
 // nanoseconds, stored as varint gaps with each run of equal samples
 // folded into one zero gap and a length, and decoded only after its
 // tokens are checked against its count. A change of that form renames
-// RecordFormat, so old records miss once, with a warning, and are
-// recomputed.
+// RecordFormat, which re-keys the families holding it: their cells are
+// computed once more.
 //
 // Record size is read cost: a warm run decodes every byte of every
 // record it renders, and the 130 delay records are three quarters of

@@ -43,6 +43,14 @@ func openStore(t *testing.T, dir string) *Store {
 
 func spec() Spec { return Spec{Experiment: "unit/alpha", Schema: 1, Scale: "s1"} }
 
+// runSpec executes one spec's n cells through pool under s on a batch
+// of their own.
+func runSpec[T any](pool runner.Pool, s *Session, spec Spec, n int, compute func(int) T, collect func(int, T)) error {
+	b := NewBatch(pool, s)
+	Add(b, spec, n, compute, collect)
+	return b.Run(context.Background())
+}
+
 // shardOf is the Claims predicate of a -shard i/n pass.
 func shardOf(i, n int) func(Key) bool {
 	return func(k Key) bool { return k.Cell%n == i }
@@ -56,7 +64,7 @@ func TestRunComputesCollectsAndServesWarm(t *testing.T) {
 	var computes atomic.Int64
 	cold := make([]rec, n)
 	s1 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s1, spec(), n, computeRec(&computes), collectInto(cold)); err != nil {
+	if err := runSpec(pool, s1, spec(), n, computeRec(&computes), collectInto(cold)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s1.Stats(); h != 0 || c != n {
@@ -68,7 +76,7 @@ func TestRunComputesCollectsAndServesWarm(t *testing.T) {
 
 	warm := make([]rec, n)
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s2, spec(), n, computeRec(&computes), collectInto(warm)); err != nil {
+	if err := runSpec(pool, s2, spec(), n, computeRec(&computes), collectInto(warm)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n || c != 0 {
@@ -86,7 +94,7 @@ func TestNilSessionComputesEverything(t *testing.T) {
 	const n = 5
 	var computes atomic.Int64
 	got := make([]rec, n)
-	if err := Run(context.Background(), runner.New(2), nil, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(runner.New(2), nil, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n {
@@ -129,7 +137,7 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 	var computes atomic.Int64
 
 	s1 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(pool, s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if files := corruptOneRecord(t, dir); files != n {
@@ -138,7 +146,7 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 
 	got := make([]rec, n)
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s2, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(pool, s2, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n-1 || c != 1 {
@@ -152,7 +160,7 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 
 	// The recompute rewrote the record: a third run is all hits.
 	s3 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s3, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(pool, s3, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s3.Stats(); h != n || c != 0 {
@@ -169,7 +177,7 @@ func TestKeyInvalidation(t *testing.T) {
 	var computes atomic.Int64
 	seed := func(sp Spec) (hits, computed int64) {
 		s := &Session{Store: openStore(t, dir)}
-		if err := Run(context.Background(), pool, s, sp, n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(pool, s, sp, n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
@@ -198,7 +206,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 
 	unsharded := make([]rec, n)
 	var computes atomic.Int64
-	if err := Run(context.Background(), pool, nil, spec(), n, computeRec(&computes), collectInto(unsharded)); err != nil {
+	if err := runSpec(pool, nil, spec(), n, computeRec(&computes), collectInto(unsharded)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,7 +214,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		s := &Session{Store: openStore(t, dir), Claims: shardOf(i, shards)}
 		collected := make([]rec, n)
-		if err := Run(context.Background(), pool, s, spec(), n, computeRec(&computes), collectInto(collected)); err != nil {
+		if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(collected)); err != nil {
 			t.Fatal(err)
 		}
 		_, c := s.Stats()
@@ -227,7 +235,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 
 	merged := make([]rec, n)
 	m := &Session{Store: openStore(t, dir), Merge: true}
-	if err := Run(context.Background(), pool, m, spec(), n, computeRec(&computes), collectInto(merged)); err != nil {
+	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(merged)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := m.Stats(); h != n || c != 0 {
@@ -247,11 +255,11 @@ func TestMergeMissingCellFails(t *testing.T) {
 	// Only shard 0/2 ran; merge must name exactly the odd cells, and
 	// compute none of them.
 	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 2)}
-	if err := Run(context.Background(), pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	m := &Session{Store: openStore(t, dir), Merge: true}
-	if err := Run(context.Background(), pool, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	want := []Key{spec().Key(1), spec().Key(3), spec().Key(5)}
@@ -292,7 +300,7 @@ func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	}
 	// Specs do not collide: each family warms independently.
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s2, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(make([]rec, len(a)))); err != nil {
+	if err := runSpec(pool, s2, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(make([]rec, len(a)))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != int64(len(a)) || c != 0 {
@@ -316,7 +324,7 @@ func TestOpenReadServesMergeWithoutWriting(t *testing.T) {
 	pool := runner.New(1)
 	var computes atomic.Int64
 	s := &Session{Store: openStore(t, dir)}
-	if err := Run(context.Background(), pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -327,7 +335,7 @@ func TestOpenReadServesMergeWithoutWriting(t *testing.T) {
 	}
 	m := &Session{Store: ro, Merge: true}
 	got := make([]rec, n)
-	if err := Run(context.Background(), pool, m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := m.Stats(); h != n || c != 0 {

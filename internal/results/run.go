@@ -307,11 +307,3 @@ func lptOrder(costs []float64) []int {
 	sort.SliceStable(ord, func(a, b int) bool { return costs[ord[a]] > costs[ord[b]] })
 	return ord
 }
-
-// Run executes one spec's n cells through pool under session — the
-// single-spec convenience over NewBatch/Add/Batch.Run.
-func Run[T any](ctx context.Context, pool runner.Pool, session *Session, spec Spec, n int, compute func(i int) T, collect func(i int, v T)) error {
-	b := NewBatch(pool, session)
-	Add(b, spec, n, compute, collect)
-	return b.Run(ctx)
-}

@@ -1,7 +1,6 @@
 package results
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -48,7 +47,7 @@ func TestClaimsGateComputesOnlyClaimedCells(t *testing.T) {
 
 	out := make([]rec, n)
 	s := &Session{Store: openStore(t, dir), Claims: claimed}
-	if err := Run(context.Background(), runner.New(2), s, spec(), n, computeRec(&computes), collectInto(out)); err != nil {
+	if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(out)); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n/2 {
@@ -74,7 +73,7 @@ func TestSinkReceivesComputedAndServedRecords(t *testing.T) {
 	// Cold: every record is computed and delivered to the sink.
 	cold := newMemSink()
 	s1 := &Session{Store: openStore(t, dir), Sink: cold}
-	if err := Run(context.Background(), runner.New(2), s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(runner.New(2), s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if cold.len() != n {
@@ -85,7 +84,7 @@ func TestSinkReceivesComputedAndServedRecords(t *testing.T) {
 	// cells it already has locally must still deliver them.
 	warm := newMemSink()
 	s2 := &Session{Store: openStore(t, dir), Sink: warm}
-	if err := Run(context.Background(), runner.New(2), s2, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(runner.New(2), s2, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n || c != 0 {
@@ -107,7 +106,7 @@ func TestSinkErrorFailsTheCell(t *testing.T) {
 	sink.fail = errors.New("coordinator unreachable")
 	var computes atomic.Int64
 	s := &Session{Sink: sink}
-	err := Run(context.Background(), runner.New(1), s, spec(), 3, computeRec(&computes), collectInto(make([]rec, 3)))
+	err := runSpec(runner.New(1), s, spec(), 3, computeRec(&computes), collectInto(make([]rec, 3)))
 	if err == nil || !errors.Is(err, sink.fail) {
 		t.Fatalf("Run with failing sink = %v, want the sink error", err)
 	}
@@ -131,7 +130,7 @@ func TestLostClaimSkipsUpload(t *testing.T) {
 		lost.Store(true)
 		return rec{Cell: i}
 	}
-	if err := Run(context.Background(), runner.New(1), s, spec(), 1, compute, collectInto(make([]rec, 1))); err != nil {
+	if err := runSpec(runner.New(1), s, spec(), 1, compute, collectInto(make([]rec, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != 1 {
@@ -149,13 +148,13 @@ func TestMergeGathersEveryHole(t *testing.T) {
 
 	// Seed shard 0/3 only: cells 1,2,4,5,7,8 are holes.
 	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 3)}
-	if err := Run(context.Background(), runner.New(1), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(runner.New(1), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 
 	m := &Session{Store: openStore(t, dir), Merge: true}
 	got := make([]rec, n)
-	if err := Run(context.Background(), runner.New(2), m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(runner.New(2), m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatalf("a merge must not fail on holes: %v", err)
 	}
 	miss := m.MissingCells()
@@ -189,7 +188,7 @@ func TestCellTimeoutNamesTheWedgedCell(t *testing.T) {
 		return rec{Cell: i}
 	}
 	s := &Session{CellTimeout: 20 * time.Millisecond}
-	err := Run(context.Background(), runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
+	err := runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
 	var te *CellTimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("Run = %v, want *CellTimeoutError", err)
@@ -212,7 +211,7 @@ func TestCellTimeoutZeroMeansNoDeadline(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return rec{Cell: i}
 	}
-	if err := Run(context.Background(), runner.New(1), s, spec(), 2, compute, collectInto(make([]rec, 2))); err != nil {
+	if err := runSpec(runner.New(1), s, spec(), 2, compute, collectInto(make([]rec, 2))); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != 2 {

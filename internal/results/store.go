@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 )
 
 // Store is the on-disk cell cache: one JSON file per record, grouped in
@@ -18,8 +17,6 @@ import (
 // so a cache corrupted by other means heals itself by recomputation.
 type Store struct {
 	root string
-	// warned dedupes fingerprint-mismatch warnings per record group.
-	warned sync.Map
 }
 
 // Open prepares dir as a cell store, creating it (and parents) when
@@ -53,18 +50,11 @@ func OpenRead(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.root }
-
 // envelope pairs the key with the payload on disk, so a read verifies
 // it decoded the record it asked for (guarding against hash collisions
-// and hand-edited files). Fp is the structural fingerprint of the
-// payload's Go type at write time (see fingerprint.go): a read whose
-// target type no longer matches warns and misses instead of silently
-// decoding a stale shape.
+// and hand-edited files).
 type envelope struct {
 	Key  Key             `json:"key"`
-	Fp   string          `json:"fp,omitempty"`
 	Data json.RawMessage `json:"data"`
 }
 
@@ -86,18 +76,17 @@ func (s *Store) path(k Key) string {
 // Get decodes the record for k into into (a non-nil pointer). It
 // returns false on any miss: no file, unreadable file, malformed JSON
 // (trailing bytes included), a stored key that does not match the
-// request, an absent or null payload, a payload that does not decode
-// into the target type, or a payload fingerprint that does not match
-// the target type — the last case also warns (once per group), since it
-// means the simulator's record shape changed without a schema bump and
-// the cached group is stale. into is written only on a hit.
+// request, an absent or null payload, or a payload that does not decode
+// into the target type. into is written only on a hit. The key is the
+// record's whole identity (the caller derives it from everything the
+// record depends on, its shape included), so a record that decodes under
+// its key is current.
 //
-// The file is decoded by one json.Unmarshal: key, fingerprint and
-// payload in a single pass, the payload straight into a fresh value of
-// the target type. Key and fingerprint are therefore checked after the
-// payload was decoded, which is why the payload lands in a scratch
-// value first: a foreign or stale record must not leave its fields in
-// the caller's variable.
+// The file is decoded by one json.Unmarshal: key and payload in a
+// single pass, the payload straight into a fresh value of the target
+// type. The key is therefore checked after the payload was decoded,
+// which is why the payload lands in a scratch value first: a foreign
+// record must not leave its fields in the caller's variable.
 func (s *Store) Get(k Key, into any) bool {
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
@@ -110,31 +99,17 @@ func (s *Store) Get(k Key, into any) bool {
 	dst := reflect.ValueOf(into)
 	slot := reflect.New(dst.Type())
 	env := struct {
-		Key  Key    `json:"key"`
-		Fp   string `json:"fp"`
-		Data any    `json:"data"`
+		Key  Key `json:"key"`
+		Data any `json:"data"`
 	}{Data: slot.Interface()}
-	err = json.Unmarshal(raw, &env)
-	// A syntax error decodes nothing, so the key check covers it. A
-	// payload that does not fit the target type still decodes key and
-	// fingerprint (EncodeRecord writes both ahead of the payload), so a
-	// stale shape is reported as such and not as a corrupt file.
-	if env.Key != k {
-		return false
-	}
-	if want := targetFingerprint(into); env.Fp != want {
-		s.warnMismatch(k, env.Fp, want)
-		return false
-	}
-	if err != nil || slot.Elem().IsNil() {
+	if json.Unmarshal(raw, &env) != nil || env.Key != k || slot.Elem().IsNil() {
 		return false
 	}
 	dst.Elem().Set(slot.Elem().Elem())
 	return true
 }
 
-// Put atomically and durably persists v as the record for k, stamped
-// with the payload type's structural fingerprint.
+// Put atomically and durably persists v as the record for k.
 func (s *Store) Put(k Key, v any) error {
 	raw, err := EncodeRecord(k, v)
 	if err != nil {
@@ -145,10 +120,9 @@ func (s *Store) Put(k Key, v any) error {
 
 // Has reports whether the store holds a well-formed record for k: the
 // file exists, decodes as an envelope, and the stored key matches the
-// request. Unlike Get it needs no target type (and so cannot check the
-// payload fingerprint) — it is the coordinator's type-free notion of
-// "this cell is done", conservative in the same direction as Get: a
-// truncated or foreign file counts as absent.
+// request. Unlike Get it needs no target type — it is the coordinator's
+// type-free notion of "this cell is done", conservative in the same
+// direction as Get: a truncated or foreign file counts as absent.
 func (s *Store) Has(k Key) bool {
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
@@ -176,7 +150,7 @@ type Record struct {
 // contract every writer computes the same bytes for a cell, so
 // first-write-wins loses nothing.
 //
-// The commit is the AtomicWriteFile discipline with the directory
+// The commit is the atomicWriteFile discipline with the directory
 // fsync shared: each new record is written to a temp file, fsynced and
 // renamed, then every directory a rename touched is fsynced once. The
 // batch is durable only when IngestBatch returns nil; a caller must not
@@ -227,7 +201,7 @@ func (s *Store) write(k Key, raw []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := AtomicWriteFile(path, raw); err != nil {
+	if err := atomicWriteFile(path, raw); err != nil {
 		return fmt.Errorf("cache: writing cell %d of %q: %w", k.Cell, k.Experiment, err)
 	}
 	return nil
@@ -241,7 +215,7 @@ func EncodeRecord(k Key, v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: encoding cell %d of %q: %w", k.Cell, k.Experiment, err)
 	}
-	raw, err := json.Marshal(envelope{Key: k, Fp: payloadFingerprint(v), Data: data})
+	raw, err := json.Marshal(envelope{Key: k, Data: data})
 	if err != nil {
 		return nil, fmt.Errorf("cache: encoding cell %d of %q: %w", k.Cell, k.Experiment, err)
 	}
@@ -267,22 +241,21 @@ func DecodeRecordKey(raw []byte) (Key, error) {
 	return env.Key, nil
 }
 
-// AtomicWriteFile lands data at path so that after a crash at any
+// atomicWriteFile lands data at path so that after a crash at any
 // instant the path holds either the complete old content or the
 // complete new content, and the new content survives power loss once
-// AtomicWriteFile returns: write to a temp file in the same directory,
+// atomicWriteFile returns: write to a temp file in the same directory,
 // fsync it, rename over the target, fsync the directory (the rename
 // itself is not durable until its directory is). This is the auklet
-// object-store atomic-writer discipline; the store's record writes and
-// the coordinator's state snapshots both go through it.
-func AtomicWriteFile(path string, data []byte) error {
+// object-store atomic-writer discipline.
+func atomicWriteFile(path string, data []byte) error {
 	if err := landFile(path, data); err != nil {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
 }
 
-// landFile is AtomicWriteFile without the directory fsync: after it
+// landFile is atomicWriteFile without the directory fsync: after it
 // returns, path holds the complete fsynced data, but the rename that
 // put it there is not durable until the caller fsyncs the directory.
 func landFile(path string, data []byte) error {

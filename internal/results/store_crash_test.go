@@ -2,7 +2,6 @@ package results
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -45,18 +44,18 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 	scenarios := []struct {
 		name string
 		// corrupt sabotages the store dir after a successful Put.
-		corrupt func(t *testing.T, st *Store, path string)
+		corrupt func(t *testing.T, path string)
 		// wantHit: the record should still be served after sabotage.
 		wantHit bool
-		// wantHas: Has, which checks the envelope and key but neither
-		// payload nor fingerprint, should still report the record.
+		// wantHas: Has, which checks the envelope and key but not the
+		// payload, should still report the record.
 		wantHas bool
 	}{
 		{
 			// Crash after rename of a partial temp file (or a torn
 			// write): the final name holds truncated JSON.
 			name: "truncated record under final name",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -71,7 +70,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			// file sits next to an intact record. The record must still
 			// be served; the orphan must not be mistaken for a record.
 			name: "orphaned temp file next to intact record",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				orphan := filepath.Join(filepath.Dir(path), ".tmp-orphan1")
 				if err := os.WriteFile(orphan, []byte(`{"key":`), 0o644); err != nil {
 					t.Fatal(err)
@@ -85,7 +84,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			// different cell (e.g. debris from a botched manual copy):
 			// the key check must reject it.
 			name: "record carries another cell's envelope",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				other, err := EncodeRecord(spec().Key(7), rec{Cell: 7, Label: "cell", Value: 8.75})
 				if err != nil {
 					t.Fatal(err)
@@ -99,7 +98,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			// Crash at the instant of file creation: zero bytes under
 			// the final name.
 			name: "empty record file",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				if err := os.WriteFile(path, nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +108,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			// Bytes after the envelope (two writers' output run
 			// together): the file as a whole is not one JSON value.
 			name: "trailing garbage after the envelope",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -120,31 +119,25 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			},
 		},
 		{
-			// The record of a binary whose payload type had another
-			// shape: right key, wrong fingerprint. The fields the two
-			// shapes share must not leak into the caller's value.
-			name: "stale payload fingerprint",
-			corrupt: func(t *testing.T, st *Store, _ string) {
-				type oldRec struct {
-					Cell  int
-					Label string
-				}
-				if err := st.Put(k, oldRec{Cell: 41, Label: "stale"}); err != nil {
-					t.Fatal(err)
-				}
+			// A payload that does not decode into the record type: the
+			// fields that did decode must not leak into the caller's
+			// value.
+			name: "payload of another type",
+			corrupt: func(t *testing.T, path string) {
+				rewritePayload(t, path, `"data":{"Label":"stale","Cell":"forty-one"}`)
 			},
 			wantHas: true,
 		},
 		{
 			name: "null payload",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				rewritePayload(t, path, `"data":null`)
 			},
 			wantHas: true,
 		},
 		{
 			name: "absent payload",
-			corrupt: func(t *testing.T, _ *Store, path string) {
+			corrupt: func(t *testing.T, path string) {
 				rewritePayload(t, path, `"nodata":0`)
 			},
 			wantHas: true,
@@ -153,7 +146,6 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			captureWarnings(t) // the stale-fingerprint miss warns by design
 			dir := t.TempDir()
 			st := openStore(t, dir)
 			if err := st.Put(k, v); err != nil {
@@ -163,7 +155,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			if len(files) != 1 {
 				t.Fatalf("record files after Put = %d, want 1", len(files))
 			}
-			sc.corrupt(t, st, files[0])
+			sc.corrupt(t, files[0])
 
 			var got rec
 			if hit := st.Get(k, &got); hit != sc.wantHit {
@@ -181,7 +173,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			var computes atomic.Int64
 			s := &Session{Store: openStore(t, dir)}
 			out := make([]rec, 1)
-			if err := Run(context.Background(), runner.New(1), s, spec(), 1, computeRec(&computes), collectInto(out)); err != nil {
+			if err := runSpec(runner.New(1), s, spec(), 1, computeRec(&computes), collectInto(out)); err != nil {
 				t.Fatal(err)
 			}
 			wantComputes := int64(1)
@@ -202,7 +194,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 }
 
 // rewritePayload replaces the payload member of the record at path,
-// keeping its key and fingerprint.
+// keeping its key.
 func rewritePayload(t *testing.T, path, member string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -221,10 +213,10 @@ func rewritePayload(t *testing.T, path, member string) {
 func TestAtomicWriteFileReplacesAndLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
-	if err := AtomicWriteFile(path, []byte("v1")); err != nil {
+	if err := atomicWriteFile(path, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteFile(path, []byte("version-two")); err != nil {
+	if err := atomicWriteFile(path, []byte("version-two")); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -271,7 +263,8 @@ func TestIngestIsIdempotent(t *testing.T) {
 }
 
 func TestIngestRejectsBadEnvelopes(t *testing.T) {
-	st := openStore(t, t.TempDir())
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	k := spec().Key(0)
 	good, err := EncodeRecord(k, rec{Cell: 0})
 	if err != nil {
@@ -294,7 +287,7 @@ func TestIngestRejectsBadEnvelopes(t *testing.T) {
 			t.Fatalf("%s: a batch carrying the bad record was accepted", name)
 		}
 	}
-	if st.Has(k) || st.Has(spec().Key(1)) || len(recordFiles(t, st.Dir())) != 0 {
+	if st.Has(k) || st.Has(spec().Key(1)) || len(recordFiles(t, dir)) != 0 {
 		t.Fatal("rejected ingests left a record behind")
 	}
 	if added, err := ingestOne(st, k, good); err != nil || !added {

@@ -28,9 +28,6 @@ func FuzzStoreRecord(f *testing.F) {
 	f.Add([]byte(`{"KEY":{"experiment":"unit/alpha","cell":3,"schema":1,"scale":"s1"},"data":{"Cell":"x"}}`))
 	f.Add([]byte("null"))
 
-	old := warnf
-	warnf = func(string, ...any) {}
-	f.Cleanup(func() { warnf = old })
 	st, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
