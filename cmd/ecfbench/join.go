@@ -64,9 +64,8 @@ func (c *config) join(stderr io.Writer) error {
 
 	start := time.Now()
 	stats, err := coord.RunWorker(ctx, coord.WorkerConfig{
-		Client:      client,
-		Store:       store,
-		CellTimeout: c.cellTimeout,
+		Client: client,
+		Store:  store,
 		RunPass: func(ses *results.Session) error {
 			return runCatalogPass(sc, ses)
 		},
@@ -83,7 +82,7 @@ func (c *config) join(stderr io.Writer) error {
 
 // runCatalogPass runs one full-catalog pass under the worker's session,
 // handing the drivers' fatal errors (store I/O, sink upload failures,
-// cell timeouts) back to the lease loop.
+// failed cells) back to the lease loop.
 func runCatalogPass(sc experiments.Scale, ses *results.Session) (err error) {
 	defer recoverFatal(&err)
 	sc.Results = ses

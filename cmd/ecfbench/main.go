@@ -10,7 +10,6 @@
 //	ecfbench -exp all -cache-dir cache -shard 0/2 # simulate half the cells
 //	ecfbench -exp all -cache-dir cache -merge     # assemble purely from cache
 //	ecfbench -join host:7468                      # lease-loop worker for `ecfd serve`
-//	ecfbench -exp all -cell-timeout 2m            # fail loudly if one cell wedges
 //	ecfbench -cache-dir cache -cache-stats        # audit what occupies the store
 //	ecfbench -cache-dir cache -cache-prune -dry-run  # preview stale-group cleanup
 //	ecfbench -cache-dir cache -cache-prune        # delete groups no current run reads
@@ -41,14 +40,14 @@
 // reads; any other flag set on the command line, or a positional
 // argument, is a usage error:
 //
-//	join         -join: -j -cache-dir -cell-timeout -worker-id -progress -cpuprofile -memprofile -force -debug-addr
+//	join         -join: -j -cache-dir -worker-id -progress -cpuprofile -memprofile -force -debug-addr
 //	cache-stats  -cache-stats: -cache-dir
 //	cache-prune  -cache-prune: -cache-dir -scale -older-than -dry-run
-//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cell-timeout -cpuprofile -memprofile -force -trace-cell -trace-out -decisions-out -report-json -debug-addr -progress
+//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -trace-cell -trace-out -decisions-out -report-json -debug-addr -progress
 //	list         -list, or no -exp: what render reads (the catalog is printed in place of a render)
 //
 // Usage errors exit 2 before any file is created; operational failures
-// (store I/O, merge misses, clobber refusals) exit 1.
+// (store I/O, merge misses, clobber refusals, a failed cell) exit 1.
 package main
 
 import (
@@ -119,13 +118,13 @@ func usagef(format string, args ...any) error {
 }
 
 // renderFlags are the flags a render reads; see modeFlags.
-const renderFlags = "exp scale j cache-dir shard merge no-cache cell-timeout cpuprofile memprofile force trace-cell trace-out decisions-out report-json debug-addr progress"
+const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile memprofile force trace-cell trace-out decisions-out report-json debug-addr progress"
 
 // modeFlags is the mode × flag table: for each mode, the flags it reads.
 // A flag set on the command line that the chosen mode does not read is
 // a usage error.
 var modeFlags = map[string]string{
-	"join":        "join j cache-dir cell-timeout worker-id progress cpuprofile memprofile force debug-addr",
+	"join":        "join j cache-dir worker-id progress cpuprofile memprofile force debug-addr",
 	"cache-stats": "cache-stats cache-dir",
 	"cache-prune": "cache-prune cache-dir scale older-than dry-run",
 	"list":        "list " + renderFlags,
@@ -140,7 +139,7 @@ type config struct {
 	joinAddr, workerID                                          string
 	list, merge, noCache, stats, prune, dryRun, force, progress bool
 	jobs                                                        int
-	olderThan, cellTimeout                                      time.Duration
+	olderThan                                                   time.Duration
 
 	mode string // a modeFlags key
 
@@ -184,7 +183,6 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&c.progress, "progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
 	fs.StringVar(&c.joinAddr, "join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
 	fs.StringVar(&c.workerID, "worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
-	fs.DurationVar(&c.cellTimeout, "cell-timeout", 0, "per-cell wall-clock budget; a cell exceeding it fails loudly naming the experiment and cell index (0 = no deadline)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, err
@@ -224,8 +222,6 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 // cell.
 func (c *config) validate() error {
 	switch {
-	case c.cellTimeout < 0:
-		return usagef("-cell-timeout must not be negative")
 	case c.olderThan < 0:
 		return usagef("-older-than must not be negative")
 	case c.cacheDir == "" && (c.mode == "cache-stats" || c.mode == "cache-prune"):
@@ -408,7 +404,7 @@ func missingError(ses *results.Session, cacheDir, scaleName string) error {
 }
 
 // recoverFatal, deferred, turns a driver's *results.FatalError panic
-// (store I/O, an upload, a cell timeout) into *err for a clean exit;
+// (store I/O, an upload, a failed cell) into *err for a clean exit;
 // any other panic propagates with its stack.
 func recoverFatal(err *error) {
 	if v := recover(); v != nil {
@@ -760,7 +756,7 @@ func (c cellCounts) String() string {
 // destinations are opened under the clobber guard, so a refusal (or an
 // unwritable path) still aborts before hours of simulation.
 func (c *config) render(stdout, stderr io.Writer) (err error) {
-	c.ses = &results.Session{CellTimeout: c.cellTimeout, Merge: c.merge, Claims: c.claims}
+	c.ses = &results.Session{Merge: c.merge, Claims: c.claims}
 	if !c.noCache && c.cacheDir != "" {
 		open := results.Open
 		if c.merge {

@@ -95,10 +95,11 @@ func TestModeTable(t *testing.T) {
 		{"trace-cell vs merge", []string{"-exp", "fig9", "-cache-dir", "$D/D", "-merge", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "cannot be combined with -merge"},
 		{"bad trace-cell", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
 		{"decisions-out needs trace-cell", []string{"-exp", "fig9", "-decisions-out", "$D/d.txt"}, "-decisions-out requires -trace-cell"},
-		{"negative cell-timeout", []string{"-exp", "table1", "-cell-timeout", "-1s"}, "-cell-timeout must not be negative"},
 		{"negative older-than", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "-1h"}, "-older-than must not be negative"},
 		{"unknown flag", []string{"-exp", "table1", "-nosuch"}, "flag provided but not defined: -nosuch"},
-		{"malformed duration", []string{"-exp", "table1", "-cell-timeout", "soon"}, `invalid value "soon"`},
+		// A cell is bounded by its event budget; the wall-clock flag is gone.
+		{"negative cell-timeout", []string{"-exp", "table1", "-cell-timeout", "-1s"}, "flag provided but not defined: -cell-timeout"},
+		{"malformed duration", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "soon"}, `invalid value "soon"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,7 +130,7 @@ func TestModesRunWhatTheyRead(t *testing.T) {
 		{"-list", "-exp", "fig1", "-scale", "quick", "-j", "2"},
 		{"-cache-stats", "-cache-dir", store},
 		{"-cache-prune", "-cache-dir", store, "-scale", "quick", "-older-than", "1h", "-dry-run"},
-		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-cell-timeout", "1m", "-progress"},
+		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-progress"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {

@@ -11,12 +11,14 @@
 // restarted coordinator never recomputes finished cells), and serves
 // the lease/ingest protocol of internal/coord. Workers join with
 //
-//	ecfbench -join host:7468 [-j N] [-cell-timeout 2m] [-cache-dir localcache]
+//	ecfbench -join host:7468 [-j N] [-cache-dir localcache]
 //
 // and the sweep survives workers crashing, hanging, or flapping: a
 // worker that stops heartbeating loses its leases after the TTL and
 // its cells are re-issued (work-stealing), while duplicate uploads
-// from stolen-then-revived workers are idempotent no-ops. SIGTERM
+// from stolen-then-revived workers are idempotent no-ops. A failed cell
+// fails alike on every worker, so its first failure parks it (exit 1
+// once the sweep settles). SIGTERM
 // drains in-flight ingests and exits; the store is the only state, so
 // rerunning `ecfd serve` with the same flags resumes the sweep, and
 // sweeps at other scales may share the store. Once the sweep completes,
@@ -66,7 +68,7 @@ func parseFlags(fs *flag.FlagSet, args []string) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  ecfd serve  -cache-dir DIR [-scale full|quick] [-addr :7468] [-lease-ttl 45s] [-claim-batch 32] [-max-retries 3] [-exit-when-done]
+  ecfd serve  -cache-dir DIR [-scale full|quick] [-addr :7468] [-lease-ttl 45s] [-claim-batch 32] [-exit-when-done]
   ecfd status -addr HOST:7468`)
 	os.Exit(2)
 }
@@ -101,13 +103,12 @@ func workList(sc experiments.Scale) []results.Key {
 func serve(args []string) {
 	fs := flag.NewFlagSet("ecfd serve", flag.ExitOnError)
 	var (
-		addr       = fs.String("addr", ":7468", "listen address")
-		cacheDir   = fs.String("cache-dir", "", "the coordinator's record store (created if missing); also the resume state")
-		scaleName  = fs.String("scale", "full", "scale profile the sweep runs at: full or quick")
-		leaseTTL   = fs.Duration("lease-ttl", 45*time.Second, "how long a silent worker keeps its leases before they are stolen")
-		batch      = fs.Int("claim-batch", 32, "cells handed out per claim")
-		maxRetries = fs.Int("max-retries", 3, "per-cell failure budget before the cell is parked as failed")
-		exitDone   = fs.Bool("exit-when-done", false, "exit once every cell is done or parked as failed (0 on complete, 1 otherwise)")
+		addr      = fs.String("addr", ":7468", "listen address")
+		cacheDir  = fs.String("cache-dir", "", "the coordinator's record store (created if missing); also the resume state")
+		scaleName = fs.String("scale", "full", "scale profile the sweep runs at: full or quick")
+		leaseTTL  = fs.Duration("lease-ttl", 45*time.Second, "how long a silent worker keeps its leases before they are stolen")
+		batch     = fs.Int("claim-batch", 32, "cells handed out per claim")
+		exitDone  = fs.Bool("exit-when-done", false, "exit once every cell is done or parked as failed (0 on complete, 1 otherwise)")
 	)
 	parseFlags(fs, args)
 	if *cacheDir == "" {
@@ -127,13 +128,12 @@ func serve(args []string) {
 	logf("enumerating the %s-scale cell matrix...", *scaleName)
 	cells := workList(sc)
 	srv, err := coord.NewServer(coord.Config{
-		Store:      store,
-		Cells:      cells,
-		ScaleName:  *scaleName,
-		LeaseTTL:   *leaseTTL,
-		BatchSize:  *batch,
-		MaxRetries: *maxRetries,
-		Logf:       logf,
+		Store:     store,
+		Cells:     cells,
+		ScaleName: *scaleName,
+		LeaseTTL:  *leaseTTL,
+		BatchSize: *batch,
+		Logf:      logf,
 	})
 	if err != nil {
 		fail("%v", err)
@@ -209,8 +209,8 @@ func printFailed(cells []coord.FailedCell) {
 		return a.Cell < b.Cell
 	})
 	for _, f := range cells {
-		fmt.Fprintf(os.Stderr, "  cell %d of %q (schema %d, scale %q): %d attempts, last error: %s\n",
-			f.Key.Cell, f.Key.Experiment, f.Key.Schema, f.Key.Scale, f.Attempts, f.LastError)
+		fmt.Fprintf(os.Stderr, "  cell %d of %q (schema %d, scale %q): %s\n",
+			f.Key.Cell, f.Key.Experiment, f.Key.Schema, f.Key.Scale, f.LastError)
 	}
 }
 

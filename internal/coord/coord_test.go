@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -397,30 +398,30 @@ func TestSweepsShareAStore(t *testing.T) {
 	}
 }
 
-func TestWedgedCellIsSurrenderedAndParked(t *testing.T) {
-	const n, wedged = 8, 3
-	dir := t.TempDir()
-	srv, hs := startServer(t, dir, n, Config{LeaseTTL: 5 * time.Second, MaxRetries: 2, BatchSize: n})
-
-	block := make(chan struct{})
-	defer close(block)
-	compute := func(i int) cellRec {
-		if i == wedged {
-			<-block // no cancellation points, like a wedged simulation
+// failingCompute is the test catalog's compute with cell bad failing as
+// a cell does: a *results.CellError, the same on every worker.
+func failingCompute(bad int, cause string, compute func(int) cellRec) func(int) cellRec {
+	return func(i int) cellRec {
+		if i == bad {
+			panic(&results.CellError{Err: errors.New(cause)})
 		}
-		return computeCellRec(i)
+		return compute(i)
 	}
+}
+
+func TestFailedCellIsSurrenderedAndParked(t *testing.T) {
+	const n, bad = 8, 3
+	srv, hs := startServer(t, t.TempDir(), n, Config{LeaseTTL: 5 * time.Second, BatchSize: n})
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client:       fastClient(hs.URL, "w"),
-		RunPass:      passRunner(n, compute),
-		CellTimeout:  30 * time.Millisecond,
+		RunPass:      passRunner(n, failingCompute(bad, "over its event budget", computeCellRec)),
 		PollInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("worker must survive a wedged cell, got %v", err)
+		t.Fatalf("worker must survive a failed cell, got %v", err)
 	}
-	if stats.Surrendered != 2 {
-		t.Fatalf("surrendered %d times, want 2 (the retry budget)", stats.Surrendered)
+	if stats.Surrendered != 1 {
+		t.Fatalf("surrendered %d times, want 1: the first failure parks the cell", stats.Surrendered)
 	}
 	st := srv.Status()
 	if !st.SweepDone || st.Complete {
@@ -429,21 +430,21 @@ func TestWedgedCellIsSurrenderedAndParked(t *testing.T) {
 	if st.Done != n-1 || st.Failed != 1 {
 		t.Fatalf("done=%d failed=%d, want %d/1", st.Done, st.Failed, n-1)
 	}
-	if len(st.FailedList) != 1 || st.FailedList[0].Key.Cell != wedged {
-		t.Fatalf("FailedList = %+v, want cell %d", st.FailedList, wedged)
+	if len(st.FailedList) != 1 || st.FailedList[0].Key.Cell != bad {
+		t.Fatalf("FailedList = %+v, want cell %d", st.FailedList, bad)
 	}
-	if !strings.Contains(st.FailedList[0].LastError, "timeout") {
-		t.Fatalf("failure reason %q does not mention the timeout", st.FailedList[0].LastError)
+	if why := st.FailedList[0].LastError; !strings.Contains(why, "over its event budget") || !strings.Contains(why, fmt.Sprintf("cell %d of", bad)) {
+		t.Fatalf("failure reason %q does not name the cell and its cause", why)
 	}
 
 	// A late successful ingest un-poisons the parked cell and the sweep
 	// completes.
-	raw, err := results.EncodeRecord(testCells(n)[wedged], computeCellRec(wedged))
+	raw, err := results.EncodeRecord(testCells(n)[bad], computeCellRec(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := fastClient(hs.URL, "healer")
-	if _, err := ingestOne(c, testCells(n)[wedged], raw); err != nil {
+	if _, err := ingestOne(c, testCells(n)[bad], raw); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Status(); !st.Complete || st.Failed != 0 {

@@ -29,10 +29,12 @@
 // the cells return to the pending queue and the next claim hands them
 // to someone else (work-stealing from slow, hung, or dead workers).
 // Heartbeats report which cells were lost so a worker can stop
-// computing stolen work mid-pass. A cell released with a failure
-// (e.g. a -cell-timeout surrender) is retried up to the configured
-// retry budget, then parked as failed and reported in status — the
-// sweep ends rather than retrying a poisoned cell forever.
+// computing stolen work mid-pass. A cell released with a failure (a
+// results.CellError: over its event budget, or a transfer that never
+// completed) is parked as failed at once and reported in status: cells
+// are deterministic, so any other worker would fail it the same way,
+// and a worker surrenders it instead of holding its lease until theft.
+// The sweep then settles incomplete; a later good ingest un-parks it.
 //
 // # Idempotency contract
 //
@@ -90,7 +92,5 @@
 //
 // Client RPCs retry transient failures with exponential backoff plus
 // jitter; a request body over the server's size limit is refused (413),
-// never truncated; workers bound each computed cell with a context deadline
-// (results.Session.CellTimeout) so one wedged cell is surrendered
-// loudly instead of holding its lease until theft.
+// never truncated.
 package coord

@@ -115,8 +115,9 @@ func FuzzIngestHandler(f *testing.F) {
 // lease the responses grant. After each operation: nothing panicked and
 // nothing answered 5xx, every 200 decodes, no cell is granted while
 // another lease on it is live, a heartbeat keeps only leases its worker
-// holds, the status counts add up to the work list, the leased count is
-// the mirror's, and done never decreases.
+// holds, a failed release by the holder parks the cell at once (and
+// nothing else parks one), the status counts add up to the work list,
+// the leased count is the mirror's, and done never decreases.
 func FuzzLeaseRPCs(f *testing.F) {
 	const n, ttl = 6, 10 * time.Second
 	cells := testCells(n)
@@ -140,7 +141,7 @@ func FuzzLeaseRPCs(f *testing.F) {
 			}
 		}
 		now := time.Unix(1e9, 0)
-		srv, err := NewServer(Config{Store: store, Cells: cells, ScaleName: "s", LeaseTTL: ttl, MaxRetries: 2,
+		srv, err := NewServer(Config{Store: store, Cells: cells, ScaleName: "s", LeaseTTL: ttl,
 			Now: func() time.Time { return now }})
 		if err != nil {
 			t.Fatal(err)
@@ -150,6 +151,8 @@ func FuzzLeaseRPCs(f *testing.F) {
 		for _, k := range cells[2:] {
 			claimable[k] = true
 		}
+		// parked mirrors the cells failed releases parked.
+		parked := map[results.Key]bool{}
 
 		// leases mirrors what the responses granted: holder and expiry.
 		type lease struct {
@@ -260,6 +263,10 @@ func FuzzLeaseRPCs(f *testing.F) {
 			for _, k := range r.Cells {
 				if l, held := live(k); held && l.worker == r.Worker {
 					delete(leases, k)
+					if r.Failed {
+						parked[k] = true
+						claimable[k] = false
+					}
 				}
 			}
 		}
@@ -299,6 +306,14 @@ func FuzzLeaseRPCs(f *testing.F) {
 			}
 			if st.Leased != held {
 				t.Fatalf("status says %d cells leased, the responses granted %d live leases", st.Leased, held)
+			}
+			if st.Failed != len(parked) || len(st.FailedList) != len(parked) {
+				t.Fatalf("status parks %d cells (%d listed), the holders' failed releases parked %d", st.Failed, len(st.FailedList), len(parked))
+			}
+			for _, fc := range st.FailedList {
+				if !parked[fc.Key] {
+					t.Fatalf("cell %+v is parked, but no failed release by its holder parked it", fc.Key)
+				}
 			}
 		}
 	})

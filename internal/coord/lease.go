@@ -13,20 +13,19 @@ const (
 	cellPending cellStatus = iota // waiting in the queue
 	cellLeased                    // held by a worker, TTL-bounded
 	cellDone                      // record ingested
-	cellFailed                    // retry budget exhausted; parked
+	cellFailed                    // released as failed; parked
 )
 
 // leaseTable tracks every cell of the sweep: its status, current
-// holder, lease expiry, and failure history. It is not goroutine-safe;
-// the Server serializes access under its mutex (and tests drive it
-// directly with a fake clock).
+// holder, lease expiry, and why a parked cell failed. It is not
+// goroutine-safe; the Server serializes access under its mutex (and
+// tests drive it directly with a fake clock).
 type leaseTable struct {
 	cells   []results.Key
 	index   map[results.Key]int
 	status  []cellStatus
 	holder  []string
 	expiry  []time.Time
-	fails   []int
 	lastWhy []string
 
 	// queue holds pending cell indexes in issue order. Cells enter in
@@ -34,8 +33,7 @@ type leaseTable struct {
 	// released cells rejoin at the tail.
 	queue []int
 
-	ttl        time.Duration
-	maxRetries int
+	ttl time.Duration
 
 	done   int
 	failed int
@@ -43,18 +41,16 @@ type leaseTable struct {
 }
 
 // newLeaseTable builds the table over the sweep's work list.
-func newLeaseTable(cells []results.Key, ttl time.Duration, maxRetries int) *leaseTable {
+func newLeaseTable(cells []results.Key, ttl time.Duration) *leaseTable {
 	t := &leaseTable{
-		cells:      cells,
-		index:      make(map[results.Key]int, len(cells)),
-		status:     make([]cellStatus, len(cells)),
-		holder:     make([]string, len(cells)),
-		expiry:     make([]time.Time, len(cells)),
-		fails:      make([]int, len(cells)),
-		lastWhy:    make([]string, len(cells)),
-		queue:      make([]int, 0, len(cells)),
-		ttl:        ttl,
-		maxRetries: maxRetries,
+		cells:   cells,
+		index:   make(map[results.Key]int, len(cells)),
+		status:  make([]cellStatus, len(cells)),
+		holder:  make([]string, len(cells)),
+		expiry:  make([]time.Time, len(cells)),
+		lastWhy: make([]string, len(cells)),
+		queue:   make([]int, 0, len(cells)),
+		ttl:     ttl,
 	}
 	for i, k := range cells {
 		t.index[k] = i
@@ -140,9 +136,10 @@ func (t *leaseTable) markDone(k results.Key) (added, known bool) {
 }
 
 // release returns worker's leases on the given cells. A release with
-// failed=true counts against the cell's retry budget; a cell out of
-// budget is parked as failed instead of requeued. Releases for cells
-// the worker does not hold are ignored (stolen or finished already).
+// failed=true parks the cell as failed at once instead of requeueing
+// it: a cell fails deterministically (results.CellError), so another
+// worker would only reproduce the failure. Releases for cells the
+// worker does not hold are ignored (stolen or finished already).
 func (t *leaseTable) release(worker string, keys []results.Key, failed bool, why string, now time.Time) {
 	t.expire(now)
 	for _, k := range keys {
@@ -152,13 +149,10 @@ func (t *leaseTable) release(worker string, keys []results.Key, failed bool, why
 		}
 		t.holder[i] = ""
 		if failed {
-			t.fails[i]++
 			t.lastWhy[i] = why
-			if t.fails[i] >= t.maxRetries {
-				t.status[i] = cellFailed
-				t.failed++
-				continue
-			}
+			t.status[i] = cellFailed
+			t.failed++
+			continue
 		}
 		t.status[i] = cellPending
 		t.queue = append(t.queue, i)
@@ -183,12 +177,12 @@ func (t *leaseTable) counts(now time.Time) (done, leased, pending, failed int) {
 	return
 }
 
-// failedCells lists the parked cells with their failure history.
+// failedCells lists the parked cells with their failure reasons.
 func (t *leaseTable) failedCells() []FailedCell {
 	var out []FailedCell
 	for i, st := range t.status {
 		if st == cellFailed {
-			out = append(out, FailedCell{Key: t.cells[i], Attempts: t.fails[i], LastError: t.lastWhy[i]})
+			out = append(out, FailedCell{Key: t.cells[i], LastError: t.lastWhy[i]})
 		}
 	}
 	return out

@@ -18,7 +18,7 @@ func testCells(n int) []results.Key {
 
 func TestLeaseTableClaimExpireSteal(t *testing.T) {
 	cells := testCells(4)
-	tab := newLeaseTable(cells, 10*time.Second, 3)
+	tab := newLeaseTable(cells, 10*time.Second)
 	t0 := time.Unix(1000, 0)
 
 	got := tab.claim("a", 3, t0)
@@ -46,7 +46,7 @@ func TestLeaseTableClaimExpireSteal(t *testing.T) {
 
 func TestLeaseTableHeartbeatKeepsAndReportsLost(t *testing.T) {
 	cells := testCells(2)
-	tab := newLeaseTable(cells, 10*time.Second, 3)
+	tab := newLeaseTable(cells, 10*time.Second)
 	t0 := time.Unix(1000, 0)
 	tab.claim("a", 2, t0)
 
@@ -68,7 +68,7 @@ func TestLeaseTableHeartbeatKeepsAndReportsLost(t *testing.T) {
 		t.Fatalf("post-expiry heartbeat lost %v, want both", lost)
 	}
 	// A heartbeat for cells never leased to the worker reports them lost.
-	tab2 := newLeaseTable(cells, 10*time.Second, 3)
+	tab2 := newLeaseTable(cells, 10*time.Second)
 	tab2.claim("a", 2, t0)
 	if lost := tab2.heartbeat("b", cells, t0); len(lost) != 2 {
 		t.Fatalf("foreign heartbeat lost %v, want both", lost)
@@ -77,19 +77,19 @@ func TestLeaseTableHeartbeatKeepsAndReportsLost(t *testing.T) {
 
 func TestLeaseTableMarkDoneIsIdempotentAndUnpoisons(t *testing.T) {
 	cells := testCells(1)
-	tab := newLeaseTable(cells, 10*time.Second, 1)
+	tab := newLeaseTable(cells, 10*time.Second)
 	t0 := time.Unix(1000, 0)
 
-	// Exhaust the retry budget: the cell parks as failed.
+	// A failed release parks the cell.
 	tab.claim("a", 1, t0)
 	tab.release("a", cells, true, "sim blew up", t0)
 	if tab.failed != 1 {
-		t.Fatalf("failed = %d, want 1 (budget 1)", tab.failed)
+		t.Fatalf("failed = %d, want 1", tab.failed)
 	}
 	if got := tab.claim("b", 1, t0); len(got) != 0 {
 		t.Fatalf("failed cell was re-leased: %v", got)
 	}
-	if fc := tab.failedCells(); len(fc) != 1 || fc[0].Attempts != 1 || fc[0].LastError != "sim blew up" {
+	if fc := tab.failedCells(); len(fc) != 1 || fc[0].LastError != "sim blew up" {
 		t.Fatalf("failedCells = %+v", fc)
 	}
 	if settled, complete := tab.settled(); !settled || complete {
@@ -118,45 +118,40 @@ func TestLeaseTableMarkDoneIsIdempotentAndUnpoisons(t *testing.T) {
 	}
 }
 
-func TestLeaseTableReleaseRequeuesUntilBudget(t *testing.T) {
-	cells := testCells(1)
-	tab := newLeaseTable(cells, 10*time.Second, 3)
+func TestLeaseTableFailedReleaseParksAtOnce(t *testing.T) {
+	cells := testCells(2)
+	tab := newLeaseTable(cells, 10*time.Second)
 	t0 := time.Unix(1000, 0)
 
-	for attempt := 1; attempt <= 3; attempt++ {
-		got := tab.claim("w", 1, t0)
-		if len(got) != 1 {
-			t.Fatalf("attempt %d: claim = %v", attempt, got)
-		}
-		tab.release("w", cells, true, "flaky", t0)
-		if attempt < 3 && tab.failed != 0 {
-			t.Fatalf("attempt %d: parked early", attempt)
-		}
+	// A cell fails the same way on every worker, so its first failed
+	// release parks it: no other worker is handed it again.
+	if got := tab.claim("w", 2, t0); len(got) != 2 {
+		t.Fatalf("claim = %v", got)
 	}
-	if tab.failed != 1 || tab.fails[0] != 3 {
-		t.Fatalf("failed=%d fails=%d, want parked after 3", tab.failed, tab.fails[0])
+	tab.release("w", cells[:1], true, "over its event budget", t0)
+	if tab.failed != 1 || tab.status[0] != cellFailed {
+		t.Fatalf("failed=%d status=%d, want cell 0 parked on its first failure", tab.failed, tab.status[0])
+	}
+	if fc := tab.failedCells(); len(fc) != 1 || fc[0].Key != cells[0] || fc[0].LastError != "over its event budget" {
+		t.Fatalf("failedCells = %+v", fc)
 	}
 
-	// A clean (failed=false) release requeues without burning budget.
-	tab2 := newLeaseTable(cells, 10*time.Second, 3)
-	tab2.claim("w", 1, t0)
-	tab2.release("w", cells, false, "", t0)
-	if tab2.fails[0] != 0 {
-		t.Fatalf("clean release burned budget: %d", tab2.fails[0])
+	// A clean (failed=false) release requeues.
+	tab.release("w", cells[1:], false, "", t0)
+	if got := tab.claim("v", 2, t0); len(got) != 1 || got[0] != cells[1] {
+		t.Fatalf("claim after the releases = %v, want only the cleanly released cell 1", got)
 	}
-	if got := tab2.claim("v", 1, t0); len(got) != 1 {
-		t.Fatalf("released cell not claimable: %v", got)
-	}
-	// Releasing cells the worker does not hold is a no-op.
-	tab2.release("w", cells, true, "stale", t0)
-	if tab2.fails[0] != 0 {
-		t.Fatal("stale release from a non-holder burned budget")
+	// A failed release from a worker that does not hold the cell is a
+	// no-op.
+	tab.release("w", cells[1:], true, "stale", t0)
+	if tab.failed != 1 || tab.status[1] != cellLeased || tab.holder[1] != "v" {
+		t.Fatalf("a stale failed release from a non-holder parked cell 1: failed=%d status=%d holder=%q", tab.failed, tab.status[1], tab.holder[1])
 	}
 }
 
 func TestLeaseTableDoneCellsNeverRequeue(t *testing.T) {
 	cells := testCells(2)
-	tab := newLeaseTable(cells, 10*time.Second, 3)
+	tab := newLeaseTable(cells, 10*time.Second)
 	t0 := time.Unix(1000, 0)
 	tab.claim("a", 2, t0)
 	tab.markDone(cells[0])

@@ -170,31 +170,23 @@ func TestQueuedCellsAreHeartbeatedAndReleasedOnIngestFailure(t *testing.T) {
 	}
 }
 
-// A pass cut short by a wedged cell still uploads what it had finished
-// and gives up only the wedged cell.
-func TestTimeoutPassFlushesFinishedCells(t *testing.T) {
-	const n, wedged = 6, 2
-	srv, hs := startServer(t, t.TempDir(), n, Config{LeaseTTL: 5 * time.Second, MaxRetries: 1, BatchSize: n})
+// A pass cut short by a failed cell still uploads what it had finished
+// and gives up only the failed cell, which is parked at once.
+func TestFailedPassFlushesFinishedCells(t *testing.T) {
+	const n, bad = 6, 2
+	srv, hs := startServer(t, t.TempDir(), n, Config{LeaseTTL: 5 * time.Second, BatchSize: n})
 	compute, counts := countingCompute(n)
-	block := make(chan struct{})
-	defer close(block)
 	passOver := make(chan struct{})
 	var passOnce sync.Once
 	client := tappedClient(hs.URL, "w", tapTransport{before: func(path string, _ []byte) *http.Response {
 		if path == "/v1/ingest" {
-			<-passOver // finished cells are still queued when the timeout fires
+			<-passOver // finished cells are still queued when the cell fails
 		}
 		return nil
 	}})
-	run := passRunner(n, func(i int) cellRec {
-		if i == wedged {
-			<-block
-		}
-		return compute(i)
-	})
+	run := passRunner(n, failingCompute(bad, "never completed", compute))
 	stats, err := RunWorker(context.Background(), WorkerConfig{
-		Client:      client,
-		CellTimeout: 40 * time.Millisecond,
+		Client: client,
 		RunPass: func(ses *results.Session) error {
 			defer passOnce.Do(func() { close(passOver) })
 			return run(ses)
@@ -205,16 +197,17 @@ func TestTimeoutPassFlushesFinishedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Surrendered != 1 {
-		t.Fatalf("stats = %+v, want exactly the wedged cell surrendered", stats)
+		t.Fatalf("stats = %+v, want exactly the failed cell surrendered", stats)
 	}
 	for i, c := range counts() {
-		if i != wedged && c != 1 {
+		if i != bad && c != 1 {
 			t.Fatalf("cell %d computed %d times: a finished cell was released instead of flushed", i, c)
 		}
 	}
 	st := srv.Status()
-	if st.Done != n-1 || st.Failed != 1 || st.Duplicates != 0 || st.FailedList[0].Key.Cell != wedged {
-		t.Fatalf("status = %+v, want %d done and cell %d parked", st, n-1, wedged)
+	if st.Done != n-1 || st.Failed != 1 || st.Duplicates != 0 || st.FailedList[0].Key.Cell != bad ||
+		!strings.Contains(st.FailedList[0].LastError, "never completed") {
+		t.Fatalf("status = %+v, want %d done and cell %d parked naming its cause", st, n-1, bad)
 	}
 }
 

@@ -82,8 +82,8 @@ type IngestResponse struct {
 }
 
 // ReleaseRequest returns leases early (POST /v1/release): a clean
-// requeue at pass end, or a failure report (Failed true) that counts
-// against the cell's retry budget.
+// requeue at pass end, or a failure report (Failed true) that parks
+// the cell.
 type ReleaseRequest struct {
 	Worker string        `json:"worker"`
 	Cells  []results.Key `json:"cells"`
@@ -96,10 +96,9 @@ type ReleaseResponse struct {
 	SweepDone bool `json:"sweep_done"`
 }
 
-// FailedCell reports one cell that exhausted its retry budget.
+// FailedCell reports one cell parked on a failed release.
 type FailedCell struct {
 	Key       results.Key `json:"key"`
-	Attempts  int         `json:"attempts"`
 	LastError string      `json:"last_error,omitempty"`
 }
 

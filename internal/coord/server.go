@@ -27,9 +27,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// BatchSize is the suggested cells-per-claim. Default 32.
 	BatchSize int
-	// MaxRetries is the per-cell failure budget before it is parked as
-	// failed. Default 3.
-	MaxRetries int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 	// Now is the clock; nil selects time.Now (tests inject a fake).
@@ -71,9 +68,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
 	s := &Server{
 		cfg:    cfg,
 		now:    cfg.Now,
@@ -86,7 +80,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	s.table = newLeaseTable(cfg.Cells, cfg.LeaseTTL, cfg.MaxRetries)
+	s.table = newLeaseTable(cfg.Cells, cfg.LeaseTTL)
 	resumed := 0
 	for _, k := range cfg.Cells {
 		if cfg.Store.Has(k) {

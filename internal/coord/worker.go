@@ -236,15 +236,12 @@ type WorkerConfig struct {
 	// from the session's store) and delivered to the session's Sink.
 	// ecfbench wires experiments.RunCatalog here; tests wire a fake
 	// catalog. A returned error aborts the pass (remaining leases are
-	// released); a *results.CellTimeoutError releases the wedged cell
-	// as failed and the worker carries on. Required.
+	// released); a *results.CellError releases the failed cell as
+	// failed, which parks it, and the worker carries on. Required.
 	RunPass func(ses *results.Session) error
 	// Store optionally caches records locally (a worker's -cache-dir):
 	// cells it already holds are served from it and still uploaded.
 	Store *results.Store
-	// CellTimeout bounds each computed cell (see
-	// results.Session.CellTimeout). Zero: no deadline.
-	CellTimeout time.Duration
 	// BatchSize overrides the server's suggested claim size.
 	BatchSize int
 	// PollInterval is the idle wait when everything pending is leased
@@ -270,8 +267,8 @@ type WorkerStats struct {
 // sweep settled (or ctx is cancelled): claim a batch, heartbeat it in
 // the background, compute through RunPass while the uploader sends what
 // is finished, flush, release whatever was not acknowledged, repeat.
-// Lease theft shrinks the claim set mid-pass; cell timeouts surrender
-// the wedged cell as a failure and continue.
+// Lease theft shrinks the claim set mid-pass; a failed cell is
+// surrendered as a failure, and the loop continues.
 func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	var stats WorkerStats
 	logf := cfg.Logf
@@ -358,10 +355,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		}()
 
 		ses := &results.Session{
-			Store:       cfg.Store,
-			Claims:      claims.Covers,
-			Sink:        up,
-			CellTimeout: cfg.CellTimeout,
+			Store:  cfg.Store,
+			Claims: claims.Covers,
+			Sink:   up,
 		}
 		passErr := cfg.RunPass(ses)
 		// Whatever the pass managed to finish goes up before anything
@@ -389,21 +385,21 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 			}
 			settled = settled || rr.SweepDone
 		}
-		var timeout *results.CellTimeoutError
-		if passErr != nil && errors.As(passErr, &timeout) {
-			// Surrender the wedged cell as a failure; the coordinator
-			// retries it elsewhere up to its budget.
+		var failed *results.CellError
+		if passErr != nil && errors.As(passErr, &failed) {
+			// Surrender the failed cell; the coordinator parks it, since
+			// any other worker would fail it the same way.
 			stats.Surrendered++
-			claims.Drop([]results.Key{timeout.Key})
-			release([]results.Key{timeout.Key}, true, timeout.Error())
+			claims.Drop([]results.Key{failed.Key})
+			release([]results.Key{failed.Key}, true, failed.Error())
 			passErr = nil
 		}
 		if passErr == nil {
 			passErr = flushErr
 		}
 		// Return whatever was not acknowledged — aborted by an error,
-		// its upload failed, or simply not reached before a timeout
-		// abort. (Cells theft removed are no longer held.)
+		// its upload failed, or simply not reached before a failed cell
+		// ended the pass. (Cells theft removed are no longer held.)
 		if rest := claims.Held(); len(rest) > 0 {
 			stats.Lost += len(rest)
 			release(rest, false, "")

@@ -328,7 +328,8 @@ func newBatch(sc Scale) *results.Batch {
 // its scenario and collects into pre-sized storage, so aggregation is
 // order-independent and the sweep's output depends on neither
 // sc.Workers nor cache state. Operational cache failures (store I/O,
-// uploads, cell timeouts) surface as a *results.FatalError panic, since
+// uploads) and failed cells (a *results.CellError) surface as a
+// *results.FatalError panic, since
 // drivers return no errors; the ecfbench harness recovers it for a
 // clean exit.
 func runBatch(b *results.Batch) {

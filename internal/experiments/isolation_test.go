@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dash"
 	"repro/internal/mptcp"
+	"repro/internal/results"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/web"
@@ -123,6 +124,19 @@ var polluters = []struct {
 		conn := net.NewConn(core.ConnOptions{Scheduler: "daps"})
 		dash.NewPlayer(net.Engine(), conn, dash.PlayerConfig{VideoSeconds: 8}).Start(nil)
 		net.Run(2 * time.Minute)
+	}},
+	{"over-budget page fetch", func() {
+		// The budget stops the fetch mid-flight, and the cell's failure
+		// unwinds through the pooled network's Close.
+		defer func() {
+			if _, ok := recover().(*results.CellError); !ok {
+				panic("the over-budget polluter did not fail with a *results.CellError")
+			}
+		}()
+		pageScenario("blest", 5, 1, 9).run(func(net *core.Network, limit time.Duration) bool {
+			net.Engine().SetBudget(100)
+			return net.RunQuiet(limit)
+		})
 	}},
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dash"
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
+	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -123,6 +124,16 @@ func (s Scenario) cost() float64 {
 	return (s.Paths[0].RateMbps + s.Paths[1].RateMbps) * s.Workload.VideoSec
 }
 
+// eventsPerSimSecond sizes each network's event budget per second of
+// its scenario's Limit: 11× the densest cell, Table 2's bulk transfers
+// at ~1,800 (TestEventBudgetMargin pins ≥ 8× per workload kind).
+const eventsPerSimSecond = 20_000
+
+// budget is the heap dispatches each of the scenario's networks may make.
+func (s Scenario) budget() uint64 {
+	return eventsPerSimSecond * uint64(s.Limit) / uint64(time.Second)
+}
+
 // Outcome is what one scenario's simulation reports; which fields are
 // set depends on the workload.
 type Outcome struct {
@@ -194,12 +205,14 @@ func (s Scenario) run(drive webRun) *Outcome {
 	return out
 }
 
-// simulate builds the scenario's network, runs its workload once and
-// adds what it reports to out.
+// simulate builds the scenario's network, runs its workload once under
+// the scenario's event budget and adds what it reports to out. A failed
+// cell panics with a *results.CellError; Close still pools the network.
 func (s Scenario) simulate(drive webRun, out *Outcome) {
 	net := core.NewNetwork(s.Paths[:])
 	defer net.Close()
 	eng := net.Engine()
+	eng.SetBudget(s.budget())
 	for i, j := range s.Jitter {
 		if j.Interval > 0 {
 			trace.InstallRTTJitter(net, i, s.Paths[i].BaseRTT, j.Amplitude, j.Interval, j.Seed, j.Until)
@@ -250,6 +263,7 @@ func (s Scenario) simulate(drive webRun, out *Outcome) {
 		smp := &loadedRTTSampler{eng: eng, sf: conn.Subflows()[0]}
 		eng.ScheduleEvent(2*time.Second, kindLoadedRTTSample, smp) // skip slow-start warm-up
 		net.Run(s.Limit)
+		s.withinBudget(net)
 		if smp.n > 0 {
 			out.LoadedRTT = smp.sum / time.Duration(smp.n)
 		}
@@ -279,6 +293,7 @@ func (s Scenario) stream(net *core.Network, conn *mptcp.Conn, out *Outcome) {
 		eng.ScheduleEvent(0, kindCwndSample, smp)
 	}
 	net.Run(s.Limit)
+	s.withinBudget(net)
 
 	// The fast path is the higher-bandwidth one, the lower-base-RTT WiFi
 	// breaking ties.
@@ -305,10 +320,19 @@ func (s Scenario) stream(net *core.Network, conn *mptcp.Conn, out *Outcome) {
 	out.OOODelays = metrics.CopyDurations(conn.Receiver().OOODelays())
 }
 
-// mustComplete panics when a web cell's run ended without its completion
-// callback having fired: a silent zero would drag a mean down unnoticed,
-// and the runner reports a cell panic with the cell's name.
+// withinBudget fails the cell when its drive stopped on the event budget.
+func (s Scenario) withinBudget(net *core.Network) {
+	if eng := net.Engine(); eng.Exhausted() {
+		panic(&results.CellError{Err: fmt.Errorf("experiments: a cell under %s exhausted its event budget: %d dispatches by %v of virtual time, budget %d (%d per simulated second of the %v limit); scenario %+v",
+			s.Scheduler, eng.Processed(), eng.Now(), s.budget(), eventsPerSimSecond, s.Limit, s)})
+	}
+}
+
+// mustComplete fails the cell when a web cell's run ended without its
+// completion callback having fired: a silent zero would drag a mean
+// down unnoticed. An exhausted budget is named as the cause first.
 func (s Scenario) mustComplete(done, quiet bool, net *core.Network) {
+	s.withinBudget(net)
 	if done {
 		return
 	}
@@ -316,7 +340,7 @@ func (s Scenario) mustComplete(done, quiet bool, net *core.Network) {
 	if quiet {
 		how = fmt.Sprintf("the network went quiet at %v", net.Now())
 	}
-	panic(fmt.Sprintf("experiments: a web cell under %s never completed: %s; scenario %+v", s.Scheduler, how, s))
+	panic(&results.CellError{Err: fmt.Errorf("experiments: a web cell under %s never completed: %s; scenario %+v", s.Scheduler, how, s)})
 }
 
 // cwndSampler periodically records every subflow's CWND and send-buffer

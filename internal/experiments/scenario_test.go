@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/results"
 	"repro/internal/trace"
@@ -168,7 +167,7 @@ func TestScaleFieldsChangeExactlyTheirFamilies(t *testing.T) {
 		sc := Quick
 		switch v := reflect.ValueOf(&sc).Elem().Field(i); field {
 		case "Results":
-			sc.Results = &results.Session{Merge: true, CellTimeout: time.Hour}
+			sc.Results = &results.Session{Merge: true}
 		case "Progress":
 			sc.Progress = func(int, int) {}
 		default:

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -120,8 +121,8 @@ func TestPageFetchesEndAtQuiescenceUnchanged(t *testing.T) {
 }
 
 // TestWebCellThatNeverCompletesPanics: a web cell whose transfer cannot
-// finish must fail naming its scenario, not report a zero completion
-// time or an empty page.
+// finish must fail with a *results.CellError naming its scenario, not
+// report a zero completion time or an empty page.
 func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 	blackhole := func(net *core.Network, limit time.Duration) bool {
 		for _, p := range net.Paths() {
@@ -140,6 +141,8 @@ func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 			[]string{"under ecf never completed", "5m0s cap", "RateMbps:2 ", "RateMbps:7 ", "Bytes:131072 ", "SeedCell:99"}},
 		{"wget whose network goes quiet early", func() { wgetScenario("minrtt", 1, 1, 1<<20, 1, "test-panic", 5).run(idle) },
 			[]string{"under minrtt never completed", "went quiet at 0s", "Bytes:1048576 ", "SeedCell:5"}},
+		{"wget whose schedule never runs dry", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 42).run(runaway) },
+			[]string{"under ecf exhausted its event budget", "6000000 dispatches by 1s", "budget 6000000 ", "RateMbps:7 ", "SeedCell:42"}},
 		{"page fetch on a 100%-loss network", func() { pageScenario("blest", 5, 5, 3).run(blackhole) },
 			[]string{"under blest never completed", "10m0s cap", "RateMbps:5 ", "PageSeed:3 "}},
 		{"wild page fetch on a 100%-loss network", func() { wildPageScenario(trace.WildWebRuns(1)[0], "ecf").run(blackhole) },
@@ -148,7 +151,11 @@ func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				msg, _ := recover().(string)
+				ce, ok := recover().(*results.CellError)
+				if !ok {
+					t.Fatal("the cell did not fail with a *results.CellError")
+				}
+				msg := ce.Err.Error()
 				for _, w := range tc.want {
 					if !strings.Contains(msg, w) {
 						t.Fatalf("panic %q does not mention %q", msg, w)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -97,22 +96,20 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	}
 }
 
-func TestMemoTimeoutHandsTheKeyToItsWaiter(t *testing.T) {
+func TestMemoFailedOwnerHandsTheKeyToItsWaiter(t *testing.T) {
 	// The same key twice on two workers, both held at the lease gate
-	// until the other has arrived: whichever then owns the slot wedges
-	// and times out; the other must find the key free again (woken from
+	// until the other has arrived: whichever then owns the slot fails
+	// its compute; the other must find the key free again (woken from
 	// its wait, or arriving after the release) and compute it itself.
-	block := make(chan struct{})
-	defer close(block)
 	var arrivals, calls atomic.Int64
 	bothIn := make(chan struct{})
 	compute := func(i int) rec {
 		if calls.Add(1) == 1 {
-			<-block
+			panic(&CellError{Err: errors.New("first try failed")})
 		}
 		return rec{Cell: i, Label: "second try"}
 	}
-	s := &Session{CellTimeout: 20 * time.Millisecond, Claims: func(Key) bool {
+	s := &Session{Claims: func(Key) bool {
 		if arrivals.Add(1) == 2 {
 			close(bothIn)
 		}
@@ -126,12 +123,12 @@ func TestMemoTimeoutHandsTheKeyToItsWaiter(t *testing.T) {
 		Add(b, spec(), 1, compute, func(_ int, v rec) { got[slot] = v })
 	}
 	err := b.Run(context.Background())
-	var te *CellTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("Run = %v, want *CellTimeoutError", err)
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Key != spec().Key(0) {
+		t.Fatalf("Run = %v, want the owner's *CellError naming cell 0", err)
 	}
 	if calls.Load() != 2 {
-		t.Fatalf("compute ran %d times, want 2 (the overrun and the waiter's own)", calls.Load())
+		t.Fatalf("compute ran %d times, want 2 (the failed owner's and the waiter's own)", calls.Load())
 	}
 	if (got[0].Label == "second try") == (got[1].Label == "second try") {
 		t.Fatalf("collected %+v: want exactly the waiter's record", got)
@@ -146,27 +143,27 @@ func TestMemoTimeoutHandsTheKeyToItsWaiter(t *testing.T) {
 }
 
 func TestMemoPanicLeavesTheKeyComputable(t *testing.T) {
-	for _, timeout := range []time.Duration{0, time.Second} {
-		s := &Session{CellTimeout: timeout}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("compute panic was swallowed")
-				}
-			}()
-			_ = runCell(s, spec(), 0, func(int) rec { panic("boom") }, func(int, rec) {})
+	s := &Session{}
+	func() {
+		defer func() {
+			// The runner contract: any panic but a *CellError propagates,
+			// its value intact.
+			if v := recover(); v != "boom" {
+				t.Fatalf("recovered %v, want the compute's own panic value", v)
+			}
 		}()
-		if len(s.memo) != 0 {
-			t.Fatalf("timeout %v: the panicking compute left %d memo slots behind", timeout, len(s.memo))
-		}
-		var computes atomic.Int64
-		got := make([]rec, 1)
-		if err := runCell(s, spec(), 0, computeRec(&computes), collectInto(got)); err != nil {
-			t.Fatal(err)
-		}
-		if computes.Load() != 1 || got[0].Label != "cell" {
-			t.Fatalf("timeout %v: retry computed %d times and collected %+v", timeout, computes.Load(), got[0])
-		}
+		_ = runCell(s, spec(), 0, func(int) rec { panic("boom") }, func(int, rec) {})
+	}()
+	if len(s.memo) != 0 {
+		t.Fatalf("the panicking compute left %d memo slots behind", len(s.memo))
+	}
+	var computes atomic.Int64
+	got := make([]rec, 1)
+	if err := runCell(s, spec(), 0, computeRec(&computes), collectInto(got)); err != nil {
+		t.Fatal(err)
+	}
+	if computes.Load() != 1 || got[0].Label != "cell" {
+		t.Fatalf("retry computed %d times and collected %+v", computes.Load(), got[0])
 	}
 }
 

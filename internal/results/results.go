@@ -16,21 +16,20 @@
 //     computing-then-persisting it when not, so caching and sharding
 //     apply uniformly to every driver rather than per-driver.
 //
-// A Session carries the per-invocation policy in five fields: Store
+// A Session carries the per-invocation policy in four fields: Store
 // (where records persist), Merge (serve every cell from the store,
 // simulate nothing, and note each miss), Claims (which cells this run
-// touches at all), Sink (where served and computed records are also
-// uploaded) and CellTimeout (a per-cell wall-clock budget). Claims is
-// the one per-cell skip gate, and three callers build it: a -shard i/n
-// pass claims the cells with index%n == i, a join-mode worker claims
-// its leases, and Families claims nothing while noting every key, which
-// enumerates a run's cells without reading or computing any. A session
-// also remembers, for as long as it lives, every record it has served or
-// computed, keyed like the store: a cell's record is sourced in the
-// order memo, store, compute, so within one run every distinct cell is
-// simulated — or read from disk and decoded — at most once, however many
-// drivers render it, with or without a store. Splitting a sweep across
-// machines is then
+// touches at all) and Sink (where served and computed records are also
+// uploaded). Claims is the one per-cell skip gate, and three callers
+// build it: a -shard i/n pass claims the cells with index%n == i, a
+// join-mode worker claims its leases, and Families claims nothing while
+// noting every key, which enumerates a run's cells without reading or
+// computing any. A session also remembers, for as long as it lives,
+// every record it has served or computed, keyed like the store: a
+// cell's record is sourced in the order memo, store, compute, so within
+// one run every distinct cell is simulated — or read from disk and
+// decoded — at most once, however many drivers render it, with or
+// without a store. Splitting a sweep across machines is then
 //
 //	host-a$ ecfbench -exp all -cache-dir cache -shard 0/2
 //	host-b$ ecfbench -exp all -cache-dir cache -shard 1/2
@@ -204,16 +203,6 @@ type Session struct {
 	// session serves or computes (after Store persistence) — the
 	// join-mode upload path. A Sink error fails the cell.
 	Sink Sink
-	// CellTimeout, when positive, bounds each computed cell's wall
-	// clock. A cell that exceeds it fails with a *CellTimeoutError
-	// naming the experiment and cell index — loudly surrendering the
-	// cell instead of wedging the whole sweep. The overrun computation
-	// itself cannot be preempted (the simulator runs no cancellation
-	// points on its hot path, by design); its goroutine is abandoned
-	// and its result discarded, which a process that is about to exit
-	// or surrender its lease can afford. Zero preserves the default:
-	// no deadline.
-	CellTimeout time.Duration
 
 	memoHits  atomic.Int64
 	storeHits atomic.Int64
@@ -341,22 +330,27 @@ func (s *Session) MemoryHits() int64 {
 	return s.memoHits.Load()
 }
 
-// CellTimeoutError reports a computed cell that exceeded the session's
-// CellTimeout. It names the exact cell so an operator (or a join-mode
-// worker surrendering the cell back to its coordinator) can act on it.
-type CellTimeoutError struct {
-	Key     Key
-	Timeout time.Duration
+// CellError reports a cell that cannot produce a record, for a reason
+// that is the cell's own and so the same on every host (a simulation
+// over its event budget, a transfer that never completed). Drivers
+// return no errors, so a compute panics with it, Key unset; the batch
+// fills in the key and fails the cell with it.
+type CellError struct {
+	Key Key
+	Err error
 }
 
-// Error names the wedged cell and the deadline it blew.
-func (e *CellTimeoutError) Error() string {
-	return fmt.Sprintf("results: cell %d of %q (schema %d, scale %q) exceeded the %v cell timeout; surrendered (rerun without -cell-timeout to let it finish, or investigate the cell)",
-		e.Key.Cell, e.Key.Experiment, e.Key.Schema, e.Key.Scale, e.Timeout)
+// Error names the failed cell and the cause.
+func (e *CellError) Error() string {
+	return fmt.Sprintf("results: cell %d of %q (schema %d, scale %q) failed: %v",
+		e.Key.Cell, e.Key.Experiment, e.Key.Schema, e.Key.Scale, e.Err)
 }
+
+// Unwrap exposes the cause to errors.Is/As.
+func (e *CellError) Unwrap() error { return e.Err }
 
 // FatalError wraps an operational results failure (store I/O, a sink
-// upload, a cell timeout) raised out of an experiment driver as a panic
+// upload, a failed cell) raised out of an experiment driver as a panic
 // — the drivers return no errors by design. Harnesses recover it at the
 // top level and exit with the message instead of a stack trace.
 type FatalError struct {

@@ -88,8 +88,8 @@ func (m *memoSlot) fill(v any) {
 	close(m.ready)
 }
 
-// release gives an unfilled slot up — a compute that timed out,
-// panicked or failed, a merge miss: the key leaves the memo, and a
+// release gives an unfilled slot up — a compute that failed or
+// panicked, a merge miss: the key leaves the memo, and a
 // waiter that wakes to the empty slot looks the key up afresh and
 // becomes its next owner. A no-op once the slot is filled.
 func (m *memoSlot) release() {
@@ -168,8 +168,11 @@ func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T))
 	return own, false, nil
 }
 
-// runCell executes one cell under the session policy.
-func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) error {
+// runCell executes one cell under the session policy, computing on the
+// calling goroutine. A *CellError panic — the compute's report that the
+// cell cannot produce a record — comes back as that error, naming the
+// cell; any other panic propagates under the runner contract.
+func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) (err error) {
 	// Flight-recorder gate: the traced cell takes the trace gate's
 	// write lock (computing alone, so only its object graph observes
 	// the armed recorder); all other cells take the read lock. With no
@@ -180,22 +183,30 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 		traced, release = obs.EnterCell(spec.Experiment, i)
 		defer release()
 	}
+	k := spec.key(i)
+	defer func() {
+		if p := recover(); p != nil {
+			ce, ok := p.(*CellError)
+			if !ok {
+				panic(p)
+			}
+			ce.Key, err = k, ce
+		}
+	}()
 	if s == nil {
 		collect(i, compute(i))
 		return nil
 	}
-	k := spec.key(i)
 	own, done, err := resolve(s, k, i, traced, collect)
 	if done {
 		return err
 	}
-	// A compute that times out or panics leaves the slot empty and
-	// unlocked for the key's next requester.
+	// A compute that fails or panics leaves the slot empty and unlocked
+	// for the key's next requester.
 	defer own.release()
-	v, err := computeCell(s, k, i, compute)
-	if err != nil {
-		return err
-	}
+	start := time.Now()
+	v := compute(i)
+	s.noteDuration(time.Since(start))
 	s.computed.Add(1)
 	if s.Store != nil {
 		if err := s.Store.Put(k, v); err != nil {
@@ -226,56 +237,12 @@ func (s *Session) upload(k Key, v any) error {
 	return s.Sink.Put(k, v)
 }
 
-// computeCell runs one cell's compute, bounded by the session's
-// CellTimeout when set. The deadline path runs compute on its own
-// goroutine: the simulator has no cancellation points on its hot path
-// (by design — see internal/sim), so an overrun cell cannot be
-// preempted, only abandoned. Its goroutine keeps running and its
-// result is discarded; the caller is expected to exit or surrender the
-// cell, both of which make the leak irrelevant. A compute panic on the
-// deadline path is re-raised on the calling goroutine so the runner's
-// panic contract holds regardless of CellTimeout.
-func computeCell[T any](s *Session, k Key, i int, compute func(int) T) (T, error) {
-	start := time.Now()
-	if s.CellTimeout <= 0 {
-		v := compute(i)
-		s.noteDuration(time.Since(start))
-		return v, nil
-	}
-	type outcome struct {
-		v   T
-		pan any
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{pan: p}
-			}
-		}()
-		ch <- outcome{v: compute(i)}
-	}()
-	timer := time.NewTimer(s.CellTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		if out.pan != nil {
-			panic(out.pan)
-		}
-		s.noteDuration(time.Since(start))
-		return out.v, nil
-	case <-timer.C:
-		var zero T
-		return zero, &CellTimeoutError{Key: k, Timeout: s.CellTimeout}
-	}
-}
-
 // Run executes every registered cell across the pool and empties the
 // batch. Jobs with declared costs are dispatched first, most expensive
 // leading (longest-processing-time); the order never affects results,
 // only the parallel tail. It returns the first error (store I/O, sink
-// upload or cell timeout); compute panics propagate per the runner
-// contract.
+// upload or a *CellError); other compute panics propagate per the
+// runner contract.
 func (b *Batch) Run(ctx context.Context) error {
 	jobs, costs := b.jobs, b.costs
 	b.jobs, b.costs = nil, nil

@@ -2,12 +2,10 @@ package results
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/runner"
 )
@@ -177,59 +175,38 @@ func TestMergeGathersEveryHole(t *testing.T) {
 	}
 }
 
-func TestCellTimeoutNamesTheWedgedCell(t *testing.T) {
+func TestCellErrorNamesTheFailedCell(t *testing.T) {
 	const n = 4
-	block := make(chan struct{})
-	defer close(block)
-	compute := func(i int) rec {
-		if i == 2 {
-			<-block // wedged: no cancellation points, like the simulator
-		}
-		return rec{Cell: i}
-	}
-	s := &Session{CellTimeout: 20 * time.Millisecond}
-	err := runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
-	var te *CellTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("Run = %v, want *CellTimeoutError", err)
-	}
-	if te.Key != spec().Key(2) {
-		t.Fatalf("timeout names cell %+v, want cell 2", te.Key)
-	}
-	for _, want := range []string{"cell 2", spec().Experiment, "timeout"} {
-		if !strings.Contains(te.Error(), want) {
-			t.Fatalf("timeout message %q does not name %q", te.Error(), want)
-		}
-	}
-}
-
-func TestCellTimeoutZeroMeansNoDeadline(t *testing.T) {
+	cause := errors.New("over its event budget")
 	var computes atomic.Int64
-	s := &Session{}
 	compute := func(i int) rec {
 		computes.Add(1)
-		time.Sleep(5 * time.Millisecond)
+		if i == 2 {
+			panic(&CellError{Err: cause})
+		}
 		return rec{Cell: i}
 	}
-	if err := runSpec(runner.New(1), s, spec(), 2, compute, collectInto(make([]rec, 2))); err != nil {
-		t.Fatal(err)
+	s := &Session{}
+	err := runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
+	var ce *CellError
+	if !errors.As(err, &ce) || !errors.Is(err, cause) {
+		t.Fatalf("Run = %v, want a *CellError wrapping the cause", err)
 	}
-	if computes.Load() != 2 {
-		t.Fatalf("computes = %d", computes.Load())
+	if ce.Key != spec().Key(2) {
+		t.Fatalf("the error names cell %+v, want cell 2", ce.Key)
 	}
-}
-
-func TestCellTimeoutPathPreservesPanics(t *testing.T) {
-	s := &Session{CellTimeout: time.Second}
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("compute panic was swallowed by the deadline path")
+	for _, want := range []string{"cell 2", spec().Experiment, "failed: over its event budget"} {
+		if !strings.Contains(ce.Error(), want) {
+			t.Fatalf("message %q does not name %q", ce.Error(), want)
 		}
-		if fmt.Sprint(v) != "boom" {
-			t.Fatalf("recovered %v, want boom", v)
-		}
-	}()
-	compute := func(i int) rec { panic("boom") }
-	_ = runCell(s, spec(), 0, compute, func(int, rec) {})
+	}
+	if _, c := s.Stats(); c != 2 || len(s.memo) != 2 {
+		t.Fatalf("%d computed, %d memo slots; want the 2 cells before the failure, and no slot for it", c, len(s.memo))
+	}
+	// The failure is the cell's own: asked again, it fails again.
+	computes.Store(0)
+	err = runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
+	if !errors.As(err, &ce) || ce.Key.Cell != 2 || computes.Load() != 1 {
+		t.Fatalf("second run = %v after %d computes, want cell 2 failing on its one compute", err, computes.Load())
+	}
 }

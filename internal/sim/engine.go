@@ -99,6 +99,16 @@
 // wake the model up (send a packet, arm a live timer) must be an
 // ordinary event. The mark is a spare bit of the queue entry's kind
 // byte; a dispatch pays one branch on it.
+//
+// # Event budget
+//
+// SetBudget caps the heap dispatches of RunUntil and RunUntilQuiet, and
+// Exhausted reports a run that stopped on the cap; inline claims are not
+// counted, and a new or Reset engine is unlimited. A simulation is
+// deterministic, so where it runs out is too: unlike a wall-clock
+// deadline, a budget's verdict is the same on every host. It cannot stop
+// a handler that loops without returning — a model bug, not a runaway
+// schedule.
 package sim
 
 import (
@@ -296,6 +306,10 @@ type Engine struct {
 	// total.
 	processed uint64
 	coalesced uint64
+	// budget caps processed inside run; exhausted records that the last
+	// run stopped on it.
+	budget    uint64
+	exhausted bool
 	// byKind splits processed by event kind; Reset flushes it into the
 	// process totals (TotalEventsByKind).
 	byKind [maxKinds]uint64
@@ -317,7 +331,7 @@ type Engine struct {
 
 // New returns an empty Engine positioned at time 0.
 func New() *Engine {
-	return &Engine{freeHead: noSlot, limit: noRunLimit, curSeq: uint64(idleTicket)}
+	return &Engine{freeHead: noSlot, limit: noRunLimit, curSeq: uint64(idleTicket), budget: math.MaxUint64}
 }
 
 // totalProcessed and totalCoalesced accumulate, across every engine in
@@ -384,6 +398,8 @@ func (e *Engine) Reset() {
 	e.coalesced = 0
 	e.daemons = 0
 	e.stopped = false
+	e.budget = math.MaxUint64
+	e.exhausted = false
 	e.limit = noRunLimit
 	e.curSeq = uint64(idleTicket)
 	e.flight = nil
@@ -399,6 +415,14 @@ func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of heap events dispatched so far.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// SetBudget caps the heap dispatches of RunUntil and RunUntilQuiet at n
+// until Reset.
+func (e *Engine) SetBudget(n uint64) { e.budget = n }
+
+// Exhausted reports whether the last RunUntil or RunUntilQuiet stopped
+// on the budget with an event still due.
+func (e *Engine) Exhausted() bool { return e.exhausted }
 
 // Coalesced returns the number of logical events claimed inline via
 // RunsNext so far (events that did not round-trip through the heap).
@@ -652,7 +676,8 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (if it is ahead of the last event). Events scheduled
-// after deadline remain queued.
+// after deadline remain queued. A run that exhausts the event budget
+// (SetBudget) leaves the clock at its last dispatch instead.
 func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
 
 // RunUntilQuiet is RunUntil that also ends — reporting true — as soon as
@@ -660,13 +685,14 @@ func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
 // point it dispatches exactly what RunUntil(deadline) would, daemons
 // included, in the same (time, ticket) order; it then leaves the clock at
 // its last dispatch and the daemons queued, so a later run call resumes
-// them. Ending on Stop or at the deadline instead, it returns false with
-// the clock advanced to deadline as RunUntil leaves it.
+// them. Ending on Stop, at the deadline or on the event budget instead,
+// it returns false with the clock where RunUntil leaves it.
 func (e *Engine) RunUntilQuiet(deadline Time) bool { return e.run(deadline, true) }
 
 // run is the one dispatch loop behind RunUntil and RunUntilQuiet.
 func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
 	e.stopped = false
+	e.exhausted = false
 	e.limit = deadline
 	for !e.stopped {
 		if untilQuiet && e.Pending() == e.daemons {
@@ -677,10 +703,14 @@ func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
 		if !ok || at > deadline {
 			break
 		}
+		if e.processed >= e.budget {
+			e.exhausted = true
+			break
+		}
 		e.Step()
 	}
 	e.limit = noRunLimit
-	if !quiet && e.now < deadline {
+	if !quiet && !e.exhausted && e.now < deadline {
 		e.now = deadline
 	}
 	return quiet

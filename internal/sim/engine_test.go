@@ -195,6 +195,61 @@ func TestTimerAt(t *testing.T) {
 	}
 }
 
+// TestEventBudget: a zero-delay event that reschedules itself never lets
+// virtual time advance. Under a budget, both run loops stop after
+// exactly the budget's dispatches and report it; a run that finishes
+// within its budget reports nothing, and Reset lifts the budget.
+func TestEventBudget(t *testing.T) {
+	const budget = 1000
+	for _, quiet := range []bool{false, true} {
+		e := New()
+		run := func() bool { return e.RunUntilQuiet(time.Second) }
+		if !quiet {
+			run = func() bool { e.RunUntil(time.Second); return false }
+		}
+		var runaway func()
+		runaway = func() { e.Schedule(0, runaway) }
+		e.Schedule(time.Millisecond, runaway)
+		e.SetBudget(budget)
+		if run() {
+			t.Fatal("a runaway run reported quiescence")
+		}
+		if !e.Exhausted() || e.Processed() != budget {
+			t.Fatalf("quiet=%v: exhausted=%v after %d dispatches, want true after %d", quiet, e.Exhausted(), e.Processed(), budget)
+		}
+		if e.Now() != time.Millisecond || e.Pending() != 1 {
+			t.Fatalf("quiet=%v: clock %v with %d pending, want the last dispatch's 1ms and the next event queued", quiet, e.Now(), e.Pending())
+		}
+
+		// Exactly the budget's dispatches, then nothing more due: not
+		// exhausted.
+		e.Reset()
+		e.SetBudget(3)
+		for i := 0; i < 3; i++ {
+			e.Schedule(time.Millisecond, func() {})
+		}
+		run()
+		if e.Exhausted() || e.Processed() != 3 {
+			t.Fatalf("quiet=%v: a run within its budget reported exhausted=%v after %d dispatches", quiet, e.Exhausted(), e.Processed())
+		}
+
+		// Reset lifts the budget.
+		e.Reset()
+		left := 10 * budget
+		var chain func()
+		chain = func() {
+			if left--; left > 0 {
+				e.Schedule(0, chain)
+			}
+		}
+		e.Schedule(0, chain)
+		run()
+		if e.Exhausted() || e.Processed() != 10*budget {
+			t.Fatalf("quiet=%v: after Reset, exhausted=%v after %d dispatches, want the whole %d-event chain", quiet, e.Exhausted(), e.Processed(), 10*budget)
+		}
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
