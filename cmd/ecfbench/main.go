@@ -15,7 +15,7 @@
 //	ecfbench -cache-dir cache -cache-prune        # delete groups no current run reads
 //	ecfbench -cache-dir cache -cache-prune -older-than 720h  # also age out in-matrix records
 //	ecfbench -exp fig9 -cpuprofile cpu.pprof      # profile a run (also -memprofile)
-//	ecfbench -exp fig9 -trace-cell grid/ecf/14 -trace-out trace.json  # flight-record one cell
+//	ecfbench -trace-cell grid/ecf/14 -trace-out trace.json -scale quick  # flight-record one cell
 //	ecfbench -exp all -report-json report.json    # machine-readable run summary
 //	ecfbench -exp all -progress                   # cells/total + ETA on stderr
 //	ecfbench -exp all -debug-addr localhost:6060  # live pprof + counter snapshot
@@ -23,9 +23,8 @@
 // Each experiment prints the same rows/series the paper reports (see
 // README.md for the experiment index) on stdout; timing and cache
 // statistics go to stderr, so stdout is byte-identical for any -j value
-// and for cold vs. warm cache runs — including runs with -trace-cell,
-// which only observes. -cache-dir persists every simulation cell's
-// record keyed by (experiment, cell, scale, schema); -shard i/n
+// and for cold vs. warm cache runs. -cache-dir persists every simulation
+// cell's record keyed by (experiment, cell, scale, schema); -shard i/n
 // simulates only the cells with index%n == i (for splitting a sweep
 // across machines); -merge renders everything from cached records
 // alone and fails listing every missing cell, grouped by experiment,
@@ -43,11 +42,17 @@
 //	join         -join: -j -cache-dir -worker-id -progress -cpuprofile -memprofile -force -debug-addr
 //	cache-stats  -cache-stats: -cache-dir
 //	cache-prune  -cache-prune: -cache-dir -scale -older-than -dry-run
-//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -trace-cell -trace-out -decisions-out -report-json -debug-addr -progress
+//	trace        -trace-cell: -trace-out -decisions-out -scale -force
+//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -report-json -debug-addr -progress
 //	list         -list, or no -exp: what render reads (the catalog is printed in place of a render)
 //
-// Usage errors exit 2 before any file is created; operational failures
-// (store I/O, merge misses, clobber refusals, a failed cell) exit 1.
+// A trace simulates its one cell as a catalog run at -scale would,
+// outside any store, writes the recorder's artifacts and renders
+// nothing. Usage errors — for a trace, also a family or an index the
+// catalog does not run at that scale — exit 2 before any file is
+// created; operational failures (store I/O, merge misses, clobber
+// refusals, a failed cell) exit 1, and a traced cell that fails writes
+// its artifacts first.
 package main
 
 import (
@@ -88,7 +93,6 @@ func main() {
 // mode, and map the outcome to an exit code — 0, 2 for a usage error, 1
 // for anything else — printing a failure's message once.
 func run(args []string, stdout, stderr io.Writer) int {
-	defer obs.ClearTraceTarget()
 	c, err := parse(args, stderr)
 	if err == nil {
 		err = c.run(stdout, stderr)
@@ -118,7 +122,7 @@ func usagef(format string, args ...any) error {
 }
 
 // renderFlags are the flags a render reads; see modeFlags.
-const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile memprofile force trace-cell trace-out decisions-out report-json debug-addr progress"
+const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile memprofile force report-json debug-addr progress"
 
 // modeFlags is the mode × flag table: for each mode, the flags it reads.
 // A flag set on the command line that the chosen mode does not read is
@@ -127,6 +131,7 @@ var modeFlags = map[string]string{
 	"join":        "join j cache-dir worker-id progress cpuprofile memprofile force debug-addr",
 	"cache-stats": "cache-stats cache-dir",
 	"cache-prune": "cache-prune cache-dir scale older-than dry-run",
+	"trace":       "trace-cell trace-out decisions-out scale force",
 	"list":        "list " + renderFlags,
 	"render":      renderFlags,
 }
@@ -144,7 +149,7 @@ type config struct {
 	mode string // a modeFlags key
 
 	// Resolved by validate.
-	sc       experiments.Scale // cache-prune and render
+	sc       experiments.Scale // cache-prune, trace and render
 	exps     []experiments.Experiment
 	claims   func(results.Key) bool // -shard's cells; nil: every cell
 	traceExp string
@@ -175,7 +180,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile to this file on exit")
 	fs.BoolVar(&c.force, "force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
-	fs.StringVar(&c.traceCell, "trace-cell", "", "flight-record one simulation cell, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14); requires -exp and -trace-out")
+	fs.StringVar(&c.traceCell, "trace-cell", "", "flight-record one simulation cell at -scale, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14), and render nothing; requires -trace-out")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
 	fs.StringVar(&c.decsOut, "decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
 	fs.StringVar(&c.reportOut, "report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
@@ -199,6 +204,8 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 		c.mode = "cache-stats"
 	case c.prune:
 		c.mode = "cache-prune"
+	case c.traceCell != "":
+		c.mode = "trace"
 	case c.list || c.exp == "":
 		c.mode = "list"
 	default:
@@ -226,31 +233,23 @@ func (c *config) validate() error {
 		return usagef("-older-than must not be negative")
 	case c.cacheDir == "" && (c.mode == "cache-stats" || c.mode == "cache-prune"):
 		return usagef("-%s requires -cache-dir (it reads the store)", c.mode)
-	case c.traceOut != "" && c.traceCell == "":
-		return usagef("-trace-out requires -trace-cell (nothing records without a target)")
-	case c.decsOut != "" && c.traceCell == "":
-		return usagef("-decisions-out requires -trace-cell (nothing records without a target)")
-	case c.traceCell != "" && c.exp == "":
-		return usagef("-trace-cell requires -exp (the experiment whose sweep runs the cell)")
-	case c.traceCell != "" && c.merge:
-		return usagef("-trace-cell cannot be combined with -merge (a merge renders from cache and simulates nothing)")
-	case c.traceCell != "" && c.traceOut == "":
+	case c.mode == "trace" && c.traceOut == "":
 		return usagef("-trace-cell requires -trace-out (the trace has to go somewhere)")
 	}
-	if c.traceCell != "" {
+	if c.mode == "trace" {
 		var err error
 		if c.traceExp, c.traceIdx, err = parseTraceCell(c.traceCell); err != nil {
 			return usageError(err.Error())
 		}
 	}
-	if c.mode != "cache-prune" && c.mode != "render" {
+	if c.mode != "cache-prune" && c.mode != "trace" && c.mode != "render" {
 		return nil
 	}
 	var ok bool
 	if c.sc, ok = experiments.ScaleByName(c.scale); !ok {
 		return usagef("unknown scale %q (full|quick)", c.scale)
 	}
-	if c.mode == "cache-prune" {
+	if c.mode != "render" {
 		return nil
 	}
 	if c.exp == "all" {
@@ -322,6 +321,8 @@ func (c *config) run(stdout, stderr io.Writer) (err error) {
 		return cacheStats(stdout, c.cacheDir)
 	case "cache-prune":
 		return cachePrune(stdout, c.cacheDir, c.sc, c.olderThan, c.dryRun)
+	case "trace":
+		return c.trace(stderr)
 	case "list":
 		names := make([]string, 0, len(experiments.Catalog))
 		for _, e := range experiments.Catalog {
@@ -635,7 +636,6 @@ func startDebugServer(addr string, stderr io.Writer) error {
 			"events_total":      processed + coalesced,
 			"packets_delivered": netsim.TotalDelivered(),
 			"goroutines":        runtime.NumGoroutine(),
-			"trace_armed":       obs.TraceEnabled(),
 			"mem":               obs.CaptureMemStats(),
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -650,15 +650,28 @@ func startDebugServer(addr string, stderr io.Writer) error {
 	return nil
 }
 
-// writeTrace exports the captured cell recorder: a Chrome trace-event
-// JSON file (load in Perfetto or chrome://tracing) and optionally a
-// human-readable per-transfer scheduler decision log. Both destinations
-// were opened (clobber-guarded) before the run started.
-func writeTrace(stderr io.Writer, traceFile, decsFile *os.File) error {
-	rec := obs.CapturedCell()
+// trace simulates the -trace-cell cell and writes its artifacts: a
+// Chrome trace-event JSON file (load in Perfetto or chrome://tracing)
+// and optionally a human-readable per-transfer scheduler decision log.
+// The cell is resolved, and simulated, before any file is created, so a
+// family or an index the catalog does not run is a usage error that
+// leaves nothing behind; a cell that fails writes what it recorded up
+// to the failure, then reports the failure.
+func (c *config) trace(stderr io.Writer) error {
+	rec, cellErr := experiments.Trace(c.sc, c.traceExp, c.traceIdx)
 	if rec == nil {
-		return errors.New("-trace-cell: the selected cell never ran — check the family name and index against the chosen -exp and -scale (and any -shard); the index follows the LAST '/', e.g. grid/ecf/14 is cell 14 of family \"grid/ecf\"")
+		return usagef("-trace-cell %s at -scale %s: %v", c.traceCell, c.scale, cellErr)
 	}
+	traceFile, err := createFile("-trace-out", c.traceOut, c.force)
+	if err != nil {
+		return err
+	}
+	defer traceFile.Close()
+	decsFile, err := createFile("-decisions-out", c.decsOut, c.force)
+	if err != nil {
+		return err
+	}
+	defer decsFile.Close()
 	kindName := func(k uint8) string {
 		if n := sim.KindName(sim.EventKind(k)); n != "" {
 			return n
@@ -678,18 +691,17 @@ func writeTrace(stderr io.Writer, traceFile, decsFile *os.File) error {
 		rec.Packets.Total(), rec.Packets.Dropped(),
 		rec.Subflows.Total(), rec.Subflows.Dropped(),
 		rec.Decisions.Total(), rec.Decisions.Dropped(),
-		traceFile.Name())
-	if decsFile == nil {
-		return nil
+		c.traceOut)
+	if decsFile != nil {
+		if err := rec.WriteDecisionLog(decsFile); err != nil {
+			return fmt.Errorf("-decisions-out: %w", err)
+		}
+		if err := decsFile.Close(); err != nil {
+			return fmt.Errorf("-decisions-out: %w", err)
+		}
+		fmt.Fprintf(stderr, "decision log: %d decisions → %s\n", rec.Decisions.Total(), c.decsOut)
 	}
-	if err := rec.WriteDecisionLog(decsFile); err != nil {
-		return fmt.Errorf("-decisions-out: %w", err)
-	}
-	if err := decsFile.Close(); err != nil {
-		return fmt.Errorf("-decisions-out: %w", err)
-	}
-	fmt.Fprintf(stderr, "decision log: %d decisions → %s\n", rec.Decisions.Total(), decsFile.Name())
-	return nil
+	return cellErr
 }
 
 // eventLine renders the per-run event telemetry: how many logical
@@ -769,22 +781,14 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 	sc := c.sc
 	sc.Workers = c.jobs
 	sc.Results = c.ses
-	files := make([]*os.File, 3)
-	for i, out := range [...]struct{ flag, path string }{{"-trace-out", c.traceOut}, {"-decisions-out", c.decsOut}, {"-report-json", c.reportOut}} {
-		if files[i], err = createFile(out.flag, out.path, c.force); err != nil {
-			return err
-		}
-		defer files[i].Close()
+	reportFile, err := createFile("-report-json", c.reportOut, c.force)
+	if err != nil {
+		return err
 	}
-	traceFile, decsFile, reportFile := files[0], files[1], files[2]
+	defer reportFile.Close()
 
 	if c.progress {
 		sc.Progress = (&progressPrinter{w: stderr}).note
-	}
-	if c.traceCell != "" {
-		// Arm the flight recorder before any cell runs; the matching
-		// cell captures itself on the way through results.runCell.
-		obs.SetTraceTarget(c.traceExp, c.traceIdx)
 	}
 	var report *obs.RunReport
 	var runHash hash.Hash
@@ -869,11 +873,6 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 	qs := sim.TotalQueueStats()
 	fmt.Fprintf(stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
 
-	if traceFile != nil {
-		if err := writeTrace(stderr, traceFile, decsFile); err != nil {
-			return err
-		}
-	}
 	if report != nil {
 		report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
 		report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))

@@ -24,7 +24,7 @@ func TestUsageErrorsOpenNoFile(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		code int // for an artifact the mode reads; -trace-out and -decisions-out always need -trace-cell (2)
+		code int // for an artifact the mode reads; -trace-out and -decisions-out are read only by a trace (2)
 	}{
 		{"unknown exp", []string{"-exp", "nosuch"}, 2},
 		{"unknown scale", []string{"-exp", "fig1", "-scale", "bogus"}, 2},
@@ -70,6 +70,10 @@ func TestModeTable(t *testing.T) {
 		{"list reads no -older-than", []string{"-list", "-older-than", "1h"}, "-older-than does not apply to list mode"},
 		{"render reads no -dry-run", []string{"-exp", "table1", "-dry-run"}, "-dry-run does not apply to render mode"},
 		{"two modes", []string{"-cache-stats", "-cache-prune", "-cache-dir", "$D/D"}, "-cache-prune does not apply to cache-stats mode"},
+		{"trace reads no -exp", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-exp does not apply to trace mode"},
+		{"trace-cell vs list", []string{"-list", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-list does not apply to trace mode"},
+		{"trace-cell vs merge", []string{"-cache-dir", "$D/D", "-merge", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-cache-dir does not apply to trace mode"},
+		{"decisions-out needs trace-cell", []string{"-exp", "fig9", "-decisions-out", "$D/d.txt"}, "-decisions-out does not apply to render mode"},
 
 		// Flags that were once accepted and silently ignored.
 		{"stats dry-run", []string{"-cache-stats", "-cache-dir", "$D/D", "-dry-run"}, "-dry-run does not apply to cache-stats mode"},
@@ -90,11 +94,10 @@ func TestModeTable(t *testing.T) {
 		{"shard vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "0/2", "-merge"}, "mutually exclusive"},
 		{"no-cache vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-no-cache", "-merge"}, "-no-cache cannot be combined"},
 		{"bad shard", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "2/2"}, `shard "2/2"`},
-		{"trace-cell needs trace-out", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/14"}, "-trace-cell requires -trace-out"},
-		{"trace-cell needs exp", []string{"-list", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-trace-cell requires -exp"},
-		{"trace-cell vs merge", []string{"-exp", "fig9", "-cache-dir", "$D/D", "-merge", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "cannot be combined with -merge"},
-		{"bad trace-cell", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
-		{"decisions-out needs trace-cell", []string{"-exp", "fig9", "-decisions-out", "$D/d.txt"}, "-decisions-out requires -trace-cell"},
+		{"trace-cell needs trace-out", []string{"-trace-cell", "grid/ecf/14"}, "-trace-cell requires -trace-out"},
+		{"bad trace-cell", []string{"-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
+		{"unknown trace family", []string{"-trace-cell", "grid/nosuch/0", "-trace-out", "$D/t.json", "-scale", "quick"}, `no cell family "grid/nosuch" runs at this scale`},
+		{"trace index out of range", []string{"-trace-cell", "grid/ecf/36", "-trace-out", "$D/t.json", "-decisions-out", "$D/d.txt", "-scale", "quick"}, `cell family "grid/ecf" has 36 cells`},
 		{"negative older-than", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "-1h"}, "-older-than must not be negative"},
 		{"unknown flag", []string{"-exp", "table1", "-nosuch"}, "flag provided but not defined: -nosuch"},
 		// A cell is bounded by its event budget; the wall-clock flag is gone.
@@ -128,6 +131,7 @@ func TestModesRunWhatTheyRead(t *testing.T) {
 	store := t.TempDir()
 	for _, args := range [][]string{
 		{"-list", "-exp", "fig1", "-scale", "quick", "-j", "2"},
+		{"-trace-cell", "table2/0", "-trace-out", filepath.Join(store, "t.json"), "-decisions-out", filepath.Join(store, "d.txt"), "-scale", "quick", "-force"},
 		{"-cache-stats", "-cache-dir", store},
 		{"-cache-prune", "-cache-dir", store, "-scale", "quick", "-older-than", "1h", "-dry-run"},
 		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-progress"},
@@ -237,23 +241,21 @@ func TestStoreServesWarmAndSharedCells(t *testing.T) {
 }
 
 // TestTracedRunExportsArtifacts is the observability layer end to end:
-// a run that flight-records one cell, reports progress and writes the
-// trace, the decision log and the run report prints the same stdout as
-// a plain run, and each artifact holds what its reader keys on.
+// a trace of one cell writes the Chrome trace and the decision log and
+// renders nothing, a render with progress writes the run report, and
+// each artifact holds what its reader keys on.
 func TestTracedRunExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, decsPath, reportPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "decisions.txt"), filepath.Join(dir, "report.json")
-	var plain, traced, stderr bytes.Buffer
-	if code := run([]string{"-exp", "fig9", "-scale", "quick"}, &plain, &stderr); code != 0 {
-		t.Fatalf("plain run: exit %d; stderr:\n%s", code, stderr.String())
+	var traced, rendered, stderr bytes.Buffer
+	if code := run([]string{"-trace-cell", "grid/ecf/14", "-trace-out", tracePath, "-decisions-out", decsPath, "-scale", "quick"}, &traced, &stderr); code != 0 {
+		t.Fatalf("trace: exit %d; stderr:\n%s", code, stderr.String())
 	}
-	if code := run([]string{"-exp", "fig9", "-scale", "quick", "-progress",
-		"-trace-cell", "grid/ecf/14", "-trace-out", tracePath, "-decisions-out", decsPath,
-		"-report-json", reportPath}, &traced, &stderr); code != 0 {
-		t.Fatalf("traced run: exit %d; stderr:\n%s", code, stderr.String())
+	if traced.Len() != 0 || !strings.Contains(stderr.String(), "trace: cell grid/ecf/14 — ") {
+		t.Errorf("trace printed %d bytes on stdout, want none, and stderr lacks its trace: line:\n%s", traced.Len(), stderr.String())
 	}
-	if traced.String() != plain.String() {
-		t.Errorf("traced stdout differs from the plain run's:\n--- plain ---\n%s\n--- traced ---\n%s", plain.String(), traced.String())
+	if code := run([]string{"-exp", "fig9", "-scale", "quick", "-progress", "-report-json", reportPath}, &rendered, &stderr); code != 0 {
+		t.Fatalf("render: exit %d; stderr:\n%s", code, stderr.String())
 	}
 	read := func(path string) []byte {
 		t.Helper()

@@ -118,6 +118,12 @@ func serve(args []string) {
 	if !ok {
 		failUsage("unknown scale %q (full|quick)", *scaleName)
 	}
+	if *leaseTTL <= 0 {
+		failUsage("-lease-ttl must be positive")
+	}
+	if *batch < 1 {
+		failUsage("-claim-batch must be at least 1")
+	}
 	store, err := results.Open(*cacheDir)
 	if err != nil {
 		fail("%v", err)

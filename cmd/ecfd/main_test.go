@@ -42,6 +42,8 @@ func TestUsageExits(t *testing.T) {
 		{"serve without -cache-dir", []string{"serve", "-scale", "quick"}, "serve requires -cache-dir"},
 		{"unknown scale", []string{"serve", "-cache-dir", "$D/store", "-scale", "huge"}, `unknown scale "huge"`},
 		{"unknown flag", []string{"serve", "-cache-dir", "$D/store", "-nosuch"}, "flag provided but not defined: -nosuch"},
+		{"non-positive lease TTL", []string{"serve", "-cache-dir", "$D/store", "-lease-ttl", "-1s"}, "-lease-ttl must be positive"},
+		{"empty claim batch", []string{"serve", "-cache-dir", "$D/store", "-claim-batch", "0"}, "-claim-batch must be at least 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,7 +37,10 @@
 //     network's connection free list, schedulers and congestion
 //     controllers file into per-registry-name free lists, the engine
 //     is reset — cancelling all pending events and invalidating every
-//     sim.Timer handle — and the network returns to the package pool.
+//     sim.Timer handle — a recorder installed by Observe is detached
+//     from every object it reached, and the network returns to the
+//     package pool, so no pooled object carries a recorder into its
+//     next cell.
 //     After Close, the network, its connections, mptcp.Transfer
 //     handles and any telemetry slices obtained from its receivers
 //     (Receiver.OOODelays, SubflowBytes, LastArrival) are off-limits:
@@ -150,8 +153,7 @@ type Network struct {
 	freeCtrls  map[string][]cc.Controller
 
 	// obsRec, when non-nil, is the cell recorder this network's object
-	// graph reports into — set by NewNetwork only when this network is
-	// the traced cell's (obs.ArmedCell), detached again by Close.
+	// graph reports into — set by Observe, detached again by Close.
 	obsRec *obs.CellRecorder
 
 	closed bool
@@ -181,20 +183,22 @@ func NewNetwork(specs []PathSpec) *Network {
 	n.closed = false
 	n.nextID = 0
 	n.Reset(specs)
-	// When this network belongs to the traced cell (the armed recorder
-	// is visible only to the cell holding the trace gate's write lock),
-	// install the engine and link instrumentation; NewConn adds the
-	// subflow and scheduler halves as they are created.
-	if rec := obs.ArmedCell(); rec != nil {
-		n.obsRec = rec
-		n.eng.SetFlightRecorder(rec.Flight)
-		for i := range n.ports {
-			p := n.ports[i].path
-			p.Forward().SetObserver(rec.Packets)
-			p.Reverse().SetObserver(rec.Packets)
-		}
-	}
 	return n
+}
+
+// Observe makes rec the recorder of this network's whole object graph
+// until Close: it installs the engine and link instrumentation now, and
+// NewConn adds the subflow and scheduler halves as connections are
+// created, so call it before the first NewConn. A network nobody
+// observes carries no recorder at all.
+func (n *Network) Observe(rec *obs.CellRecorder) {
+	n.obsRec = rec
+	n.eng.SetFlightRecorder(rec.Flight)
+	for i := range n.ports {
+		p := n.ports[i].path
+		p.Forward().SetObserver(rec.Packets)
+		p.Reverse().SetObserver(rec.Packets)
+	}
 }
 
 // Reset rebuilds the topology in place over the network's pooled

@@ -9,9 +9,13 @@ import (
 )
 
 // runObsCell runs the reference cell (5/5 Mbps default paths, one ECF
-// connection, 4×256 KiB transfers, 30 simulated seconds).
-func runObsCell(t testing.TB) {
+// connection, 4×256 KiB transfers, 30 simulated seconds), observed by
+// rec when it is non-nil.
+func runObsCell(t testing.TB, rec *obs.CellRecorder) {
 	net := NewNetwork(DefaultPaths(5, 5))
+	if rec != nil {
+		net.Observe(rec)
+	}
 	conn := net.NewConn(ConnOptions{Scheduler: "ecf"})
 	for i := 0; i < 4; i++ {
 		conn.Write(256<<10, nil)
@@ -23,24 +27,13 @@ func runObsCell(t testing.TB) {
 	net.Close()
 }
 
-// TestTracedCellRecordsAllStreams drives one cell through the trace
-// gate the way results.runCell does and checks that every pillar of the
-// recorder observed traffic: engine dispatches, per-packet link events,
-// subflow congestion events, and scheduler decisions.
+// TestTracedCellRecordsAllStreams observes one cell and checks that
+// every pillar of the recorder saw traffic: engine dispatches,
+// per-packet link events, subflow congestion events, and scheduler
+// decisions.
 func TestTracedCellRecordsAllStreams(t *testing.T) {
-	obs.SetTraceTarget("core-obs-test", 0)
-	defer obs.ClearTraceTarget()
-	traced, release := obs.EnterCell("core-obs-test", 0)
-	if !traced {
-		t.Fatal("EnterCell did not match the target")
-	}
-	runObsCell(t)
-	release()
-
-	rec := obs.CapturedCell()
-	if rec == nil {
-		t.Fatal("no recorder captured")
-	}
+	rec := obs.NewCellRecorder("core-obs-test", 0)
+	runObsCell(t, rec)
 	if n := rec.Flight.Total(); n == 0 {
 		t.Error("flight recorder saw no engine events")
 	}
@@ -56,26 +49,14 @@ func TestTracedCellRecordsAllStreams(t *testing.T) {
 }
 
 // TestRecorderDetachedAfterClose pins the teardown half of the
-// contract: once the traced cell releases the gate, later cells on the
-// same pooled object graph must not keep appending to the captured
-// recorder (the pooled networks are reused by every subsequent cell).
+// contract: once the observed network closes, later cells on the same
+// pooled object graph must not keep appending to its recorder.
 func TestRecorderDetachedAfterClose(t *testing.T) {
-	obs.SetTraceTarget("core-detach-test", 0)
-	traced, release := obs.EnterCell("core-detach-test", 0)
-	if !traced {
-		t.Fatal("EnterCell did not match the target")
-	}
-	runObsCell(t)
-	release()
-	obs.ClearTraceTarget()
-
-	rec := obs.CapturedCell()
-	if rec == nil {
-		t.Fatal("no recorder captured")
-	}
+	rec := obs.NewCellRecorder("core-detach-test", 0)
+	runObsCell(t, rec)
 	flight, packets, subflows, decisions := rec.Flight.Total(), rec.Packets.Total(), rec.Subflows.Total(), rec.Decisions.Total()
 
-	runObsCell(t) // untraced; likely reuses the traced cell's pooled graph
+	runObsCell(t, nil) // unobserved; likely reuses the observed cell's pooled graph
 
 	if got := rec.Flight.Total(); got != flight {
 		t.Errorf("flight recorder grew after its cell closed: %d -> %d", flight, got)
@@ -93,16 +74,16 @@ func TestRecorderDetachedAfterClose(t *testing.T) {
 
 // BenchmarkCellSteadyState times the disabled observability path: the
 // reference cell on a warm pooled worker, with the obs hooks compiled in
-// but no trace target set. Its exact half — 0 allocs/op, 1811 events/op
+// but no recorder installed. Its exact half — 0 allocs/op, 1811 events/op
 // — is asserted by TestSteadyStateAllocsPerCell; ns/op is for comparing
 // two builds on one host.
 func BenchmarkCellSteadyState(b *testing.B) {
-	runObsCell(b) // grow every pool to the working set
+	runObsCell(b, nil) // grow every pool to the working set
 	b.ReportAllocs()
 	p0, c0 := sim.TotalEvents()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runObsCell(b)
+		runObsCell(b, nil)
 	}
 	b.StopTimer()
 	p1, c1 := sim.TotalEvents()

@@ -28,8 +28,8 @@ func TestSteadyStateAllocsPerCell(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep one P so the net pool's per-P cache is hit
 	// The pools reach the cell's working set within two runs (the second
 	// still grows ~40 objects, none after).
-	runObsCell(t)
-	runObsCell(t)
+	runObsCell(t, nil)
+	runObsCell(t, nil)
 
 	const runs = 16
 	p0, c0 := sim.TotalEvents()
@@ -37,7 +37,7 @@ func TestSteadyStateAllocsPerCell(t *testing.T) {
 	best := ^uint64(0)
 	for i := 0; i < runs; i++ {
 		runtime.ReadMemStats(&m0)
-		runObsCell(t)
+		runObsCell(t, nil)
 		runtime.ReadMemStats(&m1)
 		if d := m1.Mallocs - m0.Mallocs; d < best {
 			best = d

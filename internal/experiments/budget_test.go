@@ -90,7 +90,7 @@ func TestRunawayCellFailsAlikeAtAnyWorkerCount(t *testing.T) {
 		b := results.NewBatch(runner.New(workers), &results.Session{})
 		results.Add(b, spec, 2, func(i int) int {
 			if i == 1 {
-				s.run(runaway)
+				s.run(runaway, nil)
 			}
 			return i
 		}, func(int, int) {})

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -103,4 +105,44 @@ func RunCatalog(sc Scale) {
 	for _, e := range Catalog {
 		e.Run(sc)
 	}
+}
+
+// Trace simulates cell cell of the named family once, exactly as a
+// catalog run at the scale would, with a fresh flight recorder observing
+// every network it builds, and returns the recorder. It reads and
+// writes no store: the family is looked up among those the catalog
+// declares at the scale (EnumerateCells, which simulates nothing), and
+// only that one scenario runs. An unknown family or an index out of
+// range is an error with a nil recorder. A cell that fails returns its
+// recorder, holding everything up to the failure, beside the
+// *results.CellError a sweep would report for it.
+func Trace(sc Scale, family string, cell int) (*obs.CellRecorder, error) {
+	EnumerateCells(sc)
+	f, ok := declared.Load(familyKey{family, sc.sizes()})
+	if !ok {
+		return nil, fmt.Errorf("no cell family %q runs at this scale", family)
+	}
+	spec, cells := f.(declaredFamily).scenarios()
+	if cell < 0 || cell >= len(cells) {
+		return nil, fmt.Errorf("cell family %q has %d cells, so its index runs 0..%d, not %d", family, len(cells), len(cells)-1, cell)
+	}
+	return traceCell(spec.Key(cell), cells[cell], (*core.Network).RunQuiet)
+}
+
+// traceCell runs s, the scenario of cell k, under a fresh recorder, with a
+// web workload's network driven by drive. A *results.CellError comes
+// back as the error, naming k; any other panic propagates.
+func traceCell(k results.Key, s Scenario, drive webRun) (rec *obs.CellRecorder, err error) {
+	rec = obs.NewCellRecorder(k.Experiment, k.Cell)
+	defer func() {
+		if p := recover(); p != nil {
+			ce, ok := p.(*results.CellError)
+			if !ok {
+				panic(p)
+			}
+			ce.Key, err = k, ce
+		}
+	}()
+	s.run(drive, rec).Release()
+	return rec, nil
 }

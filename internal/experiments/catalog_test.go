@@ -1,8 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/results"
 )
 
 // splitName splits "table3" or "fig14" into kind and number.
@@ -50,5 +57,40 @@ func TestCatalogNamesAndOrder(t *testing.T) {
 	}
 	if _, ok := ByName("all"); ok {
 		t.Error(`"all" resolves to an experiment; ecfbench reserves it for the whole catalog`)
+	}
+}
+
+// TestQuickCatalogMatchesGolden renders the quick catalog once, as
+// `ecfbench -exp all -scale quick` does — one session, so cells shared
+// between experiments are simulated once — and compares the SHA-256 of
+// each experiment's block, and of their concatenation, with the quick
+// entries of benchmark/golden.json. It moves no byte of that file: a
+// change that alters any experiment's output on purpose re-blesses it
+// with `go run ./benchmark -bless`.
+func TestQuickCatalogMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]map[string]struct {
+		SHA256 string `json:"sha256"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("benchmark/golden.json: %v", err)
+	}
+	quick := golden["quick"]
+	sc := Quick
+	sc.Results = &results.Session{}
+	all := sha256.New()
+	for _, e := range Catalog {
+		block := fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, e.Run(sc))
+		all.Write([]byte(block))
+		sum := sha256.Sum256([]byte(block))
+		if got, want := hex.EncodeToString(sum[:]), quick[e.Name].SHA256; got != want {
+			t.Errorf("%s at quick scale renders sha256 %s, golden.json has %q; if the change is intended, re-bless with `go run ./benchmark -bless`", e.Name, got, want)
+		}
+	}
+	if got, want := hex.EncodeToString(all.Sum(nil)), quick["all"].SHA256; got != want {
+		t.Errorf("the quick catalog renders sha256 %s, golden.json has %q; if the change is intended, re-bless with `go run ./benchmark -bless`", got, want)
 	}
 }

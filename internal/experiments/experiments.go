@@ -134,6 +134,12 @@ type family[T any] struct {
 // type.
 func (f *family[T]) scenarios() (results.Spec, []Scenario) { return f.spec, f.cells }
 
+// declaredFamily is a family whatever its record type: what the
+// declared memo holds.
+type declaredFamily interface {
+	scenarios() (results.Spec, []Scenario)
+}
+
 // familyKey identifies a declared family: a family's scenarios are a
 // function of its name and the scale's sizes.
 type familyKey struct {
@@ -144,8 +150,8 @@ type familyKey struct {
 // declared memoizes every family the process has declared, so a
 // family's scenarios are built and digested once however many drivers
 // and runs read it. It caches a function of its key alone, so no caller
-// can observe another's use of it. The values implement scenarios().
-var declared sync.Map // familyKey -> *family[T]
+// can observe another's use of it.
+var declared sync.Map // familyKey -> *family[T], a declaredFamily
 
 // declare returns the named family at the scale: cells builds its
 // scenarios, in cell order, the first time the process asks.

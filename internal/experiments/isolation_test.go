@@ -136,7 +136,7 @@ var polluters = []struct {
 		pageScenario("blest", 5, 1, 9).run(func(net *core.Network, limit time.Duration) bool {
 			net.Engine().SetBudget(100)
 			return net.RunQuiet(limit)
-		})
+		}, nil)
 	}},
 }
 

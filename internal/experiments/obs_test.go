@@ -3,60 +3,98 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/results"
 	"repro/internal/sim"
 )
 
-// TestTraceCellDoesNotChangeOutput pins the observability tentpole from
-// the outside: arming the flight recorder for one cell of a sweep must
-// leave the rendered report byte-identical — the recorder observes, it
-// never participates. The traced run must also actually capture
-// something, or the equality is vacuous.
+// recordJSON runs cell i of the family — observed by rec when it is
+// non-nil — and returns the JSON of the record the cell keeps.
+func (f *family[T]) recordJSON(i int, rec *obs.CellRecorder) ([]byte, error) {
+	out := f.cells[i].run((*core.Network).RunQuiet, rec)
+	defer out.Release()
+	return json.Marshal(f.record(f.cells[i], out))
+}
+
+// TestTraceCellDoesNotChangeOutput: for one cell of each workload kind,
+// the record a cell keeps is byte-identical with and without a recorder
+// observing its networks — the recorder observes, it never participates.
+// Every ring must also have caught something, or the equality is
+// vacuous; only the bulk cell, a single path under wifi-only, makes no
+// scheduler decision to record.
 func TestTraceCellDoesNotChangeOutput(t *testing.T) {
-	baseline := Table2(Quick).String()
-
-	obs.SetTraceTarget("table2", 0)
-	defer obs.ClearTraceTarget()
-	traced := Table2(Quick).String()
-
-	if traced != baseline {
-		t.Errorf("tracing cell table2/0 changed the rendered report:\n--- untraced ---\n%s\n--- traced ---\n%s", baseline, traced)
-	}
-	rec := obs.CapturedCell()
-	if rec == nil {
-		t.Fatal("traced sweep captured no recorder (trace gate not reached from the driver path)")
-	}
-	if rec.Flight.Total() == 0 || rec.Packets.Total() == 0 || rec.Subflows.Total() == 0 {
-		t.Errorf("captured recorder is missing streams: flight=%d packets=%d subflows=%d",
-			rec.Flight.Total(), rec.Packets.Total(), rec.Subflows.Total())
+	EnumerateCells(Quick)
+	for _, tc := range []struct {
+		kind, family string
+		cell         int
+		decides      bool
+	}{
+		{"stream", "grid/ecf", 14, true},
+		{"paired wget", "fig19", 37, true},
+		{"page", "web-browsing", 3, true},
+		{"bulk", "table2", 10, false},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			f, ok := declared.Load(familyKey{tc.family, Quick.sizes()})
+			if !ok {
+				t.Fatalf("no quick-scale family %q", tc.family)
+			}
+			fam := f.(interface {
+				recordJSON(int, *obs.CellRecorder) ([]byte, error)
+			})
+			plain, err := fam.recordJSON(tc.cell, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewCellRecorder(tc.family, tc.cell)
+			traced, err := fam.recordJSON(tc.cell, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(plain, traced) {
+				t.Errorf("%s/%d keeps another record under a recorder:\n--- untraced ---\n%.500s\n--- traced ---\n%.500s", tc.family, tc.cell, plain, traced)
+			}
+			if rec.Flight.Total() == 0 || rec.Packets.Total() == 0 || rec.Subflows.Total() == 0 || (rec.Decisions.Total() > 0) != tc.decides {
+				t.Errorf("recorder caught flight=%d packets=%d subflows=%d decisions=%d; want every ring but decisions non-empty, and decisions only if the scheduler decides (%v)",
+					rec.Flight.Total(), rec.Packets.Total(), rec.Subflows.Total(), rec.Decisions.Total(), tc.decides)
+			}
+		})
 	}
 }
 
-// TestDriverTraceExportsValidChromeTrace runs a traced cell through a
-// real driver and validates the exported trace against the Chrome
-// trace-event golden schema: a traceEvents array wrapped in an object,
-// ph/ts/pid on every timed event, and non-decreasing timestamps.
-func TestDriverTraceExportsValidChromeTrace(t *testing.T) {
-	obs.SetTraceTarget("table2", 1)
-	defer obs.ClearTraceTarget()
-	_ = Table2(Quick)
-	rec := obs.CapturedCell()
-	if rec == nil {
-		t.Fatal("traced sweep captured no recorder")
-	}
-
+// chromeTrace exports rec as Chrome trace-event JSON.
+func chromeTrace(t *testing.T, rec *obs.CellRecorder) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	kindName := func(k uint8) string { return sim.KindName(sim.EventKind(k)) }
 	if err := rec.WriteChromeTrace(&buf, kindName); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
+	return buf.Bytes()
+}
+
+// TestDriverTraceExportsValidChromeTrace traces a catalog cell and
+// validates the exported trace against the Chrome trace-event schema: a
+// traceEvents array wrapped in an object, ph/ts/pid on every timed
+// event, and non-decreasing timestamps.
+func TestDriverTraceExportsValidChromeTrace(t *testing.T) {
+	rec, err := Trace(Quick, "table2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Experiment != "table2" || rec.Cell != 1 {
+		t.Fatalf("recorder names cell %s/%d, want table2/1", rec.Experiment, rec.Cell)
+	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(chromeTrace(t, rec), &doc); err != nil {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) < 100 {
@@ -82,6 +120,59 @@ func TestDriverTraceExportsValidChromeTrace(t *testing.T) {
 			t.Fatalf("traceEvents[%d].ts = %v decreases (prev %v)", i, ts, last)
 		}
 		last = ts
+	}
+}
+
+// TestTraceDependsOnTheCellAlone: tracing a cell twice in one process,
+// with a cell of another workload run in between on the same pooled
+// networks, exports byte-identical Chrome traces.
+func TestTraceDependsOnTheCellAlone(t *testing.T) {
+	trace := func() []byte {
+		rec, err := Trace(Quick, "grid/ecf", 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chromeTrace(t, rec)
+	}
+	first := trace()
+	pageScenario("blest", 5, 5, 3).Run().Release()
+	if second := trace(); !bytes.Equal(first, second) {
+		t.Fatalf("grid/ecf/14 traced twice exports %d and %d bytes that differ", len(first), len(second))
+	}
+}
+
+// TestTraceRejectsCellsTheCatalogDoesNotRun: an unknown family and an
+// index out of range come back as errors with no recorder, naming what
+// the catalog does run.
+func TestTraceRejectsCellsTheCatalogDoesNotRun(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		cell   int
+		want   string
+	}{
+		{"grid/nosuch", 0, `no cell family "grid/nosuch" runs at this scale`},
+		{"table2", 12, `cell family "table2" has 12 cells`},
+		{"table2", -1, `cell family "table2" has 12 cells`},
+	} {
+		rec, err := Trace(Quick, tc.family, tc.cell)
+		if rec != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Trace(%s/%d) = %v, %v; want no recorder and an error saying %q", tc.family, tc.cell, rec, err, tc.want)
+		}
+	}
+}
+
+// TestFailingCellKeepsItsTrace: a traced cell that fails returns what
+// its recorder caught up to the failure, beside the *results.CellError
+// a sweep reports for it.
+func TestFailingCellKeepsItsTrace(t *testing.T) {
+	k := results.Spec{Experiment: "test/runaway", Schema: 1, Scale: "t"}.Key(0)
+	rec, err := traceCell(k, wgetScenario("ecf", 2, 7, 128<<10, 1, "test-runaway", 42), runaway)
+	var ce *results.CellError
+	if !errors.As(err, &ce) || ce.Key != k || !strings.Contains(err.Error(), "exhausted its event budget") {
+		t.Fatalf("err = %v, want a *results.CellError naming %+v and the event budget", err, k)
+	}
+	if rec == nil || rec.Flight.Total() == 0 || rec.Packets.Total() == 0 {
+		t.Fatalf("the failed cell's recorder caught nothing: %+v", rec)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dash"
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
+	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -27,7 +28,8 @@ type Scenario struct {
 	Paths [2]core.PathSpec
 	// Scheduler is the registered scheduler name. Versus, when set, names
 	// a second scheduler the cell also runs the workload under, over the
-	// same seeds (Figure 19's paired wget cells); Run ignores it.
+	// same seeds (Figure 19's paired wget cells); Run reports that run
+	// as Outcome.Versus.
 	Scheduler, Versus string
 	// CC is the congestion controller ("" selects LIA).
 	CC string
@@ -163,6 +165,9 @@ type Outcome struct {
 	Completions []time.Duration
 	// LoadedRTT is a bulk transfer's mean smoothed RTT.
 	LoadedRTT time.Duration
+	// Versus is the workload's outcome under the scenario's Versus
+	// scheduler, when it names one.
+	Versus *Outcome
 }
 
 // Release hands the outcome's pooled telemetry buffers back to the
@@ -173,6 +178,9 @@ type Outcome struct {
 func (o *Outcome) Release() {
 	metrics.PutDurations(o.OOODelays)
 	o.OOODelays = nil
+	if o.Versus != nil {
+		o.Versus.Release()
+	}
 }
 
 // webRun drives a web cell's network once its transfers are set up and
@@ -184,23 +192,27 @@ func (o *Outcome) Release() {
 // Tests pass other drives (a horizon run as reference, a lossy network).
 type webRun func(net *core.Network, limit time.Duration) bool
 
-// Run simulates the scenario under its Scheduler and gathers the
-// outcome.
-func (s Scenario) Run() *Outcome { return s.run((*core.Network).RunQuiet) }
+// Run simulates the scenario under its Scheduler, then under its Versus
+// scheduler when it names one, and gathers the outcome.
+func (s Scenario) Run() *Outcome { return s.run((*core.Network).RunQuiet, nil) }
 
-// run is Run with a web workload's network driven by drive.
-func (s Scenario) run(drive webRun) *Outcome {
+// run is Run with a web workload's network driven by drive, and with
+// every network the scenario builds observed by rec when it is non-nil.
+func (s Scenario) run(drive webRun, rec *obs.CellRecorder) *Outcome {
 	out := &Outcome{}
-	if s.Workload.Kind != workWget {
-		s.simulate(drive, out)
-		return out
+	if s.Workload.Kind == workWget {
+		for r := 0; r < s.Workload.Runs; r++ {
+			seed := runner.SeedRun(s.Workload.SeedExp, s.Workload.SeedCell, r)
+			one := s
+			one.Paths[0].Seed, one.Paths[1].Seed = seed*17, seed*31+7
+			one.Jitter[0].Seed, one.Jitter[1].Seed = seed*101+1, seed*211+5
+			one.simulate(drive, rec, out)
+		}
+	} else {
+		s.simulate(drive, rec, out)
 	}
-	for r := 0; r < s.Workload.Runs; r++ {
-		seed := runner.SeedRun(s.Workload.SeedExp, s.Workload.SeedCell, r)
-		one := s
-		one.Paths[0].Seed, one.Paths[1].Seed = seed*17, seed*31+7
-		one.Jitter[0].Seed, one.Jitter[1].Seed = seed*101+1, seed*211+5
-		one.simulate(drive, out)
+	if s.Versus != "" {
+		out.Versus = s.versus().run(drive, rec)
 	}
 	return out
 }
@@ -208,9 +220,12 @@ func (s Scenario) run(drive webRun) *Outcome {
 // simulate builds the scenario's network, runs its workload once under
 // the scenario's event budget and adds what it reports to out. A failed
 // cell panics with a *results.CellError; Close still pools the network.
-func (s Scenario) simulate(drive webRun, out *Outcome) {
+func (s Scenario) simulate(drive webRun, rec *obs.CellRecorder, out *Outcome) {
 	net := core.NewNetwork(s.Paths[:])
 	defer net.Close()
+	if rec != nil {
+		net.Observe(rec)
+	}
 	eng := net.Engine()
 	eng.SetBudget(s.budget())
 	for i, j := range s.Jitter {

@@ -111,12 +111,6 @@ func declaredCells(t *testing.T, sc Scale, name string) []Scenario {
 	return cells
 }
 
-// declaredFamily is what the declared memo holds, whatever a family's
-// record type.
-type declaredFamily interface {
-	scenarios() (results.Spec, []Scenario)
-}
-
 // familyKeys runs the catalog at sc without simulating and returns every
 // family's key by name. A non-nil sc.Results keeps its policy; only its
 // Claims gate is replaced by one that notes keys and claims nothing.

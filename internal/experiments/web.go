@@ -144,7 +144,7 @@ func Figure19(sc Scale) *Figure19Result {
 	// recomputable from cache.
 	nBW := len(trace.WebBandwidthsMbps)
 	fam := declare(sc, "fig19", func(s Scenario, out *Outcome) wgetPair {
-		return wgetPair{Def: wgetSummary(out), ECF: wgetSummary(s.versus().Run())}
+		return wgetPair{Def: wgetSummary(out), ECF: wgetSummary(out.Versus)}
 	}, func() []Scenario {
 		var cells []Scenario
 		for _, size := range res.Sizes {

@@ -84,8 +84,8 @@ func TestWgetEndsAtQuiescenceUnchanged(t *testing.T) {
 		sc := wgetScenario(s, wifi, lte, size, 1, "test-quiescence", seedCell)
 
 		quiet, horizon := &cellProbe{}, &cellProbe{horizon: true}
-		got := sc.run(quiet.run).Completions[0]
-		want := sc.run(horizon.run).Completions[0]
+		got := sc.run(quiet.run, nil).Completions[0]
+		want := sc.run(horizon.run, nil).Completions[0]
 		if got != want || got <= 0 {
 			t.Fatalf("%s: completion time %v at quiescence, %v at the horizon", cell, got, want)
 		}
@@ -97,7 +97,7 @@ func TestWgetEndsAtQuiescenceUnchanged(t *testing.T) {
 func TestPageFetchesEndAtQuiescenceUnchanged(t *testing.T) {
 	samePage := func(t *testing.T, cell string, s Scenario, quiet, horizon *cellProbe) {
 		t.Helper()
-		got, want := s.run(quiet.run), s.run(horizon.run)
+		got, want := s.run(quiet.run, nil), s.run(horizon.run, nil)
 		defer got.Release()
 		defer want.Release()
 		if len(got.Completions) != 107 || !reflect.DeepEqual(got, want) {
@@ -137,15 +137,15 @@ func TestWebCellThatNeverCompletesPanics(t *testing.T) {
 		cell func()
 		want []string
 	}{
-		{"wget on a 100%-loss network", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 99).run(blackhole) },
+		{"wget on a 100%-loss network", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 99).run(blackhole, nil) },
 			[]string{"under ecf never completed", "5m0s cap", "RateMbps:2 ", "RateMbps:7 ", "Bytes:131072 ", "SeedCell:99"}},
-		{"wget whose network goes quiet early", func() { wgetScenario("minrtt", 1, 1, 1<<20, 1, "test-panic", 5).run(idle) },
+		{"wget whose network goes quiet early", func() { wgetScenario("minrtt", 1, 1, 1<<20, 1, "test-panic", 5).run(idle, nil) },
 			[]string{"under minrtt never completed", "went quiet at 0s", "Bytes:1048576 ", "SeedCell:5"}},
-		{"wget whose schedule never runs dry", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 42).run(runaway) },
+		{"wget whose schedule never runs dry", func() { wgetScenario("ecf", 2, 7, 128<<10, 1, "test-panic", 42).run(runaway, nil) },
 			[]string{"under ecf exhausted its event budget", "6000000 dispatches by 1s", "budget 6000000 ", "RateMbps:7 ", "SeedCell:42"}},
-		{"page fetch on a 100%-loss network", func() { pageScenario("blest", 5, 5, 3).run(blackhole) },
+		{"page fetch on a 100%-loss network", func() { pageScenario("blest", 5, 5, 3).run(blackhole, nil) },
 			[]string{"under blest never completed", "10m0s cap", "RateMbps:5 ", "PageSeed:3 "}},
-		{"wild page fetch on a 100%-loss network", func() { wildPageScenario(trace.WildWebRuns(1)[0], "ecf").run(blackhole) },
+		{"wild page fetch on a 100%-loss network", func() { wildPageScenario(trace.WildWebRuns(1)[0], "ecf").run(blackhole, nil) },
 			[]string{"under ecf never completed", "PageSeed:1000 ", "10m0s cap"}},
 	}
 	for _, tc := range cases {

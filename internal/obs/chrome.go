@@ -80,7 +80,7 @@ func (r *CellRecorder) WriteChromeTrace(w io.Writer, kindName func(kind uint8) s
 		}
 		events = append(events, chromeEvent{
 			Name: name, Ph: "i", Ts: usec(ev.At), Pid: 1, Tid: tidEngine, S: "t",
-			Args: map[string]any{"ticket": ev.Ticket, "tag": ev.Tag},
+			Args: map[string]any{"ticket": ev.Ticket},
 		})
 	}
 

@@ -1,8 +1,8 @@
 // Package obs is the observability layer: flight-recorder rings for
 // engine, link and subflow events, scheduler decision traces, and the
-// machine-readable run report — all recorded for at most one selected
-// simulation cell and exported as Chrome trace-event JSON (Perfetto),
-// a plain-text decision log, and a JSON run report.
+// machine-readable run report — all recorded for one simulation cell at
+// a time and exported as Chrome trace-event JSON (Perfetto), a
+// plain-text decision log, and a JSON run report.
 //
 // # The zero-cost-when-off contract
 //
@@ -17,15 +17,16 @@
 //     predictable not-taken branch and zero allocations; there is no
 //     interface dispatch, no closure, no atomic, and no map lookup on
 //     any per-event path.
-//   - Recorder pointers are installed only on the object graph of the
-//     one cell selected by SetTraceTarget, by core.NewNetwork/NewConn
-//     when they find an armed recorder, and are torn down again by
-//     Network.Close and by every Reset in the pooled lifecycle. Cells
-//     that are not the target never see a non-nil recorder.
-//   - The only cost paid by untraced cells while a trace target is set
-//     is one atomic bool load plus a read-lock in results.runCell
-//     (outside the simulation, once per cell); with no target set it is
-//     the atomic load alone.
+//   - Recorder pointers are installed only on the object graph of a
+//     network its caller hands a CellRecorder (core.Network.Observe,
+//     then NewConn for the subflows and schedulers), and are torn down
+//     again by Network.Close and by every Reset in the pooled
+//     lifecycle. A network nobody observes never sees a non-nil
+//     recorder.
+//   - There is no process-wide trace state: a cell is traced by
+//     running its scenario once with a recorder passed in
+//     (experiments.Trace), so a sweep, traced or not, pays nothing
+//     outside the simulation either.
 //
 // The contract is enforced, not aspirational: with this package
 // compiled in, the steady-state tests of internal/sim, netsim and tcp
@@ -34,10 +35,10 @@
 // simulation cell at 0 allocations and 1811 events; time is the
 // ledger's (sim.ns_per_event, netsim.ns_per_pkt, core.cell_setup_us in
 // benchmark/). Recording, when enabled, may allocate freely (ring
-// snapshots, candidate-set copies) — tracing is a debugging mode, and a traced
-// cell's simulation output is still byte-identical to an untraced run
-// (the instrumentation only observes; the golden-output tests in
-// internal/experiments pin this too).
+// snapshots, candidate-set copies) — tracing is a debugging mode, and a
+// traced cell's simulation output is still byte-identical to an
+// untraced run (the instrumentation only observes; a test in
+// internal/experiments pins this per workload kind).
 //
 // # Recording model
 //
@@ -47,12 +48,10 @@
 // CellRecorder aggregates the four rings (engine flight records, packet
 // events, subflow events, scheduler decisions) for the selected cell.
 //
-// Cell selection is cooperative: results.runCell brackets every cell
-// between EnterCell and its release func. The target cell takes the
-// trace gate's write lock — it computes alone, so the armed recorder is
-// observed only by its own object graph — while every other cell takes
-// the read lock and proceeds concurrently as usual. The captured
-// recorder is retrieved with CapturedCell after the run.
+// A trace depends on its cell alone: every record holds virtual times,
+// tickets, event kinds and simulator state, never an engine-local
+// detail such as an arena slot, so the same cell traced in any process,
+// after any other cells, exports the same bytes.
 //
 // This package deliberately imports nothing from the simulator, so
 // sim, netsim, tcp, sched and mptcp can all depend on it without

@@ -49,65 +49,6 @@ func TestRingUnderCapacity(t *testing.T) {
 	}
 }
 
-// TestEnterCellArmsAndCaptures walks the trace-gate lifecycle: the
-// target cell arms a fresh recorder, release publishes it for
-// CapturedCell, and non-target cells never see an armed recorder.
-func TestEnterCellArmsAndCaptures(t *testing.T) {
-	SetTraceTarget("gate-test", 3)
-	defer ClearTraceTarget()
-
-	if !TraceEnabled() {
-		t.Fatal("TraceEnabled() = false after SetTraceTarget")
-	}
-	traced, release := EnterCell("gate-test", 2)
-	if traced {
-		t.Fatal("EnterCell matched the wrong cell index")
-	}
-	if ArmedCell() != nil {
-		t.Fatal("non-target cell observed an armed recorder")
-	}
-	release()
-
-	traced, release = EnterCell("gate-test", 3)
-	if !traced {
-		t.Fatal("EnterCell did not match the target cell")
-	}
-	rec := ArmedCell()
-	if rec == nil {
-		t.Fatal("target cell has no armed recorder")
-	}
-	if CapturedCell() != nil {
-		t.Fatal("recorder captured before release")
-	}
-	release()
-	if ArmedCell() != nil {
-		t.Fatal("recorder still armed after release")
-	}
-	got := CapturedCell()
-	if got != rec {
-		t.Fatalf("CapturedCell() = %p, want the armed recorder %p", got, rec)
-	}
-	if got.Experiment != "gate-test" || got.Cell != 3 {
-		t.Errorf("captured identity = %s/%d, want gate-test/3", got.Experiment, got.Cell)
-	}
-}
-
-// TestSetTraceTargetClearsCapture ensures re-arming for a new run drops
-// the previous run's capture instead of serving it as a stale result.
-func TestSetTraceTargetClearsCapture(t *testing.T) {
-	SetTraceTarget("stale-test", 0)
-	defer ClearTraceTarget()
-	_, release := EnterCell("stale-test", 0)
-	release()
-	if CapturedCell() == nil {
-		t.Fatal("no capture to go stale")
-	}
-	SetTraceTarget("stale-test", 1)
-	if CapturedCell() != nil {
-		t.Fatal("SetTraceTarget kept the previous run's capture")
-	}
-}
-
 // TestDecisionRecorderCopiesDeeply pins the aliasing contract:
 // schedulers reuse their candidate scratch and quantity structs between
 // Select calls, so RecordDecision must deep-copy everything it stores.

@@ -62,10 +62,6 @@ type EngineEvent struct {
 	Kind uint8
 	// Coalesced marks an inline claim (no heap round-trip).
 	Coalesced bool
-	// Tag is a deterministic argument tag — the arena slot index the
-	// event's argument occupied (engine-local, reused over time; useful
-	// for correlating re-arms of the same timer within a burst).
-	Tag int32
 }
 
 // FlightRecorder is the engine's fixed-capacity dispatch ring.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -164,32 +163,6 @@ func TestMemoPanicLeavesTheKeyComputable(t *testing.T) {
 	}
 	if computes.Load() != 1 || got[0].Label != "cell" {
 		t.Fatalf("retry computed %d times and collected %+v", computes.Load(), got[0])
-	}
-}
-
-func TestTracedCellSimulatesThoughMemoised(t *testing.T) {
-	const n = 3
-	var computes atomic.Int64
-	s := &Session{}
-	got := make([]rec, n)
-	run := func() {
-		t.Helper()
-		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	obs.SetTraceTarget(spec().Experiment, 1)
-	defer obs.ClearTraceTarget()
-	run()
-	if computes.Load() != n+1 {
-		t.Fatalf("computed %d times, want %d: every cell once, the traced cell again", computes.Load(), n+1)
-	}
-	if captured := obs.CapturedCell(); captured == nil || captured.Cell != 1 {
-		t.Fatalf("captured %+v, want cell 1's recorder", captured)
-	}
-	if h, c := s.Stats(); h != n-1 || c != n+1 {
-		t.Fatalf("stats = %d hits, %d computed; want %d, %d", h, c, n-1, n+1)
 	}
 }
 

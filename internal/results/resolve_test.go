@@ -7,10 +7,11 @@ import (
 
 // TestResolveDecisionTable drives the one per-cell decision in front of
 // compute through every combination of Merge, the Claims gate (nil,
-// claiming, refusing), the traced-cell bypass, and where the cell's
-// record is (the memo, the store, nowhere). Each row names the outcome
-// — skip, serve + upload, note a miss, or compute — and whether the memo
-// gained a slot.
+// claiming, refusing), and where the cell's record is (the memo, the
+// store, nowhere). Each row names the outcome — skip, serve + upload,
+// note a miss, or compute — and whether the memo gained a slot. A
+// traced cell never reaches resolve (experiments.Trace runs its scenario
+// outside any session), so every row's name reads traced=false.
 func TestResolveDecisionTable(t *testing.T) {
 	type outcome string
 	const (
@@ -22,50 +23,31 @@ func TestResolveDecisionTable(t *testing.T) {
 	cases := []struct {
 		merge  bool
 		claims string // "nil", "true" or "false"
-		traced bool
 		source string // "memo", "store" or "none"
 		want   outcome
 		slot   bool
 	}{
-		{false, "nil", false, "memo", serve, false},
-		{false, "nil", false, "store", serve, true},
-		{false, "nil", false, "none", compute, true},
-		{false, "nil", true, "memo", compute, false},
-		{false, "nil", true, "store", compute, false},
-		{false, "nil", true, "none", compute, false},
-		{false, "true", false, "memo", serve, false},
-		{false, "true", false, "store", serve, true},
-		{false, "true", false, "none", compute, true},
-		{false, "true", true, "memo", compute, false},
-		{false, "true", true, "store", compute, false},
-		{false, "true", true, "none", compute, false},
-		{false, "false", false, "memo", skip, false},
-		{false, "false", false, "store", skip, false},
-		{false, "false", false, "none", skip, false},
-		{false, "false", true, "memo", skip, false},
-		{false, "false", true, "store", skip, false},
-		{false, "false", true, "none", skip, false},
-		{true, "nil", false, "memo", serve, false},
-		{true, "nil", false, "store", serve, true},
-		{true, "nil", false, "none", miss, false},
-		{true, "nil", true, "memo", serve, false},
-		{true, "nil", true, "store", serve, true},
-		{true, "nil", true, "none", miss, false},
-		{true, "true", false, "memo", serve, false},
-		{true, "true", false, "store", serve, true},
-		{true, "true", false, "none", miss, false},
-		{true, "true", true, "memo", serve, false},
-		{true, "true", true, "store", serve, true},
-		{true, "true", true, "none", miss, false},
-		{true, "false", false, "memo", skip, false},
-		{true, "false", false, "store", skip, false},
-		{true, "false", false, "none", skip, false},
-		{true, "false", true, "memo", skip, false},
-		{true, "false", true, "store", skip, false},
-		{true, "false", true, "none", skip, false},
+		{false, "nil", "memo", serve, false},
+		{false, "nil", "store", serve, true},
+		{false, "nil", "none", compute, true},
+		{false, "true", "memo", serve, false},
+		{false, "true", "store", serve, true},
+		{false, "true", "none", compute, true},
+		{false, "false", "memo", skip, false},
+		{false, "false", "store", skip, false},
+		{false, "false", "none", skip, false},
+		{true, "nil", "memo", serve, false},
+		{true, "nil", "store", serve, true},
+		{true, "nil", "none", miss, false},
+		{true, "true", "memo", serve, false},
+		{true, "true", "store", serve, true},
+		{true, "true", "none", miss, false},
+		{true, "false", "memo", skip, false},
+		{true, "false", "store", skip, false},
+		{true, "false", "none", skip, false},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("merge=%v/claims=%s/traced=%v/%s", tc.merge, tc.claims, tc.traced, tc.source)
+		name := fmt.Sprintf("merge=%v/claims=%s/traced=false/%s", tc.merge, tc.claims, tc.source)
 		t.Run(name, func(t *testing.T) {
 			k := spec().Key(0)
 			stored := rec{Cell: 0, Label: "stored"}
@@ -89,11 +71,13 @@ func TestResolveDecisionTable(t *testing.T) {
 			slots := len(s.memo)
 
 			var collected []rec
-			own, done, err := resolve(s, k, 0, tc.traced, func(_ int, v rec) { collected = append(collected, v) })
+			own, done, err := resolve(s, k, 0, func(_ int, v rec) { collected = append(collected, v) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer own.release()
+			if own != nil {
+				defer own.release()
+			}
 			var got outcome
 			switch {
 			case !done:
@@ -113,8 +97,8 @@ func TestResolveDecisionTable(t *testing.T) {
 			if gained := len(s.memo) > slots; gained != tc.slot {
 				t.Errorf("memo gained a slot = %v, want %v", gained, tc.slot)
 			}
-			if got == compute && (own != nil) != tc.slot {
-				t.Errorf("compute owns a slot = %v, want %v", own != nil, tc.slot)
+			if got == compute && own == nil {
+				t.Error("compute owns no slot")
 			}
 		})
 	}

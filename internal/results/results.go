@@ -29,7 +29,8 @@
 // cell's record is sourced in the order memo, store, compute, so within
 // one run every distinct cell is simulated — or read from disk and
 // decoded — at most once, however many drivers render it, with or
-// without a store. Splitting a sweep across machines is then
+// without a store. That order has no exception: tracing a cell runs its
+// scenario outside any session (experiments.Trace). Splitting a sweep across machines is then
 //
 //	host-a$ ecfbench -exp all -cache-dir cache -shard 0/2
 //	host-b$ ecfbench -exp all -cache-dir cache -shard 1/2

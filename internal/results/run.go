@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -68,8 +67,7 @@ func AddCell[T any](b *Batch, spec Spec, i int, cost float64, compute func(i int
 
 // memoSlot is one key's entry in a session's in-run record tier. The
 // goroutine that created it owns it until it calls fill or release;
-// every other requester of the key waits on ready. Both calls are safe
-// on a nil slot (a traced cell, which bypasses the memo).
+// every other requester of the key waits on ready.
 type memoSlot struct {
 	s        *Session
 	k        Key
@@ -81,9 +79,6 @@ type memoSlot struct {
 
 // fill publishes the record and wakes the key's waiters.
 func (m *memoSlot) fill(v any) {
-	if m == nil {
-		return
-	}
 	m.v, m.filled = v, true
 	close(m.ready)
 }
@@ -93,7 +88,7 @@ func (m *memoSlot) fill(v any) {
 // waiter that wakes to the empty slot looks the key up afresh and
 // becomes its next owner. A no-op once the slot is filled.
 func (m *memoSlot) release() {
-	if m == nil || m.filled || m.released {
+	if m.filled || m.released {
 		return
 	}
 	m.released = true
@@ -141,16 +136,10 @@ func lookup[T any](s *Session, k Key) (v T, own *memoSlot) {
 // per-cell decision in front of compute. It reports done when nothing is
 // left to do: the Claims gate skipped the cell, or its record was served
 // (uploaded and collected), or it is a merge miss (noted). Otherwise the
-// caller must compute the cell and fill own, or release it. A traced
-// cell outside a merge must actually simulate — a served record would
-// leave the recorder empty — so it skips the lookup and owns no slot;
-// its fresh record still overwrites the stored one, byte-identical.
-func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T)) (own *memoSlot, done bool, err error) {
+// caller must compute the cell and fill own, or release it.
+func resolve[T any](s *Session, k Key, i int, collect func(int, T)) (own *memoSlot, done bool, err error) {
 	if s.Claims != nil && !s.Claims(k) {
 		return nil, true, nil
-	}
-	if traced && !s.Merge {
-		return nil, false, nil
 	}
 	v, own := lookup[T](s, k)
 	if own == nil {
@@ -173,16 +162,6 @@ func resolve[T any](s *Session, k Key, i int, traced bool, collect func(int, T))
 // cell cannot produce a record — comes back as that error, naming the
 // cell; any other panic propagates under the runner contract.
 func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) (err error) {
-	// Flight-recorder gate: the traced cell takes the trace gate's
-	// write lock (computing alone, so only its object graph observes
-	// the armed recorder); all other cells take the read lock. With no
-	// trace target the check is a single atomic load.
-	traced := false
-	if obs.TraceEnabled() {
-		var release func()
-		traced, release = obs.EnterCell(spec.Experiment, i)
-		defer release()
-	}
 	k := spec.key(i)
 	defer func() {
 		if p := recover(); p != nil {
@@ -197,7 +176,7 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 		collect(i, compute(i))
 		return nil
 	}
-	own, done, err := resolve(s, k, i, traced, collect)
+	own, done, err := resolve(s, k, i, collect)
 	if done {
 		return err
 	}

@@ -652,7 +652,7 @@ func (e *Engine) Step() bool {
 	e.byKind[kind%maxKinds]++
 	e.curSeq = ent.seq
 	if e.flight != nil {
-		e.flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(kind), Tag: ent.slot})
+		e.flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(kind)})
 	}
 	arg := e.arena[ent.slot].arg
 	// Retire the slot before running the handler so the event can

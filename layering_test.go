@@ -29,7 +29,7 @@ var layers = map[string][]string{
 	"trace":   {"core", "netsim", "sim"},
 	"dash":    {"mptcp", "sim"},
 	"web":     {"mptcp", "sim"},
-	"results": {"obs", "runner"},
+	"results": {"runner"},
 	"coord":   {"results"},
 	"experiments": {"sim", "cc", "netsim", "tcp", "mptcp", "sched", "core",
 		"trace", "dash", "web", "metrics", "results", "runner", "obs"},
