@@ -23,9 +23,9 @@ func defaultWorkerID() string {
 }
 
 // join is the -join mode: a lease-loop worker against an ecfd
-// coordinator. The coordinator dictates the scale; the worker claims
-// cell batches, computes them through the ordinary pooled driver path
-// (exactly the cells it holds leases on — the session's Claims gate
+// coordinator. The coordinator dictates the scale; the worker plans the
+// catalog once, then claims cell batches and runs the plan once per
+// pass (exactly the cells it holds leases on — the session's Claims gate
 // skips everything else), uploads the records in batches while the next
 // cells simulate, and heartbeats so a crash or hang forfeits its cells
 // to other workers.
@@ -48,10 +48,7 @@ func (c *config) join(stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("coordinator sweeps unknown scale %q (version skew between ecfd and ecfbench?)", info.Scale)
 	}
-	sc.Workers = c.jobs
-	if c.progress {
-		sc.Progress = (&progressPrinter{w: stderr}).note
-	}
+	plan := experiments.NewPlan(sc, experiments.Catalog...)
 	var store *results.Store
 	if c.cacheDir != "" {
 		store, err = results.Open(c.cacheDir)
@@ -67,7 +64,7 @@ func (c *config) join(stderr io.Writer) error {
 		Client: client,
 		Store:  store,
 		RunPass: func(ses *results.Session) error {
-			return runCatalogPass(sc, ses)
+			return plan.Run(c.jobs, ses, c.newProgress(stderr))
 		},
 		Logf: logf,
 	})
@@ -77,15 +74,5 @@ func (c *config) join(stderr io.Writer) error {
 	logf("sweep done in %v: %d passes, %d cells claimed, %d uploaded (%d duplicate, %d returned, %d surrendered)",
 		time.Since(start).Round(time.Millisecond),
 		stats.Passes, stats.Claimed, stats.Uploaded, stats.Duplicates, stats.Lost, stats.Surrendered)
-	return nil
-}
-
-// runCatalogPass runs one full-catalog pass under the worker's session,
-// handing the drivers' fatal errors (store I/O, sink upload failures,
-// failed cells) back to the lease loop.
-func runCatalogPass(sc experiments.Scale, ses *results.Session) (err error) {
-	defer recoverFatal(&err)
-	sc.Results = ses
-	experiments.RunCatalog(sc)
 	return nil
 }

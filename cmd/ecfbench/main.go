@@ -20,15 +20,19 @@
 //	ecfbench -exp all -progress                   # cells/total + ETA on stderr
 //	ecfbench -exp all -debug-addr localhost:6060  # live pprof + counter snapshot
 //
-// Each experiment prints the same rows/series the paper reports (see
-// README.md for the experiment index) on stdout; timing and cache
+// A run is plan, then render: the selected experiments register the
+// cells they read on one plan, one pool of -j workers runs each distinct
+// cell once, and then each experiment prints the same rows/series the
+// paper reports (see README.md for the experiment index) on stdout, in
+// catalog order. Render times and the run's cell, cache and event
 // statistics go to stderr, so stdout is byte-identical for any -j value
 // and for cold vs. warm cache runs. -cache-dir persists every simulation
 // cell's record keyed by (experiment, cell, scale, schema); -shard i/n
 // simulates only the cells with index%n == i (for splitting a sweep
 // across machines); -merge renders everything from cached records
-// alone and fails listing every missing cell, grouped by experiment,
-// with the exact command to backfill them. -join turns the process
+// alone, prints no block of an experiment that reads a missing cell,
+// and fails listing every missing cell, grouped by record family, with
+// the exact command to backfill them. -join turns the process
 // into a lease-loop worker for a `ecfd serve` coordinator: claim a
 // batch of cells, simulate, upload, heartbeat — with retry/backoff on
 // every RPC and work-stealing semantics when a worker dies (see
@@ -62,7 +66,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash"
 	"io"
 	"net"
 	"net/http"
@@ -183,7 +186,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.StringVar(&c.traceCell, "trace-cell", "", "flight-record one simulation cell at -scale, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14), and render nothing; requires -trace-out")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
 	fs.StringVar(&c.decsOut, "decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
-	fs.StringVar(&c.reportOut, "report-json", "", "write a machine-readable run report (per-experiment wall clock, cache/event counters, output hashes, heap stats) to this file")
+	fs.StringVar(&c.reportOut, "report-json", "", "write a machine-readable run report (the run's cache/event counters, per-experiment render times and output hashes, heap stats) to this file")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
 	fs.BoolVar(&c.progress, "progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
 	fs.StringVar(&c.joinAddr, "join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
@@ -404,30 +407,10 @@ func missingError(ses *results.Session, cacheDir, scaleName string) error {
 	return errors.New(b.String())
 }
 
-// recoverFatal, deferred, turns a driver's *results.FatalError panic
-// (store I/O, an upload, a failed cell) into *err for a clean exit;
-// any other panic propagates with its stack.
-func recoverFatal(err *error) {
-	if v := recover(); v != nil {
-		var fe *results.FatalError
-		if pe, ok := v.(error); ok && errors.As(pe, &fe) {
-			*err = fe.Err
-			return
-		}
-		panic(v)
-	}
-}
-
-// runExperiment executes one driver.
-func runExperiment(e experiments.Experiment, sc experiments.Scale) (out fmt.Stringer, err error) {
-	defer recoverFatal(&err)
-	return e.Run(sc), nil
-}
-
 // cachePrune implements -cache-prune: enumerate the active matrix (the
 // cell families a full catalog run at the given scale would read) by
-// driving every driver through experiments.EnumerateCells — no
-// simulation, no store reads — then delete the store's other families.
+// planning the catalog (experiments.EnumerateCells) — no simulation, no
+// store reads — then delete the store's other families.
 // With -older-than it additionally drops records inside the active
 // matrix that have not been rewritten within the given age. The audit
 // half of this lifecycle is -cache-stats.
@@ -570,31 +553,32 @@ func (c *config) profiling() (stop func() error, err error) {
 	}, nil
 }
 
-// progressPrinter renders -progress lines: cells done/total, completion
-// rate, and an ETA extrapolated from the running batch. Rate-limited so
-// huge sweeps don't flood the terminal; the final cell of every batch
-// always prints so the 100% line is never dropped.
+// progressPrinter renders -progress lines for one plan run: cells
+// done/total, completion rate, and an ETA extrapolated from the run so
+// far. Rate-limited so huge sweeps don't flood the terminal; the final
+// cell always prints so the 100% line is never dropped.
 type progressPrinter struct {
-	w        io.Writer
-	mu       sync.Mutex
-	start    time.Time
-	last     time.Time
-	lastDone int
-	total    int
+	w     io.Writer
+	start time.Time
+	mu    sync.Mutex
+	last  time.Time
 }
 
-// note is the runner.Pool.OnProgress callback (via Scale.Progress). It
-// observes only; it never touches result state.
+// newProgress returns the -progress callback for one plan run starting
+// now, or nil without -progress.
+func (c *config) newProgress(stderr io.Writer) func(done, total int) {
+	if !c.progress {
+		return nil
+	}
+	return (&progressPrinter{w: stderr, start: time.Now()}).note
+}
+
+// note is the runner.Pool.OnProgress callback. It observes only; it
+// never touches result state.
 func (p *progressPrinter) note(done, total int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
-	if total != p.total || done < p.lastDone {
-		// A new batch started (drivers run several per experiment).
-		p.start, p.last = now, time.Time{}
-		p.total = total
-	}
-	p.lastDone = done
 	if done != total && now.Sub(p.last) < 250*time.Millisecond {
 		return
 	}
@@ -706,14 +690,15 @@ func (c *config) trace(stderr io.Writer) error {
 
 // eventLine renders the per-run event telemetry: how many logical
 // simulation events fired, how many of those were coalesced into a
-// preceding dispatch instead of going through the heap, and the
-// events-per-delivered-packet ratio — the event-count regression signal
-// the batching work optimizes. Cells served from the result cache
-// simulate nothing, so a fully warm run reports "0 events" and the
-// ratio is suppressed rather than divided by zero.
+// preceding dispatch instead of going through the heap, the packets
+// delivered, and the events-per-delivered-packet ratio — the
+// event-count regression signal the batching work optimizes. Cells
+// served from the result cache simulate nothing, so a fully warm run
+// reports "0 events" and the ratio is suppressed rather than divided by
+// zero.
 func eventLine(processed, coalesced uint64, delivered int64) string {
 	events := processed + coalesced
-	s := fmt.Sprintf("%d events (%d coalesced)", events, coalesced)
+	s := fmt.Sprintf("%d events (%d coalesced), %d packets", events, coalesced, delivered)
 	if delivered > 0 {
 		s += fmt.Sprintf(", %.2f events/pkt", float64(events)/float64(delivered))
 	}
@@ -735,38 +720,28 @@ func eventsByKind(now, before []uint64) map[string]uint64 {
 	return out
 }
 
-// cellCounts is where a run's cells came from so far: the session's
-// in-memory records, its store, or a simulation.
-type cellCounts struct{ memory, store, computed int64 }
-
-func countCells(ses *results.Session) cellCounts {
+// cellLine renders where the session's cells came from, "H hits, C
+// computed (P% hit)"; with no cells at all there is no rate to report.
+func cellLine(ses *results.Session) string {
 	hits, computed := ses.Stats()
-	memory := ses.MemoryHits()
-	return cellCounts{memory, hits - memory, computed}
-}
-
-func (c cellCounts) since(c0 cellCounts) cellCounts {
-	return cellCounts{c.memory - c0.memory, c.store - c0.store, c.computed - c0.computed}
-}
-
-// String renders "cells: M memory + S store hits, C computed (P% hit)";
-// with no cells at all there is no rate to report.
-func (c cellCounts) String() string {
-	s := fmt.Sprintf("cells: %d memory + %d store hits, %d computed", c.memory, c.store, c.computed)
-	if total := c.memory + c.store + c.computed; total > 0 {
-		s += fmt.Sprintf(" (%d%% hit)", (c.memory+c.store)*100/total)
+	s := fmt.Sprintf("%d hits, %d computed", hits, computed)
+	if total := hits + computed; total > 0 {
+		s += fmt.Sprintf(" (%d%% hit)", hits*100/total)
 	}
 	return s
 }
 
-// render runs the chosen experiments. Its session comes first: every
-// run gets one, and without a store (-no-cache, or no -cache-dir) it
-// still shares each distinct cell's record between the drivers that
-// render it. Merge only reads, so a read-only store (e.g. another
-// machine's shard output on a read-only mount) is fine; every other run
-// creates the dir and probes writability up front. Then the artifact
-// destinations are opened under the clobber guard, so a refusal (or an
-// unwritable path) still aborts before hours of simulation.
+// render plans the chosen experiments, runs every distinct cell they
+// read once on one pool, then prints each experiment's block in catalog
+// order. Its session comes first: every run gets one. Merge only reads,
+// so a read-only store (e.g. another machine's shard output on a
+// read-only mount) is fine; every other run creates the dir and probes
+// writability up front. Then the artifact destinations are opened under
+// the clobber guard, so a refusal (or an unwritable path) still aborts
+// before hours of simulation. An experiment is rendered only when every
+// cell it reads was served: a shard pass prints a placeholder, and a
+// merge that misses any of an experiment's cells suppresses its block
+// and ends with the full hole report and exit 1.
 func (c *config) render(stdout, stderr io.Writer) (err error) {
 	c.ses = &results.Session{Merge: c.merge, Claims: c.claims}
 	if !c.noCache && c.cacheDir != "" {
@@ -778,93 +753,72 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 			return err
 		}
 	}
-	sc := c.sc
-	sc.Workers = c.jobs
-	sc.Results = c.ses
 	reportFile, err := createFile("-report-json", c.reportOut, c.force)
 	if err != nil {
 		return err
 	}
 	defer reportFile.Close()
 
-	if c.progress {
-		sc.Progress = (&progressPrinter{w: stderr}).note
-	}
-	var report *obs.RunReport
-	var runHash hash.Hash
-	if reportFile != nil {
-		workers := sc.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		report = obs.NewRunReport(c.scale, workers)
-		runHash = sha256.New()
-	}
+	plan := experiments.NewPlan(c.sc, c.exps...)
 	runStart := time.Now()
+	p0, c0 := sim.TotalEvents()
+	kinds0 := sim.TotalEventsByKind()
+	dl0 := netsim.TotalDelivered()
+	if err := plan.Run(c.jobs, c.ses, c.newProgress(stderr)); err != nil {
+		return err
+	}
+	p1, c1 := sim.TotalEvents()
+	processed, coalesced, delivered := p1-p0, c1-c0, netsim.TotalDelivered()-dl0
 
-	for _, e := range c.exps {
-		cells0 := countCells(c.ses)
-		p0, c0ev := sim.TotalEvents()
-		kinds0 := sim.TotalEventsByKind()
-		dl0 := netsim.TotalDelivered()
-		miss0 := len(c.ses.MissingCells())
+	workers := c.jobs
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	report := obs.NewRunReport(c.scale, workers)
+	runHash := sha256.New()
+	missing := make(map[results.Key]bool)
+	for _, k := range c.ses.MissingCells() {
+		missing[k] = true
+	}
+	for i, e := range c.exps {
 		start := time.Now()
-		out, err := runExperiment(e, sc)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		sharded := c.claims != nil
+		cells := plan.Reads(i)
 		var block string
-		if sharded {
+		switch {
+		case c.claims != nil:
 			// A shard pass fills the store; its result structures are
 			// partial, so the report is rendered by -merge instead.
 			block = fmt.Sprintf("=== %s (%s) — shard %s cached, render with -merge ===\n", e.Name, e.Desc, c.shard)
-		} else if missed := len(c.ses.MissingCells()) - miss0; missed > 0 {
+		case slices.ContainsFunc(cells, func(k results.Key) bool { return missing[k] }):
 			// A merge that found holes: the result structures are
-			// partial, so nothing is rendered for this experiment —
-			// the run ends with the full grouped hole report and exit 1.
-			fmt.Fprintf(stderr, "ecfbench: %s: %d cells missing from the store; block suppressed\n", e.Name, missed)
-		} else {
-			block = fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, out)
+			// partial, so nothing is rendered for this experiment.
+			fmt.Fprintf(stderr, "ecfbench: %s: reads cells missing from the store; block suppressed\n", e.Name)
+		default:
+			block = fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, plan.Render(i))
 		}
 		if _, err := io.WriteString(stdout, block); err != nil {
 			return fmt.Errorf("writing stdout: %w", err)
 		}
 		elapsed := time.Since(start)
-		cells := countCells(c.ses).since(cells0)
-		p1, c1ev := sim.TotalEvents()
-		dl1 := netsim.TotalDelivered()
-		if report != nil {
-			runHash.Write([]byte(block))
-			sum := sha256.Sum256([]byte(block))
-			er := obs.ExperimentReport{
-				Name:             e.Name,
-				Description:      e.Desc,
-				WallClockMs:      float64(elapsed.Nanoseconds()) / 1e6,
-				CacheHits:        cells.memory + cells.store,
-				CacheComputed:    cells.computed,
-				EventsProcessed:  p1 - p0,
-				EventsByKind:     eventsByKind(sim.TotalEventsByKind(), kinds0),
-				EventsCoalesced:  c1ev - c0ev,
-				EventsTotal:      (p1 - p0) + (c1ev - c0ev),
-				PacketsDelivered: dl1 - dl0,
-				Sharded:          sharded,
-				OutputBytes:      len(block),
-				OutputSHA256:     hex.EncodeToString(sum[:]),
-			}
-			er.SetCellDurations(c.ses.TakeCellDurations())
-			report.Experiments = append(report.Experiments, er)
-		}
-		fmt.Fprintf(stderr, "%s: %v, %v, %s\n", e.Name, elapsed.Round(time.Millisecond), cells, eventLine(p1-p0, c1ev-c0ev, dl1-dl0))
+		runHash.Write([]byte(block))
+		sum := sha256.Sum256([]byte(block))
+		report.Experiments = append(report.Experiments, obs.ExperimentReport{
+			Name:         e.Name,
+			Description:  e.Desc,
+			RenderMs:     float64(elapsed.Nanoseconds()) / 1e6,
+			CellsRead:    len(cells),
+			Sharded:      c.claims != nil,
+			OutputBytes:  len(block),
+			OutputSHA256: hex.EncodeToString(sum[:]),
+		})
+		report.CellsRead += len(cells)
+		fmt.Fprintf(stderr, "%s: rendered in %v, reads %d cells\n", e.Name, elapsed.Round(time.Microsecond), len(cells))
 	}
-	if c.exp == "all" {
-		pAll, cAll := sim.TotalEvents()
-		fmt.Fprintf(stderr, "all %d experiments: %v total, %v, %s\n", len(c.exps), time.Since(runStart).Round(time.Millisecond),
-			countCells(c.ses), eventLine(pAll, cAll, netsim.TotalDelivered()))
-	}
-
-	if len(c.ses.MissingCells()) > 0 {
-		// Every experiment ran, so the hole list is complete — one
+	report.Cells = len(plan.Cells())
+	fmt.Fprintf(stderr, "run: %d reads of %d cells in %v: %v, %s\n", report.CellsRead, report.Cells,
+		time.Since(runStart).Round(time.Millisecond), cellLine(c.ses), eventLine(processed, coalesced, delivered))
+	if len(missing) > 0 {
+		// The plan ran every cell, so the hole list is complete — one
 		// report covers the whole sweep instead of dying on the first
 		// missing cell.
 		return missingError(c.ses, c.cacheDir, c.scale)
@@ -872,19 +826,24 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 
 	qs := sim.TotalQueueStats()
 	fmt.Fprintf(stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
-
-	if report != nil {
-		report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
-		report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
-		report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
-		report.Mem = obs.CaptureMemStats()
-		if err := report.Write(reportFile); err != nil {
-			return fmt.Errorf("-report-json: %w", err)
-		}
-		if err := reportFile.Close(); err != nil {
-			return fmt.Errorf("-report-json: %w", err)
-		}
-		fmt.Fprintf(stderr, "run report: %d experiments → %s\n", len(report.Experiments), c.reportOut)
+	if reportFile == nil {
+		return nil
 	}
+	report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
+	report.CacheHits, report.CacheComputed = c.ses.Stats()
+	report.EventsProcessed, report.EventsCoalesced, report.EventsTotal = processed, coalesced, processed+coalesced
+	report.EventsByKind = eventsByKind(sim.TotalEventsByKind(), kinds0)
+	report.PacketsDelivered = delivered
+	report.SetCellDurations(c.ses.CellDurations())
+	report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
+	report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
+	report.Mem = obs.CaptureMemStats()
+	if err := report.Write(reportFile); err != nil {
+		return fmt.Errorf("-report-json: %w", err)
+	}
+	if err := reportFile.Close(); err != nil {
+		return fmt.Errorf("-report-json: %w", err)
+	}
+	fmt.Fprintf(stderr, "run report: %d experiments → %s\n", len(report.Experiments), c.reportOut)
 	return nil
 }

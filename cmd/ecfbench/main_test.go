@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,9 +188,12 @@ func TestShardCovers(t *testing.T) {
 	}
 }
 
+// cells is where a session's cells came from: served, computed.
+type cells [2]int64
+
 // render runs one command line in-process the way run does, and
 // returns its stdout and where the session's cells came from.
-func render(t *testing.T, args ...string) (string, cellCounts) {
+func render(t *testing.T, args ...string) (string, cells) {
 	t.Helper()
 	c, err := parse(args, io.Discard)
 	if err != nil {
@@ -199,7 +203,8 @@ func render(t *testing.T, args ...string) (string, cellCounts) {
 	if err := c.run(&stdout, io.Discard); err != nil {
 		t.Fatalf("%q: %v", args, err)
 	}
-	return stdout.String(), countCells(c.ses)
+	hits, computed := c.ses.Stats()
+	return stdout.String(), cells{hits, computed}
 }
 
 // TestStoreServesWarmAndSharedCells is the results contract end to end
@@ -209,11 +214,11 @@ func render(t *testing.T, args ...string) (string, cellCounts) {
 func TestStoreServesWarmAndSharedCells(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "cells")
 	cold, got := render(t, "-exp", "table2", "-scale", "quick", "-cache-dir", store)
-	if want := (cellCounts{0, 0, 12}); got != want {
+	if want := (cells{0, 12}); got != want {
 		t.Errorf("table2 cold: %v, want %v", got, want)
 	}
 	warm, got := render(t, "-exp", "table2", "-scale", "quick", "-cache-dir", store)
-	if want := (cellCounts{0, 12, 0}); got != want {
+	if want := (cells{12, 0}); got != want {
 		t.Errorf("table2 warm: %v, want %v", got, want)
 	}
 	if warm != cold {
@@ -224,19 +229,59 @@ func TestStoreServesWarmAndSharedCells(t *testing.T) {
 	// pair's "ooo" family, and Figure 14 fills two of the four.
 	ooo := filepath.Join(t.TempDir(), "ooo")
 	render(t, "-exp", "fig14", "-scale", "quick", "-cache-dir", ooo)
-	if _, got := render(t, "-exp", "fig13", "-scale", "quick", "-cache-dir", ooo); got != (cellCounts{0, 2, 2}) {
+	if _, got := render(t, "-exp", "fig13", "-scale", "quick", "-cache-dir", ooo); got != (cells{2, 2}) {
 		t.Errorf("fig13 after fig14: %v, want 2 store hits + 2 computed", got)
 	}
-	if _, got := render(t, "-exp", "fig5", "-scale", "quick", "-cache-dir", ooo); got != (cellCounts{0, 4, 0}) {
+	if _, got := render(t, "-exp", "fig5", "-scale", "quick", "-cache-dir", ooo); got != (cells{4, 0}) {
 		t.Errorf("fig5 after fig13: %v, want 4 store hits", got)
 	}
 
 	unused := filepath.Join(t.TempDir(), "unused")
-	if _, got := render(t, "-exp", "fig7", "-scale", "quick", "-no-cache", "-cache-dir", unused); got != (cellCounts{0, 0, 36}) {
+	if _, got := render(t, "-exp", "fig7", "-scale", "quick", "-no-cache", "-cache-dir", unused); got != (cells{0, 36}) {
 		t.Errorf("fig7 -no-cache: %v, want 36 computed", got)
 	}
 	if _, err := os.Stat(unused); !os.IsNotExist(err) {
 		t.Errorf("-no-cache created -cache-dir (stat: %v)", err)
+	}
+}
+
+// TestMergeSuppressesEveryReaderOfAHole: a merge over a quick store
+// missing one default-scheduler grid cell prints no block of any
+// experiment that reads it — Figures 2, 6, 7 and 9 — prints every other
+// block, exits 1, and names exactly that one cell in its hole report.
+func TestMergeSuppressesEveryReaderOfAHole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick catalog")
+	}
+	store := filepath.Join(t.TempDir(), "cells")
+	want, _ := render(t, "-exp", "all", "-scale", "quick", "-cache-dir", store)
+	hole, _ := filepath.Glob(filepath.Join(store, "grid_minrtt", "c0007-*.json"))
+	if len(hole) != 1 {
+		t.Fatalf("the quick store holds %d records of grid/minrtt cell 7, want 1", len(hole))
+	}
+	if err := os.Remove(hole[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "all", "-scale", "quick", "-cache-dir", store, "-merge"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("merge with a hole: exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	got := stdout.String()
+	for _, name := range []string{"fig2", "fig6", "fig7", "fig9"} {
+		if strings.Contains(got, "=== "+name+" (") {
+			t.Errorf("%s reads the missing cell, yet its block is printed", name)
+		}
+	}
+	for _, block := range strings.SplitAfter(want, "\n=== ") {
+		if name := strings.Fields(strings.TrimPrefix(block, "=== "))[0]; !slices.Contains([]string{"fig2", "fig6", "fig7", "fig9"}, name) &&
+			!strings.Contains(got, strings.TrimPrefix(block, "=== ")) {
+			t.Errorf("%s reads no missing cell, yet its block is not printed as a complete merge prints it", name)
+		}
+	}
+	if !strings.Contains(stderr.String(), "merge incomplete: 1 cells missing across 1 record families:") ||
+		!strings.Contains(stderr.String(), "grid/minrtt (schema") || !strings.Contains(stderr.String(), ": 1 cells: 7\n") {
+		t.Errorf("the hole report does not name exactly grid/minrtt cell 7:\n%s", stderr.String())
 	}
 }
 
@@ -299,22 +344,26 @@ func TestTracedRunExportsArtifacts(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("report: %v", err)
 	}
-	if rep.Tool != "ecfbench" || rep.SchemaVersion != 5 || len(rep.Experiments) != 1 {
-		t.Fatalf("report is %s schema %d with %d experiments, want ecfbench schema 5 with one", rep.Tool, rep.SchemaVersion, len(rep.Experiments))
+	if rep.Tool != "ecfbench" || rep.SchemaVersion != 6 || len(rep.Experiments) != 1 {
+		t.Fatalf("report is %s schema %d with %d experiments, want ecfbench schema 6 with one", rep.Tool, rep.SchemaVersion, len(rep.Experiments))
 	}
-	e := rep.Experiments[0]
-	if e.Name != "fig9" || e.EventsTotal == 0 || e.PacketsDelivered == 0 {
-		t.Errorf("report experiment = %s with %d events and %d packets", e.Name, e.EventsTotal, e.PacketsDelivered)
+	if rep.CellsRead != 144 || rep.Cells != 144 || rep.CacheComputed != 144 || rep.EventsTotal == 0 || rep.PacketsDelivered == 0 {
+		t.Errorf("report run = %d reads of %d cells, %d computed, %d events and %d packets; want 144 of 144, 144 computed, some events and packets",
+			rep.CellsRead, rep.Cells, rep.CacheComputed, rep.EventsTotal, rep.PacketsDelivered)
 	}
 	var byKind uint64
-	for _, n := range e.EventsByKind {
+	for _, n := range rep.EventsByKind {
 		byKind += n
 	}
-	if e.EventsByKind["netsim.Link.drain"] == 0 || byKind != e.EventsProcessed {
-		t.Errorf("events_by_kind sums to %d of %d processed, netsim.Link.drain %d", byKind, e.EventsProcessed, e.EventsByKind["netsim.Link.drain"])
+	if rep.EventsByKind["netsim.Link.drain"] == 0 || byKind != rep.EventsProcessed {
+		t.Errorf("events_by_kind sums to %d of %d processed, netsim.Link.drain %d", byKind, rep.EventsProcessed, rep.EventsByKind["netsim.Link.drain"])
 	}
-	if !(0 < e.CellP50Ms && e.CellP50Ms <= e.CellP95Ms && e.CellP95Ms <= e.CellMaxMs) {
-		t.Errorf("cell percentiles p50 %v, p95 %v, max %v are not ordered above 0", e.CellP50Ms, e.CellP95Ms, e.CellMaxMs)
+	if !(0 < rep.CellP50Ms && rep.CellP50Ms <= rep.CellP95Ms && rep.CellP95Ms <= rep.CellMaxMs) {
+		t.Errorf("cell percentiles p50 %v, p95 %v, max %v are not ordered above 0", rep.CellP50Ms, rep.CellP95Ms, rep.CellMaxMs)
+	}
+	e := rep.Experiments[0]
+	if e.Name != "fig9" || e.CellsRead != 144 {
+		t.Errorf("report experiment = %s reading %d cells, want fig9 reading 144", e.Name, e.CellsRead)
 	}
 	if sum, err := hex.DecodeString(e.OutputSHA256); err != nil || len(sum) != 32 {
 		t.Errorf("output hash %q is not 64 hex characters", e.OutputSHA256)

@@ -65,7 +65,9 @@ func fastClient(url, worker string) *Client {
 // a batch of their own, discarding the records.
 func runCells[T any](pool runner.Pool, ses *results.Session, n int, compute func(int) T) error {
 	b := results.NewBatch(pool, ses)
-	results.Add(b, testSpec(), n, compute, func(int, T) {})
+	for i := 0; i < n; i++ {
+		results.AddCell(b, testSpec(), i, 0, compute, func(int, T) {})
+	}
 	return b.Run(context.Background())
 }
 
@@ -369,8 +371,12 @@ func TestSweepsShareAStore(t *testing.T) {
 		Client: fastClient(hsB.URL, "b"),
 		RunPass: func(ses *results.Session) error {
 			b := results.NewBatch(pool, ses)
-			results.Add(b, testSpec(), n, computeCellRec, func(int, cellRec) {})
-			results.Add(b, specB, own, computeCellRec, func(int, cellRec) {})
+			for i := 0; i < n; i++ {
+				results.AddCell(b, testSpec(), i, 0, computeCellRec, func(int, cellRec) {})
+			}
+			for i := 0; i < own; i++ {
+				results.AddCell(b, specB, i, 0, computeCellRec, func(int, cellRec) {})
+			}
 			return b.Run(context.Background())
 		},
 		PollInterval: 5 * time.Millisecond,

@@ -49,17 +49,11 @@ func TestDistributedTable2RendersByteIdentical(t *testing.T) {
 	direct.Workers = 2
 	golden := experiments.Table2(direct).String()
 
-	// The sweep's work list: exactly Table 2's cells, enumerated from
-	// the driver itself.
-	fams := results.Families(func(ses *results.Session) {
-		scE := experiments.Quick
-		scE.Workers = 1
-		scE.Results = ses
-		experiments.Table2(scE)
-	})
+	// The sweep's work list: exactly Table 2's cells, the "table2"
+	// family of the quick catalog's work list.
 	var cells []results.Key
-	for _, f := range fams {
-		for i := 0; i < f.Cells; i++ {
+	for _, f := range experiments.EnumerateCells(experiments.Quick) {
+		for i := 0; f.Spec.Experiment == "table2" && i < f.Cells; i++ {
 			cells = append(cells, f.Spec.Key(i))
 		}
 	}

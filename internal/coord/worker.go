@@ -234,7 +234,7 @@ type WorkerConfig struct {
 	// RunPass executes one catalog pass under the given session: every
 	// cell the session's Claims gate covers must be computed (or served
 	// from the session's store) and delivered to the session's Sink.
-	// ecfbench wires experiments.RunCatalog here; tests wire a fake
+	// ecfbench runs its catalog plan here; tests wire a fake
 	// catalog. A returned error aborts the pass (remaining leases are
 	// released); a *results.CellError releases the failed cell as
 	// failed, which parks it, and the worker carries on. Required.

@@ -17,12 +17,10 @@ import (
 // that match accepts — a scenario exactly as the catalog simulates it.
 func catalogCell(t *testing.T, family string, match func(Scenario) bool) Scenario {
 	t.Helper()
-	EnumerateCells(Quick)
-	f, ok := declared.Load(familyKey{family, Quick.sizes()})
+	_, cells, ok := NewPlan(Quick, Catalog...).family(family)
 	if !ok {
 		t.Fatalf("no quick-scale family %q", family)
 	}
-	_, cells := f.(declaredFamily).scenarios()
 	for _, s := range cells {
 		if match(s) {
 			return s
@@ -88,12 +86,14 @@ func TestRunawayCellFailsAlikeAtAnyWorkerCount(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2} {
 		b := results.NewBatch(runner.New(workers), &results.Session{})
-		results.Add(b, spec, 2, func(i int) int {
-			if i == 1 {
-				s.run(runaway, nil)
-			}
-			return i
-		}, func(int, int) {})
+		for i := 0; i < 2; i++ {
+			results.AddCell(b, spec, i, 0, func(i int) int {
+				if i == 1 {
+					s.run(runaway, nil)
+				}
+				return i
+			}, func(int, int) {})
+		}
 		var ce *results.CellError
 		if err := b.Run(context.Background()); !errors.As(err, &ce) || ce.Key != spec.Key(1) {
 			t.Fatalf("-j %d: Run = %v, want a *results.CellError naming cell 1", workers, err)

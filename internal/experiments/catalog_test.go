@@ -35,8 +35,8 @@ func TestCatalogNamesAndOrder(t *testing.T) {
 	}
 	prevKind, prevN := "table", 0
 	for i, e := range Catalog {
-		if e.Desc == "" || e.Run == nil {
-			t.Errorf("entry %d (%q) is missing its description or driver", i, e.Name)
+		if e.Desc == "" || e.plan == nil {
+			t.Errorf("entry %d (%q) is missing its description or planner", i, e.Name)
 		}
 		if got, ok := ByName(e.Name); !ok || got.Name != e.Name || got.Desc != e.Desc {
 			t.Errorf("ByName(%q) = %+v, %v; want entry %d", e.Name, got, ok, i)
@@ -61,7 +61,7 @@ func TestCatalogNamesAndOrder(t *testing.T) {
 }
 
 // TestQuickCatalogMatchesGolden renders the quick catalog once, as
-// `ecfbench -exp all -scale quick` does — one session, so cells shared
+// `ecfbench -exp all -scale quick` does — one plan, so cells shared
 // between experiments are simulated once — and compares the SHA-256 of
 // each experiment's block, and of their concatenation, with the quick
 // entries of benchmark/golden.json. It moves no byte of that file: a
@@ -79,11 +79,13 @@ func TestQuickCatalogMatchesGolden(t *testing.T) {
 		t.Fatalf("benchmark/golden.json: %v", err)
 	}
 	quick := golden["quick"]
-	sc := Quick
-	sc.Results = &results.Session{}
+	p := NewPlan(Quick, Catalog...)
+	if err := p.Run(0, &results.Session{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	all := sha256.New()
-	for _, e := range Catalog {
-		block := fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, e.Run(sc))
+	for i, e := range Catalog {
+		block := fmt.Sprintf("=== %s (%s) ===\n%s\n", e.Name, e.Desc, p.Render(i))
 		all.Write([]byte(block))
 		sum := sha256.Sum256([]byte(block))
 		if got, want := hex.EncodeToString(sum[:]), quick[e.Name].SHA256; got != want {

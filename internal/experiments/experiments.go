@@ -1,34 +1,38 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation. Each driver runs the simulation matrix for its
-// experiment and returns a result type whose String method prints the
-// same rows/series the paper reports. README.md carries the experiment
+// paper's evaluation. Each experiment plans the cells it reads and
+// renders a result type whose String method prints the same
+// rows/series the paper reports. README.md carries the experiment
 // index.
 //
 // The matrix is data. A simulation cell is a Scenario — paths,
 // scheduler, congestion control, background processes, workload and its
 // size — and a cell family is a named list of them, declared once per
-// family (grid/<scheduler>, ooo/<wifi>-<lte>, fig16, ...) and read by
-// every driver that renders it: Figures 2, 6, 7 and 9 index the
+// plan (grid/<scheduler>, ooo/<wifi>-<lte>, fig16, ...) and read by
+// every experiment that renders it: Figures 2, 6, 7 and 9 index the
 // default-scheduler grid, Table 3 and Figures 5, 13 and 14 the "ooo"
-// families, Figure 17 two cells of Figure 16's. A family's record key
-// is derived, never written: results.Spec.Experiment is the family name,
-// Scale one digest of its scenarios and of its record type's JSON shape,
-// and Schema the package's recordSchema, so changing what a cell
-// simulates or the shape of what it keeps changes its key, and two
-// families cannot simulate the same scenario without a test noticing.
-// The key is a record's whole identity: a store record under a current
-// key is current, and one under any other key is stranded, for
-// -cache-prune to remove. What the key cannot see — a record derived
-// differently with the same shape, a simulator model change — is what
-// a recordSchema bump is for.
+// families, Figure 17 two cells of Figure 16's, Table 4 Figure 23's. A
+// family's record key is derived, never written:
+// results.Spec.Experiment is the family name, Scale one digest of its
+// scenarios and of its record type's JSON shape, and Schema the
+// package's recordSchema, so changing what a cell simulates or the
+// shape of what it keeps changes its key, and two families cannot
+// simulate the same scenario without a test noticing. The key is a
+// record's whole identity: a store record under a current key is
+// current, and one under any other key is stranded, for -cache-prune to
+// remove. What the key cannot see — a record derived differently with
+// the same shape, a simulator model change — is what a recordSchema
+// bump is for.
 //
-// Every driver registers its cells as jobs for the internal/runner
-// worker pool and collects results into pre-sized, cell-indexed storage,
-// so output is byte-identical for any Workers setting.
+// A run is plan, then render (Plan). Every selected experiment
+// registers the cells it reads on one plan, each collecting into
+// pre-sized, cell-indexed storage; one internal/runner pool executes
+// each distinct key of the plan once; then each experiment renders
+// what its cells collected. Output is byte-identical for any worker
+// count. The exported drivers (Figure9, Table2, ...) are that run for
+// one experiment alone.
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -36,7 +40,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/results"
@@ -65,30 +68,19 @@ type Scale struct {
 	// independent simulation seeded by its own index, so results are
 	// byte-identical for any worker count.
 	Workers int
-	// Results is the per-run session (the ecfbench -cache-dir/-shard/
-	// -merge flags): its cache/shard policy, and the records the run
-	// has produced so far, so drivers that share cells simulate each
-	// once between them. Nil computes every cell every time, in-process
+	// Results is the session (the ecfbench -cache-dir/-shard/-merge
+	// flags): its cache/shard policy, and the records it has produced
+	// so far, so drivers run one after another under it simulate a
+	// shared cell once between them. Nil computes every cell, in-process
 	// with no persistence. Like Workers it never affects cell content,
 	// only where records come from.
 	Results *results.Session
 	// Progress, when non-nil, observes cell completion (the ecfbench
 	// -progress flag): called after every finished cell with the count
-	// completed so far and the batch total, possibly from several
+	// completed so far and the run's total, possibly from several
 	// worker goroutines at once. Like Workers and Results it never
 	// affects cell content.
 	Progress func(done, total int)
-}
-
-// sizes is the part of a Scale that scenarios read: every field but
-// Workers, Results and Progress.
-type sizes struct {
-	videoSec, gridVideoSec, randomDurSec  float64
-	randomScenarios, webRuns, wildWebRuns int
-}
-
-func (sc Scale) sizes() sizes {
-	return sizes{sc.VideoSec, sc.GridVideoSec, sc.RandomDurSec, sc.RandomScenarios, sc.WebRuns, sc.WildWebRuns}
 }
 
 // Full is the bench-scale profile.
@@ -117,58 +109,6 @@ var Quick = Scale{
 // included: every key changes with it, and every cell is computed once
 // more.
 const recordSchema = 1
-
-// A record is what a cell keeps of its scenario's simulation, taken from
-// the scenario and the outcome of its Run.
-type record[T any] func(Scenario, *Outcome) T
-
-// A family is one cell family: the scenario of every cell, in cell
-// order, and the record each cell keeps. Its key is derived from both.
-type family[T any] struct {
-	spec   results.Spec
-	cells  []Scenario
-	record record[T]
-}
-
-// scenarios returns the family's key and cells, whatever its record
-// type.
-func (f *family[T]) scenarios() (results.Spec, []Scenario) { return f.spec, f.cells }
-
-// declaredFamily is a family whatever its record type: what the
-// declared memo holds.
-type declaredFamily interface {
-	scenarios() (results.Spec, []Scenario)
-}
-
-// familyKey identifies a declared family: a family's scenarios are a
-// function of its name and the scale's sizes.
-type familyKey struct {
-	name  string
-	sizes sizes
-}
-
-// declared memoizes every family the process has declared, so a
-// family's scenarios are built and digested once however many drivers
-// and runs read it. It caches a function of its key alone, so no caller
-// can observe another's use of it.
-var declared sync.Map // familyKey -> *family[T], a declaredFamily
-
-// declare returns the named family at the scale: cells builds its
-// scenarios, in cell order, the first time the process asks.
-func declare[T any](sc Scale, name string, rec record[T], cells func() []Scenario) *family[T] {
-	k := familyKey{name, sc.sizes()}
-	if f, ok := declared.Load(k); ok {
-		return f.(*family[T])
-	}
-	cs := cells()
-	f := &family[T]{
-		spec:   results.Spec{Experiment: name, Schema: recordSchema, Scale: scaleKey[T](cs)},
-		cells:  cs,
-		record: rec,
-	}
-	actual, _ := declared.LoadOrStore(k, f)
-	return actual.(*family[T])
-}
 
 // scaleKey is the Scale of a family keeping records of type T: 64 bits
 // of SHA-256 over T's JSON shape and the canonical encoding of the
@@ -287,61 +227,6 @@ func appendCanonical(b []byte, v reflect.Value) []byte {
 		panic("experiments: a scenario holds a " + v.Kind().String())
 	}
 	return b
-}
-
-// add registers cells of the family on the batch — the listed indexes,
-// or every cell when none are listed. collect(i, v) places cell i's
-// record in the driver's result; it runs concurrently for distinct
-// cells, and the record it receives may be one another driver already
-// holds: collect and the driver's renderer read it, and copy before
-// changing anything reachable from it.
-func (f *family[T]) add(b *results.Batch, collect func(i int, v T), cells ...int) {
-	compute := func(i int) T {
-		out := f.cells[i].Run()
-		defer out.Release()
-		return f.record(f.cells[i], out)
-	}
-	one := func(i int) { results.AddCell(b, f.spec, i, f.cells[i].cost(), compute, collect) }
-	if len(cells) == 0 {
-		for i := range f.cells {
-			one(i)
-		}
-	}
-	for _, i := range cells {
-		one(i)
-	}
-}
-
-// run executes cells of the family (see add) on a batch of their own.
-func (f *family[T]) run(sc Scale, collect func(i int, v T), cells ...int) {
-	b := newBatch(sc)
-	f.add(b, collect, cells...)
-	runBatch(b)
-}
-
-// newBatch starts a cell batch on the scale's worker pool under its
-// cache/shard policy. Drivers register cells with family.add and
-// execute them with runBatch; nested sweeps (Figure 9's four grids)
-// register everything first so one pool serves the whole flattened
-// matrix.
-func newBatch(sc Scale) *results.Batch {
-	pool := runner.New(sc.Workers)
-	pool.OnProgress = sc.Progress
-	return results.NewBatch(pool, sc.Results)
-}
-
-// runBatch executes the batch's cells. Each cell derives everything from
-// its scenario and collects into pre-sized storage, so aggregation is
-// order-independent and the sweep's output depends on neither
-// sc.Workers nor cache state. Operational cache failures (store I/O,
-// uploads) and failed cells (a *results.CellError) surface as a
-// *results.FatalError panic, since
-// drivers return no errors; the ecfbench harness recovers it for a
-// clean exit.
-func runBatch(b *results.Batch) {
-	if err := b.Run(context.Background()); err != nil {
-		panic(&results.FatalError{Err: err})
-	}
 }
 
 // runSeed derives the RNG seed for repetition run of cell cell of the

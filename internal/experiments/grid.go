@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dash"
 	"repro/internal/metrics"
-	"repro/internal/results"
 	"repro/internal/trace"
 )
 
@@ -39,17 +38,17 @@ func bitrateRatio(s Scenario, out *Outcome) float64 {
 // gridFamily is one scheduler's 36-cell §5.2 sweep, "grid/<scheduler>"
 // (with "/no-reset" when idle restart is off, Figure 6): cell k streams
 // WiFi at bandwidth k/6 and LTE at k%6 of the grid axis.
-func gridFamily(sc Scale, scheduler string, noIdleRestart bool) *family[GridCell] {
+func gridFamily(p *Plan, scheduler string, noIdleRestart bool) *family[GridCell] {
 	name := "grid/" + scheduler
 	if noIdleRestart {
 		name += "/no-reset"
 	}
-	return declare(sc, name, gridRecord, func() []Scenario {
+	return declare(p, name, gridRecord, func() []Scenario {
 		bws := trace.GridBandwidthsMbps
 		cells := make([]Scenario, 0, len(bws)*len(bws))
 		for _, wifi := range bws {
 			for _, lte := range bws {
-				s := Streaming(wifi, lte, scheduler, sc.GridVideoSec)
+				s := Streaming(wifi, lte, scheduler, p.sc.GridVideoSec)
 				s.NoIdleRestart = noIdleRestart
 				cells = append(cells, s)
 			}
@@ -84,18 +83,16 @@ type GridResult struct {
 	Bandwidths []float64
 }
 
-// addGrid registers one scheduler's sweep on the batch and returns the
-// result structure, filled in when the batch runs. Keeping registration
-// separate from execution lets multi-grid figures (6, 9, 10) flatten
-// all their cells into a single pool fan-out.
-func addGrid(b *results.Batch, scheduler string, sc Scale, noIdleRestart bool) *GridResult {
+// readGrid registers one scheduler's sweep on the plan and returns the
+// result structure, filled in when the plan runs.
+func readGrid(p *Plan, scheduler string, noIdleRestart bool) *GridResult {
 	bws := trace.GridBandwidthsMbps
 	n := len(bws)
 	res := &GridResult{Scheduler: scheduler, Bandwidths: bws, Cells: make([][]GridCell, n)}
 	for i := range res.Cells {
 		res.Cells[i] = make([]GridCell, n)
 	}
-	gridFamily(sc, scheduler, noIdleRestart).add(b, func(k int, c GridCell) { res.Cells[k/n][k%n] = c })
+	gridFamily(p, scheduler, noIdleRestart).read(func(k int, c GridCell) { res.Cells[k/n][k%n] = c })
 	return res
 }
 
@@ -103,10 +100,7 @@ func addGrid(b *results.Batch, scheduler string, sc Scale, noIdleRestart bool) *
 // 36 independent cells across the scale's worker pool.
 // noIdleRestart supports the Figure 6 ablation.
 func RunGrid(scheduler string, sc Scale, noIdleRestart bool) *GridResult {
-	b := newBatch(sc)
-	res := addGrid(b, scheduler, sc, noIdleRestart)
-	runBatch(b)
-	return res
+	return alone(sc, func(p *Plan) func() *GridResult { return just(readGrid(p, scheduler, noIdleRestart)) })
 }
 
 // Heatmap converts the sweep to a bitrate-ratio heat map (rows: LTE,
@@ -134,8 +128,10 @@ type Figure2Result struct {
 
 // Figure2 reproduces the motivation heat map: the default scheduler's
 // achieved/ideal bitrate ratio over the 6×6 grid.
-func Figure2(sc Scale) *Figure2Result {
-	return &Figure2Result{Grid: RunGrid("minrtt", sc, false)}
+func Figure2(sc Scale) *Figure2Result { return alone(sc, planFigure2) }
+
+func planFigure2(p *Plan) func() *Figure2Result {
+	return just(&Figure2Result{Grid: readGrid(p, "minrtt", false)})
 }
 
 // String renders both numeric and shaded forms.
@@ -151,17 +147,15 @@ type Figure6Result struct {
 	NoReset    *GridResult
 }
 
-// Figure6 reruns the default-scheduler grid with idle restart disabled;
-// both grids' cells run through one shared pool.
-func Figure6(sc Scale) *Figure6Result {
-	b := newBatch(sc)
-	res := &Figure6Result{
+// Figure6 reruns the default-scheduler grid with idle restart disabled.
+func Figure6(sc Scale) *Figure6Result { return alone(sc, planFigure6) }
+
+func planFigure6(p *Plan) func() *Figure6Result {
+	return just(&Figure6Result{
 		Bandwidths: trace.GridBandwidthsMbps,
-		WithReset:  addGrid(b, "minrtt", sc, false),
-		NoReset:    addGrid(b, "minrtt", sc, true),
-	}
-	runBatch(b)
-	return res
+		WithReset:  readGrid(p, "minrtt", false),
+		NoReset:    readGrid(p, "minrtt", true),
+	})
 }
 
 // String renders throughput rows per bandwidth pair.
@@ -190,8 +184,10 @@ type Figure7Result struct {
 
 // Figure7 reports the fraction of traffic on the fast subflow under the
 // default scheduler across the grid.
-func Figure7(sc Scale) *Figure7Result {
-	return &Figure7Result{Grid: RunGrid("minrtt", sc, false)}
+func Figure7(sc Scale) *Figure7Result { return alone(sc, planFigure7) }
+
+func planFigure7(p *Plan) func() *Figure7Result {
+	return just(&Figure7Result{Grid: readGrid(p, "minrtt", false)})
 }
 
 // String renders fraction rows.
@@ -217,19 +213,16 @@ type Figure9Result struct {
 	Order []string
 }
 
-// Figure9 sweeps the grid for default, ECF, DAPS and BLEST. All four
-// grids are flattened into one job list served by a single shared pool,
-// so the 144 cells saturate the workers instead of draining the pool
-// four times (ROADMAP item).
-func Figure9(sc Scale) *Figure9Result {
+// Figure9 sweeps the grid for default, ECF, DAPS and BLEST.
+func Figure9(sc Scale) *Figure9Result { return alone(sc, planFigure9) }
+
+func planFigure9(p *Plan) func() *Figure9Result {
 	order := []string{"minrtt", "ecf", "daps", "blest"}
 	res := &Figure9Result{Grids: make(map[string]*GridResult), Order: order}
-	b := newBatch(sc)
 	for _, s := range order {
-		res.Grids[s] = addGrid(b, s, sc, false)
+		res.Grids[s] = readGrid(p, s, false)
 	}
-	runBatch(b)
-	return res
+	return just(res)
 }
 
 // MeanRatio returns the grid-average bitrate ratio per scheduler — a
@@ -258,17 +251,15 @@ type Figure10Result struct {
 	ECF        *GridResult
 }
 
-// Figure10 reports traffic splits for the two wait-capable schedulers,
-// both grids sharing one pool.
-func Figure10(sc Scale) *Figure10Result {
-	b := newBatch(sc)
-	res := &Figure10Result{
+// Figure10 reports traffic splits for the two wait-capable schedulers.
+func Figure10(sc Scale) *Figure10Result { return alone(sc, planFigure10) }
+
+func planFigure10(p *Plan) func() *Figure10Result {
+	return just(&Figure10Result{
 		Bandwidths: trace.GridBandwidthsMbps,
-		BLEST:      addGrid(b, "blest", sc, false),
-		ECF:        addGrid(b, "ecf", sc, false),
-	}
-	runBatch(b)
-	return res
+		BLEST:      readGrid(p, "blest", false),
+		ECF:        readGrid(p, "ecf", false),
+	})
 }
 
 // String renders the split rows.
@@ -300,7 +291,9 @@ type Figure15Result struct {
 // "fig15" family streams 0.3 Mbps WiFi against LTE at bandwidth k/2 of
 // the grid axis, under the default scheduler when k is even and ECF when
 // it is odd.
-func Figure15(sc Scale) *Figure15Result {
+func Figure15(sc Scale) *Figure15Result { return alone(sc, planFigure15) }
+
+func planFigure15(p *Plan) func() *Figure15Result {
 	bws := trace.GridBandwidthsMbps
 	res := &Figure15Result{
 		LteBandwidths: bws,
@@ -308,25 +301,25 @@ func Figure15(sc Scale) *Figure15Result {
 		ECFRatio:      make([]float64, len(bws)),
 	}
 	schedulers := []string{"minrtt", "ecf"}
-	fam := declare(sc, "fig15", bitrateRatio, func() []Scenario {
+	fam := declare(p, "fig15", bitrateRatio, func() []Scenario {
 		var cells []Scenario
 		for _, lte := range bws {
 			for _, sched := range schedulers {
-				s := Streaming(0.3, lte, sched, sc.GridVideoSec)
+				s := Streaming(0.3, lte, sched, p.sc.GridVideoSec)
 				s.SubflowsPerPath = 2
 				cells = append(cells, s)
 			}
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, ratio float64) {
+	fam.read(func(k int, ratio float64) {
 		if k%2 == 0 {
 			res.DefaultRatio[k/2] = ratio
 		} else {
 			res.ECFRatio[k/2] = ratio
 		}
 	})
-	return res
+	return just(res)
 }
 
 // String renders the two rows of the strip heat map.

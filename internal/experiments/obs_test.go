@@ -29,7 +29,7 @@ func (f *family[T]) recordJSON(i int, rec *obs.CellRecorder) ([]byte, error) {
 // vacuous; only the bulk cell, a single path under wifi-only, makes no
 // scheduler decision to record.
 func TestTraceCellDoesNotChangeOutput(t *testing.T) {
-	EnumerateCells(Quick)
+	p := NewPlan(Quick, Catalog...)
 	for _, tc := range []struct {
 		kind, family string
 		cell         int
@@ -41,13 +41,12 @@ func TestTraceCellDoesNotChangeOutput(t *testing.T) {
 		{"bulk", "table2", 10, false},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
-			f, ok := declared.Load(familyKey{tc.family, Quick.sizes()})
+			fam, ok := p.families[tc.family].(interface {
+				recordJSON(int, *obs.CellRecorder) ([]byte, error)
+			})
 			if !ok {
 				t.Fatalf("no quick-scale family %q", tc.family)
 			}
-			fam := f.(interface {
-				recordJSON(int, *obs.CellRecorder) ([]byte, error)
-			})
 			plain, err := fam.recordJSON(tc.cell, nil)
 			if err != nil {
 				t.Fatal(err)

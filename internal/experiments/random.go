@@ -30,8 +30,9 @@ var randomSchedulers = []string{"minrtt", "blest", "ecf"}
 // starting rates and changes come from its runner.Seed-namespaced seed,
 // identical across schedulers as in the paper. A cell keeps its
 // per-chunk throughput series (Mbps).
-func randomFamily(sc Scale) *family[[]float64] {
-	return declare(sc, "fig16", func(_ Scenario, out *Outcome) []float64 {
+func randomFamily(p *Plan) *family[[]float64] {
+	sc := p.sc
+	return declare(p, "fig16", func(_ Scenario, out *Outcome) []float64 {
 		return out.Result.ChunkThroughputsMbps()
 	}, func() []Scenario {
 		var cells []Scenario
@@ -50,7 +51,10 @@ func randomFamily(sc Scale) *family[[]float64] {
 
 // Figure16 runs the §5.3 study, one unique seed per scenario, and
 // averages each session's chunk throughputs.
-func Figure16(sc Scale) *Figure16Result {
+func Figure16(sc Scale) *Figure16Result { return alone(sc, planFigure16) }
+
+func planFigure16(p *Plan) func() *Figure16Result {
+	sc := p.sc
 	res := &Figure16Result{
 		Scenarios:  sc.RandomScenarios,
 		Schedulers: randomSchedulers,
@@ -61,11 +65,11 @@ func Figure16(sc Scale) *Figure16Result {
 	for _, s := range randomSchedulers {
 		res.Throughput[s] = make([]float64, sc.RandomScenarios)
 	}
-	randomFamily(sc).run(sc, func(k int, chunks []float64) {
+	randomFamily(p).read(func(k int, chunks []float64) {
 		si, scen := k/sc.RandomScenarios, k%sc.RandomScenarios
 		res.Throughput[randomSchedulers[si]][scen] = metrics.Summarize(chunks).Mean
 	})
-	return res
+	return just(res)
 }
 
 // MeanThroughput averages across scenarios for one scheduler.
@@ -104,21 +108,24 @@ type Figure17Result struct {
 // Figure17 traces chunk throughputs for scenario 6 (as the paper plots),
 // clamped to the available scenario count at small scales: the default
 // and ECF cells of that scenario in Figure 16's family.
-func Figure17(sc Scale) *Figure17Result {
+func Figure17(sc Scale) *Figure17Result { return alone(sc, planFigure17) }
+
+func planFigure17(p *Plan) func() *Figure17Result {
+	sc := p.sc
 	scen := min(6, sc.RandomScenarios)
 	res := &Figure17Result{Scenario: scen}
 	if scen < 1 {
-		return res
+		return just(res)
 	}
 	def, ecf := scen-1, 2*sc.RandomScenarios+scen-1 // randomSchedulers[0] and [2]
-	randomFamily(sc).run(sc, func(k int, chunks []float64) {
+	randomFamily(p).read(func(k int, chunks []float64) {
 		if k == def {
 			res.Default = chunks
 		} else {
 			res.ECF = chunks
 		}
 	}, def, ecf)
-	return res
+	return just(res)
 }
 
 // String renders the two chunk series.

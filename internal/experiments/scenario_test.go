@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/results"
@@ -77,7 +76,7 @@ func perturbLeaves(t *testing.T, v reflect.Value, path string, f func(path strin
 // changes its family's key.
 func TestScenarioKeysFollowContent(t *testing.T) {
 	families := map[string][]Scenario{
-		"grid":  gridFamily(Quick, "ecf", false).cells,
+		"grid":  gridFamily(NewPlan(Quick), "ecf", false).cells,
 		"table": declaredCells(t, Quick, "table2"),
 		"wget":  declaredCells(t, Quick, "fig19"),
 		"page":  declaredCells(t, Quick, "fig23"),
@@ -98,37 +97,37 @@ func TestScenarioKeysFollowContent(t *testing.T) {
 	}
 }
 
+// family returns the key and the cells of the plan's family of that
+// name; ok is false when no planned experiment declared one.
+func (p *Plan) family(name string) (spec results.Spec, cells []Scenario, ok bool) {
+	f, ok := p.families[name].(interface {
+		scenarios() (results.Spec, []Scenario)
+	})
+	if !ok {
+		return spec, nil, false
+	}
+	spec, cells = f.scenarios()
+	return spec, cells, true
+}
+
 // declaredCells returns the scenarios of the named family at the scale,
-// which a catalog pass declares.
+// which the catalog plan declares.
 func declaredCells(t *testing.T, sc Scale, name string) []Scenario {
 	t.Helper()
-	EnumerateCells(sc)
-	f, ok := declared.Load(familyKey{name, sc.sizes()})
+	_, cells, ok := NewPlan(sc, Catalog...).family(name)
 	if !ok {
 		t.Fatalf("the catalog declares no %q family", name)
 	}
-	_, cells := f.(declaredFamily).scenarios()
 	return cells
 }
 
-// familyKeys runs the catalog at sc without simulating and returns every
-// family's key by name. A non-nil sc.Results keeps its policy; only its
-// Claims gate is replaced by one that notes keys and claims nothing.
+// familyKeys plans the catalog at sc and returns the key of every family
+// it reads, by name.
 func familyKeys(sc Scale) map[string]results.Spec {
-	var mu sync.Mutex
 	keys := map[string]results.Spec{}
-	ses := &results.Session{}
-	if sc.Results != nil {
-		ses = sc.Results
+	for _, f := range EnumerateCells(sc) {
+		keys[f.Spec.Experiment] = f.Spec
 	}
-	ses.Claims = func(k results.Key) bool {
-		mu.Lock()
-		keys[k.Experiment] = results.Spec{Experiment: k.Experiment, Schema: k.Schema, Scale: k.Scale}
-		mu.Unlock()
-		return false
-	}
-	sc.Results = ses
-	RunCatalog(sc)
 	return keys
 }
 
@@ -200,18 +199,12 @@ func TestScaleFieldsChangeExactlyTheirFamilies(t *testing.T) {
 // another's simulation must read that family's cells instead.
 func TestNoScenarioSimulatedTwice(t *testing.T) {
 	for _, sc := range []Scale{Quick, Full} {
-		fams := EnumerateCells(sc)
-		byKey := map[results.Spec][]Scenario{}
-		declared.Range(func(_, f any) bool {
-			spec, cells := f.(declaredFamily).scenarios()
-			byKey[spec] = cells
-			return true
-		})
+		p := NewPlan(sc, Catalog...)
 		seen := map[Scenario]results.Key{}
-		for _, f := range fams {
-			cells, ok := byKey[f.Spec]
-			if !ok {
-				t.Fatalf("enumerated family %+v was never declared", f.Spec)
+		for _, f := range EnumerateCells(sc) {
+			spec, cells, ok := p.family(f.Spec.Experiment)
+			if !ok || spec != f.Spec {
+				t.Fatalf("enumerated family %+v is not the catalog plan's (%+v)", f.Spec, spec)
 			}
 			for i := 0; i < f.Cells; i++ {
 				sims := []Scenario{cells[i]}
@@ -228,31 +221,6 @@ func TestNoScenarioSimulatedTwice(t *testing.T) {
 					seen[s] = k
 				}
 			}
-		}
-	}
-}
-
-// TestConcurrentCatalogPassesAgreeOnKeys: catalog passes that declare
-// the same families at once all see one declared family per name — the
-// same key and cell count.
-func TestConcurrentCatalogPassesAgreeOnKeys(t *testing.T) {
-	sc := Quick
-	sc.WebRuns = 7 // sizes no other test declares, so the passes race to declare
-	const passes = 4
-	got := make([][]results.CellFamily, passes)
-	var wg sync.WaitGroup
-	for i := 0; i < passes; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = EnumerateCells(sc)
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < passes; i++ {
-		if !reflect.DeepEqual(got[i], got[0]) {
-			t.Fatalf("pass %d enumerated %v, pass 0 %v", i, got[i], got[0])
 		}
 	}
 }

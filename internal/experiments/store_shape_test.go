@@ -31,43 +31,55 @@ func renderDelayDrivers(sc Scale) string {
 	return b.String()
 }
 
-// renderCatalog renders every driver's report, in catalog order.
-func renderCatalog(sc Scale) string {
-	var b strings.Builder
-	for _, e := range Catalog {
-		b.WriteString(e.Run(sc).String())
-	}
-	return b.String()
-}
-
-// TestCatalogSharesRecordsWithinOneRun runs the quick catalog under one
-// storeless session: every distinct cell of the enumerated work list is
-// simulated exactly once, every other request is served from memory,
-// and the reports — many of them rendered from records an earlier
-// driver already collected and rendered — are byte-identical to a run
-// that shares nothing. A collector or renderer that changed a shared
+// TestCatalogSharesRecordsWithinOneRun renders the quick catalog plan,
+// where every experiment that reads a key receives the one record its
+// one job produced, and requires the reports — many of them rendered
+// from records another experiment already collected and rendered — to
+// be byte-identical to experiments that each ran on a plan of their own
+// and share nothing. A collector or renderer that changed a shared
 // record in place would show here as a differing later report.
 func TestCatalogSharesRecordsWithinOneRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick catalog twice")
 	}
-	want := renderCatalog(Quick)
+	var want, got strings.Builder
+	for _, e := range Catalog {
+		want.WriteString(alone(Quick, e.plan).String())
+	}
+	p := NewPlan(Quick, Catalog...)
+	if err := p.Run(0, &results.Session{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range Catalog {
+		got.WriteString(p.Render(i).String())
+	}
+	if got.String() != want.String() {
+		t.Fatal("the catalog plan renders differently from experiments that share nothing")
+	}
+}
 
-	shared := Quick
-	shared.Results = &results.Session{}
-	if got := renderCatalog(shared); got != want {
-		t.Fatal("catalog rendered under a storeless session differs from the nil-session render")
+// TestQuickCatalogPlanComputesEachKeyOnce: the quick catalog reads 1075
+// cells, 842 of them distinct, and one run of its plan on two workers
+// computes each of the 842 once and serves none from memory (the
+// session has no store) — no key is scheduled twice.
+func TestQuickCatalogPlanComputesEachKeyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole quick catalog")
 	}
-	distinct := int64(0)
-	for _, f := range EnumerateCells(Quick) {
-		distinct += int64(f.Cells)
+	p := NewPlan(Quick, Catalog...)
+	reads := 0
+	for i := range Catalog {
+		reads += len(p.Reads(i))
 	}
-	hits, computed := shared.Results.Stats()
-	if computed != distinct {
-		t.Fatalf("computed %d cells, want %d: each distinct cell of the work list once", computed, distinct)
+	if cells := len(p.Cells()); reads != 1075 || cells != 842 {
+		t.Fatalf("the quick catalog plan reads %d cells, %d distinct; want 1075 and 842", reads, cells)
 	}
-	if hits == 0 || hits != shared.Results.MemoryHits() {
-		t.Fatalf("%d hits, %d of them from memory; want some, all from memory", hits, shared.Results.MemoryHits())
+	ses := &results.Session{}
+	if err := p.Run(2, ses, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hits, computed := ses.Stats(); computed != 842 || hits != 0 {
+		t.Fatalf("one run computed %d cells with %d memory hits; want 842 and 0", computed, hits)
 	}
 }
 

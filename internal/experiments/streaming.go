@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/results"
 )
 
 // Figure1Result is the ON-OFF download pattern of §2.2.
@@ -26,9 +25,11 @@ type Figure1Result struct {
 // Figure1 reproduces the Netflix-style ON-OFF client behaviour: an
 // initial-buffering ramp followed by paced chunk fetches. Its single
 // cell's record is the Figure1Result itself.
-func Figure1(sc Scale) *Figure1Result {
+func Figure1(sc Scale) *Figure1Result { return alone(sc, planFigure1) }
+
+func planFigure1(p *Plan) func() *Figure1Result {
 	res := &Figure1Result{}
-	fam := declare(sc, "fig1", func(_ Scenario, out *Outcome) *Figure1Result {
+	fam := declare(p, "fig1", func(_ Scenario, out *Outcome) *Figure1Result {
 		cell := &Figure1Result{}
 		for _, p := range out.Result.DownloadTrace {
 			cell.Trace = append(cell.Trace, struct {
@@ -47,9 +48,9 @@ func Figure1(sc Scale) *Figure1Result {
 			}
 		}
 		return cell
-	}, func() []Scenario { return []Scenario{Streaming(8.6, 8.6, "minrtt", sc.VideoSec)} })
-	fam.run(sc, func(_ int, cell *Figure1Result) { *res = *cell })
-	return res
+	}, func() []Scenario { return []Scenario{Streaming(8.6, 8.6, "minrtt", p.sc.VideoSec)} })
+	fam.read(func(_ int, cell *Figure1Result) { *res = *cell })
+	return just(res)
 }
 
 // String renders the cumulative download series.
@@ -90,8 +91,8 @@ type sampledCell struct {
 
 // sampledFamily is "sampled/0.3-8.6": one sampled 0.3/8.6 stream per
 // paper scheduler.
-func sampledFamily(sc Scale) *family[sampledCell] {
-	return declare(sc, "sampled/0.3-8.6", func(_ Scenario, out *Outcome) sampledCell {
+func sampledFamily(p *Plan) *family[sampledCell] {
+	return declare(p, "sampled/0.3-8.6", func(_ Scenario, out *Outcome) sampledCell {
 		// The sampler records every series at the same instants.
 		cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
 		for j := range out.CwndTraces {
@@ -102,7 +103,7 @@ func sampledFamily(sc Scale) *family[sampledCell] {
 	}, func() []Scenario {
 		cells := make([]Scenario, len(paperSchedulers))
 		for i, sched := range paperSchedulers {
-			cells[i] = Streaming(0.3, 8.6, sched, sc.VideoSec)
+			cells[i] = Streaming(0.3, 8.6, sched, p.sc.VideoSec)
 			cells[i].Workload.SampleInterval = 100 * time.Millisecond
 		}
 		return cells
@@ -111,15 +112,17 @@ func sampledFamily(sc Scale) *family[sampledCell] {
 
 // Figure3 samples subflow send-buffer occupancy (unacked bytes, in-flight
 // included, as the paper measures) every 100 ms.
-func Figure3(sc Scale) *Figure3Result {
+func Figure3(sc Scale) *Figure3Result { return alone(sc, planFigure3) }
+
+func planFigure3(p *Plan) func() *Figure3Result {
 	res := &Figure3Result{}
-	sampledFamily(sc).run(sc, func(_ int, cell sampledCell) {
+	sampledFamily(p).read(func(_ int, cell sampledCell) {
 		res.Names = cell.Subflows
 		for _, v := range cell.Sndbuf {
 			res.Traces = append(res.Traces, &metrics.TimeSeries{T: cell.T, V: v})
 		}
 	}, 0)
-	return res
+	return just(res)
 }
 
 // PeakBytes returns the maximum occupancy seen per subflow.
@@ -175,20 +178,20 @@ var figure5Pairs = []float64{0.3, 0.7, 1.1, 4.2}
 // packets received on each path under the default scheduler: the
 // default-scheduler cell of each pair's "ooo" family, the very runs
 // Figure 13 reads the OOO delays of.
-func Figure5(sc Scale) *Figure5Result {
+func Figure5(sc Scale) *Figure5Result { return alone(sc, planFigure5) }
+
+func planFigure5(p *Plan) func() *Figure5Result {
 	res := &Figure5Result{
 		WifiBandwidths: figure5Pairs,
 		CDFs:           make([]*metrics.CDF, len(figure5Pairs)),
 	}
-	b := newBatch(sc)
 	for i, wifi := range figure5Pairs {
 		i := i
-		oooFamily(sc, wifi, 8.6).add(b, func(_ int, cell oooCell) {
+		oooFamily(p, wifi, 8.6).read(func(_ int, cell oooCell) {
 			res.CDFs[i] = metrics.NewCDF(cell.LastPacketDiffs)
 		}, 0)
 	}
-	runBatch(b)
-	return res
+	return just(res)
 }
 
 // Median returns the median diff for pair index i.
@@ -222,9 +225,9 @@ type CwndTraceResult struct {
 	Traces     map[string]*metrics.TimeSeries
 }
 
-// cwndTrace picks the chosen subflow's congestion-window series out of
-// each scheduler's sampled 0.3/8.6 run.
-func cwndTrace(fig string, subflowIdx int, sc Scale) *CwndTraceResult {
+// planCwndTrace picks the chosen subflow's congestion-window series out
+// of each scheduler's sampled 0.3/8.6 run.
+func planCwndTrace(fig string, subflowIdx int, p *Plan) func() *CwndTraceResult {
 	res := &CwndTraceResult{
 		Figure:     fig,
 		SubflowIdx: subflowIdx,
@@ -232,20 +235,30 @@ func cwndTrace(fig string, subflowIdx int, sc Scale) *CwndTraceResult {
 		Traces:     make(map[string]*metrics.TimeSeries),
 	}
 	traces := make([]*metrics.TimeSeries, len(res.Schedulers))
-	sampledFamily(sc).run(sc, func(i int, cell sampledCell) {
+	sampledFamily(p).read(func(i int, cell sampledCell) {
 		traces[i] = &metrics.TimeSeries{T: cell.T, V: cell.Cwnd[subflowIdx]}
 	})
-	for i, s := range res.Schedulers {
-		res.Traces[s] = traces[i]
+	return func() *CwndTraceResult {
+		for i, s := range res.Schedulers {
+			res.Traces[s] = traces[i]
+		}
+		return res
 	}
-	return res
 }
 
 // Figure11 traces the WiFi (slow) subflow's CWND per scheduler.
-func Figure11(sc Scale) *CwndTraceResult { return cwndTrace("Figure 11 (WiFi CWND)", 0, sc) }
+func Figure11(sc Scale) *CwndTraceResult { return alone(sc, planFigure11) }
+
+func planFigure11(p *Plan) func() *CwndTraceResult {
+	return planCwndTrace("Figure 11 (WiFi CWND)", 0, p)
+}
 
 // Figure12 traces the LTE (fast) subflow's CWND per scheduler.
-func Figure12(sc Scale) *CwndTraceResult { return cwndTrace("Figure 12 (LTE CWND)", 1, sc) }
+func Figure12(sc Scale) *CwndTraceResult { return alone(sc, planFigure12) }
+
+func planFigure12(p *Plan) func() *CwndTraceResult {
+	return planCwndTrace("Figure 12 (LTE CWND)", 1, p)
+}
 
 // MeanCwnd returns the time-averaged window per scheduler.
 func (r *CwndTraceResult) MeanCwnd(s string) float64 { return r.Traces[s].MeanValue() }
@@ -291,8 +304,8 @@ type oooCell struct {
 
 // oooFamily is "ooo/<wifi>-<lte>": one stream of the bandwidth pair per
 // paper scheduler, the default first.
-func oooFamily(sc Scale, wifi, lte float64) *family[oooCell] {
-	return declare(sc, "ooo/"+fmtMbps(wifi)+"-"+fmtMbps(lte), func(_ Scenario, out *Outcome) oooCell {
+func oooFamily(p *Plan, wifi, lte float64) *family[oooCell] {
+	return declare(p, "ooo/"+fmtMbps(wifi)+"-"+fmtMbps(lte), func(_ Scenario, out *Outcome) oooCell {
 		return oooCell{
 			Delays:          metrics.NewDelayDist(out.OOODelays),
 			LastPacketDiffs: metrics.DurationsToSeconds(out.Result.LastPacketDiffs()),
@@ -301,18 +314,18 @@ func oooFamily(sc Scale, wifi, lte float64) *family[oooCell] {
 	}, func() []Scenario {
 		cells := make([]Scenario, len(paperSchedulers))
 		for i, sched := range paperSchedulers {
-			cells[i] = Streaming(wifi, lte, sched, sc.VideoSec)
+			cells[i] = Streaming(wifi, lte, sched, p.sc.VideoSec)
 		}
 		return cells
 	})
 }
 
-// addOOOPanel registers one pair's cells and returns the panel their
-// delay distributions fill in when the batch runs.
-func addOOOPanel(b *results.Batch, label string, wifi, lte float64, sc Scale) *OOOResult {
+// readOOOPanel registers one pair's cells and returns the panel their
+// delay distributions fill in when the plan runs.
+func readOOOPanel(p *Plan, label string, wifi, lte float64) *OOOResult {
 	res := &OOOResult{Label: label, Schedulers: paperSchedulers, Delays: make(map[string]metrics.DelayDist)}
 	var mu sync.Mutex // collect runs concurrently and Delays is a map
-	oooFamily(sc, wifi, lte).add(b, func(i int, cell oooCell) {
+	oooFamily(p, wifi, lte).read(func(i int, cell oooCell) {
 		mu.Lock()
 		res.Delays[paperSchedulers[i]] = cell.Delays
 		mu.Unlock()
@@ -330,20 +343,20 @@ type Figure13Result struct {
 // four x-8.6 pairs: the default-scheduler cell of each pair's "ooo"
 // family, which Figure 5 reads too and two of which Figure 14 also
 // reads.
-func Figure13(sc Scale) *Figure13Result {
+func Figure13(sc Scale) *Figure13Result { return alone(sc, planFigure13) }
+
+func planFigure13(p *Plan) func() *Figure13Result {
 	res := &Figure13Result{
 		WifiBandwidths: figure5Pairs,
 		Delays:         make([]metrics.DelayDist, len(figure5Pairs)),
 	}
-	b := newBatch(sc)
 	for i, wifi := range figure5Pairs {
 		i := i
-		oooFamily(sc, wifi, 8.6).add(b, func(_ int, cell oooCell) {
+		oooFamily(p, wifi, 8.6).read(func(_ int, cell oooCell) {
 			res.Delays[i] = cell.Delays
 		}, 0)
 	}
-	runBatch(b)
-	return res
+	return just(res)
 }
 
 // String renders CCDF rows.
@@ -369,16 +382,14 @@ type Figure14Result struct {
 	Symmetric     *OOOResult // 4.2 / 8.6
 }
 
-// Figure14 compares OOO delay across schedulers; both panels' cells run
-// through one shared pool.
-func Figure14(sc Scale) *Figure14Result {
-	b := newBatch(sc)
-	res := &Figure14Result{
-		Heterogeneous: addOOOPanel(b, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6, sc),
-		Symmetric:     addOOOPanel(b, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6, sc),
-	}
-	runBatch(b)
-	return res
+// Figure14 compares OOO delay across schedulers at two pairs.
+func Figure14(sc Scale) *Figure14Result { return alone(sc, planFigure14) }
+
+func planFigure14(p *Plan) func() *Figure14Result {
+	return just(&Figure14Result{
+		Heterogeneous: readOOOPanel(p, "0.3 Mbps WiFi and 8.6 Mbps LTE", 0.3, 8.6),
+		Symmetric:     readOOOPanel(p, "4.2 Mbps WiFi and 8.6 Mbps LTE", 4.2, 8.6),
+	})
 }
 
 // String renders both panels.

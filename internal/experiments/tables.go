@@ -48,7 +48,9 @@ type Table2Result struct {
 // (WiFi 969 ms at 0.3 Mbps down to 40 ms at 8.6) come from tc buffering;
 // ours come from the same mechanism — a drop-tail buffer ahead of the
 // shaped link.
-func Table2(sc Scale) *Table2Result {
+func Table2(sc Scale) *Table2Result { return alone(sc, planTable2) }
+
+func planTable2(p *Plan) func() *Table2Result {
 	bws := trace.GridBandwidthsMbps
 	res := &Table2Result{
 		BandwidthsMbps: bws,
@@ -59,7 +61,7 @@ func Table2(sc Scale) *Table2Result {
 	// LTE when it is odd — from a single subflow, with the other path an
 	// unused trickle; its record is the subflow's mean smoothed RTT
 	// sampled over the transfer. No cell reads a Scale field.
-	fam := declare(sc, "table2", func(_ Scenario, out *Outcome) time.Duration {
+	fam := declare(p, "table2", func(_ Scenario, out *Outcome) time.Duration {
 		return out.LoadedRTT
 	}, func() []Scenario {
 		var cells []Scenario
@@ -79,14 +81,14 @@ func Table2(sc Scale) *Table2Result {
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, rtt time.Duration) {
+	fam.read(func(k int, rtt time.Duration) {
 		if k%2 == 0 {
 			res.WifiRTT[k/2] = rtt
 		} else {
 			res.LteRTT[k/2] = rtt
 		}
 	})
-	return res
+	return just(res)
 }
 
 // String renders the Table 2 rows.
@@ -116,13 +118,15 @@ type Table3Result struct {
 
 // Table3 counts window resets per scheduler in the 0.3 Mbps WiFi /
 // 8.6 Mbps LTE streaming runs Figure 14's heterogeneous panel reads.
-func Table3(sc Scale) *Table3Result {
+func Table3(sc Scale) *Table3Result { return alone(sc, planTable3) }
+
+func planTable3(p *Plan) func() *Table3Result {
 	res := &Table3Result{
 		Schedulers: paperSchedulers,
 		IWResets:   make([]int64, len(paperSchedulers)),
 	}
-	oooFamily(sc, 0.3, 8.6).run(sc, func(i int, cell oooCell) { res.IWResets[i] = cell.IWResets })
-	return res
+	oooFamily(p, 0.3, 8.6).read(func(i int, cell oooCell) { res.IWResets[i] = cell.IWResets })
+	return just(res)
 }
 
 // String renders the Table 3 rows.
@@ -146,14 +150,20 @@ type Table4Result struct {
 }
 
 // Table4 prints the means of Figure 23's distributions.
-func Table4(sc Scale) *Table4Result {
-	f := Figure23(sc)
-	mean := func(d distribution) time.Duration { return time.Duration(d.Mean() * float64(time.Second)) }
-	return &Table4Result{
-		DefaultCompletion: mean(f.Completion["minrtt"]),
-		ECFCompletion:     mean(f.Completion["ecf"]),
-		DefaultOOO:        mean(f.OOO["minrtt"]),
-		ECFOOO:            mean(f.OOO["ecf"]),
+func Table4(sc Scale) *Table4Result { return alone(sc, planTable4) }
+
+// planTable4 reads Figure 23's cells, planned on the same plan.
+func planTable4(p *Plan) func() *Table4Result {
+	figure23 := planFigure23(p)
+	return func() *Table4Result {
+		f := figure23()
+		mean := func(d distribution) time.Duration { return time.Duration(d.Mean() * float64(time.Second)) }
+		return &Table4Result{
+			DefaultCompletion: mean(f.Completion["minrtt"]),
+			ECFCompletion:     mean(f.Completion["ecf"]),
+			DefaultOOO:        mean(f.OOO["minrtt"]),
+			ECFOOO:            mean(f.OOO["ecf"]),
+		}
 	}
 }
 

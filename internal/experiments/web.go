@@ -61,7 +61,9 @@ type Figure18Result struct {
 
 // Figure18 sweeps wget completion times: WiFi fixed at 1 Mbps, LTE from
 // 1 to 10 Mbps, four sizes, four schedulers.
-func Figure18(sc Scale) *Figure18Result {
+func Figure18(sc Scale) *Figure18Result { return alone(sc, planFigure18) }
+
+func planFigure18(p *Plan) func() *Figure18Result {
 	res := &Figure18Result{
 		Sizes:         wgetSizes,
 		LteBandwidths: trace.WebBandwidthsMbps,
@@ -77,7 +79,7 @@ func Figure18(sc Scale) *Figure18Result {
 	// Cell record: the full completion-time summary (the figure prints
 	// the mean; the spread stays available to cache consumers).
 	nSch, nLte := len(res.Schedulers), len(res.LteBandwidths)
-	fam := declare(sc, "fig18", func(_ Scenario, out *Outcome) metrics.Summary {
+	fam := declare(p, "fig18", func(_ Scenario, out *Outcome) metrics.Summary {
 		return wgetSummary(out)
 	}, func() []Scenario {
 		var cells []Scenario
@@ -85,18 +87,18 @@ func Figure18(sc Scale) *Figure18Result {
 			for _, s := range res.Schedulers {
 				for li, lte := range res.LteBandwidths {
 					// (size, lte): scheduler-independent seeds.
-					cells = append(cells, wgetScenario(s, 1, lte, size, sc.WebRuns, "fig18", si*nLte+li))
+					cells = append(cells, wgetScenario(s, 1, lte, size, p.sc.WebRuns, "fig18", si*nLte+li))
 				}
 			}
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, sum metrics.Summary) {
+	fam.read(func(k int, sum metrics.Summary) {
 		size := res.Sizes[k/(nSch*nLte)]
 		s := res.Schedulers[k/nLte%nSch]
 		res.Mean[size][s][k%nLte] = sum.Mean
 	})
-	return res
+	return just(res)
 }
 
 // String renders one block per size.
@@ -127,7 +129,9 @@ type Figure19Result struct {
 }
 
 // Figure19 computes normalized completion-time ratios.
-func Figure19(sc Scale) *Figure19Result {
+func Figure19(sc Scale) *Figure19Result { return alone(sc, planFigure19) }
+
+func planFigure19(p *Plan) func() *Figure19Result {
 	res := &Figure19Result{Sizes: wgetSizes, Maps: make(map[int64]*metrics.Heatmap)}
 	labels := make([]string, len(trace.WebBandwidthsMbps))
 	for i, bw := range trace.WebBandwidthsMbps {
@@ -143,14 +147,14 @@ func Figure19(sc Scale) *Figure19Result {
 	// (paired runs) and keeps both summaries, so the normalization stays
 	// recomputable from cache.
 	nBW := len(trace.WebBandwidthsMbps)
-	fam := declare(sc, "fig19", func(s Scenario, out *Outcome) wgetPair {
+	fam := declare(p, "fig19", func(s Scenario, out *Outcome) wgetPair {
 		return wgetPair{Def: wgetSummary(out), ECF: wgetSummary(out.Versus)}
 	}, func() []Scenario {
 		var cells []Scenario
 		for _, size := range res.Sizes {
 			for _, wifi := range trace.WebBandwidthsMbps {
 				for _, lte := range trace.WebBandwidthsMbps {
-					s := wgetScenario("minrtt", wifi, lte, size, sc.WebRuns, "fig19", len(cells))
+					s := wgetScenario("minrtt", wifi, lte, size, p.sc.WebRuns, "fig19", len(cells))
 					s.Versus = "ecf"
 					cells = append(cells, s)
 				}
@@ -158,19 +162,19 @@ func Figure19(sc Scale) *Figure19Result {
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, p wgetPair) {
+	fam.read(func(k int, pair wgetPair) {
 		size := res.Sizes[k/(nBW*nBW)]
 		ratio := 1.0
-		diff := p.Def.Mean - p.ECF.Mean
-		band := p.Def.StdDev + p.ECF.StdDev
+		diff := pair.Def.Mean - pair.ECF.Mean
+		band := pair.Def.StdDev + pair.ECF.StdDev
 		if diff > band || diff < -band {
-			if p.Def.Mean > 0 {
-				ratio = p.ECF.Mean / p.Def.Mean
+			if pair.Def.Mean > 0 {
+				ratio = pair.ECF.Mean / pair.Def.Mean
 			}
 		}
 		res.Maps[size].Set(k%nBW, k/nBW%nBW, ratio)
 	})
-	return res
+	return just(res)
 }
 
 // wgetPair is the cached record of one Figure 19 cell: both schedulers'
@@ -262,9 +266,10 @@ type WebBrowsingResult struct {
 	OOO         map[string][]metrics.DelayDist // scheduler -> per-config OOO delays, runs pooled
 }
 
-// runWebBrowsing runs sc.WebRuns sessions per (scheduler, config) and
-// returns, scheduler-major, each pair's outcomes in run order.
-func runWebBrowsing(sc Scale, figure string) (*WebBrowsingResult, [][]*PageOutcome) {
+// planWebBrowsing reads the WebRuns sessions of every (scheduler,
+// config); its renderer hands fill, scheduler-major, each pair's
+// outcomes in run order.
+func planWebBrowsing(p *Plan, figure string, fill func(*WebBrowsingResult, [][]*PageOutcome)) func() *WebBrowsingResult {
 	res := &WebBrowsingResult{
 		Figure:     figure,
 		Configs:    figure20Configs,
@@ -275,9 +280,9 @@ func runWebBrowsing(sc Scale, figure string) (*WebBrowsingResult, [][]*PageOutco
 	// sequence regardless of worker count. Figures 20 and 21 read the
 	// same family. Seeds derive per (config, run), shared across
 	// schedulers (paired sessions).
-	nCfg, nRun := len(res.Configs), sc.WebRuns
+	nCfg, nRun := len(res.Configs), p.sc.WebRuns
 	outs := make([]*PageOutcome, len(res.Schedulers)*nCfg*nRun)
-	fam := declare(sc, "web-browsing", pageRecord, func() []Scenario {
+	fam := declare(p, "web-browsing", pageRecord, func() []Scenario {
 		var cells []Scenario
 		for _, s := range res.Schedulers {
 			for ci, cfg := range res.Configs {
@@ -288,47 +293,54 @@ func runWebBrowsing(sc Scale, figure string) (*WebBrowsingResult, [][]*PageOutco
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, out *PageOutcome) { outs[k] = out })
-	groups := make([][]*PageOutcome, len(res.Schedulers)*nCfg)
-	for k, out := range outs {
-		// A nil outcome is a cell outside this run's shard; the merge
-		// pass sees them all.
-		if out != nil {
-			groups[k/nRun] = append(groups[k/nRun], out)
+	fam.read(func(k int, out *PageOutcome) { outs[k] = out })
+	return func() *WebBrowsingResult {
+		groups := make([][]*PageOutcome, len(res.Schedulers)*nCfg)
+		for k, out := range outs {
+			// A nil outcome is a cell outside this run's shard; the
+			// merge pass sees them all.
+			if out != nil {
+				groups[k/nRun] = append(groups[k/nRun], out)
+			}
 		}
+		fill(res, groups)
+		return res
 	}
-	return res, groups
 }
 
 // Figure20 reports web object download completion-time CCDFs.
-func Figure20(sc Scale) *WebBrowsingResult {
-	r, groups := runWebBrowsing(sc, "Figure 20: Web Object Download Completion Time")
-	r.Completions = make(map[string][]*metrics.CDF)
-	for g, outs := range groups {
-		var comp []float64
-		for _, out := range outs {
-			comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
+func Figure20(sc Scale) *WebBrowsingResult { return alone(sc, planFigure20) }
+
+func planFigure20(p *Plan) func() *WebBrowsingResult {
+	return planWebBrowsing(p, "Figure 20: Web Object Download Completion Time", func(r *WebBrowsingResult, groups [][]*PageOutcome) {
+		r.Completions = make(map[string][]*metrics.CDF)
+		for g, outs := range groups {
+			var comp []float64
+			for _, out := range outs {
+				comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
+			}
+			s := r.Schedulers[g/len(r.Configs)]
+			r.Completions[s] = append(r.Completions[s], metrics.NewCDF(comp))
 		}
-		s := r.Schedulers[g/len(r.Configs)]
-		r.Completions[s] = append(r.Completions[s], metrics.NewCDF(comp))
-	}
-	return r
+	})
 }
 
 // Figure21 reports web browsing OOO-delay CCDFs (same runs, other
 // metric).
-func Figure21(sc Scale) *WebBrowsingResult {
-	r, groups := runWebBrowsing(sc, "Figure 21: Out-of-Order Delay - Web Browsing")
-	r.OOO = make(map[string][]metrics.DelayDist)
-	for g, outs := range groups {
-		ooo := make([]metrics.DelayDist, len(outs))
-		for i, out := range outs {
-			ooo[i] = out.OOODelays
+func Figure21(sc Scale) *WebBrowsingResult { return alone(sc, planFigure21) }
+
+func planFigure21(p *Plan) func() *WebBrowsingResult {
+	return planWebBrowsing(p, "Figure 21: Out-of-Order Delay - Web Browsing", func(r *WebBrowsingResult, groups [][]*PageOutcome) {
+		r.OOO = make(map[string][]metrics.DelayDist)
+		for g, outs := range groups {
+			ooo := make([]metrics.DelayDist, len(outs))
+			for i, out := range outs {
+				ooo[i] = out.OOODelays
+			}
+			s := r.Schedulers[g/len(r.Configs)]
+			r.OOO[s] = append(r.OOO[s], metrics.MergeDelayDists(ooo...))
 		}
-		s := r.Schedulers[g/len(r.Configs)]
-		r.OOO[s] = append(r.OOO[s], metrics.MergeDelayDists(ooo...))
-	}
-	return r
+	})
 }
 
 // distribution is what a quantile table reads: a CDF or a DelayDist.

@@ -178,17 +178,19 @@ func TestWebFamiliesEventsPerPacketCeiling(t *testing.T) {
 	}
 	const ceiling = 1.5
 	for _, name := range []string{"fig18", "fig19", "fig23"} {
-		fam, ok := ByName(name)
+		e, ok := ByName(name)
 		if !ok {
 			t.Fatalf("%s is not in the catalog", name)
 		}
 		p0, c0 := sim.TotalEvents()
 		d0 := netsim.TotalDelivered()
-		fam.Run(Quick)
+		if err := NewPlan(Quick, e).Run(0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 		p1, c1 := sim.TotalEvents()
 		events, pkts := (p1-p0)+(c1-c0), netsim.TotalDelivered()-d0
 		if pkts == 0 || float64(events)/float64(pkts) > ceiling {
-			t.Errorf("%s: %d events for %d delivered packets = %.2f events/pkt, ceiling %.1f", fam.Name, events, pkts, float64(events)/float64(pkts), ceiling)
+			t.Errorf("%s: %d events for %d delivered packets = %.2f events/pkt, ceiling %.1f", e.Name, events, pkts, float64(events)/float64(pkts), ceiling)
 		}
 	}
 }

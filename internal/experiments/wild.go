@@ -32,7 +32,9 @@ func wildJitter(run trace.WildRun, until time.Duration) [2]Jitter {
 
 // Figure22 runs the nine wild streaming configurations under both
 // schedulers — 18 independent sessions fanned across the worker pool.
-func Figure22(sc Scale) *Figure22Result {
+func Figure22(sc Scale) *Figure22Result { return alone(sc, planFigure22) }
+
+func planFigure22(p *Plan) func() *Figure22Result {
 	runs := trace.WildStreamingRuns()
 	res := &Figure22Result{
 		Runs:    runs,
@@ -50,28 +52,28 @@ func Figure22(sc Scale) *Figure22Result {
 	// average throughput. Seeds are part of the wild run definitions
 	// (trace.WildStreamingRuns), fixed topology data rather than per-cell
 	// derivations.
-	fam := declare(sc, "fig22", func(_ Scenario, out *Outcome) float64 {
+	fam := declare(p, "fig22", func(_ Scenario, out *Outcome) float64 {
 		return out.Result.AvgThroughputMbps()
 	}, func() []Scenario {
 		var cells []Scenario
 		for _, run := range runs {
 			for _, sched := range []string{"minrtt", "ecf"} {
-				s := Streaming(0, 0, sched, sc.VideoSec)
+				s := Streaming(0, 0, sched, p.sc.VideoSec)
 				s.Paths = [2]core.PathSpec(run.Paths())
-				s.Jitter = wildJitter(run, seconds(sc.VideoSec*12))
+				s.Jitter = wildJitter(run, seconds(p.sc.VideoSec*12))
 				cells = append(cells, s)
 			}
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, mbps float64) {
+	fam.read(func(k int, mbps float64) {
 		if k%2 == 0 {
 			res.Default[k/2] = mbps
 		} else {
 			res.ECF[k/2] = mbps
 		}
 	})
-	return res
+	return just(res)
 }
 
 // MeanThroughput returns the across-run averages (paper: default 6.72,
@@ -119,18 +121,20 @@ type Figure23Result struct {
 
 // Figure23 fetches the CNN-like page over wild paths for both schedulers
 // across sc.WildWebRuns runs.
-func Figure23(sc Scale) *Figure23Result {
+func Figure23(sc Scale) *Figure23Result { return alone(sc, planFigure23) }
+
+func planFigure23(p *Plan) func() *Figure23Result {
 	res := &Figure23Result{
 		Schedulers: []string{"minrtt", "ecf"},
 		Completion: make(map[string]*metrics.CDF),
 		OOO:        make(map[string]metrics.DelayDist),
 	}
-	runs := trace.WildWebRuns(sc.WildWebRuns)
+	runs := trace.WildWebRuns(p.sc.WildWebRuns)
 	// One cell per (scheduler, run) page fetch over the run's paths;
 	// aggregation walks the outcomes in index order afterwards. Table 4
 	// reads the same family.
 	outs := make([]*PageOutcome, len(res.Schedulers)*len(runs))
-	fam := declare(sc, "fig23", pageRecord, func() []Scenario {
+	fam := declare(p, "fig23", pageRecord, func() []Scenario {
 		var cells []Scenario
 		for _, sched := range res.Schedulers {
 			for _, run := range runs {
@@ -139,24 +143,26 @@ func Figure23(sc Scale) *Figure23Result {
 		}
 		return cells
 	})
-	fam.run(sc, func(k int, out *PageOutcome) { outs[k] = out })
-	for si, s := range res.Schedulers {
-		var comp []float64
-		var ooo []metrics.DelayDist
-		for ri := range runs {
-			out := outs[si*len(runs)+ri]
-			if out == nil {
-				// Cell outside this run's shard; the merge pass sees
-				// them all.
-				continue
+	fam.read(func(k int, out *PageOutcome) { outs[k] = out })
+	return func() *Figure23Result {
+		for si, s := range res.Schedulers {
+			var comp []float64
+			var ooo []metrics.DelayDist
+			for ri := range runs {
+				out := outs[si*len(runs)+ri]
+				if out == nil {
+					// Cell outside this run's shard; the merge pass
+					// sees them all.
+					continue
+				}
+				comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
+				ooo = append(ooo, out.OOODelays)
 			}
-			comp = append(comp, metrics.DurationsToSeconds(out.Completions)...)
-			ooo = append(ooo, out.OOODelays)
+			res.Completion[s] = metrics.NewCDF(comp)
+			res.OOO[s] = metrics.MergeDelayDists(ooo...)
 		}
-		res.Completion[s] = metrics.NewCDF(comp)
-		res.OOO[s] = metrics.MergeDelayDists(ooo...)
+		return res
 	}
-	return res
 }
 
 // wildPageScenario fetches the page once over one §6.3 run's paths. The

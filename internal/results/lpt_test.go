@@ -39,7 +39,7 @@ func TestBatchRunDispatchesExpensiveFirst(t *testing.T) {
 		wantPlan []int
 	}{
 		{"costed only", 0, []int{1, 3, 4, 0, 2}},
-		// Jobs 0..2 are the cost-less Add, 3..7 the costed cells: the
+		// Jobs 0..2 are the cost-less cells, 3..7 the costed ones: the
 		// costed ones lead, the plain ones keep their own order behind.
 		{"cost-less Add mixed in", 3, []int{4, 6, 7, 3, 5, 0, 1, 2}},
 	} {
@@ -48,7 +48,7 @@ func TestBatchRunDispatchesExpensiveFirst(t *testing.T) {
 			n := tc.plainN + len(costs)
 			out := make([]rec, n)
 			b := NewBatch(runner.New(1), nil)
-			Add(b, Spec{Experiment: "unit/plain", Schema: 1, Scale: "s"}, tc.plainN,
+			addAll(b, Spec{Experiment: "unit/plain", Schema: 1, Scale: "s"}, tc.plainN,
 				func(i int) rec { ran = append(ran, i); return rec{Cell: i} },
 				func(i int, v rec) { out[i] = v })
 			for i, c := range costs {

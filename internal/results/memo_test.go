@@ -2,46 +2,25 @@ package results
 
 import (
 	"context"
-	"errors"
-	"sync"
+	"os"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/runner"
 )
 
-// The session's in-run record tier: every distinct key is produced at
-// most once per session however many requesters there are, and a
-// producer that fails leaves nothing behind.
+// The session's record tier: a batch schedules each distinct key once
+// however many collectors registered it, the memo serves the session's
+// later batches, and a producer that fails leaves nothing behind.
 
 func TestMemoSameKeyTwiceInOneBatchComputesOnce(t *testing.T) {
 	const n = 4
-	// Each cell's compute holds until the key's second requester has
-	// passed the lease gate, so both requesters of every key are inside
-	// the session at once: one owns the slot, the other finds it owned.
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	both := make([]chan struct{}, n)
-	for i := range both {
-		both[i] = make(chan struct{})
-	}
-	s := &Session{Claims: func(k Key) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[k.Cell]++; seen[k.Cell] == 2 {
-			close(both[k.Cell])
-		}
-		return true
-	}}
+	s := &Session{}
 	var computes atomic.Int64
-	compute := func(i int) rec {
-		<-both[i]
-		return computeRec(&computes)(i)
-	}
 	first, second := make([]rec, n), make([]rec, n)
 	b := NewBatch(runner.New(8), s)
-	Add(b, spec(), n, compute, collectInto(first))
-	Add(b, spec(), n, compute, collectInto(second))
+	addAll(b, spec(), n, computeRec(&computes), collectInto(first))
+	addAll(b, spec(), n, computeRec(&computes), collectInto(second))
 	if err := b.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +32,10 @@ func TestMemoSameKeyTwiceInOneBatchComputesOnce(t *testing.T) {
 			t.Fatalf("cell %d collected %+v and %+v", i, first[i], second[i])
 		}
 	}
-	if h, c := s.Stats(); h != n || c != n || s.MemoryHits() != n {
-		t.Fatalf("stats = %d hits (%d from memory), %d computed; want %d, %d, %d", h, s.MemoryHits(), c, n, n, n)
+	// One job per key: the second registration is a second collector,
+	// not a second read.
+	if h, c := s.Stats(); h != 0 || c != n {
+		t.Fatalf("stats = %d hits, %d computed; want 0, %d", h, c, n)
 	}
 }
 
@@ -71,15 +52,16 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	if computes.Load() != n {
 		t.Fatalf("computed %d times, want %d", computes.Load(), n)
 	}
-	if h, c := s.Stats(); h != n || c != n || s.MemoryHits() != n {
-		t.Fatalf("stats = %d hits (%d from memory), %d computed; want %d, %d, %d", h, s.MemoryHits(), c, n, n, n)
+	if h, c := s.Stats(); h != n || c != n {
+		t.Fatalf("stats = %d hits, %d computed; want %d, %d", h, c, n, n)
 	}
 	for i := range first {
 		if first[i].Cell != i || first[i] != second[i] {
 			t.Fatalf("cell %d collected %+v then %+v", i, first[i], second[i])
 		}
 	}
-	// A store hit is remembered too: the second read comes from memory.
+	// A store hit is remembered too: the second read comes from memory,
+	// so it hits with the store emptied in between.
 	dir := t.TempDir()
 	if err := runSpec(runner.New(1), &Session{Store: openStore(t, dir)}, spec(), n, computeRec(&computes), collectInto(first)); err != nil {
 		t.Fatal(err)
@@ -89,55 +71,12 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 		if err := runSpec(runner.New(3), warm, spec(), n, computeRec(&computes), collectInto(second)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if h, c := warm.Stats(); h != 2*n || c != 0 || warm.MemoryHits() != n {
-		t.Fatalf("warm stats = %d hits (%d from memory), %d computed; want %d, %d, 0", h, warm.MemoryHits(), c, 2*n, n)
-	}
-}
-
-func TestMemoFailedOwnerHandsTheKeyToItsWaiter(t *testing.T) {
-	// The same key twice on two workers, both held at the lease gate
-	// until the other has arrived: whichever then owns the slot fails
-	// its compute; the other must find the key free again (woken from
-	// its wait, or arriving after the release) and compute it itself.
-	var arrivals, calls atomic.Int64
-	bothIn := make(chan struct{})
-	compute := func(i int) rec {
-		if calls.Add(1) == 1 {
-			panic(&CellError{Err: errors.New("first try failed")})
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
 		}
-		return rec{Cell: i, Label: "second try"}
 	}
-	s := &Session{Claims: func(Key) bool {
-		if arrivals.Add(1) == 2 {
-			close(bothIn)
-		}
-		<-bothIn
-		return true
-	}}
-	got := make([]rec, 2)
-	b := NewBatch(runner.New(2), s)
-	for slot := range got {
-		slot := slot
-		Add(b, spec(), 1, compute, func(_ int, v rec) { got[slot] = v })
-	}
-	err := b.Run(context.Background())
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Key != spec().Key(0) {
-		t.Fatalf("Run = %v, want the owner's *CellError naming cell 0", err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("compute ran %d times, want 2 (the failed owner's and the waiter's own)", calls.Load())
-	}
-	if (got[0].Label == "second try") == (got[1].Label == "second try") {
-		t.Fatalf("collected %+v: want exactly the waiter's record", got)
-	}
-	// And the record it produced is what the session remembers.
-	if err := runSpec(runner.New(1), s, spec(), 1, compute, collectInto(got)); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2 || s.MemoryHits() != 1 {
-		t.Fatalf("after the takeover: %d computes, %d memory hits; want 2, 1", calls.Load(), s.MemoryHits())
+	if h, c := warm.Stats(); h != 2*n || c != 0 {
+		t.Fatalf("warm stats = %d hits, %d computed; want %d, 0", h, c, 2*n)
 	}
 }
 
@@ -205,7 +144,7 @@ func TestMemoHitIsUploadedLikeAStoreHit(t *testing.T) {
 			t.Fatalf("pass %d: sink saw %d Puts, want %d (served records upload too)", pass, sink.puts, pass*n)
 		}
 	}
-	if computes.Load() != n || s.MemoryHits() != n {
-		t.Fatalf("%d computes, %d memory hits; want %d, %d", computes.Load(), s.MemoryHits(), n, n)
+	if h, _ := s.Stats(); computes.Load() != n || h != n {
+		t.Fatalf("%d computes, %d memory hits; want %d, %d", computes.Load(), h, n, n)
 	}
 }

@@ -3,7 +3,6 @@ package results
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -227,30 +226,5 @@ func TestPruneLeavesUnreadableFilesInPlace(t *testing.T) {
 	}
 	if _, err := os.Stat(trunc); err != nil {
 		t.Fatalf("unreadable file was removed: %v", err)
-	}
-}
-
-func TestEnumerateSessionRecordsGroupsWithoutComputing(t *testing.T) {
-	computed := 0
-	spec := Spec{Experiment: "e", Schema: 3, Scale: "v60"}
-	other := Spec{Experiment: "d", Schema: 1, Scale: "v60"}
-	var memo int
-	fams := Families(func(ses *Session) {
-		for _, i := range []int{0, 4, 2} {
-			if err := runCell(ses, spec, i, func(int) int { computed++; return 0 }, func(int, int) { computed++ }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := runCell(ses, other, 0, func(int) int { computed++; return 0 }, func(int, int) { computed++ }); err != nil {
-			t.Fatal(err)
-		}
-		memo = len(ses.memo)
-	})
-	if computed != 0 || memo != 0 {
-		t.Fatalf("enumeration executed compute/collect %d times and left %d memo slots", computed, memo)
-	}
-	want := []CellFamily{{Spec: other, Cells: 1}, {Spec: spec, Cells: 5}}
-	if !reflect.DeepEqual(fams, want) {
-		t.Fatalf("Families = %+v, want %+v", fams, want)
 	}
 }

@@ -9,7 +9,8 @@ import (
 // compute through every combination of Merge, the Claims gate (nil,
 // claiming, refusing), and where the cell's record is (the memo, the
 // store, nowhere). Each row names the outcome — skip, serve + upload,
-// note a miss, or compute — and whether the memo gained a slot. A
+// note a miss, or compute — and whether the memo gained a record: a
+// store hit does, and a compute gains its record only once it has one. A
 // traced cell never reaches resolve (experiments.Trace runs its scenario
 // outside any session), so every row's name reads traced=false.
 func TestResolveDecisionTable(t *testing.T) {
@@ -29,10 +30,10 @@ func TestResolveDecisionTable(t *testing.T) {
 	}{
 		{false, "nil", "memo", serve, false},
 		{false, "nil", "store", serve, true},
-		{false, "nil", "none", compute, true},
+		{false, "nil", "none", compute, false},
 		{false, "true", "memo", serve, false},
 		{false, "true", "store", serve, true},
-		{false, "true", "none", compute, true},
+		{false, "true", "none", compute, false},
 		{false, "false", "memo", skip, false},
 		{false, "false", "store", skip, false},
 		{false, "false", "none", skip, false},
@@ -55,8 +56,7 @@ func TestResolveDecisionTable(t *testing.T) {
 			s := &Session{Store: openStore(t, t.TempDir()), Merge: tc.merge, Sink: sink}
 			switch tc.source {
 			case "memo":
-				_, own := lookup[rec](s, k)
-				own.fill(stored)
+				s.remember(k, stored)
 			case "store":
 				if err := s.Store.Put(k, stored); err != nil {
 					t.Fatal(err)
@@ -71,12 +71,9 @@ func TestResolveDecisionTable(t *testing.T) {
 			slots := len(s.memo)
 
 			var collected []rec
-			own, done, err := resolve(s, k, 0, func(_ int, v rec) { collected = append(collected, v) })
+			done, err := resolve(s, k, 0, func(_ int, v rec) { collected = append(collected, v) })
 			if err != nil {
 				t.Fatal(err)
-			}
-			if own != nil {
-				defer own.release()
 			}
 			var got outcome
 			switch {
@@ -95,10 +92,7 @@ func TestResolveDecisionTable(t *testing.T) {
 				t.Errorf("outcome = %s, want %s", got, tc.want)
 			}
 			if gained := len(s.memo) > slots; gained != tc.slot {
-				t.Errorf("memo gained a slot = %v, want %v", gained, tc.slot)
-			}
-			if got == compute && own == nil {
-				t.Error("compute owns no slot")
+				t.Errorf("memo gained a record = %v, want %v", gained, tc.slot)
 			}
 		})
 	}

@@ -10,27 +10,28 @@
 //     what the family's cells simulate, and the record format's
 //     version), with atomic writes and corruption-tolerant reads
 //     (Store), and
-//   - a cell execution layer: Batch+Add execute specs' cells
-//     through a runner.Pool, serving each cell from the run's own
-//     records or the store when a record exists and
-//     computing-then-persisting it when not, so caching and sharding
-//     apply uniformly to every driver rather than per-driver.
+//   - a cell execution layer: Batch and AddCell execute specs' cells
+//     through a runner.Pool, each key once however many collectors
+//     registered it, serving each cell from the session's records or
+//     the store when a record exists and computing-then-persisting it
+//     when not, so caching and sharding apply uniformly to every
+//     driver rather than per-driver.
 //
 // A Session carries the per-invocation policy in four fields: Store
 // (where records persist), Merge (serve every cell from the store,
 // simulate nothing, and note each miss), Claims (which cells this run
 // touches at all) and Sink (where served and computed records are also
-// uploaded). Claims is the one per-cell skip gate, and three callers
-// build it: a -shard i/n pass claims the cells with index%n == i, a
-// join-mode worker claims its leases, and Families claims nothing while
-// noting every key, which enumerates a run's cells without reading or
-// computing any. A session also remembers, for as long as it lives,
-// every record it has served or computed, keyed like the store: a
-// cell's record is sourced in the order memo, store, compute, so within
-// one run every distinct cell is simulated — or read from disk and
-// decoded — at most once, however many drivers render it, with or
-// without a store. That order has no exception: tracing a cell runs its
-// scenario outside any session (experiments.Trace). Splitting a sweep across machines is then
+// uploaded). Claims is the one per-cell skip gate, and two callers
+// build it: a -shard i/n pass claims the cells with index%n == i, and a
+// join-mode worker claims its leases. A session also remembers, for as
+// long as it lives, every record it has served or computed, keyed like
+// the store: a cell's record is sourced in the order memo, store,
+// compute. A run plans all its cells onto one batch, so within it each
+// distinct cell is simulated — or read from disk and decoded — once,
+// with or without a store; the memo serves the batches a session runs
+// after that one. That order has no exception: tracing a cell runs its
+// scenario outside any session (experiments.Trace). Splitting a sweep
+// across machines is then
 //
 //	host-a$ ecfbench -exp all -cache-dir cache -shard 0/2
 //	host-b$ ecfbench -exp all -cache-dir cache -shard 1/2
@@ -108,8 +109,8 @@ type Spec struct {
 	Scale string
 }
 
-// key builds the store key for one cell of the spec.
-func (s Spec) key(cell int) Key {
+// Key builds the store key for one cell of the spec.
+func (s Spec) Key(cell int) Key {
 	return Key{Experiment: s.Experiment, Cell: cell, Schema: s.Schema, Scale: s.Scale}
 }
 
@@ -177,9 +178,9 @@ type Sink interface {
 // driver of one run, the run's in-memory record tier, and the
 // hit/computed counters the harness reports. The zero value computes
 // each distinct cell once in-process with no persistence; a nil
-// *Session computes every cell every time it is asked for. Counters and
-// the memo are safe for concurrent use. A Session must not be copied
-// after first use.
+// *Session computes each cell of every batch and remembers nothing.
+// Counters and the memo are safe for concurrent use. A Session must not
+// be copied after first use.
 type Session struct {
 	// Store persists cell records; nil disables persistence (records
 	// are still shared within the run).
@@ -194,25 +195,23 @@ type Session struct {
 	Merge bool
 	// Claims, when non-nil, is the one per-cell skip gate: a cell it
 	// reports false for is skipped before anything else — no memo or
-	// store read, no compute, no collect. A shard pass, a join-mode
-	// worker's leases and Families' enumeration are all Claims
-	// predicates. It is consulted again between compute and upload, so a
-	// lease lost mid-pass stops claiming new cells immediately. Must be
-	// safe for concurrent use.
+	// store read, no compute, no collect. A shard pass and a join-mode
+	// worker's leases are Claims predicates. It is consulted again
+	// between compute and upload, so a lease lost mid-pass stops
+	// claiming new cells immediately. Must be safe for concurrent use.
 	Claims func(Key) bool
 	// Sink, when non-nil, additionally receives every record the
 	// session serves or computes (after Store persistence) — the
 	// join-mode upload path. A Sink error fails the cell.
 	Sink Sink
 
-	memoHits  atomic.Int64
-	storeHits atomic.Int64
-	computed  atomic.Int64
+	hits     atomic.Int64
+	computed atomic.Int64
 
-	// memo is the run-scoped record tier: one slot per key served or
-	// computed so far, or being produced right now (see lookup).
+	// memo is the session's record tier: every record served or
+	// computed so far, by key (see lookup).
 	memoMu sync.Mutex
-	memo   map[Key]*memoSlot
+	memo   map[Key]any
 
 	durMu    sync.Mutex
 	cellDurs []time.Duration
@@ -253,42 +252,6 @@ func (s *Session) MissingCells() []Key {
 	return out
 }
 
-// CellFamily pairs one spec with its cell count — one entry of the
-// enumerated work list a sweep coordinator hands out as leases.
-type CellFamily struct {
-	Spec  Spec
-	Cells int
-}
-
-// Families runs pass under a session whose Claims gate notes every
-// cell's key and claims none, so nothing is read, computed or collected,
-// and returns one (spec, cell count) entry per family pass asked for,
-// sorted by (experiment, scale, schema); a family's count is its highest
-// cell index plus one. Expanding each family's cells 0..Cells-1 through
-// Spec.Key yields the complete, stable cell work list of pass.
-func Families(pass func(*Session)) []CellFamily {
-	var mu sync.Mutex
-	cells := make(map[Spec]int)
-	pass(&Session{Claims: func(k Key) bool {
-		spec := k.spec()
-		mu.Lock()
-		cells[spec] = max(cells[spec], k.Cell+1)
-		mu.Unlock()
-		return false
-	}})
-	out := make([]CellFamily, 0, len(cells))
-	for spec, n := range cells {
-		out = append(out, CellFamily{Spec: spec, Cells: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.less(out[j].Spec) })
-	return out
-}
-
-// Key builds the store key for one cell of the spec — the exported
-// form of the internal key derivation, for coordinators enumerating
-// work lists.
-func (s Spec) Key(cell int) Key { return s.key(cell) }
-
 // noteDuration records one computed cell's wall clock.
 func (s *Session) noteDuration(d time.Duration) {
 	s.durMu.Lock()
@@ -296,39 +259,27 @@ func (s *Session) noteDuration(d time.Duration) {
 	s.durMu.Unlock()
 }
 
-// TakeCellDurations drains the wall-clock samples of every cell
-// computed since the last call — the per-experiment collection point
-// for the run report's cell-duration percentiles. Cache hits record
-// nothing, so the sample population (though not the values) is
-// independent of worker count.
-func (s *Session) TakeCellDurations() []time.Duration {
+// CellDurations returns the wall-clock samples of every cell the
+// session has computed — the run report's cell-duration percentiles.
+// Cache hits record nothing, so the sample population (though not the
+// values) is independent of worker count.
+func (s *Session) CellDurations() []time.Duration {
 	if s == nil {
 		return nil
 	}
 	s.durMu.Lock()
 	defer s.durMu.Unlock()
-	out := s.cellDurs
-	s.cellDurs = nil
-	return out
+	return append([]time.Duration(nil), s.cellDurs...)
 }
 
 // Stats returns how many cells were served without simulating — from
-// the run's in-memory records or from the store — and how many were
-// simulated, since the session was created.
+// the session's memo or from the store — and how many were simulated,
+// since the session was created.
 func (s *Session) Stats() (hits, computed int64) {
 	if s == nil {
 		return 0, 0
 	}
-	return s.memoHits.Load() + s.storeHits.Load(), s.computed.Load()
-}
-
-// MemoryHits returns how many of Stats' hits were served from the run's
-// in-memory records; the rest were read from the store.
-func (s *Session) MemoryHits() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.memoHits.Load()
+	return s.hits.Load(), s.computed.Load()
 }
 
 // CellError reports a cell that cannot produce a record, for a reason

@@ -43,11 +43,18 @@ func openStore(t *testing.T, dir string) *Store {
 
 func spec() Spec { return Spec{Experiment: "unit/alpha", Schema: 1, Scale: "s1"} }
 
+// addAll registers cells 0..n-1 of spec on b.
+func addAll[T any](b *Batch, spec Spec, n int, compute func(int) T, collect func(int, T)) {
+	for i := 0; i < n; i++ {
+		AddCell(b, spec, i, 0, compute, collect)
+	}
+}
+
 // runSpec executes one spec's n cells through pool under s on a batch
 // of their own.
 func runSpec[T any](pool runner.Pool, s *Session, spec Spec, n int, compute func(int) T, collect func(int, T)) error {
 	b := NewBatch(pool, s)
-	Add(b, spec, n, compute, collect)
+	addAll(b, spec, n, compute, collect)
 	return b.Run(context.Background())
 }
 
@@ -280,8 +287,8 @@ func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	b := make([]rec, 3)
 	s := &Session{Store: openStore(t, dir)}
 	batch := NewBatch(pool, s)
-	Add(batch, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(a))
-	Add(batch, Spec{Experiment: "unit/b", Schema: 1, Scale: "s"}, len(b), computeRec(&computes), collectInto(b))
+	addAll(batch, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(a))
+	addAll(batch, Spec{Experiment: "unit/b", Schema: 1, Scale: "s"}, len(b), computeRec(&computes), collectInto(b))
 	if err := batch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,17 @@ import (
 )
 
 // Batch accumulates cells from one or more specs and executes them all
-// through a single worker pool, so nested sweeps (Figure 9's four
-// grids, Figure 14's two panels) saturate the pool instead of draining
-// it once per sub-sweep. Cells are independent jobs under the runner
-// contract: compute must derive everything from the cell index, and
-// collect must write into pre-sized storage (distinct cells may be
-// collected concurrently, in any order).
+// through a single worker pool, each key once: a run plans every cell
+// its experiments read onto one batch, so the pool sees the whole
+// matrix and no cell is scheduled twice. Cells are independent jobs
+// under the runner contract: compute must derive everything from the
+// cell index, and collect must write into pre-sized storage (distinct
+// cells may be collected concurrently, in any order).
 type Batch struct {
 	pool    runner.Pool
 	session *Session
-	jobs    []func() error
+	jobs    []job
+	byKey   map[Key]job
 	// costs holds one relative cost estimate per job (0 = unknown).
 	// When any job declared a cost, Run dispatches in descending cost
 	// order (longest-processing-time): starting the expensive cells
@@ -28,141 +29,125 @@ type Batch struct {
 	costs []float64
 }
 
+// job is one key's cell on a batch, whatever its record type.
+type job interface {
+	run(s *Session) error
+}
+
+// cellJob is a key's cell and every collector registered for it.
+type cellJob[T any] struct {
+	spec     Spec
+	i        int
+	compute  func(int) T
+	collects []func(int, T)
+}
+
+func (j *cellJob[T]) run(s *Session) error {
+	return runCell(s, j.spec, j.i, j.compute, func(i int, v T) {
+		for _, collect := range j.collects {
+			collect(i, v)
+		}
+	})
+}
+
 // NewBatch returns an empty batch executing on pool under session's
 // policy (session may be nil: compute everything).
 func NewBatch(pool runner.Pool, session *Session) *Batch {
-	return &Batch{pool: pool, session: session}
+	return &Batch{pool: pool, session: session, byKey: make(map[Key]job)}
 }
 
-// Add registers the n cells of one spec. compute(i) produces cell i's
-// record — a JSON-serializable value under the package's determinism
-// contract — and
-// collect(i, v) stores it into the caller's result structure. When the
-// batch runs, each cell is served from the session's in-run records or
-// its store when a record exists, computed and persisted when not,
-// skipped when the session's Claims gate refuses it, and in merge mode
-// never computed (a missing record is noted in MissingCells).
+// AddCell registers cell i of spec. compute(i) produces its record — a
+// JSON-serializable value under the package's determinism contract —
+// and collect(i, v) stores it into the caller's result structure. When
+// the batch runs, the cell is served from the session's records or its
+// store when a record exists, computed and persisted when not, skipped
+// when the session's Claims gate refuses it, and in merge mode never
+// computed (a missing record is noted in MissingCells). cost estimates
+// the cell's relative compute expense for longest-processing-time
+// dispatch (see Batch): only the ordering matters, and zero declares
+// none.
 //
-// The record handed to collect is shared: the session keeps it, and
-// every other collector of the same key in this run receives the very
-// same value. collect, and whatever later renders the collected
-// structure, must treat it as read-only; a collector that needs to
-// change a slice, map or pointee copies it first.
-func Add[T any](b *Batch, spec Spec, n int, compute func(i int) T, collect func(i int, v T)) {
-	for i := 0; i < n; i++ {
-		AddCell(b, spec, i, 0, compute, collect)
-	}
-}
-
-// AddCell registers cell i of spec alone, as Add does each of its cells —
-// for a driver that reads only some cells of a family — with a dispatch
-// hint: cost estimates the cell's relative compute expense for
-// longest-processing-time dispatch (see Batch). Any positive unit works;
-// only the ordering matters, and zero declares none.
+// A key the batch already holds gains collect as one more collector of
+// its one job, which keeps the first registration's compute and cost:
+// the key is the record's whole identity, record type included. So the
+// record handed to collect is shared: every collector of the key
+// receives the very same value, and the session keeps it. collect, and
+// whatever later renders the collected structure, must treat it as
+// read-only; a collector that needs to change a slice, map or pointee
+// copies it first.
 func AddCell[T any](b *Batch, spec Spec, i int, cost float64, compute func(i int) T, collect func(i int, v T)) {
-	s := b.session
-	b.jobs = append(b.jobs, func() error { return runCell(s, spec, i, compute, collect) })
-	b.costs = append(b.costs, cost)
-}
-
-// memoSlot is one key's entry in a session's in-run record tier. The
-// goroutine that created it owns it until it calls fill or release;
-// every other requester of the key waits on ready.
-type memoSlot struct {
-	s        *Session
-	k        Key
-	ready    chan struct{} // closed by fill and by release
-	v        any           // the record; written before ready closes
-	filled   bool          // written before ready closes
-	released bool          // owner-side only
-}
-
-// fill publishes the record and wakes the key's waiters.
-func (m *memoSlot) fill(v any) {
-	m.v, m.filled = v, true
-	close(m.ready)
-}
-
-// release gives an unfilled slot up — a compute that failed or
-// panicked, a merge miss: the key leaves the memo, and a
-// waiter that wakes to the empty slot looks the key up afresh and
-// becomes its next owner. A no-op once the slot is filled.
-func (m *memoSlot) release() {
-	if m.filled || m.released {
+	k := spec.Key(i)
+	if j, ok := b.byKey[k]; ok {
+		c := j.(*cellJob[T])
+		c.collects = append(c.collects, collect)
 		return
 	}
-	m.released = true
-	m.s.memoMu.Lock()
-	delete(m.s.memo, m.k)
-	m.s.memoMu.Unlock()
-	close(m.ready)
+	j := &cellJob[T]{spec: spec, i: i, compute: compute, collects: []func(int, T){collect}}
+	b.byKey[k] = j
+	b.jobs = append(b.jobs, j)
+	b.costs = append(b.costs, cost)
 }
 
 // lookup is the one way a session sources an existing record: the
 // run's memo first, then the store, whose record the memo keeps for the
-// key's next requester. With neither, the caller becomes the key's
-// owner: own is non-nil, and the caller must produce the record and
-// fill own, or release it. A requester that finds the key owned by
-// another goroutine waits for that one's record instead of producing a
-// second.
-func lookup[T any](s *Session, k Key) (v T, own *memoSlot) {
-	for {
-		s.memoMu.Lock()
-		slot := s.memo[k]
-		if slot == nil {
-			slot = &memoSlot{s: s, k: k, ready: make(chan struct{})}
-			if s.memo == nil {
-				s.memo = make(map[Key]*memoSlot)
-			}
-			s.memo[k] = slot
-			s.memoMu.Unlock()
-			if s.Store != nil && s.Store.Get(k, &v) {
-				s.storeHits.Add(1)
-				slot.fill(v)
-				return v, nil
-			}
-			return v, slot
-		}
-		s.memoMu.Unlock()
-		<-slot.ready
-		if slot.filled {
-			s.memoHits.Add(1)
-			return slot.v.(T), nil
-		}
+// key's next batch. ok is false when neither holds one.
+func lookup[T any](s *Session, k Key) (v T, ok bool) {
+	s.memoMu.Lock()
+	m, ok := s.memo[k]
+	s.memoMu.Unlock()
+	if ok {
+		s.hits.Add(1)
+		return m.(T), true
 	}
+	if s.Store != nil && s.Store.Get(k, &v) {
+		s.hits.Add(1)
+		s.remember(k, v)
+		return v, true
+	}
+	return v, false
+}
+
+// remember keeps a served or computed record for the session's later
+// batches.
+func (s *Session) remember(k Key, v any) {
+	s.memoMu.Lock()
+	if s.memo == nil {
+		s.memo = make(map[Key]any)
+	}
+	s.memo[k] = v
+	s.memoMu.Unlock()
 }
 
 // resolve takes one cell as far as it goes without simulating — the
 // per-cell decision in front of compute. It reports done when nothing is
 // left to do: the Claims gate skipped the cell, or its record was served
 // (uploaded and collected), or it is a merge miss (noted). Otherwise the
-// caller must compute the cell and fill own, or release it.
-func resolve[T any](s *Session, k Key, i int, collect func(int, T)) (own *memoSlot, done bool, err error) {
+// caller must compute the cell.
+func resolve[T any](s *Session, k Key, i int, collect func(int, T)) (done bool, err error) {
 	if s.Claims != nil && !s.Claims(k) {
-		return nil, true, nil
+		return true, nil
 	}
-	v, own := lookup[T](s, k)
-	if own == nil {
+	if v, ok := lookup[T](s, k); ok {
 		if err := s.upload(k, v); err != nil {
-			return nil, true, err
+			return true, err
 		}
 		collect(i, v)
-		return nil, true, nil
+		return true, nil
 	}
 	if s.Merge {
-		own.release()
 		s.noteMissing(k)
-		return nil, true, nil
+		return true, nil
 	}
-	return own, false, nil
+	return false, nil
 }
 
 // runCell executes one cell under the session policy, computing on the
 // calling goroutine. A *CellError panic — the compute's report that the
 // cell cannot produce a record — comes back as that error, naming the
-// cell; any other panic propagates under the runner contract.
+// cell; any other panic propagates under the runner contract. A compute
+// that fails or panics leaves nothing in the memo.
 func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) (err error) {
-	k := spec.key(i)
+	k := spec.Key(i)
 	defer func() {
 		if p := recover(); p != nil {
 			ce, ok := p.(*CellError)
@@ -176,13 +161,9 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 		collect(i, compute(i))
 		return nil
 	}
-	own, done, err := resolve(s, k, i, collect)
-	if done {
+	if done, err := resolve(s, k, i, collect); done {
 		return err
 	}
-	// A compute that fails or panics leaves the slot empty and unlocked
-	// for the key's next requester.
-	defer own.release()
 	start := time.Now()
 	v := compute(i)
 	s.noteDuration(time.Since(start))
@@ -195,7 +176,7 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 	if err := s.upload(k, v); err != nil {
 		return err
 	}
-	own.fill(v)
+	s.remember(k, v)
 	collect(i, v)
 	return nil
 }
@@ -216,19 +197,16 @@ func (s *Session) upload(k Key, v any) error {
 	return s.Sink.Put(k, v)
 }
 
-// Run executes every registered cell across the pool and empties the
-// batch. Jobs with declared costs are dispatched first, most expensive
+// Run executes every registered cell across the pool. Jobs with declared costs are dispatched first, most expensive
 // leading (longest-processing-time); the order never affects results,
 // only the parallel tail. It returns the first error (store I/O, sink
 // upload or a *CellError); other compute panics propagate per the
 // runner contract.
 func (b *Batch) Run(ctx context.Context) error {
-	jobs, costs := b.jobs, b.costs
-	b.jobs, b.costs = nil, nil
 	pool := b.pool
-	pool.Order = lptOrder(costs)
-	return pool.ForEach(ctx, len(jobs), func(_ context.Context, i int) error {
-		return jobs[i]()
+	pool.Order = lptOrder(b.costs)
+	return pool.ForEach(ctx, len(b.jobs), func(_ context.Context, i int) error {
+		return b.jobs[i].run(b.session)
 	})
 }
 
