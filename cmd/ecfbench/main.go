@@ -12,8 +12,7 @@
 //	ecfbench -join host:7468                      # lease-loop worker for `ecfd serve`
 //	ecfbench -cache-dir cache -cache-stats        # audit what occupies the store
 //	ecfbench -cache-dir cache -cache-prune -dry-run  # preview stale-group cleanup
-//	ecfbench -cache-dir cache -cache-prune        # delete groups no current run reads
-//	ecfbench -cache-dir cache -cache-prune -older-than 720h  # also age out in-matrix records
+//	ecfbench -cache-dir cache -cache-prune        # delete groups no catalog run reads
 //	ecfbench -exp fig9 -cpuprofile cpu.pprof      # profile a run (also -memprofile)
 //	ecfbench -trace-cell grid/ecf/14 -trace-out trace.json -scale quick  # flight-record one cell
 //	ecfbench -exp all -report-json report.json    # machine-readable run summary
@@ -45,7 +44,7 @@
 //
 //	join         -join: -j -cache-dir -worker-id -progress -cpuprofile -memprofile -force -debug-addr
 //	cache-stats  -cache-stats: -cache-dir
-//	cache-prune  -cache-prune: -cache-dir -scale -older-than -dry-run
+//	cache-prune  -cache-prune: -cache-dir -dry-run
 //	trace        -trace-cell: -trace-out -decisions-out -scale -force
 //	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -report-json -debug-addr -progress
 //	list         -list, or no -exp: what render reads (the catalog is printed in place of a render)
@@ -133,7 +132,7 @@ const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile mempr
 var modeFlags = map[string]string{
 	"join":        "join j cache-dir worker-id progress cpuprofile memprofile force debug-addr",
 	"cache-stats": "cache-stats cache-dir",
-	"cache-prune": "cache-prune cache-dir scale older-than dry-run",
+	"cache-prune": "cache-prune cache-dir dry-run",
 	"trace":       "trace-cell trace-out decisions-out scale force",
 	"list":        "list " + renderFlags,
 	"render":      renderFlags,
@@ -147,12 +146,11 @@ type config struct {
 	joinAddr, workerID                                          string
 	list, merge, noCache, stats, prune, dryRun, force, progress bool
 	jobs                                                        int
-	olderThan                                                   time.Duration
 
 	mode string // a modeFlags key
 
 	// Resolved by validate.
-	sc       experiments.Scale // cache-prune, trace and render
+	sc       experiments.Scale // trace and render
 	exps     []experiments.Experiment
 	claims   func(results.Key) bool // -shard's cells; nil: every cell
 	traceExp string
@@ -177,8 +175,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&c.merge, "merge", false, "assemble the report purely from cached records, simulating nothing (requires -cache-dir)")
 	fs.BoolVar(&c.noCache, "no-cache", false, "ignore -cache-dir: neither read nor write the store (a cell several experiments render is still simulated once per run)")
 	fs.BoolVar(&c.stats, "cache-stats", false, "audit -cache-dir: list experiments/scales/schema versions occupying the store, then exit")
-	fs.BoolVar(&c.prune, "cache-prune", false, "delete record groups in -cache-dir that a full catalog run at the given -scale would no longer read, then exit")
-	fs.DurationVar(&c.olderThan, "older-than", 0, "with -cache-prune: also delete records inside the active matrix not rewritten within this age (e.g. 720h)")
+	fs.BoolVar(&c.prune, "cache-prune", false, "delete record groups in -cache-dir that no catalog run, at either scale, would read, then exit")
 	fs.BoolVar(&c.dryRun, "dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile to this file on exit")
@@ -232,8 +229,6 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 // cell.
 func (c *config) validate() error {
 	switch {
-	case c.olderThan < 0:
-		return usagef("-older-than must not be negative")
 	case c.cacheDir == "" && (c.mode == "cache-stats" || c.mode == "cache-prune"):
 		return usagef("-%s requires -cache-dir (it reads the store)", c.mode)
 	case c.mode == "trace" && c.traceOut == "":
@@ -245,7 +240,7 @@ func (c *config) validate() error {
 			return usageError(err.Error())
 		}
 	}
-	if c.mode != "cache-prune" && c.mode != "trace" && c.mode != "render" {
+	if c.mode != "trace" && c.mode != "render" {
 		return nil
 	}
 	var ok bool
@@ -323,7 +318,7 @@ func (c *config) run(stdout, stderr io.Writer) (err error) {
 	case "cache-stats":
 		return cacheStats(stdout, c.cacheDir)
 	case "cache-prune":
-		return cachePrune(stdout, c.cacheDir, c.sc, c.olderThan, c.dryRun)
+		return cachePrune(stdout, c.cacheDir, c.dryRun)
 	case "trace":
 		return c.trace(stderr)
 	case "list":
@@ -408,13 +403,12 @@ func missingError(ses *results.Session, cacheDir, scaleName string) error {
 }
 
 // cachePrune implements -cache-prune: enumerate the active matrix (the
-// cell families a full catalog run at the given scale would read) by
-// planning the catalog (experiments.EnumerateCells) — no simulation, no
-// store reads — then delete the store's other families.
-// With -older-than it additionally drops records inside the active
-// matrix that have not been rewritten within the given age. The audit
-// half of this lifecycle is -cache-stats.
-func cachePrune(w io.Writer, cacheDir string, sc experiments.Scale, olderThan time.Duration, dryRun bool) error {
+// cell families a catalog run at either scale reads) by planning the
+// catalog (experiments.EnumerateCells) — no simulation, no store reads —
+// then delete the store's other families. Sweeps at both scales may
+// share one store, so neither scale's records are stale to the other.
+// The audit half of this lifecycle is -cache-stats.
+func cachePrune(w io.Writer, cacheDir string, dryRun bool) error {
 	open := results.Open
 	if dryRun {
 		open = results.OpenRead // a preview must work on read-only stores
@@ -424,35 +418,29 @@ func cachePrune(w io.Writer, cacheDir string, sc experiments.Scale, olderThan ti
 		return err
 	}
 	keep := make(map[results.Spec]bool)
-	for _, f := range experiments.EnumerateCells(sc) {
-		keep[f.Spec] = true
+	for _, sc := range []experiments.Scale{experiments.Full, experiments.Quick} {
+		for _, f := range experiments.EnumerateCells(sc) {
+			keep[f.Spec] = true
+		}
 	}
 	rep, err := store.Prune(results.PruneOptions{
-		Keep:      func(g results.Spec) bool { return keep[g] },
-		OlderThan: olderThan,
-		DryRun:    dryRun,
+		Keep:   func(g results.Spec) bool { return keep[g] },
+		DryRun: dryRun,
 	})
 	if err != nil {
 		return fmt.Errorf("pruning %s: %w", cacheDir, err)
+	}
+	if len(rep.Deleted) == 0 {
+		fmt.Fprintf(w, "cache dir %s: nothing to prune (%d records in the active matrix)\n", cacheDir, rep.KeptRecords)
+		return nil
 	}
 	verb := "deleted"
 	if dryRun {
 		verb = "would delete"
 	}
-	if len(rep.Deleted) == 0 && len(rep.Aged) == 0 {
-		fmt.Fprintf(w, "cache dir %s: nothing to prune (%d records in the active matrix)\n", cacheDir, rep.KeptRecords)
-		return nil
-	}
-	if len(rep.Deleted) > 0 {
-		fmt.Fprintf(w, "cache dir %s: %s %d records (%d bytes) outside the active matrix:\n",
-			cacheDir, verb, rep.DeletedRecords(), rep.DeletedBytes())
-		printGroups(w, rep.Deleted)
-	}
-	if len(rep.Aged) > 0 {
-		fmt.Fprintf(w, "cache dir %s: %s %d records (%d bytes) older than %v inside the active matrix:\n",
-			cacheDir, verb, rep.AgedRecords(), rep.AgedBytes(), olderThan)
-		printGroups(w, rep.Aged)
-	}
+	fmt.Fprintf(w, "cache dir %s: %s %d records (%d bytes) outside the active matrix:\n",
+		cacheDir, verb, rep.DeletedRecords(), rep.DeletedBytes())
+	printGroups(w, rep.Deleted)
 	fmt.Fprintf(w, "kept: %d records, %d bytes", rep.KeptRecords, rep.KeptBytes)
 	if rep.Unreadable > 0 {
 		fmt.Fprintf(w, ", %d unreadable files left in place", rep.Unreadable)

@@ -68,7 +68,7 @@ func TestModeTable(t *testing.T) {
 		{"join reads no -exp", []string{"-join", "127.0.0.1:1", "-exp", "all"}, "-exp does not apply to join mode"},
 		{"cache-stats reads no -exp", []string{"-cache-stats", "-cache-dir", "$D/D", "-exp", "all"}, "-exp does not apply to cache-stats mode"},
 		{"cache-prune reads no -merge", []string{"-cache-prune", "-cache-dir", "$D/D", "-merge"}, "-merge does not apply to cache-prune mode"},
-		{"list reads no -older-than", []string{"-list", "-older-than", "1h"}, "-older-than does not apply to list mode"},
+		{"list reads no -older-than", []string{"-list", "-older-than", "1h"}, "flag provided but not defined: -older-than"},
 		{"render reads no -dry-run", []string{"-exp", "table1", "-dry-run"}, "-dry-run does not apply to render mode"},
 		{"two modes", []string{"-cache-stats", "-cache-prune", "-cache-dir", "$D/D"}, "-cache-prune does not apply to cache-stats mode"},
 		{"trace reads no -exp", []string{"-exp", "fig9", "-trace-cell", "grid/ecf/14", "-trace-out", "$D/t.json"}, "-exp does not apply to trace mode"},
@@ -78,10 +78,12 @@ func TestModeTable(t *testing.T) {
 
 		// Flags that were once accepted and silently ignored.
 		{"stats dry-run", []string{"-cache-stats", "-cache-dir", "$D/D", "-dry-run"}, "-dry-run does not apply to cache-stats mode"},
-		{"stats older-than", []string{"-cache-stats", "-cache-dir", "$D/D", "-older-than", "1h"}, "-older-than does not apply to cache-stats mode"},
-		{"prune profile and report", []string{"-cache-prune", "-cache-dir", "$D/D", "-dry-run", "-scale", "quick", "-cpuprofile", "$D/p.pprof", "-report-json", "$D/r.json"}, "-cpuprofile does not apply to cache-prune mode"},
+		{"stats older-than", []string{"-cache-stats", "-cache-dir", "$D/D", "-older-than", "1h"}, "flag provided but not defined: -older-than"},
+		{"prune profile and report", []string{"-cache-prune", "-cache-dir", "$D/D", "-dry-run", "-cpuprofile", "$D/p.pprof", "-report-json", "$D/r.json"}, "-cpuprofile does not apply to cache-prune mode"},
+		// Prune keeps what a catalog run at either scale reads.
+		{"prune reads no -scale", []string{"-cache-prune", "-cache-dir", "$D/D", "-scale", "quick"}, "-scale does not apply to cache-prune mode"},
 		{"render worker-id", []string{"-exp", "table1", "-worker-id", "ghost"}, "-worker-id does not apply to render mode"},
-		{"join older-than", []string{"-join", "127.0.0.1:1", "-older-than", "1h"}, "-older-than does not apply to join mode"},
+		{"join older-than", []string{"-join", "127.0.0.1:1", "-older-than", "1h"}, "flag provided but not defined: -older-than"},
 		{"join dry-run", []string{"-join", "127.0.0.1:1", "-dry-run"}, "-dry-run does not apply to join mode"},
 
 		// A positional argument would end flag parsing.
@@ -99,11 +101,12 @@ func TestModeTable(t *testing.T) {
 		{"bad trace-cell", []string{"-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
 		{"unknown trace family", []string{"-trace-cell", "grid/nosuch/0", "-trace-out", "$D/t.json", "-scale", "quick"}, `no cell family "grid/nosuch" runs at this scale`},
 		{"trace index out of range", []string{"-trace-cell", "grid/ecf/36", "-trace-out", "$D/t.json", "-decisions-out", "$D/d.txt", "-scale", "quick"}, `cell family "grid/ecf" has 36 cells`},
-		{"negative older-than", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "-1h"}, "-older-than must not be negative"},
 		{"unknown flag", []string{"-exp", "table1", "-nosuch"}, "flag provided but not defined: -nosuch"},
 		// A cell is bounded by its event budget; the wall-clock flag is gone.
 		{"negative cell-timeout", []string{"-exp", "table1", "-cell-timeout", "-1s"}, "flag provided but not defined: -cell-timeout"},
-		{"malformed duration", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "soon"}, `invalid value "soon"`},
+		// A record's key is its whole identity, so prune ages nothing out.
+		{"negative older-than", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "-1h"}, "flag provided but not defined: -older-than"},
+		{"malformed duration", []string{"-cache-prune", "-cache-dir", "$D/D", "-older-than", "soon"}, "flag provided but not defined: -older-than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +137,7 @@ func TestModesRunWhatTheyRead(t *testing.T) {
 		{"-list", "-exp", "fig1", "-scale", "quick", "-j", "2"},
 		{"-trace-cell", "table2/0", "-trace-out", filepath.Join(store, "t.json"), "-decisions-out", filepath.Join(store, "d.txt"), "-scale", "quick", "-force"},
 		{"-cache-stats", "-cache-dir", store},
-		{"-cache-prune", "-cache-dir", store, "-scale", "quick", "-older-than", "1h", "-dry-run"},
+		{"-cache-prune", "-cache-dir", store, "-dry-run"},
 		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-progress"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -242,6 +245,32 @@ func TestStoreServesWarmAndSharedCells(t *testing.T) {
 	}
 	if _, err := os.Stat(unused); !os.IsNotExist(err) {
 		t.Errorf("-no-cache created -cache-dir (stat: %v)", err)
+	}
+}
+
+// TestPruneKeepsBothScales: a store shared by sweeps at both scales
+// keeps what a quick run reads through a prune, so the warm quick rerun
+// is all hits.
+func TestPruneKeepsBothScales(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "cells")
+	cold, _ := render(t, "-exp", "fig1", "-scale", "quick", "-cache-dir", store)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-cache-prune", "-cache-dir", store}, &stdout, &stderr); code != 0 {
+		t.Fatalf("prune: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "nothing to prune") {
+		t.Errorf("prune deleted records a quick run reads:\n%s", stdout.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-exp", "fig1", "-scale", "quick", "-cache-dir", store}, &stdout, &stderr); code != 0 {
+		t.Fatalf("warm run: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "(100% hit)") {
+		t.Errorf("warm quick run after prune is not all hits:\n%s", stderr.String())
+	}
+	if stdout.String() != cold {
+		t.Errorf("warm stdout differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, stdout.String())
 	}
 }
 

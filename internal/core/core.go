@@ -71,22 +71,16 @@ type PathSpec struct {
 	// BaseRTT is the zero-load round-trip time; each direction gets half
 	// as propagation delay.
 	BaseRTT time.Duration
-	// QueueBytes sizes the bottleneck buffer. Zero selects 48 KiB, which
-	// calibrates the RTT-vs-bandwidth inflation to the paper's Table 2
-	// (about one second of queueing at 0.3 Mbps).
-	QueueBytes int
 	// LossRate is i.i.d. forward loss probability.
 	LossRate float64
 	// Seed perturbs the loss process (experiment repetitions vary it).
 	Seed uint64
-	// ReverseRateMbps overrides the ACK-direction rate (zero: same as
-	// forward).
-	ReverseRateMbps float64
 }
 
-// DefaultQueueBytes is the bottleneck buffer used when PathSpec leaves
-// QueueBytes zero. 48 KiB at 0.3 Mbps is ~1.3 s of queueing when full,
-// matching the bufferbloat the paper measures on its slowest setting.
+// DefaultQueueBytes sizes every path's drop-tail buffers. 48 KiB at
+// 0.3 Mbps is ~1.3 s of queueing when full, which calibrates the
+// RTT-vs-bandwidth inflation to the paper's Table 2 and matches the
+// bufferbloat it measures on its slowest setting.
 const DefaultQueueBytes = 48 * 1024
 
 // WiFiBaseRTT and LTEBaseRTT are the zero-load RTTs used by the standard
@@ -222,18 +216,13 @@ func (n *Network) Reset(specs []PathSpec) {
 		n.spares = n.spares[:last]
 	}
 	for i, s := range specs {
-		q := s.QueueBytes
-		if q <= 0 {
-			q = DefaultQueueBytes
-		}
 		cfg := netsim.PathConfig{
-			Name:           s.Name,
-			RateBps:        s.RateMbps * 1e6,
-			ReverseRateBps: s.ReverseRateMbps * 1e6,
-			Delay:          s.BaseRTT / 2,
-			QueueBytes:     q,
-			LossRate:       s.LossRate,
-			Seed:           s.Seed + uint64(i) + 1,
+			Name:       s.Name,
+			RateBps:    s.RateMbps * 1e6,
+			Delay:      s.BaseRTT / 2,
+			QueueBytes: DefaultQueueBytes,
+			LossRate:   s.LossRate,
+			Seed:       s.Seed + uint64(i) + 1,
 		}
 		if i < len(n.ports) {
 			port := &n.ports[i]
@@ -370,8 +359,10 @@ type ConnOptions struct {
 	// SubflowsPerPath creates this many subflows over each path
 	// (default 1; §5.2.5 uses 2).
 	SubflowsPerPath int
-	// Config overrides the mptcp defaults. Zero-valued fields keep the
-	// DefaultConfig behaviour; the ID is assigned by the network.
+	// Config replaces mptcp.DefaultConfig. Zero buffer sizes still
+	// select the default, but IdleRestart is taken as set: a hand-built
+	// Config that leaves it false runs with idle restart off. The ID is
+	// assigned by the network.
 	Config *mptcp.Config
 }
 

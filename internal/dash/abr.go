@@ -2,45 +2,37 @@ package dash
 
 // ABR selects the representation for the next chunk.
 type ABR interface {
-	// Name identifies the algorithm.
-	Name() string
-	// Choose returns the ladder index for the next chunk given the
-	// current player state.
+	// Choose returns the StandardLadder index for the next chunk given
+	// the current player state.
 	Choose(p *Player) int
 }
+
+// BBA's thresholds: the lowest rate below reservoirSec of buffer, the
+// highest above cushionSec (0.8 of the buffer cap).
+const (
+	reservoirSec = 8
+	cushionSec   = 0.8 * maxBufferSec
+)
 
 // BBAABR is the buffer-based algorithm of Huang et al. (SIGCOMM'14),
 // which the paper's client uses ([12]): a linear map from buffer level to
 // rate between a reservoir and a cushion.
-type BBAABR struct {
-	// ReservoirSec below which the lowest rate is used (default 8).
-	ReservoirSec float64
-	// CushionSec above which the highest rate is used (default 0.8 of
-	// the max buffer at Choose time).
-	CushionSec float64
-}
+type BBAABR struct{}
 
-// NewBBAABR returns a buffer-based ABR with default thresholds.
-func NewBBAABR() *BBAABR { return &BBAABR{ReservoirSec: 8} }
-
-// Name implements ABR.
-func (*BBAABR) Name() string { return "bba" }
+// NewBBAABR returns a buffer-based ABR.
+func NewBBAABR() *BBAABR { return &BBAABR{} }
 
 // Choose implements ABR.
-func (a *BBAABR) Choose(p *Player) int {
+func (*BBAABR) Choose(p *Player) int {
 	buf := p.BufferSeconds()
-	cushion := a.CushionSec
-	if cushion <= 0 {
-		cushion = 0.8 * p.cfg.MaxBufferSec
-	}
-	ladder := p.cfg.Ladder
-	if buf <= a.ReservoirSec {
+	ladder := StandardLadder
+	if buf <= reservoirSec {
 		return 0
 	}
-	if buf >= cushion {
+	if buf >= cushionSec {
 		return len(ladder) - 1
 	}
-	frac := (buf - a.ReservoirSec) / (cushion - a.ReservoirSec)
+	frac := (buf - reservoirSec) / (cushionSec - reservoirSec)
 	lo := ladder[0].Mbps
 	hi := ladder[len(ladder)-1].Mbps
 	target := lo + frac*(hi-lo)
@@ -54,17 +46,7 @@ type FixedABR struct {
 	Index int
 }
 
-// Name implements ABR.
-func (*FixedABR) Name() string { return "fixed" }
-
 // Choose implements ABR.
-func (a *FixedABR) Choose(p *Player) int {
-	i := a.Index
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(p.cfg.Ladder) {
-		i = len(p.cfg.Ladder) - 1
-	}
-	return i
+func (a *FixedABR) Choose(*Player) int {
+	return max(0, min(a.Index, len(StandardLadder)-1))
 }

@@ -62,7 +62,7 @@ func TestChunkBytes(t *testing.T) {
 }
 
 func TestFixedABRClamps(t *testing.T) {
-	p := &Player{cfg: PlayerConfig{Ladder: StandardLadder}}
+	p := &Player{}
 	if i := (&FixedABR{Index: -3}).Choose(p); i != 0 {
 		t.Fatalf("clamp low = %d", i)
 	}
@@ -72,7 +72,7 @@ func TestFixedABRClamps(t *testing.T) {
 }
 
 func TestBBAABRRegions(t *testing.T) {
-	p := &Player{cfg: PlayerConfig{Ladder: StandardLadder, MaxBufferSec: 30}}
+	p := &Player{}
 	a := NewBBAABR()
 	p.bufferSec = 2 // below reservoir
 	if i := a.Choose(p); i != 0 {
@@ -95,7 +95,7 @@ func TestBBAABRMonotoneInBuffer(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		p := &Player{cfg: PlayerConfig{Ladder: StandardLadder, MaxBufferSec: 30}}
+		p := &Player{}
 		a := NewBBAABR()
 		p.bufferSec = lo
 		iLo := a.Choose(p)

@@ -8,46 +8,31 @@ import (
 	"repro/internal/sim"
 )
 
+// The paper's client (§5.1) plays StandardLadder in chunks of
+// chunkSeconds against a buffer capped at maxBufferSec.
+const (
+	// chunkSeconds is the chunk duration.
+	chunkSeconds = 5
+	// maxBufferSec is the playback buffer cap that produces the OFF
+	// periods.
+	maxBufferSec = 30
+	// playSec is the buffer level at which playback starts during
+	// initial buffering, and at which it resumes after a stall.
+	playSec = 10
+)
+
 // PlayerConfig parameterizes a streaming session.
 type PlayerConfig struct {
-	// Ladder is the available representation set (default StandardLadder).
-	Ladder []Representation
-	// ChunkSeconds is the chunk duration (default 5, as in §5.1).
-	ChunkSeconds float64
 	// VideoSeconds is the total content length (the paper streams a 20
-	// minute playout; benches use shorter clips).
+	// minute playout; benches use shorter clips). Zero selects 120.
 	VideoSeconds float64
-	// MaxBufferSec is the playback buffer cap that produces the OFF
-	// periods (default 30).
-	MaxBufferSec float64
-	// StartPlaySec is the buffer level at which playback starts during
-	// initial buffering (default 10).
-	StartPlaySec float64
-	// ResumePlaySec is the refill level that ends a rebuffering stall
-	// (default 10).
-	ResumePlaySec float64
 	// ABR is the adaptation algorithm (default NewBBAABR()).
 	ABR ABR
 }
 
 func (c *PlayerConfig) fillDefaults() {
-	if c.Ladder == nil {
-		c.Ladder = StandardLadder
-	}
-	if c.ChunkSeconds <= 0 {
-		c.ChunkSeconds = 5
-	}
 	if c.VideoSeconds <= 0 {
 		c.VideoSeconds = 120
-	}
-	if c.MaxBufferSec <= 0 {
-		c.MaxBufferSec = 30
-	}
-	if c.StartPlaySec <= 0 {
-		c.StartPlaySec = 10
-	}
-	if c.ResumePlaySec <= 0 {
-		c.ResumePlaySec = 10
 	}
 	if c.ABR == nil {
 		// The paper's client uses the buffer-based algorithm of Huang et
@@ -80,7 +65,7 @@ type Player struct {
 // NewPlayer builds a player over an established MPTCP connection.
 func NewPlayer(eng *sim.Engine, conn *mptcp.Conn, cfg PlayerConfig) *Player {
 	cfg.fillDefaults()
-	total := int(math.Ceil(cfg.VideoSeconds / cfg.ChunkSeconds))
+	total := int(math.Ceil(cfg.VideoSeconds / chunkSeconds))
 	if total < 1 {
 		total = 1
 	}
@@ -150,8 +135,8 @@ func (p *Player) requestNext() {
 		return
 	}
 	idx := p.cfg.ABR.Choose(p)
-	rep := p.cfg.Ladder[idx]
-	bytes := ChunkBytes(rep, p.cfg.ChunkSeconds)
+	rep := StandardLadder[idx]
+	bytes := ChunkBytes(rep, chunkSeconds)
 	chunkIdx := p.nextChunk
 	p.nextChunk++
 	p.conn.Request(bytes, func(tr *mptcp.Transfer) {
@@ -183,15 +168,11 @@ func (p *Player) onChunkDone(idx int, rep Representation, bytes int64, tr *mptcp
 	p.cumBytes += bytes
 	p.result.DownloadTrace = append(p.result.DownloadTrace, TracePoint{At: now, Bytes: p.cumBytes})
 
-	p.bufferSec += p.cfg.ChunkSeconds
+	p.bufferSec += chunkSeconds
 
 	// Playback start / stall resume.
 	if !p.playing {
-		threshold := p.cfg.StartPlaySec
-		if p.state == Rebuffering {
-			threshold = p.cfg.ResumePlaySec
-		}
-		if p.bufferSec >= threshold || p.nextChunk >= p.totalChunks {
+		if p.bufferSec >= playSec || p.nextChunk >= p.totalChunks {
 			if p.state == Rebuffering {
 				p.result.StallTime += now - p.stallBegin
 				p.state = Steady
@@ -199,7 +180,7 @@ func (p *Player) onChunkDone(idx int, rep Representation, bytes int64, tr *mptcp
 			p.playing = true
 		}
 	}
-	if p.state == InitialBuffering && p.bufferSec >= p.cfg.MaxBufferSec {
+	if p.state == InitialBuffering && p.bufferSec >= maxBufferSec {
 		p.state = Steady
 	}
 
@@ -213,8 +194,8 @@ func (p *Player) onChunkDone(idx int, rep Representation, bytes int64, tr *mptcp
 
 	// ON-OFF: if fetching the next chunk would overflow the buffer, pause
 	// until enough playback has been consumed (§2.2, Figure 1).
-	if p.bufferSec+p.cfg.ChunkSeconds > p.cfg.MaxBufferSec && p.playing {
-		offSec := p.bufferSec + p.cfg.ChunkSeconds - p.cfg.MaxBufferSec
+	if p.bufferSec+chunkSeconds > maxBufferSec && p.playing {
+		offSec := p.bufferSec + chunkSeconds - maxBufferSec
 		p.eng.ScheduleEvent(time.Duration(offSec*float64(time.Second)), kindPlayerRequest, p)
 		return
 	}

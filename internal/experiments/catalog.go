@@ -95,8 +95,8 @@ type CellFamily struct {
 // catalog plan's keys grouped by family, counting up to the highest
 // cell read. The catalog reads every family from cell 0 without a gap,
 // so expanding each entry through Spec.Key yields each key the run
-// reads exactly once: what cmd/ecfd leases out, and the active matrix
-// ecfbench -cache-prune keeps.
+// reads exactly once: what cmd/ecfd leases out, and, at Full and Quick
+// together, the active matrix ecfbench -cache-prune keeps.
 func EnumerateCells(sc Scale) []CellFamily {
 	n := make(map[results.Spec]int)
 	for _, k := range NewPlan(sc, Catalog...).Cells() {

@@ -7,11 +7,12 @@ import (
 )
 
 // TestEnumerateCellsCoversColdStoreGroups is the anti-drift guard for
-// -cache-prune at a scale other than Quick: every group a real (cold,
-// cached) run writes must be in the enumerated matrix for the same
-// scale, or prune would delete live records. A couple of cheap drivers
-// stand in for the catalog — the enumerated set itself is produced by
-// running all of it (TestCatalogStoreShape compares the whole catalog).
+// -cache-prune's enumeration at a scale other than Quick: every group a
+// real (cold, cached) run writes must be in the enumerated matrix for
+// the same scale, or prune would delete live records. A couple of cheap
+// drivers stand in for the catalog — the enumerated set itself is the
+// catalog plan's keys, listed without simulating anything
+// (TestCatalogStoreShape compares the whole catalog at quick scale).
 func TestEnumerateCellsCoversColdStoreGroups(t *testing.T) {
 	sc := Scale{
 		VideoSec:        5,

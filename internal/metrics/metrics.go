@@ -121,9 +121,6 @@ func NewCDF(xs []float64) *CDF {
 
 func identity(x float64) float64 { return x }
 
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 { return atOf(c.sorted, identity, x) }
 

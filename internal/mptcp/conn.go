@@ -11,68 +11,44 @@ import (
 	"repro/internal/tcp"
 )
 
-// Config parameterizes an MPTCP connection.
+// Config parameterizes an MPTCP connection. Opportunistic
+// retransmission and penalization (Raiciu et al., NSDI'12) are always
+// on, as in every experiment of the paper (§5.1).
 type Config struct {
 	// ID is the connection identifier; it must be unique per shared link.
 	ID int
-	// MSS is the payload bytes per segment. Zero selects 1400.
-	MSS int
 	// SndBuf is the connection-level send buffer size in bytes (the k in
-	// ECF is the unscheduled portion of this buffer). Zero selects 4 MiB.
+	// ECF is the unscheduled portion of this buffer). Zero selects
+	// defaultBuf.
 	SndBuf int64
 	// RcvBuf is the receive buffer / advertised window base. Zero
-	// selects 4 MiB.
+	// selects defaultBuf.
 	RcvBuf int64
-	// OpportunisticRtx enables reinjection of window-blocking segments
-	// onto a faster subflow (Raiciu et al., NSDI'12). The paper keeps
-	// this on in every experiment.
-	OpportunisticRtx bool
-	// Penalization halves the window of the subflow that blocked the
-	// connection-level send window. Paired with OpportunisticRtx.
-	Penalization bool
 	// IdleRestart enables the RFC 2861 CWND reset after idle periods.
 	// Figure 6 studies the effect of turning this off.
 	IdleRestart bool
-	// InitialCwnd in segments (zero selects 10).
-	InitialCwnd float64
-	// MinRTO clamps subflow retransmission timers (zero selects 200 ms).
-	MinRTO time.Duration
-	// RequestDelay is the one-way latency for client requests reaching
-	// the server. Zero selects the primary path's reverse propagation
-	// delay plus 1 ms of processing.
-	RequestDelay time.Duration
 }
 
+// defaultBuf sizes both buffers. 2 MiB approximates the era's
+// Linux/Android tcp_rmem settings: large enough for ECF to fill the
+// aggregate pipe, yet small enough that slow-path head-of-line blocking
+// stalls the send window, as the paper's receive-window discussion (via
+// Raiciu et al.) describes.
+const defaultBuf = 2 << 20
+
 func (c *Config) fillDefaults() {
-	if c.MSS <= 0 {
-		c.MSS = 1400
-	}
 	if c.SndBuf <= 0 {
-		c.SndBuf = 4 << 20
+		c.SndBuf = defaultBuf
 	}
 	if c.RcvBuf <= 0 {
-		c.RcvBuf = 4 << 20
+		c.RcvBuf = defaultBuf
 	}
 }
 
 // DefaultConfig returns the configuration used throughout the paper
-// reproduction: opportunistic retransmission, penalization and idle
-// restart all enabled (§5.1: "the opportunistic retransmission and
-// penalization mechanisms are enabled throughout all experiments").
+// reproduction: default buffers, idle restart enabled.
 func DefaultConfig(id int) Config {
-	return Config{
-		ID: id,
-		// 2 MiB buffers approximate the era's Linux/Android tcp_rmem
-		// settings; they are large enough for ECF to fill the aggregate
-		// pipe yet small enough that slow-path head-of-line blocking
-		// stalls the send window, as the paper's receive-window
-		// discussion (via Raiciu et al.) describes.
-		SndBuf:           2 << 20,
-		RcvBuf:           2 << 20,
-		OpportunisticRtx: true,
-		Penalization:     true,
-		IdleRestart:      true,
-	}
+	return Config{ID: id, IdleRestart: true}
 }
 
 // segRef is one unscheduled segment in the connection-level send buffer.
@@ -272,17 +248,11 @@ func (c *Conn) Controller() cc.Controller { return c.ctrl }
 // Receiver returns the connection-level receive side.
 func (c *Conn) Receiver() *Receiver { return c.recv }
 
-// Engine returns the simulation engine.
-func (c *Conn) Engine() *sim.Engine { return c.eng }
-
 // Now returns the current virtual time.
 func (c *Conn) Now() sim.Time { return c.eng.Now() }
 
 // ID returns the connection identifier.
 func (c *Conn) ID() int { return c.cfg.ID }
-
-// MSS returns the configured segment payload size.
-func (c *Conn) MSS() int { return c.cfg.MSS }
 
 // AddSubflow creates a subflow over path and wires both directions
 // through the given demultiplexers (which must be installed as the
@@ -295,20 +265,17 @@ func (c *Conn) AddSubflow(name string, path *netsim.Path, fwd, rev *netsim.Demux
 		ConnID:      c.cfg.ID,
 		ID:          id,
 		Name:        name,
-		MSS:         c.cfg.MSS,
-		InitialCwnd: c.cfg.InitialCwnd,
 		IdleRestart: c.cfg.IdleRestart,
-		MinRTO:      c.cfg.MinRTO,
 	}
 	var u sfUnit
 	if n := len(c.freeUnits); n > 0 {
 		u = c.freeUnits[n-1]
 		c.freeUnits = c.freeUnits[:n-1]
 		u.sf.Reset(sfCfg, path, c.ctrl, c)
-		u.rx.Reset(path, c.recv, u.sf.AckPacketSize())
+		u.rx.Reset(path, c.recv)
 	} else {
 		u.sf = tcp.NewSubflow(c.eng, sfCfg, path, c.ctrl, c)
-		u.rx = tcp.NewSubflowRecv(c.eng, path, c.recv, u.sf.AckPacketSize())
+		u.rx = tcp.NewSubflowRecv(c.eng, path, c.recv)
 		u.rxRecv = u.rx.OnPacket
 		u.ackRecv = u.sf.OnAck
 	}
@@ -463,11 +430,9 @@ func init() {
 	})
 }
 
-// requestDelay returns the client-to-server request latency.
+// requestDelay returns the client-to-server request latency: the
+// primary path's reverse propagation delay plus 1 ms of processing.
 func (c *Conn) requestDelay() time.Duration {
-	if c.cfg.RequestDelay > 0 {
-		return c.cfg.RequestDelay
-	}
 	if len(c.subflows) > 0 {
 		return c.subflows[0].Path().Reverse().Delay() + time.Millisecond
 	}
@@ -482,7 +447,7 @@ func (c *Conn) admitTransfer(tr *Transfer) {
 	c.transfers = append(c.transfers, tr)
 	c.writeDSN = tr.EndDSN
 	for dsn := tr.StartDSN; dsn < tr.EndDSN; {
-		l := int64(c.cfg.MSS)
+		l := int64(tcp.MSS)
 		if tr.EndDSN-dsn < l {
 			l = tr.EndDSN - dsn
 		}
@@ -593,7 +558,7 @@ func (c *Conn) trySend() {
 // maybeOpportunisticRtx reinjects the window-blocking segment onto a
 // faster available subflow and penalizes the blocker (Raiciu NSDI'12).
 func (c *Conn) maybeOpportunisticRtx() {
-	if !c.cfg.OpportunisticRtx || c.infHead == c.infTail {
+	if c.infHead == c.infTail {
 		return
 	}
 	head := c.inflightQ.At(c.infHead)
@@ -618,13 +583,11 @@ func (c *Conn) maybeOpportunisticRtx() {
 	head.reinjected = true
 	c.reinjections++
 	best.SendSegment(head.dsn, head.length)
-	if c.cfg.Penalization {
-		now := c.eng.Now()
-		if id := head.owner.ID(); now-c.lastPenalty[id] >= head.owner.Srtt() {
-			c.lastPenalty[id] = now
-			c.penalties++
-			head.owner.Penalize()
-		}
+	now := c.eng.Now()
+	if id := head.owner.ID(); now-c.lastPenalty[id] >= head.owner.Srtt() {
+		c.lastPenalty[id] = now
+		c.penalties++
+		head.owner.Penalize()
 	}
 }
 

@@ -211,23 +211,6 @@ func TestOpportunisticRtxUnderTinyWindow(t *testing.T) {
 	}
 }
 
-func TestOpportunisticRtxDisabled(t *testing.T) {
-	cfg := DefaultConfig(0)
-	cfg.SndBuf = 32 << 10
-	cfg.RcvBuf = 32 << 10
-	cfg.OpportunisticRtx = false
-	cfg.Penalization = false
-	r := newRig(t, 0.2, 8.6, cfg)
-	r.conn.Write(1<<20, nil)
-	r.eng.Run()
-	if r.conn.Receiver().DeliveredBytes() != 1<<20 {
-		t.Fatal("transfer must still complete without opportunistic rtx")
-	}
-	if r.conn.Reinjections() != 0 {
-		t.Fatal("reinjections must be zero when disabled")
-	}
-}
-
 func TestWritePanicsWithoutScheduler(t *testing.T) {
 	eng := sim.New()
 	conn := NewConn(eng, DefaultConfig(0), cc.NewLIA())

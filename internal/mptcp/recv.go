@@ -55,7 +55,7 @@ type Receiver struct {
 const noArrival = sim.Time(-1)
 
 // NewReceiver builds a receiver with the given receive-buffer size in
-// bytes (the base of the advertised window).
+// bytes (the base of the advertised window); zero selects defaultBuf.
 func NewReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
 	r := &Receiver{eng: eng}
 	r.Reset(rcvBuf)
@@ -72,7 +72,7 @@ func NewReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
 // connection binds it once for its lifetime.
 func (r *Receiver) Reset(rcvBuf int64) {
 	if rcvBuf <= 0 {
-		rcvBuf = 4 << 20
+		rcvBuf = defaultBuf
 	}
 	r.rcvBuf = rcvBuf
 	r.expected = 0

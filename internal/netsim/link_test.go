@@ -243,10 +243,6 @@ func TestPathReverseRateDefaultsToForward(t *testing.T) {
 	if p.Reverse().RateBps() != mbps(2) {
 		t.Fatalf("reverse rate = %v, want %v", p.Reverse().RateBps(), mbps(2))
 	}
-	p2 := NewPath(eng, PathConfig{Name: "y", RateBps: mbps(2), ReverseRateBps: mbps(10)})
-	if p2.Reverse().RateBps() != mbps(10) {
-		t.Fatalf("reverse rate = %v, want %v", p2.Reverse().RateBps(), mbps(10))
-	}
 }
 
 func TestPacketKindString(t *testing.T) {

@@ -11,9 +11,8 @@ type PathConfig struct {
 	// Name labels the path ("wifi", "lte").
 	Name string
 	// RateBps is the forward (server-to-client) shaping rate in bits/s.
+	// The reverse link starts at the same rate.
 	RateBps float64
-	// ReverseRateBps is the return-path rate. Zero means same as forward.
-	ReverseRateBps float64
 	// Delay is the one-way propagation delay in each direction.
 	Delay time.Duration
 	// QueueBytes sizes each direction's drop-tail buffer (zero = 64 KiB).
@@ -47,10 +46,6 @@ func NewPath(eng *sim.Engine, cfg PathConfig) *Path {
 // Link.Reset it requires the engine to have been reset first; receivers
 // must be (re)installed afterwards.
 func (p *Path) Reset(cfg PathConfig) {
-	revRate := cfg.ReverseRateBps
-	if revRate <= 0 {
-		revRate = cfg.RateBps
-	}
 	fwdName, revName := p.fwd.name, p.rev.name
 	if p.name != cfg.Name || fwdName == "" {
 		fwdName = cfg.Name + ":fwd"
@@ -67,7 +62,7 @@ func (p *Path) Reset(cfg PathConfig) {
 	}, nil)
 	p.rev.Reset(LinkConfig{
 		Name:       revName,
-		RateBps:    revRate,
+		RateBps:    cfg.RateBps,
 		Delay:      cfg.Delay,
 		QueueBytes: cfg.QueueBytes,
 	}, nil)

@@ -21,7 +21,7 @@ type ExperimentReport struct {
 	Sharded bool `json:"sharded"`
 	// OutputBytes/OutputSHA256 cover the experiment's exact stdout
 	// block (header line + report + blank line) — the golden-output
-	// fingerprint a coordinator can compare across runs and hosts.
+	// fingerprint to compare across runs and hosts.
 	OutputBytes  int    `json:"output_bytes"`
 	OutputSHA256 string `json:"output_sha256"`
 }
@@ -59,7 +59,7 @@ type QueueReport struct {
 }
 
 // RunReport is the machine-readable run summary ecfbench -report-json
-// emits — the artifact an ecfd sweep worker ships to its coordinator.
+// emits.
 // The event and packet counters are deltas of the process counters
 // (sim.TotalEvents, netsim.TotalDelivered) around the run's one pool,
 // identical for any worker count. Schema 6 moved the cell, event and

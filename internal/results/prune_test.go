@@ -96,100 +96,10 @@ func backdate(t *testing.T, dir, exp string, mtime time.Time) {
 	}
 }
 
-func TestPruneOlderThanAgesOutActiveMatrixRecords(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prunePut(t, st, "grid/ecf", "gv30", 2, 0) // fresh, in matrix
-	prunePut(t, st, "fig16", "rd80,rs3", 1, 0)
-	prunePut(t, st, "fig16", "rd80,rs3", 1, 1) // both backdated, in matrix
-	prunePut(t, st, "oldexp", "v60", 1, 0)     // fresh but outside matrix
-
-	now := time.Now()
-	backdate(t, dir, "fig16", now.Add(-48*time.Hour))
-
-	active := map[Spec]bool{
-		{Experiment: "grid/ecf", Scale: "gv30", Schema: 2}:  true,
-		{Experiment: "fig16", Scale: "rd80,rs3", Schema: 1}: true,
-	}
-	opts := PruneOptions{
-		Keep:      func(g Spec) bool { return active[g] },
-		OlderThan: 24 * time.Hour,
-		Now:       now,
-		DryRun:    true,
-	}
-
-	// Dry run: aged and stale records reported separately, nothing gone.
-	rep, err := st.Prune(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AgedRecords() != 2 || len(rep.Aged) != 1 {
-		t.Fatalf("dry-run: AgedRecords = %d, groups = %d; want 2, 1", rep.AgedRecords(), len(rep.Aged))
-	}
-	if rep.DeletedRecords() != 1 {
-		t.Fatalf("dry-run: DeletedRecords = %d, want 1", rep.DeletedRecords())
-	}
-	if rep.KeptRecords != 1 {
-		t.Fatalf("dry-run: KeptRecords = %d, want 1", rep.KeptRecords)
-	}
-	if audit, _ := st.Audit(); audit.Records != 4 {
-		t.Fatalf("dry run removed records: %d left, want 4", audit.Records)
-	}
-
-	// Real pass: only the fresh in-matrix record survives.
-	opts.DryRun = false
-	rep, err = st.Prune(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AgedRecords() != 2 || rep.DeletedRecords() != 1 {
-		t.Fatalf("AgedRecords = %d, DeletedRecords = %d; want 2, 1", rep.AgedRecords(), rep.DeletedRecords())
-	}
-	audit, err := st.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if audit.Records != 1 {
-		t.Fatalf("%d records left, want 1", audit.Records)
-	}
-	if got := audit.Lines[0]; got.Experiment != "grid/ecf" {
-		t.Fatalf("surviving group = %+v, want grid/ecf", got)
-	}
-	// A later pass with the same cutoff finds nothing new to age out.
-	rep, err = st.Prune(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AgedRecords() != 0 || rep.DeletedRecords() != 0 || rep.KeptRecords != 1 {
-		t.Fatalf("idempotence: aged %d, deleted %d, kept %d", rep.AgedRecords(), rep.DeletedRecords(), rep.KeptRecords)
-	}
-}
-
-func TestPruneNilKeepIsAgeOnly(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prunePut(t, st, "fig16", "rd80,rs3", 1, 0)
-	prunePut(t, st, "oldexp", "v60", 1, 0)
-	backdate(t, dir, "oldexp", time.Now().Add(-48*time.Hour))
-	rep, err := st.Prune(PruneOptions{OlderThan: 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DeletedRecords() != 0 {
-		t.Fatalf("nil Keep deleted %d records as out-of-matrix, want 0", rep.DeletedRecords())
-	}
-	if rep.AgedRecords() != 1 || rep.KeptRecords != 1 {
-		t.Fatalf("age-only pass aged %d, kept %d; want 1, 1", rep.AgedRecords(), rep.KeptRecords)
-	}
-}
-
-func TestPruneOlderThanZeroKeepsEverythingInMatrix(t *testing.T) {
+// TestPruneKeepsOldRecordsInMatrix: a record's key is its whole
+// identity, so a record the active matrix reads is current however long
+// ago it was written.
+func TestPruneKeepsOldRecordsInMatrix(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -201,8 +111,8 @@ func TestPruneOlderThanZeroKeepsEverythingInMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AgedRecords() != 0 || rep.KeptRecords != 1 {
-		t.Fatalf("no-cutoff pass aged %d records, kept %d; want 0, 1", rep.AgedRecords(), rep.KeptRecords)
+	if rep.DeletedRecords() != 0 || rep.KeptRecords != 1 {
+		t.Fatalf("pass deleted %d records, kept %d; want 0, 1", rep.DeletedRecords(), rep.KeptRecords)
 	}
 }
 

@@ -100,7 +100,7 @@ func (b *BLEST) Select(c *mptcp.Conn) *tcp.Subflow {
 		RTTF:      effSrtt(xf).Seconds(),
 		RTTS:      effSrtt(xs).Seconds(),
 		CwndF:     xf.CwndSegments(),
-		MSS:       float64(c.MSS()),
+		MSS:       tcp.MSS,
 		FreeBytes: float64(c.SendWindowFreeBytes()),
 		InflightS: float64(xs.InflightBytes()),
 	}

@@ -99,7 +99,7 @@ func (e *ECF) Select(c *mptcp.Conn) *tcp.Subflow {
 
 	// k: unscheduled backlog in segments (at least the one segment that
 	// triggered this decision).
-	k := float64(c.UnsentBytes()) / float64(c.MSS())
+	k := float64(c.UnsentBytes()) / tcp.MSS
 	var delta float64
 	if e.UseDelta {
 		delta = maxDuration(xf.RTTStdDev(), xs.RTTStdDev()).Seconds()

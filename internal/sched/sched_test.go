@@ -146,14 +146,13 @@ func TestECFShiftsTrafficToFastPath(t *testing.T) {
 }
 
 func TestDAPSSplitsByServiceRate(t *testing.T) {
-	// Pure decision-level test: two always-available subflows with
-	// service rates 10/rtt vs 10/(4·rtt) should see a ~4:1 pick ratio.
+	// Pure decision-level test: Select runs with nothing in flight, so
+	// both subflows stay available, and service rates 10/rtt vs
+	// 10/(4·rtt) should see a ~4:1 pick ratio.
 	eng := sim.New()
 	fast := netsim.NewPath(eng, netsim.PathConfig{Name: "fast", RateBps: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 1 << 30})
 	slow := netsim.NewPath(eng, netsim.PathConfig{Name: "slow", RateBps: 1e9, Delay: 20 * time.Millisecond, QueueBytes: 1 << 30})
-	cfg := mptcp.DefaultConfig(0)
-	cfg.InitialCwnd = 1000 // effectively always available
-	conn := mptcp.NewConn(eng, cfg, cc.NewReno())
+	conn := mptcp.NewConn(eng, mptcp.DefaultConfig(0), cc.NewReno())
 	d := NewDAPS()
 	conn.SetScheduler(d)
 	for _, p := range []*netsim.Path{fast, slow} {

@@ -36,7 +36,7 @@ func BenchmarkSubflowTransfer(b *testing.B) {
 	})
 	conn := &benchConn{}
 	s := NewSubflow(eng, Config{ConnID: 1, ID: 0, Name: "bench"}, path, cc.NewReno(), conn)
-	recv := NewSubflowRecv(eng, path, benchSink{}, 60)
+	recv := NewSubflowRecv(eng, path, benchSink{})
 	path.SetForwardReceiver(recv.OnPacket)
 	path.SetReverseReceiver(s.OnAck)
 	s.SeedRTT(10 * time.Millisecond)

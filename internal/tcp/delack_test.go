@@ -57,7 +57,7 @@ func TestDelayedAckTimerFliesSolo(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 8e6, Delay: 5 * time.Millisecond, QueueBytes: 64 << 10})
 	var acks []netsim.Packet
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	rx.DelayedAcks = true
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(func(p *netsim.Packet) { acks = append(acks, *p) })
@@ -80,7 +80,7 @@ func TestDelayedAcksImmediateOnOutOfOrder(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e9})
 	var acks []netsim.Packet
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	rx.DelayedAcks = true
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(func(p *netsim.Packet) { acks = append(acks, *p) })

@@ -24,10 +24,9 @@ type MetaSink interface {
 // and forwards every arriving data packet to the connection-level
 // receiver for DSN-level reordering.
 type SubflowRecv struct {
-	eng      *sim.Engine
-	path     *netsim.Path
-	meta     MetaSink
-	ackBytes int
+	eng  *sim.Engine
+	path *netsim.Path
+	meta MetaSink
 
 	expected int64
 	// buffered holds the out-of-order segments as a seq-ordered ring
@@ -57,16 +56,15 @@ type SubflowRecv struct {
 	ackScratch netsim.Packet
 
 	// stats
-	received   int64
 	duplicates int64
 }
 
 // NewSubflowRecv builds the receive side. The caller wires OnPacket to
 // the path's forward direction (directly, or through a netsim.Demux when
 // links are shared across connections).
-func NewSubflowRecv(eng *sim.Engine, path *netsim.Path, meta MetaSink, ackBytes int) *SubflowRecv {
+func NewSubflowRecv(eng *sim.Engine, path *netsim.Path, meta MetaSink) *SubflowRecv {
 	r := &SubflowRecv{eng: eng}
-	r.Reset(path, meta, ackBytes)
+	r.Reset(path, meta)
 	return r
 }
 
@@ -75,13 +73,9 @@ func NewSubflowRecv(eng *sim.Engine, path *netsim.Path, meta MetaSink, ackBytes 
 // reorder buffer (capacity kept), no pending delayed ACK, zeroed
 // counters. The engine must have been reset first (it owned the
 // delayed-ACK timer).
-func (r *SubflowRecv) Reset(path *netsim.Path, meta MetaSink, ackBytes int) {
-	if ackBytes <= 0 {
-		ackBytes = 60
-	}
+func (r *SubflowRecv) Reset(path *netsim.Path, meta MetaSink) {
 	r.path = path
 	r.meta = meta
-	r.ackBytes = ackBytes
 	r.expected = 0
 	r.buffered.Reset()
 	r.DelayedAcks = false
@@ -91,16 +85,12 @@ func (r *SubflowRecv) Reset(path *netsim.Path, meta MetaSink, ackBytes int) {
 	r.acksSent = 0
 	r.acksDelayed = 0
 	r.ackScratch = netsim.Packet{}
-	r.received = 0
 	r.duplicates = 0
 }
 
 // Expected returns the next subflow-level byte the receiver is waiting
 // for (the value it advertises as the cumulative ACK).
 func (r *SubflowRecv) Expected() int64 { return r.expected }
-
-// Received returns the count of data packets processed.
-func (r *SubflowRecv) Received() int64 { return r.received }
 
 // Duplicates returns the count of redundant segment arrivals.
 func (r *SubflowRecv) Duplicates() int64 { return r.duplicates }
@@ -117,7 +107,6 @@ func (r *SubflowRecv) OnPacket(p *netsim.Packet) {
 	if p.Kind != netsim.Data {
 		return
 	}
-	r.received++
 	inOrder := p.Seq == r.expected
 	switch {
 	case inOrder:
@@ -188,7 +177,7 @@ func (r *SubflowRecv) sendAck(p *netsim.Packet, dataAck, window int64) {
 	r.acksSent++
 	ack := &r.ackScratch
 	ack.Kind = netsim.Ack
-	ack.Size = r.ackBytes
+	ack.Size = ackBytes
 	ack.ConnID = p.ConnID
 	ack.SubflowID = p.SubflowID
 	ack.AckSeq = r.expected

@@ -18,8 +18,6 @@ type RTTEstimator struct {
 	maxRTO time.Duration
 	// samples counts RTT measurements taken.
 	samples int64
-	// last is the most recent raw measurement.
-	last time.Duration
 	// min is the smallest measurement seen (propagation-delay estimate).
 	min time.Duration
 	// ring holds the most recent measurements for RecentMin (HyStart
@@ -55,7 +53,6 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 		rtt = time.Microsecond
 	}
 	e.samples++
-	e.last = rtt
 	e.ring[e.samples%int64(len(e.ring))] = rtt
 	if e.min == 0 || rtt < e.min {
 		e.min = rtt
@@ -88,9 +85,6 @@ func (e *RTTEstimator) StdDev() time.Duration { return e.mdev }
 
 // Samples returns the number of measurements folded in.
 func (e *RTTEstimator) Samples() int64 { return e.samples }
-
-// Last returns the most recent raw measurement.
-func (e *RTTEstimator) Last() time.Duration { return e.last }
 
 // Min returns the smallest measurement seen, a propagation-delay
 // estimate used by the HyStart-style slow-start exit.

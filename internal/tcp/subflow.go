@@ -20,6 +20,20 @@ type ConnHooks interface {
 	SubflowAcked(s *Subflow, dataAck, window int64)
 }
 
+// MSS is the payload bytes per segment.
+const MSS = 1400
+
+const (
+	// headerBytes is the per-packet overhead on the wire (IP + TCP +
+	// MPTCP DSS option).
+	headerBytes = 60
+	// ackBytes is the wire size of a pure ACK.
+	ackBytes = 60
+	// initialCwnd is the initial window in segments (RFC 6928, the
+	// value the paper's §3.2 example uses).
+	initialCwnd = 10
+)
+
 // Config parameterizes a subflow.
 type Config struct {
 	// ConnID is the owning connection's identifier on shared links.
@@ -28,45 +42,9 @@ type Config struct {
 	ID int
 	// Name labels the subflow ("wifi", "lte").
 	Name string
-	// MSS is the payload bytes per segment. Zero selects 1400.
-	MSS int
-	// HeaderBytes is per-packet overhead on the wire. Zero selects 60
-	// (IP + TCP + MPTCP DSS option).
-	HeaderBytes int
-	// AckBytes is the wire size of a pure ACK. Zero selects 60.
-	AckBytes int
-	// InitialCwnd is the initial window in segments. Zero selects 10
-	// (RFC 6928, the value the paper's §3.2 example uses).
-	InitialCwnd float64
 	// IdleRestart enables the RFC 2861 congestion-window reset after the
 	// connection has been idle for an RTO. Figure 6 toggles this.
 	IdleRestart bool
-	// MinRTO clamps the retransmission timer. Zero selects 200 ms.
-	MinRTO time.Duration
-	// DisablePacing turns off sender pacing. By default transmissions
-	// are spaced at cwnd/srtt (doubled during slow start), as Linux's
-	// internal TCP pacing does; without it, window-opening ACKs release
-	// line-rate bursts that overflow shallow drop-tail buffers far below
-	// the window the path could sustain.
-	DisablePacing bool
-}
-
-func (c *Config) fillDefaults() {
-	if c.MSS <= 0 {
-		c.MSS = 1400
-	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = 60
-	}
-	if c.AckBytes <= 0 {
-		c.AckBytes = 60
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 10
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
 }
 
 // SubflowStats aggregates sender-side counters.
@@ -227,7 +205,6 @@ func NewSubflow(eng *sim.Engine, cfg Config, path *netsim.Path, ctrl cc.Controll
 // the pooled graph — the engine must have been reset first (pending
 // paced-transmit and RTO events of the previous run died with it).
 func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn ConnHooks) {
-	cfg.fillDefaults()
 	if ctrl == nil {
 		panic("tcp: nil congestion controller")
 	}
@@ -249,12 +226,12 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.infHead, s.infTail = 0, 0
 	s.inflightSegs = 0
 	s.inflightBytes = 0
-	s.cwnd = cfg.InitialCwnd
+	s.cwnd = initialCwnd
 	s.ssthresh = 1 << 30
 	s.recoveryPoint = -1
 	s.dupAcks = 0
 	s.dupSacked = 0
-	s.rtt.Reset(cfg.MinRTO, 0)
+	s.rtt.Reset(0, 0)
 	s.rtoTimer = sim.Timer{}
 	s.rtoDeadline = 0
 	s.rtoTk = 0
@@ -308,9 +285,6 @@ func (s *Subflow) Name() string { return s.cfg.Name }
 
 // Path returns the underlying network path.
 func (s *Subflow) Path() *netsim.Path { return s.path }
-
-// MSS returns the segment payload size in bytes.
-func (s *Subflow) MSS() int { return s.cfg.MSS }
 
 // Stats returns a copy of the counters.
 func (s *Subflow) Stats() SubflowStats { return s.stats }
@@ -404,16 +378,16 @@ func (s *Subflow) PrepareSend() {
 	// Decay: halve once per full RTO idle, floored at the initial window
 	// (RFC 2861 / Linux tcp_cwnd_restart).
 	decayed := s.idleBaseCwnd
-	for t := idle; t >= rto && decayed > s.cfg.InitialCwnd; t -= rto {
+	for t := idle; t >= rto && decayed > initialCwnd; t -= rto {
 		decayed /= 2
 	}
-	if decayed < s.cfg.InitialCwnd {
-		decayed = s.cfg.InitialCwnd
+	if decayed < initialCwnd {
+		decayed = initialCwnd
 	}
 	if decayed < s.cwnd {
 		s.cwnd = decayed
 	}
-	if decayed <= s.cfg.InitialCwnd && !s.idleCounted {
+	if decayed <= initialCwnd && !s.idleCounted {
 		s.idleCounted = true
 		s.stats.IWResets++
 		s.stats.IdleResets++
@@ -486,9 +460,11 @@ func (s *Subflow) SendSegment(dsn int64, length int) {
 
 // paceOut releases a segment through the pacer: transmissions are spaced
 // by srtt/cwnd (halved spacing during slow start, matching the kernel's
-// pacing gain of 2).
+// pacing gain of 2), as Linux's internal TCP pacing does. Without it,
+// window-opening ACKs release line-rate bursts that overflow shallow
+// drop-tail buffers far below the window the path could sustain.
 func (s *Subflow) paceOut(seg *segment) {
-	if s.cfg.DisablePacing || s.rtt.Samples() == 0 {
+	if s.rtt.Samples() == 0 {
 		s.transmit(seg)
 		return
 	}
@@ -559,7 +535,7 @@ func (s *Subflow) transmit(seg *segment) {
 	s.stats.SegmentsSent++
 	pkt := &s.pktScratch
 	pkt.Kind = netsim.Data
-	pkt.Size = seg.length + s.cfg.HeaderBytes
+	pkt.Size = seg.length + headerBytes
 	pkt.ConnID = s.cfg.ConnID
 	pkt.SubflowID = s.cfg.ID
 	pkt.Seq = seg.seq
@@ -722,7 +698,7 @@ func (s *Subflow) processNewAck(p *netsim.Packet) {
 			s.cwnd = moderated
 		}
 		if s.debugHook != nil {
-			s.debugHook("recovery-exit", "sndUna", s.sndUna/1400, "cwnd", s.cwnd, "inflight", s.inflightSegs)
+			s.debugHook("recovery-exit", "sndUna", s.sndUna/MSS, "cwnd", s.cwnd, "inflight", s.inflightSegs)
 		}
 	}
 	if inRecovery {
@@ -782,11 +758,11 @@ func (s *Subflow) fastRetransmit() {
 		return
 	}
 	s.ctrl.OnLoss(s)
-	if s.cwnd <= s.cfg.InitialCwnd {
+	if s.cwnd <= initialCwnd {
 		s.stats.IWResets++
 	}
 	if s.debugHook != nil {
-		s.debugHook("fast-rtx", "sndUna", s.sndUna/1400, "recPt", s.nextSeq/1400, "cwnd", s.cwnd, "inflight", s.inflightSegs)
+		s.debugHook("fast-rtx", "sndUna", s.sndUna/MSS, "recPt", s.nextSeq/MSS, "cwnd", s.cwnd, "inflight", s.inflightSegs)
 	}
 	s.recoveryPoint = s.nextSeq
 	s.stats.FastRetransmits++
@@ -816,6 +792,3 @@ func (s *Subflow) Close() {
 	s.pacedTimer = sim.Timer{}
 	s.ctrl.Unregister(s)
 }
-
-// AckPacketSize returns the configured wire size of pure ACKs.
-func (s *Subflow) AckPacketSize() int { return s.cfg.AckBytes }

@@ -27,7 +27,6 @@ type pump struct {
 	sf      *Subflow
 	total   int64
 	sentDSN int64
-	mss     int64
 }
 
 func (p *pump) SubflowAcked(s *Subflow, dataAck, window int64) { p.fill() }
@@ -35,7 +34,7 @@ func (p *pump) SubflowAcked(s *Subflow, dataAck, window int64) { p.fill() }
 func (p *pump) fill() {
 	p.sf.PrepareSend()
 	for p.sentDSN < p.total && p.sf.CanSend() {
-		l := p.mss
+		l := int64(MSS)
 		if p.total-p.sentDSN < l {
 			l = p.total - p.sentDSN
 		}
@@ -58,13 +57,10 @@ func newHarness(t *testing.T, pathCfg netsim.PathConfig, sfCfg Config, total int
 	eng := sim.New()
 	path := netsim.NewPath(eng, pathCfg)
 	h := &harness{eng: eng, path: path}
-	h.pmp = &pump{total: total, mss: 1400}
-	if sfCfg.MSS != 0 {
-		h.pmp.mss = int64(sfCfg.MSS)
-	}
+	h.pmp = &pump{total: total}
 	h.sf = NewSubflow(eng, sfCfg, path, cc.NewReno(), h.pmp)
 	h.pmp.sf = h.sf
-	h.rx = NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	h.rx = NewSubflowRecv(eng, path, &bigWindowSink{})
 	path.SetForwardReceiver(h.rx.OnPacket)
 	path.SetReverseReceiver(h.sf.OnAck)
 	return h
@@ -215,7 +211,7 @@ func TestAvailableCwndArithmetic(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e6, Delay: time.Second, QueueBytes: 1 << 20})
 	sf := NewSubflow(eng, Config{Name: "p"}, path, cc.NewReno(), nil)
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(sf.OnAck)
 	if got := sf.AvailableCwndSegments(); got != 10 {
@@ -252,7 +248,7 @@ func TestCloseCancelsTimerAndUnregisters(t *testing.T) {
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e6, Delay: 10 * time.Second, QueueBytes: 1 << 20})
 	lia := cc.NewLIA()
 	sf := NewSubflow(eng, Config{Name: "p"}, path, lia, nil)
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(sf.OnAck)
 	sf.SendSegment(0, 1400)
@@ -269,7 +265,7 @@ func TestSubflowRecvOutOfOrderBuffering(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e9})
 	var acks []netsim.Packet
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	path.SetReverseReceiver(func(p *netsim.Packet) { acks = append(acks, *p) })
 	// Deliver seq 1400 before seq 0.
 	rx.OnPacket(&netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 1400, DSN: 1400, PayloadLen: 1400})
@@ -293,7 +289,7 @@ func TestSubflowRecvOutOfOrderBuffering(t *testing.T) {
 func TestSubflowRecvCountsDuplicates(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e9})
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{}, 60)
+	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
 	path.SetReverseReceiver(func(*netsim.Packet) {})
 	pkt := netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 0, DSN: 0, PayloadLen: 1400}
 	rx.OnPacket(&pkt)
