@@ -561,7 +561,7 @@ func (c *config) newProgress(stderr io.Writer) func(done, total int) {
 	return (&progressPrinter{w: stderr, start: time.Now()}).note
 }
 
-// note is the runner.Pool.OnProgress callback. It observes only; it
+// note is Plan.Run's progress callback. It observes only; it
 // never touches result state.
 func (p *progressPrinter) note(done, total int) {
 	p.mu.Lock()

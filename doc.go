@@ -8,9 +8,9 @@
 // opportunistic retransmission and penalization, the ECF scheduler and
 // its baselines (default minimum-RTT, BLEST, DAPS), a DASH streaming
 // stack and web workloads — plus a harness (cmd/ecfbench) that
-// regenerates every table and figure. The experiment matrix runs on a
-// worker pool (internal/runner) with a persistent per-cell result cache
-// and cross-process sharding (internal/results), so reruns only
+// regenerates every table and figure. The experiment matrix runs as one
+// batch of cells across workers, with a persistent per-cell result
+// cache and cross-process sharding (internal/results), so reruns only
 // simulate changed cells and sweeps split across machines.
 //
 // See README.md for a tour of the packages, how to run the harness,

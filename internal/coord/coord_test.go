@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/results"
-	"repro/internal/runner"
 )
 
 // cellRec is the test catalog's record type. Compute is deterministic,
@@ -61,21 +60,20 @@ func fastClient(url, worker string) *Client {
 	return c
 }
 
-// runCells runs cells 0..n-1 of the test spec through pool under ses on
-// a batch of their own, discarding the records.
-func runCells[T any](pool runner.Pool, ses *results.Session, n int, compute func(int) T) error {
-	b := results.NewBatch(pool, ses)
+// runCells runs cells 0..n-1 of the test spec on workers goroutines
+// under ses on a batch of their own, discarding the records.
+func runCells[T any](workers int, ses *results.Session, n int, compute func(int) T) error {
+	b := results.NewBatch()
 	for i := 0; i < n; i++ {
 		results.AddCell(b, testSpec(), i, 0, compute, func(int, T) {})
 	}
-	return b.Run(context.Background())
+	return b.Run(ses, workers, nil)
 }
 
 // passRunner adapts the test catalog to WorkerConfig.RunPass: one batch
 // of the spec's cells under the worker's session.
 func passRunner(n int, compute func(int) cellRec) func(*results.Session) error {
-	pool := runner.New(2)
-	return func(ses *results.Session) error { return runCells(pool, ses, n, compute) }
+	return func(ses *results.Session) error { return runCells(2, ses, n, compute) }
 }
 
 // ingestOne uploads a lone record — a batch of one.
@@ -366,18 +364,17 @@ func TestSweepsShareAStore(t *testing.T) {
 	if st := srvB.Status(); st.Done != 2 || st.Pending != own {
 		t.Fatalf("sweep B resumed as %+v, want 2 done / %d pending", st, own)
 	}
-	pool := runner.New(2)
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client: fastClient(hsB.URL, "b"),
 		RunPass: func(ses *results.Session) error {
-			b := results.NewBatch(pool, ses)
+			b := results.NewBatch()
 			for i := 0; i < n; i++ {
 				results.AddCell(b, testSpec(), i, 0, computeCellRec, func(int, cellRec) {})
 			}
 			for i := 0; i < own; i++ {
 				results.AddCell(b, specB, i, 0, computeCellRec, func(int, cellRec) {})
 			}
-			return b.Run(context.Background())
+			return b.Run(ses, 2, nil)
 		},
 		PollInterval: 5 * time.Millisecond,
 	})

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/results"
-	"repro/internal/runner"
 )
 
 // tapTransport lets a test stand between the worker and the
@@ -215,11 +214,11 @@ func TestConcurrentPutsUploadEveryCellOnce(t *testing.T) {
 	const n = 160
 	dir := t.TempDir()
 	srv, hs := startServer(t, dir, n, Config{LeaseTTL: 5 * time.Second, BatchSize: 40})
-	pool := runner.New(8)
+	const workers = 8
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client: fastClient(hs.URL, "w"),
 		RunPass: func(ses *results.Session) error {
-			return runCells(pool, ses, n, computeCellRec)
+			return runCells(workers, ses, n, computeCellRec)
 		},
 	})
 	if err != nil {
@@ -264,12 +263,12 @@ func TestWorkerExitsCleanlyWhenCoordinatorLeavesAfterSettling(t *testing.T) {
 			}
 		},
 	})
-	pool := runner.New(1)
+	const workers = 1
 	start := time.Now()
 	stats, err := RunWorker(context.Background(), WorkerConfig{
 		Client: client,
 		RunPass: func(ses *results.Session) error {
-			err := runCells(pool, ses, n, func(i int) cellRec {
+			err := runCells(workers, ses, n, func(i int) cellRec {
 				if i > 0 {
 					<-firstSent // cell 0 travels alone; the rest queue up behind it
 				}
@@ -335,12 +334,12 @@ func TestUploaderSplitsBatchesAtTheByteCap(t *testing.T) {
 		return nil
 	}})
 	pad := strings.Repeat("x", recBytes)
-	pool := runner.New(1)
+	const workers = 1
 	_, err := RunWorker(context.Background(), WorkerConfig{
 		Client: client,
 		RunPass: func(ses *results.Session) error {
 			defer close(passOver)
-			return runCells(pool, ses, n, func(i int) padRec { return padRec{Cell: i, Pad: pad} })
+			return runCells(workers, ses, n, func(i int) padRec { return padRec{Cell: i, Pad: pad} })
 		},
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/results"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -85,7 +83,7 @@ func TestRunawayCellFailsAlikeAtAnyWorkerCount(t *testing.T) {
 	spec := results.Spec{Experiment: "test/runaway", Schema: 1, Scale: "t"}
 	var msgs []string
 	for _, workers := range []int{1, 2} {
-		b := results.NewBatch(runner.New(workers), &results.Session{})
+		b := results.NewBatch()
 		for i := 0; i < 2; i++ {
 			results.AddCell(b, spec, i, 0, func(i int) int {
 				if i == 1 {
@@ -95,7 +93,7 @@ func TestRunawayCellFailsAlikeAtAnyWorkerCount(t *testing.T) {
 			}, func(int, int) {})
 		}
 		var ce *results.CellError
-		if err := b.Run(context.Background()); !errors.As(err, &ce) || ce.Key != spec.Key(1) {
+		if err := b.Run(&results.Session{}, workers, nil); !errors.As(err, &ce) || ce.Key != spec.Key(1) {
 			t.Fatalf("-j %d: Run = %v, want a *results.CellError naming cell 1", workers, err)
 		}
 		msgs = append(msgs, ce.Error())

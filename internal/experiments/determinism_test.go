@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// The parallel runner's contract: every sweep renders byte-identically
+// The batch's contract: every sweep renders byte-identically
 // for any worker count, because each cell is an independent simulation
 // keyed only by its index. These regressions pin that for a grid sweep,
 // a random-scenario sweep, and a repetition table.

@@ -25,11 +25,11 @@
 //
 // A run is plan, then render (Plan). Every selected experiment
 // registers the cells it reads on one plan, each collecting into
-// pre-sized, cell-indexed storage; one internal/runner pool executes
-// each distinct key of the plan once; then each experiment renders
-// what its cells collected. Output is byte-identical for any worker
-// count. The exported drivers (Figure9, Table2, ...) are that run for
-// one experiment alone.
+// pre-sized, cell-indexed storage; one results.Batch executes each
+// distinct key of the plan once, most expensive first; then each
+// experiment renders what its cells collected. Output is byte-identical
+// for any worker count. The exported drivers (Figure9, Table2, ...) are
+// that run for one experiment alone.
 package experiments
 
 import (
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/results"
-	"repro/internal/runner"
 )
 
 // Scale sets experiment sizes. The paper streams a 20-minute playout per
@@ -229,13 +228,44 @@ func appendCanonical(b []byte, v reflect.Value) []byte {
 	return b
 }
 
-// runSeed derives the RNG seed for repetition run of cell cell of the
-// named experiment — runner.SeedRun, so streams stay disjoint across
-// experiments even at equal indexes. Drivers that compare schedulers
-// over shared randomness pass a cell index that excludes the scheduler,
-// preserving the paper's paired design.
+// seed derives a 64-bit seed for one cell from its experiment name and
+// cell index. Feeding the result to sim.NewRNG gives every cell its own
+// stream that depends only on (experiment, cell) — never on worker
+// count or completion order — so adding draws in one cell cannot
+// perturb another. FNV-1a over the name, golden-ratio mix of the index,
+// splitmix64 finalizer.
+func seed(experiment string, cell int) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(experiment); i++ {
+		h ^= uint64(experiment[i])
+		h *= 1099511628211
+	}
+	h ^= (uint64(cell) + 1) * 0x9e3779b97f4a7c15
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// runSeed derives the seed for repetition run of cell cell — seed's
+// two-level variant for experiments that repeat each cell several
+// times. Same namespacing guarantee as seed, plus streams disjoint
+// across runs of one cell; the result is never zero (simulator path
+// specs treat a zero seed as "use the default stream"). Experiments
+// comparing schedulers over shared randomness pass a cell index that
+// excludes the scheduler so both sides see identical draws (the
+// paper's paired design).
 func runSeed(experiment string, cell, run int) uint64 {
-	return runner.SeedRun(experiment, cell, run)
+	s := seed(experiment, cell) + uint64(run)*0x9e3779b97f4a7c15
+	s ^= s >> 30
+	s *= 0xbf58476d1ce4e5b9
+	s ^= s >> 27
+	if s == 0 {
+		s = 1
+	}
+	return s
 }
 
 // seconds converts a float of seconds to a duration.

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/results"
-	"repro/internal/runner"
 )
 
 // A Plan is what one run reads and renders: the cell families its
@@ -13,10 +11,10 @@ import (
 // one renderer per experiment. A run is NewPlan, one Run, then Render
 // for each experiment in order.
 type Plan struct {
-	sc       Scale                  // its sizes; Run takes the run policy
-	families map[string]any         // name -> *family[T]
-	reads    []results.Key          // every read, in registration order
-	adds     []func(*results.Batch) // the reads' registrations, for Run
+	sc       Scale          // its sizes; Run takes the run policy
+	families map[string]any // name -> *family[T]
+	reads    []results.Key  // every read, in registration order
+	batch    *results.Batch // every read's cell and collector, for Run
 	exps     []planned
 }
 
@@ -29,7 +27,7 @@ type planned struct {
 // NewPlan plans exps at sc's sizes, in order: each declares its families
 // on the plan, registers the cells it reads and leaves its renderer.
 func NewPlan(sc Scale, exps ...Experiment) *Plan {
-	p := &Plan{sc: sc, families: make(map[string]any)}
+	p := &Plan{sc: sc, families: make(map[string]any), batch: results.NewBatch()}
 	for _, e := range exps {
 		from := len(p.reads)
 		render := e.plan(p)
@@ -38,21 +36,16 @@ func NewPlan(sc Scale, exps ...Experiment) *Plan {
 	return p
 }
 
-// Run executes each distinct cell the plan reads once, on one pool of
-// workers (0 = GOMAXPROCS) under ses (nil: compute all, persist
+// Run executes each distinct cell the plan reads once, on workers
+// goroutines (0 = GOMAXPROCS) under ses (nil: compute all, persist
 // nothing), reporting each finished cell to progress when non-nil. Cells
 // collect into pre-sized storage, so what the renderers see depends on
-// neither the worker count nor the cache state. It returns the first
-// failure: store I/O, an upload, a *results.CellError. A plan may run
-// again under another session, as a join-mode worker's passes do.
+// neither the worker count nor the cache state. It returns the failure
+// results.Batch.Run reports, the same at every worker count: store I/O,
+// an upload, a *results.CellError. A plan may run again under another
+// session, as a join-mode worker's passes do.
 func (p *Plan) Run(workers int, ses *results.Session, progress func(done, total int)) error {
-	pool := runner.New(workers)
-	pool.OnProgress = progress
-	b := results.NewBatch(pool, ses)
-	for _, add := range p.adds {
-		add(b)
-	}
-	return b.Run(context.Background())
+	return p.batch.Run(ses, workers, progress)
 }
 
 // Reads returns the keys experiment i of the plan registered, in order.
@@ -144,12 +137,8 @@ func (f *family[T]) read(collect func(i int, v T), cells ...int) {
 	p := f.plan
 	for _, i := range cells {
 		p.reads = append(p.reads, f.spec.Key(i))
+		results.AddCell(p.batch, f.spec, i, f.cells[i].cost(), f.compute, collect)
 	}
-	p.adds = append(p.adds, func(b *results.Batch) {
-		for _, i := range cells {
-			results.AddCell(b, f.spec, i, f.cells[i].cost(), f.compute, collect)
-		}
-	})
 }
 
 // compute simulates cell i and keeps its record.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -26,10 +25,10 @@ var randomSchedulers = []string{"minrtt", "blest", "ecf"}
 // randomFamily is "fig16", the §5.3 study: WiFi and LTE bandwidths
 // change at exponentially distributed intervals (mean 40 s), drawn
 // uniformly from {0.3, 1.1, 1.7, 4.2, 8.6} Mbps. Cell k streams scenario
-// k%RandomScenarios+1 under scheduler k/RandomScenarios; a scenario's
-// starting rates and changes come from its runner.Seed-namespaced seed,
-// identical across schedulers as in the paper. A cell keeps its
-// per-chunk throughput series (Mbps).
+// k%RandomScenarios+1 under scheduler k/RandomScenarios; scenario n's
+// starting rates and changes come from seed("random", n), identical
+// across schedulers as in the paper. A cell keeps its per-chunk
+// throughput series (Mbps).
 func randomFamily(p *Plan) *family[[]float64] {
 	sc := p.sc
 	return declare(p, "fig16", func(_ Scenario, out *Outcome) []float64 {
@@ -38,10 +37,10 @@ func randomFamily(p *Plan) *family[[]float64] {
 		var cells []Scenario
 		for _, sched := range randomSchedulers {
 			for n := 1; n <= sc.RandomScenarios; n++ {
-				seed := runner.Seed("random", n)
-				init := trace.InitialRates(seed, 2, trace.RandomChangeValuesMbps)
+				rs := seed("random", n)
+				init := trace.InitialRates(rs, 2, trace.RandomChangeValuesMbps)
 				s := Streaming(init[0], init[1], sched, sc.RandomDurSec)
-				s.RandomSeed = seed
+				s.RandomSeed = rs
 				cells = append(cells, s)
 			}
 		}

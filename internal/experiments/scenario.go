@@ -10,7 +10,6 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/obs"
 	"repro/internal/results"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -84,9 +83,9 @@ type Workload struct {
 	SampleInterval time.Duration
 	// Bytes is a wget's object size, or a bulk transfer's length.
 	Bytes int64
-	// Runs repeats a wget. Run r draws its seed from runner.SeedRun(
-	// SeedExp, SeedCell, r) and seeds both paths' loss and jitter from
-	// it, in place of their Seed fields.
+	// Runs repeats a wget. Run r draws its seed from runSeed(SeedExp,
+	// SeedCell, r) and seeds both paths' loss and jitter from it, in
+	// place of their Seed fields.
 	Runs     int
 	SeedExp  string
 	SeedCell int
@@ -202,7 +201,7 @@ func (s Scenario) run(drive webRun, rec *obs.CellRecorder) *Outcome {
 	out := &Outcome{}
 	if s.Workload.Kind == workWget {
 		for r := 0; r < s.Workload.Runs; r++ {
-			seed := runner.SeedRun(s.Workload.SeedExp, s.Workload.SeedCell, r)
+			seed := runSeed(s.Workload.SeedExp, s.Workload.SeedCell, r)
 			one := s
 			one.Paths[0].Seed, one.Paths[1].Seed = seed*17, seed*31+7
 			one.Jitter[0].Seed, one.Jitter[1].Seed = seed*101+1, seed*211+5

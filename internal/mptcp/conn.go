@@ -275,7 +275,7 @@ func (c *Conn) AddSubflow(name string, path *netsim.Path, fwd, rev *netsim.Demux
 		u.rx.Reset(path, c.recv)
 	} else {
 		u.sf = tcp.NewSubflow(c.eng, sfCfg, path, c.ctrl, c)
-		u.rx = tcp.NewSubflowRecv(c.eng, path, c.recv)
+		u.rx = tcp.NewSubflowRecv(path, c.recv)
 		u.rxRecv = u.rx.OnPacket
 		u.ackRecv = u.sf.OnAck
 	}

@@ -162,12 +162,6 @@ func (r *Receiver) fireWaiter() {
 	w.tr.conn.completeTransfer(w.tr)
 }
 
-// Snapshot implements tcp.MetaSink: current ACK fields without consuming
-// a packet.
-func (r *Receiver) Snapshot() (dataAck, window int64) {
-	return r.expected, r.Window()
-}
-
 // touchSubflow grows the per-subflow telemetry slices to cover id.
 func (r *Receiver) touchSubflow(id int) {
 	for len(r.perSubflowBytes) <= id {

@@ -1,12 +1,9 @@
 package results
 
 import (
-	"context"
 	"os"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 // The session's record tier: a batch schedules each distinct key once
@@ -18,10 +15,10 @@ func TestMemoSameKeyTwiceInOneBatchComputesOnce(t *testing.T) {
 	s := &Session{}
 	var computes atomic.Int64
 	first, second := make([]rec, n), make([]rec, n)
-	b := NewBatch(runner.New(8), s)
+	b := NewBatch()
 	addAll(b, spec(), n, computeRec(&computes), collectInto(first))
 	addAll(b, spec(), n, computeRec(&computes), collectInto(second))
-	if err := b.Run(context.Background()); err != nil {
+	if err := b.Run(s, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n {
@@ -45,7 +42,7 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	s := &Session{}
 	first, second := make([]rec, n), make([]rec, n)
 	for _, dst := range [][]rec{first, second} {
-		if err := runSpec(runner.New(3), s, spec(), n, computeRec(&computes), collectInto(dst)); err != nil {
+		if err := runSpec(3, s, spec(), n, computeRec(&computes), collectInto(dst)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,12 +60,12 @@ func TestMemoServesSecondDriverOfStorelessSession(t *testing.T) {
 	// A store hit is remembered too: the second read comes from memory,
 	// so it hits with the store emptied in between.
 	dir := t.TempDir()
-	if err := runSpec(runner.New(1), &Session{Store: openStore(t, dir)}, spec(), n, computeRec(&computes), collectInto(first)); err != nil {
+	if err := runSpec(1, &Session{Store: openStore(t, dir)}, spec(), n, computeRec(&computes), collectInto(first)); err != nil {
 		t.Fatal(err)
 	}
 	warm := &Session{Store: openStore(t, dir)}
 	for pass := 0; pass < 2; pass++ {
-		if err := runSpec(runner.New(3), warm, spec(), n, computeRec(&computes), collectInto(second)); err != nil {
+		if err := runSpec(3, warm, spec(), n, computeRec(&computes), collectInto(second)); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.RemoveAll(dir); err != nil {
@@ -84,7 +81,7 @@ func TestMemoPanicLeavesTheKeyComputable(t *testing.T) {
 	s := &Session{}
 	func() {
 		defer func() {
-			// The runner contract: any panic but a *CellError propagates,
+			// runCell: any panic but a *CellError propagates to Run,
 			// its value intact.
 			if v := recover(); v != "boom" {
 				t.Fatalf("recovered %v, want the compute's own panic value", v)
@@ -117,7 +114,7 @@ func TestSkippedCellsNeverEnterTheMemo(t *testing.T) {
 	} {
 		s := &Session{Claims: tc.claims}
 		var computes atomic.Int64
-		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(2, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		if computes.Load() != int64(tc.want) || len(s.memo) != tc.want {
@@ -137,7 +134,7 @@ func TestMemoHitIsUploadedLikeAStoreHit(t *testing.T) {
 	sink := newMemSink()
 	s := &Session{Sink: sink}
 	for pass := 1; pass <= 2; pass++ {
-		if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(2, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		if sink.puts != pass*n {

@@ -1,21 +1,21 @@
-// Package results makes experiment cells durable and distributable.
+// Package results makes experiment cells durable, shareable and
+// parallel.
 //
 // The paper's evaluation regenerates every table and figure from
-// hundreds of independent simulation cells. internal/runner fans those
-// cells across workers inside one process; this package adds the two
-// layers the ROADMAP's multi-machine north star needs on top of it:
+// hundreds of independent simulation cells. This package holds the two
+// layers every run of them goes through:
 //
 //   - a cell store: a content-addressed on-disk cache of per-cell
 //     records, keyed by a hash of (family name, cell index, a digest of
 //     what the family's cells simulate, and the record format's
 //     version), with atomic writes and corruption-tolerant reads
 //     (Store), and
-//   - a cell execution layer: Batch and AddCell execute specs' cells
-//     through a runner.Pool, each key once however many collectors
-//     registered it, serving each cell from the session's records or
-//     the store when a record exists and computing-then-persisting it
-//     when not, so caching and sharding apply uniformly to every
-//     driver rather than per-driver.
+//   - a cell execution layer: Batch and AddCell execute specs' cells in
+//     one dispatch loop across workers, most expensive first, each key
+//     once however many collectors registered it, serving each cell
+//     from the session's records or the store when a record exists and
+//     computing-then-persisting it when not, so caching and sharding
+//     apply uniformly to every driver rather than per-driver.
 //
 // A Session carries the per-invocation policy in four fields: Store
 // (where records persist), Merge (serve every cell from the store,

@@ -1,14 +1,11 @@
 package results
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 // rec is a representative cell record: mixed concrete field types.
@@ -50,12 +47,12 @@ func addAll[T any](b *Batch, spec Spec, n int, compute func(int) T, collect func
 	}
 }
 
-// runSpec executes one spec's n cells through pool under s on a batch
-// of their own.
-func runSpec[T any](pool runner.Pool, s *Session, spec Spec, n int, compute func(int) T, collect func(int, T)) error {
-	b := NewBatch(pool, s)
+// runSpec executes one spec's n cells on workers goroutines under s on
+// a batch of their own.
+func runSpec[T any](workers int, s *Session, spec Spec, n int, compute func(int) T, collect func(int, T)) error {
+	b := NewBatch()
 	addAll(b, spec, n, compute, collect)
-	return b.Run(context.Background())
+	return b.Run(s, workers, nil)
 }
 
 // shardOf is the Claims predicate of a -shard i/n pass.
@@ -66,12 +63,12 @@ func shardOf(i, n int) func(Key) bool {
 func TestRunComputesCollectsAndServesWarm(t *testing.T) {
 	dir := t.TempDir()
 	const n = 8
-	pool := runner.New(4)
+	workers := 4
 
 	var computes atomic.Int64
 	cold := make([]rec, n)
 	s1 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s1, spec(), n, computeRec(&computes), collectInto(cold)); err != nil {
+	if err := runSpec(workers, s1, spec(), n, computeRec(&computes), collectInto(cold)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s1.Stats(); h != 0 || c != n {
@@ -83,7 +80,7 @@ func TestRunComputesCollectsAndServesWarm(t *testing.T) {
 
 	warm := make([]rec, n)
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s2, spec(), n, computeRec(&computes), collectInto(warm)); err != nil {
+	if err := runSpec(workers, s2, spec(), n, computeRec(&computes), collectInto(warm)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n || c != 0 {
@@ -101,7 +98,7 @@ func TestNilSessionComputesEverything(t *testing.T) {
 	const n = 5
 	var computes atomic.Int64
 	got := make([]rec, n)
-	if err := runSpec(runner.New(2), nil, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(2, nil, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n {
@@ -140,11 +137,11 @@ func corruptOneRecord(t *testing.T, dir string) int {
 func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 	dir := t.TempDir()
 	const n = 6
-	pool := runner.New(1)
+	workers := 1
 	var computes atomic.Int64
 
 	s1 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(workers, s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if files := corruptOneRecord(t, dir); files != n {
@@ -153,7 +150,7 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 
 	got := make([]rec, n)
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s2, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(workers, s2, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n-1 || c != 1 {
@@ -167,7 +164,7 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 
 	// The recompute rewrote the record: a third run is all hits.
 	s3 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s3, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(workers, s3, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s3.Stats(); h != n || c != 0 {
@@ -178,13 +175,13 @@ func TestCorruptRecordIsRecomputedAndHealed(t *testing.T) {
 func TestKeyInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	const n = 4
-	pool := runner.New(1)
+	workers := 1
 	base := spec()
 
 	var computes atomic.Int64
 	seed := func(sp Spec) (hits, computed int64) {
 		s := &Session{Store: openStore(t, dir)}
-		if err := runSpec(pool, s, sp, n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+		if err := runSpec(workers, s, sp, n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
@@ -209,11 +206,11 @@ func TestKeyInvalidation(t *testing.T) {
 func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	const n, shards = 10, 3
-	pool := runner.New(2)
+	workers := 2
 
 	unsharded := make([]rec, n)
 	var computes atomic.Int64
-	if err := runSpec(pool, nil, spec(), n, computeRec(&computes), collectInto(unsharded)); err != nil {
+	if err := runSpec(workers, nil, spec(), n, computeRec(&computes), collectInto(unsharded)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +218,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		s := &Session{Store: openStore(t, dir), Claims: shardOf(i, shards)}
 		collected := make([]rec, n)
-		if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(collected)); err != nil {
+		if err := runSpec(workers, s, spec(), n, computeRec(&computes), collectInto(collected)); err != nil {
 			t.Fatal(err)
 		}
 		_, c := s.Stats()
@@ -242,7 +239,7 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 
 	merged := make([]rec, n)
 	m := &Session{Store: openStore(t, dir), Merge: true}
-	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(merged)); err != nil {
+	if err := runSpec(workers, m, spec(), n, computeRec(&computes), collectInto(merged)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := m.Stats(); h != n || c != 0 {
@@ -256,17 +253,17 @@ func TestShardsUnionThenMergeMatchesUnsharded(t *testing.T) {
 func TestMergeMissingCellFails(t *testing.T) {
 	dir := t.TempDir()
 	const n = 6
-	pool := runner.New(1)
+	workers := 1
 	var computes atomic.Int64
 
 	// Only shard 0/2 ran; merge must name exactly the odd cells, and
 	// compute none of them.
 	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 2)}
-	if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(workers, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	m := &Session{Store: openStore(t, dir), Merge: true}
-	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(workers, m, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	want := []Key{spec().Key(1), spec().Key(3), spec().Key(5)}
@@ -280,16 +277,16 @@ func TestMergeMissingCellFails(t *testing.T) {
 
 func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	dir := t.TempDir()
-	pool := runner.New(4)
+	workers := 4
 	var computes atomic.Int64
 
 	a := make([]rec, 7)
 	b := make([]rec, 3)
 	s := &Session{Store: openStore(t, dir)}
-	batch := NewBatch(pool, s)
+	batch := NewBatch()
 	addAll(batch, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(a))
 	addAll(batch, Spec{Experiment: "unit/b", Schema: 1, Scale: "s"}, len(b), computeRec(&computes), collectInto(b))
-	if err := batch.Run(context.Background()); err != nil {
+	if err := batch.Run(s, workers, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, c := s.Stats(); c != int64(len(a)+len(b)) {
@@ -307,7 +304,7 @@ func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	}
 	// Specs do not collide: each family warms independently.
 	s2 := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s2, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(make([]rec, len(a)))); err != nil {
+	if err := runSpec(workers, s2, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(make([]rec, len(a)))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != int64(len(a)) || c != 0 {
@@ -328,10 +325,10 @@ func TestOpenCreatesMissingDir(t *testing.T) {
 func TestOpenReadServesMergeWithoutWriting(t *testing.T) {
 	dir := t.TempDir()
 	const n = 4
-	pool := runner.New(1)
+	workers := 1
 	var computes atomic.Int64
 	s := &Session{Store: openStore(t, dir)}
-	if err := runSpec(pool, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(workers, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +339,7 @@ func TestOpenReadServesMergeWithoutWriting(t *testing.T) {
 	}
 	m := &Session{Store: ro, Merge: true}
 	got := make([]rec, n)
-	if err := runSpec(pool, m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(workers, m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := m.Stats(); h != n || c != 0 {

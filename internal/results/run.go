@@ -1,36 +1,33 @@
 package results
 
 import (
-	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/runner"
 )
 
 // Batch accumulates cells from one or more specs and executes them all
-// through a single worker pool, each key once: a run plans every cell
-// its experiments read onto one batch, so the pool sees the whole
-// matrix and no cell is scheduled twice. Cells are independent jobs
-// under the runner contract: compute must derive everything from the
-// cell index, and collect must write into pre-sized storage (distinct
-// cells may be collected concurrently, in any order).
+// in one dispatch loop, each key once: a run plans every cell its
+// experiments read onto one batch, so the workers see the whole matrix
+// and no cell is scheduled twice. Cells are independent jobs: compute
+// must derive everything from the cell index, and collect must write
+// into pre-sized storage (distinct cells may be collected concurrently,
+// in any order).
 type Batch struct {
-	pool    runner.Pool
-	session *Session
-	jobs    []job
-	byKey   map[Key]job
-	// costs holds one relative cost estimate per job (0 = unknown).
-	// When any job declared a cost, Run dispatches in descending cost
-	// order (longest-processing-time): starting the expensive cells
-	// first shrinks the tail where the last worker finishes a long cell
-	// alone. Purely a dispatch hint — collection is cell-indexed, so
-	// output is identical in any order.
-	costs []float64
+	jobs  []job
+	byKey map[Key]job
 }
 
 // job is one key's cell on a batch, whatever its record type.
 type job interface {
+	key() Key
+	// cost is the cell's relative compute estimate (0 = unknown); Run
+	// dispatches the most expensive cells first.
+	cost() float64
 	run(s *Session) error
 }
 
@@ -38,10 +35,13 @@ type job interface {
 type cellJob[T any] struct {
 	spec     Spec
 	i        int
+	weight   float64
 	compute  func(int) T
 	collects []func(int, T)
 }
 
+func (j *cellJob[T]) key() Key      { return j.spec.Key(j.i) }
+func (j *cellJob[T]) cost() float64 { return j.weight }
 func (j *cellJob[T]) run(s *Session) error {
 	return runCell(s, j.spec, j.i, j.compute, func(i int, v T) {
 		for _, collect := range j.collects {
@@ -50,10 +50,9 @@ func (j *cellJob[T]) run(s *Session) error {
 	})
 }
 
-// NewBatch returns an empty batch executing on pool under session's
-// policy (session may be nil: compute everything).
-func NewBatch(pool runner.Pool, session *Session) *Batch {
-	return &Batch{pool: pool, session: session, byKey: make(map[Key]job)}
+// NewBatch returns an empty batch.
+func NewBatch() *Batch {
+	return &Batch{byKey: make(map[Key]job)}
 }
 
 // AddCell registers cell i of spec. compute(i) produces its record — a
@@ -82,10 +81,9 @@ func AddCell[T any](b *Batch, spec Spec, i int, cost float64, compute func(i int
 		c.collects = append(c.collects, collect)
 		return
 	}
-	j := &cellJob[T]{spec: spec, i: i, compute: compute, collects: []func(int, T){collect}}
+	j := &cellJob[T]{spec: spec, i: i, weight: cost, compute: compute, collects: []func(int, T){collect}}
 	b.byKey[k] = j
 	b.jobs = append(b.jobs, j)
-	b.costs = append(b.costs, cost)
 }
 
 // lookup is the one way a session sources an existing record: the
@@ -144,8 +142,8 @@ func resolve[T any](s *Session, k Key, i int, collect func(int, T)) (done bool, 
 // runCell executes one cell under the session policy, computing on the
 // calling goroutine. A *CellError panic — the compute's report that the
 // cell cannot produce a record — comes back as that error, naming the
-// cell; any other panic propagates under the runner contract. A compute
-// that fails or panics leaves nothing in the memo.
+// cell; any other panic propagates to Run. A compute that fails or
+// panics leaves nothing in the memo.
 func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect func(int, T)) (err error) {
 	k := spec.Key(i)
 	defer func() {
@@ -197,37 +195,99 @@ func (s *Session) upload(k Key, v any) error {
 	return s.Sink.Put(k, v)
 }
 
-// Run executes every registered cell across the pool. Jobs with declared costs are dispatched first, most expensive
-// leading (longest-processing-time); the order never affects results,
-// only the parallel tail. It returns the first error (store I/O, sink
-// upload or a *CellError); other compute panics propagate per the
-// runner contract.
-func (b *Batch) Run(ctx context.Context) error {
-	pool := b.pool
-	pool.Order = lptOrder(b.costs)
-	return pool.ForEach(ctx, len(b.jobs), func(_ context.Context, i int) error {
-		return b.jobs[i].run(b.session)
-	})
+// Run executes every registered cell under ses (nil: compute each cell,
+// remember nothing) on w goroutines, w = min(workers or GOMAXPROCS,
+// cells), calling progress, when non-nil, after each finished cell with
+// the count so far and the total; progress may be called concurrently
+// and observes only.
+//
+// Run first stable-sorts the jobs by descending cost, and then a job's
+// index is its dispatch position: workers pull the next index from one
+// counter, so the most expensive cells start first
+// (longest-processing-time) and shrink the tail where the last worker
+// finishes a long cell alone. Cells collect into cell-indexed storage,
+// so the order never affects results.
+//
+// After the first failure no worker pulls another job; jobs in flight
+// finish. Run reports the failure with the lowest job index, which has
+// always run, since every lower index was dispatched before any higher
+// one: the same cell at every worker count. An error (store I/O, sink
+// upload, a *CellError) is returned; any other panic is re-raised on
+// the caller's goroutine as a *PanicError naming the cell.
+func (b *Batch) Run(ses *Session, workers int, progress func(done, total int)) error {
+	sort.SliceStable(b.jobs, func(x, y int) bool { return b.jobs[x].cost() > b.jobs[y].cost() })
+	n := len(b.jobs)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		next, done atomic.Int64
+		stop       atomic.Bool
+		mu         sync.Mutex
+		first      = n // lowest failed job index
+		firstErr   error
+		wg         sync.WaitGroup
+	)
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := b.runJob(ses, i); err != nil {
+					mu.Lock()
+					if i < first {
+						first, firstErr = i, err
+					}
+					mu.Unlock()
+					stop.Store(true)
+				}
+				if progress != nil {
+					progress(int(done.Add(1)), n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if pe, ok := firstErr.(*PanicError); ok {
+		panic(pe)
+	}
+	return firstErr
 }
 
-// lptOrder returns the descending-cost dispatch permutation, or nil
-// when no job declared a cost (natural order). The sort is stable so
-// unhinted jobs and cost ties keep registration order.
-func lptOrder(costs []float64) []int {
-	hinted := false
-	for _, c := range costs {
-		if c != 0 {
-			hinted = true
-			break
+// runJob runs job i, returning a panic as a *PanicError that names its
+// cell.
+func (b *Batch) runJob(ses *Session, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Key: b.jobs[i].key(), Value: v, Stack: debug.Stack()}
 		}
-	}
-	if !hinted {
-		return nil
-	}
-	ord := make([]int, len(costs))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.SliceStable(ord, func(a, b int) bool { return costs[ord[a]] > costs[ord[b]] })
-	return ord
+	}()
+	return b.jobs[i].run(ses)
+}
+
+// PanicError carries a compute panic other than a *CellError from the
+// worker that recovered it to the caller of Run, which re-raises it.
+type PanicError struct {
+	// Key names the panicking cell.
+	Key Key
+	// Value is the original panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+// Error renders the panic with its cell and stack.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("results: cell %d of %q (schema %d, scale %q) panicked: %v\n%s",
+		e.Key.Cell, e.Key.Experiment, e.Key.Schema, e.Key.Scale, e.Value, e.Stack)
+}
+
+// Unwrap exposes an error panic value to errors.Is/As.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 // memSink records every Put for assertions; optionally fails.
@@ -45,7 +43,7 @@ func TestClaimsGateComputesOnlyClaimedCells(t *testing.T) {
 
 	out := make([]rec, n)
 	s := &Session{Store: openStore(t, dir), Claims: claimed}
-	if err := runSpec(runner.New(2), s, spec(), n, computeRec(&computes), collectInto(out)); err != nil {
+	if err := runSpec(2, s, spec(), n, computeRec(&computes), collectInto(out)); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n/2 {
@@ -71,7 +69,7 @@ func TestSinkReceivesComputedAndServedRecords(t *testing.T) {
 	// Cold: every record is computed and delivered to the sink.
 	cold := newMemSink()
 	s1 := &Session{Store: openStore(t, dir), Sink: cold}
-	if err := runSpec(runner.New(2), s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(2, s1, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if cold.len() != n {
@@ -82,7 +80,7 @@ func TestSinkReceivesComputedAndServedRecords(t *testing.T) {
 	// cells it already has locally must still deliver them.
 	warm := newMemSink()
 	s2 := &Session{Store: openStore(t, dir), Sink: warm}
-	if err := runSpec(runner.New(2), s2, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(2, s2, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 	if h, c := s2.Stats(); h != n || c != 0 {
@@ -104,7 +102,7 @@ func TestSinkErrorFailsTheCell(t *testing.T) {
 	sink.fail = errors.New("coordinator unreachable")
 	var computes atomic.Int64
 	s := &Session{Sink: sink}
-	err := runSpec(runner.New(1), s, spec(), 3, computeRec(&computes), collectInto(make([]rec, 3)))
+	err := runSpec(1, s, spec(), 3, computeRec(&computes), collectInto(make([]rec, 3)))
 	if err == nil || !errors.Is(err, sink.fail) {
 		t.Fatalf("Run with failing sink = %v, want the sink error", err)
 	}
@@ -128,7 +126,7 @@ func TestLostClaimSkipsUpload(t *testing.T) {
 		lost.Store(true)
 		return rec{Cell: i}
 	}
-	if err := runSpec(runner.New(1), s, spec(), 1, compute, collectInto(make([]rec, 1))); err != nil {
+	if err := runSpec(1, s, spec(), 1, compute, collectInto(make([]rec, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != 1 {
@@ -146,13 +144,13 @@ func TestMergeGathersEveryHole(t *testing.T) {
 
 	// Seed shard 0/3 only: cells 1,2,4,5,7,8 are holes.
 	s := &Session{Store: openStore(t, dir), Claims: shardOf(0, 3)}
-	if err := runSpec(runner.New(1), s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
+	if err := runSpec(1, s, spec(), n, computeRec(&computes), collectInto(make([]rec, n))); err != nil {
 		t.Fatal(err)
 	}
 
 	m := &Session{Store: openStore(t, dir), Merge: true}
 	got := make([]rec, n)
-	if err := runSpec(runner.New(2), m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
+	if err := runSpec(2, m, spec(), n, computeRec(&computes), collectInto(got)); err != nil {
 		t.Fatalf("a merge must not fail on holes: %v", err)
 	}
 	miss := m.MissingCells()
@@ -187,7 +185,7 @@ func TestCellErrorNamesTheFailedCell(t *testing.T) {
 		return rec{Cell: i}
 	}
 	s := &Session{}
-	err := runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
+	err := runSpec(1, s, spec(), n, compute, collectInto(make([]rec, n)))
 	var ce *CellError
 	if !errors.As(err, &ce) || !errors.Is(err, cause) {
 		t.Fatalf("Run = %v, want a *CellError wrapping the cause", err)
@@ -205,7 +203,7 @@ func TestCellErrorNamesTheFailedCell(t *testing.T) {
 	}
 	// The failure is the cell's own: asked again, it fails again.
 	computes.Store(0)
-	err = runSpec(runner.New(1), s, spec(), n, compute, collectInto(make([]rec, n)))
+	err = runSpec(1, s, spec(), n, compute, collectInto(make([]rec, n)))
 	if !errors.As(err, &ce) || ce.Key.Cell != 2 || computes.Load() != 1 {
 		t.Fatalf("second run = %v after %d computes, want cell 2 failing on its one compute", err, computes.Load())
 	}

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/runner"
 )
 
 // recordFiles lists the record files under dir (excluding temp files and
@@ -173,7 +171,7 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			var computes atomic.Int64
 			s := &Session{Store: openStore(t, dir)}
 			out := make([]rec, 1)
-			if err := runSpec(runner.New(1), s, spec(), 1, computeRec(&computes), collectInto(out)); err != nil {
+			if err := runSpec(1, s, spec(), 1, computeRec(&computes), collectInto(out)); err != nil {
 				t.Fatal(err)
 			}
 			wantComputes := int64(1)

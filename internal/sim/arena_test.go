@@ -95,33 +95,6 @@ func TestRunUntilWithCancelledHead(t *testing.T) {
 	}
 }
 
-func TestStopMidQueuePreservesRemainder(t *testing.T) {
-	e := New()
-	var order []int
-	for i := 0; i < 6; i++ {
-		i := i
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			order = append(order, i)
-			if i == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if len(order) != 3 {
-		t.Fatalf("ran %d events before Stop, want 3", len(order))
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() = %d after Stop, want 3", e.Pending())
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v, want 0..5", order)
-		}
-	}
-}
-
 func TestRescheduleFromCallbackReusesSlot(t *testing.T) {
 	e := New()
 	hops := 0

@@ -150,17 +150,6 @@ func TestDaemonContract(t *testing.T) {
 				t.Fatalf("now %v with %d pending, want 25ms and 2", e.Now(), e.Pending())
 			}
 		}},
-		{"Stop ends the run as in RunUntil", func(t *testing.T, e *Engine) {
-			var log []string
-			e.At(5*ms, e.Stop)
-			live(e, &log, "a", 10*ms)
-			if e.RunUntilQuiet(20 * ms) {
-				t.Fatal("quiet after Stop")
-			}
-			if len(log) != 0 || e.Now() != 20*ms || e.Pending() != 1 {
-				t.Fatalf("log %v, now %v, %d pending; want the event kept and the clock at the deadline", log, e.Now(), e.Pending())
-			}
-		}},
 		{"inline claims respect the deadline and yield to daemons", func(t *testing.T, e *Engine) {
 			b := &batcher{e: e}
 			b.add(10*ms, 1)

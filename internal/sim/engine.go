@@ -290,9 +290,8 @@ type Engine struct {
 	// extra comparisons per level but halves the levels, and with
 	// 24-byte entries the four children of a node share two cache
 	// lines.
-	heap    []heapEnt
-	seq     uint64
-	stopped bool
+	heap []heapEnt
+	seq  uint64
 	// qstats is the per-run queue telemetry, flushed by Reset.
 	qstats queueCounters
 	// limit bounds inline claims (RunsNext): Run lifts it to maxTime,
@@ -397,7 +396,6 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.coalesced = 0
 	e.daemons = 0
-	e.stopped = false
 	e.budget = math.MaxUint64
 	e.exhausted = false
 	e.limit = noRunLimit
@@ -540,18 +538,18 @@ func (e *Engine) AtTicket(t Time, tk Ticket, kind EventKind, arg any) Timer {
 }
 
 // RunsNext reports whether a pending logical event keyed (t, tk) would be
-// the engine's very next dispatch — no queued event sorts before it, the
-// run loop has not been stopped, and t does not exceed the loop's
-// deadline — and, when true, advances the clock to t and counts the
-// event as coalesced. A multiplexing model calls this from inside its
-// timer handler to execute successor logical events inline instead of
-// re-arming through the heap; because the claim succeeds only when the
-// successor would have been dispatched next anyway, execution order (and
-// with it every tie-break) is identical to the unbatched schedule.
+// the engine's very next dispatch — no queued event sorts before it and
+// t does not exceed the run loop's deadline — and, when true, advances
+// the clock to t and counts the event as coalesced. A multiplexing
+// model calls this from inside its timer handler to execute successor
+// logical events inline instead of re-arming through the heap; because
+// the claim succeeds only when the successor would have been dispatched
+// next anyway, execution order (and with it every tie-break) is
+// identical to the unbatched schedule.
 // Outside Run/RunUntil the claim always fails, preserving strict
 // one-event-per-Step semantics for direct Step callers.
 func (e *Engine) RunsNext(t Time, tk Ticket) bool {
-	if e.stopped || t > e.limit {
+	if t > e.limit {
 		return false
 	}
 	if t < e.now {
@@ -626,12 +624,6 @@ func (e *Engine) freeSlot(si int32) {
 	e.freeHead = si
 }
 
-// Stop aborts the current Run/RunUntil after the in-flight event returns
-// (inline claims made after Stop fail, so a batching drain winds down
-// too). The queue is preserved, so a subsequent Run resumes where it
-// left off.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
 func (e *Engine) Step() bool {
@@ -665,11 +657,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
 	e.limit = maxTime
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	e.limit = noRunLimit
 }
@@ -685,16 +676,15 @@ func (e *Engine) RunUntil(deadline Time) { e.run(deadline, false) }
 // point it dispatches exactly what RunUntil(deadline) would, daemons
 // included, in the same (time, ticket) order; it then leaves the clock at
 // its last dispatch and the daemons queued, so a later run call resumes
-// them. Ending on Stop, at the deadline or on the event budget instead,
-// it returns false with the clock where RunUntil leaves it.
+// them. Ending at the deadline or on the event budget instead, it
+// returns false with the clock where RunUntil leaves it.
 func (e *Engine) RunUntilQuiet(deadline Time) bool { return e.run(deadline, true) }
 
 // run is the one dispatch loop behind RunUntil and RunUntilQuiet.
 func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
-	e.stopped = false
 	e.exhausted = false
 	e.limit = deadline
-	for !e.stopped {
+	for {
 		if untilQuiet && e.Pending() == e.daemons {
 			quiet = true
 			break

@@ -132,27 +132,6 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 5 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	e.Run() // resumes
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
-	}
-}
-
 func TestProcessedCounts(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {

@@ -225,21 +225,6 @@ func TestRunsNextRespectsDeadline(t *testing.T) {
 	}
 }
 
-// TestRunsNextFailsAfterStop: a stopping run refuses further claims so a
-// batching drain winds down with the loop.
-func TestRunsNextFailsAfterStop(t *testing.T) {
-	e := New()
-	var after bool
-	e.Schedule(time.Millisecond, func() {
-		e.Stop()
-		after = e.RunsNext(e.Now(), e.ReserveTicket())
-	})
-	e.Run()
-	if after {
-		t.Fatal("RunsNext claimed after Stop")
-	}
-}
-
 // TestCancelPendingBatchedDrain: cancelling the armed timer of a
 // multiplexed batch removes it eagerly; none of the batched logical
 // events fire, and re-adding re-arms cleanly.

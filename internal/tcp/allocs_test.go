@@ -26,7 +26,7 @@ func TestSubflowSteadyStateAllocs(t *testing.T) {
 	})
 	conn := &benchConn{}
 	s := NewSubflow(eng, Config{ConnID: 1, ID: 0, Name: "allocs"}, path, cc.NewReno(), conn)
-	recv := NewSubflowRecv(eng, path, benchSink{})
+	recv := NewSubflowRecv(path, benchSink{})
 	path.SetForwardReceiver(recv.OnPacket)
 	path.SetReverseReceiver(s.OnAck)
 	s.SeedRTT(10 * time.Millisecond)

@@ -16,7 +16,6 @@ type benchSink struct{}
 func (benchSink) OnData(p *netsim.Packet) (int64, int64) {
 	return p.DSN + int64(p.PayloadLen), 1 << 40
 }
-func (benchSink) Snapshot() (int64, int64) { return 0, 1 << 40 }
 
 // benchConn refills the send window from the ACK upcall.
 type benchConn struct{ pump func() }
@@ -36,7 +35,7 @@ func BenchmarkSubflowTransfer(b *testing.B) {
 	})
 	conn := &benchConn{}
 	s := NewSubflow(eng, Config{ConnID: 1, ID: 0, Name: "bench"}, path, cc.NewReno(), conn)
-	recv := NewSubflowRecv(eng, path, benchSink{})
+	recv := NewSubflowRecv(path, benchSink{})
 	path.SetForwardReceiver(recv.OnPacket)
 	path.SetReverseReceiver(s.OnAck)
 	s.SeedRTT(10 * time.Millisecond)

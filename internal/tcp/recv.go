@@ -1,11 +1,8 @@
 package tcp
 
 import (
-	"time"
-
 	"repro/internal/netsim"
 	"repro/internal/ring"
-	"repro/internal/sim"
 )
 
 // MetaSink is the connection-level receiver a subflow receiver reports
@@ -13,18 +10,14 @@ import (
 // cumulative data-level acknowledgement and the advertised receive window.
 type MetaSink interface {
 	OnData(p *netsim.Packet) (dataAck, window int64)
-	// Snapshot returns the current piggyback fields without consuming a
-	// packet (delayed ACKs read it when their timer fires).
-	Snapshot() (dataAck, window int64)
 }
 
 // SubflowRecv is the receive side of one subflow: it reassembles the
-// subflow-level byte stream, generates cumulative ACKs (with a SACK-style
-// "hole present" hint that drives the sender's duplicate-ACK counting)
-// and forwards every arriving data packet to the connection-level
-// receiver for DSN-level reordering.
+// subflow-level byte stream, acknowledges every arriving data packet
+// at once with a cumulative ACK (with a SACK-style "hole present" hint
+// that drives the sender's duplicate-ACK counting) and forwards the
+// packet to the connection-level receiver for DSN-level reordering.
 type SubflowRecv struct {
-	eng  *sim.Engine
 	path *netsim.Path
 	meta MetaSink
 
@@ -34,20 +27,7 @@ type SubflowRecv struct {
 	// the in-order common case never touches it.
 	buffered ring.Reorder[struct{}]
 
-	// DelayedAcks enables RFC 1122-style ACK coalescing: in-order
-	// arrivals are acknowledged every second segment or after 40 ms,
-	// while out-of-order arrivals (and arrivals that fill holes) are
-	// acknowledged immediately per RFC 5681. Off by default — the
-	// experiments model per-packet ACKs as most handsets disable
-	// delayed ACKs for small RTT-sensitive flows — but available for
-	// realism studies.
-	DelayedAcks bool
-
-	pendingAck  bool
-	pendingPkt  netsim.Packet
-	delayTimer  sim.Timer
-	acksSent    int64
-	acksDelayed int64
+	acksSent int64
 
 	// ackScratch is the outgoing ACK under construction. sendAck
 	// overwrites every ACK field on each send and never touches the
@@ -62,28 +42,21 @@ type SubflowRecv struct {
 // NewSubflowRecv builds the receive side. The caller wires OnPacket to
 // the path's forward direction (directly, or through a netsim.Demux when
 // links are shared across connections).
-func NewSubflowRecv(eng *sim.Engine, path *netsim.Path, meta MetaSink) *SubflowRecv {
-	r := &SubflowRecv{eng: eng}
+func NewSubflowRecv(path *netsim.Path, meta MetaSink) *SubflowRecv {
+	r := &SubflowRecv{}
 	r.Reset(path, meta)
 	return r
 }
 
 // Reset rebinds a pooled receiver to a path and meta sink, restoring
 // the state NewSubflowRecv would construct: sequence zero, an empty
-// reorder buffer (capacity kept), no pending delayed ACK, zeroed
-// counters. The engine must have been reset first (it owned the
-// delayed-ACK timer).
+// reorder buffer (capacity kept), zeroed counters.
 func (r *SubflowRecv) Reset(path *netsim.Path, meta MetaSink) {
 	r.path = path
 	r.meta = meta
 	r.expected = 0
 	r.buffered.Reset()
-	r.DelayedAcks = false
-	r.pendingAck = false
-	r.pendingPkt = netsim.Packet{}
-	r.delayTimer = sim.Timer{}
 	r.acksSent = 0
-	r.acksDelayed = 0
 	r.ackScratch = netsim.Packet{}
 	r.duplicates = 0
 }
@@ -98,18 +71,13 @@ func (r *SubflowRecv) Duplicates() int64 { return r.duplicates }
 // AcksSent returns the number of ACK packets emitted.
 func (r *SubflowRecv) AcksSent() int64 { return r.acksSent }
 
-// AcksDelayed returns how many arrivals were coalesced by delayed ACKs.
-func (r *SubflowRecv) AcksDelayed() int64 { return r.acksDelayed }
-
-// OnPacket handles one arriving data packet and emits (or schedules) an
-// ACK.
+// OnPacket handles one arriving data packet and emits its ACK.
 func (r *SubflowRecv) OnPacket(p *netsim.Packet) {
 	if p.Kind != netsim.Data {
 		return
 	}
-	inOrder := p.Seq == r.expected
 	switch {
-	case inOrder:
+	case p.Seq == r.expected:
 		// The buffered block never contains the expected seq (the drain
 		// below always consumes it), so an in-order arrival is never a
 		// duplicate: advance directly and drain any adjacent segments.
@@ -129,47 +97,7 @@ func (r *SubflowRecv) OnPacket(p *netsim.Packet) {
 		r.duplicates++
 	}
 	dataAck, window := r.meta.OnData(p)
-
-	if r.DelayedAcks && inOrder && r.buffered.Len() == 0 && !r.pendingAck {
-		// First of a potential pair: hold the ACK briefly.
-		r.pendingAck = true
-		r.pendingPkt = *p
-		r.acksDelayed++
-		r.delayTimer = r.eng.ScheduleEvent(40*time.Millisecond, kindDelayedAck, r)
-		return
-	}
-	// A second arrival before the 40 ms timer supersedes the held ACK in
-	// this very dispatch: the pending flush is cancelled eagerly and the
-	// fresher cumulative ACK goes out now, so a same-instant delayed-ACK
-	// flush never costs its own event.
-	r.cancelPending()
 	r.sendAck(p, dataAck, window)
-}
-
-// kindDelayedAck dispatches the delayed-ACK timer through the typed
-// event table.
-var kindDelayedAck sim.EventKind
-
-func init() {
-	kindDelayedAck = sim.RegisterKind("tcp.SubflowRecv.delayedAck", func(a any) { a.(*SubflowRecv).flushPending() })
-}
-
-// cancelPending drops the held ACK state (a fresher ACK supersedes it).
-func (r *SubflowRecv) cancelPending() {
-	r.delayTimer.Cancel()
-	r.delayTimer = sim.Timer{}
-	r.pendingAck = false
-}
-
-// flushPending emits the held ACK after the delay timer fires.
-func (r *SubflowRecv) flushPending() {
-	if !r.pendingAck {
-		return
-	}
-	p := r.pendingPkt
-	r.cancelPending()
-	dataAck, window := r.meta.Snapshot()
-	r.sendAck(&p, dataAck, window)
 }
 
 // sendAck emits one cumulative acknowledgement.

@@ -20,7 +20,7 @@ func BenchmarkSubflowRecvInOrder(b *testing.B) {
 		QueueBytes: 1 << 20,
 	})
 	path.SetReverseReceiver(func(*netsim.Packet) {})
-	r := NewSubflowRecv(eng, path, benchSink{})
+	r := NewSubflowRecv(path, benchSink{})
 	const mss = 1400
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -54,7 +54,7 @@ func BenchmarkSubflowRecvReorder(b *testing.B) {
 		QueueBytes: 1 << 20,
 	})
 	path.SetReverseReceiver(func(*netsim.Packet) {})
-	r := NewSubflowRecv(eng, path, benchSink{})
+	r := NewSubflowRecv(path, benchSink{})
 	const mss = 1400
 	const window = 16
 	// A fixed pseudo-random permutation keeps the arrival schedule

@@ -112,7 +112,7 @@ func TestSubflowRecvMatchesMapReference(t *testing.T) {
 		path := netsim.NewPath(eng, netsim.PathConfig{Name: "prop", RateBps: 1e9, Delay: time.Millisecond})
 		var acks []netsim.Packet
 		path.SetReverseReceiver(func(p *netsim.Packet) { acks = append(acks, *p) })
-		rx := NewSubflowRecv(eng, path, benchSink{})
+		rx := NewSubflowRecv(path, benchSink{})
 		ref := newSubflowRecvRef()
 
 		for i, s := range schedule {

@@ -7,15 +7,18 @@ package tcp
 
 import "time"
 
-// RTTEstimator implements RFC 6298 smoothing with the Linux mdev variant,
-// which additionally tracks a mean-deviation estimate usable as the σ the
-// ECF scheduler needs.
+// RTO clamp range, Linux's defaults.
+const (
+	minRTO = 200 * time.Millisecond
+	maxRTO = 120 * time.Second
+)
+
+// RTTEstimator implements RFC 6298 smoothing. Its one deviation
+// estimate, rttvar, is both the 4·rttvar term of the RTO and the σ the
+// ECF scheduler needs. The zero value is ready: no samples, a 1 s RTO.
 type RTTEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
-	mdev   time.Duration
-	minRTO time.Duration
-	maxRTO time.Duration
 	// samples counts RTT measurements taken.
 	samples int64
 	// min is the smallest measurement seen (propagation-delay estimate).
@@ -26,26 +29,8 @@ type RTTEstimator struct {
 	ring [8]time.Duration
 }
 
-// NewRTTEstimator returns an estimator with the given RTO clamp range.
-// Zero values select Linux-like defaults (200 ms .. 120 s).
-func NewRTTEstimator(minRTO, maxRTO time.Duration) *RTTEstimator {
-	e := &RTTEstimator{}
-	e.Reset(minRTO, maxRTO)
-	return e
-}
-
-// Reset returns the estimator to the state NewRTTEstimator(minRTO,
-// maxRTO) would construct: no samples, default RTO, empty recent-min
-// ring.
-func (e *RTTEstimator) Reset(minRTO, maxRTO time.Duration) {
-	if minRTO <= 0 {
-		minRTO = 200 * time.Millisecond
-	}
-	if maxRTO <= 0 {
-		maxRTO = 120 * time.Second
-	}
-	*e = RTTEstimator{minRTO: minRTO, maxRTO: maxRTO}
-}
+// Reset returns the estimator to its zero value.
+func (e *RTTEstimator) Reset() { *e = RTTEstimator{} }
 
 // Sample folds one RTT measurement into the estimate.
 func (e *RTTEstimator) Sample(rtt time.Duration) {
@@ -60,7 +45,6 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 	if e.samples == 1 {
 		e.srtt = rtt
 		e.rttvar = rtt / 2
-		e.mdev = rtt / 2
 		return
 	}
 	// RFC 6298: srtt = 7/8 srtt + 1/8 rtt; rttvar = 3/4 var + 1/4 |err|.
@@ -70,18 +54,14 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 	}
 	e.srtt += (rtt - e.srtt) / 8
 	e.rttvar += (err - e.rttvar) / 4
-	e.mdev += (err - e.mdev) / 4
 }
 
 // Srtt returns the smoothed RTT, or 0 before the first sample.
 func (e *RTTEstimator) Srtt() time.Duration { return e.srtt }
 
-// Var returns the RTT variation estimate.
-func (e *RTTEstimator) Var() time.Duration { return e.rttvar }
-
-// StdDev returns the mean-deviation estimate (Linux mdev), which ECF uses
-// as σ in its scheduling inequalities.
-func (e *RTTEstimator) StdDev() time.Duration { return e.mdev }
+// StdDev returns the RTT variation estimate, rttvar, which ECF uses as σ
+// in its scheduling inequalities.
+func (e *RTTEstimator) StdDev() time.Duration { return e.rttvar }
 
 // Samples returns the number of measurements folded in.
 func (e *RTTEstimator) Samples() int64 { return e.samples }
@@ -122,11 +102,11 @@ func (e *RTTEstimator) RTO() time.Duration {
 		return time.Second
 	}
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.minRTO {
-		rto = e.minRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > e.maxRTO {
-		rto = e.maxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }

@@ -7,21 +7,22 @@ import (
 )
 
 func TestRTTFirstSample(t *testing.T) {
-	e := NewRTTEstimator(0, 0)
+	var e RTTEstimator
 	e.Sample(100 * time.Millisecond)
 	if e.Srtt() != 100*time.Millisecond {
 		t.Fatalf("srtt = %v, want 100ms", e.Srtt())
 	}
-	if e.Var() != 50*time.Millisecond {
-		t.Fatalf("rttvar = %v, want 50ms", e.Var())
-	}
 	if e.StdDev() != 50*time.Millisecond {
-		t.Fatalf("mdev = %v, want 50ms", e.StdDev())
+		t.Fatalf("rttvar = %v, want 50ms", e.StdDev())
+	}
+	// 300 ms lies inside the clamp, so the RTO is the bare formula.
+	if e.RTO() != e.Srtt()+4*e.StdDev() {
+		t.Fatalf("RTO = %v, want srtt + 4·rttvar = %v", e.RTO(), e.Srtt()+4*e.StdDev())
 	}
 }
 
 func TestRTTConvergesToConstant(t *testing.T) {
-	e := NewRTTEstimator(0, 0)
+	var e RTTEstimator
 	for i := 0; i < 200; i++ {
 		e.Sample(80 * time.Millisecond)
 	}
@@ -29,19 +30,19 @@ func TestRTTConvergesToConstant(t *testing.T) {
 		t.Fatalf("srtt = %v, want ~80ms", e.Srtt())
 	}
 	if e.StdDev() > time.Millisecond {
-		t.Fatalf("mdev = %v for constant samples, want ~0", e.StdDev())
+		t.Fatalf("rttvar = %v for constant samples, want ~0", e.StdDev())
 	}
 }
 
 func TestRTOBeforeSamples(t *testing.T) {
-	e := NewRTTEstimator(0, 0)
+	var e RTTEstimator
 	if e.RTO() != time.Second {
 		t.Fatalf("initial RTO = %v, want 1s", e.RTO())
 	}
 }
 
 func TestRTOMinClamp(t *testing.T) {
-	e := NewRTTEstimator(200*time.Millisecond, 0)
+	var e RTTEstimator
 	for i := 0; i < 100; i++ {
 		e.Sample(time.Millisecond)
 	}
@@ -51,18 +52,18 @@ func TestRTOMinClamp(t *testing.T) {
 }
 
 func TestRTOMaxClamp(t *testing.T) {
-	e := NewRTTEstimator(0, 2*time.Second)
+	var e RTTEstimator
 	for i := 0; i < 10; i++ {
-		e.Sample(10 * time.Second)
+		e.Sample(200 * time.Second)
 	}
-	if e.RTO() != 2*time.Second {
-		t.Fatalf("RTO = %v, want clamped 2s", e.RTO())
+	if e.RTO() != maxRTO {
+		t.Fatalf("RTO = %v, want clamped %v", e.RTO(), maxRTO)
 	}
 }
 
 func TestRTOAtLeastSrtt(t *testing.T) {
 	if err := quick.Check(func(ms uint16) bool {
-		e := NewRTTEstimator(0, 0)
+		var e RTTEstimator
 		d := time.Duration(ms%5000+1) * time.Millisecond
 		for i := 0; i < 20; i++ {
 			e.Sample(d)
@@ -74,7 +75,7 @@ func TestRTOAtLeastSrtt(t *testing.T) {
 }
 
 func TestRTTSampleCountAndNonPositive(t *testing.T) {
-	e := NewRTTEstimator(0, 0)
+	var e RTTEstimator
 	e.Sample(-5 * time.Millisecond) // treated as tiny positive
 	if e.Samples() != 1 {
 		t.Fatalf("samples = %d, want 1", e.Samples())
@@ -85,7 +86,7 @@ func TestRTTSampleCountAndNonPositive(t *testing.T) {
 }
 
 func TestRTTVariabilityRaisesStdDev(t *testing.T) {
-	e := NewRTTEstimator(0, 0)
+	var e RTTEstimator
 	for i := 0; i < 100; i++ {
 		if i%2 == 0 {
 			e.Sample(50 * time.Millisecond)
@@ -94,6 +95,6 @@ func TestRTTVariabilityRaisesStdDev(t *testing.T) {
 		}
 	}
 	if e.StdDev() < 20*time.Millisecond {
-		t.Fatalf("mdev = %v for alternating 50/150ms, want >= 20ms", e.StdDev())
+		t.Fatalf("rttvar = %v for alternating 50/150ms, want >= 20ms", e.StdDev())
 	}
 }

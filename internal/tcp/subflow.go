@@ -178,9 +178,6 @@ type Subflow struct {
 
 	stats SubflowStats
 
-	// debugHook, when set, observes recovery events (tests only).
-	debugHook func(ev string, args ...interface{})
-
 	// obsRec, when non-nil, records send/ACK/recovery events for the
 	// flight recorder. It is installed only on the subflows of a traced
 	// cell and cleared by Reset; everywhere else each hook costs one nil
@@ -231,7 +228,7 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.recoveryPoint = -1
 	s.dupAcks = 0
 	s.dupSacked = 0
-	s.rtt.Reset(0, 0)
+	s.rtt.Reset()
 	s.rtoTimer = sim.Timer{}
 	s.rtoDeadline = 0
 	s.rtoTk = 0
@@ -249,7 +246,6 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.idleCounted = false
 	s.nextPacedAt = 0
 	s.stats = SubflowStats{}
-	s.debugHook = nil
 	s.obsRec = nil
 	ctrl.Register(s)
 }
@@ -697,9 +693,6 @@ func (s *Subflow) processNewAck(p *netsim.Packet) {
 		if moderated := float64(s.inflightSegs) + maxBurstSegments; s.cwnd > moderated {
 			s.cwnd = moderated
 		}
-		if s.debugHook != nil {
-			s.debugHook("recovery-exit", "sndUna", s.sndUna/MSS, "cwnd", s.cwnd, "inflight", s.inflightSegs)
-		}
 	}
 	if inRecovery {
 		// NewReno partial ACK: the cumulative ACK advanced but stopped
@@ -760,9 +753,6 @@ func (s *Subflow) fastRetransmit() {
 	s.ctrl.OnLoss(s)
 	if s.cwnd <= initialCwnd {
 		s.stats.IWResets++
-	}
-	if s.debugHook != nil {
-		s.debugHook("fast-rtx", "sndUna", s.sndUna/MSS, "recPt", s.nextSeq/MSS, "cwnd", s.cwnd, "inflight", s.inflightSegs)
 	}
 	s.recoveryPoint = s.nextSeq
 	s.stats.FastRetransmits++

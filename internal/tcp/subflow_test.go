@@ -19,8 +19,6 @@ func (m *bigWindowSink) OnData(p *netsim.Packet) (int64, int64) {
 	return m.dataAck, 1 << 40
 }
 
-func (m *bigWindowSink) Snapshot() (int64, int64) { return m.dataAck, 1 << 40 }
-
 // pump drives a subflow like a single-subflow connection would: it pushes
 // segments whenever the window opens until total bytes are sent.
 type pump struct {
@@ -60,7 +58,7 @@ func newHarness(t *testing.T, pathCfg netsim.PathConfig, sfCfg Config, total int
 	h.pmp = &pump{total: total}
 	h.sf = NewSubflow(eng, sfCfg, path, cc.NewReno(), h.pmp)
 	h.pmp.sf = h.sf
-	h.rx = NewSubflowRecv(eng, path, &bigWindowSink{})
+	h.rx = NewSubflowRecv(path, &bigWindowSink{})
 	path.SetForwardReceiver(h.rx.OnPacket)
 	path.SetReverseReceiver(h.sf.OnAck)
 	return h
@@ -76,6 +74,11 @@ func TestTransferCompletes(t *testing.T) {
 	}
 	if h.sf.InflightSegments() != 0 || h.sf.InflightBytes() != 0 {
 		t.Fatalf("inflight not drained: %d segs %d bytes", h.sf.InflightSegments(), h.sf.InflightBytes())
+	}
+	// Per-packet ACKing: one ACK per arriving data segment, and on this
+	// loss-free path every segment sent arrives.
+	if st := h.sf.Stats(); st.Retransmits != 0 || h.rx.AcksSent() != st.SegmentsSent {
+		t.Fatalf("%d ACKs for %d segments sent (%d retransmitted), want one per segment", h.rx.AcksSent(), st.SegmentsSent, st.Retransmits)
 	}
 }
 
@@ -211,7 +214,7 @@ func TestAvailableCwndArithmetic(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e6, Delay: time.Second, QueueBytes: 1 << 20})
 	sf := NewSubflow(eng, Config{Name: "p"}, path, cc.NewReno(), nil)
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
+	rx := NewSubflowRecv(path, &bigWindowSink{})
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(sf.OnAck)
 	if got := sf.AvailableCwndSegments(); got != 10 {
@@ -248,7 +251,7 @@ func TestCloseCancelsTimerAndUnregisters(t *testing.T) {
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e6, Delay: 10 * time.Second, QueueBytes: 1 << 20})
 	lia := cc.NewLIA()
 	sf := NewSubflow(eng, Config{Name: "p"}, path, lia, nil)
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
+	rx := NewSubflowRecv(path, &bigWindowSink{})
 	path.SetForwardReceiver(rx.OnPacket)
 	path.SetReverseReceiver(sf.OnAck)
 	sf.SendSegment(0, 1400)
@@ -265,7 +268,7 @@ func TestSubflowRecvOutOfOrderBuffering(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e9})
 	var acks []netsim.Packet
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
+	rx := NewSubflowRecv(path, &bigWindowSink{})
 	path.SetReverseReceiver(func(p *netsim.Packet) { acks = append(acks, *p) })
 	// Deliver seq 1400 before seq 0.
 	rx.OnPacket(&netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 1400, DSN: 1400, PayloadLen: 1400})
@@ -289,7 +292,7 @@ func TestSubflowRecvOutOfOrderBuffering(t *testing.T) {
 func TestSubflowRecvCountsDuplicates(t *testing.T) {
 	eng := sim.New()
 	path := netsim.NewPath(eng, netsim.PathConfig{Name: "p", RateBps: 1e9})
-	rx := NewSubflowRecv(eng, path, &bigWindowSink{})
+	rx := NewSubflowRecv(path, &bigWindowSink{})
 	path.SetReverseReceiver(func(*netsim.Packet) {})
 	pkt := netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 0, DSN: 0, PayloadLen: 1400}
 	rx.OnPacket(&pkt)

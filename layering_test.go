@@ -19,7 +19,6 @@ var layers = map[string][]string{
 	"metrics": nil,
 	"obs":     nil,
 	"ring":    nil,
-	"runner":  nil,
 	"sim":     {"obs"},
 	"netsim":  {"sim", "ring", "obs"},
 	"tcp":     {"sim", "ring", "obs", "cc", "netsim"},
@@ -29,10 +28,10 @@ var layers = map[string][]string{
 	"trace":   {"core", "netsim", "sim"},
 	"dash":    {"mptcp", "sim"},
 	"web":     {"mptcp", "sim"},
-	"results": {"runner"},
+	"results": nil,
 	"coord":   {"results"},
 	"experiments": {"sim", "cc", "netsim", "tcp", "mptcp", "sched", "core",
-		"trace", "dash", "web", "metrics", "results", "runner", "obs"},
+		"trace", "dash", "web", "metrics", "results", "obs"},
 }
 
 // TestInternalImportLayering fails when an internal package imports a
