@@ -199,15 +199,15 @@ func (c *Client) Sweep(ctx context.Context) (SweepInfo, error) {
 	return info, err
 }
 
-// Claim leases up to max cells (0 = server's batch size).
-func (c *Client) Claim(ctx context.Context, max int) (ClaimResponse, error) {
+// claim leases up to max cells (0 = server's batch size).
+func (c *Client) claim(ctx context.Context, max int) (ClaimResponse, error) {
 	var resp ClaimResponse
 	err := c.do(ctx, http.MethodPost, "/v1/claim", ClaimRequest{Worker: c.Worker, Max: max}, &resp)
 	return resp, err
 }
 
-// Heartbeat renews leases on cells.
-func (c *Client) Heartbeat(ctx context.Context, cells []results.Key) (HeartbeatResponse, error) {
+// heartbeat renews leases on cells.
+func (c *Client) heartbeat(ctx context.Context, cells []results.Key) (HeartbeatResponse, error) {
 	var resp HeartbeatResponse
 	err := c.do(ctx, http.MethodPost, "/v1/heartbeat", HeartbeatRequest{Worker: c.Worker, Cells: cells}, &resp)
 	return resp, err

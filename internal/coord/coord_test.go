@@ -235,7 +235,7 @@ func TestDeadWorkerLeasesAreStolen(t *testing.T) {
 	// Worker A claims half the sweep and dies silently: no heartbeat,
 	// no release — the SIGKILL case.
 	dead := fastClient(hs.URL, "dead-worker")
-	claimed, err := dead.Claim(context.Background(), 6)
+	claimed, err := dead.claim(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestDistributedTable2RendersByteIdentical(t *testing.T) {
 	// Worker "victim" claims a batch and dies without heartbeating or
 	// releasing — its leases must be stolen.
 	victim := fastClient(hs.URL, "victim")
-	if resp, err := victim.Claim(context.Background(), 3); err != nil || len(resp.Cells) == 0 {
+	if resp, err := victim.claim(context.Background(), 3); err != nil || len(resp.Cells) == 0 {
 		t.Fatalf("victim claim: %v (%d cells)", err, len(resp.Cells))
 	}
 

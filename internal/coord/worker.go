@@ -30,8 +30,8 @@ func newClaimSet(cells []results.Key) *claimSet {
 	return s
 }
 
-// Covers is the results.Session.Claims gate.
-func (s *claimSet) Covers(k results.Key) bool {
+// covers is the results.Session.Claims gate.
+func (s *claimSet) covers(k results.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.held[k]
@@ -50,10 +50,10 @@ func (s *claimSet) Queue(k results.Key) bool {
 	return true
 }
 
-// Drop forgets cells without an ack: stolen leases a heartbeat
+// drop forgets cells without an ack: stolen leases a heartbeat
 // reported, a surrendered cell. Claimable ones stop being computed
 // immediately.
-func (s *claimSet) Drop(keys []results.Key) {
+func (s *claimSet) drop(keys []results.Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, k := range keys {
@@ -61,9 +61,9 @@ func (s *claimSet) Drop(keys []results.Key) {
 	}
 }
 
-// Held lists every cell still held, claimable or queued — what a pass
+// keys lists every cell still held, claimable or queued — what a pass
 // heartbeats for, and what it releases when it ends.
-func (s *claimSet) Held() []results.Key {
+func (s *claimSet) keys() []results.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]results.Key, 0, len(s.held))
@@ -101,7 +101,7 @@ type uploader struct {
 	wake       *sync.Cond
 	queue      []IngestRecord
 	closed     bool  // Flush was called: exit once the queue drains
-	settled    bool  // a response announced sweep_done: drop everything
+	sweepDone  bool  // a response announced sweep_done: drop everything
 	err        error // first upload failure; fails later Puts and Flush
 	uploaded   int
 	duplicates int
@@ -126,7 +126,7 @@ func (u *uploader) Put(k results.Key, v any) error {
 	if u.err != nil {
 		return u.err
 	}
-	if u.settled || !u.claims.Queue(k) {
+	if u.sweepDone || !u.claims.Queue(k) {
 		return nil
 	}
 	u.queue = append(u.queue, IngestRecord{Cell: k, Record: raw})
@@ -140,10 +140,10 @@ func (u *uploader) Put(k results.Key, v any) error {
 func (u *uploader) next() []IngestRecord {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	for len(u.queue) == 0 && !u.closed && !u.settled {
+	for len(u.queue) == 0 && !u.closed && !u.sweepDone {
 		u.wake.Wait()
 	}
-	if u.settled || len(u.queue) == 0 {
+	if u.sweepDone || len(u.queue) == 0 {
 		return nil
 	}
 	n, size := 0, 0
@@ -173,9 +173,9 @@ func (u *uploader) run(ctx context.Context) {
 					u.duplicates++
 				}
 			}
-			u.claims.Drop(acked)
+			u.claims.drop(acked)
 			u.uploaded += len(batch)
-		} else if !u.settled {
+		} else if !u.sweepDone {
 			// A settle cancels the RPC in flight; that is not a failure.
 			u.err = err
 			u.queue = nil
@@ -185,25 +185,25 @@ func (u *uploader) run(ctx context.Context) {
 			return
 		}
 		if resp.SweepDone {
-			u.Settle()
+			u.settle()
 			return
 		}
 	}
 }
 
-// Settle records that some response announced the sweep settled: every
+// settle records that some response announced the sweep settled: every
 // cell is done or parked, so anything still queued or in flight is a
 // duplicate, and the coordinator may already be gone (-exit-when-done).
 // The queue is dropped, an in-flight upload is abandoned, and the pass
 // stops claiming cells.
-func (u *uploader) Settle() {
+func (u *uploader) settle() {
 	u.mu.Lock()
-	u.settled = true
+	u.sweepDone = true
 	u.queue = nil
 	u.wake.Signal()
 	u.mu.Unlock()
 	u.cancel()
-	u.claims.Drop(u.claims.Held())
+	u.claims.drop(u.claims.keys())
 }
 
 // Flush ends the pass: it waits until everything queued has been
@@ -220,11 +220,11 @@ func (u *uploader) Flush() error {
 	return u.err
 }
 
-// Settled reports whether Settle was called.
-func (u *uploader) Settled() bool {
+// settled reports whether settle was called.
+func (u *uploader) settled() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.settled
+	return u.sweepDone
 }
 
 // WorkerConfig parameterizes RunWorker.
@@ -294,7 +294,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		resp, err := cfg.Client.Claim(ctx, cfg.BatchSize)
+		resp, err := cfg.Client.claim(ctx, cfg.BatchSize)
 		if err != nil {
 			return stats, err
 		}
@@ -335,20 +335,20 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 					return
 				case <-time.After(interval):
 				}
-				held := claims.Held()
+				held := claims.keys()
 				if len(held) == 0 {
 					continue
 				}
-				hb, err := cfg.Client.Heartbeat(hbCtx, held)
+				hb, err := cfg.Client.heartbeat(hbCtx, held)
 				if err != nil {
 					continue
 				}
 				if hb.SweepDone {
-					up.Settle()
+					up.settle()
 					return
 				}
 				if len(hb.Lost) > 0 {
-					claims.Drop(hb.Lost)
+					claims.drop(hb.Lost)
 					logf("lost %d leases (stolen); dropping them mid-pass", len(hb.Lost))
 				}
 			}
@@ -356,7 +356,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 
 		ses := &results.Session{
 			Store:  cfg.Store,
-			Claims: claims.Covers,
+			Claims: claims.covers,
 			Sink:   up,
 		}
 		passErr := cfg.RunPass(ses)
@@ -368,7 +368,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 
 		stats.Uploaded += up.uploaded
 		stats.Duplicates += up.duplicates
-		if up.Settled() {
+		if up.settled() {
 			// Nothing is left to lease, release or report, and under
 			// -exit-when-done nobody may be left to hear it.
 			logf("pass %d: claimed %d, uploaded %d (%d duplicate); sweep settled", stats.Passes, len(resp.Cells), up.uploaded, up.duplicates)
@@ -390,7 +390,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 			// Surrender the failed cell; the coordinator parks it, since
 			// any other worker would fail it the same way.
 			stats.Surrendered++
-			claims.Drop([]results.Key{failed.Key})
+			claims.drop([]results.Key{failed.Key})
 			release([]results.Key{failed.Key}, true, failed.Error())
 			passErr = nil
 		}
@@ -400,7 +400,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		// Return whatever was not acknowledged — aborted by an error,
 		// its upload failed, or simply not reached before a failed cell
 		// ended the pass. (Cells theft removed are no longer held.)
-		if rest := claims.Held(); len(rest) > 0 {
+		if rest := claims.keys(); len(rest) > 0 {
 			stats.Lost += len(rest)
 			release(rest, false, "")
 		}

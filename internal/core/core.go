@@ -43,7 +43,7 @@
 //     next cell.
 //     After Close, the network, its connections, mptcp.Transfer
 //     handles and any telemetry slices obtained from its receivers
-//     (Receiver.OOODelays, SubflowBytes, LastArrival) are off-limits:
+//     (Receiver.OOODelays, SubflowBytes) are off-limits:
 //     another worker may already be resetting them. Copy results out
 //     first (the experiment drivers copy reorder telemetry into
 //     metrics sample-pool buffers for exactly this reason).
@@ -77,11 +77,11 @@ type PathSpec struct {
 	Seed uint64
 }
 
-// DefaultQueueBytes sizes every path's drop-tail buffers. 48 KiB at
+// defaultQueueBytes sizes every path's drop-tail buffers. 48 KiB at
 // 0.3 Mbps is ~1.3 s of queueing when full, which calibrates the
 // RTT-vs-bandwidth inflation to the paper's Table 2 and matches the
 // bufferbloat it measures on its slowest setting.
-const DefaultQueueBytes = 48 * 1024
+const defaultQueueBytes = 48 * 1024
 
 // WiFiBaseRTT and LTEBaseRTT are the zero-load RTTs used by the standard
 // two-path topology; they are calibrated so that measured RTTs under load
@@ -220,7 +220,7 @@ func (n *Network) Reset(specs []PathSpec) {
 			Name:       s.Name,
 			RateBps:    s.RateMbps * 1e6,
 			Delay:      s.BaseRTT / 2,
-			QueueBytes: DefaultQueueBytes,
+			QueueBytes: defaultQueueBytes,
 			LossRate:   s.LossRate,
 			Seed:       s.Seed + uint64(i) + 1,
 		}

@@ -30,7 +30,7 @@ func TestNetworkAssembly(t *testing.T) {
 	if paths[0].Forward().RateBps() != 1e6 || paths[1].Forward().RateBps() != 10e6 {
 		t.Fatal("rates not applied")
 	}
-	if paths[0].Forward().QueueBytes() != DefaultQueueBytes {
+	if paths[0].Forward().QueueBytes() != defaultQueueBytes {
 		t.Fatalf("queue default = %d", paths[0].Forward().QueueBytes())
 	}
 }

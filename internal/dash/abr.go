@@ -1,10 +1,11 @@
 package dash
 
-// ABR selects the representation for the next chunk.
-type ABR interface {
-	// Choose returns the StandardLadder index for the next chunk given
+// abr selects the representation for the next chunk. The player runs
+// BBAABR; a test substitutes a fixed choice.
+type abr interface {
+	// choose returns the StandardLadder index for the next chunk given
 	// the current player state.
-	Choose(p *Player) int
+	choose(p *Player) int
 }
 
 // BBA's thresholds: the lowest rate below reservoirSec of buffer, the
@@ -19,12 +20,9 @@ const (
 // rate between a reservoir and a cushion.
 type BBAABR struct{}
 
-// NewBBAABR returns a buffer-based ABR.
-func NewBBAABR() *BBAABR { return &BBAABR{} }
-
-// Choose implements ABR.
-func (*BBAABR) Choose(p *Player) int {
-	buf := p.BufferSeconds()
+// choose implements abr.
+func (*BBAABR) choose(p *Player) int {
+	buf := p.bufferSeconds()
 	ladder := StandardLadder
 	if buf <= reservoirSec {
 		return 0
@@ -36,17 +34,5 @@ func (*BBAABR) Choose(p *Player) int {
 	lo := ladder[0].Mbps
 	hi := ladder[len(ladder)-1].Mbps
 	target := lo + frac*(hi-lo)
-	return HighestSustainable(ladder, target)
-}
-
-// FixedABR always picks the same index; used by tests and by experiments
-// that need a constant-rate stream.
-type FixedABR struct {
-	// Index is the ladder index to pick (clamped).
-	Index int
-}
-
-// Choose implements ABR.
-func (a *FixedABR) Choose(*Player) int {
-	return max(0, min(a.Index, len(StandardLadder)-1))
+	return highestSustainable(ladder, target)
 }

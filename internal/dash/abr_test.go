@@ -8,7 +8,7 @@ import (
 )
 
 func TestPlayerBufferDrainsWhilePlaying(t *testing.T) {
-	// White-box: BufferSeconds accounts for elapsed playback since the
+	// White-box: bufferSeconds accounts for elapsed playback since the
 	// last event.
 	net := newTestEngine()
 	p := &Player{eng: net}
@@ -16,7 +16,7 @@ func TestPlayerBufferDrainsWhilePlaying(t *testing.T) {
 	p.playing = true
 	p.lastUpdate = net.Now()
 	net.RunUntil(net.Now() + 4*time.Second)
-	if got := p.BufferSeconds(); got < 5.9 || got > 6.1 {
+	if got := p.bufferSeconds(); got < 5.9 || got > 6.1 {
 		t.Fatalf("buffer = %.2f after 4 s playback, want ~6", got)
 	}
 }

@@ -40,9 +40,9 @@ func IdealBitrateMbps(aggregateBandwidthMbps float64, ladder []Representation) f
 	return top
 }
 
-// HighestSustainable returns the index of the best representation whose
+// highestSustainable returns the index of the best representation whose
 // rate does not exceed the given bandwidth (at least index 0).
-func HighestSustainable(ladder []Representation, mbps float64) int {
+func highestSustainable(ladder []Representation, mbps float64) int {
 	best := 0
 	for i, r := range ladder {
 		if r.Mbps <= mbps {
@@ -52,8 +52,8 @@ func HighestSustainable(ladder []Representation, mbps float64) int {
 	return best
 }
 
-// ChunkBytes returns the size of one chunk of the given representation.
-func ChunkBytes(r Representation, chunkSeconds float64) int64 {
+// chunkBytes returns the size of one chunk of the given representation.
+func chunkBytes(r Representation, chunkSeconds float64) int64 {
 	b := int64(r.Mbps * 1e6 * chunkSeconds / 8)
 	if b < 1 {
 		b = 1
@@ -61,29 +61,29 @@ func ChunkBytes(r Representation, chunkSeconds float64) int64 {
 	return b
 }
 
-// PlayerState is the player's buffer state machine phase.
-type PlayerState int
+// playerState is the player's buffer state machine phase.
+type playerState int
 
 const (
-	// InitialBuffering: filling the buffer before/at session start.
-	InitialBuffering PlayerState = iota
-	// Steady: ON-OFF chunk fetching with playback running.
-	Steady
-	// Rebuffering: playback stalled, refilling to the resume threshold.
-	Rebuffering
-	// Finished: all chunks downloaded.
-	Finished
+	// initialBuffering: filling the buffer before/at session start.
+	initialBuffering playerState = iota
+	// steady: ON-OFF chunk fetching with playback running.
+	steady
+	// rebuffering: playback stalled, refilling to the resume threshold.
+	rebuffering
+	// finished: all chunks downloaded.
+	finished
 )
 
-func (s PlayerState) String() string {
+func (s playerState) String() string {
 	switch s {
-	case InitialBuffering:
+	case initialBuffering:
 		return "initial-buffering"
-	case Steady:
+	case steady:
 		return "steady"
-	case Rebuffering:
+	case rebuffering:
 		return "rebuffering"
-	case Finished:
+	case finished:
 		return "finished"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))

@@ -40,50 +40,50 @@ func TestIdealBitrate(t *testing.T) {
 }
 
 func TestHighestSustainable(t *testing.T) {
-	if i := HighestSustainable(StandardLadder, 0.1); i != 0 {
+	if i := highestSustainable(StandardLadder, 0.1); i != 0 {
 		t.Fatalf("0.1 Mbps → index %d, want 0", i)
 	}
-	if i := HighestSustainable(StandardLadder, 1.7); i != 3 {
+	if i := highestSustainable(StandardLadder, 1.7); i != 3 {
 		t.Fatalf("1.7 Mbps → index %d, want 3 (480p)", i)
 	}
-	if i := HighestSustainable(StandardLadder, 100); i != 5 {
+	if i := highestSustainable(StandardLadder, 100); i != 5 {
 		t.Fatalf("100 Mbps → index %d, want 5", i)
 	}
 }
 
 func TestChunkBytes(t *testing.T) {
 	// 1080p, 5 s: 8.47 Mbps ⇒ 8.47e6*5/8 bytes.
-	if got := ChunkBytes(StandardLadder[5], 5); got != int64(8.47e6*5/8) {
+	if got := chunkBytes(StandardLadder[5], 5); got != int64(8.47e6*5/8) {
 		t.Fatalf("chunk bytes = %d", got)
 	}
-	if got := ChunkBytes(Representation{Mbps: 0}, 5); got != 1 {
+	if got := chunkBytes(Representation{Mbps: 0}, 5); got != 1 {
 		t.Fatalf("degenerate chunk = %d, want 1", got)
 	}
 }
 
 func TestFixedABRClamps(t *testing.T) {
 	p := &Player{}
-	if i := (&FixedABR{Index: -3}).Choose(p); i != 0 {
+	if i := (&fixedABR{index: -3}).choose(p); i != 0 {
 		t.Fatalf("clamp low = %d", i)
 	}
-	if i := (&FixedABR{Index: 99}).Choose(p); i != 5 {
+	if i := (&fixedABR{index: 99}).choose(p); i != 5 {
 		t.Fatalf("clamp high = %d", i)
 	}
 }
 
 func TestBBAABRRegions(t *testing.T) {
 	p := &Player{}
-	a := NewBBAABR()
+	a := &BBAABR{}
 	p.bufferSec = 2 // below reservoir
-	if i := a.Choose(p); i != 0 {
+	if i := a.choose(p); i != 0 {
 		t.Fatalf("reservoir region picked %d, want 0", i)
 	}
 	p.bufferSec = 29 // above cushion (24)
-	if i := a.Choose(p); i != 5 {
+	if i := a.choose(p); i != 5 {
 		t.Fatalf("cushion region picked %d, want 5", i)
 	}
 	p.bufferSec = 16 // mid: monotone between
-	mid := a.Choose(p)
+	mid := a.choose(p)
 	if mid <= 0 || mid >= 5 {
 		t.Fatalf("mid region picked %d, want interior", mid)
 	}
@@ -96,11 +96,11 @@ func TestBBAABRMonotoneInBuffer(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		p := &Player{}
-		a := NewBBAABR()
+		a := &BBAABR{}
 		p.bufferSec = lo
-		iLo := a.Choose(p)
+		iLo := a.choose(p)
 		p.bufferSec = hi
-		iHi := a.Choose(p)
+		iHi := a.choose(p)
 		return iLo <= iHi
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -184,11 +184,11 @@ func TestECFBitrateAtLeastDefaultHeterogeneous(t *testing.T) {
 }
 
 func TestPlayerStateString(t *testing.T) {
-	for s, want := range map[PlayerState]string{
-		InitialBuffering: "initial-buffering",
-		Steady:           "steady",
-		Rebuffering:      "rebuffering",
-		Finished:         "finished",
+	for s, want := range map[playerState]string{
+		initialBuffering: "initial-buffering",
+		steady:           "steady",
+		rebuffering:      "rebuffering",
+		finished:         "finished",
 	} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", s, s.String())
@@ -224,7 +224,7 @@ func TestRebufferingOnStarvedLink(t *testing.T) {
 	// over 0.6 Mbps aggregate.
 	p := NewPlayer(net.Engine(), conn, PlayerConfig{
 		VideoSeconds: 60,
-		ABR:          &FixedABR{Index: 3},
+		abr:          &fixedABR{index: 3},
 	})
 	var out *Result
 	p.Start(func(r *Result) { out = r })
@@ -235,4 +235,14 @@ func TestRebufferingOnStarvedLink(t *testing.T) {
 	if out.Rebuffers == 0 || out.StallTime == 0 {
 		t.Fatalf("rebuffers=%d stall=%v, want stalls on a starved link", out.Rebuffers, out.StallTime)
 	}
+}
+
+// fixedABR always picks the same ladder index (clamped): the constant
+// rate that TestRebufferingOnStarvedLink forces over a starved link.
+type fixedABR struct {
+	index int
+}
+
+func (a *fixedABR) choose(*Player) int {
+	return max(0, min(a.index, len(StandardLadder)-1))
 }

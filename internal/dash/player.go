@@ -26,18 +26,18 @@ type PlayerConfig struct {
 	// VideoSeconds is the total content length (the paper streams a 20
 	// minute playout; benches use shorter clips). Zero selects 120.
 	VideoSeconds float64
-	// ABR is the adaptation algorithm (default NewBBAABR()).
-	ABR ABR
+	// abr is the adaptation algorithm (default BBAABR).
+	abr abr
 }
 
 func (c *PlayerConfig) fillDefaults() {
 	if c.VideoSeconds <= 0 {
 		c.VideoSeconds = 120
 	}
-	if c.ABR == nil {
+	if c.abr == nil {
 		// The paper's client uses the buffer-based algorithm of Huang et
 		// al. [12]; it is the default here too.
-		c.ABR = NewBBAABR()
+		c.abr = &BBAABR{}
 	}
 }
 
@@ -49,7 +49,7 @@ type Player struct {
 	conn *mptcp.Conn
 	cfg  PlayerConfig
 
-	state       PlayerState
+	state       playerState
 	bufferSec   float64
 	lastUpdate  sim.Time
 	playing     bool
@@ -72,9 +72,9 @@ func NewPlayer(eng *sim.Engine, conn *mptcp.Conn, cfg PlayerConfig) *Player {
 	return &Player{eng: eng, conn: conn, cfg: cfg, totalChunks: total}
 }
 
-// BufferSeconds returns the playback buffer level, accounting for
+// bufferSeconds returns the playback buffer level, accounting for
 // playback drain since the last event.
-func (p *Player) BufferSeconds() float64 {
+func (p *Player) bufferSeconds() float64 {
 	buf := p.bufferSec
 	if p.playing {
 		buf -= (p.eng.Now() - p.lastUpdate).Seconds()
@@ -93,7 +93,7 @@ func (p *Player) Result() *Result { return &p.result }
 func (p *Player) Start(done func(*Result)) {
 	p.done = done
 	p.lastUpdate = p.eng.Now()
-	p.state = InitialBuffering
+	p.state = initialBuffering
 	p.requestNext()
 }
 
@@ -110,7 +110,7 @@ func (p *Player) advanceBuffer() {
 			p.playing = false
 			// Any dry buffer after playback has begun is a stall, even if
 			// the session never completed its initial buffering.
-			p.state = Rebuffering
+			p.state = rebuffering
 			p.result.Rebuffers++
 			p.stallBegin = stalledAt
 		} else {
@@ -134,9 +134,9 @@ func (p *Player) requestNext() {
 	if p.nextChunk >= p.totalChunks {
 		return
 	}
-	idx := p.cfg.ABR.Choose(p)
+	idx := p.cfg.abr.choose(p)
 	rep := StandardLadder[idx]
-	bytes := ChunkBytes(rep, chunkSeconds)
+	bytes := chunkBytes(rep, chunkSeconds)
 	chunkIdx := p.nextChunk
 	p.nextChunk++
 	p.conn.Request(bytes, func(tr *mptcp.Transfer) {
@@ -173,19 +173,19 @@ func (p *Player) onChunkDone(idx int, rep Representation, bytes int64, tr *mptcp
 	// Playback start / stall resume.
 	if !p.playing {
 		if p.bufferSec >= playSec || p.nextChunk >= p.totalChunks {
-			if p.state == Rebuffering {
+			if p.state == rebuffering {
 				p.result.StallTime += now - p.stallBegin
-				p.state = Steady
+				p.state = steady
 			}
 			p.playing = true
 		}
 	}
-	if p.state == InitialBuffering && p.bufferSec >= maxBufferSec {
-		p.state = Steady
+	if p.state == initialBuffering && p.bufferSec >= maxBufferSec {
+		p.state = steady
 	}
 
 	if p.nextChunk >= p.totalChunks {
-		p.state = Finished
+		p.state = finished
 		if p.done != nil {
 			p.done(&p.result)
 		}

@@ -32,7 +32,7 @@ func TestGridWarmCacheByteIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	sc.Workers = 1
 	sc.Results = cacheSession(t, dir)
-	cold := RunGrid("ecf", sc, false).Heatmap().String()
+	cold := ecfGrid(sc).heatmap().String()
 	if h, c := sc.Results.Stats(); h != 0 || c != 36 {
 		t.Fatalf("cold stats = %d hits, %d computed; want 0, 36", h, c)
 	}
@@ -41,7 +41,7 @@ func TestGridWarmCacheByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// identical rendering.
 	sc.Workers = 8
 	sc.Results = cacheSession(t, dir)
-	warm := RunGrid("ecf", sc, false).Heatmap().String()
+	warm := ecfGrid(sc).heatmap().String()
 	if h, c := sc.Results.Stats(); h != 36 || c != 0 {
 		t.Fatalf("warm stats = %d hits, %d computed; want 36, 0", h, c)
 	}

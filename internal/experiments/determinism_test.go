@@ -7,12 +7,17 @@ import "testing"
 // keyed only by its index. These regressions pin that for a grid sweep,
 // a random-scenario sweep, and a repetition table.
 
+// ecfGrid plans ECF's §5.2 sweep alone and runs it under sc's policy.
+func ecfGrid(sc Scale) *GridResult {
+	return alone(sc, func(p *Plan) func() *GridResult { return just(readGrid(p, "ecf", false)) })
+}
+
 func TestRunGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := Scale{GridVideoSec: 10}
 	sc.Workers = 1
-	serial := RunGrid("ecf", sc, false).Heatmap().String()
+	serial := ecfGrid(sc).heatmap().String()
 	sc.Workers = 8
-	parallel := RunGrid("ecf", sc, false).Heatmap().String()
+	parallel := ecfGrid(sc).heatmap().String()
 	if serial != parallel {
 		t.Fatalf("grid sweep differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

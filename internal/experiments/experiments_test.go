@@ -150,9 +150,9 @@ func TestFigure16ECFHighestMeanThroughput(t *testing.T) {
 	// phases dominate warm-up noise.
 	sc := Scale{RandomDurSec: 160, RandomScenarios: 4}
 	r := Figure16(sc)
-	if r.MeanThroughput("ecf") < r.MeanThroughput("minrtt") {
+	if r.meanThroughput("ecf") < r.meanThroughput("minrtt") {
 		t.Fatalf("random-bandwidth: ECF %.2f < default %.2f",
-			r.MeanThroughput("ecf"), r.MeanThroughput("minrtt"))
+			r.meanThroughput("ecf"), r.meanThroughput("minrtt"))
 	}
 	if len(r.Throughput["ecf"]) != sc.RandomScenarios {
 		t.Fatalf("scenario count = %d", len(r.Throughput["ecf"]))
@@ -196,11 +196,14 @@ func TestFigure22WildShapes(t *testing.T) {
 	if len(r.Default) != 9 || len(r.ECF) != 9 {
 		t.Fatalf("run counts: %d/%d", len(r.Default), len(r.ECF))
 	}
-	// The paper reports a 16% ECF gain in the wild; our synthetic wild
-	// paths reproduce the per-run RTT spread but land near parity (see
-	// README.md for the harness tour). Assert ECF does not lose
-	// meaningfully.
-	def, ecf := r.MeanThroughput()
+	// The paper reports ECF 16 % above default in the wild (6.72 → 7.79
+	// Mbps). The synthetic wild paths reproduce the per-run RTT spread,
+	// but ECF lands about 4 % below default in the catalog at quick and
+	// at full scale (5.65 → 5.45 and 6.63 → 6.33 Mbps), and about 2 %
+	// below at this test's 40 s clip: the claim comes out reversed, and
+	// its cause is open in ROADMAP.md's item on the reversed claims.
+	// The bound asserts only that ECF loses no more than 15 %.
+	def, ecf := r.meanThroughput()
 	if ecf < def*0.85 {
 		t.Fatalf("wild streaming: ECF mean %.2f far below default %.2f", ecf, def)
 	}
@@ -213,7 +216,7 @@ func TestFigure22WildShapes(t *testing.T) {
 func TestFigure23AndTable4(t *testing.T) {
 	sc := Quick
 	r := Table4(sc)
-	ci, oi := r.Improvement()
+	ci, oi := r.improvement()
 	if ci < -0.10 {
 		t.Fatalf("wild web: ECF completion %.0f%% worse", -ci*100)
 	}
@@ -243,7 +246,7 @@ func TestFigure1OnOffPattern(t *testing.T) {
 
 func TestFigure3BuffersTracked(t *testing.T) {
 	r := Figure3(Quick)
-	peaks := r.PeakBytes()
+	peaks := r.peakBytes()
 	if len(peaks) != 2 {
 		t.Fatalf("peaks = %v", peaks)
 	}
@@ -260,15 +263,15 @@ func TestFigure11And12CwndMeans(t *testing.T) {
 	sc := Quick
 	r12 := Figure12(sc)
 	// Figure 12's claim: ECF sustains a larger LTE window than default.
-	if r12.MeanCwnd("ecf") <= r12.MeanCwnd("minrtt") {
+	if r12.meanCwnd("ecf") <= r12.meanCwnd("minrtt") {
 		t.Fatalf("LTE mean cwnd: ecf %.1f <= default %.1f",
-			r12.MeanCwnd("ecf"), r12.MeanCwnd("minrtt"))
+			r12.meanCwnd("ecf"), r12.meanCwnd("minrtt"))
 	}
 	r11 := Figure11(sc)
 	// Figure 11's claim: ECF uses the WiFi (slow) subflow less.
-	if r11.MeanCwnd("ecf") > r11.MeanCwnd("minrtt")*1.5 {
+	if r11.meanCwnd("ecf") > r11.meanCwnd("minrtt")*1.5 {
 		t.Fatalf("WiFi mean cwnd: ecf %.1f much larger than default %.1f",
-			r11.MeanCwnd("ecf"), r11.MeanCwnd("minrtt"))
+			r11.meanCwnd("ecf"), r11.meanCwnd("minrtt"))
 	}
 }
 
@@ -285,8 +288,8 @@ func TestFigure15FourSubflows(t *testing.T) {
 }
 
 func TestGridRendering(t *testing.T) {
-	g := RunGrid("ecf", Scale{GridVideoSec: 15}, false)
-	h := g.Heatmap()
+	g := ecfGrid(Scale{GridVideoSec: 15})
+	h := g.heatmap()
 	s := h.String() + h.Shade()
 	if !strings.Contains(s, "ecf") {
 		t.Fatalf("heatmap render missing scheduler name:\n%s", s)

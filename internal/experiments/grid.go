@@ -96,16 +96,9 @@ func readGrid(p *Plan, scheduler string, noIdleRestart bool) *GridResult {
 	return res
 }
 
-// RunGrid sweeps the §5.2 bandwidth grid for one scheduler, fanning the
-// 36 independent cells across the scale's worker pool.
-// noIdleRestart supports the Figure 6 ablation.
-func RunGrid(scheduler string, sc Scale, noIdleRestart bool) *GridResult {
-	return alone(sc, func(p *Plan) func() *GridResult { return just(readGrid(p, scheduler, noIdleRestart)) })
-}
-
-// Heatmap converts the sweep to a bitrate-ratio heat map (rows: LTE,
+// heatmap converts the sweep to a bitrate-ratio heat map (rows: LTE,
 // cols: WiFi — the paper's axes).
-func (g *GridResult) Heatmap() *metrics.Heatmap {
+func (g *GridResult) heatmap() *metrics.Heatmap {
 	labels := make([]string, len(g.Bandwidths))
 	for i, b := range g.Bandwidths {
 		labels[i] = fmtMbps(b)
@@ -136,7 +129,7 @@ func planFigure2(p *Plan) func() *Figure2Result {
 
 // String renders both numeric and shaded forms.
 func (r *Figure2Result) String() string {
-	h := r.Grid.Heatmap()
+	h := r.Grid.heatmap()
 	return "Figure 2: " + h.String() + h.Shade()
 }
 
@@ -228,7 +221,7 @@ func planFigure9(p *Plan) func() *Figure9Result {
 // MeanRatio returns the grid-average bitrate ratio per scheduler — a
 // scalar summary of "who is darker".
 func (r *Figure9Result) MeanRatio(scheduler string) float64 {
-	return r.Grids[scheduler].Heatmap().Mean()
+	return r.Grids[scheduler].heatmap().Mean()
 }
 
 // String renders all four heat maps.
@@ -236,7 +229,7 @@ func (r *Figure9Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 9: Measured/Ideal Bit Rate by Scheduler (darker is better)\n")
 	for _, s := range r.Order {
-		h := r.Grids[s].Heatmap()
+		h := r.Grids[s].heatmap()
 		b.WriteString(h.String())
 		b.WriteString(h.Shade())
 		b.WriteString("\n")

@@ -71,8 +71,8 @@ func planFigure16(p *Plan) func() *Figure16Result {
 	return just(res)
 }
 
-// MeanThroughput averages across scenarios for one scheduler.
-func (r *Figure16Result) MeanThroughput(s string) float64 {
+// meanThroughput averages across scenarios for one scheduler.
+func (r *Figure16Result) meanThroughput(s string) float64 {
 	return metrics.Summarize(r.Throughput[s]).Mean
 }
 
@@ -90,7 +90,7 @@ func (r *Figure16Result) String() string {
 	}
 	row := []string{"mean"}
 	for _, s := range r.Schedulers {
-		row = append(row, fmt.Sprintf("%.2f", r.MeanThroughput(s)))
+		row = append(row, fmt.Sprintf("%.2f", r.meanThroughput(s)))
 	}
 	t.AddRow(row...)
 	b.WriteString(t.String())

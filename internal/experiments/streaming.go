@@ -125,8 +125,8 @@ func planFigure3(p *Plan) func() *Figure3Result {
 	return just(res)
 }
 
-// PeakBytes returns the maximum occupancy seen per subflow.
-func (r *Figure3Result) PeakBytes() []float64 {
+// peakBytes returns the maximum occupancy seen per subflow.
+func (r *Figure3Result) peakBytes() []float64 {
 	out := make([]float64, len(r.Traces))
 	for i, tr := range r.Traces {
 		for _, v := range tr.V {
@@ -260,8 +260,8 @@ func planFigure12(p *Plan) func() *CwndTraceResult {
 	return planCwndTrace("Figure 12 (LTE CWND)", 1, p)
 }
 
-// MeanCwnd returns the time-averaged window per scheduler.
-func (r *CwndTraceResult) MeanCwnd(s string) float64 { return r.Traces[s].MeanValue() }
+// meanCwnd returns the time-averaged window per scheduler.
+func (r *CwndTraceResult) meanCwnd(s string) float64 { return r.Traces[s].MeanValue() }
 
 // String renders mean/summary rows per scheduler plus a down-sampled
 // trace for ECF vs default.

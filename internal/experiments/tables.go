@@ -167,8 +167,8 @@ func planTable4(p *Plan) func() *Table4Result {
 	}
 }
 
-// Improvement returns the relative reductions ECF achieves.
-func (r *Table4Result) Improvement() (completion, ooo float64) {
+// improvement returns the relative reductions ECF achieves.
+func (r *Table4Result) improvement() (completion, ooo float64) {
 	if r.DefaultCompletion > 0 {
 		completion = 1 - float64(r.ECFCompletion)/float64(r.DefaultCompletion)
 	}
@@ -180,7 +180,7 @@ func (r *Table4Result) Improvement() (completion, ooo float64) {
 
 // String renders the Table 4 rows.
 func (r *Table4Result) String() string {
-	ci, oi := r.Improvement()
+	ci, oi := r.improvement()
 	t := &metrics.Table{Header: []string{"", "Download Completion Time (sec)", "Out of Order Delay (sec)"}}
 	t.AddRow("Default", fmt.Sprintf("%.3f", r.DefaultCompletion.Seconds()), fmt.Sprintf("%.3f", r.DefaultOOO.Seconds()))
 	t.AddRow("ECF", fmt.Sprintf("%.3f", r.ECFCompletion.Seconds()), fmt.Sprintf("%.3f", r.ECFOOO.Seconds()))

@@ -184,9 +184,9 @@ type wgetPair struct {
 	ECF metrics.Summary
 }
 
-// WorseCells counts cells where ECF is slower than default beyond the
+// worseCells counts cells where ECF is slower than default beyond the
 // noise band — the paper reports zero.
-func (r *Figure19Result) WorseCells() int {
+func (r *Figure19Result) worseCells() int {
 	n := 0
 	for _, h := range r.Maps {
 		for _, row := range h.Values {
@@ -207,7 +207,7 @@ func (r *Figure19Result) String() string {
 	for _, size := range r.Sizes {
 		b.WriteString(r.Maps[size].String())
 	}
-	fmt.Fprintf(&b, "cells where ECF does worse: %d (paper: none)\n", r.WorseCells())
+	fmt.Fprintf(&b, "cells where ECF does worse: %d (paper: none)\n", r.worseCells())
 	return b.String()
 }
 

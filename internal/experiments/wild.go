@@ -76,15 +76,15 @@ func planFigure22(p *Plan) func() *Figure22Result {
 	return just(res)
 }
 
-// MeanThroughput returns the across-run averages (paper: default 6.72,
+// meanThroughput returns the across-run averages (paper: default 6.72,
 // ECF 7.79 — a 16% improvement).
-func (r *Figure22Result) MeanThroughput() (def, ecf float64) {
+func (r *Figure22Result) meanThroughput() (def, ecf float64) {
 	return metrics.Summarize(r.Default).Mean, metrics.Summarize(r.ECF).Mean
 }
 
-// Improvement returns ECF's relative throughput gain.
-func (r *Figure22Result) Improvement() float64 {
-	def, ecf := r.MeanThroughput()
+// improvement returns ECF's relative throughput gain.
+func (r *Figure22Result) improvement() float64 {
+	def, ecf := r.meanThroughput()
 	if def <= 0 {
 		return 0
 	}
@@ -104,9 +104,9 @@ func (r *Figure22Result) String() string {
 			fmt.Sprintf("%.2f", r.ECF[i]))
 	}
 	b.WriteString(t.String())
-	def, ecf := r.MeanThroughput()
+	def, ecf := r.meanThroughput()
 	fmt.Fprintf(&b, "mean: default %.2f Mbps, ECF %.2f Mbps (%.0f%% improvement; paper: 16%%)\n",
-		def, ecf, r.Improvement()*100)
+		def, ecf, r.improvement()*100)
 	return b.String()
 }
 

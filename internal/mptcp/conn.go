@@ -188,7 +188,7 @@ type Conn struct {
 // NewConn builds a connection. Subflows are added with AddSubflow; the
 // scheduler is bound with SetScheduler before traffic starts.
 func NewConn(eng *sim.Engine, cfg Config, ctrl cc.Controller) *Conn {
-	c := &Conn{eng: eng, recv: NewReceiver(eng, 0)}
+	c := &Conn{eng: eng, recv: newReceiver(eng, 0)}
 	c.recv.ArrivalHook = c.attributeArrival
 	c.Reset(cfg, ctrl)
 	return c
@@ -320,9 +320,6 @@ func (c *Conn) ActiveTransferSeq(dsn int64) (int64, bool) {
 	}
 	return 0, false
 }
-
-// DataInflightBytes returns scheduled-but-unacked data-level bytes.
-func (c *Conn) DataInflightBytes() int64 { return c.inflightBytes }
 
 // SendWindowBytes returns the effective connection-level send window:
 // min(send buffer, peer receive window). BLEST's blocking estimate is

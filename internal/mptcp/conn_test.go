@@ -286,7 +286,7 @@ func TestTwoConnsShareBottleneck(t *testing.T) {
 
 func TestReceiverOnDataOrdering(t *testing.T) {
 	eng := sim.New()
-	r := NewReceiver(eng, 1<<20)
+	r := newReceiver(eng, 1<<20)
 	// DSN 1400 first: buffered, window shrinks.
 	ack, win := r.OnData(&netsim.Packet{Kind: netsim.Data, DSN: 1400, PayloadLen: 1400, SubflowID: 1})
 	if ack != 0 {
@@ -302,11 +302,11 @@ func TestReceiverOnDataOrdering(t *testing.T) {
 	if win != 1<<20 {
 		t.Fatalf("window = %d after drain, want full", win)
 	}
-	if r.DuplicateArrivals() != 0 {
+	if r.duplicateArrival != 0 {
 		t.Fatal("no duplicates expected")
 	}
 	r.OnData(&netsim.Packet{Kind: netsim.Data, DSN: 0, PayloadLen: 1400, SubflowID: 0})
-	if r.DuplicateArrivals() != 1 {
+	if r.duplicateArrival != 1 {
 		t.Fatal("stale DSN should count as duplicate")
 	}
 }

@@ -19,7 +19,7 @@ func TestReceiverDeliversExactlyOnceUnderAnyArrivalOrder(t *testing.T) {
 		n := int(nRaw%50) + 1
 		rng := sim.NewRNG(seed)
 		eng := sim.New()
-		r := NewReceiver(eng, 1<<30)
+		r := newReceiver(eng, 1<<30)
 
 		// Build n segments of varying size, then a shuffled arrival
 		// order with some duplicates mixed in.
@@ -130,7 +130,7 @@ func TestConnInflightAccounting(t *testing.T) {
 		// The advertised window may shrink below data already in flight
 		// (a receiver cannot recall bytes), but in-flight data can never
 		// exceed the send buffer itself.
-		if got := conn.DataInflightBytes(); got > cfg.SndBuf {
+		if got := conn.inflightBytes; got > cfg.SndBuf {
 			t.Fatalf("inflight %d exceeds send buffer %d", got, cfg.SndBuf)
 		}
 		if conn.UnsentBytes() < 0 {
@@ -141,8 +141,8 @@ func TestConnInflightAccounting(t *testing.T) {
 		t.Fatal("transfer incomplete")
 	}
 	eng.Run()
-	if conn.DataInflightBytes() != 0 {
-		t.Fatalf("inflight %d at completion, want 0", conn.DataInflightBytes())
+	if conn.inflightBytes != 0 {
+		t.Fatalf("inflight %d at completion, want 0", conn.inflightBytes)
 	}
 	if conn.UnsentBytes() != 0 {
 		t.Fatalf("unsent %d at completion, want 0", conn.UnsentBytes())

@@ -51,18 +51,18 @@ type Receiver struct {
 }
 
 // noArrival marks a subflow that has not delivered any data yet in
-// LastArrival (arrival times are always >= 0).
+// lastArrival (arrival times are always >= 0).
 const noArrival = sim.Time(-1)
 
-// NewReceiver builds a receiver with the given receive-buffer size in
+// newReceiver builds a receiver with the given receive-buffer size in
 // bytes (the base of the advertised window); zero selects defaultBuf.
-func NewReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
+func newReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
 	r := &Receiver{eng: eng}
 	r.Reset(rcvBuf)
 	return r
 }
 
-// Reset returns a pooled receiver to the state NewReceiver(eng, rcvBuf)
+// Reset returns a pooled receiver to the state newReceiver(eng, rcvBuf)
 // would construct: delivery point zero, empty reorder buffer and waiter
 // list, truncated telemetry series. Every slice keeps its grown
 // capacity, which is what makes the per-cell telemetry (OOO-delay
@@ -106,22 +106,9 @@ func (r *Receiver) Window() int64 {
 // in-order delivery to the application layer.
 func (r *Receiver) OOODelays() []time.Duration { return r.oooDelays }
 
-// ResetOOODelays clears the sample buffer (used between experiment
-// phases).
-func (r *Receiver) ResetOOODelays() { r.oooDelays = nil }
-
 // SubflowBytes returns first-arrival payload bytes indexed by subflow
 // ID (zero for subflows that carried nothing).
 func (r *Receiver) SubflowBytes() []int64 { return r.perSubflowBytes }
-
-// LastArrival returns the most recent data arrival time indexed by
-// subflow ID; entries are negative for subflows that have not delivered
-// any data.
-func (r *Receiver) LastArrival() []sim.Time { return r.lastArrival }
-
-// DuplicateArrivals returns the count of redundant DSN deliveries
-// (subflow retransmissions and reinjections that lost the race).
-func (r *Receiver) DuplicateArrivals() int64 { return r.duplicateArrival }
 
 // notifyTransfer arranges for the transfer to complete (via its owning
 // connection) once the delivery point reaches its end DSN — at once if

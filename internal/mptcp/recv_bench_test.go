@@ -11,7 +11,7 @@ import (
 // reassembly: every packet arrives at the in-order delivery point.
 func BenchmarkReceiverInOrder(b *testing.B) {
 	eng := sim.New()
-	r := NewReceiver(eng, 1<<30)
+	r := newReceiver(eng, 1<<30)
 	const mss = 1400
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -25,7 +25,7 @@ func BenchmarkReceiverInOrder(b *testing.B) {
 		pkt.DSN += mss
 		if i&(1<<16-1) == 1<<16-1 {
 			b.StopTimer()
-			r.ResetOOODelays() // bound the telemetry slice outside the timer
+			r.oooDelays = nil // bound the telemetry slice outside the timer
 			b.StartTimer()
 		}
 	}
@@ -38,7 +38,7 @@ func BenchmarkReceiverInOrder(b *testing.B) {
 // maps hot in the PR 3 profile.
 func BenchmarkReceiverReorder(b *testing.B) {
 	eng := sim.New()
-	r := NewReceiver(eng, 1<<30)
+	r := newReceiver(eng, 1<<30)
 	const mss = 1400
 	const window = 16
 	perm := sim.NewRNG(0x5eed).Perm(window)
@@ -55,7 +55,7 @@ func BenchmarkReceiverReorder(b *testing.B) {
 		dsn += window * mss
 		if i&(1<<16-1) == 1<<16-window {
 			b.StopTimer()
-			r.ResetOOODelays() // bound the telemetry slice outside the timer
+			r.oooDelays = nil // bound the telemetry slice outside the timer
 			b.StartTimer()
 		}
 	}

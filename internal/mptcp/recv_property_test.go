@@ -114,7 +114,7 @@ func TestReceiverMatchesMapReference(t *testing.T) {
 		}
 
 		eng := sim.New()
-		r := NewReceiver(eng, rcvBuf)
+		r := newReceiver(eng, rcvBuf)
 		ref := newReceiverRef(rcvBuf)
 
 		at := sim.Time(0)
@@ -128,9 +128,9 @@ func TestReceiverMatchesMapReference(t *testing.T) {
 				t.Logf("arrival %d: (ack %d, win %d), reference (%d, %d)", i, gotAck, gotWin, wantAck, wantWin)
 				return false
 			}
-			if r.DeliveredBytes() != ref.deliveredBytes || r.DuplicateArrivals() != ref.duplicateArrival {
+			if r.DeliveredBytes() != ref.deliveredBytes || r.duplicateArrival != ref.duplicateArrival {
 				t.Logf("arrival %d: delivered/dups (%d, %d), reference (%d, %d)",
-					i, r.DeliveredBytes(), r.DuplicateArrivals(), ref.deliveredBytes, ref.duplicateArrival)
+					i, r.DeliveredBytes(), r.duplicateArrival, ref.deliveredBytes, ref.duplicateArrival)
 				return false
 			}
 		}
@@ -164,7 +164,7 @@ func TestReceiverMatchesMapReference(t *testing.T) {
 				return false
 			}
 		}
-		for id, last := range r.LastArrival() {
+		for id, last := range r.lastArrival {
 			want, ok := ref.lastArrival[id]
 			if last < 0 {
 				if ok {

@@ -96,7 +96,7 @@ type Link struct {
 	// deliver, loss, coalesced delivery) for the flight recorder. It is
 	// installed only on the links of a traced cell and cleared by Reset;
 	// everywhere else each hook costs one nil check.
-	obsRec *obs.PacketRecorder
+	obsRec *obs.Ring[obs.PacketEvent]
 
 	// ring holds in-flight packets addressed by absolute counters:
 	// [head, tail) are accepted-but-undelivered entries, of which
@@ -209,7 +209,7 @@ func (l *Link) FlushStats() {
 // SetObserver installs (or with nil removes) the per-packet event
 // recorder. Reset also removes it, so a pooled link never carries a
 // recorder into its next cell.
-func (l *Link) SetObserver(r *obs.PacketRecorder) { l.obsRec = r }
+func (l *Link) SetObserver(r *obs.Ring[obs.PacketEvent]) { l.obsRec = r }
 
 // observe records one per-packet event; callers guard with obsRec != nil
 // so the disabled path never reaches the call.

@@ -133,12 +133,12 @@ func TestLinkRandomLoss(t *testing.T) {
 }
 
 // TestLinkObserverRecordsPacketOps drives two links that share one
-// obs.PacketRecorder, as the links of a traced cell do: a lossless link
+// packet ring, as the links of a traced cell do: a lossless link
 // takes two sends and one drop-tail drop, a lossy one loses packets on
 // delivery. Per link, the recorded ops must match LinkStats.
 func TestLinkObserverRecordsPacketOps(t *testing.T) {
 	eng := sim.New()
-	rec := obs.NewPacketRecorder(64)
+	rec := obs.NewCellRecorder("link-test", 0).Packets
 	l := NewLink(eng, LinkConfig{Name: "t", RateBps: 1e6, Delay: time.Millisecond, QueueBytes: 2500}, func(*Packet) {})
 	lossy := NewLink(eng, LinkConfig{Name: "lossy", RateBps: 1e6, LossRate: 0.5, Seed: 1, QueueBytes: 1 << 20}, func(*Packet) {})
 	l.SetObserver(rec)

@@ -118,7 +118,7 @@ func (r *CellRecorder) WriteChromeTrace(w io.Writer, kindName func(kind uint8) s
 		})
 	}
 
-	decisions := r.Decisions.Decisions()
+	decisions := r.Decisions.Events()
 	for i := range decisions {
 		d := &decisions[i]
 		verdict := d.Chosen
@@ -191,7 +191,7 @@ func (r *CellRecorder) WriteChromeTrace(w io.Writer, kindName func(kind uint8) s
 // verdict, the candidate set, and the scheduler-specific quantities.
 func (r *CellRecorder) WriteDecisionLog(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	decisions := r.Decisions.Decisions()
+	decisions := r.Decisions.Events()
 	fmt.Fprintf(bw, "# decision log: cell %s/%d, %d decisions (%d dropped)\n",
 		r.Experiment, r.Cell, r.Decisions.Total(), r.Decisions.Dropped())
 	curTransfer := int64(-2)

@@ -106,25 +106,10 @@ type DecisionSink interface {
 	RecordDecision(d *SchedDecision)
 }
 
-// DecisionRecording is implemented by schedulers that support decision
-// tracing (ECF, BLEST, DAPS, minRTT). SetDecisionSink(nil) detaches.
-type DecisionRecording interface {
-	SetDecisionSink(DecisionSink)
-}
-
 // DecisionRecorder is the decision ring; it implements DecisionSink by
 // deep-copying each decision (schedulers may reuse their scratch).
 type DecisionRecorder struct {
-	ring ring[SchedDecision]
-}
-
-// NewDecisionRecorder returns a recorder retaining the last capacity
-// decisions (capacity <= 0 selects 16k).
-func NewDecisionRecorder(capacity int) *DecisionRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 14
-	}
-	return &DecisionRecorder{ring: newRing[SchedDecision](capacity)}
+	*Ring[SchedDecision]
 }
 
 // RecordDecision implements DecisionSink. The candidate slice and the
@@ -140,14 +125,5 @@ func (r *DecisionRecorder) RecordDecision(d *SchedDecision) {
 		b := *d.Blest
 		cp.Blest = &b
 	}
-	r.ring.record(cp)
+	r.Record(cp)
 }
-
-// Decisions returns the retained records, oldest first.
-func (r *DecisionRecorder) Decisions() []SchedDecision { return r.ring.snapshot() }
-
-// Total returns how many records were ever written.
-func (r *DecisionRecorder) Total() uint64 { return r.ring.n }
-
-// Dropped returns how many records the capacity bound evicted.
-func (r *DecisionRecorder) Dropped() uint64 { return r.ring.dropped() }

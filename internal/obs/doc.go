@@ -7,7 +7,7 @@
 // # The zero-cost-when-off contract
 //
 // Instrumentation is compiled into every hot path of the simulator —
-// event dispatch in sim.Engine.Step, per-packet enqueue/deliver in
+// event dispatch in sim.Engine's run loop, per-packet enqueue/deliver in
 // netsim.Link, send/ACK/recovery in tcp.Subflow, every scheduler
 // decision — and must therefore be provably free when no cell is being
 // traced, which is always except under ecfbench -trace-cell:

@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// TestRingOverwritesOldest pins the flight recorder's ring semantics:
+// TestRingOverwritesOldest pins the ring semantics:
 // past capacity the oldest records fall off, the snapshot stays in
 // chronological order, and Total/Dropped account for every record ever
 // seen.
 func TestRingOverwritesOldest(t *testing.T) {
-	r := NewFlightRecorder(4)
+	r := newRing[EngineEvent](4)
 	for i := 0; i < 10; i++ {
 		r.Record(EngineEvent{Ticket: uint64(i)})
 	}
@@ -37,7 +37,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 // TestRingUnderCapacity checks the no-wrap path: everything recorded is
 // returned, nothing reported dropped.
 func TestRingUnderCapacity(t *testing.T) {
-	r := NewPacketRecorder(8)
+	r := newRing[PacketEvent](8)
 	for i := 0; i < 3; i++ {
 		r.Record(PacketEvent{Seq: int64(i)})
 	}
@@ -53,7 +53,7 @@ func TestRingUnderCapacity(t *testing.T) {
 // schedulers reuse their candidate scratch and quantity structs between
 // Select calls, so RecordDecision must deep-copy everything it stores.
 func TestDecisionRecorderCopiesDeeply(t *testing.T) {
-	r := NewDecisionRecorder(4)
+	r := &DecisionRecorder{newRing[SchedDecision](4)}
 	cands := []SchedCandidate{{Name: "wifi", Srtt: 20 * time.Millisecond}}
 	ecf := &EcfQuantities{LHS: 1, RHS: 2}
 	d := SchedDecision{Scheduler: "ecf", Chosen: "wifi", Candidates: cands, Ecf: ecf}
@@ -63,9 +63,9 @@ func TestDecisionRecorderCopiesDeeply(t *testing.T) {
 	ecf.LHS = 99
 	d.Chosen = "mutated"
 
-	got := r.Decisions()
+	got := r.Events()
 	if len(got) != 1 {
-		t.Fatalf("len(Decisions()) = %d, want 1", len(got))
+		t.Fatalf("len(Events()) = %d, want 1", len(got))
 	}
 	if got[0].Candidates[0].Name != "wifi" {
 		t.Errorf("stored candidate aliased the scheduler's scratch: Name = %q", got[0].Candidates[0].Name)

@@ -2,19 +2,21 @@ package obs
 
 import "time"
 
-// ring is a fixed-capacity overwrite-oldest record buffer. The i-th
-// record ever written lives at index i%cap, so once full the oldest
-// record is at n%cap and a snapshot is two copies.
-type ring[T any] struct {
+// Ring is a fixed-capacity overwrite-oldest record buffer, one per
+// record kind of a traced cell. The i-th record ever written lives at
+// index i%cap, so once full the oldest record is at n%cap and a snapshot
+// is two copies.
+type Ring[T any] struct {
 	buf []T
 	n   uint64 // records ever written
 }
 
-func newRing[T any](capacity int) ring[T] {
-	return ring[T]{buf: make([]T, 0, capacity)}
+func newRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, 0, capacity)}
 }
 
-func (r *ring[T]) record(v T) {
+// Record appends one record, evicting the oldest when full.
+func (r *Ring[T]) Record(v T) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
 	} else {
@@ -23,8 +25,8 @@ func (r *ring[T]) record(v T) {
 	r.n++
 }
 
-// snapshot returns the retained records, oldest first.
-func (r *ring[T]) snapshot() []T {
+// Events returns the retained records, oldest first.
+func (r *Ring[T]) Events() []T {
 	out := make([]T, len(r.buf))
 	if r.n <= uint64(len(r.buf)) {
 		copy(out, r.buf)
@@ -36,8 +38,11 @@ func (r *ring[T]) snapshot() []T {
 	return out
 }
 
-// dropped returns how many records were evicted by the capacity bound.
-func (r *ring[T]) dropped() uint64 {
+// Total returns how many records were ever written.
+func (r *Ring[T]) Total() uint64 { return r.n }
+
+// Dropped returns how many records the capacity bound evicted.
+func (r *Ring[T]) Dropped() uint64 {
 	if r.n > uint64(len(r.buf)) {
 		return r.n - uint64(len(r.buf))
 	}
@@ -50,7 +55,7 @@ func (r *ring[T]) dropped() uint64 {
 const KindCoalesced uint8 = 0xFF
 
 // EngineEvent is one flight-recorder record, written at dispatch by
-// sim.Engine.Step (heap dispatches) and RunsNext (inline claims).
+// sim.Engine's run loop (heap dispatches) and RunsNext (inline claims).
 type EngineEvent struct {
 	// At is the event's virtual time.
 	At time.Duration
@@ -63,32 +68,6 @@ type EngineEvent struct {
 	// Coalesced marks an inline claim (no heap round-trip).
 	Coalesced bool
 }
-
-// FlightRecorder is the engine's fixed-capacity dispatch ring.
-type FlightRecorder struct {
-	ring ring[EngineEvent]
-}
-
-// NewFlightRecorder returns a recorder retaining the last capacity
-// dispatches (capacity <= 0 selects 64k).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &FlightRecorder{ring: newRing[EngineEvent](capacity)}
-}
-
-// Record appends one dispatch record, evicting the oldest when full.
-func (r *FlightRecorder) Record(ev EngineEvent) { r.ring.record(ev) }
-
-// Events returns the retained records, oldest first.
-func (r *FlightRecorder) Events() []EngineEvent { return r.ring.snapshot() }
-
-// Total returns how many records were ever written.
-func (r *FlightRecorder) Total() uint64 { return r.ring.n }
-
-// Dropped returns how many records the capacity bound evicted.
-func (r *FlightRecorder) Dropped() uint64 { return r.ring.dropped() }
 
 // PacketOp is the per-packet hook site inside netsim.Link.
 type PacketOp uint8
@@ -143,33 +122,6 @@ type PacketEvent struct {
 	Retransmit  bool
 }
 
-// PacketRecorder is the per-link packet-event ring (one recorder is
-// shared by every link of the traced cell; events carry the link name).
-type PacketRecorder struct {
-	ring ring[PacketEvent]
-}
-
-// NewPacketRecorder returns a recorder retaining the last capacity
-// packet events (capacity <= 0 selects 64k).
-func NewPacketRecorder(capacity int) *PacketRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &PacketRecorder{ring: newRing[PacketEvent](capacity)}
-}
-
-// Record appends one packet event, evicting the oldest when full.
-func (r *PacketRecorder) Record(ev PacketEvent) { r.ring.record(ev) }
-
-// Events returns the retained records, oldest first.
-func (r *PacketRecorder) Events() []PacketEvent { return r.ring.snapshot() }
-
-// Total returns how many records were ever written.
-func (r *PacketRecorder) Total() uint64 { return r.ring.n }
-
-// Dropped returns how many records the capacity bound evicted.
-func (r *PacketRecorder) Dropped() uint64 { return r.ring.dropped() }
-
 // SubflowOp is the per-subflow hook site inside tcp.Subflow.
 type SubflowOp uint8
 
@@ -222,54 +174,35 @@ type SubflowEvent struct {
 	Srtt         time.Duration
 }
 
-// SubflowRecorder is the subflow-event ring (shared by every subflow of
-// the traced cell; events carry the subflow name).
-type SubflowRecorder struct {
-	ring ring[SubflowEvent]
-}
+// Ring capacities of a traced cell, per record kind.
+const (
+	flightCap   = 1 << 16
+	packetCap   = 1 << 16
+	subflowCap  = 1 << 15
+	decisionCap = 1 << 14
+)
 
-// NewSubflowRecorder returns a recorder retaining the last capacity
-// subflow events (capacity <= 0 selects 32k).
-func NewSubflowRecorder(capacity int) *SubflowRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 15
-	}
-	return &SubflowRecorder{ring: newRing[SubflowEvent](capacity)}
-}
-
-// Record appends one subflow event, evicting the oldest when full.
-func (r *SubflowRecorder) Record(ev SubflowEvent) { r.ring.record(ev) }
-
-// Events returns the retained records, oldest first.
-func (r *SubflowRecorder) Events() []SubflowEvent { return r.ring.snapshot() }
-
-// Total returns how many records were ever written.
-func (r *SubflowRecorder) Total() uint64 { return r.ring.n }
-
-// Dropped returns how many records the capacity bound evicted.
-func (r *SubflowRecorder) Dropped() uint64 { return r.ring.dropped() }
-
-// CellRecorder aggregates the recorders armed for one traced cell.
+// CellRecorder aggregates the rings armed for one traced cell.
 type CellRecorder struct {
 	// Experiment and Cell identify the traced cell (the results.Spec
 	// family name and cell index, e.g. "grid/ecf" 14).
 	Experiment string
 	Cell       int
 
-	Flight    *FlightRecorder
-	Packets   *PacketRecorder
-	Subflows  *SubflowRecorder
+	Flight    *Ring[EngineEvent]
+	Packets   *Ring[PacketEvent]
+	Subflows  *Ring[SubflowEvent]
 	Decisions *DecisionRecorder
 }
 
-// NewCellRecorder returns a recorder set with default ring capacities.
+// NewCellRecorder returns the ring set for one traced cell.
 func NewCellRecorder(experiment string, cell int) *CellRecorder {
 	return &CellRecorder{
 		Experiment: experiment,
 		Cell:       cell,
-		Flight:     NewFlightRecorder(0),
-		Packets:    NewPacketRecorder(0),
-		Subflows:   NewSubflowRecorder(0),
-		Decisions:  NewDecisionRecorder(0),
+		Flight:     newRing[EngineEvent](flightCap),
+		Packets:    newRing[PacketEvent](packetCap),
+		Subflows:   newRing[SubflowEvent](subflowCap),
+		Decisions:  &DecisionRecorder{newRing[SchedDecision](decisionCap)},
 	}
 }

@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,49 +31,71 @@ type AuditReport struct {
 // schema) — the -cache-stats mode, answering "what is occupying this
 // cache dir and which of it would a current run still read?".
 func (s *Store) Audit() (*AuditReport, error) {
-	entries, err := os.ReadDir(s.root)
+	groups := make(map[Spec]*AuditLine)
+	rep := &AuditReport{}
+	var err error
+	rep.Unreadable, err = s.eachRecord(func(_ string, k Key, size int64) error {
+		tally(groups, k.spec(), size)
+		rep.Records++
+		rep.Bytes += size
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[Spec]*AuditLine)
-	rep := &AuditReport{}
+	rep.Lines = sortedLines(groups)
+	return rep, nil
+}
+
+// eachRecord calls fn with the path, key and size of every record file
+// in the store's experiment directories, and returns how many .json
+// files there decodeRecordKey does not accept (or cannot read).
+func (s *Store) eachRecord(fn func(path string, k Key, size int64) error) (unreadable int, err error) {
+	entries, err := os.ReadDir(s.root)
+	if err != nil {
+		return 0, err
+	}
 	for _, dir := range entries {
 		if !dir.IsDir() {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(s.root, dir.Name()))
+		dirPath := filepath.Join(s.root, dir.Name())
+		files, err := os.ReadDir(dirPath)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		for _, f := range files {
 			if f.IsDir() || filepath.Ext(f.Name()) != ".json" {
 				continue
 			}
-			path := filepath.Join(s.root, dir.Name(), f.Name())
+			path := filepath.Join(dirPath, f.Name())
 			raw, err := os.ReadFile(path)
 			if err != nil {
-				rep.Unreadable++
+				unreadable++
 				continue
 			}
-			var env envelope
-			if json.Unmarshal(raw, &env) != nil || env.Key.Experiment == "" {
-				rep.Unreadable++
+			k, err := decodeRecordKey(raw)
+			if err != nil {
+				unreadable++
 				continue
 			}
-			g := env.Key.spec()
-			line := groups[g]
-			if line == nil {
-				line = &AuditLine{Spec: g}
-				groups[g] = line
+			if err := fn(path, k, int64(len(raw))); err != nil {
+				return 0, err
 			}
-			line.Records++
-			line.Bytes += int64(len(raw))
-			rep.Records++
-			rep.Bytes += int64(len(raw))
 		}
 	}
-	rep.Lines = sortedLines(groups)
-	return rep, nil
+	return unreadable, nil
+}
+
+// tally adds one record of size bytes to group g's line.
+func tally(m map[Spec]*AuditLine, g Spec, size int64) {
+	line := m[g]
+	if line == nil {
+		line = &AuditLine{Spec: g}
+		m[g] = line
+	}
+	line.Records++
+	line.Bytes += size
 }
 
 // sortedLines flattens a per-family tally into audit order.

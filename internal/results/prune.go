@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 )
@@ -56,63 +55,34 @@ func (r *PruneReport) DeletedBytes() int64 {
 // set, nothing is removed and the report shows what a real pass would
 // delete. Experiment directories left empty by the pass are removed.
 func (s *Store) Prune(opts PruneOptions) (*PruneReport, error) {
-	entries, err := os.ReadDir(s.root)
+	deleted := make(map[Spec]*AuditLine)
+	emptied := make(map[string]bool) // directories a removal touched
+	rep := &PruneReport{}
+	var err error
+	rep.Unreadable, err = s.eachRecord(func(path string, k Key, size int64) error {
+		g := k.spec()
+		if opts.Keep(g) {
+			rep.KeptRecords++
+			rep.KeptBytes += size
+			return nil
+		}
+		if !opts.DryRun {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			emptied[filepath.Dir(path)] = true
+		}
+		tally(deleted, g, size)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	deleted := make(map[Spec]*AuditLine)
-	rep := &PruneReport{}
-	for _, dir := range entries {
-		if !dir.IsDir() {
-			continue
-		}
-		dirPath := filepath.Join(s.root, dir.Name())
-		files, err := os.ReadDir(dirPath)
-		if err != nil {
-			return nil, err
-		}
-		removed := 0
-		for _, f := range files {
-			if f.IsDir() || filepath.Ext(f.Name()) != ".json" {
-				continue
-			}
-			path := filepath.Join(dirPath, f.Name())
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				rep.Unreadable++
-				continue
-			}
-			var env envelope
-			if json.Unmarshal(raw, &env) != nil || env.Key.Experiment == "" {
-				rep.Unreadable++
-				continue
-			}
-			g := env.Key.spec()
-			if opts.Keep(g) {
-				rep.KeptRecords++
-				rep.KeptBytes += int64(len(raw))
-				continue
-			}
-			if !opts.DryRun {
-				if err := os.Remove(path); err != nil {
-					return nil, err
-				}
-				removed++
-			}
-			line := deleted[g]
-			if line == nil {
-				line = &AuditLine{Spec: g}
-				deleted[g] = line
-			}
-			line.Records++
-			line.Bytes += int64(len(raw))
-		}
-		if removed > 0 {
-			// Drop the directory when the pass emptied it; Remove fails
-			// harmlessly when stray files (temp files, unreadable
-			// records) remain.
-			os.Remove(dirPath)
-		}
+	for dir := range emptied {
+		// Drop the directory when the pass emptied it; Remove fails
+		// harmlessly when stray files (temp files, unreadable records)
+		// remain.
+		os.Remove(dir)
 	}
 	rep.Deleted = sortedLines(deleted)
 	return rep, nil

@@ -42,8 +42,10 @@
 // share cells (Figure 2/6/7/9 all sweep the default-scheduler grid;
 // Table 4 aggregates Figure 23's runs) automatically share records. The
 // package treats a key's fields as opaque and the key as a record's whole
-// identity: a record is present when its file decodes under its key, for
-// Get, Has, IngestBatch, Audit and Prune alike. internal/experiments
+// identity: a record is present when its file decodes under its key
+// with a payload that is present and not null, for Get, Has,
+// IngestBatch, Audit and Prune alike (Get also requires the payload to
+// decode into its target type). internal/experiments
 // derives keys from its cell families (see its package doc), so a key
 // changes whenever what its cell simulates or the shape of what it keeps
 // does, and a record under an old key is a stranded group that

@@ -118,18 +118,19 @@ func (s *Store) Put(k Key, v any) error {
 	return s.write(k, raw)
 }
 
-// Has reports whether the store holds a well-formed record for k: the
-// file exists, decodes as an envelope, and the stored key matches the
-// request. Unlike Get it needs no target type — it is the coordinator's
-// type-free notion of "this cell is done", conservative in the same
-// direction as Get: a truncated or foreign file counts as absent.
+// Has reports whether the store holds a record for k: the file exists
+// and decodeRecordKey accepts it under k. Unlike Get it needs no target
+// type — it is the coordinator's type-free notion of "this cell is
+// done", and the ingest gate's: a truncated or foreign file, or one
+// whose payload is absent or null, counts as absent, so a record Get
+// accepts is one Has reports.
 func (s *Store) Has(k Key) bool {
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return false
 	}
-	var env envelope
-	return json.Unmarshal(raw, &env) == nil && env.Key == k
+	got, err := decodeRecordKey(raw)
+	return err == nil && got == k
 }
 
 // Record is one serialized record envelope (as built by EncodeRecord,
@@ -140,8 +141,9 @@ type Record struct {
 }
 
 // IngestBatch idempotently persists a batch of serialized record
-// envelopes with one group commit. Every envelope must decode and claim
-// the key it is offered under, or the whole batch is rejected before
+// envelopes with one group commit. Every envelope must pass
+// decodeRecordKey under the key it is offered under, or the whole batch
+// is rejected before
 // anything is written. A record already present (or offered earlier in
 // the same batch) is a no-op — added[i] reports false and nothing is
 // written — so replayed and duplicated uploads (a retried RPC whose
@@ -159,7 +161,7 @@ type Record struct {
 // a retry finds present.
 func (s *Store) IngestBatch(recs []Record) (added []bool, err error) {
 	for _, r := range recs {
-		got, err := DecodeRecordKey(r.Raw)
+		got, err := decodeRecordKey(r.Raw)
 		if err != nil {
 			return nil, fmt.Errorf("cache: ingest for cell %d of %q: %w", r.Key.Cell, r.Key.Experiment, err)
 		}
@@ -222,12 +224,14 @@ func EncodeRecord(k Key, v any) ([]byte, error) {
 	return raw, nil
 }
 
-// DecodeRecordKey returns the key a serialized record envelope claims
-// to carry, rejecting envelopes that are not valid JSON or carry no
-// payload — the validation gate for ingesting records from the network.
-// json.Unmarshal validates the whole envelope, payload included, before
-// it decodes anything, so the payload needs no second scan.
-func DecodeRecordKey(raw []byte) (Key, error) {
+// decodeRecordKey returns the key a serialized record envelope claims
+// to carry, rejecting envelopes that are not valid JSON, carry no key,
+// or carry an absent or null payload. It is the store's one notion of a
+// record, which Has, the ingest gate, Audit and Prune share; Get also
+// requires the payload to decode into its target type. json.Unmarshal
+// validates the whole envelope, payload included, before it decodes
+// anything, so the payload needs no second scan.
+func decodeRecordKey(raw []byte) (Key, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return Key{}, fmt.Errorf("malformed record envelope: %w", err)
@@ -235,7 +239,7 @@ func DecodeRecordKey(raw []byte) (Key, error) {
 	if env.Key.Experiment == "" {
 		return Key{}, fmt.Errorf("record envelope carries no key")
 	}
-	if len(env.Data) == 0 {
+	if len(env.Data) == 0 || string(env.Data) == "null" {
 		return Key{}, fmt.Errorf("record envelope for cell %d of %q carries no payload", env.Key.Cell, env.Key.Experiment)
 	}
 	return env.Key, nil

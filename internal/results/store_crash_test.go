@@ -127,18 +127,18 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			wantHas: true,
 		},
 		{
+			// A record without a payload is no record: Has agrees with
+			// Get and the ingest gate.
 			name: "null payload",
 			corrupt: func(t *testing.T, path string) {
 				rewritePayload(t, path, `"data":null`)
 			},
-			wantHas: true,
 		},
 		{
 			name: "absent payload",
 			corrupt: func(t *testing.T, path string) {
 				rewritePayload(t, path, `"nodata":0`)
 			},
-			wantHas: true,
 		},
 	}
 
@@ -186,6 +186,79 @@ func TestCrashMidWriteScenarios(t *testing.T) {
 			}
 			if !st.Has(k) {
 				t.Fatal("store not healed: Has still false after rerun")
+			}
+		})
+	}
+}
+
+// TestRecordPresenceAgreesAcrossReaders writes one file under a key and
+// asks every reader of a store whether it holds a record there. Has,
+// the ingest gate, Audit and Prune must give one answer; Get gives the
+// same one, except that only Get knows the record type and so alone
+// rejects a payload of another type.
+func TestRecordPresenceAgreesAcrossReaders(t *testing.T) {
+	k := spec().Key(3)
+	good, err := EncodeRecord(k, rec{Cell: 3, Label: "c3", Value: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKey := func(rest string) []byte { return []byte(`{"key":` + string(key) + rest + `}`) }
+	for _, tc := range []struct {
+		name    string
+		raw     []byte
+		present bool // for Has, the ingest gate, Audit and Prune
+		get     bool
+	}{
+		{"record", good, true, true},
+		{"null payload", withKey(`,"data":null`), false, false},
+		{"absent payload", withKey(``), false, false},
+		{"payload of another type", withKey(`,"data":"text"`), true, false},
+		{"no key", []byte(`{"data":{"Cell":3}}`), false, false},
+		{"truncated", good[:len(good)/2], false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			path := st.path(k)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var v rec
+			if got := st.Get(k, &v); got != tc.get {
+				t.Errorf("Get = %v, want %v", got, tc.get)
+			}
+			if got := st.Has(k); got != tc.present {
+				t.Errorf("Has = %v, want %v", got, tc.present)
+			}
+			if _, err := st.IngestBatch([]Record{{Key: k, Raw: tc.raw}}); (err == nil) != tc.present {
+				t.Errorf("ingest gate error = %v, want accepted = %v", err, tc.present)
+			}
+			records, unreadable := 0, 1
+			if tc.present {
+				records, unreadable = 1, 0
+			}
+			audit, err := st.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audit.Records != records || audit.Unreadable != unreadable {
+				t.Errorf("Audit counts %d records, %d unreadable; want %d, %d", audit.Records, audit.Unreadable, records, unreadable)
+			}
+			pr, err := st.Prune(PruneOptions{Keep: func(Spec) bool { return false }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.DeletedRecords() != records || pr.Unreadable != unreadable {
+				t.Errorf("Prune deleted %d records, left %d unreadable; want %d, %d", pr.DeletedRecords(), pr.Unreadable, records, unreadable)
+			}
+			if _, err := os.Stat(path); os.IsNotExist(err) == !tc.present {
+				t.Errorf("after Prune the file exists = %v, want %v", !os.IsNotExist(err), !tc.present)
 			}
 		})
 	}
@@ -314,9 +387,9 @@ func mustEncode(t *testing.T, k Key, v any) []byte {
 func TestEncodeRecordRoundTripsThroughDecodeKey(t *testing.T) {
 	k := spec().Key(5)
 	raw := mustEncode(t, k, rec{Cell: 5, Label: "cell", Value: 6.25})
-	got, err := DecodeRecordKey(raw)
+	got, err := decodeRecordKey(raw)
 	if err != nil || got != k {
-		t.Fatalf("DecodeRecordKey = %+v, %v; want %+v", got, err, k)
+		t.Fatalf("decodeRecordKey = %+v, %v; want %+v", got, err, k)
 	}
 	// The envelope is exactly what Put writes: ingesting it then reading
 	// through Get yields the original value.
@@ -433,7 +506,7 @@ func TestGroupCommitCrashWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := DecodeRecordKey(raw); err != nil {
+			if _, err := decodeRecordKey(raw); err != nil {
 				t.Fatalf("crash at %d: half-record under final name %s: %v", crashAt, f, err)
 			}
 		}

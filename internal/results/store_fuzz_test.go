@@ -1,16 +1,20 @@
 package results
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzStoreRecord writes arbitrary bytes as the record file of a key and
-// reads it back both ways a store's bytes are read: Store.Get into a
-// record type, and DecodeRecordKey, the ingest gate. Neither may panic,
-// and a record Get accepts must carry the key it was read under — which
-// DecodeRecordKey must then report too.
+// reads it back every way a store's bytes are read: Store.Get into a
+// record type, Has, and the ingest gate (IngestBatch under the same
+// key). None may panic, and all share one notion of a record: a record
+// Get accepts is one Has reports; Has holds exactly when the ingest gate
+// accepts the bytes under the key; and a record Has reports carries a
+// payload, present and not null, so only the payload's type can make
+// Get miss it.
 func FuzzStoreRecord(f *testing.F) {
 	k := spec().Key(3)
 	good, err := EncodeRecord(k, rec{Cell: 3, Label: "c3", Value: 0.5})
@@ -27,6 +31,7 @@ func FuzzStoreRecord(f *testing.F) {
 	f.Add([]byte(`{"key":{"experiment":"unit/alpha","cell":3,"schema":1,"scale":"s1"},"data":null}`))
 	f.Add([]byte(`{"KEY":{"experiment":"unit/alpha","cell":3,"schema":1,"scale":"s1"},"data":{"Cell":"x"}}`))
 	f.Add([]byte("null"))
+	f.Add([]byte(`{"key":{"experiment":"unit/alpha","cell":3,"schema":1,"scale":"s1"}}`))
 
 	st, err := Open(f.TempDir())
 	if err != nil {
@@ -41,10 +46,19 @@ func FuzzStoreRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		var v rec
-		ok := st.Get(k, &v)
-		got, err := DecodeRecordKey(raw)
-		if ok && (err != nil || got != k) {
-			t.Fatalf("Get accepted %q under %+v, but the envelope carries %+v (%v)", raw, k, got, err)
+		got := st.Get(k, &v)
+		has := st.Has(k)
+		if got && !has {
+			t.Fatalf("Get accepted %q under %+v, but Has reports no record", raw, k)
+		}
+		if _, err := st.IngestBatch([]Record{{Key: k, Raw: raw}}); has != (err == nil) {
+			t.Fatalf("Has = %v for %q, but the ingest gate returns %v", has, raw, err)
+		}
+		var payload struct {
+			Data *json.RawMessage `json:"data"`
+		}
+		if has && (json.Unmarshal(raw, &payload) != nil || payload.Data == nil) {
+			t.Fatalf("Has reports %q as a record, but its payload is absent or null", raw)
 		}
 	})
 }

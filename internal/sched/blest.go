@@ -54,8 +54,8 @@ func (b *BLEST) Reset() {
 	b.sink = nil
 }
 
-// SetDecisionSink implements obs.DecisionRecording.
-func (b *BLEST) SetDecisionSink(s obs.DecisionSink) { b.sink = s }
+// setDecisionSink implements decisionRecording.
+func (b *BLEST) setDecisionSink(s obs.DecisionSink) { b.sink = s }
 
 // Waits reports how many Select calls declined the slow subflow.
 func (b *BLEST) Waits() int64 { return b.waits }

@@ -30,8 +30,8 @@ type DAPS struct {
 	sink obs.DecisionSink
 }
 
-// NewDAPS returns a DAPS scheduler.
-func NewDAPS() *DAPS { return &DAPS{} }
+// newDAPS returns a DAPS scheduler.
+func newDAPS() *DAPS { return &DAPS{} }
 
 // Name implements mptcp.Scheduler.
 func (*DAPS) Name() string { return "daps" }
@@ -43,8 +43,8 @@ func (d *DAPS) Reset() {
 	d.sink = nil
 }
 
-// SetDecisionSink implements obs.DecisionRecording.
-func (d *DAPS) SetDecisionSink(s obs.DecisionSink) { d.sink = s }
+// setDecisionSink implements decisionRecording.
+func (d *DAPS) setDecisionSink(s obs.DecisionSink) { d.sink = s }
 
 // rate returns a subflow's service rate in segments/second.
 func dapsRate(sf *tcp.Subflow) float64 {

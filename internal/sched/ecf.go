@@ -66,8 +66,8 @@ func (e *ECF) Reset() {
 	e.sink = nil
 }
 
-// SetDecisionSink implements obs.DecisionRecording.
-func (e *ECF) SetDecisionSink(s obs.DecisionSink) { e.sink = s }
+// setDecisionSink implements decisionRecording.
+func (e *ECF) setDecisionSink(s obs.DecisionSink) { e.sink = s }
 
 // Waits reports how many Select calls chose to wait for the fast subflow.
 func (e *ECF) Waits() int64 { return e.waits }

@@ -61,8 +61,8 @@ type MinRTT struct {
 	sink obs.DecisionSink
 }
 
-// NewMinRTT returns the default scheduler.
-func NewMinRTT() *MinRTT { return &MinRTT{} }
+// newMinRTT returns the default scheduler.
+func newMinRTT() *MinRTT { return &MinRTT{} }
 
 // Name implements mptcp.Scheduler.
 func (*MinRTT) Name() string { return "minrtt" }
@@ -70,8 +70,8 @@ func (*MinRTT) Name() string { return "minrtt" }
 // Reset implements mptcp.Resettable (the only state is the trace sink).
 func (m *MinRTT) Reset() { m.sink = nil }
 
-// SetDecisionSink implements obs.DecisionRecording.
-func (m *MinRTT) SetDecisionSink(s obs.DecisionSink) { m.sink = s }
+// setDecisionSink implements decisionRecording.
+func (m *MinRTT) setDecisionSink(s obs.DecisionSink) { m.sink = s }
 
 // Select implements mptcp.Scheduler.
 func (m *MinRTT) Select(c *mptcp.Conn) *tcp.Subflow {
@@ -92,8 +92,8 @@ type SinglePath struct {
 	idx int
 }
 
-// NewSinglePath returns a scheduler pinned to subflow idx.
-func NewSinglePath(idx int) *SinglePath { return &SinglePath{idx: idx} }
+// newSinglePath returns a scheduler pinned to subflow idx.
+func newSinglePath(idx int) *SinglePath { return &SinglePath{idx: idx} }
 
 // Name implements mptcp.Scheduler.
 func (*SinglePath) Name() string { return "singlepath" }

@@ -14,11 +14,11 @@ import (
 // and BLEST — plus "wifi-only", Table 1's single-path reference; a
 // scheduler no catalog experiment reads does not belong here.
 var factories = map[string]mptcp.SchedulerFactory{
-	"minrtt":    func() mptcp.Scheduler { return NewMinRTT() },
+	"minrtt":    func() mptcp.Scheduler { return newMinRTT() },
 	"ecf":       func() mptcp.Scheduler { return NewECF() },
 	"blest":     func() mptcp.Scheduler { return NewBLEST() },
-	"daps":      func() mptcp.Scheduler { return NewDAPS() },
-	"wifi-only": func() mptcp.Scheduler { return NewSinglePath(0) },
+	"daps":      func() mptcp.Scheduler { return newDAPS() },
+	"wifi-only": func() mptcp.Scheduler { return newSinglePath(0) },
 }
 
 // Factory returns the constructor for a scheduler name.
@@ -30,16 +30,21 @@ func Factory(name string) (mptcp.SchedulerFactory, error) {
 	return f, nil
 }
 
+// decisionRecording is implemented by the schedulers that support
+// decision tracing (ECF, BLEST, DAPS, minRTT). setDecisionSink(nil)
+// detaches.
+type decisionRecording interface {
+	setDecisionSink(obs.DecisionSink)
+}
+
 // WireDecisionSink attaches sink to s when it supports decision
-// tracing (ECF, BLEST, DAPS, minRTT), reporting whether it does. A nil
-// sink detaches. The single-path scheduler has no per-decision
-// estimates and simply declines.
-func WireDecisionSink(s mptcp.Scheduler, sink obs.DecisionSink) bool {
-	r, ok := s.(obs.DecisionRecording)
-	if ok {
-		r.SetDecisionSink(sink)
+// tracing (ECF, BLEST, DAPS, minRTT). A nil sink detaches. The
+// single-path scheduler has no per-decision estimates and simply
+// declines.
+func WireDecisionSink(s mptcp.Scheduler, sink obs.DecisionSink) {
+	if r, ok := s.(decisionRecording); ok {
+		r.setDecisionSink(sink)
 	}
-	return ok
 }
 
 // Names returns the registered scheduler names, sorted.

@@ -81,7 +81,7 @@ func TestAllSchedulersCompleteBurstyWorkload(t *testing.T) {
 func TestECFBeatsDefaultUnderHeterogeneity(t *testing.T) {
 	// The headline claim: with a 0.3/8.6 Mbps split and bursty traffic,
 	// ECF completes bursts faster than the default scheduler.
-	rDef := newRig(t, NewMinRTT(), 0.3, 8.6)
+	rDef := newRig(t, newMinRTT(), 0.3, 8.6)
 	sumDef := runBurstySized(rDef, 8, 1<<20)
 	rEcf := newRig(t, NewECF(), 0.3, 8.6)
 	sumEcf := runBurstySized(rEcf, 8, 1<<20)
@@ -91,7 +91,7 @@ func TestECFBeatsDefaultUnderHeterogeneity(t *testing.T) {
 }
 
 func TestECFMatchesDefaultOnSymmetricPaths(t *testing.T) {
-	rDef := newRig(t, NewMinRTT(), 8, 8)
+	rDef := newRig(t, newMinRTT(), 8, 8)
 	sumDef := runBursty(rDef, 5)
 	rEcf := newRig(t, NewECF(), 8, 8)
 	sumEcf := runBursty(rEcf, 5)
@@ -102,7 +102,7 @@ func TestECFMatchesDefaultOnSymmetricPaths(t *testing.T) {
 }
 
 func TestECFReducesOOODelay(t *testing.T) {
-	rDef := newRig(t, NewMinRTT(), 0.3, 8.6)
+	rDef := newRig(t, newMinRTT(), 0.3, 8.6)
 	runBursty(rDef, 5)
 	rEcf := newRig(t, NewECF(), 0.3, 8.6)
 	runBursty(rEcf, 5)
@@ -124,7 +124,7 @@ func TestECFReducesOOODelay(t *testing.T) {
 }
 
 func TestECFShiftsTrafficToFastPath(t *testing.T) {
-	rDef := newRig(t, NewMinRTT(), 0.3, 8.6)
+	rDef := newRig(t, newMinRTT(), 0.3, 8.6)
 	runBurstySized(rDef, 5, 1<<20)
 	rEcf := newRig(t, NewECF(), 0.3, 8.6)
 	runBurstySized(rEcf, 5, 1<<20)
@@ -153,7 +153,7 @@ func TestDAPSSplitsByServiceRate(t *testing.T) {
 	fast := netsim.NewPath(eng, netsim.PathConfig{Name: "fast", RateBps: 1e9, Delay: 5 * time.Millisecond, QueueBytes: 1 << 30})
 	slow := netsim.NewPath(eng, netsim.PathConfig{Name: "slow", RateBps: 1e9, Delay: 20 * time.Millisecond, QueueBytes: 1 << 30})
 	conn := mptcp.NewConn(eng, mptcp.DefaultConfig(0), cc.NewReno())
-	d := NewDAPS()
+	d := newDAPS()
 	conn.SetScheduler(d)
 	for _, p := range []*netsim.Path{fast, slow} {
 		fwd, rev := netsim.NewDemux(), netsim.NewDemux()
@@ -179,21 +179,21 @@ func TestDAPSSplitsByServiceRate(t *testing.T) {
 }
 
 func TestMinRTTPrefersLowerRTT(t *testing.T) {
-	r := newRig(t, NewMinRTT(), 8, 8)
+	r := newRig(t, newMinRTT(), 8, 8)
 	subflows := r.conn.Subflows()
 	// Drive the estimates decisively past the handshake seeds.
 	for i := 0; i < 50; i++ {
 		subflows[0].SeedRTT(50 * time.Millisecond)
 		subflows[1].SeedRTT(20 * time.Millisecond)
 	}
-	s := NewMinRTT()
+	s := newMinRTT()
 	if sf := s.Select(r.conn); sf != subflows[1] {
 		t.Fatalf("minRTT picked %s, want the 20ms subflow", sf.Name())
 	}
 }
 
 func TestMinRTTFallsBackWhenFastFull(t *testing.T) {
-	r := newRig(t, NewMinRTT(), 8, 8)
+	r := newRig(t, newMinRTT(), 8, 8)
 	subflows := r.conn.Subflows()
 	subflows[0].SeedRTT(20 * time.Millisecond)
 	subflows[1].SeedRTT(50 * time.Millisecond)
@@ -201,21 +201,21 @@ func TestMinRTTFallsBackWhenFastFull(t *testing.T) {
 	for subflows[0].CanSend() {
 		subflows[0].SendSegment(0, 1400)
 	}
-	s := NewMinRTT()
+	s := newMinRTT()
 	if sf := s.Select(r.conn); sf != subflows[1] {
 		t.Fatal("minRTT should fall back to the slower available subflow")
 	}
 }
 
 func TestSinglePathSticksToOne(t *testing.T) {
-	r := newRig(t, NewSinglePath(1), 8, 8)
-	s := NewSinglePath(1)
+	r := newRig(t, newSinglePath(1), 8, 8)
+	s := newSinglePath(1)
 	for i := 0; i < 5; i++ {
 		if sf := s.Select(r.conn); sf == nil || sf.ID() != 1 {
 			t.Fatal("single-path scheduler must pin subflow 1")
 		}
 	}
-	if sf := NewSinglePath(9).Select(r.conn); sf != nil {
+	if sf := newSinglePath(9).Select(r.conn); sf != nil {
 		t.Fatal("out-of-range single path should return nil")
 	}
 }

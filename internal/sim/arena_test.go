@@ -152,8 +152,8 @@ func TestKindName(t *testing.T) {
 	if got := KindName(kindTestNop); got != "sim.test.nop" {
 		t.Fatalf("KindName = %q, want sim.test.nop", got)
 	}
-	if got := KindName(KindClosure); got != "sim.closure" {
-		t.Fatalf("KindName(KindClosure) = %q", got)
+	if got := KindName(kindClosure); got != "sim.closure" {
+		t.Fatalf("KindName(kindClosure) = %q", got)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestHeapMatchesReferenceUnderChurn(t *testing.T) {
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		default: // pop one event from both
-			if e.Step() {
+			if e.step() {
 				for ref.Len() > 0 {
 					ev := heap.Pop(ref).(*refEvent)
 					if !ev.cancelled {

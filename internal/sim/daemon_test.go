@@ -8,7 +8,7 @@ import (
 	"unsafe"
 )
 
-// kindTestCall runs its func() argument — the typed twin of KindClosure,
+// kindTestCall runs its func() argument — the typed twin of kindClosure,
 // so tests can put a closure behind ScheduleDaemon.
 var kindTestCall EventKind
 
@@ -194,9 +194,9 @@ func TestEventsByKindSumToProcessed(t *testing.T) {
 			sum += k1[k] - k0[k]
 		}
 		// The daemon at 4ms sorts after the last live event and never ran.
-		if p1-p0 != 9 || sum != 9 || k1[KindClosure]-k0[KindClosure] != 5 || k1[kindTestCall]-k0[kindTestCall] != 4 {
+		if p1-p0 != 9 || sum != 9 || k1[kindClosure]-k0[kindClosure] != 5 || k1[kindTestCall]-k0[kindTestCall] != 4 {
 			t.Fatalf("processed %d, by kind %d (closure %d, call %d); want 9, 9, 5, 4",
-				p1-p0, sum, k1[KindClosure]-k0[KindClosure], k1[kindTestCall]-k0[kindTestCall])
+				p1-p0, sum, k1[kindClosure]-k0[kindClosure], k1[kindTestCall]-k0[kindTestCall])
 		}
 	})
 }

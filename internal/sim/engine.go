@@ -15,7 +15,7 @@
 // kind-dispatch table followed by a direct call into the registered
 // handler — there is no per-event closure and no function pointer stored
 // per timer slot. The closure forms Schedule/At are a convenience built
-// on the same representation (KindClosure, with the func() as the
+// on the same representation (kindClosure, with the func() as the
 // argument); they are for setup and cold paths only.
 //
 // The registry contract:
@@ -141,13 +141,13 @@ const idleTicket = Ticket(math.MaxUint64)
 
 // EventKind identifies one of the simulation's event types in the
 // process-global kind-dispatch table. Kinds are allocated by
-// RegisterKind at package init; KindClosure is pre-registered for the
+// RegisterKind at package init; kindClosure is pre-registered for the
 // Schedule/At closure forms.
 type EventKind uint8
 
-// KindClosure is the built-in kind backing Schedule/At: the event
+// kindClosure is the built-in kind backing Schedule/At: the event
 // argument is the func() to invoke.
-const KindClosure EventKind = 0
+const kindClosure EventKind = 0
 
 // maxKinds bounds the dispatch table. The whole stack uses well under
 // this; the bound keeps the table a fixed-size array.
@@ -156,12 +156,12 @@ const maxKinds = 64
 var (
 	kindFns   [maxKinds]func(any)
 	kindNames [maxKinds]string
-	numKinds  = EventKind(1) // KindClosure
+	numKinds  = EventKind(1) // kindClosure
 )
 
 func init() {
-	kindNames[KindClosure] = "sim.closure"
-	kindFns[KindClosure] = func(arg any) { arg.(func())() }
+	kindNames[kindClosure] = "sim.closure"
+	kindFns[kindClosure] = func(arg any) { arg.(func())() }
 }
 
 // RegisterKind adds an event kind to the dispatch table and returns its
@@ -325,7 +325,7 @@ type Engine struct {
 	// claims) into a fixed-capacity ring. It is installed only on the
 	// engine of a traced cell and cleared by Reset; on every other
 	// engine each dispatch pays one nil check.
-	flight *obs.FlightRecorder
+	flight *obs.Ring[obs.EngineEvent]
 }
 
 // New returns an empty Engine positioned at time 0.
@@ -406,7 +406,7 @@ func (e *Engine) Reset() {
 // SetFlightRecorder installs (or with nil removes) the dispatch
 // recorder. Reset also removes it, so a pooled engine never carries a
 // recorder into its next cell.
-func (e *Engine) SetFlightRecorder(r *obs.FlightRecorder) { e.flight = r }
+func (e *Engine) SetFlightRecorder(r *obs.Ring[obs.EngineEvent]) { e.flight = r }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -471,7 +471,7 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	// A func value is pointer-shaped, so boxing it into the arg interface
 	// does not allocate; the closure itself (if it captures) is the
 	// caller's allocation.
-	return e.schedule(t, KindClosure, fn)
+	return e.schedule(t, kindClosure, fn)
 }
 
 // ScheduleEvent is the typed form of Schedule: the registered handler for
@@ -547,7 +547,7 @@ func (e *Engine) AtTicket(t Time, tk Ticket, kind EventKind, arg any) Timer {
 // next anyway, execution order (and with it every tie-break) is
 // identical to the unbatched schedule.
 // Outside Run/RunUntil the claim always fails, preserving strict
-// one-event-per-Step semantics for direct Step callers.
+// one-event-per-step semantics for direct step callers.
 func (e *Engine) RunsNext(t Time, tk Ticket) bool {
 	if t > e.limit {
 		return false
@@ -624,9 +624,9 @@ func (e *Engine) freeSlot(si int32) {
 	e.freeHead = si
 }
 
-// Step executes the single earliest pending event and returns true, or
+// step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -660,7 +660,7 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	e.limit = maxTime
-	for e.Step() {
+	for e.step() {
 	}
 	e.limit = noRunLimit
 }
@@ -697,7 +697,7 @@ func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
 			e.exhausted = true
 			break
 		}
-		e.Step()
+		e.step()
 	}
 	e.limit = noRunLimit
 	if !quiet && !e.exhausted && e.now < deadline {

@@ -47,14 +47,14 @@ func (q *oracleQueue) remove(id int) {
 func stepOracle(t *testing.T, e *Engine, ref *oracleQueue, fired *[]int) (int, bool) {
 	t.Helper()
 	if ref.Len() == 0 {
-		if e.Step() {
+		if e.step() {
 			t.Fatal("engine stepped an event the oracle does not have")
 		}
 		return 0, false
 	}
 	want := heap.Pop(ref).(oracleEvent)
 	n := len(*fired)
-	if !e.Step() || len(*fired) != n+1 || (*fired)[n] != want.id {
+	if !e.step() || len(*fired) != n+1 || (*fired)[n] != want.id {
 		t.Fatalf("dispatch order diverged: engine fired %v, oracle holds %d more and expected id %d (at %v seq %d)",
 			(*fired)[n:], ref.Len(), want.id, want.at, want.seq)
 	}
@@ -95,7 +95,7 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 		if rng.Intn(4) == 0 {
 			tk := e.ReserveTicket()
 			seq = uint64(tk)
-			tm = e.AtTicket(at, tk, KindClosure, func() { fired = append(fired, id) })
+			tm = e.AtTicket(at, tk, kindClosure, func() { fired = append(fired, id) })
 		} else {
 			tm = e.At(at, func() { fired = append(fired, id) })
 			seq = e.seq
@@ -156,7 +156,7 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 	for ref.Len() > 0 {
 		stepBoth()
 	}
-	if e.Step() {
+	if e.step() {
 		t.Fatal("engine not empty after draining the reference")
 	}
 }
@@ -223,7 +223,7 @@ func FuzzQueueOrdering(f *testing.F) {
 				fn := func() { fired = append(fired, id) }
 				if op&0x10 != 0 { // ticketed form
 					tk := e.ReserveTicket()
-					timers = append(timers, e.AtTicket(at, tk, KindClosure, fn))
+					timers = append(timers, e.AtTicket(at, tk, kindClosure, fn))
 					heap.Push(ref, oracleEvent{at: at, seq: uint64(tk), id: id})
 				} else {
 					timers = append(timers, e.At(at, fn))
@@ -255,7 +255,7 @@ func FuzzQueueOrdering(f *testing.F) {
 		for ref.Len() > 0 {
 			stepOracle(t, e, ref, &fired)
 		}
-		if e.Step() {
+		if e.step() {
 			t.Fatal("engine still has events after the oracle drained")
 		}
 	})
@@ -265,7 +265,7 @@ func FuzzQueueOrdering(f *testing.F) {
 // one standing depth: a rotating pool of timers where each dispatch
 // schedules a successor, and one in eight events is cancelled and
 // rescheduled near (arm/cancel churn) and one in eight far in the
-// future. Each Step dispatches one event.
+// future. Each step dispatches one event.
 func churnEngine(depth int) *Engine {
 	e := New()
 	rng := NewRNG(7)
@@ -302,7 +302,7 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Step()
+				e.step()
 			}
 		})
 	}
@@ -316,7 +316,7 @@ func TestQueueChurnAllocates0(t *testing.T) {
 		e := churnEngine(depth)
 		steps := func() {
 			for i := 0; i < 1000; i++ {
-				e.Step()
+				e.step()
 			}
 		}
 		steps() // warm the arena and heap

@@ -189,8 +189,8 @@ func TestRunsNextAllowsLaterTicketAtSameInstant(t *testing.T) {
 	}
 }
 
-// TestRunsNextFailsOutsideRunLoop: direct Step callers get strict
-// one-event-per-Step semantics — no inline claims.
+// TestRunsNextFailsOutsideRunLoop: direct step callers get strict
+// one-event-per-step semantics — no inline claims.
 func TestRunsNextFailsOutsideRunLoop(t *testing.T) {
 	e := New()
 	claimed := false
@@ -198,7 +198,7 @@ func TestRunsNextFailsOutsideRunLoop(t *testing.T) {
 		tk := e.ReserveTicket()
 		claimed = e.RunsNext(e.Now(), tk)
 	})
-	e.Step()
+	e.step()
 	if claimed {
 		t.Fatal("RunsNext claimed outside Run/RunUntil")
 	}

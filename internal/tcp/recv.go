@@ -68,9 +68,6 @@ func (r *SubflowRecv) Expected() int64 { return r.expected }
 // Duplicates returns the count of redundant segment arrivals.
 func (r *SubflowRecv) Duplicates() int64 { return r.duplicates }
 
-// AcksSent returns the number of ACK packets emitted.
-func (r *SubflowRecv) AcksSent() int64 { return r.acksSent }
-
 // OnPacket handles one arriving data packet and emits its ACK.
 func (r *SubflowRecv) OnPacket(p *netsim.Packet) {
 	if p.Kind != netsim.Data {

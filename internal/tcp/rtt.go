@@ -23,7 +23,7 @@ type RTTEstimator struct {
 	samples int64
 	// min is the smallest measurement seen (propagation-delay estimate).
 	min time.Duration
-	// ring holds the most recent measurements for RecentMin (HyStart
+	// ring holds the most recent measurements for recentMin (HyStart
 	// uses the min of the last few samples to ignore self-induced burst
 	// queueing).
 	ring [8]time.Duration
@@ -32,8 +32,8 @@ type RTTEstimator struct {
 // Reset returns the estimator to its zero value.
 func (e *RTTEstimator) Reset() { *e = RTTEstimator{} }
 
-// Sample folds one RTT measurement into the estimate.
-func (e *RTTEstimator) Sample(rtt time.Duration) {
+// sample folds one RTT measurement into the estimate.
+func (e *RTTEstimator) sample(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = time.Microsecond
 	}
@@ -70,11 +70,11 @@ func (e *RTTEstimator) Samples() int64 { return e.samples }
 // estimate used by the HyStart-style slow-start exit.
 func (e *RTTEstimator) Min() time.Duration { return e.min }
 
-// RecentMin returns the smallest of the last eight measurements (the
+// recentMin returns the smallest of the last eight measurements (the
 // full-ring minimum once eight samples exist). Bursty senders inflate
 // individual samples with their own serialization; the windowed minimum
 // sees past that, as HyStart's design does.
-func (e *RTTEstimator) RecentMin() time.Duration {
+func (e *RTTEstimator) recentMin() time.Duration {
 	n := e.samples
 	if n > int64(len(e.ring)) {
 		n = int64(len(e.ring))
@@ -95,9 +95,9 @@ func (e *RTTEstimator) RecentMin() time.Duration {
 	return min
 }
 
-// RTO returns srtt + 4·rttvar clamped to [minRTO, maxRTO]; before any
+// rto returns srtt + 4·rttvar clamped to [minRTO, maxRTO]; before any
 // sample it returns 1 s (RFC 6298 §2.1).
-func (e *RTTEstimator) RTO() time.Duration {
+func (e *RTTEstimator) rto() time.Duration {
 	if e.samples == 0 {
 		return time.Second
 	}

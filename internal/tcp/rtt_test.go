@@ -8,7 +8,7 @@ import (
 
 func TestRTTFirstSample(t *testing.T) {
 	var e RTTEstimator
-	e.Sample(100 * time.Millisecond)
+	e.sample(100 * time.Millisecond)
 	if e.Srtt() != 100*time.Millisecond {
 		t.Fatalf("srtt = %v, want 100ms", e.Srtt())
 	}
@@ -16,15 +16,15 @@ func TestRTTFirstSample(t *testing.T) {
 		t.Fatalf("rttvar = %v, want 50ms", e.StdDev())
 	}
 	// 300 ms lies inside the clamp, so the RTO is the bare formula.
-	if e.RTO() != e.Srtt()+4*e.StdDev() {
-		t.Fatalf("RTO = %v, want srtt + 4·rttvar = %v", e.RTO(), e.Srtt()+4*e.StdDev())
+	if e.rto() != e.Srtt()+4*e.StdDev() {
+		t.Fatalf("RTO = %v, want srtt + 4·rttvar = %v", e.rto(), e.Srtt()+4*e.StdDev())
 	}
 }
 
 func TestRTTConvergesToConstant(t *testing.T) {
 	var e RTTEstimator
 	for i := 0; i < 200; i++ {
-		e.Sample(80 * time.Millisecond)
+		e.sample(80 * time.Millisecond)
 	}
 	if d := e.Srtt() - 80*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("srtt = %v, want ~80ms", e.Srtt())
@@ -36,28 +36,28 @@ func TestRTTConvergesToConstant(t *testing.T) {
 
 func TestRTOBeforeSamples(t *testing.T) {
 	var e RTTEstimator
-	if e.RTO() != time.Second {
-		t.Fatalf("initial RTO = %v, want 1s", e.RTO())
+	if e.rto() != time.Second {
+		t.Fatalf("initial RTO = %v, want 1s", e.rto())
 	}
 }
 
 func TestRTOMinClamp(t *testing.T) {
 	var e RTTEstimator
 	for i := 0; i < 100; i++ {
-		e.Sample(time.Millisecond)
+		e.sample(time.Millisecond)
 	}
-	if e.RTO() != 200*time.Millisecond {
-		t.Fatalf("RTO = %v, want clamped 200ms", e.RTO())
+	if e.rto() != 200*time.Millisecond {
+		t.Fatalf("RTO = %v, want clamped 200ms", e.rto())
 	}
 }
 
 func TestRTOMaxClamp(t *testing.T) {
 	var e RTTEstimator
 	for i := 0; i < 10; i++ {
-		e.Sample(200 * time.Second)
+		e.sample(200 * time.Second)
 	}
-	if e.RTO() != maxRTO {
-		t.Fatalf("RTO = %v, want clamped %v", e.RTO(), maxRTO)
+	if e.rto() != maxRTO {
+		t.Fatalf("RTO = %v, want clamped %v", e.rto(), maxRTO)
 	}
 }
 
@@ -66,9 +66,9 @@ func TestRTOAtLeastSrtt(t *testing.T) {
 		var e RTTEstimator
 		d := time.Duration(ms%5000+1) * time.Millisecond
 		for i := 0; i < 20; i++ {
-			e.Sample(d)
+			e.sample(d)
 		}
-		return e.RTO() >= e.Srtt()
+		return e.rto() >= e.Srtt()
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRTOAtLeastSrtt(t *testing.T) {
 
 func TestRTTSampleCountAndNonPositive(t *testing.T) {
 	var e RTTEstimator
-	e.Sample(-5 * time.Millisecond) // treated as tiny positive
+	e.sample(-5 * time.Millisecond) // treated as tiny positive
 	if e.Samples() != 1 {
 		t.Fatalf("samples = %d, want 1", e.Samples())
 	}
@@ -89,9 +89,9 @@ func TestRTTVariabilityRaisesStdDev(t *testing.T) {
 	var e RTTEstimator
 	for i := 0; i < 100; i++ {
 		if i%2 == 0 {
-			e.Sample(50 * time.Millisecond)
+			e.sample(50 * time.Millisecond)
 		} else {
-			e.Sample(150 * time.Millisecond)
+			e.sample(150 * time.Millisecond)
 		}
 	}
 	if e.StdDev() < 20*time.Millisecond {

@@ -182,7 +182,7 @@ type Subflow struct {
 	// flight recorder. It is installed only on the subflows of a traced
 	// cell and cleared by Reset; everywhere else each hook costs one nil
 	// check.
-	obsRec *obs.SubflowRecorder
+	obsRec *obs.Ring[obs.SubflowEvent]
 }
 
 // NewSubflow wires a sender onto path's forward link; ACKs arriving on the
@@ -253,7 +253,7 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 // SetObserver installs (or with nil removes) the subflow-event
 // recorder. Reset also removes it, so a pooled subflow never carries a
 // recorder into its next cell.
-func (s *Subflow) SetObserver(r *obs.SubflowRecorder) { s.obsRec = r }
+func (s *Subflow) SetObserver(r *obs.Ring[obs.SubflowEvent]) { s.obsRec = r }
 
 // observe records one subflow event; callers guard with obsRec != nil
 // so the disabled path never reaches the call.
@@ -290,13 +290,10 @@ func (s *Subflow) Srtt() time.Duration { return s.rtt.Srtt() }
 
 // SeedRTT initializes the RTT estimate with one measurement, as a kernel
 // does from the SYN/SYN-ACK handshake.
-func (s *Subflow) SeedRTT(rtt time.Duration) { s.rtt.Sample(rtt) }
+func (s *Subflow) SeedRTT(rtt time.Duration) { s.rtt.sample(rtt) }
 
 // RTTStdDev returns the RTT mean-deviation estimate — ECF's σ.
 func (s *Subflow) RTTStdDev() time.Duration { return s.rtt.StdDev() }
-
-// RTO returns the current retransmission timeout (without backoff).
-func (s *Subflow) RTO() time.Duration { return s.rtt.RTO() }
 
 // HasRTTSample reports whether at least one RTT measurement exists.
 func (s *Subflow) HasRTTSample() bool { return s.rtt.Samples() > 0 }
@@ -364,7 +361,7 @@ func (s *Subflow) PrepareSend() {
 		return
 	}
 	idle := s.eng.Now() - s.lastSendTime
-	rto := s.rtt.RTO()
+	rto := s.rtt.rto()
 	if idle < rto {
 		return
 	}
@@ -562,7 +559,7 @@ func (s *Subflow) armRTO() {
 		s.rtoTimer = sim.Timer{}
 		return
 	}
-	d := s.rtt.RTO() * s.rtoBackoff
+	d := s.rtt.rto() * s.rtoBackoff
 	at := s.eng.Now() + d
 	s.rtoDeadline = at
 	s.rtoTk = s.eng.ReserveTicket()
@@ -677,7 +674,7 @@ func (s *Subflow) processNewAck(p *netsim.Packet) {
 		}
 	}
 	if !p.EchoRetransmit && p.EchoSentAt > 0 {
-		s.rtt.Sample(s.eng.Now() - p.EchoSentAt)
+		s.rtt.sample(s.eng.Now() - p.EchoSentAt)
 	}
 	inRecovery := s.recoveryPoint >= 0
 	if inRecovery && s.sndUna >= s.recoveryPoint {
@@ -739,7 +736,7 @@ func (s *Subflow) maybeExitSlowStart() {
 	if thresh > hi {
 		thresh = hi
 	}
-	if s.rtt.RecentMin() > minRTT+thresh {
+	if s.rtt.recentMin() > minRTT+thresh {
 		s.ssthresh = s.cwnd
 	}
 }

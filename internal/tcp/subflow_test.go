@@ -77,8 +77,8 @@ func TestTransferCompletes(t *testing.T) {
 	}
 	// Per-packet ACKing: one ACK per arriving data segment, and on this
 	// loss-free path every segment sent arrives.
-	if st := h.sf.Stats(); st.Retransmits != 0 || h.rx.AcksSent() != st.SegmentsSent {
-		t.Fatalf("%d ACKs for %d segments sent (%d retransmitted), want one per segment", h.rx.AcksSent(), st.SegmentsSent, st.Retransmits)
+	if st := h.sf.Stats(); st.Retransmits != 0 || h.rx.acksSent != st.SegmentsSent {
+		t.Fatalf("%d ACKs for %d segments sent (%d retransmitted), want one per segment", h.rx.acksSent, st.SegmentsSent, st.Retransmits)
 	}
 }
 
