@@ -229,6 +229,8 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 // cell.
 func (c *config) validate() error {
 	switch {
+	case c.jobs < 0:
+		return usagef("-j %d: want a worker count >= 0 (0 = GOMAXPROCS)", c.jobs)
 	case c.cacheDir == "" && (c.mode == "cache-stats" || c.mode == "cache-prune"):
 		return usagef("-%s requires -cache-dir (it reads the store)", c.mode)
 	case c.mode == "trace" && c.traceOut == "":
@@ -678,7 +680,7 @@ func (c *config) trace(stderr io.Writer) error {
 
 // eventLine renders the per-run event telemetry: how many logical
 // simulation events fired, how many of those were coalesced into a
-// preceding dispatch instead of going through the heap, the packets
+// preceding dispatch instead of going through the queue, the packets
 // delivered, and the events-per-delivered-packet ratio — the
 // event-count regression signal the batching work optimizes. Cells
 // served from the result cache simulate nothing, so a fully warm run

@@ -97,6 +97,8 @@ func TestModeTable(t *testing.T) {
 		{"shard vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "0/2", "-merge"}, "mutually exclusive"},
 		{"no-cache vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-no-cache", "-merge"}, "-no-cache cannot be combined"},
 		{"bad shard", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "2/2"}, `shard "2/2"`},
+		{"negative j", []string{"-exp", "table2", "-scale", "quick", "-no-cache", "-j", "-5", "-report-json", "$D/r.json"}, "-j -5: want a worker count >= 0"},
+		{"join negative j", []string{"-join", "127.0.0.1:1", "-j", "-1", "-cpuprofile", "$D/p.pprof"}, "-j -1: want a worker count >= 0"},
 		{"trace-cell needs trace-out", []string{"-trace-cell", "grid/ecf/14"}, "-trace-cell requires -trace-out"},
 		{"bad trace-cell", []string{"-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
 		{"unknown trace family", []string{"-trace-cell", "grid/nosuch/0", "-trace-out", "$D/t.json", "-scale", "quick"}, `no cell family "grid/nosuch" runs at this scale`},

@@ -25,7 +25,7 @@
 //     mptcp.Resettable), congestion controllers with no registered
 //     flows, receivers at sequence zero with truncated telemetry.
 //     Capacities (rings, reorder buffers, segment and transfer pools,
-//     the engine's timer arena and event heap, telemetry series) are
+//     the engine's timer arena and event queue, telemetry series) are
 //     retained; values are not. A pooled cell is therefore
 //     byte-identical to a fresh one — the determinism and golden-hash
 //     tests in internal/experiments pin this, and
@@ -125,7 +125,7 @@ type connSlot struct {
 // connections.
 //
 // Networks are pooled: NewNetwork reuses the entire object graph of a
-// previously closed network — engine (arena and event heap), links and
+// previously closed network — engine (arena and event queue), links and
 // their in-flight rings, demux tables, connections with their subflows,
 // segment pools, reorder buffers, schedulers, congestion controllers
 // and telemetry series — resetting everything in place to the state a

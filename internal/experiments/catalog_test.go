@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/results"
+	"repro/internal/sim"
 )
 
 // splitName splits "table3" or "fig14" into kind and number.
@@ -80,8 +81,16 @@ func TestQuickCatalogMatchesGolden(t *testing.T) {
 	}
 	quick := golden["quick"]
 	p := NewPlan(Quick, Catalog...)
+	q0 := sim.TotalQueueStats()
 	if err := p.Run(0, &results.Session{}, nil); err != nil {
 		t.Fatal(err)
+	}
+	// DeepRuns is a process-wide sum, so its difference counts this
+	// pass's engine runs whatever ran before; DepthMax could not.
+	if q1 := sim.TotalQueueStats(); q1.DeepRuns != q0.DeepRuns {
+		t.Errorf("%d engine runs of the quick catalog queued more than 32 pending events (deepest run in this process: %d). "+
+			"The sorted-slice event queue pays one move per pending event due sooner than an insert, and beats a heap only at shallow depth; "+
+			"measure BenchmarkEventQueueChurn at the new depth before accepting it", q1.DeepRuns-q0.DeepRuns, q1.DepthMax)
 	}
 	all := sha256.New()
 	for i, e := range Catalog {

@@ -130,7 +130,7 @@ func (s Scenario) cost() float64 {
 // at ~1,800 (TestEventBudgetMargin pins ≥ 8× per workload kind).
 const eventsPerSimSecond = 20_000
 
-// budget is the heap dispatches each of the scenario's networks may make.
+// budget is the queue dispatches each of the scenario's networks may make.
 func (s Scenario) budget() uint64 {
 	return eventsPerSimSecond * uint64(s.Limit) / uint64(time.Second)
 }

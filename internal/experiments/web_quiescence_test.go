@@ -53,7 +53,7 @@ func jitterTicksSkipped(end, interval, until time.Duration) uint64 {
 
 // checkSameNetwork requires the quiescent and the horizon run of one cell
 // to have moved the same packets through the same inline claims, and to
-// differ in heap dispatches by exactly the skipped jitter ticks. That is
+// differ in queue dispatches by exactly the skipped jitter ticks. That is
 // the invariant that makes "only daemons pending" mean "network quiet":
 // every in-flight packet, paced segment, armed RTO and think gap is
 // covered by a live pending event.

@@ -67,7 +67,7 @@ type flight struct {
 // Internally the link keeps its in-flight packets in a ring buffer and
 // schedules only deliveries: departures (queue-space release) are pure
 // link-internal accounting, advanced lazily from the dep cursor whenever
-// the queue occupancy is next consulted, so they cost no heap events at
+// the queue occupancy is next consulted, so they cost no queue events at
 // all. Deliveries funnel through one self-rescheduling drain event that
 // batches back-to-back arrivals: after delivering the head packet the
 // drain claims each successor inline via sim.RunsNext — succeeding
@@ -283,7 +283,7 @@ func (l *Link) SetDelay(d time.Duration) { l.delay = d }
 // drop-tail decision flips relative to the event-per-departure
 // schedule. Deferring the accounting to the next occupancy check
 // (Send's drop test, QueuedBytes) is then observationally identical,
-// at zero heap traffic.
+// at zero event-queue traffic.
 func (l *Link) advanceDeparted() {
 	now := l.eng.Now()
 	cur := l.eng.CurrentTicket()
@@ -367,7 +367,7 @@ func (l *Link) at(k uint64) *flight {
 // drain delivers the head packet, then keeps delivering successors
 // inline for as long as the engine confirms (sim.RunsNext) that each
 // would have been its next dispatch anyway — so a run of back-to-back
-// arrivals on an uncontended link costs one heap event, while any
+// arrivals on an uncontended link costs one queue event, while any
 // interleaved same-instant event from another model (an ACK arrival on
 // the reverse path, a pacer shot) breaks the batch exactly where the
 // unbatched schedule would have interleaved it. The first refused claim

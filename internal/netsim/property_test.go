@@ -11,7 +11,7 @@ import (
 // The property under test: the batched drain (one multi-delivery event
 // claiming successors via sim.RunsNext, departures accounted lazily
 // against CurrentTicket) is observationally identical to the reference
-// scheme where every departure and every arrival is its own heap event
+// scheme where every departure and every arrival is its own queue event
 // under the same reserved tickets. The reference below reimplements the
 // link's serializer math independently and schedules eagerly; both are
 // driven by identical randomized schedules of same-instant packet

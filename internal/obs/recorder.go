@@ -55,17 +55,17 @@ func (r *Ring[T]) Dropped() uint64 {
 const KindCoalesced uint8 = 0xFF
 
 // EngineEvent is one flight-recorder record, written at dispatch by
-// sim.Engine's run loop (heap dispatches) and RunsNext (inline claims).
+// sim.Engine's run loop (queue dispatches) and RunsNext (inline claims).
 type EngineEvent struct {
 	// At is the event's virtual time.
 	At time.Duration
-	// Ticket is the event's tie-break position: the heap entry's
+	// Ticket is the event's tie-break position: the queue entry's
 	// sequence number, or the claimed ticket for a coalesced event.
 	Ticket uint64
 	// Kind is the sim.EventKind dispatched (KindCoalesced for inline
 	// claims). The exporter resolves names via sim.KindName.
 	Kind uint8
-	// Coalesced marks an inline claim (no heap round-trip).
+	// Coalesced marks an inline claim (no queue round-trip).
 	Coalesced bool
 }
 
@@ -82,7 +82,7 @@ const (
 	// PktLoss: the random-loss process discarded the packet on delivery.
 	PktLoss
 	// PktCoalesce: the delivery was claimed inline by the batched drain
-	// (it did not round-trip through the event heap); a PktDeliver or
+	// (it did not round-trip through the event queue); a PktDeliver or
 	// PktLoss for the same packet follows.
 	PktCoalesce
 )

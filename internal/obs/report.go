@@ -83,7 +83,7 @@ type RunReport struct {
 	CacheHits     int64 `json:"cache_hits"`
 	CacheComputed int64 `json:"cache_computed"`
 	// EventsProcessed/EventsCoalesced/EventsTotal are engine dispatch
-	// counts (heap dispatches, inline claims, and their sum).
+	// counts (queue dispatches, inline claims, and their sum).
 	EventsProcessed uint64 `json:"events_processed"`
 	EventsCoalesced uint64 `json:"events_coalesced"`
 	EventsTotal     uint64 `json:"events_total"`

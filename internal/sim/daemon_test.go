@@ -24,9 +24,9 @@ func onHeap(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Run("heap", func(t *testing.T) { f(t, New()) })
 }
 
-func TestHeapEntStays24Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(heapEnt{}); got != 24 {
-		t.Fatalf("heapEnt is %d bytes, want 24: the daemon mark must ride in the padding", got)
+func TestQueueEntStays24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(queueEnt{}); got != 24 {
+		t.Fatalf("queueEnt is %d bytes, want 24: the daemon mark must ride in the padding", got)
 	}
 }
 

@@ -33,15 +33,24 @@
 //
 // # Event queue
 //
-// The queue is one 4-ary min-heap of 24-byte entries ordered by
-// (at, seq): earliest time first, scheduling (ticket) order breaking
-// ties. Each entry embeds its full key next to its arena slot index, so
-// sifts compare inside the contiguous heap slice and never touch the
-// arena; each slot records its entry's heap index, which makes Cancel an
-// eager O(log n) removal and Timer.At an O(1) read. The sweep's live
-// queue is shallow (mean depth ~8, max 29 over the whole catalog), so a
-// sift touches barely one level; every schedule samples the depth into
-// QueueStats so that stays a measured fact.
+// The queue is one slice of 24-byte entries kept sorted in descending
+// (at, seq) order — latest first, so the next event to dispatch is the
+// last element and a dispatch just shortens the slice by one. A schedule
+// appends and walks toward the front, moving each pending event that is
+// due before the new one up by one place; Cancel scans from the tail for
+// the timer's slot and closes the gap. Each entry embeds its full key
+// next to its arena slot index, so every comparison and move stays
+// inside the contiguous slice and never touches the arena.
+//
+// An insert therefore costs one move per pending event due sooner than
+// the new one, where a heap's costs grow with the log of the depth. That
+// trade is made on a measured fact: the sweep's live queue is shallow
+// (mean depth ~8, max 29 over the whole catalog), and at that depth the
+// sorted slice beats a 4-ary heap; past a few dozen pending events the
+// heap would win (BenchmarkEventQueueChurn at depths 8, 64 and 512 shows
+// both sides). Every schedule samples the depth into QueueStats so the
+// depth stays a measured fact, and the quick-catalog golden test fails
+// when a run goes deeper than designDepth.
 //
 // # Allocation and layout contract
 //
@@ -50,17 +59,16 @@
 //
 //   - Timers live in an engine-owned arena recycled through a free list;
 //     a slot holds only the event argument, its generation and its
-//     queue position — 24 bytes. The event's kind travels in the queue
+//     free-list link — 24 bytes. The event's kind travels in the queue
 //     entry (it fits the entry's alignment padding), so dispatch never
 //     waits on an extra arena load.
 //   - Queue entries are 24 bytes and embed the full ordering key
-//     (at, seq) next to the arena slot index, so heap sifts read only
-//     the contiguous entry slice and never chase a pointer into the
-//     arena. The arena is touched exactly once per moved entry (to
-//     maintain the slot's heap index for eager Cancel and Timer.At), not
-//     once per comparison.
+//     (at, seq) next to the arena slot index, so ordering an insert reads
+//     only the contiguous entry slice and never chases a pointer into
+//     the arena. Moving an entry writes nothing to the arena: a slot does
+//     not know where its entry sits, and Cancel finds it by scanning.
 //   - Reset returns an engine to time zero while keeping the arena and
-//     heap at their grown capacity; core's pooled networks each own one
+//     queue at their grown capacity; core's pooled networks each own one
 //     engine, so a sweep of thousands of simulation cells re-grows these
 //     structures once per worker instead of once per cell.
 //
@@ -70,15 +78,15 @@
 // netsim.Link drain, the tcp.Subflow pacer) reserve a Ticket per logical
 // event up front and arm the shared timer under the earliest pending
 // ticket. When that timer fires, the model may process its successor
-// logical events inline — without a round-trip through the heap — by
+// logical events inline — without a round-trip through the queue — by
 // asking RunsNext whether each successor would be the next event the
 // engine dispatched anyway. This batching is exact: execution order, and
 // therefore every tie-break and every byte of experiment output, is
 // identical to scheduling each logical event individually. Processed
-// counts heap dispatches, Coalesced counts logical events claimed
+// counts queue dispatches, Coalesced counts logical events claimed
 // inline; their sum is the logical event total.
 //
-// Once the arena and heap have grown to a simulation's working set,
+// Once the arena and queue have grown to a simulation's working set,
 // scheduling, firing and cancelling timers perform zero heap
 // allocations — the AllocsPerRun regression tests in this package and in
 // netsim/tcp pin that at ~0 allocations per packet.
@@ -102,7 +110,7 @@
 //
 // # Event budget
 //
-// SetBudget caps the heap dispatches of RunUntil and RunUntilQuiet, and
+// SetBudget caps the queue dispatches of RunUntil and RunUntilQuiet, and
 // Exhausted reports a run that stopped on the cap; inline claims are not
 // counted, and a new or Reset engine is unlimited. A simulation is
 // deterministic, so where it runs out is too: unlike a wall-clock
@@ -209,67 +217,60 @@ func (t Timer) Active() bool {
 	return t.e != nil && t.e.arena[t.slot].gen == t.gen
 }
 
-// At returns the virtual time the timer is scheduled to fire, or 0 if it
-// already fired or was cancelled.
-func (t Timer) At() Time {
-	if !t.Active() {
-		return 0
-	}
-	return t.e.heap[t.e.arena[t.slot].pos].at
-}
-
-// Cancel removes the timer from the queue eagerly — heap entry and arena
-// slot both, so arm/cancel churn stays allocation-free and Pending never
-// counts a cancelled timer. Cancelling an already-fired or
+// Cancel removes the timer from the queue eagerly — queue entry and
+// arena slot both, so arm/cancel churn stays allocation-free and Pending
+// never counts a cancelled timer. It scans from the tail (the soonest
+// events) for the timer's entry and closes the gap; it runs on RTO
+// disarm and on Close, not per packet. Cancelling an already-fired or
 // already-cancelled timer — or the zero Timer — is a no-op.
 func (t Timer) Cancel() {
 	e := t.e
-	if e == nil {
-		return
+	if e == nil || e.arena[t.slot].gen != t.gen {
+		return // zero Timer, already fired, cancelled, or slot reused
 	}
-	s := &e.arena[t.slot]
-	if s.gen != t.gen {
-		return // already fired, cancelled, or slot reused
+	q := e.queue
+	i := len(q) - 1
+	for q[i].slot != t.slot {
+		i--
 	}
-	if e.heap[s.pos].kind&daemonMark != 0 {
+	if q[i].kind&daemonMark != 0 {
 		e.daemons--
 	}
-	e.heapRemove(int(s.pos))
+	e.queue = append(q[:i], q[i+1:]...)
 	e.freeSlot(t.slot)
 }
 
-// slot is one arena entry: the event argument and the bookkeeping that
-// ties it to the queue. The ordering key and the event kind live in the
-// queue entry itself, not here. While scheduled, pos is the heap index
-// of the timer's entry; while free, it links the free list.
+// slot is one arena entry: the event argument and its generation. The
+// ordering key and the event kind live in the queue entry itself, not
+// here; while the slot is free, next links the free list.
 type slot struct {
-	arg any
-	gen uint32
-	pos int32
+	arg  any
+	gen  uint32
+	next int32
 }
 
-// heapEnt is one event-queue entry: the full ordering key packed next to
-// the arena slot index and the event kind (which rides in what would
+// queueEnt is one event-queue entry: the full ordering key packed next
+// to the arena slot index and the event kind (which rides in what would
 // otherwise be alignment padding — the entry stays 24 bytes). less never
-// touches the arena — comparisons stay inside the contiguous heap slice.
+// touches the arena — comparisons stay inside the contiguous queue slice.
 // A daemon event carries daemonMark in its kind byte rather than in a
 // field of its own: the compiler keeps structs of up to four fields in
-// registers, and a fifth grew siftDown by a quarter (fig14 ran ~8 %
-// slower with it).
-type heapEnt struct {
+// registers, and a fifth grew the old heap's sift-down by a quarter
+// (fig14 ran ~8 % slower with it).
+type queueEnt struct {
 	at   Time
 	seq  uint64
 	slot int32
 	kind EventKind
 }
 
-// daemonMark is the bit of heapEnt.kind that marks a daemon event; kinds
+// daemonMark is the bit of queueEnt.kind that marks a daemon event; kinds
 // proper stay below it (maxKinds).
 const daemonMark EventKind = 0x80
 
 // less orders entries by (at, seq): earliest first, scheduling order
 // breaking ties — the determinism invariant every model relies on.
-func less(a, b heapEnt) bool {
+func less(a, b queueEnt) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -285,13 +286,10 @@ type Engine struct {
 	now      Time
 	arena    []slot
 	freeHead int32
-	// heap is the event queue: a 4-ary min-heap of key-packed entries
-	// ordered by (at, seq). 4-ary beats binary here: sift-down does 3
-	// extra comparisons per level but halves the levels, and with
-	// 24-byte entries the four children of a node share two cache
-	// lines.
-	heap []heapEnt
-	seq  uint64
+	// queue is the pending events in descending (at, seq) order: the
+	// next dispatch is the last entry.
+	queue []queueEnt
+	seq   uint64
 	// qstats is the per-run queue telemetry, flushed by Reset.
 	qstats queueCounters
 	// limit bounds inline claims (RunsNext): Run lifts it to maxTime,
@@ -300,7 +298,7 @@ type Engine struct {
 	// run loop it is -1 (below any valid time) and RunsNext declines
 	// every claim.
 	limit Time
-	// processed counts heap events dispatched; coalesced counts logical
+	// processed counts queue events dispatched; coalesced counts logical
 	// events claimed inline via RunsNext. Their sum is the logical event
 	// total.
 	processed uint64
@@ -321,7 +319,7 @@ type Engine struct {
 	// whether a same-instant sub-event logically precedes the running
 	// event — see CurrentTicket.
 	curSeq uint64
-	// flight, when non-nil, records every dispatch (heap and inline
+	// flight, when non-nil, records every dispatch (queue and inline
 	// claims) into a fixed-capacity ring. It is installed only on the
 	// engine of a traced cell and cleared by Reset; on every other
 	// engine each dispatch pays one nil check.
@@ -343,7 +341,7 @@ var (
 	totalByKind    [maxKinds]atomic.Uint64
 )
 
-// TotalEvents returns the process-wide counters of heap events
+// TotalEvents returns the process-wide counters of queue events
 // dispatched and logical events coalesced inline, summed over every
 // engine run flushed so far (an engine flushes on Reset; a network cell
 // flushes when it is closed).
@@ -363,7 +361,7 @@ func TotalEventsByKind() []uint64 {
 }
 
 // Reset returns the engine to virtual time zero with an empty queue,
-// retaining the arena and heap at their grown capacity so the next
+// retaining the arena and queue at their grown capacity so the next
 // simulation starts with a warm working set. Every outstanding Timer
 // handle is invalidated (their generation is bumped) and every pending
 // event argument is dropped, so the previous simulation's object graph
@@ -384,13 +382,13 @@ func (e *Engine) Reset() {
 		s := &e.arena[i]
 		s.gen++
 		s.arg = nil
-		s.pos = int32(i) - 1 // chain the free list through all slots
+		s.next = int32(i) - 1 // chain the free list through all slots
 	}
 	e.freeHead = noSlot
 	if n := len(e.arena); n > 0 {
 		e.freeHead = int32(n - 1)
 	}
-	e.heap = e.heap[:0]
+	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -411,10 +409,10 @@ func (e *Engine) SetFlightRecorder(r *obs.Ring[obs.EngineEvent]) { e.flight = r 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of heap events dispatched so far.
+// Processed returns the number of queue events dispatched so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// SetBudget caps the heap dispatches of RunUntil and RunUntilQuiet at n
+// SetBudget caps the queue dispatches of RunUntil and RunUntilQuiet at n
 // until Reset.
 func (e *Engine) SetBudget(n uint64) { e.budget = n }
 
@@ -423,11 +421,11 @@ func (e *Engine) SetBudget(n uint64) { e.budget = n }
 func (e *Engine) Exhausted() bool { return e.exhausted }
 
 // Coalesced returns the number of logical events claimed inline via
-// RunsNext so far (events that did not round-trip through the heap).
+// RunsNext so far (events that did not round-trip through the queue).
 func (e *Engine) Coalesced() uint64 { return e.coalesced }
 
 // CurrentTicket returns the tie-break position of the event being
-// dispatched right now — a heap event's sequence number, or the claimed
+// dispatched right now — a queue event's sequence number, or the claimed
 // ticket inside a RunsNext batch — and idleTicket (the maximum Ticket)
 // when no event is running. A model that accounts sub-events lazily
 // instead of scheduling them (the link serializer's departures) uses it
@@ -438,14 +436,16 @@ func (e *Engine) CurrentTicket() Ticket { return Ticket(e.curSeq) }
 
 // Pending returns the number of events waiting in the queue. Cancelled
 // timers are never counted: Cancel removes them eagerly.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// peekHead returns the (at, seq) ordering key of the queue's head event.
+// peekHead returns the (at, seq) ordering key of the queue's head event,
+// its last entry.
 func (e *Engine) peekHead() (Time, uint64, bool) {
-	if len(e.heap) == 0 {
+	n := len(e.queue) - 1
+	if n < 0 {
 		return 0, 0, false
 	}
-	return e.heap[0].at, e.heap[0].seq, true
+	return e.queue[n].at, e.queue[n].seq, true
 }
 
 // Schedule arranges for fn to run delay from now. A negative delay is
@@ -542,7 +542,7 @@ func (e *Engine) AtTicket(t Time, tk Ticket, kind EventKind, arg any) Timer {
 // t does not exceed the run loop's deadline — and, when true, advances
 // the clock to t and counts the event as coalesced. A multiplexing
 // model calls this from inside its timer handler to execute successor
-// logical events inline instead of re-arming through the heap; because
+// logical events inline instead of re-arming through the queue; because
 // the claim succeeds only when the successor would have been dispatched
 // next anyway, execution order (and with it every tie-break) is
 // identical to the unbatched schedule.
@@ -569,7 +569,7 @@ func (e *Engine) RunsNext(t Time, tk Ticket) bool {
 	return true
 }
 
-// schedule places (kind, arg) into the arena and heap under a fresh
+// schedule places (kind, arg) into the arena and queue under a fresh
 // sequence number.
 func (e *Engine) schedule(t Time, kind EventKind, arg any) Timer {
 	e.seq++
@@ -579,6 +579,11 @@ func (e *Engine) schedule(t Time, kind EventKind, arg any) Timer {
 // scheduleSeq places (kind, arg) into the arena and queue under an
 // explicit tie-break sequence number. A kind carrying daemonMark has
 // already been counted in e.daemons by its caller.
+//
+// The entry is appended and then walked toward the front past every
+// pending event due before it, each moving up one place. It is a loop,
+// not copy: an insert moves about two entries on average over the
+// catalog, too few to pay for the call.
 func (e *Engine) scheduleSeq(t Time, seq uint64, kind EventKind, arg any) Timer {
 	if t < e.now {
 		t = e.now
@@ -587,11 +592,18 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, kind EventKind, arg any) Timer 
 	s := &e.arena[si]
 	s.arg = arg
 	gen := s.gen
-	e.heap = append(e.heap, heapEnt{at: t, seq: seq, slot: si, kind: kind})
-	e.siftUp(len(e.heap) - 1)
+	ent := queueEnt{at: t, seq: seq, slot: si, kind: kind}
+	q := append(e.queue, ent)
+	i := len(q) - 1
+	for i > 0 && less(q[i-1], ent) {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = ent
+	e.queue = q
 	// Depth telemetry: one sample per scheduled event (a handful of
 	// integer ops — the counters ride in the engine and flush on Reset).
-	d := uint64(len(e.heap))
+	d := uint64(len(q))
 	e.qstats.depthSum += d
 	e.qstats.depthSamples++
 	if d > e.qstats.depthMax {
@@ -604,7 +616,7 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, kind EventKind, arg any) Timer 
 func (e *Engine) allocSlot() int32 {
 	if e.freeHead != noSlot {
 		si := e.freeHead
-		e.freeHead = e.arena[si].pos
+		e.freeHead = e.arena[si].next
 		return si
 	}
 	e.arena = append(e.arena, slot{})
@@ -620,17 +632,18 @@ func (e *Engine) allocSlot() int32 {
 func (e *Engine) freeSlot(si int32) {
 	s := &e.arena[si]
 	s.gen++
-	s.pos = e.freeHead
+	s.next = e.freeHead
 	e.freeHead = si
 }
 
 // step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
 func (e *Engine) step() bool {
-	if len(e.heap) == 0 {
+	n := len(e.queue) - 1
+	if n < 0 {
 		return false
 	}
-	ent := e.heap[0]
+	ent := e.queue[n]
 	if ent.at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ent.at, e.now))
 	}
@@ -650,7 +663,7 @@ func (e *Engine) step() bool {
 	// Retire the slot before running the handler so the event can
 	// reschedule (reusing this very slot) and so its own handle is
 	// already stale inside the handler.
-	e.heapRemove(0)
+	e.queue = e.queue[:n]
 	e.freeSlot(ent.slot)
 	kindFns[kind%maxKinds](arg)
 	e.curSeq = uint64(idleTicket)
@@ -704,74 +717,4 @@ func (e *Engine) run(deadline Time, untilQuiet bool) (quiet bool) {
 		e.now = deadline
 	}
 	return quiet
-}
-
-// siftUp restores heap order for the entry at heap index i, moving it
-// toward the root. The arena is written once per moved entry (its heap
-// position, for eager Cancel); comparisons never leave the heap slice.
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	ent := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(ent, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		e.arena[h[i].slot].pos = int32(i)
-		i = p
-	}
-	h[i] = ent
-	e.arena[ent.slot].pos = int32(i)
-}
-
-// siftDown restores heap order for the entry at heap index i, moving it
-// toward the leaves.
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	ent := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !less(h[best], ent) {
-			break
-		}
-		h[i] = h[best]
-		e.arena[h[i].slot].pos = int32(i)
-		i = best
-	}
-	h[i] = ent
-	e.arena[ent.slot].pos = int32(i)
-}
-
-// heapRemove deletes the entry at heap index i in O(log n), the operation
-// that makes eager Cancel cheap.
-func (e *Engine) heapRemove(i int) {
-	h := e.heap
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if i == n {
-		return
-	}
-	h[i] = last
-	e.arena[last.slot].pos = int32(i)
-	if i > 0 && less(last, h[(i-1)>>2]) {
-		e.siftUp(i)
-	} else {
-		e.siftDown(i)
-	}
 }

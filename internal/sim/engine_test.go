@@ -166,14 +166,6 @@ func TestNilFuncPanics(t *testing.T) {
 	New().Schedule(0, nil)
 }
 
-func TestTimerAt(t *testing.T) {
-	e := New()
-	tm := e.Schedule(7*time.Millisecond, func() {})
-	if tm.At() != 7*time.Millisecond {
-		t.Fatalf("At() = %v, want 7ms", tm.At())
-	}
-}
-
 // TestEventBudget: a zero-delay event that reschedules itself never lets
 // virtual time advance. Under a budget, both run loops stop after
 // exactly the budget's dispatches and report it; a run that finishes

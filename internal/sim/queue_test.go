@@ -9,8 +9,8 @@ import (
 )
 
 // oracleQueue is a container/heap reference ordered by the same (at, seq)
-// key the engine promises — the oracle the engine's own heap is driven
-// against under randomized churn.
+// key the engine promises — the oracle the engine's sorted-slice queue is
+// driven against under randomized churn.
 type oracleQueue []oracleEvent
 
 type oracleEvent struct {
@@ -63,16 +63,15 @@ func stepOracle(t *testing.T, e *Engine, ref *oracleQueue, fired *[]int) (int, b
 
 // churnModel drives one engine and the reference oracle through the
 // same randomized schedule/cancel/reserve/run workload and fails on the
-// first divergence in dispatch order, Pending, or Timer.At, or on a
-// broken heap invariant. The time distribution mixes millisecond gaps
-// with gaps of seconds and with same-instant ties.
+// first divergence in dispatch order, Pending or Active, or on a broken
+// queue invariant. The time distribution mixes millisecond gaps with
+// gaps of seconds and with same-instant ties.
 func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 	t.Helper()
 	ref := &oracleQueue{}
 	var fired []int
 	nextID := 0
 	timers := map[int]Timer{}
-	expect := map[int]oracleEvent{}
 	schedule := func() {
 		var gap Time
 		switch rng.Intn(10) {
@@ -101,12 +100,7 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 			seq = e.seq
 		}
 		timers[id] = tm
-		ev := oracleEvent{at: at, seq: seq, id: id}
-		expect[id] = ev
-		heap.Push(ref, ev)
-		if got := tm.At(); got != at {
-			t.Fatalf("op %d: Timer.At = %v right after scheduling for %v", id, got, at)
-		}
+		heap.Push(ref, oracleEvent{at: at, seq: seq, id: id})
 	}
 	cancelRandom := func() {
 		for id, tm := range timers { // map order is as good a random pick as any
@@ -114,12 +108,8 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 			if tm.Active() {
 				t.Fatalf("timer %d still Active after Cancel", id)
 			}
-			if tm.At() != 0 {
-				t.Fatalf("timer %d At = %v after Cancel, want 0", id, tm.At())
-			}
 			tm.Cancel() // double-cancel must be a no-op
 			delete(timers, id)
-			delete(expect, id)
 			ref.remove(id)
 			return
 		}
@@ -141,13 +131,10 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 		if e.Pending() != ref.Len() {
 			t.Fatalf("op %d: Pending = %d, reference holds %d", i, e.Pending(), ref.Len())
 		}
-		checkHeap(t, e)
+		checkQueue(t, e)
 		for id, tm := range timers {
 			if !tm.Active() {
 				t.Fatalf("op %d: timer %d inactive while the reference still holds it", i, id)
-			}
-			if tm.At() != expect[id].at {
-				t.Fatalf("op %d: timer %d At = %v, want %v", i, id, tm.At(), expect[id].at)
 			}
 			break // one spot-check per op keeps the loop O(ops)
 		}
@@ -161,17 +148,21 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 	}
 }
 
-// checkHeap pins the two structural invariants the queue rests on: every
-// pending slot's pos is the heap index of its own entry (what Cancel and
-// Timer.At read), and no entry sorts before its 4-ary parent.
-func checkHeap(t *testing.T, e *Engine) {
+// checkQueue pins the two structural invariants the queue rests on: the
+// slice is in strictly descending (at, seq) order, so its last entry is
+// the next dispatch, and each arena slot appears in it at most once (what
+// Cancel's scan for a slot relies on).
+func checkQueue(t *testing.T, e *Engine) {
 	t.Helper()
-	for i, ent := range e.heap {
-		if got := e.arena[ent.slot].pos; int(got) != i {
-			t.Fatalf("heap[%d] belongs to slot %d, whose pos is %d", i, ent.slot, got)
+	seen := make(map[int32]bool, len(e.queue))
+	for i, ent := range e.queue {
+		if seen[ent.slot] {
+			t.Fatalf("slot %d appears twice in the queue (again at queue[%d])", ent.slot, i)
 		}
-		if p := (i - 1) >> 2; i > 0 && less(ent, e.heap[p]) {
-			t.Fatalf("heap[%d] (%v, %d) sorts before its parent heap[%d] (%v, %d)", i, ent.at, ent.seq, p, e.heap[p].at, e.heap[p].seq)
+		seen[ent.slot] = true
+		if i > 0 && !less(ent, e.queue[i-1]) {
+			prev := e.queue[i-1]
+			t.Fatalf("queue[%d] (%v, %d) does not sort before queue[%d] (%v, %d)", i, ent.at, ent.seq, i-1, prev.at, prev.seq)
 		}
 	}
 }
@@ -191,7 +182,7 @@ func TestHeapQueueMatchesReferenceUnderChurn(t *testing.T) {
 // container/heap oracle side by side: schedules (with and without
 // reserved tickets), cancels through possibly stale handles, and steps,
 // asserting the engine fires the oracle's sequence and agrees with it on
-// Pending and on every handle's Active, with the heap invariants holding
+// Pending and on every handle's Active, with the queue invariants holding
 // after each op. The fuzzer owns the byte-to-op decoding, so crashing
 // inputs shrink to readable op lists.
 func FuzzQueueOrdering(f *testing.F) {
@@ -250,7 +241,7 @@ func FuzzQueueOrdering(f *testing.F) {
 					t.Fatalf("timer %d: Active = %v, oracle pending = %v", id, tm.Active(), pending[id])
 				}
 			}
-			checkHeap(t, e)
+			checkQueue(t, e)
 		}
 		for ref.Len() > 0 {
 			stepOracle(t, e, ref, &fired)
@@ -297,7 +288,7 @@ var churnDepths = []int{8, 64, 512}
 // churnEngine's workload.
 func BenchmarkEventQueueChurn(b *testing.B) {
 	for _, depth := range churnDepths {
-		b.Run(fmt.Sprintf("heap/depth%d", depth), func(b *testing.B) {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			e := churnEngine(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -308,7 +299,7 @@ func BenchmarkEventQueueChurn(b *testing.B) {
 	}
 }
 
-// TestQueueChurnAllocates0 pins the heap under schedule/cancel churn at
+// TestQueueChurnAllocates0 pins the queue under schedule/cancel churn at
 // every benchmarked depth: once the arena has grown to the standing
 // depth, dispatching allocates nothing.
 func TestQueueChurnAllocates0(t *testing.T) {
@@ -319,7 +310,7 @@ func TestQueueChurnAllocates0(t *testing.T) {
 				e.step()
 			}
 		}
-		steps() // warm the arena and heap
+		steps() // warm the arena and queue
 		if avg := testing.AllocsPerRun(20, steps); avg != 0 {
 			t.Errorf("depth %d: %v allocations per 1000 events dispatched, want 0", depth, avg)
 		}

@@ -2,6 +2,14 @@ package sim
 
 import "sync/atomic"
 
+// designDepth is the deepest queue the sorted-slice event queue is built
+// for. An insert costs one move per pending event due sooner than the new
+// one, which beats a heap only while the queue stays shallow (see
+// BenchmarkEventQueueChurn); a run that goes deeper is counted in
+// QueueStats.DeepRuns, so the assumption fails a test instead of quietly
+// costing time.
+const designDepth = 32
+
 // queueCounters is the per-run event-queue telemetry, flushed into the
 // process totals by Reset (the pooled-lifecycle step every cell ends
 // with). Depth is sampled after every insert.
@@ -20,6 +28,10 @@ type QueueStats struct {
 	DepthMax     uint64
 	DepthSum     uint64
 	DepthSamples uint64
+	// DeepRuns counts the runs whose queue went deeper than designDepth
+	// (32) pending events. Unlike DepthMax it is a sum, so the difference
+	// of two readings counts the runs in between.
+	DeepRuns uint64
 }
 
 // DepthMean returns the mean queue depth over every sample, or 0 with
@@ -35,6 +47,7 @@ var (
 	totalDepthMax     atomic.Uint64
 	totalDepthSum     atomic.Uint64
 	totalDepthSamples atomic.Uint64
+	totalDeepRuns     atomic.Uint64
 )
 
 // TotalQueueStats returns the process-wide queue telemetry, summed (and
@@ -44,6 +57,7 @@ func TotalQueueStats() QueueStats {
 		DepthMax:     totalDepthMax.Load(),
 		DepthSum:     totalDepthSum.Load(),
 		DepthSamples: totalDepthSamples.Load(),
+		DeepRuns:     totalDeepRuns.Load(),
 	}
 }
 
@@ -65,6 +79,9 @@ func (e *Engine) flushQueueStats() {
 		totalDepthSum.Add(q.depthSum)
 		totalDepthSamples.Add(q.depthSamples)
 		atomicMax(&totalDepthMax, q.depthMax)
+	}
+	if q.depthMax > designDepth {
+		totalDeepRuns.Add(1)
 	}
 	*q = queueCounters{}
 }

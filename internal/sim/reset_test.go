@@ -79,7 +79,7 @@ func TestResetIsDeterministic(t *testing.T) {
 }
 
 // TestResetReusesArenaCapacity: after Reset, scheduling within the old
-// working set performs no heap growth.
+// working set performs no arena or queue growth.
 func TestResetReusesArenaCapacity(t *testing.T) {
 	e := New()
 	for i := 0; i < 256; i++ {

@@ -8,7 +8,7 @@ import (
 // batcher is a miniature of the multiplexing pattern netsim.Link and the
 // tcp pacer use: logical events (each with a reserved ticket) funnel
 // through one timer; the handler fires the head, then claims successors
-// inline with RunsNext, re-arming through the heap only when a claim is
+// inline with RunsNext, re-arming through the queue only when a claim is
 // refused.
 type batcher struct {
 	e     *Engine
@@ -205,7 +205,7 @@ func TestRunsNextFailsOutsideRunLoop(t *testing.T) {
 }
 
 // TestRunsNextRespectsDeadline: RunUntil's deadline bounds inline claims
-// exactly as it bounds heap dispatches.
+// exactly as it bounds queue dispatches.
 func TestRunsNextRespectsDeadline(t *testing.T) {
 	e := New()
 	var early, late bool

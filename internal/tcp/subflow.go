@@ -139,22 +139,24 @@ type Subflow struct {
 	rtoTimer sim.Timer
 	// rtoDeadline/rtoTk are the authoritative retransmission deadline
 	// and its reserved tie-break ticket (rtoDeadline 0 = disarmed). The
-	// heap timer is re-armed lazily: re-arming to a later deadline
+	// queued timer is re-armed lazily: re-arming to a later deadline
 	// leaves the earlier timer in place to fire as a no-op that chains
 	// to the real deadline, so the per-ACK cancel+insert churn of the
-	// eager scheme disappears from the heap entirely.
+	// eager scheme disappears from the event queue entirely.
 	rtoDeadline sim.Time
 	rtoTk       sim.Ticket
-	// rtoArmedTk is the ticket the heap timer is currently armed under;
-	// when it trails rtoTk the fire is stale even if the times coincide
-	// (the real timeout must run at rtoTk's tie-break position).
+	// rtoArmedAt/rtoArmedTk are the time and ticket the queued timer is
+	// currently armed under; when the ticket trails rtoTk the fire is
+	// stale even if the times coincide (the real timeout must run at
+	// rtoTk's tie-break position).
+	rtoArmedAt sim.Time
 	rtoArmedTk sim.Ticket
 	rtoBackoff time.Duration // multiplier, 1 when no backoff
 
 	// pacedQ is the pending paced-transmission queue ([pacedHead,
 	// pacedTail) live, release times and tickets both monotone), drained
 	// by one self-rescheduling timer that batches back-to-back releases
-	// via sim.RunsNext instead of costing one heap event per segment.
+	// via sim.RunsNext instead of costing one queue event per segment.
 	pacedQ               ring.Ring[paced]
 	pacedHead, pacedTail uint64
 	pacedTimer           sim.Timer
@@ -232,6 +234,7 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.rtoTimer = sim.Timer{}
 	s.rtoDeadline = 0
 	s.rtoTk = 0
+	s.rtoArmedAt = 0
 	s.rtoArmedTk = 0
 	s.rtoBackoff = 1
 	// Segments queued in the pacer are also in the inflight ring (pushSeg
@@ -548,10 +551,10 @@ func (s *Subflow) transmit(seg *segment) {
 // armRTO restarts the retransmission timer lazily. Every arm reserves a
 // ticket — exactly where the eager scheme's re-schedule reserved its
 // sequence number, keeping every later tie-break unchanged — but the
-// heap timer is only touched when it would fire too late: an early
+// queued timer is only touched when it would fire too late: an early
 // timer is left in place and fires as a no-op that chains to the real
 // deadline (fireRTO). Since arms are per-transmit and per-ACK while
-// real timeouts are rare, nearly all RTO heap traffic disappears.
+// real timeouts are rare, nearly all RTO queue traffic disappears.
 func (s *Subflow) armRTO() {
 	if s.inflightSegs == 0 {
 		s.rtoDeadline = 0
@@ -564,7 +567,7 @@ func (s *Subflow) armRTO() {
 	s.rtoDeadline = at
 	s.rtoTk = s.eng.ReserveTicket()
 	if s.rtoTimer.Active() {
-		if s.rtoTimer.At() <= at {
+		if s.rtoArmedAt <= at {
 			// The pending timer fires no later than the new deadline:
 			// leave it — fireRTO chains a stale fire to rtoDeadline
 			// under the freshly reserved ticket.
@@ -572,7 +575,7 @@ func (s *Subflow) armRTO() {
 		}
 		s.rtoTimer.Cancel()
 	}
-	s.rtoArmedTk = s.rtoTk
+	s.rtoArmedAt, s.rtoArmedTk = at, s.rtoTk
 	s.rtoTimer = s.eng.AtTicket(at, s.rtoTk, kindRTO, s)
 }
 
@@ -586,7 +589,7 @@ func (s *Subflow) fireRTO() {
 		return
 	}
 	if s.eng.Now() < s.rtoDeadline || s.rtoArmedTk != s.rtoTk {
-		s.rtoArmedTk = s.rtoTk
+		s.rtoArmedAt, s.rtoArmedTk = s.rtoDeadline, s.rtoTk
 		s.rtoTimer = s.eng.AtTicket(s.rtoDeadline, s.rtoTk, kindRTO, s)
 		return
 	}
