@@ -2,7 +2,9 @@
 // paper's evaluation. Each experiment plans the cells it reads and
 // renders a result type whose String method prints the same
 // rows/series the paper reports. README.md carries the experiment
-// index.
+// index. The paper's claims, and every paper number this package's code
+// quotes, are one list, claims (claims.go); TestClaims checks each
+// against one catalog plan at Full scale.
 //
 // The matrix is data. A simulation cell is a Scenario — paths,
 // scheduler, congestion control, background processes, workload and its
@@ -47,8 +49,9 @@ import (
 
 // Scale sets experiment sizes. The paper streams a 20-minute playout per
 // cell and repeats everything 5-30 times on a physical testbed; the Full
-// scale trades that down to what a laptop regenerates in minutes while
-// preserving every qualitative shape, and Quick keeps unit tests fast.
+// scale trades that down to a whole catalog of about 6 CPU-seconds (3.6 s
+// wall cold at -j 2 on a 2-CPU host) that keeps the claims table's
+// shapes, and Quick keeps unit tests fast.
 type Scale struct {
 	// VideoSec is the playout length for single-cell streaming studies.
 	VideoSec float64
@@ -82,7 +85,8 @@ type Scale struct {
 	Progress func(done, total int)
 }
 
-// Full is the bench-scale profile.
+// Full is the bench-scale profile, and the one TestClaims checks the
+// claims table at.
 var Full = Scale{
 	VideoSec:        240,
 	GridVideoSec:    90,
@@ -92,7 +96,11 @@ var Full = Scale{
 	WildWebRuns:     30,
 }
 
-// Quick is the test-scale profile.
+// Quick is the test-scale profile: 0.7 s wall for the whole catalog cold
+// at -j 2 on a 2-CPU host. Its 30 s grid playout is all start-up
+// wherever 8.6 Mbps is on either axis (every such cell prints 0.22 under
+// all four schedulers), so Figures 2 and 9 cannot show their claims at
+// Quick.
 var Quick = Scale{
 	VideoSec:        60,
 	GridVideoSec:    30,

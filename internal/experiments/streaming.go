@@ -125,19 +125,6 @@ func planFigure3(p *Plan) func() *Figure3Result {
 	return just(res)
 }
 
-// peakBytes returns the maximum occupancy seen per subflow.
-func (r *Figure3Result) peakBytes() []float64 {
-	out := make([]float64, len(r.Traces))
-	for i, tr := range r.Traces {
-		for _, v := range tr.V {
-			if v > out[i] {
-				out[i] = v
-			}
-		}
-	}
-	return out
-}
-
 // String renders a down-sampled occupancy table.
 func (r *Figure3Result) String() string {
 	var b strings.Builder
@@ -192,11 +179,6 @@ func planFigure5(p *Plan) func() *Figure5Result {
 		}, 0)
 	}
 	return just(res)
-}
-
-// Median returns the median diff for pair index i.
-func (r *Figure5Result) Median(i int) time.Duration {
-	return time.Duration(r.CDFs[i].Quantile(0.5) * float64(time.Second))
 }
 
 // String renders CDF quantiles per pair.
@@ -259,9 +241,6 @@ func Figure12(sc Scale) *CwndTraceResult { return alone(sc, planFigure12) }
 func planFigure12(p *Plan) func() *CwndTraceResult {
 	return planCwndTrace("Figure 12 (LTE CWND)", 1, p)
 }
-
-// meanCwnd returns the time-averaged window per scheduler.
-func (r *CwndTraceResult) meanCwnd(s string) float64 { return r.Traces[s].MeanValue() }
 
 // String renders mean/summary rows per scheduler plus a down-sampled
 // trace for ECF vs default.

@@ -45,9 +45,8 @@ type Table2Result struct {
 // Table2 measures average RTT under a saturating bulk transfer at each
 // regulated bandwidth, per interface — 12 independent (bandwidth,
 // interface) cells fanned across the worker pool. The paper's numbers
-// (WiFi 969 ms at 0.3 Mbps down to 40 ms at 8.6) come from tc buffering;
-// ours come from the same mechanism — a drop-tail buffer ahead of the
-// shaped link.
+// (the "table2" claims) come from tc buffering; ours come from the same
+// mechanism — a drop-tail buffer ahead of the shaped link.
 func Table2(sc Scale) *Table2Result { return alone(sc, planTable2) }
 
 func planTable2(p *Plan) func() *Table2Result {
@@ -109,8 +108,8 @@ func (r *Table2Result) String() string {
 }
 
 // Table3Result counts initial-window resets per scheduler in the
-// heterogeneous streaming configuration (paper Table 3: default 486,
-// DAPS 92, BLEST 382, ECF 16 — ECF lowest by far).
+// heterogeneous streaming configuration (paper Table 3; its values are
+// on the "table3" claim).
 type Table3Result struct {
 	Schedulers []string
 	IWResets   []int64
@@ -140,8 +139,8 @@ func (r *Table3Result) String() string {
 	return "Table 3: # of IW Resets - 0.3 Mbps WiFi & 8.6 Mbps LTE\n" + t.String()
 }
 
-// Table4Result reports the §6.3 wild web averages (paper Table 4:
-// download completion 0.882 s → 0.650 s, OOO delay 0.297 s → 0.087 s).
+// Table4Result reports the §6.3 wild web averages (paper Table 4; its
+// values are on the "table4" claims).
 type Table4Result struct {
 	DefaultCompletion time.Duration
 	ECFCompletion     time.Duration

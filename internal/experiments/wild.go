@@ -76,8 +76,8 @@ func planFigure22(p *Plan) func() *Figure22Result {
 	return just(res)
 }
 
-// meanThroughput returns the across-run averages (paper: default 6.72,
-// ECF 7.79 — a 16% improvement).
+// meanThroughput returns the across-run averages (the paper's are on the
+// "fig22/improvement" claim).
 func (r *Figure22Result) meanThroughput() (def, ecf float64) {
 	return metrics.Summarize(r.Default).Mean, metrics.Summarize(r.ECF).Mean
 }
@@ -105,8 +105,8 @@ func (r *Figure22Result) String() string {
 	}
 	b.WriteString(t.String())
 	def, ecf := r.meanThroughput()
-	fmt.Fprintf(&b, "mean: default %.2f Mbps, ECF %.2f Mbps (%.0f%% improvement; paper: 16%%)\n",
-		def, ecf, r.improvement()*100)
+	fmt.Fprintf(&b, "mean: default %.2f Mbps, ECF %.2f Mbps (%.0f%% improvement; paper: %s)\n",
+		def, ecf, r.improvement()*100, paperValue("fig22", "improvement"))
 	return b.String()
 }
 

@@ -148,18 +148,33 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 	}
 }
 
+// slotSeen[s] == seenStamp marks arena slot s as met by the running
+// checkQueue call; a call bumps the stamp instead of clearing (except
+// when it wraps), so the check allocates only when the arena grows. This
+// package's tests do not run in parallel.
+var (
+	slotSeen  []uint32
+	seenStamp uint32
+)
+
 // checkQueue pins the two structural invariants the queue rests on: the
 // slice is in strictly descending (at, seq) order, so its last entry is
 // the next dispatch, and each arena slot appears in it at most once (what
 // Cancel's scan for a slot relies on).
 func checkQueue(t *testing.T, e *Engine) {
 	t.Helper()
-	seen := make(map[int32]bool, len(e.queue))
+	if len(slotSeen) < len(e.arena) {
+		slotSeen = make([]uint32, 2*len(e.arena))
+	}
+	if seenStamp++; seenStamp == 0 {
+		clear(slotSeen)
+		seenStamp = 1
+	}
 	for i, ent := range e.queue {
-		if seen[ent.slot] {
+		if slotSeen[ent.slot] == seenStamp {
 			t.Fatalf("slot %d appears twice in the queue (again at queue[%d])", ent.slot, i)
 		}
-		seen[ent.slot] = true
+		slotSeen[ent.slot] = seenStamp
 		if i > 0 && !less(ent, e.queue[i-1]) {
 			prev := e.queue[i-1]
 			t.Fatalf("queue[%d] (%v, %d) does not sort before queue[%d] (%v, %d)", i, ent.at, ent.seq, i-1, prev.at, prev.seq)
@@ -195,6 +210,7 @@ func FuzzQueueOrdering(f *testing.F) {
 		ref := &oracleQueue{}
 		var fired []int
 		var timers []Timer // indexed by event id
+		var pending []bool // indexed by event id: the oracle still holds it
 		pos := 0
 		next := func() byte {
 			if pos >= len(data) {
@@ -212,6 +228,7 @@ func FuzzQueueOrdering(f *testing.F) {
 				id := len(timers)
 				at := e.Now() + gap
 				fn := func() { fired = append(fired, id) }
+				pending = append(pending, true)
 				if op&0x10 != 0 { // ticketed form
 					tk := e.ReserveTicket()
 					timers = append(timers, e.AtTicket(at, tk, kindClosure, fn))
@@ -224,17 +241,18 @@ func FuzzQueueOrdering(f *testing.F) {
 				if len(timers) > 0 {
 					i := int(next()) % len(timers)
 					timers[i].Cancel()
-					ref.remove(i)
+					if pending[i] {
+						ref.remove(i)
+						pending[i] = false
+					}
 				}
 			case 3:
-				stepOracle(t, e, ref, &fired)
+				if id, ok := stepOracle(t, e, ref, &fired); ok {
+					pending[id] = false
+				}
 			}
 			if e.Pending() != ref.Len() {
 				t.Fatalf("Pending = %d, oracle holds %d", e.Pending(), ref.Len())
-			}
-			pending := make(map[int]bool, ref.Len())
-			for _, ev := range *ref {
-				pending[ev.id] = true
 			}
 			for id, tm := range timers {
 				if tm.Active() != pending[id] {
