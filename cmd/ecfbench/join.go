@@ -64,7 +64,7 @@ func (c *config) join(stderr io.Writer) error {
 		Client: client,
 		Store:  store,
 		RunPass: func(ses *results.Session) error {
-			return plan.Run(c.jobs, ses, c.newProgress(stderr))
+			return plan.Run(c.jobs, ses)
 		},
 		Logf: logf,
 	})

@@ -15,23 +15,22 @@
 //	ecfbench -cache-dir cache -cache-prune        # delete groups no catalog run reads
 //	ecfbench -exp fig9 -cpuprofile cpu.pprof      # profile a run (also -memprofile)
 //	ecfbench -trace-cell grid/ecf/14 -trace-out trace.json -scale quick  # flight-record one cell
-//	ecfbench -exp all -report-json report.json    # machine-readable run summary
-//	ecfbench -exp all -progress                   # cells/total + ETA on stderr
 //	ecfbench -exp all -debug-addr localhost:6060  # live pprof + counter snapshot
 //
 // A run is plan, then render: the selected experiments register the
 // cells they read on one plan, one pool of -j workers runs each distinct
 // cell once, and then each experiment prints the same rows/series the
 // paper reports (see README.md for the experiment index) on stdout, in
-// catalog order. Render times and the run's cell, cache and event
-// statistics go to stderr, so stdout is byte-identical for any -j value
-// and for cold vs. warm cache runs. -cache-dir persists every simulation
-// cell's record keyed by (experiment, cell, scale, schema); -shard i/n
-// simulates only the cells with index%n == i (for splitting a sweep
-// across machines); -merge renders everything from cached records
-// alone, prints no block of an experiment that reads a missing cell,
-// and fails listing every missing cell, grouped by record family, with
-// the exact command to backfill them. -join turns the process
+// catalog order. Render times and the run's one summary — its cell,
+// cache, event, event-kind and queue statistics — go to stderr, so
+// stdout is byte-identical for any -j value and for cold vs. warm cache
+// runs. -cache-dir persists every simulation cell's record keyed by
+// (experiment, cell, scale, schema); -shard i/n simulates only the
+// cells with index%n == i (for splitting a sweep across machines);
+// -merge renders everything from cached records alone, prints no block
+// of an experiment that reads a missing cell, and fails listing every
+// missing cell, grouped by record family, with the exact command to
+// backfill them. -join turns the process
 // into a lease-loop worker for a `ecfd serve` coordinator: claim a
 // batch of cells, simulate, upload, heartbeat — with retry/backoff on
 // every RPC and work-stealing semantics when a worker dies (see
@@ -42,11 +41,11 @@
 // reads; any other flag set on the command line, or a positional
 // argument, is a usage error:
 //
-//	join         -join: -j -cache-dir -worker-id -progress -cpuprofile -memprofile -force -debug-addr
+//	join         -join: -j -cache-dir -worker-id -cpuprofile -memprofile -force -debug-addr
 //	cache-stats  -cache-stats: -cache-dir
 //	cache-prune  -cache-prune: -cache-dir -dry-run
 //	trace        -trace-cell: -trace-out -decisions-out -scale -force
-//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -report-json -debug-addr -progress
+//	render       -exp: -scale -j -cache-dir -shard -merge -no-cache -cpuprofile -memprofile -force -debug-addr
 //	list         -list, or no -exp: what render reads (the catalog is printed in place of a render)
 //
 // A trace simulates its one cell as a catalog run at -scale would,
@@ -59,8 +58,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -76,13 +73,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/sim"
 )
@@ -124,13 +119,13 @@ func usagef(format string, args ...any) error {
 }
 
 // renderFlags are the flags a render reads; see modeFlags.
-const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile memprofile force report-json debug-addr progress"
+const renderFlags = "exp scale j cache-dir shard merge no-cache cpuprofile memprofile force debug-addr"
 
 // modeFlags is the mode × flag table: for each mode, the flags it reads.
 // A flag set on the command line that the chosen mode does not read is
 // a usage error.
 var modeFlags = map[string]string{
-	"join":        "join j cache-dir worker-id progress cpuprofile memprofile force debug-addr",
+	"join":        "join j cache-dir worker-id cpuprofile memprofile force debug-addr",
 	"cache-stats": "cache-stats cache-dir",
 	"cache-prune": "cache-prune cache-dir dry-run",
 	"trace":       "trace-cell trace-out decisions-out scale force",
@@ -141,11 +136,11 @@ var modeFlags = map[string]string{
 // config is one command line: the flags as parsed, the mode they
 // select, and what validate resolves from them.
 type config struct {
-	exp, scale, cacheDir, shard, cpuProf, memProf               string
-	traceCell, traceOut, decsOut, reportOut, debugAddr          string
-	joinAddr, workerID                                          string
-	list, merge, noCache, stats, prune, dryRun, force, progress bool
-	jobs                                                        int
+	exp, scale, cacheDir, shard, cpuProf, memProf     string
+	traceCell, traceOut, decsOut, debugAddr           string
+	joinAddr, workerID                                string
+	list, merge, noCache, stats, prune, dryRun, force bool
+	jobs                                              int
 
 	mode string // a modeFlags key
 
@@ -179,13 +174,11 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&c.dryRun, "dry-run", false, "with -cache-prune: report what would be deleted without removing anything")
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile to this file on exit")
-	fs.BoolVar(&c.force, "force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out/-report-json to overwrite an existing file")
+	fs.BoolVar(&c.force, "force", false, "allow -cpuprofile/-memprofile/-trace-out/-decisions-out to overwrite an existing file")
 	fs.StringVar(&c.traceCell, "trace-cell", "", "flight-record one simulation cell at -scale, given as \"family/index\" with the index after the LAST '/' (e.g. grid/ecf/14), and render nothing; requires -trace-out")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the traced cell's Chrome trace-event JSON (Perfetto/chrome://tracing) to this file (requires -trace-cell)")
 	fs.StringVar(&c.decsOut, "decisions-out", "", "also write the traced cell's per-transfer scheduler decision log to this file (requires -trace-cell)")
-	fs.StringVar(&c.reportOut, "report-json", "", "write a machine-readable run report (the run's cache/event counters, per-experiment render times and output hashes, heap stats) to this file")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof and a /debug/obs counter snapshot on this address (e.g. localhost:6060) for the life of the run")
-	fs.BoolVar(&c.progress, "progress", false, "report cells completed/total with rate and ETA on stderr while sweeps run")
 	fs.StringVar(&c.joinAddr, "join", "", "join the ecfd coordinator at this host:port as a lease-loop worker (the coordinator dictates the scale)")
 	fs.StringVar(&c.workerID, "worker-id", "", "worker identity for -join leases and logs (default hostname-pid)")
 	if err := fs.Parse(args); err != nil {
@@ -543,49 +536,6 @@ func (c *config) profiling() (stop func() error, err error) {
 	}, nil
 }
 
-// progressPrinter renders -progress lines for one plan run: cells
-// done/total, completion rate, and an ETA extrapolated from the run so
-// far. Rate-limited so huge sweeps don't flood the terminal; the final
-// cell always prints so the 100% line is never dropped.
-type progressPrinter struct {
-	w     io.Writer
-	start time.Time
-	mu    sync.Mutex
-	last  time.Time
-}
-
-// newProgress returns the -progress callback for one plan run starting
-// now, or nil without -progress.
-func (c *config) newProgress(stderr io.Writer) func(done, total int) {
-	if !c.progress {
-		return nil
-	}
-	return (&progressPrinter{w: stderr, start: time.Now()}).note
-}
-
-// note is Plan.Run's progress callback. It observes only; it
-// never touches result state.
-func (p *progressPrinter) note(done, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := time.Now()
-	if done != total && now.Sub(p.last) < 250*time.Millisecond {
-		return
-	}
-	p.last = now
-	line := fmt.Sprintf("progress: %d/%d cells", done, total)
-	elapsed := now.Sub(p.start)
-	if sec := elapsed.Seconds(); sec > 0.001 && done > 0 {
-		line += fmt.Sprintf(" (%.0f cells/s", float64(done)/sec)
-		if done < total {
-			eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-			line += fmt.Sprintf(", ETA %v", eta.Round(time.Second))
-		}
-		line += ")"
-	}
-	fmt.Fprintln(p.w, line)
-}
-
 // startDebugServer mounts net/http/pprof plus a /debug/obs counter
 // snapshot on addr and serves in the background for the life of the
 // run. The listener is opened synchronously so a bad address fails
@@ -610,7 +560,7 @@ func startDebugServer(addr string, stderr io.Writer) error {
 			"events_total":      processed + coalesced,
 			"packets_delivered": netsim.TotalDelivered(),
 			"goroutines":        runtime.NumGoroutine(),
-			"mem":               obs.CaptureMemStats(),
+			"mem":               memStats(),
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -622,6 +572,20 @@ func startDebugServer(addr string, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (counters at /debug/obs)\n", ln.Addr())
 	go func() { _ = http.Serve(ln, mux) }()
 	return nil
+}
+
+// memStats is /debug/obs's heap and GC snapshot.
+func memStats() map[string]any {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return map[string]any{
+		"heap_alloc_bytes":  m.HeapAlloc,
+		"total_alloc_bytes": m.TotalAlloc,
+		"sys_bytes":         m.Sys,
+		"num_gc":            m.NumGC,
+		"pause_total_ns":    m.PauseTotalNs,
+		"gc_cpu_fraction":   m.GCCPUFraction,
+	}
 }
 
 // trace simulates the -trace-cell cell and writes its artifacts: a
@@ -710,6 +674,28 @@ func eventsByKind(now, before []uint64) map[string]uint64 {
 	return out
 }
 
+// kindsLine renders events by kind as "name count, …", the most
+// frequent kind first and ties by name, or "none".
+func kindsLine(byKind map[string]uint64) string {
+	if len(byKind) == 0 {
+		return "none"
+	}
+	names := make([]string, 0, len(byKind))
+	for name := range byKind {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if a, b := byKind[names[i]], byKind[names[j]]; a != b {
+			return a > b
+		}
+		return names[i] < names[j]
+	})
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s %d", name, byKind[name])
+	}
+	return strings.Join(names, ", ")
+}
+
 // cellLine renders where the session's cells came from, "H hits, C
 // computed (P% hit)"; with no cells at all there is no rate to report.
 func cellLine(ses *results.Session) string {
@@ -726,12 +712,16 @@ func cellLine(ses *results.Session) string {
 // order. Its session comes first: every run gets one. Merge only reads,
 // so a read-only store (e.g. another machine's shard output on a
 // read-only mount) is fine; every other run creates the dir and probes
-// writability up front. Then the artifact destinations are opened under
-// the clobber guard, so a refusal (or an unwritable path) still aborts
-// before hours of simulation. An experiment is rendered only when every
-// cell it reads was served: a shard pass prints a placeholder, and a
-// merge that misses any of an experiment's cells suppresses its block
-// and ends with the full hole report and exit 1.
+// writability up front. An experiment is rendered only when every cell
+// it reads was served: a shard pass prints a placeholder, and a merge
+// that misses any of an experiment's cells suppresses its block and ends
+// with the full hole report and exit 1.
+//
+// The run's summary is its last stderr lines: "kinds:", the run's queue
+// dispatches by event kind; "run:", its reads, cells and events; and,
+// unless a merge failed, "queue:", the deepest any engine's queue has
+// been in this process and the mean depth over the run's schedules.
+// Every number in them but the wall clock is the same at any -j.
 func (c *config) render(stdout, stderr io.Writer) (err error) {
 	c.ses = &results.Session{Merge: c.merge, Claims: c.claims}
 	if !c.noCache && c.cacheDir != "" {
@@ -743,33 +733,24 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 			return err
 		}
 	}
-	reportFile, err := createFile("-report-json", c.reportOut, c.force)
-	if err != nil {
-		return err
-	}
-	defer reportFile.Close()
 
 	plan := experiments.NewPlan(c.sc, c.exps...)
 	runStart := time.Now()
 	p0, c0 := sim.TotalEvents()
 	kinds0 := sim.TotalEventsByKind()
 	dl0 := netsim.TotalDelivered()
-	if err := plan.Run(c.jobs, c.ses, c.newProgress(stderr)); err != nil {
+	q0 := sim.TotalQueueStats()
+	if err := plan.Run(c.jobs, c.ses); err != nil {
 		return err
 	}
 	p1, c1 := sim.TotalEvents()
 	processed, coalesced, delivered := p1-p0, c1-c0, netsim.TotalDelivered()-dl0
 
-	workers := c.jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	report := obs.NewRunReport(c.scale, workers)
-	runHash := sha256.New()
 	missing := make(map[results.Key]bool)
 	for _, k := range c.ses.MissingCells() {
 		missing[k] = true
 	}
+	reads := 0
 	for i, e := range c.exps {
 		start := time.Now()
 		cells := plan.Reads(i)
@@ -789,23 +770,11 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 		if _, err := io.WriteString(stdout, block); err != nil {
 			return fmt.Errorf("writing stdout: %w", err)
 		}
-		elapsed := time.Since(start)
-		runHash.Write([]byte(block))
-		sum := sha256.Sum256([]byte(block))
-		report.Experiments = append(report.Experiments, obs.ExperimentReport{
-			Name:         e.Name,
-			Description:  e.Desc,
-			RenderMs:     float64(elapsed.Nanoseconds()) / 1e6,
-			CellsRead:    len(cells),
-			Sharded:      c.claims != nil,
-			OutputBytes:  len(block),
-			OutputSHA256: hex.EncodeToString(sum[:]),
-		})
-		report.CellsRead += len(cells)
-		fmt.Fprintf(stderr, "%s: rendered in %v, reads %d cells\n", e.Name, elapsed.Round(time.Microsecond), len(cells))
+		reads += len(cells)
+		fmt.Fprintf(stderr, "%s: rendered in %v, reads %d cells\n", e.Name, time.Since(start).Round(time.Microsecond), len(cells))
 	}
-	report.Cells = len(plan.Cells())
-	fmt.Fprintf(stderr, "run: %d reads of %d cells in %v: %v, %s\n", report.CellsRead, report.Cells,
+	fmt.Fprintf(stderr, "kinds: %s\n", kindsLine(eventsByKind(sim.TotalEventsByKind(), kinds0)))
+	fmt.Fprintf(stderr, "run: %d reads of %d cells in %v: %v, %s\n", reads, len(plan.Cells()),
 		time.Since(runStart).Round(time.Millisecond), cellLine(c.ses), eventLine(processed, coalesced, delivered))
 	if len(missing) > 0 {
 		// The plan ran every cell, so the hole list is complete — one
@@ -814,26 +783,8 @@ func (c *config) render(stdout, stderr io.Writer) (err error) {
 		return missingError(c.ses, c.cacheDir, c.scale)
 	}
 
-	qs := sim.TotalQueueStats()
-	fmt.Fprintf(stderr, "queue: depth max %d mean %.1f\n", qs.DepthMax, qs.DepthMean())
-	if reportFile == nil {
-		return nil
-	}
-	report.WallClockMs = float64(time.Since(runStart).Nanoseconds()) / 1e6
-	report.CacheHits, report.CacheComputed = c.ses.Stats()
-	report.EventsProcessed, report.EventsCoalesced, report.EventsTotal = processed, coalesced, processed+coalesced
-	report.EventsByKind = eventsByKind(sim.TotalEventsByKind(), kinds0)
-	report.PacketsDelivered = delivered
-	report.SetCellDurations(c.ses.CellDurations())
-	report.OutputSHA256 = hex.EncodeToString(runHash.Sum(nil))
-	report.Queue = obs.QueueReport{DepthMax: qs.DepthMax, DepthMean: qs.DepthMean()}
-	report.Mem = obs.CaptureMemStats()
-	if err := report.Write(reportFile); err != nil {
-		return fmt.Errorf("-report-json: %w", err)
-	}
-	if err := reportFile.Close(); err != nil {
-		return fmt.Errorf("-report-json: %w", err)
-	}
-	fmt.Fprintf(stderr, "run report: %d experiments → %s\n", len(report.Experiments), c.reportOut)
+	q1 := sim.TotalQueueStats()
+	ran := sim.QueueStats{DepthSum: q1.DepthSum - q0.DepthSum, DepthSamples: q1.DepthSamples - q0.DepthSamples}
+	fmt.Fprintf(stderr, "queue: depth max %d mean %.1f\n", q1.DepthMax, ran.DepthMean())
 	return nil
 }

@@ -2,16 +2,17 @@ package main
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/results"
 )
 
@@ -19,8 +20,8 @@ import (
 // render, crossed with each flag that names an output file: the usage
 // error (or the request for the list) has to come back with its exit
 // code and the file still absent. Before the names were resolved first,
-// `-exp nosuch -report-json r.json` exited 2 leaving an empty r.json,
-// and the corrected rerun died on "already exists; use -force".
+// a mistyped -exp exited 2 leaving its output file empty, and the
+// corrected rerun died on "already exists; use -force".
 func TestUsageErrorsOpenNoFile(t *testing.T) {
 	cases := []struct {
 		name string
@@ -35,7 +36,7 @@ func TestUsageErrorsOpenNoFile(t *testing.T) {
 		{"empty exp", nil, 2},
 	}
 	for _, tc := range cases {
-		for _, artifact := range []string{"cpuprofile", "memprofile", "trace-out", "decisions-out", "report-json"} {
+		for _, artifact := range []string{"cpuprofile", "memprofile", "trace-out", "decisions-out"} {
 			t.Run(tc.name+"/"+artifact, func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "out")
 				want := tc.code
@@ -57,7 +58,7 @@ func TestUsageErrorsOpenNoFile(t *testing.T) {
 // TestModeTable covers every row of the mode × flag table, the value
 // rules beside it, and the command lines that used to drop a flag
 // silently: each exits 2, names the problem on stderr, and creates no
-// file — not the profile, the report or the store it names.
+// file — not the profile or the store it names.
 func TestModeTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,7 +80,7 @@ func TestModeTable(t *testing.T) {
 		// Flags that were once accepted and silently ignored.
 		{"stats dry-run", []string{"-cache-stats", "-cache-dir", "$D/D", "-dry-run"}, "-dry-run does not apply to cache-stats mode"},
 		{"stats older-than", []string{"-cache-stats", "-cache-dir", "$D/D", "-older-than", "1h"}, "flag provided but not defined: -older-than"},
-		{"prune profile and report", []string{"-cache-prune", "-cache-dir", "$D/D", "-dry-run", "-cpuprofile", "$D/p.pprof", "-report-json", "$D/r.json"}, "-cpuprofile does not apply to cache-prune mode"},
+		{"prune profiles", []string{"-cache-prune", "-cache-dir", "$D/D", "-dry-run", "-cpuprofile", "$D/p.pprof", "-memprofile", "$D/m.pprof"}, "-cpuprofile does not apply to cache-prune mode"},
 		// Prune keeps what a catalog run at either scale reads.
 		{"prune reads no -scale", []string{"-cache-prune", "-cache-dir", "$D/D", "-scale", "quick"}, "-scale does not apply to cache-prune mode"},
 		{"render worker-id", []string{"-exp", "table1", "-worker-id", "ghost"}, "-worker-id does not apply to render mode"},
@@ -97,7 +98,7 @@ func TestModeTable(t *testing.T) {
 		{"shard vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "0/2", "-merge"}, "mutually exclusive"},
 		{"no-cache vs merge", []string{"-exp", "table1", "-cache-dir", "$D/D", "-no-cache", "-merge"}, "-no-cache cannot be combined"},
 		{"bad shard", []string{"-exp", "table1", "-cache-dir", "$D/D", "-shard", "2/2"}, `shard "2/2"`},
-		{"negative j", []string{"-exp", "table2", "-scale", "quick", "-no-cache", "-j", "-5", "-report-json", "$D/r.json"}, "-j -5: want a worker count >= 0"},
+		{"negative j", []string{"-exp", "table2", "-scale", "quick", "-no-cache", "-j", "-5", "-memprofile", "$D/m.pprof"}, "-j -5: want a worker count >= 0"},
 		{"join negative j", []string{"-join", "127.0.0.1:1", "-j", "-1", "-cpuprofile", "$D/p.pprof"}, "-j -1: want a worker count >= 0"},
 		{"trace-cell needs trace-out", []string{"-trace-cell", "grid/ecf/14"}, "-trace-cell requires -trace-out"},
 		{"bad trace-cell", []string{"-trace-cell", "grid/ecf/x", "-trace-out", "$D/t.json"}, "not a non-negative integer"},
@@ -140,7 +141,7 @@ func TestModesRunWhatTheyRead(t *testing.T) {
 		{"-trace-cell", "table2/0", "-trace-out", filepath.Join(store, "t.json"), "-decisions-out", filepath.Join(store, "d.txt"), "-scale", "quick", "-force"},
 		{"-cache-stats", "-cache-dir", store},
 		{"-cache-prune", "-cache-dir", store, "-dry-run"},
-		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1", "-progress"},
+		{"-exp", "table1", "-scale", "quick", "-j", "1", "-cache-dir", store, "-shard", "0/1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {
@@ -316,22 +317,18 @@ func TestMergeSuppressesEveryReaderOfAHole(t *testing.T) {
 	}
 }
 
-// TestTracedRunExportsArtifacts is the observability layer end to end:
-// a trace of one cell writes the Chrome trace and the decision log and
-// renders nothing, a render with progress writes the run report, and
-// each artifact holds what its reader keys on.
+// TestTracedRunExportsArtifacts is the flight recorder end to end: a
+// trace of one cell writes the Chrome trace and the decision log and
+// renders nothing, and each artifact holds what its reader keys on.
 func TestTracedRunExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	tracePath, decsPath, reportPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "decisions.txt"), filepath.Join(dir, "report.json")
-	var traced, rendered, stderr bytes.Buffer
+	tracePath, decsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "decisions.txt")
+	var traced, stderr bytes.Buffer
 	if code := run([]string{"-trace-cell", "grid/ecf/14", "-trace-out", tracePath, "-decisions-out", decsPath, "-scale", "quick"}, &traced, &stderr); code != 0 {
 		t.Fatalf("trace: exit %d; stderr:\n%s", code, stderr.String())
 	}
 	if traced.Len() != 0 || !strings.Contains(stderr.String(), "trace: cell grid/ecf/14 — ") {
 		t.Errorf("trace printed %d bytes on stdout, want none, and stderr lacks its trace: line:\n%s", traced.Len(), stderr.String())
-	}
-	if code := run([]string{"-exp", "fig9", "-scale", "quick", "-progress", "-report-json", reportPath}, &rendered, &stderr); code != 0 {
-		t.Fatalf("render: exit %d; stderr:\n%s", code, stderr.String())
 	}
 	read := func(path string) []byte {
 		t.Helper()
@@ -370,55 +367,109 @@ func TestTracedRunExportsArtifacts(t *testing.T) {
 		last = ts
 	}
 
-	raw := read(reportPath)
-	var rep obs.RunReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report: %v", err)
-	}
-	if rep.Tool != "ecfbench" || rep.SchemaVersion != 6 || len(rep.Experiments) != 1 {
-		t.Fatalf("report is %s schema %d with %d experiments, want ecfbench schema 6 with one", rep.Tool, rep.SchemaVersion, len(rep.Experiments))
-	}
-	if rep.CellsRead != 144 || rep.Cells != 144 || rep.CacheComputed != 144 || rep.EventsTotal == 0 || rep.PacketsDelivered == 0 {
-		t.Errorf("report run = %d reads of %d cells, %d computed, %d events and %d packets; want 144 of 144, 144 computed, some events and packets",
-			rep.CellsRead, rep.Cells, rep.CacheComputed, rep.EventsTotal, rep.PacketsDelivered)
-	}
-	var byKind uint64
-	for _, n := range rep.EventsByKind {
-		byKind += n
-	}
-	if rep.EventsByKind["netsim.Link.drain"] == 0 || byKind != rep.EventsProcessed {
-		t.Errorf("events_by_kind sums to %d of %d processed, netsim.Link.drain %d", byKind, rep.EventsProcessed, rep.EventsByKind["netsim.Link.drain"])
-	}
-	if !(0 < rep.CellP50Ms && rep.CellP50Ms <= rep.CellP95Ms && rep.CellP95Ms <= rep.CellMaxMs) {
-		t.Errorf("cell percentiles p50 %v, p95 %v, max %v are not ordered above 0", rep.CellP50Ms, rep.CellP95Ms, rep.CellMaxMs)
-	}
-	e := rep.Experiments[0]
-	if e.Name != "fig9" || e.CellsRead != 144 {
-		t.Errorf("report experiment = %s reading %d cells, want fig9 reading 144", e.Name, e.CellsRead)
-	}
-	if sum, err := hex.DecodeString(e.OutputSHA256); err != nil || len(sum) != 32 {
-		t.Errorf("output hash %q is not 64 hex characters", e.OutputSHA256)
-	}
-	var queue struct {
-		Queue map[string]float64 `json:"queue"`
-	}
-	if err := json.Unmarshal(raw, &queue); err != nil {
-		t.Fatal(err)
-	}
-	if q := queue.Queue; len(q) != 2 || q["depth_max"] <= 0 || q["depth_mean"] <= 0 {
-		t.Errorf("queue = %v, want exactly depth_max and depth_mean, both above 0", q)
-	}
-
 	if decs := string(read(decsPath)); !strings.Contains(decs, "== transfer") || !strings.Contains(decs, "eq1") {
 		t.Errorf("decision log lacks a transfer header or an Eq. 1 line:\n%.500s", decs)
 	}
 }
 
-// TestClobberGuard: an existing profile or report is refused up front
-// (exit 1, before simulating) and overwritten under -force.
+// TestStderrSummary is the run's summary end to end: a cold quick fig9
+// render reads and computes its 144 cells, its kinds: line splits the
+// queue dispatches its run: line counts, most frequent kind first, and
+// its last three lines — kinds:, run: and queue: — are the same at -j 1
+// and -j 2 but for the wall clock.
+func TestStderrSummary(t *testing.T) {
+	wall := regexp.MustCompile(` in [^ ]+: `)
+	summary := func(jobs string) [3]string {
+		t.Helper()
+		var stderr bytes.Buffer
+		if code := run([]string{"-exp", "fig9", "-scale", "quick", "-no-cache", "-j", jobs}, io.Discard, &stderr); code != 0 {
+			t.Fatalf("-j %s: exit %d; stderr:\n%s", jobs, code, stderr.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+		if len(lines) < 3 {
+			t.Fatalf("-j %s: stderr has %d lines, want a summary of 3:\n%s", jobs, len(lines), stderr.String())
+		}
+		var last [3]string
+		copy(last[:], lines[len(lines)-3:])
+		for i, prefix := range []string{"kinds: ", "run: ", "queue: depth max "} {
+			if !strings.HasPrefix(last[i], prefix) {
+				t.Fatalf("-j %s: summary line %d is %q, want it to start %q", jobs, i, last[i], prefix)
+			}
+		}
+		last[1] = wall.ReplaceAllString(last[1], " in WALL: ")
+		return last
+	}
+	one := summary("1")
+	kinds, runLine := one[0], one[1]
+	if !strings.HasPrefix(runLine, "run: 144 reads of 144 cells in WALL: 0 hits, 144 computed (0% hit), ") {
+		t.Errorf("run line = %q, want 144 reads of 144 cells, 144 computed", runLine)
+	}
+	m := regexp.MustCompile(`, (\d+) events \((\d+) coalesced\), `).FindStringSubmatch(runLine)
+	if m == nil {
+		t.Fatalf("run line %q has no event count", runLine)
+	}
+	events, _ := strconv.ParseUint(m[1], 10, 64)
+	coalesced, _ := strconv.ParseUint(m[2], 10, 64)
+	var sum, prev uint64
+	for i, entry := range strings.Split(strings.TrimPrefix(kinds, "kinds: "), ", ") {
+		name, count, _ := strings.Cut(entry, " ")
+		n, err := strconv.ParseUint(count, 10, 64)
+		if err != nil || name == "" {
+			t.Fatalf("kinds entry %q is not \"name count\"", entry)
+		}
+		if i > 0 && n > prev {
+			t.Errorf("kinds entry %q follows a smaller count %d", entry, prev)
+		}
+		sum, prev = sum+n, n
+	}
+	if sum != events-coalesced || !strings.Contains(kinds, "netsim.Link.drain ") {
+		t.Errorf("kinds sum to %d, want %d events - %d coalesced, with netsim.Link.drain among them: %s", sum, events, coalesced, kinds)
+	}
+	if two := summary("2"); two != one {
+		t.Errorf("summary differs between -j 1 and -j 2:\n%s\n%s", strings.Join(one[:], "\n"), strings.Join(two[:], "\n"))
+	}
+}
+
+// TestDebugObs reads the counter snapshot a render serves at -debug-addr:
+// the process's queue dispatches by kind sum to its processed events,
+// and its links drained and delivered packets.
+func TestDebugObs(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-exp", "table3", "-scale", "quick", "-no-cache", "-debug-addr", "127.0.0.1:0"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	addr := regexp.MustCompile(`debug server on http://([^/ ]+)/debug/pprof/`).FindStringSubmatch(stderr.String())
+	if addr == nil {
+		t.Fatalf("stderr names no debug server:\n%s", stderr.String())
+	}
+	resp, err := http.Get("http://" + addr[1] + "/debug/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		EventsProcessed  uint64            `json:"events_processed"`
+		EventsByKind     map[string]uint64 `json:"events_by_kind"`
+		PacketsDelivered int64             `json:"packets_delivered"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("/debug/obs: %v", err)
+	}
+	var byKind uint64
+	for _, n := range snap.EventsByKind {
+		byKind += n
+	}
+	if byKind != snap.EventsProcessed || snap.EventsByKind["netsim.Link.drain"] == 0 || snap.PacketsDelivered <= 0 {
+		t.Errorf("events_by_kind sums to %d of %d processed, netsim.Link.drain %d, packets_delivered %d; want the sum equal and both counts above 0",
+			byKind, snap.EventsProcessed, snap.EventsByKind["netsim.Link.drain"], snap.PacketsDelivered)
+	}
+}
+
+// TestClobberGuard: an existing profile is refused up front (exit 1,
+// before simulating) and overwritten under -force.
 func TestClobberGuard(t *testing.T) {
 	dir := t.TempDir()
-	for _, flag := range []string{"cpuprofile", "report-json"} {
+	for _, flag := range []string{"cpuprofile", "memprofile"} {
 		path := filepath.Join(dir, flag)
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
@@ -434,17 +485,8 @@ func TestClobberGuard(t *testing.T) {
 		if code := run(append(args, "-force"), io.Discard, &stderr); code != 0 {
 			t.Errorf("-%s -force: exit %d; stderr:\n%s", flag, code, stderr.String())
 		}
-		data, err := os.ReadFile(path)
-		if err != nil || len(data) == 0 {
+		if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
 			t.Fatalf("-%s -force left %d bytes (%v)", flag, len(data), err)
-		}
-		if flag == "report-json" {
-			var rep struct {
-				Experiments []struct{ Name string }
-			}
-			if err := json.Unmarshal(data, &rep); err != nil || len(rep.Experiments) != 1 || rep.Experiments[0].Name != "table1" {
-				t.Errorf("report = %+v (%v), want one table1 experiment", rep, err)
-			}
 		}
 	}
 }

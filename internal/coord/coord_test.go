@@ -67,7 +67,7 @@ func runCells[T any](workers int, ses *results.Session, n int, compute func(int)
 	for i := 0; i < n; i++ {
 		results.AddCell(b, testSpec(), i, 0, compute, func(int, T) {})
 	}
-	return b.Run(ses, workers, nil)
+	return b.Run(ses, workers)
 }
 
 // passRunner adapts the test catalog to WorkerConfig.RunPass: one batch
@@ -374,7 +374,7 @@ func TestSweepsShareAStore(t *testing.T) {
 			for i := 0; i < own; i++ {
 				results.AddCell(b, specB, i, 0, computeCellRec, func(int, cellRec) {})
 			}
-			return b.Run(ses, 2, nil)
+			return b.Run(ses, 2)
 		},
 		PollInterval: 5 * time.Millisecond,
 	})

@@ -37,10 +37,10 @@ func (s *claimSet) covers(k results.Key) bool {
 	return s.held[k]
 }
 
-// Queue moves a claimable cell to queued and reports whether it did:
+// queue moves a claimable cell to queued and reports whether it did:
 // false means the cell was already queued (a key shared by two specs of
 // one pass) or is no longer held (stolen), and its record is not wanted.
-func (s *claimSet) Queue(k results.Key) bool {
+func (s *claimSet) queue(k results.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.held[k] {
@@ -126,7 +126,7 @@ func (u *uploader) Put(k results.Key, v any) error {
 	if u.err != nil {
 		return u.err
 	}
-	if u.sweepDone || !u.claims.Queue(k) {
+	if u.sweepDone || !u.claims.queue(k) {
 		return nil
 	}
 	u.queue = append(u.queue, IngestRecord{Cell: k, Record: raw})

@@ -93,7 +93,7 @@ func TestRunawayCellFailsAlikeAtAnyWorkerCount(t *testing.T) {
 			}, func(int, int) {})
 		}
 		var ce *results.CellError
-		if err := b.Run(&results.Session{}, workers, nil); !errors.As(err, &ce) || ce.Key != spec.Key(1) {
+		if err := b.Run(&results.Session{}, workers); !errors.As(err, &ce) || ce.Key != spec.Key(1) {
 			t.Fatalf("-j %d: Run = %v, want a *results.CellError naming cell 1", workers, err)
 		}
 		msgs = append(msgs, ce.Error())

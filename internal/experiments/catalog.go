@@ -115,7 +115,7 @@ func EnumerateCells(sc Scale) []CellFamily {
 // sc.Results and renders nothing. A failure panics with a
 // *results.FatalError.
 func RunCatalog(sc Scale) {
-	if err := NewPlan(sc, Catalog...).Run(sc.Workers, sc.Results, sc.Progress); err != nil {
+	if err := NewPlan(sc, Catalog...).Run(sc.Workers, sc.Results); err != nil {
 		panic(&results.FatalError{Err: err})
 	}
 }

@@ -82,7 +82,7 @@ func TestQuickCatalogMatchesGolden(t *testing.T) {
 	quick := golden["quick"]
 	p := NewPlan(Quick, Catalog...)
 	q0 := sim.TotalQueueStats()
-	if err := p.Run(0, &results.Session{}, nil); err != nil {
+	if err := p.Run(0, &results.Session{}); err != nil {
 		t.Fatal(err)
 	}
 	// DeepRuns is a process-wide sum, so its difference counts this

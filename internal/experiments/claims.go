@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -83,6 +84,11 @@ func peak(v []float64) float64 {
 	return m
 }
 
+// resets is scheduler s's IW reset count.
+func (r *Table3Result) resets(s string) float64 {
+	return float64(r.IWResets[slices.Index(r.Schedulers, s)])
+}
+
 // probe is where the two reversed claims' causes are recorded: the k
 // reading and Eq. 2 guard probe in ROADMAP.md at commit 650fd57.
 const probe = "ROADMAP.md at 650fd57: the result depends on how ECF reads k (the unsent backlog, or unsent plus in flight) and on the Eq. 2 guard, and no one reading gets every claim's direction right"
@@ -109,14 +115,12 @@ var claims = []claim{
 	{exp: "table2", name: "lte-rtt-ms-at-8.6", paper: "105 ms", op: atMost,
 		check: of(func(r *Table2Result) (float64, float64) { return ms(r.LteRTT[5]), 180 })},
 
-	{exp: "table3", name: "ecf-iw-resets-vs-default", paper: "default 486, DAPS 92, BLEST 382, ECF 16", op: atMost,
-		check: of(func(r *Table3Result) (float64, float64) {
-			resets := map[string]float64{}
-			for i, s := range r.Schedulers {
-				resets[s] = float64(r.IWResets[i])
-			}
-			return resets["ecf"], resets["minrtt"]
-		})},
+	{exp: "table3", name: "ecf-iw-resets-vs-default", paper: "BLEST 382, ECF 16", op: atMost,
+		check: of(func(r *Table3Result) (float64, float64) { return r.resets("ecf"), r.resets("minrtt") })},
+	{exp: "table3", name: "daps-iw-resets-vs-default", paper: "default 486, DAPS 92", op: atLeast,
+		check: of(func(r *Table3Result) (float64, float64) { return r.resets("daps"), r.resets("minrtt") }),
+		reversed: "DAPS chooses by deficit credit only among subflows that have window, so it never waits, and on this cell usually one subflow can send: " +
+			"in 91,576 of 92,417 Select calls only one subflow could (ROADMAP.md at f64313b)"},
 
 	{exp: "table4", name: "ecf-completion-improvement", paper: "0.882 s -> 0.650 s", op: atLeast,
 		check: of(func(r *Table4Result) (float64, float64) { ci, _ := r.improvement(); return ci, -0.10 })},
@@ -151,6 +155,20 @@ var claims = []claim{
 	{exp: "fig9", name: "ecf-vs-0.95-default-at-8.6-8.6", op: atLeast,
 		check: of(func(r *Figure9Result) (float64, float64) {
 			return r.Grids["ecf"].Cells[5][5].BitrateRatio, 0.95 * r.Grids["minrtt"].Cells[5][5].BitrateRatio
+		})},
+	// Not a paper claim: DAPS matches minRTT in every cell, for the cause
+	// table3/daps-iw-resets-vs-default names.
+	{exp: "fig9", name: "daps-cells-unlike-default", op: atMost,
+		check: of(func(r *Figure9Result) (float64, float64) {
+			n := 0
+			for i, row := range r.Grids["daps"].Cells {
+				for j, c := range row {
+					if c.BitrateRatio != r.Grids["minrtt"].Cells[i][j].BitrateRatio {
+						n++
+					}
+				}
+			}
+			return float64(n), 0
 		})},
 
 	{exp: "fig11", name: "ecf-wifi-cwnd-vs-1.5-default", op: atMost,

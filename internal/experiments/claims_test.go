@@ -84,7 +84,7 @@ func TestClaims(t *testing.T) {
 		t.Fatalf("a claim or shape check reads %q, which the catalog lacks", exp)
 	}
 	p := NewPlan(Full, exps...)
-	if err := p.Run(0, nil, nil); err != nil {
+	if err := p.Run(0, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -51,7 +51,10 @@ import (
 // cell and repeats everything 5-30 times on a physical testbed; the Full
 // scale trades that down to a whole catalog of about 6 CPU-seconds (3.6 s
 // wall cold at -j 2 on a 2-CPU host) that keeps the claims table's
-// shapes, and Quick keeps unit tests fast.
+// shapes, and Quick keeps unit tests fast. The first six fields are
+// sizes, and a family's cells change with each it reads; Workers and
+// Results are the run's policy: every cell is an independent simulation
+// seeded by its own index, so they change only where records come from.
 type Scale struct {
 	// VideoSec is the playout length for single-cell streaming studies.
 	VideoSec float64
@@ -66,23 +69,14 @@ type Scale struct {
 	// WildWebRuns is the §6.3 run count.
 	WildWebRuns int
 	// Workers bounds how many simulation cells run concurrently (the
-	// ecfbench -j flag). Zero selects GOMAXPROCS. Every cell is an
-	// independent simulation seeded by its own index, so results are
-	// byte-identical for any worker count.
+	// ecfbench -j flag). Zero selects GOMAXPROCS.
 	Workers int
 	// Results is the session (the ecfbench -cache-dir/-shard/-merge
 	// flags): its cache/shard policy, and the records it has produced
 	// so far, so drivers run one after another under it simulate a
 	// shared cell once between them. Nil computes every cell, in-process
-	// with no persistence. Like Workers it never affects cell content,
-	// only where records come from.
+	// with no persistence.
 	Results *results.Session
-	// Progress, when non-nil, observes cell completion (the ecfbench
-	// -progress flag): called after every finished cell with the count
-	// completed so far and the run's total, possibly from several
-	// worker goroutines at once. Like Workers and Results it never
-	// affects cell content.
-	Progress func(done, total int)
 }
 
 // Full is the bench-scale profile, and the one TestClaims checks the

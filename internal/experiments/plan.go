@@ -38,14 +38,13 @@ func NewPlan(sc Scale, exps ...Experiment) *Plan {
 
 // Run executes each distinct cell the plan reads once, on workers
 // goroutines (0 = GOMAXPROCS) under ses (nil: compute all, persist
-// nothing), reporting each finished cell to progress when non-nil. Cells
-// collect into pre-sized storage, so what the renderers see depends on
-// neither the worker count nor the cache state. It returns the failure
-// results.Batch.Run reports, the same at every worker count: store I/O,
-// an upload, a *results.CellError. A plan may run again under another
-// session, as a join-mode worker's passes do.
-func (p *Plan) Run(workers int, ses *results.Session, progress func(done, total int)) error {
-	return p.batch.Run(ses, workers, progress)
+// nothing). Cells collect into pre-sized storage, so what the renderers
+// see depends on neither the worker count nor the cache state. It
+// returns the failure results.Batch.Run reports, the same at every
+// worker count: store I/O, an upload, a *results.CellError. A plan may
+// run again under another session, as a join-mode worker's passes do.
+func (p *Plan) Run(workers int, ses *results.Session) error {
+	return p.batch.Run(ses, workers)
 }
 
 // Reads returns the keys experiment i of the plan registered, in order.
@@ -77,7 +76,7 @@ func (p *Plan) Render(i int) fmt.Stringer { return p.exps[i].render() }
 func alone[R any](sc Scale, plan func(*Plan) func() R) R {
 	p := NewPlan(sc)
 	render := plan(p)
-	if err := p.Run(sc.Workers, sc.Results, sc.Progress); err != nil {
+	if err := p.Run(sc.Workers, sc.Results); err != nil {
 		panic(&results.FatalError{Err: err})
 	}
 	return render()

@@ -146,7 +146,6 @@ func TestScaleFieldsChangeExactlyTheirFamilies(t *testing.T) {
 		"WildWebRuns":     {"fig23"},
 		"Workers":         nil,
 		"Results":         nil,
-		"Progress":        nil,
 	}
 	base := familyKeys(Quick)
 	st := reflect.TypeOf(Scale{})
@@ -161,8 +160,6 @@ func TestScaleFieldsChangeExactlyTheirFamilies(t *testing.T) {
 		switch v := reflect.ValueOf(&sc).Elem().Field(i); field {
 		case "Results":
 			sc.Results = &results.Session{Merge: true}
-		case "Progress":
-			sc.Progress = func(int, int) {}
 		default:
 			switch v.Kind() {
 			case reflect.Float64:

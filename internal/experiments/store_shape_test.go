@@ -47,7 +47,7 @@ func TestCatalogSharesRecordsWithinOneRun(t *testing.T) {
 		want.WriteString(alone(Quick, e.plan).String())
 	}
 	p := NewPlan(Quick, Catalog...)
-	if err := p.Run(0, &results.Session{}, nil); err != nil {
+	if err := p.Run(0, &results.Session{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range Catalog {
@@ -75,7 +75,7 @@ func TestQuickCatalogPlanComputesEachKeyOnce(t *testing.T) {
 		t.Fatalf("the quick catalog plan reads %d cells, %d distinct; want 1075 and 842", reads, cells)
 	}
 	ses := &results.Session{}
-	if err := p.Run(2, ses, nil); err != nil {
+	if err := p.Run(2, ses); err != nil {
 		t.Fatal(err)
 	}
 	if hits, computed := ses.Stats(); computed != 842 || hits != 0 {

@@ -109,7 +109,7 @@ func (r *Table2Result) String() string {
 
 // Table3Result counts initial-window resets per scheduler in the
 // heterogeneous streaming configuration (paper Table 3; its values are
-// on the "table3" claim).
+// on the "table3" claims).
 type Table3Result struct {
 	Schedulers []string
 	IWResets   []int64

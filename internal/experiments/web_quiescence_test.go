@@ -184,7 +184,7 @@ func TestWebFamiliesEventsPerPacketCeiling(t *testing.T) {
 		}
 		p0, c0 := sim.TotalEvents()
 		d0 := netsim.TotalDelivered()
-		if err := NewPlan(Quick, e).Run(0, nil, nil); err != nil {
+		if err := NewPlan(Quick, e).Run(0, nil); err != nil {
 			t.Fatal(err)
 		}
 		p1, c1 := sim.TotalEvents()

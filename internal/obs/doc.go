@@ -1,8 +1,9 @@
-// Package obs is the observability layer: flight-recorder rings for
-// engine, link and subflow events, scheduler decision traces, and the
-// machine-readable run report — all recorded for one simulation cell at
-// a time and exported as Chrome trace-event JSON (Perfetto), a
-// plain-text decision log, and a JSON run report.
+// Package obs is the single-cell flight recorder: rings of engine, link
+// and subflow events and of scheduler decisions, recorded for one
+// simulation cell at a time and exported as Chrome trace-event JSON
+// (Perfetto) and a plain-text decision log. It holds no run-wide
+// state: a run's summary is ecfbench's stderr lines, read from the
+// simulator's own process counters.
 //
 // # The zero-cost-when-off contract
 //

@@ -163,92 +163,3 @@ func TestDecisionLogFormat(t *testing.T) {
 		}
 	}
 }
-
-// TestCellDurationPercentiles: p50 and p95 are nearest-rank — the
-// ⌈p·n/100⌉-th smallest sample — and max the largest, whatever order
-// the samples come in.
-func TestCellDurationPercentiles(t *testing.T) {
-	for _, tc := range []struct {
-		ms            []int // in arrival order
-		p50, p95, max float64
-	}{
-		{[]int{7}, 7, 7, 7},
-		{[]int{9, 3}, 3, 9, 9},
-		{[]int{4, 1, 8, 2}, 2, 8, 8},
-		{[]int{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}, 5, 10, 10},
-		{[]int{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 10, 19, 20},
-	} {
-		durs := make([]time.Duration, len(tc.ms))
-		for i, ms := range tc.ms {
-			durs[i] = time.Duration(ms) * time.Millisecond
-		}
-		var r RunReport
-		r.SetCellDurations(durs)
-		if r.CellP50Ms != tc.p50 || r.CellP95Ms != tc.p95 || r.CellMaxMs != tc.max {
-			t.Errorf("n = %d: p50/p95/max = %v/%v/%v ms, want %v/%v/%v",
-				len(tc.ms), r.CellP50Ms, r.CellP95Ms, r.CellMaxMs, tc.p50, tc.p95, tc.max)
-		}
-	}
-}
-
-// TestRunReportRoundTrip writes a report and reads it back, checking the
-// schema fields a dashboard would key on.
-func TestRunReportRoundTrip(t *testing.T) {
-	rep := NewRunReport("quick", 4)
-	rep.CellsRead, rep.Cells, rep.CacheComputed = 144, 144, 144
-	rep.EventsProcessed, rep.EventsCoalesced, rep.EventsTotal = 1000, 24, 1024
-	rep.EventsByKind = map[string]uint64{"netsim.Link.drain": 900, "trace.rttJitter": 100}
-	rep.PacketsDelivered = 800
-	// Unsorted on purpose: SetCellDurations sorts and takes
-	// nearest-rank percentiles (over sorted [1 2 4 8] ms the p50 is the
-	// 2nd sample and p95/max land on the largest).
-	rep.SetCellDurations([]time.Duration{
-		4 * time.Millisecond, time.Millisecond, 8 * time.Millisecond, 2 * time.Millisecond,
-	})
-	if rep.CellP50Ms != 2 || rep.CellP95Ms != 8 || rep.CellMaxMs != 8 {
-		t.Errorf("duration stats = %v/%v/%v ms, want 2/8/8", rep.CellP50Ms, rep.CellP95Ms, rep.CellMaxMs)
-	}
-	rep.Experiments = append(rep.Experiments, ExperimentReport{
-		Name: "fig9", RenderMs: 0.5, CellsRead: 144, OutputBytes: 4096, OutputSHA256: "abc",
-	})
-	rep.WallClockMs = 13
-	rep.OutputSHA256 = "def"
-	rep.Queue = QueueReport{DepthMax: 42, DepthMean: 17.5}
-	rep.Mem = CaptureMemStats()
-
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	raw := buf.Bytes()
-	if raw[len(raw)-1] != '\n' {
-		t.Error("report file does not end in a newline")
-	}
-	var got RunReport
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if got.Tool != "ecfbench" || got.SchemaVersion != 6 {
-		t.Errorf("identity = %s/v%d, want ecfbench/v6", got.Tool, got.SchemaVersion)
-	}
-	if got.Queue != (QueueReport{DepthMax: 42, DepthMean: 17.5}) {
-		t.Errorf("queue section did not round-trip: %+v", got.Queue)
-	}
-	if got.Scale != "quick" || got.Workers != 4 {
-		t.Errorf("scale/workers = %s/%d, want quick/4", got.Scale, got.Workers)
-	}
-	if got.EventsTotal != 1024 || got.EventsByKind["trace.rttJitter"] != 100 || got.CellP50Ms != 2 || got.PacketsDelivered != 800 {
-		t.Errorf("run counters did not round-trip: %+v", got)
-	}
-	if len(got.Experiments) != 1 || got.Experiments[0].Name != "fig9" ||
-		got.Experiments[0].CellsRead != 144 || got.Experiments[0].OutputSHA256 != "abc" {
-		t.Errorf("experiments did not round-trip: %+v", got.Experiments)
-	}
-	// The JSON keys are the machine-readable contract; spot-check the
-	// snake_case names a consumer greps for.
-	for _, key := range []string{"schema_version", "wall_clock_ms", "cells_read", "render_ms", "events_coalesced", "events_by_kind", "cell_p50_ms", "output_sha256", "heap_alloc_bytes", "depth_max", "depth_mean"} {
-		if !bytes.Contains(raw, []byte(`"`+key+`"`)) {
-			t.Errorf("report JSON missing key %q", key)
-		}
-	}
-}

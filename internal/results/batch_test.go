@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,7 +39,7 @@ func TestBatchRunDispatchesExpensiveFirst(t *testing.T) {
 					func(i int) rec { ran = append(ran, tc.plainN+i); return rec{Cell: tc.plainN + i} },
 					func(i int, v rec) { out[tc.plainN+i] = v })
 			}
-			if err := b.Run(nil, 1, nil); err != nil {
+			if err := b.Run(nil, 1); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ran, tc.wantPlan) {
@@ -72,7 +71,7 @@ func TestBatchFirstFailureIndependentOfWorkers(t *testing.T) {
 			AddCell(b, sp, 0, 1, fail, func(int, rec) {})
 			AddCell(b, sp, 1, 2, fail, func(int, rec) {})
 			var ce *CellError
-			if err := b.Run(&Session{}, workers, nil); !errors.As(err, &ce) || ce.Key != sp.Key(1) {
+			if err := b.Run(&Session{}, workers); !errors.As(err, &ce) || ce.Key != sp.Key(1) {
 				t.Fatalf("workers=%d run %d: Run = %v, want the *CellError of cell 1, the higher-cost cell", workers, run, err)
 			}
 		}
@@ -85,7 +84,7 @@ func TestBatchRunsEveryCellOnce(t *testing.T) {
 		counts := make([]int32, n)
 		b := NewBatch()
 		addAll(b, spec(), n, func(i int) rec { atomic.AddInt32(&counts[i], 1); return rec{} }, func(int, rec) {})
-		if err := b.Run(nil, workers, nil); err != nil {
+		if err := b.Run(nil, workers); err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 		for i, c := range counts {
@@ -170,32 +169,7 @@ func TestPanicErrorUnwrap(t *testing.T) {
 }
 
 func TestBatchZeroJobs(t *testing.T) {
-	calls := 0
-	if err := NewBatch().Run(nil, 4, func(int, int) { calls++ }); err != nil || calls != 0 {
-		t.Fatalf("empty batch: err = %v, %d progress calls", err, calls)
-	}
-}
-
-func TestBatchProgressReachesTotal(t *testing.T) {
-	const n = 23
-	for _, workers := range []int{1, 3} {
-		var mu sync.Mutex
-		calls, last := 0, 0
-		b := NewBatch()
-		var computes atomic.Int64
-		addAll(b, spec(), n, computeRec(&computes), func(int, rec) {})
-		if err := b.Run(nil, workers, func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != n {
-				t.Errorf("workers=%d: total = %d, want %d", workers, total, n)
-			}
-			calls, last = calls+1, max(last, done)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if calls != n || last != n {
-			t.Fatalf("workers=%d: %d progress calls reaching %d, want %d reaching %d", workers, calls, last, n, n)
-		}
+	if err := NewBatch().Run(nil, 4); err != nil {
+		t.Fatalf("empty batch: err = %v", err)
 	}
 }

@@ -18,7 +18,7 @@ func TestMemoSameKeyTwiceInOneBatchComputesOnce(t *testing.T) {
 	b := NewBatch()
 	addAll(b, spec(), n, computeRec(&computes), collectInto(first))
 	addAll(b, spec(), n, computeRec(&computes), collectInto(second))
-	if err := b.Run(s, 8, nil); err != nil {
+	if err := b.Run(s, 8); err != nil {
 		t.Fatal(err)
 	}
 	if computes.Load() != n {

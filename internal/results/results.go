@@ -89,7 +89,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Spec identifies one family of cells: a sub-experiment whose cell
@@ -178,11 +177,11 @@ type Sink interface {
 
 // Session is the per-invocation cache/shard policy shared by every
 // driver of one run, the run's in-memory record tier, and the
-// hit/computed counters the harness reports. The zero value computes
-// each distinct cell once in-process with no persistence; a nil
-// *Session computes each cell of every batch and remembers nothing.
-// Counters and the memo are safe for concurrent use. A Session must not
-// be copied after first use.
+// hit/computed counters ecfbench's run: line reports; it times nothing.
+// The zero value computes each distinct cell once in-process with no
+// persistence; a nil *Session computes each cell of every batch and
+// remembers nothing. Counters and the memo are safe for concurrent use.
+// A Session must not be copied after first use.
 type Session struct {
 	// Store persists cell records; nil disables persistence (records
 	// are still shared within the run).
@@ -214,9 +213,6 @@ type Session struct {
 	// computed so far, by key (see lookup).
 	memoMu sync.Mutex
 	memo   map[Key]any
-
-	durMu    sync.Mutex
-	cellDurs []time.Duration
 
 	missMu  sync.Mutex
 	missing map[Key]struct{}
@@ -252,26 +248,6 @@ func (s *Session) MissingCells() []Key {
 		return out[i].Cell < out[j].Cell
 	})
 	return out
-}
-
-// noteDuration records one computed cell's wall clock.
-func (s *Session) noteDuration(d time.Duration) {
-	s.durMu.Lock()
-	s.cellDurs = append(s.cellDurs, d)
-	s.durMu.Unlock()
-}
-
-// CellDurations returns the wall-clock samples of every cell the
-// session has computed — the run report's cell-duration percentiles.
-// Cache hits record nothing, so the sample population (though not the
-// values) is independent of worker count.
-func (s *Session) CellDurations() []time.Duration {
-	if s == nil {
-		return nil
-	}
-	s.durMu.Lock()
-	defer s.durMu.Unlock()
-	return append([]time.Duration(nil), s.cellDurs...)
 }
 
 // Stats returns how many cells were served without simulating — from

@@ -52,7 +52,7 @@ func addAll[T any](b *Batch, spec Spec, n int, compute func(int) T, collect func
 func runSpec[T any](workers int, s *Session, spec Spec, n int, compute func(int) T, collect func(int, T)) error {
 	b := NewBatch()
 	addAll(b, spec, n, compute, collect)
-	return b.Run(s, workers, nil)
+	return b.Run(s, workers)
 }
 
 // shardOf is the Claims predicate of a -shard i/n pass.
@@ -286,7 +286,7 @@ func TestBatchRunsMultipleSpecsThroughOnePool(t *testing.T) {
 	batch := NewBatch()
 	addAll(batch, Spec{Experiment: "unit/a", Schema: 1, Scale: "s"}, len(a), computeRec(&computes), collectInto(a))
 	addAll(batch, Spec{Experiment: "unit/b", Schema: 1, Scale: "s"}, len(b), computeRec(&computes), collectInto(b))
-	if err := batch.Run(s, workers, nil); err != nil {
+	if err := batch.Run(s, workers); err != nil {
 		t.Fatal(err)
 	}
 	if _, c := s.Stats(); c != int64(len(a)+len(b)) {

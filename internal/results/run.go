@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Batch accumulates cells from one or more specs and executes them all
@@ -162,9 +161,7 @@ func runCell[T any](s *Session, spec Spec, i int, compute func(int) T, collect f
 	if done, err := resolve(s, k, i, collect); done {
 		return err
 	}
-	start := time.Now()
 	v := compute(i)
-	s.noteDuration(time.Since(start))
 	s.computed.Add(1)
 	if s.Store != nil {
 		if err := s.Store.Put(k, v); err != nil {
@@ -197,9 +194,7 @@ func (s *Session) upload(k Key, v any) error {
 
 // Run executes every registered cell under ses (nil: compute each cell,
 // remember nothing) on w goroutines, w = min(workers or GOMAXPROCS,
-// cells), calling progress, when non-nil, after each finished cell with
-// the count so far and the total; progress may be called concurrently
-// and observes only.
+// cells).
 //
 // Run first stable-sorts the jobs by descending cost, and then a job's
 // index is its dispatch position: workers pull the next index from one
@@ -214,19 +209,19 @@ func (s *Session) upload(k Key, v any) error {
 // one: the same cell at every worker count. An error (store I/O, sink
 // upload, a *CellError) is returned; any other panic is re-raised on
 // the caller's goroutine as a *PanicError naming the cell.
-func (b *Batch) Run(ses *Session, workers int, progress func(done, total int)) error {
+func (b *Batch) Run(ses *Session, workers int) error {
 	sort.SliceStable(b.jobs, func(x, y int) bool { return b.jobs[x].cost() > b.jobs[y].cost() })
 	n := len(b.jobs)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var (
-		next, done atomic.Int64
-		stop       atomic.Bool
-		mu         sync.Mutex
-		first      = n // lowest failed job index
-		firstErr   error
-		wg         sync.WaitGroup
+		next     atomic.Int64
+		stop     atomic.Bool
+		mu       sync.Mutex
+		first    = n // lowest failed job index
+		firstErr error
+		wg       sync.WaitGroup
 	)
 	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
@@ -244,9 +239,6 @@ func (b *Batch) Run(ses *Session, workers int, progress func(done, total int)) e
 					}
 					mu.Unlock()
 					stop.Store(true)
-				}
-				if progress != nil {
-					progress(int(done.Add(1)), n)
 				}
 			}
 		}()
