@@ -339,9 +339,11 @@ func (c *config) run(stdout, stderr io.Writer) (err error) {
 		}
 	}()
 	if c.debugAddr != "" {
-		if err := startDebugServer(c.debugAddr, stderr); err != nil {
+		stop, err := startDebugServer(c.debugAddr, stderr)
+		if err != nil {
 			return err
 		}
+		defer stop()
 	}
 	if c.mode == "join" {
 		if err := c.join(stderr); err != nil {
@@ -536,15 +538,35 @@ func (c *config) profiling() (stop func() error, err error) {
 	}, nil
 }
 
-// startDebugServer mounts net/http/pprof plus a /debug/obs counter
-// snapshot on addr and serves in the background for the life of the
-// run. The listener is opened synchronously so a bad address fails
-// before any simulation starts.
-func startDebugServer(addr string, stderr io.Writer) error {
+// startDebugServer serves debugMux on addr in the background until
+// stop is called; run stops it when it returns, so the server lives as
+// long as the run. The listener is opened synchronously so a bad
+// address fails before any simulation starts, and stop returns only
+// once the address refuses connections and the serving goroutine has
+// ended.
+func startDebugServer(addr string, stderr io.Writer) (stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("-debug-addr: %w", err)
+		return nil, fmt.Errorf("-debug-addr: %w", err)
 	}
+	fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (counters at /debug/obs)\n", ln.Addr())
+	srv := &http.Server{Handler: debugMux()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	return func() {
+		_ = srv.Close() // the run is over: a close error changes nothing it reports
+		_ = ln.Close()  // srv.Close misses a listener Serve has not tracked yet
+		<-done
+	}, nil
+}
+
+// debugMux is the -debug-addr handler: net/http/pprof plus a
+// /debug/obs snapshot of the process's event, packet and memory
+// counters.
+func debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
@@ -569,9 +591,7 @@ func startDebugServer(addr string, stderr io.Writer) error {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	fmt.Fprintf(stderr, "debug server on http://%s/debug/pprof/ (counters at /debug/obs)\n", ln.Addr())
-	go func() { _ = http.Serve(ln, mux) }()
-	return nil
+	return mux
 }
 
 // memStats is /debug/obs's heap and GC snapshot.

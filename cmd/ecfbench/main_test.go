@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
+	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -430,9 +431,11 @@ func TestStderrSummary(t *testing.T) {
 	}
 }
 
-// TestDebugObs reads the counter snapshot a render serves at -debug-addr:
-// the process's queue dispatches by kind sum to its processed events,
-// and its links drained and delivered packets.
+// TestDebugObs checks the server a render runs at -debug-addr: the
+// address run printed refuses connections once run returns, and the
+// counter snapshot its handler serves after a table3 render says the
+// process's queue dispatches by kind sum to its processed events, and
+// its links drained and delivered packets.
 func TestDebugObs(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-exp", "table3", "-scale", "quick", "-no-cache", "-debug-addr", "127.0.0.1:0"}, io.Discard, &stderr); code != 0 {
@@ -442,11 +445,12 @@ func TestDebugObs(t *testing.T) {
 	if addr == nil {
 		t.Fatalf("stderr names no debug server:\n%s", stderr.String())
 	}
-	resp, err := http.Get("http://" + addr[1] + "/debug/obs")
-	if err != nil {
-		t.Fatal(err)
+	if conn, err := net.Dial("tcp", addr[1]); err == nil {
+		conn.Close()
+		t.Errorf("the debug server at %s still accepts connections after run returned", addr[1])
 	}
-	defer resp.Body.Close()
+	resp := httptest.NewRecorder()
+	debugMux().ServeHTTP(resp, httptest.NewRequest("GET", "/debug/obs", nil))
 	var snap struct {
 		EventsProcessed  uint64            `json:"events_processed"`
 		EventsByKind     map[string]uint64 `json:"events_by_kind"`

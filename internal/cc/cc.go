@@ -15,8 +15,6 @@ type Flow interface {
 	Cwnd() float64
 	// SetCwnd sets the congestion window in segments.
 	SetCwnd(w float64)
-	// Ssthresh returns the slow-start threshold in segments.
-	Ssthresh() float64
 	// SetSsthresh sets the slow-start threshold in segments.
 	SetSsthresh(w float64)
 	// SrttSeconds returns the smoothed RTT estimate in seconds, or 0 if
@@ -34,8 +32,8 @@ type Flow interface {
 // Coupled controllers must see every subflow of a connection, hence
 // Register/Unregister.
 type Controller interface {
-	// Name identifies the controller ("reno", "lia", "olia").
-	Name() string
+	// name identifies the controller ("reno", "lia", "olia").
+	name() string
 	// Register adds a flow to the coupled set.
 	Register(f Flow)
 	// Unregister removes a flow from the coupled set.

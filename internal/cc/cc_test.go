@@ -12,7 +12,6 @@ type fakeFlow struct {
 
 func (f *fakeFlow) Cwnd() float64         { return f.cwnd }
 func (f *fakeFlow) SetCwnd(w float64)     { f.cwnd = w }
-func (f *fakeFlow) Ssthresh() float64     { return f.ssthresh }
 func (f *fakeFlow) SetSsthresh(w float64) { f.ssthresh = w }
 func (f *fakeFlow) SrttSeconds() float64  { return f.srtt }
 func (f *fakeFlow) InSlowStart() bool     { return f.cwnd < f.ssthresh }
@@ -44,7 +43,7 @@ func TestLossFloor(t *testing.T) {
 		c.Register(f)
 		c.OnLoss(f)
 		if f.cwnd < minCwnd {
-			t.Fatalf("%s: cwnd = %v after loss, want >= %v", c.Name(), f.cwnd, minCwnd)
+			t.Fatalf("%s: cwnd = %v after loss, want >= %v", c.name(), f.cwnd, minCwnd)
 		}
 	}
 }
@@ -137,7 +136,7 @@ func TestControllersHandleZeroRTT(t *testing.T) {
 		c.Register(f)
 		c.OnAck(f, 1)
 		if f.cwnd <= 10 || f.cwnd != f.cwnd /* NaN check */ {
-			t.Fatalf("%s: cwnd = %v with zero rtt, want growth and not NaN", c.Name(), f.cwnd)
+			t.Fatalf("%s: cwnd = %v with zero rtt, want growth and not NaN", c.name(), f.cwnd)
 		}
 	}
 }
@@ -156,7 +155,7 @@ func TestHalvePropertyNeverBelowFloor(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if NewReno().Name() != "reno" || NewLIA().Name() != "lia" || NewOLIA().Name() != "olia" {
+	if NewReno().name() != "reno" || NewLIA().name() != "lia" || NewOLIA().name() != "olia" {
 		t.Fatal("controller name mismatch")
 	}
 }

@@ -20,8 +20,8 @@ type LIA struct {
 // NewLIA returns an empty coupled controller; subflows join via Register.
 func NewLIA() *LIA { return &LIA{} }
 
-// Name implements Controller.
-func (*LIA) Name() string { return "lia" }
+// name implements Controller.
+func (*LIA) name() string { return "lia" }
 
 // Register implements Controller.
 func (c *LIA) Register(f Flow) { c.flows = append(c.flows, f) }

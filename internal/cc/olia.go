@@ -24,8 +24,8 @@ type oliaFlow struct {
 // NewOLIA returns an empty OLIA controller.
 func NewOLIA() *OLIA { return &OLIA{} }
 
-// Name implements Controller.
-func (*OLIA) Name() string { return "olia" }
+// name implements Controller.
+func (*OLIA) name() string { return "olia" }
 
 // Register implements Controller.
 func (c *OLIA) Register(f Flow) { c.flows = append(c.flows, oliaFlow{Flow: f}) }

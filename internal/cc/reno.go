@@ -7,8 +7,8 @@ type Reno struct{}
 // NewReno returns an uncoupled Reno controller.
 func NewReno() *Reno { return &Reno{} }
 
-// Name implements Controller.
-func (*Reno) Name() string { return "reno" }
+// name implements Controller.
+func (*Reno) name() string { return "reno" }
 
 // Register implements Controller (no coupled state).
 func (*Reno) Register(Flow) {}

@@ -213,10 +213,10 @@ func (c *Client) heartbeat(ctx context.Context, cells []results.Key) (HeartbeatR
 	return resp, err
 }
 
-// IngestBatch uploads a batch of serialized record envelopes. A nil
+// ingestBatch uploads a batch of serialized record envelopes. A nil
 // error means every record is durable on the coordinator; the response
 // carries one duplicate flag per record.
-func (c *Client) IngestBatch(ctx context.Context, recs []IngestRecord) (IngestResponse, error) {
+func (c *Client) ingestBatch(ctx context.Context, recs []IngestRecord) (IngestResponse, error) {
 	var resp IngestResponse
 	err := c.do(ctx, http.MethodPost, "/v1/ingest", IngestRequest{Worker: c.Worker, Records: recs}, &resp)
 	if err == nil && len(resp.Duplicate) != len(recs) {
@@ -225,8 +225,8 @@ func (c *Client) IngestBatch(ctx context.Context, recs []IngestRecord) (IngestRe
 	return resp, err
 }
 
-// Release returns leases, optionally reporting a failure.
-func (c *Client) Release(ctx context.Context, cells []results.Key, failed bool, reason string) (ReleaseResponse, error) {
+// release returns leases, optionally reporting a failure.
+func (c *Client) release(ctx context.Context, cells []results.Key, failed bool, reason string) (ReleaseResponse, error) {
 	var resp ReleaseResponse
 	err := c.do(ctx, http.MethodPost, "/v1/release", ReleaseRequest{Worker: c.Worker, Cells: cells, Failed: failed, Reason: reason}, &resp)
 	return resp, err

@@ -78,7 +78,7 @@ func passRunner(n int, compute func(int) cellRec) func(*results.Session) error {
 
 // ingestOne uploads a lone record — a batch of one.
 func ingestOne(c *Client, k results.Key, raw []byte) (duplicate bool, err error) {
-	resp, err := c.IngestBatch(context.Background(), []IngestRecord{{Cell: k, Record: raw}})
+	resp, err := c.ingestBatch(context.Background(), []IngestRecord{{Cell: k, Record: raw}})
 	if err != nil {
 		return false, err
 	}

@@ -400,11 +400,11 @@ func TestIngestBatchAcksPerRecord(t *testing.T) {
 	}
 	// Cells 0 and 1, then a batch that replays 1, adds 2 and 3, and
 	// offers 3 twice.
-	resp, err := c.IngestBatch(context.Background(), batch[:2])
+	resp, err := c.ingestBatch(context.Background(), batch[:2])
 	if err != nil || resp.Duplicate[0] || resp.Duplicate[1] || resp.SweepDone {
 		t.Fatalf("first batch = %+v, %v", resp, err)
 	}
-	resp, err = c.IngestBatch(context.Background(), []IngestRecord{batch[1], batch[2], batch[3], batch[3]})
+	resp, err = c.ingestBatch(context.Background(), []IngestRecord{batch[1], batch[2], batch[3], batch[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +422,10 @@ func TestIngestBatchAcksPerRecord(t *testing.T) {
 	srv2, hs2 := startServer(t, t.TempDir(), n, Config{})
 	c2 := fastClient(hs2.URL, "w")
 	bad := []IngestRecord{batch[0], {Cell: batch[1].Cell, Record: []byte(`{"key":{},"data":1}`)}}
-	if _, err := c2.IngestBatch(context.Background(), bad); err == nil {
+	if _, err := c2.ingestBatch(context.Background(), bad); err == nil {
 		t.Fatal("a batch with a malformed record was acknowledged")
 	}
-	if _, err := c2.IngestBatch(context.Background(), nil); err == nil {
+	if _, err := c2.ingestBatch(context.Background(), nil); err == nil {
 		t.Fatal("an empty batch was acknowledged")
 	}
 	if st := srv2.Status(); st.Done != 0 || st.Ingested != 0 {

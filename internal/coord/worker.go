@@ -100,9 +100,9 @@ type uploader struct {
 	mu         sync.Mutex
 	wake       *sync.Cond
 	queue      []IngestRecord
-	closed     bool  // Flush was called: exit once the queue drains
+	closed     bool  // flush was called: exit once the queue drains
 	sweepDone  bool  // a response announced sweep_done: drop everything
-	err        error // first upload failure; fails later Puts and Flush
+	err        error // first upload failure; fails later Puts and flush
 	uploaded   int
 	duplicates int
 }
@@ -163,7 +163,7 @@ func (u *uploader) run(ctx context.Context) {
 		if batch == nil {
 			return
 		}
-		resp, err := u.client.IngestBatch(ctx, batch)
+		resp, err := u.client.ingestBatch(ctx, batch)
 		u.mu.Lock()
 		if err == nil {
 			acked := make([]results.Key, len(batch))
@@ -206,9 +206,9 @@ func (u *uploader) settle() {
 	u.claims.drop(u.claims.keys())
 }
 
-// Flush ends the pass: it waits until everything queued has been
+// flush ends the pass: it waits until everything queued has been
 // acknowledged (or dropped) and returns the first upload error.
-func (u *uploader) Flush() error {
+func (u *uploader) flush() error {
 	u.mu.Lock()
 	u.closed = true
 	u.wake.Signal()
@@ -362,7 +362,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		passErr := cfg.RunPass(ses)
 		// Whatever the pass managed to finish goes up before anything
 		// is released: a queued cell is retired by its ack alone.
-		flushErr := up.Flush()
+		flushErr := up.flush()
 		stopHB()
 		hbWG.Wait()
 
@@ -379,7 +379,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		// failed); the loop then ends like any other settled pass.
 		settled := false
 		release := func(cells []results.Key, failed bool, reason string) {
-			rr, rerr := cfg.Client.Release(ctx, cells, failed, reason)
+			rr, rerr := cfg.Client.release(ctx, cells, failed, reason)
 			if rerr != nil {
 				logf("failed to release %d cells (their leases will expire): %v", len(cells), rerr)
 			}

@@ -37,10 +37,12 @@
 //     network's connection free list, schedulers and congestion
 //     controllers file into per-registry-name free lists, the engine
 //     is reset — cancelling all pending events and invalidating every
-//     sim.Timer handle — a recorder installed by Observe is detached
-//     from every object it reached, and the network returns to the
-//     package pool, so no pooled object carries a recorder into its
-//     next cell.
+//     sim.Timer handle and dropping a recorder installed with
+//     Engine().Observe — and the network returns to the package pool.
+//     Every link, subflow and scheduler reads the recorder from its
+//     engine rather than holding one, so no pooled object carries a
+//     recorder into its next cell by construction: Close detaches
+//     nothing by hand.
 //     After Close, the network, its connections, mptcp.Transfer
 //     handles and any telemetry slices obtained from its receivers
 //     (Receiver.OOODelays, SubflowBytes) are off-limits:
@@ -57,7 +59,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/mptcp"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -146,10 +147,6 @@ type Network struct {
 	freeScheds map[string][]mptcp.Scheduler
 	freeCtrls  map[string][]cc.Controller
 
-	// obsRec, when non-nil, is the cell recorder this network's object
-	// graph reports into — set by Observe, detached again by Close.
-	obsRec *obs.CellRecorder
-
 	closed bool
 }
 
@@ -176,32 +173,17 @@ func NewNetwork(specs []PathSpec) *Network {
 	}
 	n.closed = false
 	n.nextID = 0
-	n.Reset(specs)
+	n.reset(specs)
 	return n
 }
 
-// Observe makes rec the recorder of this network's whole object graph
-// until Close: it installs the engine and link instrumentation now, and
-// NewConn adds the subflow and scheduler halves as connections are
-// created, so call it before the first NewConn. A network nobody
-// observes carries no recorder at all.
-func (n *Network) Observe(rec *obs.CellRecorder) {
-	n.obsRec = rec
-	n.eng.SetFlightRecorder(rec.Flight)
-	for i := range n.ports {
-		p := n.ports[i].path
-		p.Forward().SetObserver(rec.Packets)
-		p.Reverse().SetObserver(rec.Packets)
-	}
-}
-
-// Reset rebuilds the topology in place over the network's pooled
+// reset rebuilds the topology in place over the network's pooled
 // links and demultiplexers: port i is reconfigured to specs[i] exactly
 // as NewNetwork would construct it, ports beyond len(specs) are parked
 // for later reuse, and missing ports are created. The engine must be
 // freshly reset (Close leaves it so); connections are not touched —
-// Reset is the construction half of the NewNetwork/Close cycle.
-func (n *Network) Reset(specs []PathSpec) {
+// reset is the construction half of the NewNetwork/Close cycle.
+func (n *Network) reset(specs []PathSpec) {
 	// Park or revive ports so len(n.ports) == len(specs).
 	for len(n.ports) > len(specs) {
 		last := len(n.ports) - 1
@@ -262,16 +244,6 @@ func (n *Network) Close() {
 	n.closed = true
 	for i := range n.conns {
 		s := &n.conns[i]
-		// Detach instrumentation before the graph enters the pools: a
-		// pooled object must never carry a recorder into its next cell
-		// (Reset clears these too; this keeps the invariant even for
-		// objects that sit in a pool without being reused).
-		if n.obsRec != nil {
-			sched.WireDecisionSink(s.conn.Scheduler(), nil)
-			for _, sf := range s.conn.Subflows() {
-				sf.SetObserver(nil)
-			}
-		}
 		// Detach subflows from the controller (and stop their timers)
 		// while the engine is still live.
 		s.conn.Close()
@@ -298,16 +270,8 @@ func (n *Network) Close() {
 			p.Reverse().FlushStats()
 		}
 	}
-	if n.obsRec != nil {
-		for i := range n.ports {
-			if p := n.ports[i].path; p != nil {
-				p.Forward().SetObserver(nil)
-				p.Reverse().SetObserver(nil)
-			}
-		}
-		n.obsRec = nil
-	}
-	// The engine reset below also drops its flight recorder.
+	// The engine reset also drops a recorder the cell's engine carried,
+	// the one place every traced object read it from.
 	n.eng.Reset()
 	netPool.Put(n)
 }
@@ -425,12 +389,6 @@ func (n *Network) NewConn(opts ConnOptions) *mptcp.Conn {
 				name = fmt.Sprintf("%s#%d", name, rep)
 			}
 			conn.AddSubflow(name, port.path, port.fwd, port.rev)
-		}
-	}
-	if n.obsRec != nil {
-		sched.WireDecisionSink(schedr, n.obsRec.Decisions)
-		for _, sf := range conn.Subflows() {
-			sf.SetObserver(n.obsRec.Subflows)
 		}
 	}
 	return conn

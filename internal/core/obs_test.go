@@ -14,7 +14,7 @@ import (
 func runObsCell(t testing.TB, rec *obs.CellRecorder) {
 	net := NewNetwork(DefaultPaths(5, 5))
 	if rec != nil {
-		net.Observe(rec)
+		net.Engine().Observe(rec)
 	}
 	conn := net.NewConn(ConnOptions{Scheduler: "ecf"})
 	for i := 0; i < 4; i++ {

@@ -54,7 +54,7 @@ func TestEventBudgetMargin(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p0, _ := sim.TotalEvents()
-		tc.s.Run().Release()
+		tc.s.Run().release()
 		p1, _ := sim.TotalEvents()
 		events, budget := p1-p0, tc.s.budget()
 		t.Logf("%-40s %7d events, budget %10d: margin %.1f×", tc.name, events, budget, float64(budget)/float64(events))

@@ -156,6 +156,6 @@ func traceCell(k results.Key, s Scenario, drive webRun) (rec *obs.CellRecorder, 
 			ce.Key, err = k, ce
 		}
 	}()
-	s.run(drive, rec).Release()
+	s.run(drive, rec).release()
 	return rec, nil
 }

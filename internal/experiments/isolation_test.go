@@ -61,7 +61,7 @@ func isolationFingerprint(scheduler string) string {
 	net.Close()
 
 	out := Streaming(0.7, 4.2, scheduler, 12).Run()
-	defer out.Release()
+	defer out.release()
 	fmt.Fprintf(&b, "fast=%.12f ideal=%.12f iw=%d fin=%v\n",
 		out.FastFraction, out.IdealFraction, out.IWResets, out.Finished)
 	for _, c := range out.Result.Chunks {
@@ -115,7 +115,7 @@ var polluters = []struct {
 	{"four-subflow ecf streaming", func() {
 		s := Streaming(0.3, 8.6, "ecf", 8)
 		s.SubflowsPerPath, s.NoIdleRestart, s.CC = 2, true, "reno"
-		s.Run().Release()
+		s.Run().release()
 	}},
 	{"variable-bandwidth daps streaming", func() {
 		net := core.NewNetwork(core.DefaultPaths(8.6, 0.3))

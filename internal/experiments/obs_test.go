@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,7 +20,7 @@ import (
 // non-nil — and returns the JSON of the record the cell keeps.
 func (f *family[T]) recordJSON(i int, rec *obs.CellRecorder) ([]byte, error) {
 	out := f.cells[i].run((*core.Network).RunQuiet, rec)
-	defer out.Release()
+	defer out.release()
 	return json.Marshal(f.record(f.cells[i], out))
 }
 
@@ -124,19 +126,40 @@ func TestDriverTraceExportsValidChromeTrace(t *testing.T) {
 
 // TestTraceDependsOnTheCellAlone: tracing a cell twice in one process,
 // with a cell of another workload run in between on the same pooled
-// networks, exports byte-identical Chrome traces.
+// networks, exports byte-identical Chrome traces; and those bytes, with
+// the cell's decision log, hash to the digests pinned below, so a hook
+// that moves, drops or reorders a record fails across builds too.
 func TestTraceDependsOnTheCellAlone(t *testing.T) {
-	trace := func() []byte {
+	const (
+		wantTrace     = "1e6b9cd1ee218aa69424390193526c8b0c3982f44b0af60cd9135c6bf52afe42"
+		wantDecisions = "1e46e6d5862cf6ceee428112ce444d98675eb8433a9655c067327b52a83ff260"
+	)
+	trace := func() (chrome, decisions []byte) {
 		rec, err := Trace(Quick, "grid/ecf", 14)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return chromeTrace(t, rec)
+		var log bytes.Buffer
+		if err := rec.WriteDecisionLog(&log); err != nil {
+			t.Fatalf("WriteDecisionLog: %v", err)
+		}
+		return chromeTrace(t, rec), log.Bytes()
 	}
-	first := trace()
-	pageScenario("blest", 5, 5, 3).Run().Release()
-	if second := trace(); !bytes.Equal(first, second) {
+	first, decisions := trace()
+	pageScenario("blest", 5, 5, 3).Run().release()
+	if second, _ := trace(); !bytes.Equal(first, second) {
 		t.Fatalf("grid/ecf/14 traced twice exports %d and %d bytes that differ", len(first), len(second))
+	}
+	for _, a := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"Chrome trace", wantTrace, first},
+		{"decision log", wantDecisions, decisions},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(a.b)); got != a.want {
+			t.Errorf("grid/ecf/14's %s at quick scale hashes to %s, want %s", a.name, got, a.want)
+		}
 	}
 }
 

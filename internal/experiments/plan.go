@@ -143,6 +143,6 @@ func (f *family[T]) read(collect func(i int, v T), cells ...int) {
 // compute simulates cell i and keeps its record.
 func (f *family[T]) compute(i int) T {
 	out := f.cells[i].Run()
-	defer out.Release()
+	defer out.release()
 	return f.record(f.cells[i], out)
 }

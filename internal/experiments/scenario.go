@@ -157,7 +157,7 @@ type Outcome struct {
 	// OOODelays are a stream's or a page's reordering samples, every
 	// connection's pooled, copied into a buffer drawn from the metrics
 	// sample pool before the network is closed (the receivers' own
-	// series are reused by the next cell). Release hands it back.
+	// series are reused by the next cell). release hands it back.
 	OOODelays []time.Duration
 	// Completions holds a wget's completion time per run, or a page's
 	// per object.
@@ -169,16 +169,16 @@ type Outcome struct {
 	Versus *Outcome
 }
 
-// Release hands the outcome's pooled telemetry buffers back to the
+// release hands the outcome's pooled telemetry buffers back to the
 // metrics sample pool. Call it when the outcome's samples have been
 // consumed (summarized, converted, rendered); the outcome must not be
 // used afterwards. Dropping an outcome without releasing it is safe —
 // the buffers are then simply collected instead of reused.
-func (o *Outcome) Release() {
+func (o *Outcome) release() {
 	metrics.PutDurations(o.OOODelays)
 	o.OOODelays = nil
 	if o.Versus != nil {
-		o.Versus.Release()
+		o.Versus.release()
 	}
 }
 
@@ -222,10 +222,8 @@ func (s Scenario) run(drive webRun, rec *obs.CellRecorder) *Outcome {
 func (s Scenario) simulate(drive webRun, rec *obs.CellRecorder, out *Outcome) {
 	net := core.NewNetwork(s.Paths[:])
 	defer net.Close()
-	if rec != nil {
-		net.Observe(rec)
-	}
 	eng := net.Engine()
+	eng.Observe(rec)
 	eng.SetBudget(s.budget())
 	for i, j := range s.Jitter {
 		if j.Interval > 0 {

@@ -98,8 +98,8 @@ func TestPageFetchesEndAtQuiescenceUnchanged(t *testing.T) {
 	samePage := func(t *testing.T, cell string, s Scenario, quiet, horizon *cellProbe) {
 		t.Helper()
 		got, want := s.run(quiet.run, nil), s.run(horizon.run, nil)
-		defer got.Release()
-		defer want.Release()
+		defer got.release()
+		defer want.release()
 		if len(got.Completions) != 107 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: page outcome differs between the quiescent and the horizon run (%d and %d objects)", cell, len(got.Completions), len(want.Completions))
 		}

@@ -16,7 +16,7 @@ import (
 // simulator measured. It is sorted once, when a driver builds it from a
 // finished cell, so every later reader — a statistic, a merge across
 // runs, a cached record — starts from ordered data. Its statistics
-// (At, CCDFAt, Quantile, Mean) read those integers and convert to
+// (at, CCDFAt, Quantile, Mean) read those integers and convert to
 // seconds only the samples they probe; they equal, bit for bit, what a
 // CDF over the samples in seconds gives.
 //
@@ -110,11 +110,11 @@ func MergeDelayDists(parts ...DelayDist) DelayDist {
 	return DelayDist{sorted: s}
 }
 
-// At returns P(X <= x), x in seconds.
-func (d DelayDist) At(x float64) float64 { return atOf(d.sorted, time.Duration.Seconds, x) }
+// at returns P(X <= x), x in seconds.
+func (d DelayDist) at(x float64) float64 { return atOf(d.sorted, time.Duration.Seconds, x) }
 
 // CCDFAt returns P(X > x), x in seconds.
-func (d DelayDist) CCDFAt(x float64) float64 { return 1 - d.At(x) }
+func (d DelayDist) CCDFAt(x float64) float64 { return 1 - d.at(x) }
 
 // Quantile returns the p-quantile in seconds for p in [0, 1].
 func (d DelayDist) Quantile(p float64) float64 {

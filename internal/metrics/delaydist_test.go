@@ -71,11 +71,11 @@ func TestDelayDistRecordRoundTripIsExact(t *testing.T) {
 		for i, v := range want {
 			x := v.Seconds()
 			below := math.Nextafter(x, math.Inf(-1))
-			same(fmt.Sprintf("CCDFAt(%v)", x), got.CCDFAt(x), ref.CCDFAt(x))
-			same(fmt.Sprintf("CCDFAt(%v)", below), got.CCDFAt(below), ref.CCDFAt(below))
+			same(fmt.Sprintf("CCDFAt(%v)", x), got.CCDFAt(x), ref.ccdfAt(x))
+			same(fmt.Sprintf("CCDFAt(%v)", below), got.CCDFAt(below), ref.ccdfAt(below))
 			if i > 0 {
 				mid := want[i-1].Seconds()/2 + x/2
-				same(fmt.Sprintf("CCDFAt(%v)", mid), got.CCDFAt(mid), ref.CCDFAt(mid))
+				same(fmt.Sprintf("CCDFAt(%v)", mid), got.CCDFAt(mid), ref.ccdfAt(mid))
 			}
 		}
 		for _, p := range []float64{0, 1e-9, 0.25, 0.5, 0.9, 0.99, 1} {

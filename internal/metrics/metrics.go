@@ -121,11 +121,11 @@ func NewCDF(xs []float64) *CDF {
 
 func identity(x float64) float64 { return x }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 { return atOf(c.sorted, identity, x) }
+// at returns P(X <= x).
+func (c *CDF) at(x float64) float64 { return atOf(c.sorted, identity, x) }
 
-// CCDFAt returns P(X > x).
-func (c *CDF) CCDFAt(x float64) float64 { return 1 - c.At(x) }
+// ccdfAt returns P(X > x).
+func (c *CDF) ccdfAt(x float64) float64 { return 1 - c.at(x) }
 
 // Quantile returns the p-quantile for p in [0, 1].
 func (c *CDF) Quantile(p float64) float64 { return quantileOf(c.sorted, identity, p) }

@@ -36,8 +36,8 @@ func TestCDFAt(t *testing.T) {
 		{ties, 2, 0.8}, {ties, 1.5, 0.2},
 	}
 	for _, tc := range cases {
-		if got := tc.c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
-			t.Fatalf("At(%v) = %v, want %v", tc.x, got, tc.want)
+		if got := tc.c.at(tc.x); math.Abs(got-tc.want) > 1e-9 {
+			t.Fatalf("at(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestCDFAt(t *testing.T) {
 func TestCCDFComplement(t *testing.T) {
 	if err := quick.Check(func(xs []float64, x float64) bool {
 		c := NewCDF(xs)
-		return math.Abs(c.At(x)+c.CCDFAt(x)-1) < 1e-9
+		return math.Abs(c.at(x)+c.ccdfAt(x)-1) < 1e-9
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCDFMonotone(t *testing.T) {
 			if math.IsNaN(x) {
 				return true
 			}
-			v := c.At(x)
+			v := c.at(x)
 			if v < prev-1e-12 {
 				return false
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -210,7 +211,7 @@ func (c *Conn) Reset(cfg Config, ctrl cc.Controller) {
 	c.cfg = cfg
 	c.ctrl = ctrl
 	c.sched = nil
-	c.recv.Reset(cfg.RcvBuf)
+	c.recv.reset(cfg.RcvBuf)
 	c.freeUnits = append(c.freeUnits, c.units...)
 	c.units = c.units[:0]
 	c.subflows = c.subflows[:0]
@@ -250,6 +251,11 @@ func (c *Conn) Receiver() *Receiver { return c.recv }
 
 // Now returns the current virtual time.
 func (c *Conn) Now() sim.Time { return c.eng.Now() }
+
+// Recorder returns the recorder of the traced cell this connection's
+// engine belongs to, or nil when the cell is not traced — the one
+// check a scheduler makes before recording a decision.
+func (c *Conn) Recorder() *obs.CellRecorder { return c.eng.Recorder() }
 
 // ID returns the connection identifier.
 func (c *Conn) ID() int { return c.cfg.ID }

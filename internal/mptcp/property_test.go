@@ -49,13 +49,13 @@ func TestReceiverDeliversExactlyOnceUnderAnyArrivalOrder(t *testing.T) {
 			eng.RunUntil(at)
 			r.OnData(&netsim.Packet{Kind: netsim.Data, DSN: s.dsn, PayloadLen: s.length, SubflowID: rng.Intn(2)})
 		}
-		if r.Expected() != dsn {
+		if r.expected != dsn {
 			return false
 		}
 		if r.DeliveredBytes() != dsn {
 			return false
 		}
-		if r.Window() != 1<<30 {
+		if r.window() != 1<<30 {
 			return false // buffer must be fully drained
 		}
 		for _, d := range r.OOODelays() {

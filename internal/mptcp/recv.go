@@ -58,11 +58,11 @@ const noArrival = sim.Time(-1)
 // bytes (the base of the advertised window); zero selects defaultBuf.
 func newReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
 	r := &Receiver{eng: eng}
-	r.Reset(rcvBuf)
+	r.reset(rcvBuf)
 	return r
 }
 
-// Reset returns a pooled receiver to the state newReceiver(eng, rcvBuf)
+// reset returns a pooled receiver to the state newReceiver(eng, rcvBuf)
 // would construct: delivery point zero, empty reorder buffer and waiter
 // list, truncated telemetry series. Every slice keeps its grown
 // capacity, which is what makes the per-cell telemetry (OOO-delay
@@ -70,7 +70,7 @@ func newReceiver(eng *sim.Engine, rcvBuf int64) *Receiver {
 // why callers must copy any telemetry they keep before the owning
 // network is closed. ArrivalHook is deliberately preserved: the owning
 // connection binds it once for its lifetime.
-func (r *Receiver) Reset(rcvBuf int64) {
+func (r *Receiver) reset(rcvBuf int64) {
 	if rcvBuf <= 0 {
 		rcvBuf = defaultBuf
 	}
@@ -86,14 +86,11 @@ func (r *Receiver) Reset(rcvBuf int64) {
 	r.duplicateArrival = 0
 }
 
-// Expected returns the next in-order DSN (cumulative data-level ACK).
-func (r *Receiver) Expected() int64 { return r.expected }
-
 // DeliveredBytes returns total in-order bytes handed to the application.
 func (r *Receiver) DeliveredBytes() int64 { return r.deliveredBytes }
 
-// Window returns the currently advertised receive window.
-func (r *Receiver) Window() int64 {
+// window returns the currently advertised receive window.
+func (r *Receiver) window() int64 {
 	w := r.rcvBuf - r.bufferedBytes
 	if w < 0 {
 		w = 0
@@ -205,5 +202,5 @@ func (r *Receiver) OnData(p *netsim.Packet) (dataAck, window int64) {
 		r.fireWaiter()
 	}
 
-	return r.expected, r.Window()
+	return r.expected, r.window()
 }

@@ -136,8 +136,8 @@ func TestReceiverMatchesMapReference(t *testing.T) {
 		}
 
 		// Full telemetry equivalence at the end of the schedule.
-		if r.Expected() != total || ref.expected != total {
-			t.Logf("incomplete reassembly: %d / %d (total %d)", r.Expected(), ref.expected, total)
+		if r.expected != total || ref.expected != total {
+			t.Logf("incomplete reassembly: %d / %d (total %d)", r.expected, ref.expected, total)
 			return false
 		}
 		got := r.OOODelays()

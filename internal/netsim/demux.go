@@ -49,8 +49,8 @@ func (d *Demux) Register(connID, subflowID int, r Receiver) {
 	d.routes[connID] = row
 }
 
-// Unregister removes a flow's route.
-func (d *Demux) Unregister(connID, subflowID int) {
+// unregister removes a flow's route.
+func (d *Demux) unregister(connID, subflowID int) {
 	if connID < len(d.routes) && subflowID < len(d.routes[connID]) {
 		d.routes[connID][subflowID] = nil
 	}

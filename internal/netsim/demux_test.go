@@ -34,7 +34,7 @@ func TestDemuxUnregister(t *testing.T) {
 	n := 0
 	d.Register(1, 0, func(*Packet) { n++ })
 	d.OnPacket(&Packet{ConnID: 1, SubflowID: 0})
-	d.Unregister(1, 0)
+	d.unregister(1, 0)
 	d.OnPacket(&Packet{ConnID: 1, SubflowID: 0})
 	if n != 1 {
 		t.Fatalf("delivered %d, want 1", n)

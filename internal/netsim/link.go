@@ -28,7 +28,7 @@ type LinkStats struct {
 
 // totalDelivered accumulates, across every link in the process, the
 // delivered-packet counts of finished cells (flushed by FlushStats,
-// which core.Network.Close and Link.Reset both invoke). Together with
+// which core.Network.Close and Link.reset both invoke). Together with
 // sim.TotalEvents it yields the events/packet telemetry ecfbench
 // reports.
 var totalDelivered atomic.Int64
@@ -92,11 +92,6 @@ type Link struct {
 	lossRate    float64
 	rng         *sim.RNG
 	dst         Receiver
-	// obsRec, when non-nil, records per-packet events (enqueue, drop,
-	// deliver, loss, coalesced delivery) for the flight recorder. It is
-	// installed only on the links of a traced cell and cleared by Reset;
-	// everywhere else each hook costs one nil check.
-	obsRec *obs.Ring[obs.PacketEvent]
 
 	// ring holds in-flight packets addressed by absolute counters:
 	// [head, tail) are accepted-but-undelivered entries, of which
@@ -151,17 +146,17 @@ type LinkConfig struct {
 // via SetReceiver but must be non-nil before the first Send.
 func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 	l := &Link{eng: eng}
-	l.Reset(cfg, dst)
+	l.reset(cfg, dst)
 	return l
 }
 
-// Reset reconfigures the link in place to the state NewLink(eng, cfg,
+// reset reconfigures the link in place to the state NewLink(eng, cfg,
 // dst) would construct: empty queue, idle serializer, reseeded loss
-// process, zeroed stats (flushed into the process totals first), no
-// observer. The in-flight ring keeps its grown capacity. The caller must
-// have reset (or drained) the engine first — any pending drain event of
-// the previous run would otherwise fire into the reset link.
-func (l *Link) Reset(cfg LinkConfig, dst Receiver) {
+// process, zeroed stats (flushed into the process totals first). The
+// in-flight ring keeps its grown capacity. The caller must have reset
+// (or drained) the engine first — any pending drain event of the
+// previous run would otherwise fire into the reset link.
+func (l *Link) reset(cfg LinkConfig, dst Receiver) {
 	if cfg.RateBps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive rate %v for link %q", cfg.RateBps, cfg.Name))
 	}
@@ -187,7 +182,6 @@ func (l *Link) Reset(cfg LinkConfig, dst Receiver) {
 		l.rng = nil
 	}
 	l.dst = dst
-	l.obsRec = nil
 	l.head, l.dep, l.tail = 0, 0, 0
 	l.drainTimer = sim.Timer{}
 	l.draining = false
@@ -206,15 +200,11 @@ func (l *Link) FlushStats() {
 	}
 }
 
-// SetObserver installs (or with nil removes) the per-packet event
-// recorder. Reset also removes it, so a pooled link never carries a
-// recorder into its next cell.
-func (l *Link) SetObserver(r *obs.Ring[obs.PacketEvent]) { l.obsRec = r }
-
-// observe records one per-packet event; callers guard with obsRec != nil
-// so the disabled path never reaches the call.
+// observe records one per-packet event (enqueue, drop, deliver, loss,
+// coalesced delivery) into the engine's recorder; callers guard with
+// l.eng.Recorder() != nil so an untraced cell never reaches the call.
 func (l *Link) observe(op obs.PacketOp, p *Packet) {
-	l.obsRec.Record(obs.PacketEvent{
+	l.eng.Recorder().Packets.Record(obs.PacketEvent{
 		At:          l.eng.Now(),
 		Op:          op,
 		Link:        l.name,
@@ -228,9 +218,6 @@ func (l *Link) observe(op obs.PacketOp, p *Packet) {
 	})
 }
 
-// Name returns the link label.
-func (l *Link) Name() string { return l.name }
-
 // RateBps returns the current shaping rate.
 func (l *Link) RateBps() float64 { return l.rate }
 
@@ -240,8 +227,8 @@ func (l *Link) Delay() time.Duration { return l.delay }
 // QueueBytes returns the configured buffer size.
 func (l *Link) QueueBytes() int { return l.queueLimit }
 
-// QueuedBytes returns the bytes currently waiting or in serialization.
-func (l *Link) QueuedBytes() int {
+// queuedBytes returns the bytes currently waiting or in serialization.
+func (l *Link) queuedBytes() int {
 	l.advanceDeparted()
 	return l.queued
 }
@@ -252,10 +239,10 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // SetReceiver installs the delivery callback.
 func (l *Link) SetReceiver(dst Receiver) { l.dst = dst }
 
-// SetRateBps changes the shaping rate. Packets already in serialization
+// setRateBps changes the shaping rate. Packets already in serialization
 // keep their departure times; subsequent packets use the new rate. This is
 // how the §5.3 random bandwidth-change scenarios are driven.
-func (l *Link) SetRateBps(rate float64) {
+func (l *Link) setRateBps(rate float64) {
 	if rate <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive rate %v for link %q", rate, l.name))
 	}
@@ -282,7 +269,7 @@ func (l *Link) SetDelay(d time.Duration) { l.delay = d }
 // position must still see the packet in the queue, or a borderline
 // drop-tail decision flips relative to the event-per-departure
 // schedule. Deferring the accounting to the next occupancy check
-// (Send's drop test, QueuedBytes) is then observationally identical,
+// (Send's drop test, queuedBytes) is then observationally identical,
 // at zero event-queue traffic.
 func (l *Link) advanceDeparted() {
 	now := l.eng.Now()
@@ -311,14 +298,14 @@ func (l *Link) Send(p *Packet) bool {
 	l.advanceDeparted()
 	if l.queued+p.Size > l.queueLimit {
 		l.stats.Dropped++
-		if l.obsRec != nil {
+		if l.eng.Recorder() != nil {
 			l.observe(obs.PktDrop, p)
 		}
 		return false
 	}
 	l.stats.Sent++
 	l.queued += p.Size
-	if l.obsRec != nil {
+	if l.eng.Recorder() != nil {
 		l.observe(obs.PktEnqueue, p)
 	}
 
@@ -400,7 +387,7 @@ func (l *Link) drain() {
 			l.drainTimer = l.eng.AtTicket(n.arrival, n.arrTk, kindLinkDrain, l)
 			break
 		}
-		if l.obsRec != nil {
+		if l.eng.Recorder() != nil {
 			l.observe(obs.PktCoalesce, &n.pkt)
 		}
 	}
@@ -411,14 +398,14 @@ func (l *Link) drain() {
 func (l *Link) deliver(p *Packet) {
 	if l.lossRate > 0 && l.rng.Float64() < l.lossRate {
 		l.stats.Lost++
-		if l.obsRec != nil {
+		if l.eng.Recorder() != nil {
 			l.observe(obs.PktLoss, p)
 		}
 		return
 	}
 	l.stats.Delivered++
 	l.stats.Bytes += int64(p.Size)
-	if l.obsRec != nil {
+	if l.eng.Recorder() != nil {
 		l.observe(obs.PktDeliver, p)
 	}
 	l.dst(p)

@@ -80,16 +80,16 @@ func TestLinkQueueDrainsOverTime(t *testing.T) {
 	l := NewLink(eng, LinkConfig{Name: "t", RateBps: mbps(8), Delay: 0, QueueBytes: 10000}, func(p *Packet) {})
 	l.Send(&Packet{Size: 1000})
 	l.Send(&Packet{Size: 1000})
-	if l.QueuedBytes() != 2000 {
-		t.Fatalf("queued = %d, want 2000", l.QueuedBytes())
+	if l.queuedBytes() != 2000 {
+		t.Fatalf("queued = %d, want 2000", l.queuedBytes())
 	}
 	eng.RunUntil(1500 * time.Microsecond) // first packet serialized at 1 ms
-	if l.QueuedBytes() != 1000 {
-		t.Fatalf("queued = %d after first departure, want 1000", l.QueuedBytes())
+	if l.queuedBytes() != 1000 {
+		t.Fatalf("queued = %d after first departure, want 1000", l.queuedBytes())
 	}
 	eng.Run()
-	if l.QueuedBytes() != 0 {
-		t.Fatalf("queued = %d at end, want 0", l.QueuedBytes())
+	if l.queuedBytes() != 0 {
+		t.Fatalf("queued = %d at end, want 0", l.queuedBytes())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestLinkRateChangeAffectsLaterPackets(t *testing.T) {
 	})
 	l.Send(&Packet{Size: 1000}) // 1 ms at 8 Mbps
 	eng.Run()
-	l.SetRateBps(mbps(4))
+	l.setRateBps(mbps(4))
 	l.Send(&Packet{Size: 1000}) // 2 ms at 4 Mbps
 	eng.Run()
 	if arrived[0] != time.Millisecond {
@@ -132,17 +132,18 @@ func TestLinkRandomLoss(t *testing.T) {
 	}
 }
 
-// TestLinkObserverRecordsPacketOps drives two links that share one
-// packet ring, as the links of a traced cell do: a lossless link
-// takes two sends and one drop-tail drop, a lossy one loses packets on
-// delivery. Per link, the recorded ops must match LinkStats.
+// TestLinkObserverRecordsPacketOps drives two links on one observed
+// engine, as the links of a traced cell are: both record into the
+// engine's packet ring, a lossless link takes two sends and one
+// drop-tail drop, a lossy one loses packets on delivery. Per link, the
+// recorded ops must match LinkStats.
 func TestLinkObserverRecordsPacketOps(t *testing.T) {
 	eng := sim.New()
-	rec := obs.NewCellRecorder("link-test", 0).Packets
+	cell := obs.NewCellRecorder("link-test", 0)
+	eng.Observe(cell)
+	rec := cell.Packets
 	l := NewLink(eng, LinkConfig{Name: "t", RateBps: 1e6, Delay: time.Millisecond, QueueBytes: 2500}, func(*Packet) {})
 	lossy := NewLink(eng, LinkConfig{Name: "lossy", RateBps: 1e6, LossRate: 0.5, Seed: 1, QueueBytes: 1 << 20}, func(*Packet) {})
-	l.SetObserver(rec)
-	lossy.SetObserver(rec)
 	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 0})
 	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 940})
 	l.Send(&Packet{Kind: Data, Size: 1000, Seq: 1880}) // dropped: 3000 B > 2500 B
@@ -163,10 +164,10 @@ func TestLinkObserverRecordsPacketOps(t *testing.T) {
 		t.Fatalf("lossy link ops = %v, want at least one loss", ops["lossy"])
 	}
 	for _, link := range []*Link{l, lossy} {
-		st, got := link.Stats(), ops[link.Name()]
+		st, got := link.Stats(), ops[link.name]
 		if got[obs.PktEnqueue] != st.Sent || got[obs.PktDeliver] != st.Delivered ||
 			got[obs.PktDrop] != st.Dropped || got[obs.PktLoss] != st.Lost {
-			t.Fatalf("%s: recorded ops %v disagree with stats %+v", link.Name(), got, st)
+			t.Fatalf("%s: recorded ops %v disagree with stats %+v", link.name, got, st)
 		}
 	}
 }
@@ -176,7 +177,7 @@ func TestLinkPanicsOnBadConfig(t *testing.T) {
 	assertPanics(t, "zero rate", func() { NewLink(eng, LinkConfig{RateBps: 0}, nil) })
 	l := NewLink(eng, LinkConfig{RateBps: 1e6}, func(*Packet) {})
 	assertPanics(t, "zero size", func() { l.Send(&Packet{Size: 0}) })
-	assertPanics(t, "negative rate set", func() { l.SetRateBps(-1) })
+	assertPanics(t, "negative rate set", func() { l.setRateBps(-1) })
 	l2 := NewLink(eng, LinkConfig{RateBps: 1e6}, nil)
 	assertPanics(t, "nil receiver", func() { l2.Send(&Packet{Size: 10}) })
 }
@@ -212,8 +213,8 @@ func TestLinkConservation(t *testing.T) {
 	if int64(delivered)+st.Lost != int64(accepted) {
 		t.Fatalf("delivered(%d)+lost(%d) != accepted(%d)", delivered, st.Lost, accepted)
 	}
-	if l.QueuedBytes() != 0 {
-		t.Fatalf("queue not drained: %d bytes", l.QueuedBytes())
+	if l.queuedBytes() != 0 {
+		t.Fatalf("queue not drained: %d bytes", l.queuedBytes())
 	}
 }
 
@@ -275,7 +276,7 @@ func TestLinkResetMatchesFreshLink(t *testing.T) {
 	lA := NewLink(engA, LinkConfig{Name: "warmup", RateBps: mbps(50), Delay: time.Millisecond, LossRate: 0.5, Seed: 1}, nil)
 	drive(engA, lA) // pollute: different config, different loss stream
 	engA.Reset()
-	lA.Reset(cfg, nil)
+	lA.reset(cfg, nil)
 	gotT, gotS := drive(engA, lA)
 
 	engB := sim.New()

@@ -52,7 +52,7 @@ func (p *Path) Reset(cfg PathConfig) {
 		revName = cfg.Name + ":rev"
 	}
 	p.name = cfg.Name
-	p.fwd.Reset(LinkConfig{
+	p.fwd.reset(LinkConfig{
 		Name:       fwdName,
 		RateBps:    cfg.RateBps,
 		Delay:      cfg.Delay,
@@ -60,7 +60,7 @@ func (p *Path) Reset(cfg PathConfig) {
 		LossRate:   cfg.LossRate,
 		Seed:       cfg.Seed,
 	}, nil)
-	p.rev.Reset(LinkConfig{
+	p.rev.reset(LinkConfig{
 		Name:       revName,
 		RateBps:    cfg.RateBps,
 		Delay:      cfg.Delay,
@@ -86,7 +86,7 @@ func (p *Path) SetReverseReceiver(r Receiver) { p.rev.SetReceiver(r) }
 // SetRateBps rescales the forward direction (the regulated direction in
 // the paper's testbed). The reverse link is left untouched: ACK traffic is
 // negligible.
-func (p *Path) SetRateBps(rate float64) { p.fwd.SetRateBps(rate) }
+func (p *Path) SetRateBps(rate float64) { p.fwd.setRateBps(rate) }
 
 // BaseRTT returns the zero-load round-trip time (twice the propagation
 // delay; serialization excluded).

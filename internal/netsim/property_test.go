@@ -89,7 +89,7 @@ func newRefLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *refLink {
 	return l
 }
 
-func (l *refLink) SetRateBps(rate float64) { l.rate = rate }
+func (l *refLink) setRateBps(rate float64) { l.rate = rate }
 
 func (l *refLink) SetDelay(d time.Duration) { l.delay = d }
 
@@ -178,7 +178,7 @@ type linkUnderTest interface {
 type propDriver struct {
 	eng     *sim.Engine
 	link    linkUnderTest
-	rater   interface{ SetRateBps(float64) }
+	rater   interface{ setRateBps(float64) }
 	delayer interface{ SetDelay(time.Duration) }
 	prober  func() int
 	acts    []propAction
@@ -206,7 +206,7 @@ func (d *propDriver) step() {
 			ok := d.link.Send(&p)
 			d.log = append(d.log, fmt.Sprintf("send %d at %v -> %v", a.id, now, ok))
 		case 1:
-			d.rater.SetRateBps(a.rate)
+			d.rater.setRateBps(a.rate)
 		case 2:
 			d.delayer.SetDelay(a.delay)
 		case 3:
@@ -242,7 +242,7 @@ func runPropSchedule(t *testing.T, seed uint64, useRef bool) (log []string, sent
 	}
 	l := NewLink(eng, cfg, record)
 	d.link, d.rater, d.delayer = l, l, l
-	d.prober = l.QueuedBytes
+	d.prober = l.queuedBytes
 	if len(d.acts) > 0 {
 		eng.AtEvent(d.acts[0].at, kindPropStep, d)
 	}

@@ -98,32 +98,3 @@ type SchedDecision struct {
 	Ecf   *EcfQuantities
 	Blest *BlestQuantities
 }
-
-// DecisionSink receives scheduler decisions. Schedulers hold a nil
-// sink except on the traced cell, and must treat recording as
-// observation only — a sink never influences the choice.
-type DecisionSink interface {
-	RecordDecision(d *SchedDecision)
-}
-
-// DecisionRecorder is the decision ring; it implements DecisionSink by
-// deep-copying each decision (schedulers may reuse their scratch).
-type DecisionRecorder struct {
-	*Ring[SchedDecision]
-}
-
-// RecordDecision implements DecisionSink. The candidate slice and the
-// quantity structs are copied, so the caller may reuse them.
-func (r *DecisionRecorder) RecordDecision(d *SchedDecision) {
-	cp := *d
-	cp.Candidates = append([]SchedCandidate(nil), d.Candidates...)
-	if d.Ecf != nil {
-		e := *d.Ecf
-		cp.Ecf = &e
-	}
-	if d.Blest != nil {
-		b := *d.Blest
-		cp.Blest = &b
-	}
-	r.Record(cp)
-}

@@ -13,17 +13,20 @@
 // decision — and must therefore be provably free when no cell is being
 // traced, which is always except under ecfbench -trace-cell:
 //
-//   - Every instrumentation site is a nil check on a recorder pointer
-//     field of the instrumented object. Disabled, a site costs one
-//     predictable not-taken branch and zero allocations; there is no
-//     interface dispatch, no closure, no atomic, and no map lookup on
-//     any per-event path.
-//   - Recorder pointers are installed only on the object graph of a
-//     network its caller hands a CellRecorder (core.Network.Observe,
-//     then NewConn for the subflows and schedulers), and are torn down
-//     again by Network.Close and by every Reset in the pooled
-//     lifecycle. A network nobody observes never sees a non-nil
-//     recorder.
+//   - A traced cell's recorder lives in one place: its sim.Engine
+//     (Engine.Observe installs it, Engine.Recorder reads it). Every
+//     instrumentation site is one nil check on its engine's recorder —
+//     the engine's own dispatch, a netsim.Link or tcp.Subflow through
+//     the engine it was built on, a scheduler through its connection
+//     (mptcp.Conn.Recorder). Disabled, a site costs one predictable
+//     not-taken branch and zero allocations; there is no interface
+//     dispatch, no closure, no atomic, and no map lookup on any
+//     per-event path.
+//   - No link, subflow or scheduler holds a recorder of its own, so
+//     nothing is attached or detached per object: Engine.Reset drops
+//     the recorder, and core.Network.Close resets the engine, so a
+//     pooled object graph never carries a recorder into its next cell.
+//     An engine nobody observes never sees a non-nil recorder.
 //   - There is no process-wide trace state: a cell is traced by
 //     running its scenario once with a recorder passed in
 //     (experiments.Trace), so a sweep, traced or not, pays nothing
@@ -36,9 +39,9 @@
 // simulation cell at 0 allocations and 1811 events; time is the
 // ledger's (sim.ns_per_event, netsim.ns_per_pkt, core.cell_setup_us in
 // benchmark/). Recording, when enabled, may allocate freely (ring
-// snapshots, candidate-set copies) — tracing is a debugging mode, and a
-// traced cell's simulation output is still byte-identical to an
-// untraced run (the instrumentation only observes; a test in
+// snapshots, per-decision candidate sets) — tracing is a debugging
+// mode, and a traced cell's simulation output is still byte-identical
+// to an untraced run (the instrumentation only observes; a test in
 // internal/experiments pins this per workload kind).
 //
 // # Recording model
@@ -48,6 +51,10 @@
 // bound, and Dropped reports how much history was evicted. One
 // CellRecorder aggregates the four rings (engine flight records, packet
 // events, subflow events, scheduler decisions) for the selected cell.
+// A ring stores each record by value as its hook built it; a scheduler
+// builds every decision fresh (its candidate set and Eq. 1–2 or BLEST
+// quantities newly allocated), so no later decision can alias an
+// earlier one and nothing is copied on the way in.
 //
 // A trace depends on its cell alone: every record holds virtual times,
 // tickets, event kinds and simulator state, never an engine-local

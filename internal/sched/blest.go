@@ -31,9 +31,6 @@ type BLEST struct {
 
 	lastStalls int64
 	waits      int64
-	// sink, when non-nil, receives one record per Select call (decision
-	// tracing; installed only on the traced cell, cleared by Reset).
-	sink obs.DecisionSink
 }
 
 // NewBLEST returns a BLEST scheduler with λ = 1.
@@ -51,11 +48,7 @@ func (b *BLEST) Reset() {
 	b.Lambda = 1.0
 	b.lastStalls = 0
 	b.waits = 0
-	b.sink = nil
 }
-
-// setDecisionSink implements decisionRecording.
-func (b *BLEST) setDecisionSink(s obs.DecisionSink) { b.sink = s }
 
 // Waits reports how many Select calls declined the slow subflow.
 func (b *BLEST) Waits() int64 { return b.waits }
@@ -65,21 +58,21 @@ func (b *BLEST) Select(c *mptcp.Conn) *tcp.Subflow {
 	subflows := c.Subflows()
 	xf := fastestOverall(subflows)
 	if xf == nil {
-		if b.sink != nil {
-			recordDecision(b.sink, c, "blest", nil, false, "no subflows", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "blest", nil, false, "no subflows", nil)
 		}
 		return nil
 	}
 	if xf.CanSend() {
-		if b.sink != nil {
-			recordDecision(b.sink, c, "blest", xf, false, "fast subflow has window space", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "blest", xf, false, "fast subflow has window space", nil)
 		}
 		return xf
 	}
 	xs := fastestAvailable(subflows)
 	if xs == nil {
-		if b.sink != nil {
-			recordDecision(b.sink, c, "blest", nil, false, "fast subflow full, no alternative with window space", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "blest", nil, false, "fast subflow full, no alternative with window space", nil)
 		}
 		return nil
 	}
@@ -105,7 +98,7 @@ func (b *BLEST) Select(c *mptcp.Conn) *tcp.Subflow {
 		InflightS: float64(xs.InflightBytes()),
 	}
 	skip := blestDecide(in, b.Lambda)
-	if b.sink != nil {
+	if c.Recorder() != nil {
 		b.recordEstimate(c, in, skip, xs)
 	}
 	if skip {
@@ -129,7 +122,7 @@ func (b *BLEST) recordEstimate(c *mptcp.Conn, in blestInput, skip bool, xs *tcp.
 	} else if in.RTTF <= 0 || in.RTTS <= 0 {
 		reason = "no RTT estimates yet: default policy"
 	}
-	recordDecision(b.sink, c, "blest", chosen, skip, reason,
+	recordDecision(c, "blest", chosen, skip, reason,
 		func(d *obs.SchedDecision) { d.Blest = q })
 }
 

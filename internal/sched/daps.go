@@ -22,9 +22,6 @@ type DAPS struct {
 	// in the connection's creation order, so the counters are a dense
 	// slice rather than a map hashed on every scheduling decision.
 	credit []float64
-	// sink, when non-nil, receives one record per Select call (decision
-	// tracing; installed only on the traced cell, cleared by Reset).
-	sink obs.DecisionSink
 }
 
 // newDAPS returns a DAPS scheduler.
@@ -37,11 +34,7 @@ func (*DAPS) Name() string { return "daps" }
 // keeps its capacity for the next connection's subflows).
 func (d *DAPS) Reset() {
 	d.credit = d.credit[:0]
-	d.sink = nil
 }
-
-// setDecisionSink implements decisionRecording.
-func (d *DAPS) setDecisionSink(s obs.DecisionSink) { d.sink = s }
 
 // rate returns a subflow's service rate in segments/second.
 func dapsRate(sf *tcp.Subflow) float64 {
@@ -71,8 +64,8 @@ func (d *DAPS) Select(c *mptcp.Conn) *tcp.Subflow {
 		}
 	}
 	if !anyAvailable || sum <= 0 {
-		if d.sink != nil {
-			recordDecision(d.sink, c, "daps", nil, false, "no subflow with window space", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "daps", nil, false, "no subflow with window space", nil)
 		}
 		return nil
 	}
@@ -91,8 +84,8 @@ func (d *DAPS) Select(c *mptcp.Conn) *tcp.Subflow {
 		}
 	}
 	d.credit[best.ID()]--
-	if d.sink != nil {
-		recordDecision(d.sink, c, "daps", best, false, "largest deficit credit among available subflows",
+	if c.Recorder() != nil {
+		recordDecision(c, "daps", best, false, "largest deficit credit among available subflows",
 			func(dec *obs.SchedDecision) {
 				for i := range dec.Candidates {
 					if id := subflows[i].ID(); id < len(d.credit) {

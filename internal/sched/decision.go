@@ -8,10 +8,13 @@ import (
 
 // recordDecision builds the common part of a decision record — virtual
 // time, connection identity, head-of-backlog DSN and owning transfer,
-// the candidate set — and hands it to the sink. mod, when non-nil,
-// fills the scheduler-specific quantities. Callers guard with
-// sink != nil, so untraced cells never reach this.
-func recordDecision(sink obs.DecisionSink, c *mptcp.Conn, scheduler string,
+// the candidate set — and records it into the connection's recorder.
+// mod, when non-nil, fills the scheduler-specific quantities. Callers
+// guard with c.Recorder() != nil, so untraced cells never reach this.
+// Every record is built fresh (candidates appended from nil, the
+// quantities newly allocated by the caller), so the ring holds it as
+// is: no later Select can reach it.
+func recordDecision(c *mptcp.Conn, scheduler string,
 	chosen *tcp.Subflow, wait bool, reason string, mod func(*obs.SchedDecision)) {
 	d := obs.SchedDecision{
 		At:           c.Now(),
@@ -46,5 +49,5 @@ func recordDecision(sink obs.DecisionSink, c *mptcp.Conn, scheduler string,
 	if mod != nil {
 		mod(&d)
 	}
-	sink.RecordDecision(&d)
+	c.Recorder().Decisions.Record(d)
 }

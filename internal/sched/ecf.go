@@ -43,9 +43,6 @@ type ECF struct {
 
 	waiting bool
 	waits   int64
-	// sink, when non-nil, receives one record per Select call (decision
-	// tracing; installed only on the traced cell, cleared by Reset).
-	sink obs.DecisionSink
 }
 
 // NewECF returns an ECF scheduler with the paper's parameters (β = 0.25,
@@ -63,11 +60,7 @@ func (*ECF) Name() string { return "ecf" }
 func (e *ECF) Reset() {
 	e.waiting = false
 	e.waits = 0
-	e.sink = nil
 }
-
-// setDecisionSink implements decisionRecording.
-func (e *ECF) setDecisionSink(s obs.DecisionSink) { e.sink = s }
 
 // Waits reports how many Select calls chose to wait for the fast subflow.
 func (e *ECF) Waits() int64 { return e.waits }
@@ -77,22 +70,22 @@ func (e *ECF) Select(c *mptcp.Conn) *tcp.Subflow {
 	subflows := c.Subflows()
 	xf := fastestOverall(subflows)
 	if xf == nil {
-		if e.sink != nil {
-			recordDecision(e.sink, c, "ecf", nil, false, "no subflows", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "ecf", nil, false, "no subflows", nil)
 		}
 		return nil
 	}
 	if xf.CanSend() {
-		if e.sink != nil {
-			recordDecision(e.sink, c, "ecf", xf, false, "fast subflow has window space", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "ecf", xf, false, "fast subflow has window space", nil)
 		}
 		return xf
 	}
 	// x_f is full: candidate per the default policy.
 	xs := fastestAvailable(subflows)
 	if xs == nil {
-		if e.sink != nil {
-			recordDecision(e.sink, c, "ecf", nil, false, "fast subflow full, no alternative with window space", nil)
+		if c.Recorder() != nil {
+			recordDecision(c, "ecf", nil, false, "fast subflow full, no alternative with window space", nil)
 		}
 		return nil
 	}
@@ -115,7 +108,7 @@ func (e *ECF) Select(c *mptcp.Conn) *tcp.Subflow {
 	}
 	hysteresis := e.waiting
 	wait := ecfDecide(in, &e.waiting, e.Beta, e.UseGuard)
-	if e.sink != nil {
+	if c.Recorder() != nil {
 		e.recordEstimate(c, in, hysteresis, wait, xs)
 	}
 	if wait {
@@ -150,7 +143,7 @@ func (e *ECF) recordEstimate(c *mptcp.Conn, in ecfInput, hysteresis, wait bool, 
 	default:
 		chosen, reason = xs, "using slow subflow finishes sooner (Eq. 1 fails)"
 	}
-	recordDecision(e.sink, c, "ecf", chosen, wait, reason,
+	recordDecision(c, "ecf", chosen, wait, reason,
 		func(d *obs.SchedDecision) { d.Ecf = q })
 }
 

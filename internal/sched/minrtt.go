@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/mptcp"
-	"repro/internal/obs"
 	"repro/internal/tcp"
 )
 
@@ -55,11 +54,10 @@ func fastestOverall(subflows []*tcp.Subflow) *tcp.Subflow {
 // — filling the slow path whenever the fast path's window is full,
 // leaving the fast path idle at burst tails — is the problem the paper
 // diagnoses in §3.
-type MinRTT struct {
-	// sink, when non-nil, receives one record per Select call (decision
-	// tracing; installed only on the traced cell, cleared by Reset).
-	sink obs.DecisionSink
-}
+//
+// MinRTT is stateless and so not mptcp.Resettable: the network pool
+// keeps no free list for it, and a zero-size MinRTT allocates nothing.
+type MinRTT struct{}
 
 // newMinRTT returns the default scheduler.
 func newMinRTT() *MinRTT { return &MinRTT{} }
@@ -67,21 +65,15 @@ func newMinRTT() *MinRTT { return &MinRTT{} }
 // Name implements mptcp.Scheduler.
 func (*MinRTT) Name() string { return "minrtt" }
 
-// Reset implements mptcp.Resettable (the only state is the trace sink).
-func (m *MinRTT) Reset() { m.sink = nil }
-
-// setDecisionSink implements decisionRecording.
-func (m *MinRTT) setDecisionSink(s obs.DecisionSink) { m.sink = s }
-
 // Select implements mptcp.Scheduler.
-func (m *MinRTT) Select(c *mptcp.Conn) *tcp.Subflow {
+func (*MinRTT) Select(c *mptcp.Conn) *tcp.Subflow {
 	best := fastestAvailable(c.Subflows())
-	if m.sink != nil {
+	if c.Recorder() != nil {
 		reason := "lowest-RTT subflow with window space"
 		if best == nil {
 			reason = "no subflow with window space"
 		}
-		recordDecision(m.sink, c, "minrtt", best, false, reason, nil)
+		recordDecision(c, "minrtt", best, false, reason, nil)
 	}
 	return best
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/mptcp"
-	"repro/internal/obs"
 )
 
 // factories maps scheduler names to constructors. Each connection gets a
@@ -28,23 +27,6 @@ func Factory(name string) (mptcp.SchedulerFactory, error) {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (have %v)", name, Names())
 	}
 	return f, nil
-}
-
-// decisionRecording is implemented by the schedulers that support
-// decision tracing (ECF, BLEST, DAPS, minRTT). setDecisionSink(nil)
-// detaches.
-type decisionRecording interface {
-	setDecisionSink(obs.DecisionSink)
-}
-
-// WireDecisionSink attaches sink to s when it supports decision
-// tracing (ECF, BLEST, DAPS, minRTT). A nil sink detaches. The
-// single-path scheduler has no per-decision estimates and simply
-// declines.
-func WireDecisionSink(s mptcp.Scheduler, sink obs.DecisionSink) {
-	if r, ok := s.(decisionRecording); ok {
-		r.setDecisionSink(sink)
-	}
 }
 
 // Names returns the registered scheduler names, sorted.

@@ -2,12 +2,15 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/mptcp"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -244,5 +247,43 @@ func TestECFWaitsCounted(t *testing.T) {
 	runBursty(r, 5)
 	if e.Waits() == 0 {
 		t.Fatal("ECF should have recorded wait decisions under heterogeneity")
+	}
+}
+
+// TestRecordedDecisionOutlivesNextSelect: a decision ECF records from a
+// real Select — candidates and Eq. 1–2 quantities included — is the
+// same after the scheduler's later Selects, so the ring may keep each
+// record as built, with no copy: no Select reuses what an earlier one
+// recorded.
+func TestRecordedDecisionOutlivesNextSelect(t *testing.T) {
+	r := newRig(t, NewECF(), 0.3, 8.6)
+	rec := obs.NewCellRecorder("sched-test", 0)
+	r.eng.Observe(rec)
+	r.conn.Request(1<<20, nil)
+	var at int
+	var want obs.SchedDecision
+	for step := time.Duration(1); want.Ecf == nil; step++ {
+		if step > 1000 {
+			t.Fatal("ECF never reached its Eq. 1–2 estimate in 10 simulated seconds")
+		}
+		r.eng.RunUntil(step * 10 * time.Millisecond)
+		for i, d := range rec.Decisions.Events() {
+			if d.Ecf != nil {
+				at, want = i, d
+				want.Candidates = slices.Clone(d.Candidates)
+				q := *d.Ecf
+				want.Ecf = &q
+				break
+			}
+		}
+	}
+	before := rec.Decisions.Total()
+	r.eng.Run()
+	if rec.Decisions.Total() == before || rec.Decisions.Dropped() > 0 {
+		t.Fatalf("%d decisions after the recorded one, %d overwritten; want more Selects and none overwritten",
+			rec.Decisions.Total()-before, rec.Decisions.Dropped())
+	}
+	if got := rec.Decisions.Events()[at]; !reflect.DeepEqual(got, want) {
+		t.Errorf("decision %d changed after later Selects:\n got %+v %+v\nwant %+v %+v", at, got, *got.Ecf, want, *want.Ecf)
 	}
 }

@@ -174,12 +174,12 @@ func TestHeapMatchesReferenceUnderChurn(t *testing.T) {
 	for round := 0; round < 5000; round++ {
 		switch op := rng.Intn(10); {
 		case op < 5: // schedule
-			// At clamps a past time to now; the reference keys the
+			// at clamps a past time to now; the reference keys the
 			// event by the time it was really scheduled for.
 			at := max(Time(rng.Intn(1000))*time.Millisecond, e.Now())
 			idx := next
 			next++
-			tm := e.At(at, func() { got = append(got, idx) })
+			tm := e.at(at, func() { got = append(got, idx) })
 			ev := &refEvent{at: at, seq: uint64(round), idx: idx}
 			heap.Push(ref, ev)
 			live = append(live, pair{tm, ev, idx})

@@ -43,7 +43,7 @@ func TestDaemonContract(t *testing.T) {
 		e.ScheduleDaemon(0, kindTestCall, tick)
 	}
 	live := func(e *Engine, log *[]string, name string, at Time) Timer {
-		return e.At(at, func() { *log = append(*log, fmt.Sprintf("%s@%v", name, e.Now())) })
+		return e.at(at, func() { *log = append(*log, fmt.Sprintf("%s@%v", name, e.Now())) })
 	}
 	want := func(t *testing.T, log []string, exp ...string) {
 		t.Helper()
@@ -98,7 +98,7 @@ func TestDaemonContract(t *testing.T) {
 		{"a live event scheduled by a daemon-preceded handler keeps the run alive", func(t *testing.T, e *Engine) {
 			var log []string
 			ticker(e, &log, "d", 10*ms)
-			e.At(5*ms, func() { live(e, &log, "late", 25*ms) })
+			e.at(5*ms, func() { live(e, &log, "late", 25*ms) })
 			if !e.RunUntilQuiet(time.Second) {
 				t.Fatal("not quiet")
 			}

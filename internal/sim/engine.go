@@ -14,9 +14,9 @@
 // RegisterKind; firing an event is a single load from the dense
 // kind-dispatch table followed by a direct call into the registered
 // handler — there is no per-event closure and no function pointer stored
-// per timer slot. The closure forms Schedule/At are a convenience built
-// on the same representation (kindClosure, with the func() as the
-// argument); they are for setup and cold paths only.
+// per timer slot. The closure form Schedule is a convenience built on
+// the same representation (kindClosure, with the func() as the
+// argument); it is for setup and cold paths only.
 //
 // The registry contract:
 //
@@ -150,10 +150,10 @@ const idleTicket = Ticket(math.MaxUint64)
 // EventKind identifies one of the simulation's event types in the
 // process-global kind-dispatch table. Kinds are allocated by
 // RegisterKind at package init; kindClosure is pre-registered for the
-// Schedule/At closure forms.
+// Schedule closure form.
 type EventKind uint8
 
-// kindClosure is the built-in kind backing Schedule/At: the event
+// kindClosure is the built-in kind backing Schedule: the event
 // argument is the func() to invoke.
 const kindClosure EventKind = 0
 
@@ -200,7 +200,7 @@ func KindName(k EventKind) string {
 }
 
 // Timer is a generation-checked handle for a scheduled event, returned by
-// the Schedule/At families. The zero value is inert: Cancel is a no-op
+// the Schedule* and At* methods. The zero value is inert: Cancel is a no-op
 // and Active reports false. Handles stay safe after the event fires or is
 // cancelled — the underlying arena slot is recycled, but the generation
 // check makes a stale handle's Cancel a no-op rather than a cancellation
@@ -319,11 +319,10 @@ type Engine struct {
 	// whether a same-instant sub-event logically precedes the running
 	// event — see CurrentTicket.
 	curSeq uint64
-	// flight, when non-nil, records every dispatch (queue and inline
-	// claims) into a fixed-capacity ring. It is installed only on the
-	// engine of a traced cell and cleared by Reset; on every other
-	// engine each dispatch pays one nil check.
-	flight *obs.Ring[obs.EngineEvent]
+	// rec is the traced cell's recorder, nil on every other engine: the
+	// engine records each dispatch (queue and inline claims) into
+	// rec.Flight, and the models it drives read it through Recorder.
+	rec *obs.CellRecorder
 }
 
 // New returns an empty Engine positioned at time 0.
@@ -398,13 +397,18 @@ func (e *Engine) Reset() {
 	e.exhausted = false
 	e.limit = noRunLimit
 	e.curSeq = uint64(idleTicket)
-	e.flight = nil
+	e.rec = nil
 }
 
-// SetFlightRecorder installs (or with nil removes) the dispatch
-// recorder. Reset also removes it, so a pooled engine never carries a
-// recorder into its next cell.
-func (e *Engine) SetFlightRecorder(r *obs.Ring[obs.EngineEvent]) { e.flight = r }
+// Observe installs the recorder of a traced cell: the engine's
+// dispatches and every hook of the models it drives (links, subflows,
+// schedulers) record into it until Reset drops it, so a pooled engine
+// never carries a recorder into its next cell.
+func (e *Engine) Observe(rec *obs.CellRecorder) { e.rec = rec }
+
+// Recorder returns the recorder Observe installed, or nil when the
+// engine's cell is not traced.
+func (e *Engine) Recorder() *obs.CellRecorder { return e.rec }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -459,14 +463,14 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	return e.at(e.now+delay, fn)
 }
 
-// At arranges for fn to run at absolute virtual time t. If t is in the
+// at arranges for fn to run at absolute virtual time t. If t is in the
 // past it is clamped to the current time.
-func (e *Engine) At(t Time, fn func()) Timer {
+func (e *Engine) at(t Time, fn func()) Timer {
 	if fn == nil {
-		panic("sim: At called with nil function")
+		panic("sim: Schedule called with nil function")
 	}
 	// A func value is pointer-shaped, so boxing it into the arg interface
 	// does not allocate; the closure itself (if it captures) is the
@@ -563,8 +567,8 @@ func (e *Engine) RunsNext(t Time, tk Ticket) bool {
 	e.now = t
 	e.coalesced++
 	e.curSeq = uint64(tk)
-	if e.flight != nil {
-		e.flight.Record(obs.EngineEvent{At: t, Ticket: uint64(tk), Kind: obs.KindCoalesced, Coalesced: true})
+	if e.rec != nil {
+		e.rec.Flight.Record(obs.EngineEvent{At: t, Ticket: uint64(tk), Kind: obs.KindCoalesced, Coalesced: true})
 	}
 	return true
 }
@@ -656,8 +660,8 @@ func (e *Engine) step() bool {
 	}
 	e.byKind[kind%maxKinds]++
 	e.curSeq = ent.seq
-	if e.flight != nil {
-		e.flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(kind)})
+	if e.rec != nil {
+		e.rec.Flight.Record(obs.EngineEvent{At: ent.at, Ticket: ent.seq, Kind: uint8(kind)})
 	}
 	arg := e.arena[ent.slot].arg
 	// Retire the slot before running the handler so the event can

@@ -149,7 +149,7 @@ func TestAtClampsPastTimes(t *testing.T) {
 	e := New()
 	var at time.Duration
 	e.Schedule(10*time.Millisecond, func() {
-		e.At(time.Millisecond, func() { at = e.Now() }) // in the past
+		e.at(time.Millisecond, func() { at = e.Now() }) // in the past
 	})
 	e.Run()
 	if at != 10*time.Millisecond {
@@ -160,7 +160,7 @@ func TestAtClampsPastTimes(t *testing.T) {
 func TestNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At(nil) did not panic")
+			t.Fatal("Schedule(nil) did not panic")
 		}
 	}()
 	New().Schedule(0, nil)

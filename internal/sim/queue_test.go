@@ -96,7 +96,7 @@ func churnModel(t *testing.T, e *Engine, rng *rand.Rand, ops int) {
 			seq = uint64(tk)
 			tm = e.AtTicket(at, tk, kindClosure, func() { fired = append(fired, id) })
 		} else {
-			tm = e.At(at, func() { fired = append(fired, id) })
+			tm = e.at(at, func() { fired = append(fired, id) })
 			seq = e.seq
 		}
 		timers[id] = tm
@@ -234,7 +234,7 @@ func FuzzQueueOrdering(f *testing.F) {
 					timers = append(timers, e.AtTicket(at, tk, kindClosure, fn))
 					heap.Push(ref, oracleEvent{at: at, seq: uint64(tk), id: id})
 				} else {
-					timers = append(timers, e.At(at, fn))
+					timers = append(timers, e.at(at, fn))
 					heap.Push(ref, oracleEvent{at: at, seq: e.seq, id: id})
 				}
 			case 2: // cancel by index — stale handles included on purpose
@@ -287,15 +287,15 @@ func churnEngine(depth int) *Engine {
 		switch n % 8 {
 		case 3:
 			victim.Cancel()
-			victim = e.At(e.Now()+Time(128<<24), func() {}) // ~2.1s out
+			victim = e.at(e.Now()+Time(128<<24), func() {}) // ~2.1s out
 		case 5:
 			victim.Cancel()
-			victim = e.At(e.Now()+gap, func() {})
+			victim = e.at(e.Now()+gap, func() {})
 		}
 		e.Schedule(gap, step)
 	}
 	for i := 0; i < depth; i++ {
-		e.At(Time(rng.Intn(4_000_000)), step)
+		e.at(Time(rng.Intn(4_000_000)), step)
 	}
 	return e
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestResetClearsQueueAndClock: a reset engine looks factory-new.
@@ -96,5 +99,41 @@ func TestResetReusesArenaCapacity(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("reused engine allocates %v per 256-event batch, want 0", avg)
+	}
+}
+
+// TestObserveRecordsDispatchesUntilReset: an observed engine records
+// each queue dispatch under its kind and each inline RunsNext claim as
+// coalesced, in dispatch order; Reset drops the recorder, so the
+// engine's next run records nothing.
+func TestObserveRecordsDispatchesUntilReset(t *testing.T) {
+	e := New()
+	rec := obs.NewCellRecorder("sim-test", 0)
+	e.Observe(rec)
+	if e.Recorder() != rec {
+		t.Fatal("Recorder() does not return the recorder Observe installed")
+	}
+	b := &batcher{e: e}
+	b.add(time.Millisecond, 0)
+	b.add(time.Millisecond, 1)
+	b.add(2*time.Millisecond, 2)
+	e.Run()
+	want := []obs.EngineEvent{
+		{At: time.Millisecond, Ticket: 1, Kind: uint8(kindBatch)},
+		{At: time.Millisecond, Ticket: 2, Kind: obs.KindCoalesced, Coalesced: true},
+		{At: 2 * time.Millisecond, Ticket: 3, Kind: obs.KindCoalesced, Coalesced: true},
+	}
+	if got := rec.Flight.Events(); !slices.Equal(got, want) {
+		t.Fatalf("recorded %+v, want %+v", got, want)
+	}
+
+	e.Reset()
+	if e.Recorder() != nil {
+		t.Fatal("Reset kept the recorder")
+	}
+	e.Schedule(time.Millisecond, func() {})
+	e.Run()
+	if n := rec.Flight.Total(); n != uint64(len(want)) {
+		t.Fatalf("recorder holds %d records after a run past Reset, want %d", n, len(want))
 	}
 }

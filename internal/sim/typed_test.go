@@ -136,7 +136,7 @@ func TestRunsNextRefusesEarlierEvent(t *testing.T) {
 	refused := false
 	e.Schedule(time.Millisecond, func() {
 		tk := e.ReserveTicket()
-		e.At(2*time.Millisecond, func() {}) // sorts before (earlier than 3ms)
+		e.at(2*time.Millisecond, func() {}) // sorts before (earlier than 3ms)
 		if e.RunsNext(3*time.Millisecond, tk) {
 			t.Fatal("RunsNext claimed past an earlier queued event")
 		}
@@ -154,7 +154,7 @@ func TestRunsNextRefusesEarlierTicketAtSameInstant(t *testing.T) {
 	e := New()
 	checked := false
 	e.Schedule(time.Millisecond, func() {
-		e.At(e.Now(), func() {}) // same instant, earlier seq
+		e.at(e.Now(), func() {}) // same instant, earlier seq
 		tk := e.ReserveTicket()  // later seq
 		if e.RunsNext(e.Now(), tk) {
 			t.Fatal("RunsNext claimed over a same-instant earlier-ticket event")
@@ -174,7 +174,7 @@ func TestRunsNextAllowsLaterTicketAtSameInstant(t *testing.T) {
 	checked := false
 	e.Schedule(time.Millisecond, func() {
 		tk := e.ReserveTicket() // earlier seq
-		e.At(e.Now(), func() {})
+		e.at(e.Now(), func() {})
 		if !e.RunsNext(e.Now(), tk) {
 			t.Fatal("RunsNext refused although the candidate sorts first")
 		}
@@ -266,7 +266,7 @@ func TestReserveTicketInsideBatch(t *testing.T) {
 	// same-instant event scheduled from inside the batch must run after
 	// everything already queued.
 	e.Schedule(0, func() {
-		e.At(time.Millisecond, func() { order = append(order, 200) })
+		e.at(time.Millisecond, func() { order = append(order, 200) })
 	})
 	e.Run()
 	want := []int{100, 200}

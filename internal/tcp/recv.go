@@ -61,13 +61,6 @@ func (r *SubflowRecv) Reset(path *netsim.Path, meta MetaSink) {
 	r.duplicates = 0
 }
 
-// Expected returns the next subflow-level byte the receiver is waiting
-// for (the value it advertises as the cumulative ACK).
-func (r *SubflowRecv) Expected() int64 { return r.expected }
-
-// Duplicates returns the count of redundant segment arrivals.
-func (r *SubflowRecv) Duplicates() int64 { return r.duplicates }
-
 // OnPacket handles one arriving data packet and emits its ACK.
 func (r *SubflowRecv) OnPacket(p *netsim.Packet) {
 	if p.Kind != netsim.Data {

@@ -119,12 +119,12 @@ func TestSubflowRecvMatchesMapReference(t *testing.T) {
 			rx.OnPacket(&netsim.Packet{Kind: netsim.Data, Size: s.length + 60, Seq: s.seq, DSN: s.seq, PayloadLen: s.length})
 			eng.Run() // deliver the emitted ACK through the reverse link
 			wantAck, wantHole := ref.onPacket(s.seq, s.length)
-			if rx.Expected() != wantAck {
-				t.Logf("arrival %d: Expected() = %d, reference = %d", i, rx.Expected(), wantAck)
+			if rx.expected != wantAck {
+				t.Logf("arrival %d: expected = %d, reference = %d", i, rx.expected, wantAck)
 				return false
 			}
-			if rx.Duplicates() != ref.duplicates {
-				t.Logf("arrival %d: Duplicates() = %d, reference = %d", i, rx.Duplicates(), ref.duplicates)
+			if rx.duplicates != ref.duplicates {
+				t.Logf("arrival %d: duplicates = %d, reference = %d", i, rx.duplicates, ref.duplicates)
 				return false
 			}
 			// Every arrival emits exactly one ACK (delayed ACKs off);
@@ -140,7 +140,7 @@ func TestSubflowRecvMatchesMapReference(t *testing.T) {
 			}
 		}
 		// Completeness: everything delivered, nothing left buffered.
-		return rx.Expected() == total && ref.expected == total && len(ref.buffered) == 0
+		return rx.expected == total && ref.expected == total && len(ref.buffered) == 0
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ const (
 	maxRTO = 120 * time.Second
 )
 
-// RTTEstimator implements RFC 6298 smoothing. Its one deviation
+// rttEstimator implements RFC 6298 smoothing. Its one deviation
 // estimate, rttvar, is both the 4·rttvar term of the RTO and the σ the
 // ECF scheduler needs. The zero value is ready: no samples, a 1 s RTO.
-type RTTEstimator struct {
+type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	// samples counts RTT measurements taken.
@@ -29,11 +29,8 @@ type RTTEstimator struct {
 	ring [8]time.Duration
 }
 
-// Reset returns the estimator to its zero value.
-func (e *RTTEstimator) Reset() { *e = RTTEstimator{} }
-
 // sample folds one RTT measurement into the estimate.
-func (e *RTTEstimator) sample(rtt time.Duration) {
+func (e *rttEstimator) sample(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = time.Microsecond
 	}
@@ -56,25 +53,11 @@ func (e *RTTEstimator) sample(rtt time.Duration) {
 	e.rttvar += (err - e.rttvar) / 4
 }
 
-// Srtt returns the smoothed RTT, or 0 before the first sample.
-func (e *RTTEstimator) Srtt() time.Duration { return e.srtt }
-
-// StdDev returns the RTT variation estimate, rttvar, which ECF uses as σ
-// in its scheduling inequalities.
-func (e *RTTEstimator) StdDev() time.Duration { return e.rttvar }
-
-// Samples returns the number of measurements folded in.
-func (e *RTTEstimator) Samples() int64 { return e.samples }
-
-// Min returns the smallest measurement seen, a propagation-delay
-// estimate used by the HyStart-style slow-start exit.
-func (e *RTTEstimator) Min() time.Duration { return e.min }
-
 // recentMin returns the smallest of the last eight measurements (the
 // full-ring minimum once eight samples exist). Bursty senders inflate
 // individual samples with their own serialization; the windowed minimum
 // sees past that, as HyStart's design does.
-func (e *RTTEstimator) recentMin() time.Duration {
+func (e *rttEstimator) recentMin() time.Duration {
 	n := e.samples
 	if n > int64(len(e.ring)) {
 		n = int64(len(e.ring))
@@ -97,7 +80,7 @@ func (e *RTTEstimator) recentMin() time.Duration {
 
 // rto returns srtt + 4·rttvar clamped to [minRTO, maxRTO]; before any
 // sample it returns 1 s (RFC 6298 §2.1).
-func (e *RTTEstimator) rto() time.Duration {
+func (e *rttEstimator) rto() time.Duration {
 	if e.samples == 0 {
 		return time.Second
 	}

@@ -135,7 +135,7 @@ type Subflow struct {
 	// per RTT.
 	dupSacked int
 
-	rtt      *RTTEstimator
+	rtt      *rttEstimator
 	rtoTimer sim.Timer
 	// rtoDeadline/rtoTk are the authoritative retransmission deadline
 	// and its reserved tie-break ticket (rtoDeadline 0 = disarmed). The
@@ -179,18 +179,12 @@ type Subflow struct {
 	nextPacedAt sim.Time
 
 	stats SubflowStats
-
-	// obsRec, when non-nil, records send/ACK/recovery events for the
-	// flight recorder. It is installed only on the subflows of a traced
-	// cell and cleared by Reset; everywhere else each hook costs one nil
-	// check.
-	obsRec *obs.Ring[obs.SubflowEvent]
 }
 
 // NewSubflow wires a sender onto path's forward link; ACKs arriving on the
 // reverse link must be fed to OnAck (the connection layer installs that).
 func NewSubflow(eng *sim.Engine, cfg Config, path *netsim.Path, ctrl cc.Controller, conn ConnHooks) *Subflow {
-	s := &Subflow{eng: eng, rtt: &RTTEstimator{}}
+	s := &Subflow{eng: eng, rtt: &rttEstimator{}}
 	s.Reset(cfg, path, ctrl, conn)
 	return s
 }
@@ -230,7 +224,7 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.recoveryPoint = -1
 	s.dupAcks = 0
 	s.dupSacked = 0
-	s.rtt.Reset()
+	*s.rtt = rttEstimator{}
 	s.rtoTimer = sim.Timer{}
 	s.rtoDeadline = 0
 	s.rtoTk = 0
@@ -249,19 +243,14 @@ func (s *Subflow) Reset(cfg Config, path *netsim.Path, ctrl cc.Controller, conn 
 	s.idleCounted = false
 	s.nextPacedAt = 0
 	s.stats = SubflowStats{}
-	s.obsRec = nil
 	ctrl.Register(s)
 }
 
-// SetObserver installs (or with nil removes) the subflow-event
-// recorder. Reset also removes it, so a pooled subflow never carries a
-// recorder into its next cell.
-func (s *Subflow) SetObserver(r *obs.Ring[obs.SubflowEvent]) { s.obsRec = r }
-
-// observe records one subflow event; callers guard with obsRec != nil
-// so the disabled path never reaches the call.
+// observe records one send/ACK/recovery event into the engine's
+// recorder; callers guard with s.eng.Recorder() != nil so an untraced
+// cell never reaches the call.
 func (s *Subflow) observe(op obs.SubflowOp, seq, ack int64) {
-	s.obsRec.Record(obs.SubflowEvent{
+	s.eng.Recorder().Subflows.Record(obs.SubflowEvent{
 		At:           s.eng.Now(),
 		Op:           op,
 		Name:         s.cfg.Name,
@@ -272,7 +261,7 @@ func (s *Subflow) observe(op obs.SubflowOp, seq, ack int64) {
 		Cwnd:         s.cwnd,
 		Ssthresh:     s.ssthresh,
 		InflightSegs: s.inflightSegs,
-		Srtt:         s.rtt.Srtt(),
+		Srtt:         s.rtt.srtt,
 	})
 }
 
@@ -289,17 +278,17 @@ func (s *Subflow) Path() *netsim.Path { return s.path }
 func (s *Subflow) Stats() SubflowStats { return s.stats }
 
 // Srtt returns the smoothed RTT estimate (0 before the first sample).
-func (s *Subflow) Srtt() time.Duration { return s.rtt.Srtt() }
+func (s *Subflow) Srtt() time.Duration { return s.rtt.srtt }
 
 // SeedRTT initializes the RTT estimate with one measurement, as a kernel
 // does from the SYN/SYN-ACK handshake.
 func (s *Subflow) SeedRTT(rtt time.Duration) { s.rtt.sample(rtt) }
 
 // RTTStdDev returns the RTT mean-deviation estimate — ECF's σ.
-func (s *Subflow) RTTStdDev() time.Duration { return s.rtt.StdDev() }
+func (s *Subflow) RTTStdDev() time.Duration { return s.rtt.rttvar }
 
 // HasRTTSample reports whether at least one RTT measurement exists.
-func (s *Subflow) HasRTTSample() bool { return s.rtt.Samples() > 0 }
+func (s *Subflow) HasRTTSample() bool { return s.rtt.samples > 0 }
 
 // InflightSegments returns the number of unacknowledged segments.
 func (s *Subflow) InflightSegments() int { return s.inflightSegs }
@@ -342,14 +331,11 @@ func (s *Subflow) SetCwnd(w float64) {
 	s.cwnd = w
 }
 
-// Ssthresh implements cc.Flow.
-func (s *Subflow) Ssthresh() float64 { return s.ssthresh }
-
 // SetSsthresh implements cc.Flow.
 func (s *Subflow) SetSsthresh(w float64) { s.ssthresh = w }
 
 // SrttSeconds implements cc.Flow.
-func (s *Subflow) SrttSeconds() float64 { return s.rtt.Srtt().Seconds() }
+func (s *Subflow) SrttSeconds() float64 { return s.rtt.srtt.Seconds() }
 
 // InSlowStart implements cc.Flow.
 func (s *Subflow) InSlowStart() bool { return s.cwnd < s.ssthresh }
@@ -460,7 +446,7 @@ func (s *Subflow) SendSegment(dsn int64, length int) {
 // window-opening ACKs release line-rate bursts that overflow shallow
 // drop-tail buffers far below the window the path could sustain.
 func (s *Subflow) paceOut(seg *segment) {
-	if s.rtt.Samples() == 0 {
+	if s.rtt.samples == 0 {
 		s.transmit(seg)
 		return
 	}
@@ -472,7 +458,7 @@ func (s *Subflow) paceOut(seg *segment) {
 	if s.InSlowStart() {
 		gain = 2.0
 	}
-	interval := time.Duration(float64(s.rtt.Srtt()) / (cwnd * gain))
+	interval := time.Duration(float64(s.rtt.srtt) / (cwnd * gain))
 	now := s.eng.Now()
 	at := s.nextPacedAt
 	if at < now {
@@ -542,7 +528,7 @@ func (s *Subflow) transmit(seg *segment) {
 	// A full drop-tail queue silently discards; recovery comes from
 	// dup-ACKs or the RTO, like on a real path.
 	s.path.Forward().Send(pkt)
-	if s.obsRec != nil {
+	if s.eng.Recorder() != nil {
 		s.observe(obs.SfSend, seg.seq, 0)
 	}
 	s.armRTO()
@@ -618,7 +604,7 @@ func (s *Subflow) onRTO() {
 	if s.rtoBackoff < 64 {
 		s.rtoBackoff *= 2
 	}
-	if s.obsRec != nil {
+	if s.eng.Recorder() != nil {
 		s.observe(obs.SfRTO, s.sndUna, 0)
 	}
 	if seg := s.unaSegment(); seg != nil {
@@ -715,7 +701,7 @@ func (s *Subflow) processNewAck(p *netsim.Packet) {
 			s.ctrl.OnAck(s, acked)
 		}
 	}
-	if s.obsRec != nil {
+	if s.eng.Recorder() != nil {
 		s.observe(obs.SfAck, s.sndUna, p.AckSeq)
 	}
 	s.armRTO()
@@ -727,10 +713,10 @@ func (s *Subflow) processNewAck(p *netsim.Packet) {
 // window stops doubling. This avoids the massive drop-tail burst losses a
 // pure loss-based exit would take on every connection start.
 func (s *Subflow) maybeExitSlowStart() {
-	if s.rtt.Samples() < 8 {
+	if s.rtt.samples < 8 {
 		return
 	}
-	minRTT := s.rtt.Min()
+	minRTT := s.rtt.min
 	thresh := minRTT / 8
 	const lo, hi = 4 * time.Millisecond, 16 * time.Millisecond
 	if thresh < lo {
@@ -757,7 +743,7 @@ func (s *Subflow) fastRetransmit() {
 	s.recoveryPoint = s.nextSeq
 	s.stats.FastRetransmits++
 	s.stats.Retransmits++
-	if s.obsRec != nil {
+	if s.eng.Recorder() != nil {
 		s.observe(obs.SfFastRtx, s.sndUna, 0)
 	}
 	seg.rtx++

@@ -69,8 +69,8 @@ func TestTransferCompletes(t *testing.T) {
 		Config{Name: "p"}, 1_000_000)
 	h.pmp.fill()
 	h.eng.Run()
-	if h.rx.Expected() != 1_000_000 {
-		t.Fatalf("receiver got %d bytes, want 1000000", h.rx.Expected())
+	if h.rx.expected != 1_000_000 {
+		t.Fatalf("receiver got %d bytes, want 1000000", h.rx.expected)
 	}
 	if h.sf.InflightSegments() != 0 || h.sf.InflightBytes() != 0 {
 		t.Fatalf("inflight not drained: %d segs %d bytes", h.sf.InflightSegments(), h.sf.InflightBytes())
@@ -116,8 +116,8 @@ func TestLossRecoveryViaDupAcks(t *testing.T) {
 		Config{Name: "p"}, 2_000_000)
 	h.pmp.fill()
 	h.eng.Run()
-	if h.rx.Expected() != 2_000_000 {
-		t.Fatalf("receiver got %d bytes, want 2000000", h.rx.Expected())
+	if h.rx.expected != 2_000_000 {
+		t.Fatalf("receiver got %d bytes, want 2000000", h.rx.expected)
 	}
 	st := h.sf.Stats()
 	if st.Retransmits == 0 {
@@ -130,8 +130,8 @@ func TestRandomLossRecovery(t *testing.T) {
 		Config{Name: "p"}, 3_000_000)
 	h.pmp.fill()
 	h.eng.Run()
-	if h.rx.Expected() != 3_000_000 {
-		t.Fatalf("receiver got %d bytes, want 3000000", h.rx.Expected())
+	if h.rx.expected != 3_000_000 {
+		t.Fatalf("receiver got %d bytes, want 3000000", h.rx.expected)
 	}
 }
 
@@ -142,14 +142,14 @@ func TestRTORecoversFromTotalBlackout(t *testing.T) {
 	h.path.Forward().SetLossRate(1.0)
 	h.pmp.fill()
 	h.eng.RunUntil(3 * time.Second)
-	if h.rx.Expected() != 0 {
+	if h.rx.expected != 0 {
 		t.Fatal("nothing should arrive during blackout")
 	}
 	// Restore and let RTO-driven retransmission finish the transfer.
 	h.path.Forward().SetLossRate(0)
 	h.eng.Run()
-	if h.rx.Expected() != 400_000 {
-		t.Fatalf("receiver got %d bytes after blackout, want 400000", h.rx.Expected())
+	if h.rx.expected != 400_000 {
+		t.Fatalf("receiver got %d bytes after blackout, want 400000", h.rx.expected)
 	}
 	st := h.sf.Stats()
 	if st.Timeouts == 0 {
@@ -273,16 +273,16 @@ func TestSubflowRecvOutOfOrderBuffering(t *testing.T) {
 	// Deliver seq 1400 before seq 0.
 	rx.OnPacket(&netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 1400, DSN: 1400, PayloadLen: 1400})
 	eng.Run()
-	if rx.Expected() != 0 {
-		t.Fatalf("expected = %d, want 0 (hole at front)", rx.Expected())
+	if rx.expected != 0 {
+		t.Fatalf("expected = %d, want 0 (hole at front)", rx.expected)
 	}
 	if len(acks) != 1 || !acks[0].SackHole || acks[0].AckSeq != 0 {
 		t.Fatalf("first ack = %+v, want dup-ack with hole", acks[0])
 	}
 	rx.OnPacket(&netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 0, DSN: 0, PayloadLen: 1400})
 	eng.Run()
-	if rx.Expected() != 2800 {
-		t.Fatalf("expected = %d after filling hole, want 2800", rx.Expected())
+	if rx.expected != 2800 {
+		t.Fatalf("expected = %d after filling hole, want 2800", rx.expected)
 	}
 	if last := acks[len(acks)-1]; last.SackHole || last.AckSeq != 2800 {
 		t.Fatalf("final ack = %+v, want cumulative 2800 no hole", last)
@@ -297,8 +297,8 @@ func TestSubflowRecvCountsDuplicates(t *testing.T) {
 	pkt := netsim.Packet{Kind: netsim.Data, Size: 1460, Seq: 0, DSN: 0, PayloadLen: 1400}
 	rx.OnPacket(&pkt)
 	rx.OnPacket(&pkt) // stale duplicate
-	if rx.Duplicates() != 1 {
-		t.Fatalf("duplicates = %d, want 1", rx.Duplicates())
+	if rx.duplicates != 1 {
+		t.Fatalf("duplicates = %d, want 1", rx.duplicates)
 	}
 }
 
@@ -309,8 +309,8 @@ func TestThroughputApproachesLinkRate(t *testing.T) {
 		Config{Name: "p"}, 4<<20)
 	h.pmp.fill()
 	h.eng.Run()
-	if h.rx.Expected() != 4<<20 {
-		t.Fatalf("incomplete transfer: %d", h.rx.Expected())
+	if h.rx.expected != 4<<20 {
+		t.Fatalf("incomplete transfer: %d", h.rx.expected)
 	}
 	dur := h.eng.Now().Seconds()
 	if dur > 7 {

@@ -24,7 +24,7 @@ var layers = map[string][]string{
 	"tcp":     {"sim", "ring", "obs", "cc", "netsim"},
 	"mptcp":   {"sim", "ring", "obs", "cc", "netsim", "tcp"},
 	"sched":   {"mptcp", "tcp", "obs"},
-	"core":    {"sim", "ring", "obs", "cc", "netsim", "tcp", "mptcp", "sched"},
+	"core":    {"sim", "ring", "cc", "netsim", "tcp", "mptcp", "sched"},
 	"trace":   {"core", "netsim", "sim"},
 	"dash":    {"mptcp", "sim"},
 	"web":     {"mptcp", "sim"},
