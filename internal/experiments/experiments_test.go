@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -32,15 +32,23 @@ func TestRunStreamingBasics(t *testing.T) {
 	}
 }
 
+// TestRunStreamingSamplesTraces also pins what the "sampled" records
+// leave out: every trace is sampled at sampleTimes' instants, which the
+// Figure 3, 11 and 12 renderers derive instead of reading them.
 func TestRunStreamingSamplesTraces(t *testing.T) {
 	s := Streaming(0.3, 8.6, "minrtt", 30)
-	s.Workload.SampleInterval = 100 * time.Millisecond
+	s.Workload.SampleInterval = sampleInterval
 	out := s.Run()
 	if len(out.CwndTraces) != 2 || len(out.SndbufTraces) != 2 {
 		t.Fatalf("trace counts = %d/%d, want 2/2", len(out.CwndTraces), len(out.SndbufTraces))
 	}
 	if out.CwndTraces[0].Len() < 50 {
 		t.Fatalf("cwnd trace too short: %d points", out.CwndTraces[0].Len())
+	}
+	for _, tr := range append(out.CwndTraces, out.SndbufTraces...) {
+		if !slices.Equal(tr.T, sampleTimes(tr.Len())) || len(tr.V) != tr.Len() {
+			t.Fatalf("a trace of %d samples is not sampled every %v from 0", tr.Len(), sampleInterval)
+		}
 	}
 	if out.SubflowNames[0] != "wifi" || out.SubflowNames[1] != "lte" {
 		t.Fatalf("subflow names = %v", out.SubflowNames)

@@ -1,21 +1,26 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/results"
 )
 
 // Ceilings for the quick-scale catalog store, about twice what the
-// run-length delay records measure (1.12 MB in 842 records, the
-// largest — an "ooo" cell — 57 KB). Raw per-packet sample arrays as
-// JSON numbers were 3.75 MB and 282 KB.
+// packed records measure: 934,849 bytes in 842 records, the largest —
+// an "ooo" cell — 57,212. Raw per-packet delay arrays as JSON numbers
+// were 3.75 MB and 282 KB; the "sampled" traces as JSON numbers made the
+// store 975,652 bytes.
 const (
-	quickStoreBytesCeiling  = 2_300_000
-	quickRecordBytesCeiling = 120_000
+	quickStoreBytesCeiling  = 1_870_000
+	quickRecordBytesCeiling = 115_000
 )
 
 // renderDelayDrivers renders the reports that read per-packet delay
@@ -84,7 +89,9 @@ func TestQuickCatalogPlanComputesEachKeyOnce(t *testing.T) {
 }
 
 // TestCatalogStoreShape pins what a catalog run leaves in the store and
-// that it reads back exactly: a second pass is all hits and renders the
+// that it reads back exactly: a second pass is all hits, every record it
+// serves re-encodes to exactly its bytes on disk (so no family's codec
+// is lossy or accepts a form it would not write), and it renders the
 // delay reports byte-identically to the pass that computed them; the
 // stored families are, cell for cell, the matrix EnumerateCells lists —
 // what -cache-prune keeps and ecfd leases out (Table 3 and Figures 5
@@ -105,6 +112,8 @@ func TestCatalogStoreShape(t *testing.T) {
 
 	warm := Quick
 	warm.Results = cacheSession(t, dir)
+	canon := &reencodeSink{onDisk: storedRecords(t, dir)}
+	warm.Results.Sink = canon
 	RunCatalog(warm)
 	got := renderDelayDrivers(warm)
 	if h, c := warm.Results.Stats(); c != 0 || h == 0 {
@@ -112,6 +121,12 @@ func TestCatalogStoreShape(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("reports rendered from the store differ from the computed ones:\n--- computed ---\n%s\n--- from store ---\n%s", want, got)
+	}
+	for _, bad := range canon.bad {
+		t.Error(bad)
+	}
+	if len(canon.served) != len(canon.onDisk) {
+		t.Errorf("the warm pass served %d of the store's %d records", len(canon.served), len(canon.onDisk))
 	}
 
 	store, err := results.OpenRead(dir)
@@ -172,4 +187,62 @@ func TestCatalogStoreShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// storedRecords reads every record file under dir, by the key its
+// envelope carries.
+func storedRecords(t *testing.T, dir string) map[results.Key][]byte {
+	t.Helper()
+	recs := make(map[results.Key][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var env struct {
+			Key results.Key `json:"key"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		recs[env.Key] = raw
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// reencodeSink receives every record a session serves and holds it to
+// its bytes on disk: results.EncodeRecord of the decoded value must
+// write the file it was read from.
+type reencodeSink struct {
+	onDisk map[results.Key][]byte
+
+	mu     sync.Mutex
+	served map[results.Key]bool
+	bad    []string
+}
+
+func (s *reencodeSink) Put(k results.Key, v any) error {
+	raw, err := results.EncodeRecord(k, v)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.served == nil {
+		s.served = make(map[results.Key]bool)
+	}
+	s.served[k] = true
+	switch disk, ok := s.onDisk[k]; {
+	case err != nil:
+		s.bad = append(s.bad, fmt.Sprintf("cell %d of %q does not re-encode: %v", k.Cell, k.Experiment, err))
+	case !ok:
+		s.bad = append(s.bad, fmt.Sprintf("cell %d of %q was served but is not on disk", k.Cell, k.Experiment))
+	case string(raw) != string(disk):
+		s.bad = append(s.bad, fmt.Sprintf("cell %d of %q re-encodes to %d bytes that differ from its %d on disk", k.Cell, k.Experiment, len(raw), len(disk)))
+	}
+	return nil
 }

@@ -78,23 +78,27 @@ type Figure3Result struct {
 // default first.
 var paperSchedulers = []string{"minrtt", "daps", "blest", "ecf"}
 
+// sampleInterval is how often the sampled streams record their
+// subflows. The sampler fires at t = 0 and reschedules itself by the
+// interval, so sample i is taken at i × sampleInterval.
+const sampleInterval = 100 * time.Millisecond
+
 // sampledCell is the record of one 0.3/8.6 streaming run sampled every
-// 100 ms: both subflows' congestion window and send-buffer occupancy at
-// the shared instants T. Figure 3 renders the default scheduler's
-// send buffers, Figures 11 and 12 each scheduler's CWND on one subflow.
+// sampleInterval: both subflows' congestion window and send-buffer
+// occupancy, sample i taken at sampleTimes' instant i. Figure 3 renders
+// the default scheduler's send buffers, Figures 11 and 12 each
+// scheduler's CWND on one subflow.
 type sampledCell struct {
 	Subflows []string
-	T        []time.Duration
-	Cwnd     [][]float64 // [subflow][sample], segments
-	Sndbuf   [][]float64 // [subflow][sample], unacked bytes
+	Cwnd     []metrics.Series // [subflow][sample], segments
+	Sndbuf   []metrics.Series // [subflow][sample], unacked bytes
 }
 
 // sampledFamily is "sampled/0.3-8.6": one sampled 0.3/8.6 stream per
 // paper scheduler.
 func sampledFamily(p *Plan) *family[sampledCell] {
 	return declare(p, "sampled/0.3-8.6", func(_ Scenario, out *Outcome) sampledCell {
-		// The sampler records every series at the same instants.
-		cell := sampledCell{Subflows: out.SubflowNames, T: out.CwndTraces[0].T}
+		cell := sampledCell{Subflows: out.SubflowNames}
 		for j := range out.CwndTraces {
 			cell.Cwnd = append(cell.Cwnd, out.CwndTraces[j].V)
 			cell.Sndbuf = append(cell.Sndbuf, out.SndbufTraces[j].V)
@@ -104,10 +108,20 @@ func sampledFamily(p *Plan) *family[sampledCell] {
 		cells := make([]Scenario, len(paperSchedulers))
 		for i, sched := range paperSchedulers {
 			cells[i] = Streaming(0.3, 8.6, sched, p.sc.VideoSec)
-			cells[i].Workload.SampleInterval = 100 * time.Millisecond
+			cells[i].Workload.SampleInterval = sampleInterval
 		}
 		return cells
 	})
+}
+
+// sampleTimes returns the instants of a sampled stream's first n
+// samples.
+func sampleTimes(n int) []time.Duration {
+	t := make([]time.Duration, n)
+	for i := range t {
+		t[i] = time.Duration(i) * sampleInterval
+	}
+	return t
 }
 
 // Figure3 samples subflow send-buffer occupancy (unacked bytes, in-flight
@@ -119,7 +133,7 @@ func planFigure3(p *Plan) func() *Figure3Result {
 	sampledFamily(p).read(func(_ int, cell sampledCell) {
 		res.Names = cell.Subflows
 		for _, v := range cell.Sndbuf {
-			res.Traces = append(res.Traces, &metrics.TimeSeries{T: cell.T, V: v})
+			res.Traces = append(res.Traces, &metrics.TimeSeries{T: sampleTimes(len(v)), V: v})
 		}
 	}, 0)
 	return just(res)
@@ -218,7 +232,8 @@ func planCwndTrace(fig string, subflowIdx int, p *Plan) func() *CwndTraceResult 
 	}
 	traces := make([]*metrics.TimeSeries, len(res.Schedulers))
 	sampledFamily(p).read(func(i int, cell sampledCell) {
-		traces[i] = &metrics.TimeSeries{T: cell.T, V: cell.Cwnd[subflowIdx]}
+		v := cell.Cwnd[subflowIdx]
+		traces[i] = &metrics.TimeSeries{T: sampleTimes(len(v)), V: v}
 	})
 	return func() *CwndTraceResult {
 		for i, s := range res.Schedulers {

@@ -1,12 +1,13 @@
 package metrics
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"time"
 )
 
@@ -26,20 +27,24 @@ import (
 // zero gap followed by the run's length. That is exact, 2–3 bytes per
 // distinct sample and 2–4 bytes per run of equal ones, where the
 // samples as JSON numbers take ten or more. Experiment drivers must
-// record per-packet series this way, never as JSON arrays of numbers —
-// those dominated both the store's size and the time to read it back.
+// record per-packet series this way, or as a Series, never as JSON
+// arrays of numbers — those dominated both the store's size and the
+// time to read it back.
 //
-// A record is read in two passes: the first checks every token and
-// counts the samples they encode, and only a record whose count matches
-// is given memory, so a hostile count allocates nothing. A record holds
-// at most maxRecordSamples samples, so neither can a hostile run.
+// A record is read in two passes over its varints, each a word at a
+// time (see packed.go). The counting pass establishes, before any
+// sample memory is given, that the tokens encode exactly the count the
+// record claims: one sample per varint terminator, corrected for every
+// zero gap by the run after it, each run canonical, non-zero and within
+// maxRecordSamples. So a hostile count or run allocates nothing, and a
+// record holds at most maxRecordSamples samples. The fill pass then
+// decodes the tokens into that memory and checks everything else: each
+// varint canonical and inside the record, no run straight after a run
+// or past the count, no gap past the largest duration, and no byte
+// left over. Either pass's error leaves the target unchanged.
 type DelayDist struct {
 	sorted []time.Duration
 }
-
-// maxRecordSamples bounds a record: 2^22 samples, 32 MiB decoded,
-// twenty-five times the largest cell's (164k at full scale).
-const maxRecordSamples = 1 << 22
 
 // NewDelayDist copies and sorts the samples.
 func NewDelayDist(ds []time.Duration) DelayDist {
@@ -97,17 +102,100 @@ func sortDurations(s []time.Duration) {
 }
 
 // MergeDelayDists pools the samples of several distributions into one.
+// Each part is sorted already, so it merges them rather than sorting
+// their concatenation: rounds of two-way merges, each round halving the
+// number of non-empty parts, ceil(log2 k) passes over the samples for
+// k parts. The rounds alternate between the result and a pooled scratch
+// buffer, so that the last one writes the result.
 func MergeDelayDists(parts ...DelayDist) DelayDist {
+	runs := make([][]time.Duration, 0, len(parts))
 	n := 0
 	for _, p := range parts {
-		n += len(p.sorted)
+		if len(p.sorted) > 0 {
+			runs = append(runs, p.sorted)
+			n += len(p.sorted)
+		}
 	}
-	s := make([]time.Duration, 0, n)
-	for _, p := range parts {
-		s = append(s, p.sorted...)
+	out := make([]time.Duration, n)
+	if len(runs) == 1 {
+		copy(out, runs[0])
 	}
-	sortDurations(s)
-	return DelayDist{sorted: s}
+	if len(runs) <= 1 {
+		return DelayDist{sorted: out}
+	}
+	scratch := GetDurations()
+	if cap(scratch) < n {
+		scratch = make([]time.Duration, n)
+	}
+	defer PutDurations(scratch)
+	bufs := [2][]time.Duration{out, scratch[:n]}
+	for left := bits.Len(uint(len(runs)-1)) - 1; left >= 0; left-- { // rounds after this one
+		dst, merged, at := bufs[left&1], runs[:0], 0
+		for i := 0; i < len(runs); i += 2 {
+			m := len(runs[i])
+			if i+1 < len(runs) {
+				m += len(runs[i+1])
+				merge2(dst[at:at+m], runs[i], runs[i+1])
+			} else {
+				copy(dst[at:], runs[i])
+			}
+			merged = append(merged, dst[at:at+m])
+			at += m
+		}
+		runs = merged
+	}
+	return DelayDist{sorted: out}
+}
+
+// merge2 merges the sorted a and b into dst, which holds exactly both.
+// First the samples of a that come before all of b, then those of b
+// that come before the rest of a, move as blocks: a pooled web
+// distribution opens with its zero delays, over half its samples, and
+// so does every merge of two. The rest is merge2Interleaved's.
+func merge2(dst, a, b []time.Duration) {
+	if len(a) > 0 && len(b) > 0 {
+		lead := sort.Search(len(a), func(k int) bool { return a[k] > b[0] })
+		copy(dst, a[:lead])
+		dst, a = dst[lead:], a[lead:]
+	}
+	if len(a) > 0 && len(b) > 0 {
+		lead := sort.Search(len(b), func(k int) bool { return b[k] >= a[0] })
+		copy(dst, b[:lead])
+		dst, b = dst[lead:], b[lead:]
+	}
+	merge2Interleaved(dst, a, b)
+}
+
+// merge2Interleaved is merge2 sample by sample. Which side holds the
+// next sample is as good as random in pooled delay samples, so each
+// step picks it with a conditional move, not a branch, and two
+// independent steps share each turn of the loop: one takes the
+// smallest sample left to the front of dst, the other the largest to the
+// back. While both sides have samples left, the two never take the same
+// one: when the front step empties a side, the back step's comparison
+// against that side's last sample, the one just taken, cannot pick it.
+func merge2Interleaved(dst, a, b []time.Duration) {
+	i, j := 0, 0                 // the fronts of a and b
+	ia, jb := len(a)-1, len(b)-1 // their backs
+	for i <= ia && j <= jb {
+		x, y, fromB := a[i], b[j], 0
+		if y < x {
+			x, fromB = y, 1
+		}
+		dst[i+j] = x
+		i += 1 - fromB
+		j += fromB
+		u, v, fromA := a[ia], b[jb], 0
+		if u > v {
+			v, fromA = u, 1
+		}
+		dst[ia+jb+1] = v
+		ia -= fromA
+		jb -= 1 - fromA
+	}
+	// At most one side has samples left: they fill the gap in between.
+	copy(dst[i+j:], a[i:ia+1])
+	copy(dst[i+j:], b[j:jb+1])
 }
 
 // at returns P(X <= x), x in seconds.
@@ -131,11 +219,6 @@ func (d DelayDist) Mean() float64 { return meanOf(d.sorted, time.Duration.Second
 // every family holding a DelayDist is re-keyed and its records in the
 // old form are computed once more.
 func (DelayDist) RecordFormat() string { return "delaydist/varint-gaps-runs-ns/2" }
-
-// recordEncoding is the base64 of the record form. Strict, plus the
-// length check in UnmarshalJSON, makes the encoding of a byte string
-// unique: no stray padding bits, no skipped newlines.
-var recordEncoding = base64.StdEncoding.Strict()
 
 // MarshalJSON writes the record form described on the type.
 func (d DelayDist) MarshalJSON() ([]byte, error) {
@@ -161,10 +244,7 @@ func (d DelayDist) MarshalJSON() ([]byte, error) {
 		}
 		i = j
 	}
-	out := make([]byte, 2+recordEncoding.EncodedLen(len(packed)))
-	out[0], out[len(out)-1] = '"', '"'
-	recordEncoding.Encode(out[1:], packed)
-	return out, nil
+	return packRecord(packed), nil
 }
 
 // UnmarshalJSON reads the record form back. It accepts exactly the
@@ -177,108 +257,128 @@ func (d *DelayDist) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		return nil
 	}
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return errors.New("metrics: delay distribution record is not a JSON string")
-	}
-	text := b[1 : len(b)-1]
-	packed := make([]byte, recordEncoding.DecodedLen(len(text)))
-	n, err := recordEncoding.Decode(packed, text)
+	count, tokens, err := unpackRecord(b, "delay distribution")
 	if err != nil {
-		return fmt.Errorf("metrics: delay distribution record: %w", err)
-	}
-	if recordEncoding.EncodedLen(n) != len(text) {
-		return errors.New("metrics: delay distribution record has characters outside its base64")
-	}
-	packed = packed[:n]
-	count, w := uvarint(packed)
-	if w <= 0 {
-		return errors.New("metrics: delay distribution record has no canonical sample count")
-	}
-	packed = packed[w:]
-	if count > maxRecordSamples {
-		return fmt.Errorf("metrics: delay distribution record claims %d samples, more than the %d a record holds", count, maxRecordSamples)
-	}
-	if err := unpackSamples(packed, int(count), nil); err != nil {
 		return err
 	}
+	if count == 0 && len(tokens) == 0 {
+		d.sorted = []time.Duration{}
+		return nil
+	}
+	first, w := varint(tokens)
+	if w <= 0 {
+		return errors.New("metrics: delay distribution record is cut off at its first sample")
+	}
+	if n, err := countSamples(tokens, w); err != nil {
+		return err
+	} else if n != count {
+		return fmt.Errorf("metrics: delay distribution record claims %d samples but encodes %d", count, n)
+	}
 	sorted := make([]time.Duration, count)
-	_ = unpackSamples(packed, int(count), sorted) // the tokens just checked
+	sorted[0] = time.Duration(first)
+	if err := fillSamples(tokens, w, sorted); err != nil {
+		return err
+	}
 	d.sorted = sorted
 	return nil
 }
 
-// unpackSamples walks the tokens after a record's count, which declares
-// count samples. With out nil it only checks them; given the checked
-// tokens and a slice of count samples, it fills the slice.
-func unpackSamples(packed []byte, count int, out []time.Duration) error {
-	var cur int64
+// countSamples is the counting pass: how many samples the tokens encode
+// when those from offset p on are gaps and runs after the first sample.
+// Every varint ends in one terminator byte, so the tokens from p on are
+// their terminators, counted a word at a time, and each is one sample —
+// but for a zero gap and the run length after it, two tokens that stand
+// for the run's samples. A zero gap is the single byte 0, the only token
+// that is a zero byte: a canonical varint of more bytes never ends in
+// one. For each, the run length is decoded and checked to be canonical,
+// non-zero and within a record's bound, and the count corrected. Nothing
+// else is checked here.
+func countSamples(tokens []byte, p int) (uint64, error) {
+	n := uint64(1) // the first sample
+	for p < len(tokens) {
+		word := wordAt(tokens, p)
+		n += uint64(bits.OnesCount64(^word & stopBits))
+		// The zero bytes: a byte's low seven bits plus 0x7f carry into
+		// its high bit unless they are all clear.
+		for zeros := ^((word&^stopBits + ^uint64(stopBits)) | word) & stopBits; zeros != 0; zeros &= zeros - 1 {
+			at := p + bits.TrailingZeros64(zeros)>>3
+			run, w := uvarint(tokens[at+1:])
+			if w <= 0 || run == 0 || run > maxRecordSamples {
+				return 0, fmt.Errorf("metrics: delay distribution record has a bad run at byte %d", at)
+			}
+			n += run - 2
+		}
+		p += 8
+	}
+	return n, nil
+}
+
+// fillSamples is the filling pass: it decodes the tokens from offset p
+// on into out[1:], the gaps and runs after the first sample, which the
+// caller has put in out[0]. out has as many samples as the counting
+// pass found, but the tokens are checked here all the same: each must
+// be a canonical varint within the tokens, a run must not follow a run
+// or pass the end of out, a gap must not pass the largest duration, and
+// no byte may be left over. fillGaps takes the common tokens; the loop
+// here takes each one it stops at.
+func fillSamples(tokens []byte, p int, out []time.Duration) error {
+	cur := uint64(out[0])
 	afterRun := false
-	for k := 0; k < count; {
-		if k == 0 {
-			v, w := varint(packed)
-			if w <= 0 {
-				return errors.New("metrics: delay distribution record is cut off at its first sample")
-			}
-			packed, cur = packed[w:], v
-		} else {
-			gap, w := uvarint(packed)
-			if w <= 0 {
-				return fmt.Errorf("metrics: delay distribution record is cut off at sample %d of %d", k, count)
-			}
-			packed = packed[w:]
-			if gap == 0 {
-				if afterRun {
-					return fmt.Errorf("metrics: delay distribution record has two runs in a row at sample %d", k)
-				}
-				run, w := uvarint(packed)
-				if w <= 0 || run == 0 || run > uint64(count-k) {
-					return fmt.Errorf("metrics: delay distribution record has a bad run at sample %d of %d", k, count)
-				}
-				packed = packed[w:]
-				if out != nil {
-					v := time.Duration(cur)
-					for i := k; i < k+int(run); i++ {
-						out[i] = v
-					}
-				}
-				k += int(run)
-				afterRun = true
-				continue
-			}
-			if gap > uint64(math.MaxInt64)-uint64(cur) {
+	for k := 1; k < len(out); {
+		if q, j, c := fillGaps(tokens, p, out, k, cur); j > k {
+			p, k, cur, afterRun = q, j, c, false
+			continue
+		}
+		gap, n := uvarint(tokens[p:])
+		if n <= 0 {
+			return fmt.Errorf("metrics: delay distribution record is cut off or not canonical at sample %d of %d", k, len(out))
+		}
+		p += n
+		if gap != 0 {
+			if gap > math.MaxInt64-cur {
 				return fmt.Errorf("metrics: delay distribution record overflows at sample %d", k)
 			}
-			cur = int64(uint64(cur) + gap)
-		}
-		if out != nil {
+			cur += gap
 			out[k] = time.Duration(cur)
+			k++
+			afterRun = false
+			continue
 		}
-		k++
-		afterRun = false
+		run, n := uvarint(tokens[p:])
+		if n <= 0 || afterRun || run == 0 || run > uint64(len(out)-k) {
+			return fmt.Errorf("metrics: delay distribution record has a bad run at sample %d of %d", k, len(out))
+		}
+		p += n
+		fill := out[k : k+int(run)]
+		for i := range fill {
+			fill[i] = time.Duration(cur)
+		}
+		k += int(run)
+		afterRun = true
 	}
-	if len(packed) != 0 {
-		return fmt.Errorf("metrics: delay distribution record has %d bytes after its %d samples", len(packed), count)
+	if p != len(tokens) {
+		return fmt.Errorf("metrics: delay distribution record has %d bytes after its %d samples", len(tokens)-p, len(out))
 	}
 	return nil
 }
 
-// uvarint is binary.Uvarint restricted to the shortest encoding of each
-// value, the only one AppendUvarint writes: a varint whose last byte is
-// zero, with more bytes before it, reports w = 0.
-func uvarint(b []byte) (v uint64, w int) {
-	v, w = binary.Uvarint(b)
-	if w > 1 && b[w-1] == 0 {
-		return 0, 0
+// fillGaps decodes gaps from offset p into out[k:] for as long as they
+// are the common token: a varint of at most eight bytes that tokenOK
+// accepts, not zero, and keeping the sample within the largest
+// duration. It returns where it stopped: at the end of out, or at the
+// first token that is anything else, which it leaves to fillSamples.
+// The loop calls nothing, so its state stays in registers.
+func fillGaps(tokens []byte, p int, out []time.Duration, k int, cur uint64) (int, int, uint64) {
+	for ; k < len(out); k++ {
+		gap, n := peekUvarint(tokens, p)
+		// gap-1 wraps for a zero gap, so one comparison refuses it and
+		// an overflowing one.
+		if !tokenOK(tokens, p, gap, n) || gap-1 >= math.MaxInt64-cur {
+			break
+		}
+		p += n
+		cur += gap
+		out[k] = time.Duration(cur)
 	}
-	return v, w
-}
-
-// varint is binary.Varint under uvarint's shortest-encoding rule.
-func varint(b []byte) (int64, int) {
-	u, w := uvarint(b)
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, w
+	return p, k, cur
 }

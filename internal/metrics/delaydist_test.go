@@ -127,6 +127,31 @@ func TestMergeDelayDistsPoolsSamples(t *testing.T) {
 	}
 }
 
+// TestMergeDelayDistsMatchesSort holds the merge rounds to a sort of
+// the pooled samples on the edges of its two-way merge: parts of zero
+// to five samples, equal leading blocks, ties across parts, and every
+// part count from 0 to 9 (odd counts leave a part unpaired in a round).
+func TestMergeDelayDistsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 2000; round++ {
+		parts := make([]DelayDist, rng.Intn(10))
+		var all []time.Duration
+		for i := range parts {
+			ds := make([]time.Duration, rng.Intn(6))
+			for j := range ds {
+				ds[j] = time.Duration(rng.Intn(4) - 1)
+			}
+			all = append(all, ds...)
+			parts[i] = NewDelayDist(ds)
+		}
+		want := slices.Clone(all)
+		slices.Sort(want)
+		if got := MergeDelayDists(parts...); !slices.Equal(got.sorted, want) || len(got.sorted) != len(want) {
+			t.Fatalf("merging %d parts gave %v, want %v", len(parts), got.sorted, want)
+		}
+	}
+}
+
 // packDelays builds a record by hand: the count, then raw varint bytes.
 func packDelays(count uint64, body ...byte) []byte {
 	packed := append(binary.AppendUvarint(nil, count), body...)
@@ -267,4 +292,92 @@ func TestSortDurationsMatchesComparisonSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchDelayRecords draws two distributions shaped like the extremes of
+// a full-scale store's delay records. "distinct" is about 92k mostly
+// distinct samples whose gaps are spread evenly over one-, two- and
+// three-byte varints, about 1.9 bytes a sample (an "ooo/0.3-8.6"
+// cell). "runs" is about 164k samples in about 18k tokens, one value in
+// seven repeated some 70 times (an "ooo/4.2-8.6" cell).
+func benchDelayRecords() []namedDelays {
+	rng := rand.New(rand.NewSource(3))
+	logUniform := func(bits float64) time.Duration { return time.Duration(math.Exp2(rng.Float64() * bits)) }
+	var distinct []time.Duration
+	var at time.Duration
+	for len(distinct) < 92_000 {
+		if rng.Intn(900) > 0 {
+			at += logUniform(20)
+		}
+		distinct = append(distinct, at)
+	}
+	var runs []time.Duration
+	at = 0
+	for len(runs) < 164_000 {
+		at += logUniform(15)
+		n := 1
+		if rng.Intn(7) == 0 {
+			n += rng.Intn(140)
+		}
+		for i := 0; i < n; i++ {
+			runs = append(runs, at)
+		}
+	}
+	return []namedDelays{{"distinct", NewDelayDist(distinct)}, {"runs", NewDelayDist(runs)}}
+}
+
+type namedDelays struct {
+	name string
+	d    DelayDist
+}
+
+// BenchmarkDelayDistDecode reads a record back, base64 included, and
+// reports the cost per sample and the record's packed bytes per sample.
+func BenchmarkDelayDistDecode(b *testing.B) {
+	for _, rec := range benchDelayRecords() {
+		d := rec.d
+		raw, err := d.MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(rec.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				var back DelayDist
+				if err := back.UnmarshalJSON(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := float64(len(d.sorted))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/sample")
+			b.ReportMetric(float64(base64.StdEncoding.DecodedLen(len(raw)-2))/n, "packed-bytes/sample")
+		})
+	}
+}
+
+// mergeSink keeps BenchmarkMergeDelayDists' result live.
+var mergeSink DelayDist
+
+// BenchmarkMergeDelayDists pools 30 runs of about 3k samples each, as
+// Figure 23 and Table 4 pool a scheduler's wild web runs. As in those
+// runs' records, over half of each run's delays are zero.
+func BenchmarkMergeDelayDists(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	parts := make([]DelayDist, 30)
+	n := 0
+	for i := range parts {
+		ds := make([]time.Duration, 2700+rng.Intn(700))
+		for j := range ds {
+			if rng.Intn(20) < 9 {
+				ds[j] = time.Duration(rng.ExpFloat64() * float64(40*time.Millisecond))
+			}
+		}
+		parts[i] = NewDelayDist(ds)
+		n += len(ds)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeSink = MergeDelayDists(parts...)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
 }

@@ -65,20 +65,26 @@
 // Go's encoding round-trips exactly, or types that marshal themselves
 // exactly and name their form through a RecordFormat method, which the
 // key then covers (internal/experiments folds a record type's JSON shape,
-// RecordFormat names included, into its family's Scale). The one such
-// type is metrics.DelayDist, the per-packet delay distribution: integer
+// RecordFormat names included, into its family's Scale). There are two
+// such types, each decoded only after its tokens are checked against its
+// count. metrics.DelayDist is the per-packet delay distribution: integer
 // nanoseconds, stored as varint gaps with each run of equal samples
-// folded into one zero gap and a length, and decoded only after its
-// tokens are checked against its count. A change of that form renames
-// RecordFormat, which re-keys the families holding it: their cells are
-// computed once more.
+// folded into one zero gap and a length. metrics.Series is a sampled
+// trace (the CWND and send-buffer series of the "sampled" family):
+// float64 samples, stored as varints of each sample's bits XORed with
+// the previous one's. A change of either form renames its RecordFormat,
+// which re-keys the families holding it: their cells are computed once
+// more.
 //
 // Record size is read cost: a warm run decodes every byte of every
-// record it renders, and the 130 delay records are three quarters of
-// a full-scale store's 2.9 MB of records. Per-cell summaries and short series are
-// fine as plain JSON; a per-packet series (tens of thousands of
-// samples) must not be stored as a JSON array of numbers — record it as
-// a metrics.DelayDist, or give its type a packed form the same way.
+// record it renders, and the 130 delay records are four fifths of a
+// full-scale store's 2.6 MB of records. Per-cell summaries and short
+// series are fine as plain JSON; a per-packet or per-sample series (tens
+// of thousands of samples, or thousands per subflow) must not be stored
+// as a JSON array of numbers — record it as a metrics.DelayDist or a
+// metrics.Series, or give its type a packed form the same way. The
+// sampled traces were such arrays until the "sampled/0.3-8.6" family
+// re-keyed once to Series; -cache-prune clears its old group.
 package results
 
 import (

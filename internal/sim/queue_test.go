@@ -200,6 +200,16 @@ func TestHeapQueueMatchesReferenceUnderChurn(t *testing.T) {
 // Pending and on every handle's Active, with the queue invariants holding
 // after each op. The fuzzer owns the byte-to-op decoding, so crashing
 // inputs shrink to readable op lists.
+//
+// Active is checked after each op on the live handles and on the one the
+// op touched, and on every handle once more when the input ends, so the
+// checks cost no more than the queue walk checkQueue makes after each
+// op. No assertion is lost: a handle dies (its event fires or is
+// cancelled) in the op that touches it, where it is checked, and a dead
+// handle's Active can turn true again only if its arena slot's
+// generation returns to the handle's. Every free of the slot bumps that
+// generation by one, so that takes 2^32 frees, far more than the ops of
+// any input.
 func FuzzQueueOrdering(f *testing.F) {
 	f.Add([]byte{0x10, 0x80, 0x02, 0x41, 0xff, 0x07, 0x30})
 	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x80, 0x80, 0x80, 0x01, 0x02, 0x03})
@@ -211,6 +221,19 @@ func FuzzQueueOrdering(f *testing.F) {
 		var fired []int
 		var timers []Timer // indexed by event id
 		var pending []bool // indexed by event id: the oracle still holds it
+		var live []int     // the ids the oracle still holds, in no order
+		var liveAt []int   // indexed by event id: its index in live
+		die := func(id int) {
+			pending[id] = false
+			last := live[len(live)-1]
+			live[liveAt[id]], liveAt[last] = last, liveAt[id]
+			live = live[:len(live)-1]
+		}
+		checkActive := func(id int) {
+			if timers[id].Active() != pending[id] {
+				t.Fatalf("timer %d: Active = %v, oracle pending = %v", id, timers[id].Active(), pending[id])
+			}
+		}
 		pos := 0
 		next := func() byte {
 			if pos >= len(data) {
@@ -222,6 +245,7 @@ func FuzzQueueOrdering(f *testing.F) {
 		}
 		for pos < len(data) {
 			op := next()
+			touched := -1
 			switch op % 4 {
 			case 0, 1: // schedule; gap spliced from the next two bytes (odd ops in ~16.8ms units)
 				gap := Time(op%2)<<24*Time(next()) + Time(next())*1000
@@ -229,6 +253,8 @@ func FuzzQueueOrdering(f *testing.F) {
 				at := e.Now() + gap
 				fn := func() { fired = append(fired, id) }
 				pending = append(pending, true)
+				liveAt = append(liveAt, len(live))
+				live = append(live, id)
 				if op&0x10 != 0 { // ticketed form
 					tk := e.ReserveTicket()
 					timers = append(timers, e.AtTicket(at, tk, kindClosure, fn))
@@ -237,29 +263,36 @@ func FuzzQueueOrdering(f *testing.F) {
 					timers = append(timers, e.at(at, fn))
 					heap.Push(ref, oracleEvent{at: at, seq: e.seq, id: id})
 				}
+				touched = id
 			case 2: // cancel by index — stale handles included on purpose
 				if len(timers) > 0 {
 					i := int(next()) % len(timers)
 					timers[i].Cancel()
 					if pending[i] {
 						ref.remove(i)
-						pending[i] = false
+						die(i)
 					}
+					touched = i
 				}
 			case 3:
 				if id, ok := stepOracle(t, e, ref, &fired); ok {
-					pending[id] = false
+					die(id)
+					touched = id
 				}
 			}
 			if e.Pending() != ref.Len() {
 				t.Fatalf("Pending = %d, oracle holds %d", e.Pending(), ref.Len())
 			}
-			for id, tm := range timers {
-				if tm.Active() != pending[id] {
-					t.Fatalf("timer %d: Active = %v, oracle pending = %v", id, tm.Active(), pending[id])
-				}
+			for _, id := range live {
+				checkActive(id)
+			}
+			if touched >= 0 {
+				checkActive(touched)
 			}
 			checkQueue(t, e)
+		}
+		for id := range timers {
+			checkActive(id)
 		}
 		for ref.Len() > 0 {
 			stepOracle(t, e, ref, &fired)
