@@ -127,10 +127,11 @@ func TestMergeDelayDistsPoolsSamples(t *testing.T) {
 	}
 }
 
-// TestMergeDelayDistsMatchesSort holds the merge rounds to a sort of
-// the pooled samples on the edges of its two-way merge: parts of zero
-// to five samples, equal leading blocks, ties across parts, and every
-// part count from 0 to 9 (odd counts leave a part unpaired in a round).
+// TestMergeDelayDistsMatchesSort holds the merge to a sort of the
+// pooled samples on its edges: parts of zero to five samples, parts
+// that open with the smallest sample of all and parts that do not, ties
+// across parts, and every part count from 0 to 9 (odd counts leave a
+// part unpaired in a round).
 func TestMergeDelayDistsMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 2000; round++ {
@@ -359,25 +360,35 @@ func BenchmarkDelayDistDecode(b *testing.B) {
 var mergeSink DelayDist
 
 // BenchmarkMergeDelayDists pools 30 runs of about 3k samples each, as
-// Figure 23 and Table 4 pool a scheduler's wild web runs. As in those
-// runs' records, over half of each run's delays are zero.
+// Figure 23 and Table 4 pool a scheduler's wild web runs, in two
+// shapes. "web" has over half its delays zero, as those pools do (55 %
+// and 64 % of a full-scale Figure 23 pool, 34–63 % of a Figure 21 one),
+// so long stretches come from one side. "distinct" has no zeros and
+// every sample distinct, so which side holds the next one is a coin
+// toss.
 func BenchmarkMergeDelayDists(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	parts := make([]DelayDist, 30)
-	n := 0
-	for i := range parts {
-		ds := make([]time.Duration, 2700+rng.Intn(700))
-		for j := range ds {
-			if rng.Intn(20) < 9 {
-				ds[j] = time.Duration(rng.ExpFloat64() * float64(40*time.Millisecond))
+	for _, shape := range []struct {
+		name  string
+		zeros int // in 20
+	}{{"web", 11}, {"distinct", 0}} {
+		rng := rand.New(rand.NewSource(4))
+		parts := make([]DelayDist, 30)
+		n := 0
+		for i := range parts {
+			ds := make([]time.Duration, 2700+rng.Intn(700))
+			for j := range ds {
+				if rng.Intn(20) >= shape.zeros {
+					ds[j] = 1 + time.Duration(rng.ExpFloat64()*float64(40*time.Millisecond))
+				}
 			}
+			parts[i] = NewDelayDist(ds)
+			n += len(ds)
 		}
-		parts[i] = NewDelayDist(ds)
-		n += len(ds)
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mergeSink = MergeDelayDists(parts...)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mergeSink = MergeDelayDists(parts...)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sample")
 }
